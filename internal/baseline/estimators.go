@@ -61,37 +61,53 @@ func SpeedtestEstimate(samples []float64) float64 {
 // among all intervals bounded by sample values, choose the one maximising
 // the product of sample density and quantity, and estimate the bandwidth as
 // the mean of the samples inside it. The search is O(n²) over the sorted
-// samples, which is cheap at BTS sample counts (≤ a few hundred).
+// samples, which is cheap at BTS sample counts (≤ a few hundred). Callers
+// that already hold their samples in ascending order enter at crucialSorted
+// and skip the copy and sort.
 func CrucialInterval(samples []float64) float64 {
-	n := len(samples)
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	return crucialSorted(sorted)
+}
+
+// crucialSorted is CrucialInterval over samples already in ascending order.
+func crucialSorted(sorted []float64) float64 {
+	n := len(sorted)
 	if n == 0 {
 		return 0
 	}
-	if n == 1 {
-		return samples[0]
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
 	// Guard width so identical samples don't divide by zero; scale-relative.
 	eps := (sorted[n-1] - sorted[0]) / float64(n*10)
 	if eps <= 0 {
 		return sorted[0]
 	}
+	// quantity[k] is the share of all samples an interval holding k has.
+	quantity := make([]float64, n+1)
+	for k := range quantity {
+		quantity[k] = float64(k) / float64(n)
+	}
 	bestScore := math.Inf(-1)
 	bestLo, bestHi := 0, n-1
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			k := float64(j - i + 1)
-			width := sorted[j] - sorted[i] + eps
-			density := k / width
-			quantity := k / float64(n)
-			score := density * quantity
+			k := j - i + 1
+			// density × quantity; strict > keeps the first of tied intervals.
+			score := float64(k) / (sorted[j] - sorted[i] + eps) * quantity[k]
 			if score > bestScore {
 				bestScore, bestLo, bestHi = score, i, j
 			}
 		}
 	}
 	return mean(sorted[bestLo : bestHi+1])
+}
+
+// insertSorted inserts x into ascending xs and returns the grown slice.
+func insertSorted(xs []float64, x float64) []float64 {
+	i := sort.SearchFloat64s(xs, x)
+	xs = append(xs, 0)
+	copy(xs[i+1:], xs[i:])
+	xs[i] = x
+	return xs
 }
 
 // Stable reports whether the window of samples has converged per the FAST /

@@ -69,8 +69,9 @@ func (a *aggregate) sample() float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	bytes := a.totalBytes() - a.lastBytes
-	a.lastBytes = a.totalBytes()
+	total := a.totalBytes()
+	bytes := total - a.lastBytes
+	a.lastBytes = total
 	a.lastAt = now
 	return bytes * 8 / elapsed / 1e6
 }
@@ -329,18 +330,23 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 
 	start := link.Now()
 	var samples []float64
+	var settled []float64 // samples[warmup:] kept ascending, for crucialSorted
 	var history []float64 // crucial-interval estimate per sample index
 	agree := 0
 	for link.Now()-start < maxDur {
 		for i := 0; i < ticksPerSample; i++ {
 			agg.step()
 		}
-		samples = append(samples, agg.sample())
+		s := agg.sample()
+		samples = append(samples, s)
+		if len(samples) > warmup {
+			settled = insertSorted(settled, s)
+		}
 		if len(samples) < minSamples {
 			history = append(history, 0)
 			continue
 		}
-		est := CrucialInterval(samples[warmup:])
+		est := crucialSorted(settled)
 		history = append(history, est)
 		// Compare against the estimate one lag window ago: while the TCP
 		// ramp is still growing the lagged estimate trails the current one,
@@ -366,12 +372,14 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 			}
 		}
 	}
-	final := samples
-	if len(final) > warmup {
-		final = samples[warmup:]
+	var result float64
+	if len(samples) > warmup {
+		result = crucialSorted(settled)
+	} else {
+		result = CrucialInterval(samples)
 	}
 	return Report{
-		Result:   CrucialInterval(final),
+		Result:   result,
 		Duration: link.Now() - start,
 		DataMB:   agg.totalBytes() / 1e6,
 		Samples:  samples,

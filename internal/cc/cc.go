@@ -132,6 +132,7 @@ func (r *Reno) Tick(fb Feedback) float64 {
 type Cubic struct {
 	cwnd       float64
 	wmax       float64
+	k          float64 // ∛(wmax·(1−β)/C), refreshed by setWmax
 	slow       bool
 	epochStart time.Duration
 	elapsed    time.Duration
@@ -160,7 +161,16 @@ func (c *Cubic) Name() string { return "cubic" }
 // InSlowStart implements Algorithm.
 func (c *Cubic) InSlowStart() bool { return c.slow }
 
+// setWmax records the window at the last reduction together with the K it
+// implies, so the per-tick window function needs no cube root.
+func (c *Cubic) setWmax(w float64) {
+	c.wmax = w
+	c.k = math.Cbrt(w * (1 - cubicBeta) / cubicC)
+}
+
 // Tick implements Algorithm.
+//
+// swiftvet:hotpath
 func (c *Cubic) Tick(fb Feedback) float64 {
 	c.elapsed += fb.Tick
 	if c.minRTT == 0 || fb.RTT < c.minRTT {
@@ -169,7 +179,7 @@ func (c *Cubic) Tick(fb Feedback) float64 {
 
 	switch {
 	case fb.Loss:
-		c.wmax = c.cwnd
+		c.setWmax(c.cwnd)
 		c.cwnd = math.Max(c.cwnd*cubicBeta, 2)
 		c.slow = false
 		c.epochStart = c.elapsed
@@ -180,14 +190,13 @@ func (c *Cubic) Tick(fb Feedback) float64 {
 		thresh := c.minRTT + maxDuration(4*time.Millisecond, c.minRTT/8)
 		if fb.RTT > thresh {
 			c.slow = false
-			c.wmax = c.cwnd
+			c.setWmax(c.cwnd)
 			c.epochStart = c.elapsed
 		}
 	default:
 		// Cubic window: W(t) = C·(t−K)³ + Wmax, K = ∛(Wmax·(1−β)/C).
-		t := (c.elapsed - c.epochStart).Seconds()
-		k := math.Cbrt(c.wmax * (1 - cubicBeta) / cubicC)
-		target := cubicC*math.Pow(t-k, 3) + c.wmax
+		d := (c.elapsed - c.epochStart).Seconds() - c.k
+		target := cubicC*(d*d*d) + c.wmax
 		acked := ackedPackets(fb, c.ackDelay)
 		if target > c.cwnd {
 			// Approach the cubic target at most one packet per ACK event.
@@ -312,6 +321,8 @@ func NewSender(flow *linksim.Flow, alg Algorithm) *Sender {
 
 // Step feeds the last tick's delivery feedback to the algorithm and installs
 // the new offered rate.
+//
+// swiftvet:hotpath
 func (s *Sender) Step(tick time.Duration) {
 	fb := Feedback{
 		Achieved: s.Flow.Achieved(),

@@ -142,8 +142,13 @@ type Link struct {
 	state      LinkState     // current profile state, valid when haveState
 	haveState  bool          // a StateHook has been evaluated at least once
 
-	effScratch []float64    // per-tick effective offered rates, reused across Advance calls
-	impScratch []Impairment // per-tick impairment states, reused across Advance calls
+	// Per-tick scratch, sized to the flow count and reused across Advance
+	// calls: effective offered rates, impairment states, fair shares, and the
+	// max-min working set of still-unsatisfied flow indices.
+	effScratch    []float64
+	impScratch    []Impairment
+	shareScratch  []float64
+	activeScratch []int
 }
 
 // New returns a Link with the given configuration, seeded deterministically.
@@ -355,6 +360,8 @@ func (l *Link) capacityNow() float64 {
 
 // Advance moves virtual time forward by one Tick, allocating capacity to
 // flows max-min fairly and updating queue and loss state.
+//
+// swiftvet:hotpath
 func (l *Link) Advance() {
 	// A profile state machine, when installed, redefines the link's base
 	// parameters for this tick before anything else is computed.
@@ -395,6 +402,8 @@ func (l *Link) Advance() {
 	if cap(l.effScratch) < len(l.flows) {
 		l.effScratch = make([]float64, len(l.flows))
 		l.impScratch = make([]Impairment, len(l.flows))
+		l.shareScratch = make([]float64, len(l.flows))
+		l.activeScratch = make([]int, len(l.flows))
 	}
 	eff := l.effScratch[:len(l.flows)]
 	imps := l.impScratch[:len(l.flows)]
@@ -413,6 +422,7 @@ func (l *Link) Advance() {
 	shares := l.fairShare(cap, eff)
 
 	tickSec := Tick.Seconds()
+	lossRate := l.lossRateNow()
 	var offeredSum float64
 	for i, f := range l.flows {
 		f.lost = false
@@ -426,7 +436,7 @@ func (l *Link) Advance() {
 		deliveredBits := granted * 1e6 * tickSec
 		f.bits += deliveredBits
 		offeredSum += eff[i]
-		if lr := l.lossRateNow(); lr > 0 && eff[i] > 0 && l.rng.Float64() < lr {
+		if lossRate > 0 && eff[i] > 0 && l.rng.Float64() < lossRate {
 			f.lost = true
 		}
 	}
@@ -466,39 +476,47 @@ func (l *Link) Advance() {
 
 // fairShare allocates cap Mbps across flows max-min fairly given their
 // effective offered rates (post-impairment). The returned slice is indexed
-// like l.flows.
+// like l.flows and aliases the link's scratch, which Advance has sized to the
+// flow count: it is valid only until the next call, and Advance consumes it
+// before returning.
+//
+// swiftvet:hotpath
 func (l *Link) fairShare(cap float64, offered []float64) []float64 {
 	n := len(l.flows)
-	shares := make([]float64, n)
-	if n == 0 {
-		return shares
+	shares := l.shareScratch[:n]
+	for i := range shares {
+		shares[i] = 0
 	}
 	remaining := cap
-	active := make([]int, 0, n)
+	active := l.activeScratch[:n]
+	live := 0
 	for i := range l.flows {
 		if offered[i] > 0 {
-			active = append(active, i)
+			active[live] = i
+			live++
 		}
 	}
 	// Iteratively satisfy flows below the equal share; classic max-min.
-	for len(active) > 0 && remaining > 1e-12 {
-		equal := remaining / float64(len(active))
+	// Unsatisfied flows are compacted to the front of active, in order.
+	for live > 0 && remaining > 1e-12 {
+		equal := remaining / float64(live)
 		progressed := false
-		next := active[:0]
-		for _, i := range active {
+		kept := 0
+		for _, i := range active[:live] {
 			want := offered[i] - shares[i]
 			if want <= equal {
 				shares[i] += want
 				remaining -= want
 				progressed = true
 			} else {
-				next = append(next, i)
+				active[kept] = i
+				kept++
 			}
 		}
-		active = next
+		live = kept
 		if !progressed {
 			// Everyone wants more than the equal share: split evenly.
-			for _, i := range active {
+			for _, i := range active[:live] {
 				shares[i] += equal
 			}
 			remaining = 0

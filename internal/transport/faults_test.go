@@ -9,6 +9,7 @@ import (
 
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/errdefs"
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/faults"
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
@@ -31,6 +32,16 @@ func startFaultyPool(t *testing.T, n int, uplink float64, plan *faults.Plan) *Se
 	return pool
 }
 
+// neverStop is a termination policy that lets a test run to its MaxDuration,
+// for scenarios whose fault must land before the test ends.
+type neverStop struct{}
+
+func (neverStop) Name() string { return "never" }
+
+func (neverStop) Decide([]float64, []estimate.TrajectoryPoint, time.Duration) core.Decision {
+	return core.Decision{}
+}
+
 // TestLoopbackBlackoutFailover is the wire-level acceptance scenario: one of
 // three loopback servers blacks out mid-test; the client detects the dead
 // session, redistributes, and the run finishes degraded with the loss
@@ -50,9 +61,12 @@ func TestLoopbackBlackoutFailover(t *testing.T) {
 	probe.SetTrace(tr)
 	probe.SetMetrics(reg)
 
-	// One 60 Mbps mode: the probe needs all three 25 Mbps servers.
+	// One 60 Mbps mode: the probe needs all three 25 Mbps servers. The
+	// crossing rule can close a clean loopback test inside a second — before
+	// the 900 ms blackout plus the lost-session windows have played out — so
+	// the run is held open to MaxDuration.
 	model := gmm.MustNew(gmm.Component{Weight: 1, Mu: 60, Sigma: 6})
-	res, err := core.Run(probe, core.Config{Model: model, MaxDuration: 4 * time.Second, Trace: tr})
+	res, err := core.Run(probe, core.Config{Model: model, MaxDuration: 4 * time.Second, Trace: tr, Terminate: neverStop{}})
 	probe.Finish(res.Bandwidth, res.Duration)
 	if err != nil {
 		t.Fatal(err)
