@@ -67,9 +67,9 @@ type CampaignConfig struct {
 	// (config, seed).
 	Seed int64
 	// Workers bounds concurrent runs. Zero selects 1. The report is
-	// byte-identical at every worker count: per-run seeds are pure
-	// functions of the cell coordinates and results aggregate in cell
-	// order regardless of completion order.
+	// byte-identical at every worker count: run seeds are pure functions of
+	// (Seed, profile, run index) and results aggregate in cell order
+	// regardless of completion order.
 	Workers int
 	// Registry, when non-nil, receives per-state dwell and handover
 	// instruments from every profiled link in the campaign.
@@ -117,7 +117,9 @@ type ScenarioStats struct {
 	FaultPlan string `json:"fault_plan"`
 	Runs      int    `json:"runs"`
 	// MeanAccuracy is mean 1 − deviation versus the fault-free BTS-APP
-	// ground truth on the identical (profile, seed) link.
+	// ground truth on the identical link. Run r of every cell of a profile
+	// is measured on the same seeded link and scored against the same truth
+	// flood, so rows of one profile differ by algorithm and fault plan only.
 	MeanAccuracy float64 `json:"mean_accuracy"`
 	// MeanDurationMS is the mean test duration in virtual milliseconds.
 	MeanDurationMS float64 `json:"mean_duration_ms"`
@@ -178,13 +180,14 @@ type campaignCell struct {
 	profile *ranprofile.Profile
 	alg     string
 	plan    NamedFaultPlan
-	hash    uint64 // FNV-64a of the cell coordinates, seeding its runs
+	// hash is FNV-64a of the profile name alone. With the run index it
+	// seeds the run, so run r of every cell of a profile gets one link.
+	hash uint64
 }
 
 // runOutcome is one measured run of a cell.
 type runOutcome struct {
 	estimate     float64
-	truth        float64
 	duration     time.Duration
 	dataMB       float64
 	converged    bool
@@ -212,8 +215,7 @@ func impairFromPlan(plan *faults.Plan) func(at time.Duration) linksim.Impairment
 }
 
 // runScenario measures one run of one cell: the algorithm under test on a
-// profiled, possibly faulted link, against fault-free BTS-APP ground truth
-// replaying the identical (profile, seed) capacity trace.
+// profiled, possibly faulted link. runTruth floods the same link fault-free.
 func runScenario(cell campaignCell, runSeed int64, reg *obs.Registry) (runOutcome, error) {
 	machine := ranprofile.NewMachine(cell.profile, runSeed, ranprofile.MachineOptions{
 		Metrics: ranprofile.NewLinkMetrics(reg),
@@ -259,18 +261,22 @@ func runScenario(cell campaignCell, runSeed int64, reg *obs.Registry) (runOutcom
 	}
 	out.handovers = machine.Handovers()
 	out.stateChanges = machine.StateChanges()
-
-	// Ground truth: BTS-APP floods the identical (profile, seed) link —
-	// same state chain, same AR(1) noise — with no faults, so accuracy
-	// isolates what the termination algorithm loses, not what the fault
-	// destroyed.
-	truthMachine := ranprofile.NewMachine(cell.profile, runSeed, ranprofile.MachineOptions{})
-	truthLink, err := linksim.New(linksim.Config{StateHook: truthMachine.Hook()}, runSeed)
-	if err != nil {
-		return runOutcome{}, fmt.Errorf("exper: truth link: %w", err)
-	}
-	out.truth = (&baseline.BTSApp{}).Run(truthLink).Result
 	return out, nil
+}
+
+// runTruth is the ground truth of one (profile, run): BTS-APP floods the
+// link runScenario builds from the same seed — same state chain, same AR(1)
+// noise — for 10 s with no faults, so accuracy isolates what the termination
+// algorithm loses, not what the fault destroyed. It depends on neither
+// algorithm nor fault plan, so every cell of the profile shares it. The
+// machine carries no metrics: registry rows count measured links only.
+func runTruth(profile *ranprofile.Profile, runSeed int64) (float64, error) {
+	machine := ranprofile.NewMachine(profile, runSeed, ranprofile.MachineOptions{})
+	link, err := linksim.New(linksim.Config{StateHook: machine.Hook()}, runSeed)
+	if err != nil {
+		return 0, fmt.Errorf("exper: truth link: %w", err)
+	}
+	return (&baseline.BTSApp{}).Run(link).Result, nil
 }
 
 // RunCampaign sweeps profiles × algorithms × fault plans under cfg and
@@ -291,47 +297,51 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignReport, erro
 		if err != nil {
 			return nil, err
 		}
+		h := fnv.New64a()
+		h.Write([]byte(name))
 		for _, alg := range cfg.Algorithms {
 			for _, fp := range cfg.FaultPlans {
-				h := fnv.New64a()
-				fmt.Fprintf(h, "%s|%s|%s", name, alg, fp.Name)
 				cells = append(cells, campaignCell{profile: p, alg: alg, plan: fp, hash: h.Sum64()})
 			}
 		}
 	}
-
-	type job struct{ cell, run int }
-	jobs := make([]job, 0, len(cells)*cfg.Runs)
-	for c := range cells {
-		for r := 0; r < cfg.Runs; r++ {
-			jobs = append(jobs, job{cell: c, run: r})
-		}
+	perProfile := len(cfg.Algorithms) * len(cfg.FaultPlans)
+	runSeed := func(cell campaignCell, run int) int64 {
+		return int64(stats.SplitMix64(uint64(cfg.Seed) ^ cell.hash ^ uint64(run)*stats.SplitMix64Gamma))
 	}
 
-	outcomes := make([]runOutcome, len(jobs))
-	errs := make([]error, len(jobs))
+	// Jobs are numbered truth floods first — one per (profile, run), shared
+	// by the profile's cells — then one per (cell, run); errs has a slot for
+	// each.
+	truths := make([]float64, len(cfg.Profiles)*cfg.Runs)
+	outcomes := make([]runOutcome, len(cells)*cfg.Runs)
+	errs := make([]error, len(truths)+len(outcomes))
 	var (
 		wg   sync.WaitGroup
 		next = make(chan int)
 	)
 	workers := cfg.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > len(errs) {
+		workers = len(errs)
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for idx := range next {
-				j := jobs[idx]
-				cell := cells[j.cell]
-				runSeed := int64(stats.SplitMix64(uint64(cfg.Seed) ^ cell.hash ^ uint64(j.run)*stats.SplitMix64Gamma))
-				outcomes[idx], errs[idx] = runScenario(cell, runSeed, cfg.Registry)
+				if idx < len(truths) {
+					first := cells[idx/cfg.Runs*perProfile]
+					truths[idx], errs[idx] = runTruth(first.profile, runSeed(first, idx%cfg.Runs))
+					continue
+				}
+				o := idx - len(truths)
+				cell := cells[o/cfg.Runs]
+				outcomes[o], errs[idx] = runScenario(cell, runSeed(cell, o%cfg.Runs), cfg.Registry)
 			}
 		}()
 	}
 feed:
-	for idx := range jobs {
+	for idx := range errs {
 		select {
 		case next <- idx:
 		case <-ctx.Done():
@@ -371,11 +381,12 @@ feed:
 		}
 		for r := 0; r < cfg.Runs; r++ {
 			o := outcomes[c*cfg.Runs+r]
-			s.MeanAccuracy += 1 - Deviation(o.estimate, o.truth)
+			truth := truths[c/perProfile*cfg.Runs+r]
+			s.MeanAccuracy += 1 - Deviation(o.estimate, truth)
 			s.MeanDurationMS += float64(o.duration) / float64(time.Millisecond)
 			s.MeanDataMB += o.dataMB
 			s.MeanEstimateMbps += o.estimate
-			s.MeanTruthMbps += o.truth
+			s.MeanTruthMbps += truth
 			if o.converged {
 				s.Converged++
 			}

@@ -123,3 +123,54 @@ func TestCampaignHonoursCancellation(t *testing.T) {
 		t.Fatal("cancelled campaign reported success")
 	}
 }
+
+// TestCampaignCellsArePaired pins the seeding contract: a run's link depends
+// on (seed, profile, run index) only, so the cells of a profile share one
+// ground truth, and sweeping fewer algorithms or fault plans cannot change
+// the rows that remain.
+func TestCampaignCellsArePaired(t *testing.T) {
+	run := func(algs []string, plans []NamedFaultPlan) map[[3]string]ScenarioStats {
+		t.Helper()
+		rep, err := RunCampaign(context.Background(), CampaignConfig{
+			Profiles:   []string{"5g-drive", "subway"},
+			Algorithms: algs,
+			FaultPlans: plans,
+			Runs:       2,
+			Seed:       41,
+			Workers:    4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make(map[[3]string]ScenarioStats)
+		truth := make(map[string]float64)
+		for _, s := range rep.Scenarios {
+			rows[[3]string{s.Profile, s.Algorithm, s.FaultPlan}] = s
+			if first, seen := truth[s.Profile]; !seen {
+				truth[s.Profile] = s.MeanTruthMbps
+			} else if s.MeanTruthMbps != first {
+				t.Errorf("%s/%s/%s: truth %v, the profile's first cell has %v",
+					s.Profile, s.Algorithm, s.FaultPlan, s.MeanTruthMbps, first)
+			}
+		}
+		if truth["5g-drive"] == truth["subway"] {
+			t.Errorf("both profiles report truth %v: seeds ignore the profile", truth["subway"])
+		}
+		return rows
+	}
+
+	plans := BuiltinFaultPlans()
+	full := run([]string{"swiftest", "fastbts", "fast"}, plans)
+	fewerAlgs := run([]string{"fast"}, plans)
+	fewerPlans := run([]string{"fastbts", "swiftest"}, plans[2:])
+	for name, subset := range map[string]map[[3]string]ScenarioStats{"algorithms": fewerAlgs, "fault plans": fewerPlans} {
+		for key, row := range subset {
+			if row != full[key] {
+				t.Errorf("narrowing %s changed cell %v:\n got %+v\nwant %+v", name, key, row, full[key])
+			}
+		}
+	}
+	if len(fewerAlgs) != 6 || len(fewerPlans) != 4 {
+		t.Fatalf("subset campaigns have %d and %d cells, want 6 and 4", len(fewerAlgs), len(fewerPlans))
+	}
+}

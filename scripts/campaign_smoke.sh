@@ -36,7 +36,8 @@ echo "campaign bench gate passed: $profiles profiles x $algs algs x $plans fault
 
 # --- Leg 2: CLI determinism --------------------------------------------------
 # The same (config, seed) must produce byte-identical reports regardless of
-# worker count — the whole point of the fixed cell list + per-cell seeding.
+# worker count — the whole point of the fixed cell list + seeds that are pure
+# functions of (seed, profile, run).
 go build -o "$WORK/swiftest" ./cmd/swiftest
 
 "$WORK/swiftest" campaign -runs 1 -seed 42 -workers 1 -json "$WORK/w1.json" \
@@ -73,4 +74,15 @@ if cmp -s "$WORK/w8.json" "$WORK/seed43.json"; then
   exit 1
 fi
 
-echo "campaign smoke passed: full-library sweep, byte-identical across workers and reruns, seed-sensitive"
+# --- Leg 3: pairing ----------------------------------------------------------
+# Runs are seeded by (seed, profile, run) alone, so every algorithm and fault
+# plan of a profile is scored against the same truth flood: the report must
+# hold exactly one distinct mean_truth_mbps per profile.
+nprofiles="$(grep -o '"profile": "[^"]*"' "$WORK/w1.json" | sort -u | wc -l)"
+ntruths="$(awk '/"profile":/ { p = $2 } /"mean_truth_mbps":/ { print p, $2 }' "$WORK/w1.json" | sort -u | wc -l)"
+if [ "$nprofiles" -lt 8 ] || [ "$ntruths" -ne "$nprofiles" ]; then
+  echo "campaign cells are unpaired: $ntruths distinct (profile, mean_truth_mbps) pairs over $nprofiles profiles" >&2
+  exit 1
+fi
+
+echo "campaign smoke passed: full-library sweep, byte-identical across workers and reruns, seed-sensitive, one truth per profile"
