@@ -3,6 +3,7 @@ package baseline
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -66,29 +67,24 @@ func crucialStreams() map[string][]float64 {
 	return map[string][]float64{"random": random, "duplicated": duplicated, "zero-runs": zeroRuns}
 }
 
+// TestCrucialIntervalMatchesReference compares both entries with the old
+// body at every prefix length: CrucialInterval over the unsorted prefix, and
+// crucialSorted over the same prefix kept ascending by insertion, the way
+// FastBTS.Run holds it.
 func TestCrucialIntervalMatchesReference(t *testing.T) {
 	for name, stream := range crucialStreams() {
+		var settled []float64
 		for n := 0; n <= len(stream); n++ {
-			if got, want := CrucialInterval(stream[:n]), crucialIntervalRef(stream[:n]); got != want {
+			want := crucialIntervalRef(stream[:n])
+			if got := CrucialInterval(stream[:n]); got != want {
 				t.Fatalf("%s n=%d: CrucialInterval = %v, reference %v", name, n, got, want)
 			}
-		}
-	}
-}
-
-// TestInsertSortedFeedsCrucialSorted checks the pair FastBTS.Run relies on:
-// a prefix kept ascending by insertion, handed to crucialSorted, equals the
-// reference over the unsorted prefix at every length.
-func TestInsertSortedFeedsCrucialSorted(t *testing.T) {
-	for name, stream := range crucialStreams() {
-		var settled []float64
-		for i, x := range stream {
-			settled = insertSorted(settled, x)
-			if !sort.Float64sAreSorted(settled) {
-				t.Fatalf("%s: prefix of %d not ascending after insert", name, i+1)
+			if got := crucialSorted(settled); got != want {
+				t.Fatalf("%s n=%d: crucialSorted = %v, reference %v", name, n, got, want)
 			}
-			if got, want := crucialSorted(settled), crucialIntervalRef(stream[:i+1]); got != want {
-				t.Fatalf("%s n=%d: crucialSorted = %v, reference %v", name, i+1, got, want)
+			if n < len(stream) {
+				at, _ := slices.BinarySearch(settled, stream[n])
+				settled = slices.Insert(settled, at, stream[n])
 			}
 		}
 	}

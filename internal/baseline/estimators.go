@@ -101,15 +101,6 @@ func crucialSorted(sorted []float64) float64 {
 	return mean(sorted[bestLo : bestHi+1])
 }
 
-// insertSorted inserts x into ascending xs and returns the grown slice.
-func insertSorted(xs []float64, x float64) []float64 {
-	i := sort.SearchFloat64s(xs, x)
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = x
-	return xs
-}
-
 // Stable reports whether the window of samples has converged per the FAST /
 // Swiftest criterion (§5.1): the difference ratio between the maximum and
 // minimum values is at most threshold (e.g. 0.03 for 3 %).

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"slices"
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/cc"
@@ -340,7 +341,8 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 		s := agg.sample()
 		samples = append(samples, s)
 		if len(samples) > warmup {
-			settled = insertSorted(settled, s)
+			at, _ := slices.BinarySearch(settled, s)
+			settled = slices.Insert(settled, at, s)
 		}
 		if len(samples) < minSamples {
 			history = append(history, 0)

@@ -484,9 +484,7 @@ func (l *Link) Advance() {
 func (l *Link) fairShare(cap float64, offered []float64) []float64 {
 	n := len(l.flows)
 	shares := l.shareScratch[:n]
-	for i := range shares {
-		shares[i] = 0
-	}
+	clear(shares)
 	remaining := cap
 	active := l.activeScratch[:n]
 	live := 0
