@@ -1,8 +1,8 @@
 package swiftest_test
 
-// Public-API face of the protocol-v2 redesign: negotiated wire versions,
-// lease-token authentication, the shared Estimates struct across live,
-// emulated, and baseline runners, and the SessionOptions discipline.
+// Public-API face of the two-channel wire protocol: lease-token
+// authentication, the shared Estimates struct across live, emulated, and
+// baseline runners, and the SessionOptions discipline.
 
 import (
 	"context"
@@ -25,10 +25,12 @@ func smallModel(t *testing.T) *swiftest.Model {
 	return m
 }
 
-// TestPublicV2Negotiation: a default (ProtoAuto) live test against a current
-// server lands on protocol v2 and reports the full estimator family.
+// TestPublicV2Negotiation: a default live test opens one session, closes it
+// with an acked Bye (the server counts it finished, not reaped), and reports
+// the full estimator family.
 func TestPublicV2Negotiation(t *testing.T) {
-	srv, err := swiftest.NewServer("127.0.0.1:0", swiftest.ServerOptions{UplinkMbps: 60})
+	reg := swiftest.NewMetricsRegistry()
+	srv, err := swiftest.NewServer("127.0.0.1:0", swiftest.ServerOptions{UplinkMbps: 60, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +45,10 @@ func TestPublicV2Negotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ProtocolVersion != 2 {
-		t.Errorf("ProtocolVersion = %d, want 2 (ProtoAuto against a v2 server)", res.ProtocolVersion)
+	counters := reg.Snapshot().Counters
+	if started, finished := counters["swiftest_server_sessions_started_total"],
+		counters["swiftest_server_sessions_finished_total"]; started != 1 || finished != 1 {
+		t.Errorf("server saw %d sessions started, %d finished by Bye; want 1 and 1", started, finished)
 	}
 	if res.Estimates.CrossingMbps != res.BandwidthMbps {
 		t.Errorf("Estimates.CrossingMbps = %g, want BandwidthMbps %g",
@@ -55,33 +59,6 @@ func TestPublicV2Negotiation(t *testing.T) {
 	}
 	if len(res.Trajectory) == 0 {
 		t.Error("no trajectory recorded")
-	}
-}
-
-// TestPublicProtocolPinning: ProtoV1 forces the legacy wire, and the result
-// says so.
-func TestPublicProtocolPinning(t *testing.T) {
-	srv, err := swiftest.NewServer("127.0.0.1:0", swiftest.ServerOptions{UplinkMbps: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	res, err := swiftest.Test(swiftest.TestOptions{
-		Servers:     []swiftest.ServerAddr{{Addr: srv.Addr(), UplinkMbps: 60}},
-		Model:       smallModel(t),
-		MaxDuration: 3 * time.Second,
-		Seed:        32,
-		Protocol:    swiftest.ProtoV1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ProtocolVersion != 1 {
-		t.Errorf("ProtocolVersion = %d, want 1 (pinned)", res.ProtocolVersion)
-	}
-	if res.BandwidthMbps <= 0 {
-		t.Error("pinned-v1 test produced no estimate")
 	}
 }
 
@@ -101,7 +78,6 @@ func TestPublicAuthFlow(t *testing.T) {
 		Model:       smallModel(t),
 		MaxDuration: 2 * time.Second,
 		Seed:        33,
-		Protocol:    swiftest.ProtoV2,
 	}
 	if _, err := swiftest.Test(opts); !errors.Is(err, swiftest.ErrAuthRejected) {
 		t.Errorf("untokened test: err = %v, want ErrAuthRejected", err)
@@ -117,9 +93,8 @@ func TestPublicAuthFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tokened test: %v", err)
 	}
-	if res.ProtocolVersion != 2 || res.BandwidthMbps <= 0 {
-		t.Errorf("tokened test = v%d %.1f Mbps, want v2 with traffic",
-			res.ProtocolVersion, res.BandwidthMbps)
+	if res.BandwidthMbps <= 0 {
+		t.Errorf("tokened test = %.1f Mbps, want traffic", res.BandwidthMbps)
 	}
 }
 
@@ -151,9 +126,6 @@ func TestSimulateSharesEstimates(t *testing.T) {
 	}
 	if res.Estimates.CrossingMbps != res.BandwidthMbps {
 		t.Errorf("sim Estimates.CrossingMbps = %g, want %g", res.Estimates.CrossingMbps, res.BandwidthMbps)
-	}
-	if res.ProtocolVersion != 0 {
-		t.Errorf("sim ProtocolVersion = %d, want 0 (no wire)", res.ProtocolVersion)
 	}
 
 	// A token-bucket-shaped link is the clearest regime: an early burst far

@@ -214,7 +214,6 @@ func test(args []string) error {
 	timeout := fs.Duration("timeout", 0, "hard deadline for the whole test including server selection (0 disables)")
 	asJSON := fs.Bool("json", false, "emit the result as JSON")
 	tracePath := fs.String("trace", "", "write a JSONL run-record of the test to this file")
-	protoFlag := fs.String("protocol", "auto", "wire protocol: auto (v2 with v1 fallback), v1, or v2")
 	tokenFlag := fs.String("token", "", "hex session auth token for a keyed deployment (minted by the dispatcher; implicit with -dispatch)")
 	regimeHint := fs.Bool("regime-hint", false, "feed the BDP-regime classifier back as a convergence hint")
 	terminateFlag := fs.String("terminate", "", "termination policy: crossing (default), fastbts, or earlystop")
@@ -223,10 +222,6 @@ func test(args []string) error {
 		return err
 	}
 	terminate, err2 := parseTerminate(*terminateFlag, *terminateModel)
-	if err2 != nil {
-		return err2
-	}
-	proto, err2 := swiftest.ParseProtocol(*protoFlag)
 	if err2 != nil {
 		return err2
 	}
@@ -302,7 +297,6 @@ func test(args []string) error {
 		Servers:        pool,
 		Model:          model,
 		MaxDuration:    *maxDur,
-		Protocol:       proto,
 		Token:          token,
 		RegimeHint:     *regimeHint,
 	})
@@ -323,7 +317,6 @@ func test(args []string) error {
 	fmt.Printf("bandwidth : %.1f Mbps\n", res.BandwidthMbps)
 	fmt.Printf("estimates : trimmed %.1f, peak %.1f, p90-p80 %.1f Mbps (regime %s)\n",
 		res.Estimates.TrimmedMeanMbps, res.Estimates.SustainedPeakMbps, res.Estimates.P90P80Mbps, res.Regime)
-	fmt.Printf("protocol  : v%d\n", res.ProtocolVersion)
 	fmt.Printf("duration  : %v probing + %v server selection\n",
 		res.Duration.Round(time.Millisecond), res.SelectionTime.Round(time.Millisecond))
 	fmt.Printf("data used : %.1f MB over %d samples\n", res.DataMB, len(res.Samples))

@@ -25,10 +25,6 @@ var (
 	// tokens. Match the wrapping *SaturatedError with errors.As for the
 	// retry-after hint.
 	ErrFleetSaturated = errdefs.ErrFleetSaturated
-	// ErrProtocolUnsupported reports that TestOptions.Protocol pinned a wire
-	// generation the server pool cannot speak (ProtoV2 against legacy
-	// servers).
-	ErrProtocolUnsupported = errdefs.ErrProtocolUnsupported
 	// ErrAuthRejected reports that a keyed server refused the session token
 	// (missing, forged, or minted under a different deployment key; see
 	// TestOptions.Token and ServerOptions.AuthKey).

@@ -64,7 +64,7 @@ func main() {
 	fmt.Printf("data consumed : %.1f MB in %d samples\n", res.DataMB, len(res.Samples))
 	fmt.Printf("escalations   : %d (started at %.0f Mbps)\n", res.RateChanges, res.InitialRateMbps)
 
-	// The servers received the result via the Fin message (§5.1's feed for
+	// The servers received the result via the Bye message (§5.1's feed for
 	// periodic model refresh).
 	select {
 	case reported := <-results:

@@ -371,7 +371,7 @@ type UtilizationOptions struct {
 	BurstFactor float64
 	// OverheadFactor scales client bandwidth into server egress demand
 	// (pacing overshoot during escalation, retransmitted control traffic,
-	// the pacing tail until Fin). Zero selects 1.7.
+	// the pacing tail until Bye). Zero selects 1.7.
 	OverheadFactor float64
 	Seed           int64
 }

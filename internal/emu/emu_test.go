@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,7 +47,7 @@ func measureThroughRelay(t *testing.T, relay *Relay, requestMbps float64, warm, 
 	pool := &transport.ServerPool{Servers: []transport.PoolServer{
 		{Addr: relay.Addr(), UplinkMbps: 200},
 	}}
-	probe, err := transport.NewUDPProbe(pool, rand.New(rand.NewSource(1)))
+	probe, err := transport.NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +96,12 @@ func TestUnderLoadPassesThrough(t *testing.T) {
 // real PING path.
 func TestDelayInflatesPing(t *testing.T) {
 	_, direct := startPair(t, Config{RateMbps: 100})
-	base, err := transport.PingServer(direct.Addr(), 3, time.Second)
+	base, err := transport.PingServerContext(context.Background(), direct.Addr(), 3, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, delayed := startPair(t, Config{RateMbps: 100, Delay: 40 * time.Millisecond})
-	rtt, err := transport.PingServer(delayed.Addr(), 3, time.Second)
+	rtt, err := transport.PingServerContext(context.Background(), delayed.Addr(), 3, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +131,10 @@ func TestSwiftestThroughEmulatedLink(t *testing.T) {
 	pool := &transport.ServerPool{Servers: []transport.PoolServer{
 		{Addr: relay.Addr(), UplinkMbps: 200},
 	}}
-	if err := pool.RankByLatency(2, time.Second); err != nil {
+	if err := pool.RankByLatencyContext(context.Background(), 2, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	probe, err := transport.NewUDPProbe(pool, rand.New(rand.NewSource(3)))
+	probe, err := transport.NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestVirtualRealConsistency(t *testing.T) {
 	pool := &transport.ServerPool{Servers: []transport.PoolServer{
 		{Addr: relay.Addr(), UplinkMbps: 200},
 	}}
-	rProbe, err := transport.NewUDPProbe(pool, rand.New(rand.NewSource(7)))
+	rProbe, err := transport.NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}

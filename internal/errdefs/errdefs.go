@@ -32,13 +32,10 @@ var (
 	// or out of admission tokens. The error usually arrives wrapped in a
 	// *SaturatedError carrying a retry-after hint.
 	ErrFleetSaturated = errors.New("fleet saturated")
-	// ErrAuthRejected reports a protocol-v2 session setup refused by the
+	// ErrAuthRejected reports a session setup refused by the
 	// server's lease authentication: the token was absent, forged, or minted
 	// under a different fleet key.
 	ErrAuthRejected = errors.New("session auth rejected")
-	// ErrProtocolUnsupported reports a client that required protocol v2
-	// against a server that never answered the version negotiation.
-	ErrProtocolUnsupported = errors.New("protocol v2 not supported by server")
 )
 
 // SaturatedError is the structured form of ErrFleetSaturated: the dispatcher

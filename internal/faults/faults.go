@@ -32,7 +32,7 @@ const (
 	// no probe datagram is paced while the fault is active — the mid-test
 	// server-death scenario.
 	Blackout Kind = "blackout"
-	// HandshakeDrop discards TestRequest datagrams, so session setup
+	// HandshakeDrop discards Setup datagrams, so session setup
 	// against the server fails while the fault is active (Prob scales it
 	// from "every attempt" down to a per-attempt coin flip).
 	HandshakeDrop Kind = "handshake_drop"

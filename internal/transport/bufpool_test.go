@@ -72,15 +72,15 @@ func TestBufPoolGrowsBeyondPrealloc(t *testing.T) {
 }
 
 // addWheelSession registers a synthetic session directly on the server, the
-// unit-level counterpart of a TestRequest handshake.
-func addWheelSession(srv *Server, testID uint64, peer *net.UDPAddr, rateKbps uint32) *session {
-	key := sessionKey{addr: peer.String(), testID: testID}
-	sess := &session{key: key, testID: testID}
+// unit-level counterpart of a Setup → DataOpen handshake with both channels
+// on peer.
+func addWheelSession(srv *Server, id uint64, peer *net.UDPAddr, rateKbps uint32) *session {
+	sess := &session{id: id, ctrlPeer: peer}
 	sess.peer.Store(peer)
 	sess.rateKbps.Store(rateKbps)
 	sess.lastSeen.Store(time.Now().UnixNano())
 	srv.mu.Lock()
-	srv.sessions[key] = sess
+	srv.byID[id] = sess
 	srv.order = append(srv.order, sess)
 	srv.mu.Unlock()
 	srv.metrics.sessionsActive.Inc()

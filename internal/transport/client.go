@@ -20,15 +20,10 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/wire"
 )
 
-// PingServer measures the round-trip latency to one server with count pings
-// and returns the minimum RTT observed, the standard BTS server-selection
-// metric (§2). It is PingServerContext with a background context.
-func PingServer(addr string, count int, timeout time.Duration) (time.Duration, error) {
-	return PingServerContext(context.Background(), addr, count, timeout)
-}
-
-// PingServerContext is PingServer honouring ctx: cancellation stops the ping
-// exchange early. Failure to elicit any pong yields an error matching both
+// PingServerContext measures the round-trip latency to one server with count
+// pings and returns the minimum RTT observed, the standard BTS
+// server-selection metric (§2). Cancelling ctx stops the ping exchange
+// early. Failure to elicit any pong yields an error matching both
 // errdefs.ErrProbeTimeout and errdefs.ServerError.
 func PingServerContext(ctx context.Context, addr string, count int, timeout time.Duration) (time.Duration, error) {
 	if count <= 0 {
@@ -102,20 +97,13 @@ type ServerPool struct {
 type PoolServer struct {
 	Addr       string
 	UplinkMbps float64
-	// RTT is filled by RankByLatency.
+	// RTT is filled by RankByLatencyContext.
 	RTT time.Duration
 }
 
-// rankConcurrency bounds the goroutines RankByLatency fans out, so a huge
+// rankConcurrency bounds the goroutines RankByLatencyContext fans out, so a huge
 // candidate list cannot open hundreds of sockets at once.
 const rankConcurrency = 8
-
-// RankByLatency pings every server and sorts the pool by ascending RTT,
-// dropping unreachable servers. It is RankByLatencyContext with a background
-// context.
-func (p *ServerPool) RankByLatency(pingCount int, timeout time.Duration) error {
-	return p.RankByLatencyContext(context.Background(), pingCount, timeout)
-}
 
 // RankByLatencyContext pings all servers concurrently (bounded fan-out) and
 // sorts the pool by ascending RTT, dropping unreachable servers. Ties keep
@@ -180,10 +168,11 @@ func (p *ServerPool) serversFor(rateMbps float64) []PoolServer {
 // probing rate (§5.1 "slightly exceeds").
 const uplinkHeadroom = 1.05
 
-// handshakeAttempts bounds session-setup retries per server.
+// handshakeAttempts bounds the transmissions of each handshake frame (Hello,
+// Setup, DataOpen) per server.
 const handshakeAttempts = 5
 
-// handshakeTimeout is the per-attempt wait for a TestAccept.
+// handshakeTimeout is the per-attempt wait for the frame's answer.
 const handshakeTimeout = 200 * time.Millisecond
 
 // UDPProbe implements core.Probe over real UDP sockets against a pool of
@@ -227,16 +216,16 @@ type UDPProbe struct {
 	wire    WireMode // syscall strategy for session receive loops
 	recvBuf *bufPool // pooled receive buffers, shared across sessions
 
-	proto Protocol   // wire generation policy; set before the first SetRate
-	token wire.Token // dispatcher-lease auth token carried by v2 Setups
+	token wire.Token // dispatcher-lease auth token carried by every Setup
 
-	// finalEst/finalRegime ride the v2 Bye when set; guarded by mu.
+	// finalEst/finalRegime ride the Bye when set; guarded by mu.
 	finalEst    estimate.Estimates
 	finalRegime estimate.Regime
 }
 
 type clientSession struct {
-	conn   *net.UDPConn // the only socket (v1) or the data channel (v2)
+	conn   *net.UDPConn // data channel: paced probe datagrams, nothing else
+	ctrl   *net.UDPConn // control channel: handshake, rate updates, Reports, Bye
 	server PoolServer
 	probe  *UDPProbe
 	done   chan struct{}
@@ -247,11 +236,8 @@ type clientSession struct {
 	lost     bool    // probe.mu held for access
 	tracker  *faults.LostTracker
 
-	// Protocol-v2 state; zero-valued on v1 sessions.
-	v2         bool
-	id         uint64       // session ID, the key both channels share
-	caps       uint32       // capability intersection from the SetupAck
-	ctrl       *net.UDPConn // control channel
+	id         uint64 // session ID, the key both channels share
+	caps       uint32 // capability intersection from the SetupAck
 	ctrlDone   chan struct{}
 	byeAck     chan struct{}
 	byeAckOnce sync.Once
@@ -262,16 +248,10 @@ type clientSession struct {
 // SampleInterval is the client's sampling period, matching §5.1's 50 ms.
 const SampleInterval = 50 * time.Millisecond
 
-// NewUDPProbe prepares a probe against the ranked pool. The probe is idle
-// until the first SetRate. It is NewUDPProbeContext with a background
-// context.
-func NewUDPProbe(pool *ServerPool, rng *rand.Rand) (*UDPProbe, error) {
-	return NewUDPProbeContext(context.Background(), pool, rng)
-}
-
-// NewUDPProbeContext prepares a probe whose handshakes and sample waits
-// honour ctx: cancellation makes the next NextSample return !ok and stops
-// handshake retries.
+// NewUDPProbeContext prepares a probe against the ranked pool. The probe is
+// idle until the first SetRate; its handshakes and sample waits honour ctx:
+// cancellation makes the next NextSample return !ok and stops handshake
+// retries.
 func NewUDPProbeContext(ctx context.Context, pool *ServerPool, rng *rand.Rand) (*UDPProbe, error) {
 	if len(pool.Servers) == 0 {
 		return nil, fmt.Errorf("transport: %w: empty server pool", errdefs.ErrNoServers)
@@ -328,6 +308,21 @@ func (p *UDPProbe) SetMetrics(reg *obs.Registry) {
 		"Session-setup attempts that needed retransmission.")
 }
 
+// SetToken attaches the dispatcher-lease auth token carried by every Setup.
+// Call before the first SetRate; servers running without an auth key ignore
+// it.
+func (p *UDPProbe) SetToken(t wire.Token) { p.token = t }
+
+// SetFinalReport attaches the estimator family and BDP-regime classification
+// the final Bye carries to each server (CapEstimates sessions only). Call
+// before Finish; without it the Bye reports the headline figure alone.
+func (p *UDPProbe) SetFinalReport(est estimate.Estimates, regime estimate.Regime) {
+	p.mu.Lock()
+	p.finalEst = est
+	p.finalRegime = regime
+	p.mu.Unlock()
+}
+
 // SetRate implements core.Probe: it sizes the server set for mbps and
 // distributes the rate across sessions in latency order.
 //
@@ -352,8 +347,8 @@ func (p *UDPProbe) SetRate(mbps float64) error {
 	p.redistributeLocked()
 	if mbps > 0 && p.liveCountLocked() == 0 {
 		if p.lastOpenErr != nil {
-			// Surface the concrete refusal (auth rejection, protocol
-			// mismatch) instead of a generic exhaustion error.
+			// Surface the concrete refusal (auth rejection, silence) instead
+			// of a generic exhaustion error.
 			return fmt.Errorf("transport: %w: no test server accepted the session: %w",
 				errdefs.ErrNoReachableServer, p.lastOpenErr)
 		}
@@ -413,67 +408,136 @@ func (p *UDPProbe) redistributeLocked() {
 		remaining -= share
 		sess.assigned = share
 		// Send twice: rate updates are idempotent; send errors are UDP loss.
-		if sess.v2 {
-			r2 := wire.Rate2{SessionID: sess.id, RateKbps: wire.KbpsFromMbps(share), Seq: seq}
-			buf := r2.AppendTo(make([]byte, 0, wire.Rate2Len))
-			for j := 0; j < 2; j++ {
-				_, _ = sess.ctrl.Write(buf)
-			}
-			continue
-		}
-		rs := wire.RateSet{TestID: p.testID, RateKbps: wire.KbpsFromMbps(share), Seq: seq}
-		buf := rs.AppendTo(make([]byte, 0, wire.RateSetLen))
+		r2 := wire.Rate2{SessionID: sess.id, RateKbps: wire.KbpsFromMbps(share), Seq: seq}
+		buf := r2.AppendTo(make([]byte, 0, wire.Rate2Len))
 		for j := 0; j < 2; j++ {
-			_, _ = sess.conn.Write(buf)
+			_, _ = sess.ctrl.Write(buf)
 		}
 	}
 }
 
-// openSessionLocked dials one server at the configured protocol generation:
-// v2 first unless pinned to ProtoV1, falling back to the legacy
-// TestRequest/TestAccept handshake when a ProtoAuto negotiation goes
-// unanswered. Callers hold p.mu.
+// sessionIDStride spreads per-session IDs across the 64-bit space from the
+// probe's random test ID (the golden-ratio multiplier, as in Fibonacci
+// hashing), so concurrent sessions from one probe never collide on the
+// server's ID-keyed table.
+const sessionIDStride = 0x9e3779b97f4a7c15
+
+// openSessionLocked dials one server on two sockets — control and data —
+// and runs the handshake over them. Callers hold p.mu.
+//
+// The error wraps errdefs.ErrProbeTimeout when a handshake frame went
+// unanswered, and errdefs.ErrAuthRejected when the server refused the lease
+// token, which no retry can fix.
 func (p *UDPProbe) openSessionLocked(server PoolServer) (*clientSession, error) {
-	if p.proto != ProtoV1 {
-		sess, err := p.openV2SessionLocked(server)
-		if err == nil {
-			return sess, nil
-		}
-		if p.proto == ProtoV2 || !errors.Is(err, errdefs.ErrProtocolUnsupported) {
-			return nil, err
-		}
-		// ProtoAuto against a legacy server: negotiate down to v1.
+	fail := func(err error) (*clientSession, error) {
+		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
 	}
 	raddr, err := net.ResolveUDPAddr("udp", server.Addr)
 	if err != nil {
-		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
+		return fail(err)
 	}
-	conn, err := net.DialUDP("udp", nil, raddr)
+	ctrl, err := net.DialUDP("udp", nil, raddr)
 	if err != nil {
-		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
+		return fail(err)
 	}
-	if err := conn.SetReadBuffer(4 << 20); err != nil {
-		// Non-fatal: the default buffer just loses more under burst.
-		_ = err
+	data, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		ctrl.Close()
+		return fail(err)
+	}
+	// Non-fatal: the default buffer just loses more under burst.
+	_ = data.SetReadBuffer(4 << 20)
+
+	sid := p.testID ^ (uint64(p.used)+1)*sessionIDStride
+	caps, err := p.handshake(ctrl, data, server, sid)
+	if err != nil {
+		ctrl.Close()
+		data.Close()
+		return fail(err)
+	}
+	sess := &clientSession{
+		conn:     data,
+		ctrl:     ctrl,
+		server:   server,
+		probe:    p,
+		id:       sid,
+		caps:     caps,
+		done:     make(chan struct{}),
+		ctrlDone: make(chan struct{}),
+		byeAck:   make(chan struct{}),
+		tracker:  faults.NewLostTracker(p.lostAfter),
+	}
+	p.used++
+	p.trace.Record(p.Elapsed(), obs.EventServerAdd, 0, server.UplinkMbps, server.Addr)
+	go sess.receiveLoop()
+	go sess.ctrlLoop()
+	return sess, nil
+}
+
+// handshake opens session sid: Hello/HelloAck negotiation and the
+// lease-authenticated Setup on the control socket, then DataOpen on the data
+// socket so the server learns where to pace. It returns the session's active
+// capability set.
+func (p *UDPProbe) handshake(ctrl, data *net.UDPConn, server PoolServer, sid uint64) (uint32, error) {
+	nonce := uint64(time.Now().UnixNano()) ^ p.testID
+	hello := wire.Hello{
+		MinVersion: wire.Version2, MaxVersion: wire.Version2,
+		Caps: wire.ServerCaps, Nonce: nonce,
+	}
+	var ack wire.HelloAck
+	err := p.exchange(ctrl, server, "hello-ack", hello.AppendTo(nil), func(pkt []byte) (bool, error) {
+		return ack.Decode(pkt) == nil && ack.Nonce == nonce && ack.Version == wire.Version2, nil
+	})
+	if err != nil {
+		return 0, err
 	}
 
-	req := wire.TestRequest{TestID: p.testID, RateKbps: 0}
-	reqBuf := req.AppendTo(make([]byte, 0, wire.TestRequestLen))
+	// The negotiated capabilities ride the Setup: the server answered the
+	// Hello without remembering it. An explicit SetupReject short-circuits
+	// the retry budget — policy refusals don't melt away.
+	setup := wire.Setup{SessionID: sid, Caps: ack.Caps, Token: p.token}
+	var sack wire.SetupAck
+	err = p.exchange(ctrl, server, "setup-ack", setup.AppendTo(nil), func(pkt []byte) (bool, error) {
+		var rej wire.SetupReject
+		if rej.Decode(pkt) == nil && rej.SessionID == sid {
+			if rej.Code == wire.RejectAuth {
+				return false, errdefs.ErrAuthRejected
+			}
+			return false, fmt.Errorf("setup rejected (code %d)", rej.Code)
+		}
+		return sack.Decode(pkt) == nil && sack.SessionID == sid, nil
+	})
+	if err != nil {
+		return 0, err
+	}
+
+	do := wire.DataOpen{SessionID: sid, Nonce: nonce}
+	err = p.exchange(data, server, "data-open-ack", do.AppendTo(nil), func(pkt []byte) (bool, error) {
+		var doa wire.DataOpenAck
+		return doa.Decode(pkt) == nil && doa.SessionID == sid, nil
+	})
+	return sack.Caps, err
+}
+
+// exchange runs one handshake step on conn: it transmits req up to
+// handshakeAttempts times, handing every datagram that arrives within
+// handshakeTimeout of a transmission to answered, until that reports the
+// awaited answer (true) or a terminal refusal (an error). Silence past the
+// budget wraps errdefs.ErrProbeTimeout; a cancelled probe context,
+// errdefs.ErrTestAborted.
+func (p *UDPProbe) exchange(conn *net.UDPConn, server PoolServer, awaited string, req []byte,
+	answered func(pkt []byte) (bool, error)) error {
 	buf := make([]byte, 2048)
-	accepted := false
-	for attempt := 0; attempt < handshakeAttempts && !accepted; attempt++ {
+	for attempt := 0; attempt < handshakeAttempts; attempt++ {
 		if err := p.ctx.Err(); err != nil {
-			conn.Close()
-			return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake",
-				Err: fmt.Errorf("%w: %w", errdefs.ErrTestAborted, err)}
+			return fmt.Errorf("%w: %w", errdefs.ErrTestAborted, err)
 		}
 		if attempt > 0 {
 			p.retryCounter.Inc()
 			p.trace.Record(p.Elapsed(), obs.EventServerRetry, float64(attempt), 0, server.Addr)
 		}
-		if _, err := conn.Write(reqBuf); err != nil {
-			conn.Close()
-			return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
+		if _, err := conn.Write(req); err != nil {
+			return err
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 		for {
@@ -481,31 +545,12 @@ func (p *UDPProbe) openSessionLocked(server PoolServer) (*clientSession, error) 
 			if err != nil {
 				break
 			}
-			var acc wire.TestAccept
-			if acc.Decode(buf[:n]) == nil && acc.TestID == p.testID {
-				accepted = true
-				break
+			if ok, err := answered(buf[:n]); ok || err != nil {
+				return err
 			}
 		}
 	}
-	if !accepted {
-		conn.Close()
-		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake",
-			Err: fmt.Errorf("no accept after %d attempts: %w", handshakeAttempts, errdefs.ErrProbeTimeout)}
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-
-	sess := &clientSession{
-		conn:    conn,
-		server:  server,
-		probe:   p,
-		done:    make(chan struct{}),
-		tracker: faults.NewLostTracker(p.lostAfter),
-	}
-	p.used++
-	p.trace.Record(p.Elapsed(), obs.EventServerAdd, 0, server.UplinkMbps, server.Addr)
-	go sess.receiveLoop()
-	return sess, nil
+	return fmt.Errorf("no %s after %d attempts: %w", awaited, handshakeAttempts, errdefs.ErrProbeTimeout)
 }
 
 // clientRecvBatch is how many datagrams a session's receive loop accepts
@@ -552,38 +597,62 @@ func (cs *clientSession) receiveLoop() {
 		}
 		for i := 0; i < n; i++ {
 			pkt := msgs[i].Buf[:msgs[i].N]
-			_, typ, err := wire.PeekVersion(pkt)
-			if err != nil || (typ != wire.TypeData && typ != wire.TypeData2) {
+			var d wire.Data2
+			if d.Decode(pkt) != nil {
 				continue
 			}
 			cs.rxBytes.Add(int64(len(pkt)))
 			cs.probe.rxBytes.Add(int64(len(pkt)))
-			cs.probe.observeJitter(pkt)
+			cs.probe.observeJitter(d.SentNS)
 		}
 	}
 }
 
-// observeJitter folds one Data packet into the RFC 3550 interarrival-jitter
+// ctrlLoop drains the session's control socket: per-interval server Reports
+// feed the loss view, the ByeAck releases the teardown. It exits when the
+// socket closes — Finish and the lost-session failover both close it.
+func (cs *clientSession) ctrlLoop() {
+	defer close(cs.ctrlDone)
+	buf := make([]byte, 2048)
+	for {
+		_ = cs.ctrl.SetReadDeadline(time.Now().Add(time.Second))
+		n, err := cs.ctrl.Read(buf)
+		if err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				continue
+			}
+			return
+		}
+		_, typ, err := wire.PeekVersion(buf[:n])
+		if err != nil {
+			continue
+		}
+		switch typ {
+		case wire.TypeReport:
+			var r wire.Report
+			if r.Decode(buf[:n]) != nil || r.SessionID != cs.id {
+				continue
+			}
+			// Cumulative counters: a later report supersedes an earlier one
+			// even when UDP reorders them, so keep the high-water mark.
+			if r.SentBytes > cs.repBytes.Load() {
+				cs.repBytes.Store(r.SentBytes)
+				cs.repDgrams.Store(r.SentDatagrams)
+			}
+		case wire.TypeByeAck:
+			var a wire.ByeAck
+			if a.Decode(buf[:n]) == nil && a.SessionID == cs.id {
+				cs.byeAckOnce.Do(func() { close(cs.byeAck) })
+			}
+		}
+	}
+}
+
+// observeJitter folds one probe datagram into the RFC 3550 interarrival-jitter
 // estimator: J += (|D| − J)/16 where D is the change in (arrival − send)
 // transit time between consecutive packets. Clock offset between client and
 // server cancels in the difference, so no synchronisation is needed.
-func (p *UDPProbe) observeJitter(pkt []byte) {
-	// Both probe-datagram generations carry the send timestamp; only the
-	// frame around it differs.
-	var sentNS uint64
-	if pkt[2] == wire.Version2 {
-		var d2 wire.Data2
-		if d2.Decode(pkt) != nil {
-			return
-		}
-		sentNS = d2.SentNS
-	} else {
-		var d wire.Data
-		if d.Decode(pkt) != nil {
-			return
-		}
-		sentNS = d.SentNS
-	}
+func (p *UDPProbe) observeJitter(sentNS uint64) {
 	transit := time.Now().UnixNano() - int64(sentNS)
 	prev := p.lastTransit.Swap(transit)
 	if prev == 0 {
@@ -607,6 +676,24 @@ func (p *UDPProbe) observeJitter(pkt []byte) {
 // diagnostic of the access link's queueing behaviour during the test.
 func (p *UDPProbe) Jitter() time.Duration {
 	return time.Duration(math.Float64frombits(p.jitterNs.Load()))
+}
+
+// ReportedLoss is the delivery-loss fraction observed through the servers'
+// per-interval Reports, aggregated across sessions: 1 − received/paced
+// bytes. It reads 0 until the first Report lands (or with CapReports
+// inactive) — absence of evidence is not loss.
+func (p *UDPProbe) ReportedLoss() float64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var sent, rx uint64
+	for _, sess := range p.sessions {
+		sent += sess.repBytes.Load()
+		rx += uint64(sess.rxBytes.Load())
+	}
+	if sent == 0 || rx >= sent {
+		return 0
+	}
+	return 1 - float64(rx)/float64(sent)
 }
 
 // NextSample implements core.Probe: it waits until the next sampling
@@ -681,9 +768,7 @@ func (p *UDPProbe) detectLostSessions() {
 	p.mu.Unlock()
 	for _, sess := range toClose {
 		sess.conn.Close() // unblocks the receive loop
-		if sess.ctrl != nil {
-			sess.ctrl.Close() // unblocks the control loop
-		}
+		sess.ctrl.Close() // unblocks the control loop
 	}
 }
 
@@ -707,9 +792,8 @@ func (p *UDPProbe) ServersLost() int {
 	return p.lost
 }
 
-// Finish reports the result to every session's server and closes the probe:
-// a Fin on v1 sessions, a Bye (retransmitted until acked) carrying the
-// estimator family on v2 ones.
+// Finish reports the result to every session's server — a Bye, retransmitted
+// until acked, carrying the estimator family — and closes the probe.
 func (p *UDPProbe) Finish(resultMbps float64, duration time.Duration) {
 	if p.closed.Swap(true) {
 		return
@@ -718,27 +802,46 @@ func (p *UDPProbe) Finish(resultMbps float64, duration time.Duration) {
 	sessions := append([]*clientSession(nil), p.sessions...)
 	est, regime := p.finalEst, p.finalRegime
 	p.mu.Unlock()
-	fin := wire.Fin{
-		TestID:     p.testID,
+	for _, sess := range sessions {
+		if !sess.lost {
+			p.sendBye(sess, resultMbps, duration, est, regime)
+		}
+		sess.conn.Close()
+		sess.ctrl.Close()
+		<-sess.done
+		<-sess.ctrlDone
+	}
+}
+
+// byeAttempts bounds Bye retransmissions during teardown.
+const byeAttempts = 3
+
+// sendBye runs the reliable teardown: the Bye carries the headline result
+// plus — on CapEstimates sessions — the estimator family and BDP regime, and
+// is retransmitted until the ByeAck lands or the budget runs out.
+func (p *UDPProbe) sendBye(sess *clientSession, resultMbps float64, duration time.Duration,
+	est estimate.Estimates, regime estimate.Regime) {
+	bye := wire.Bye{
+		SessionID:  sess.id,
 		ResultKbps: wire.KbpsFromMbps(resultMbps),
 		DurationMS: uint32(duration.Milliseconds()),
 	}
-	buf := fin.AppendTo(make([]byte, 0, wire.FinLen))
-	for _, sess := range sessions {
-		if !sess.lost {
-			if sess.v2 {
-				p.sendBye(sess, resultMbps, duration, est, regime)
-			} else {
-				_, _ = sess.conn.Write(buf)
-			}
+	if sess.caps&wire.CapEstimates != 0 {
+		bye.CrossingKbps = wire.KbpsFromMbps(est.CrossingMbps)
+		bye.TrimmedKbps = wire.KbpsFromMbps(est.TrimmedMeanMbps)
+		bye.PeakKbps = wire.KbpsFromMbps(est.SustainedPeakMbps)
+		bye.P90P80Kbps = wire.KbpsFromMbps(est.P90P80Mbps)
+		bye.Regime = uint8(regime)
+	}
+	buf := bye.AppendTo(make([]byte, 0, wire.ByeLen))
+	for attempt := 0; attempt < byeAttempts; attempt++ {
+		if _, err := sess.ctrl.Write(buf); err != nil {
+			return
 		}
-		sess.conn.Close()
-		if sess.ctrl != nil {
-			sess.ctrl.Close()
-		}
-		<-sess.done
-		if sess.ctrlDone != nil {
-			<-sess.ctrlDone
+		select {
+		case <-sess.byeAck:
+			return
+		case <-time.After(handshakeTimeout):
 		}
 	}
 }

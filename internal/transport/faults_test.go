@@ -54,7 +54,7 @@ func TestLoopbackBlackoutFailover(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	tr := obs.NewTrace(0)
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(9)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestLoopbackHandshakeDropRetries(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	tr := obs.NewTrace(0)
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(10)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestPongDelayInflatesRTT(t *testing.T) {
 		{Kind: faults.PongDelay, Server: 0, AtMS: 0, DelayMS: 100},
 	}}
 	pool := startFaultyPool(t, 1, 50, plan)
-	rtt, err := PingServer(pool.Servers[0].Addr, 2, time.Second)
+	rtt, err := PingServerContext(context.Background(), pool.Servers[0].Addr, 2, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestRankByLatencyDeterministicOrder(t *testing.T) {
 			{Addr: slow.Addr().String(), UplinkMbps: 50},
 			{Addr: fast.Addr().String(), UplinkMbps: 50},
 		}}
-		if err := pool.RankByLatency(2, time.Second); err != nil {
+		if err := pool.RankByLatencyContext(context.Background(), 2, time.Second); err != nil {
 			t.Fatal(err)
 		}
 		if pool.Servers[0].Addr != fast.Addr().String() {
@@ -175,7 +175,7 @@ func TestRankByLatencyDeterministicOrder(t *testing.T) {
 // TestPingErrorsAreStructured: ping failures carry both the sentinel and
 // the typed server wrapper.
 func TestPingErrorsAreStructured(t *testing.T) {
-	_, err := PingServer("127.0.0.1:1", 1, 50*time.Millisecond)
+	_, err := PingServerContext(context.Background(), "127.0.0.1:1", 1, 50*time.Millisecond)
 	if !errors.Is(err, errdefs.ErrProbeTimeout) {
 		t.Errorf("err = %v, want ErrProbeTimeout in the chain", err)
 	}
@@ -201,7 +201,7 @@ func TestRankByLatencyContextCancelled(t *testing.T) {
 // dedicated sentinel.
 func TestRankByLatencyNoReachableSentinel(t *testing.T) {
 	pool := &ServerPool{Servers: []PoolServer{{Addr: "127.0.0.1:1", UplinkMbps: 50}}}
-	err := pool.RankByLatency(1, 50*time.Millisecond)
+	err := pool.RankByLatencyContext(context.Background(), 1, 50*time.Millisecond)
 	if !errors.Is(err, errdefs.ErrNoReachableServer) {
 		t.Errorf("err = %v, want ErrNoReachableServer", err)
 	}

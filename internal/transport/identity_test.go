@@ -64,18 +64,17 @@ func runScripted(t *testing.T, mode WireMode, sc identityScript) wireCapture {
 		defer conn.Close()
 		_ = conn.SetReadBuffer(4 << 20)
 		conns[i] = conn
-		handshake(t, conn, uint64(100+i), sc.rateKbps)
+		handshake(t, conn, uint64(100+i), sc.rateKbps, 0)
 	}
 	waitSessions(t, srv, sc.sessions)
 
 	for k := 1; k <= sc.ticks; k++ {
 		if sc.rekbps != 0 && k == sc.ticks/2 {
-			rs := wire.RateSet{TestID: 100, RateKbps: sc.rekbps, Seq: 1}
-			buf := rs.AppendTo(make([]byte, 0, wire.RateSetLen))
-			if _, err := conns[0].Write(buf); err != nil {
+			rs := wire.Rate2{SessionID: 100, RateKbps: sc.rekbps, Seq: 1}
+			if _, err := conns[0].Write(rs.AppendTo(nil)); err != nil {
 				t.Fatal(err)
 			}
-			waitRate(t, srv, conns[0], 100, sc.rekbps)
+			waitRate(t, srv, 100, sc.rekbps)
 		}
 		srv.advance(identityBase.Add(time.Duration(k) * paceInterval))
 	}
@@ -87,27 +86,43 @@ func runScripted(t *testing.T, mode WireMode, sc identityScript) wireCapture {
 	return capd
 }
 
-// handshake performs the TestRequest/TestAccept exchange on conn.
-func handshake(t *testing.T, conn *net.UDPConn, testID uint64, rateKbps uint32) {
+// handshake opens session id from a handcrafted wire client — raw Setup,
+// then raw DataOpen — with both channels on the one socket, so conn receives
+// the acks, the paced stream and (when caps asks for them) the Reports.
+func handshake(t *testing.T, conn *net.UDPConn, id uint64, rateKbps, caps uint32) {
 	t.Helper()
-	req := wire.TestRequest{TestID: testID, RateKbps: rateKbps}
-	reqBuf := req.AppendTo(make([]byte, 0, wire.TestRequestLen))
-	buf := make([]byte, 256)
+	setup := wire.Setup{SessionID: id, RateKbps: rateKbps, Caps: caps}
+	var sack wire.SetupAck
+	rawExchange(t, conn, setup.AppendTo(nil), func(pkt []byte) bool {
+		return sack.Decode(pkt) == nil && sack.SessionID == id
+	})
+	do := wire.DataOpen{SessionID: id}
+	var doa wire.DataOpenAck
+	rawExchange(t, conn, do.AppendTo(nil), func(pkt []byte) bool {
+		return doa.Decode(pkt) == nil && doa.SessionID == id
+	})
+}
+
+// rawExchange retransmits req until a datagram satisfying answered arrives.
+func rawExchange(t *testing.T, conn *net.UDPConn, req []byte, answered func(pkt []byte) bool) {
+	t.Helper()
+	buf := make([]byte, 2048)
 	for attempt := 0; attempt < 10; attempt++ {
-		if _, err := conn.Write(reqBuf); err != nil {
+		if _, err := conn.Write(req); err != nil {
 			t.Fatal(err)
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		n, err := conn.Read(buf)
-		if err != nil {
-			continue
-		}
-		var acc wire.TestAccept
-		if acc.Decode(buf[:n]) == nil && acc.TestID == testID {
-			return
+		for {
+			n, err := conn.Read(buf)
+			if err != nil {
+				break
+			}
+			if answered(buf[:n]) {
+				return
+			}
 		}
 	}
-	t.Fatal("no TestAccept")
+	t.Fatalf("no answer to %x", req[:wire.HeaderLen])
 }
 
 // waitSessions blocks until the server has n registered sessions.
@@ -122,28 +137,24 @@ func waitSessions(t *testing.T, srv *Server, n int) {
 	}
 }
 
-// waitRate blocks until the server applied the given rate to the session
-// behind conn — RateSet travels through the real read loop, so the scripted
-// wheel must not advance past it before it lands.
-func waitRate(t *testing.T, srv *Server, conn *net.UDPConn, testID uint64, kbps uint32) {
+// waitRate blocks until the server applied the given rate to the session —
+// Rate2 travels through the real read loop, so the scripted wheel must not
+// advance past it before it lands.
+func waitRate(t *testing.T, srv *Server, id uint64, kbps uint32) {
 	t.Helper()
-	key := sessionKey{addr: conn.LocalAddr().String(), testID: testID}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		srv.mu.Lock()
-		sess := srv.sessions[key]
-		srv.mu.Unlock()
-		if sess != nil && sess.rateKbps.Load() == kbps {
+		if sess := srv.lookup(id); sess != nil && sess.rateKbps.Load() == kbps {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("rate %d not applied to session %d", kbps, testID)
+			t.Fatalf("rate %d not applied to session %d", kbps, id)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// drainData reads every Data datagram queued on conn until the socket goes
+// drainData reads every Data2 datagram queued on conn until the socket goes
 // quiet, returning the raw bytes in arrival order.
 func drainData(t *testing.T, conn *net.UDPConn) [][]byte {
 	t.Helper()
@@ -155,7 +166,7 @@ func drainData(t *testing.T, conn *net.UDPConn) [][]byte {
 		if err != nil {
 			return out
 		}
-		if typ, err := wire.PeekType(buf[:n]); err == nil && typ == wire.TypeData {
+		if _, typ, err := wire.PeekVersion(buf[:n]); err == nil && typ == wire.TypeData2 {
 			out = append(out, append([]byte(nil), buf[:n]...))
 		}
 	}
@@ -212,7 +223,7 @@ func TestBatchedFallbackBitIdentity(t *testing.T) {
 	seqs := map[uint32]bool{}
 	var maxSeq uint32
 	for _, pkt := range batched.streams[0] {
-		var d wire.Data
+		var d wire.Data2
 		if err := d.Decode(pkt); err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +272,7 @@ func samplesFromCapture(t *testing.T, capd wireCapture) []float64 {
 	maxWin := 0
 	for _, stream := range capd.streams {
 		for _, pkt := range stream {
-			var d wire.Data
+			var d wire.Data2
 			if err := d.Decode(pkt); err != nil {
 				t.Fatal(err)
 			}
@@ -322,7 +333,7 @@ func TestScriptedFaultSequenceStable(t *testing.T) {
 		capd := runScripted(t, WireAuto, sc)
 		got := ""
 		for _, pkt := range capd.streams[0] {
-			var d wire.Data
+			var d wire.Data2
 			if err := d.Decode(pkt); err != nil {
 				t.Fatal(err)
 			}

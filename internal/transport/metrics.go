@@ -23,7 +23,6 @@ type serverMetrics struct {
 	faultsInjected   *obs.Counter
 	pings            *obs.Counter
 	authRejects      *obs.Counter
-	v2Sessions       *obs.Counter
 	pacedMbps        *obs.Gauge
 	uplinkMbps       *obs.Gauge
 	resultMbps       *obs.Histogram
@@ -41,9 +40,9 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		sessionsStarted: reg.Counter("swiftest_server_sessions_started_total",
 			"Test sessions accepted."),
 		sessionsFinished: reg.Counter("swiftest_server_sessions_finished_total",
-			"Test sessions closed by a client Fin."),
+			"Test sessions closed by a client Bye."),
 		sessionsReaped: reg.Counter("swiftest_server_sessions_reaped_total",
-			"Test sessions reaped by the idle timeout (client vanished without Fin)."),
+			"Test sessions reaped by the idle timeout (client vanished without Bye)."),
 		datagramsSent: reg.Counter("swiftest_server_datagrams_sent_total",
 			"Probe datagrams written to the socket."),
 		bytesSent: reg.Counter("swiftest_server_bytes_sent_total",
@@ -62,9 +61,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		pings: reg.Counter("swiftest_server_pings_total",
 			"Ping requests answered (server-selection probes)."),
 		authRejects: reg.Counter("swiftest_server_auth_rejects_total",
-			"Protocol-v2 session setups refused by lease authentication."),
-		v2Sessions: reg.Counter("swiftest_server_v2_sessions_total",
-			"Test sessions negotiated at protocol v2 (two-channel)."),
+			"Session setups refused by lease authentication."),
 		pacedMbps: reg.Gauge("swiftest_server_paced_mbps",
 			"Aggregate pacing rate across active sessions (Mbps); capped at swiftest_server_uplink_mbps."),
 		uplinkMbps: reg.Gauge("swiftest_server_uplink_mbps",
@@ -82,7 +79,7 @@ func (s *Server) updatePacedGaugeLocked() {
 		return
 	}
 	var total float64
-	for _, sess := range s.sessions {
+	for _, sess := range s.order {
 		total += wire.MbpsFromKbps(sess.rateKbps.Load())
 	}
 	s.metrics.pacedMbps.Set(total)

@@ -12,7 +12,7 @@ import (
 
 // TestVanishedClientIsReaped simulates the field failure mode the idle
 // timeout exists for: a client opens a session and then disappears — crash,
-// radio loss — without ever sending Fin. The server must reap the session
+// radio loss — without ever sending Bye. The server must reap the session
 // after IdleTimeout and account for it in the reap metric.
 func TestVanishedClientIsReaped(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -32,31 +32,11 @@ func TestVanishedClientIsReaped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := wire.TestRequest{TestID: 42, RateKbps: 0}
-	reqBuf := req.AppendTo(make([]byte, 0, wire.TestRequestLen))
-	buf := make([]byte, 256)
-	accepted := false
-	for attempt := 0; attempt < 5 && !accepted; attempt++ {
-		if _, err := conn.Write(reqBuf); err != nil {
-			t.Fatal(err)
-		}
-		_ = conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		n, err := conn.Read(buf)
-		if err != nil {
-			continue
-		}
-		var acc wire.TestAccept
-		if acc.Decode(buf[:n]) == nil && acc.TestID == 42 {
-			accepted = true
-		}
-	}
-	if !accepted {
-		t.Fatal("server did not accept the test")
-	}
+	handshake(t, conn, 42, 0, 0)
 	if srv.ActiveSessions() != 1 {
 		t.Fatalf("active sessions = %d, want 1", srv.ActiveSessions())
 	}
-	conn.Close() // vanish: no Fin
+	conn.Close() // vanish: no Bye
 
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.ActiveSessions() != 0 {
@@ -71,7 +51,7 @@ func TestVanishedClientIsReaped(t *testing.T) {
 		t.Errorf("reaped counter = %d, want 1", got)
 	}
 	if got := snap.Counters["swiftest_server_sessions_finished_total"]; got != 0 {
-		t.Errorf("finished counter = %d, want 0 — no Fin was sent", got)
+		t.Errorf("finished counter = %d, want 0 — no Bye was sent", got)
 	}
 	if got := snap.Counters["swiftest_server_sessions_started_total"]; got != 1 {
 		t.Errorf("started counter = %d, want 1", got)
@@ -90,7 +70,7 @@ func TestVanishedClientIsReaped(t *testing.T) {
 }
 
 // TestRetireExactlyOnceUnderRace provokes the three-way teardown race the
-// wheel's retired flag exists for: an idle reap (wheel tick), a client Fin
+// wheel's retired flag exists for: an idle reap (wheel tick), a client Bye
 // (read loop) and a server Close all try to deregister the same session
 // concurrently. Exactly one path may win — the active-sessions gauge must
 // land on exactly zero (a double retirement would drive it negative) and at
@@ -112,7 +92,7 @@ func TestRetireExactlyOnceUnderRace(t *testing.T) {
 		var wg sync.WaitGroup
 		wg.Add(3)
 		go func() { defer wg.Done(); srv.advance(time.Now()) }()
-		go func() { defer wg.Done(); srv.handleFin(&wire.Fin{TestID: 7}, peer) }()
+		go func() { defer wg.Done(); srv.handleBye(&wire.Bye{SessionID: 7}, peer) }()
 		go func() { defer wg.Done(); _ = srv.Close() }()
 		wg.Wait()
 
@@ -131,9 +111,9 @@ func TestRetireExactlyOnceUnderRace(t *testing.T) {
 	}
 }
 
-// TestRetiredSessionStopsPacing: after a Fin retires the session, further
+// TestRetiredSessionStopsPacing: after a Bye retires the session, further
 // wheel ticks must emit nothing for it even though the tick that raced the
-// Fin may still hold it in its snapshot.
+// Bye may still hold it in its snapshot.
 func TestRetiredSessionStopsPacing(t *testing.T) {
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -158,12 +138,12 @@ func TestRetiredSessionStopsPacing(t *testing.T) {
 	if before == 0 {
 		t.Fatal("session never paced")
 	}
-	srv.handleFin(&wire.Fin{TestID: 9, ResultKbps: 20000}, peer)
+	srv.handleBye(&wire.Bye{SessionID: 9, ResultKbps: 20000}, peer)
 	for i := 0; i < 10; i++ {
 		now = now.Add(paceInterval)
 		srv.advance(now)
 	}
 	if after := srv.BytesSent(); after != before {
-		t.Errorf("retired session still paced: %d bytes after Fin", after-before)
+		t.Errorf("retired session still paced: %d bytes after Bye", after-before)
 	}
 }

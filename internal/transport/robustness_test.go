@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"math/rand"
 	"net"
 	"testing"
@@ -30,41 +31,36 @@ func TestServerSurvivesGarbage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Valid magic but truncated bodies and unknown types.
-	for _, typ := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 200} {
-		pkt := []byte{0x57, 0x54, 1, typ}
-		if _, err := conn.Write(pkt); err != nil {
-			t.Fatal(err)
+	// Valid magic but truncated bodies and unknown types, under both
+	// version bytes.
+	for _, ver := range []byte{wire.Version, wire.Version2} {
+		for _, typ := range []byte{0, 1, 2, 3, 8, 9, 11, 14, 18, 19, 20, 21, 200} {
+			if _, err := conn.Write([]byte{0x57, 0x54, ver, typ}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if _, err := PingServer(s.Addr().String(), 2, time.Second); err != nil {
+	if _, err := PingServerContext(context.Background(), s.Addr().String(), 2, time.Second); err != nil {
 		t.Fatalf("server unresponsive after garbage: %v", err)
 	}
 }
 
 // TestIdleSessionReaped verifies that a session whose client vanishes
-// without a Fin is cleaned up by the idle timeout.
+// without a Bye is cleaned up by the idle timeout.
 func TestIdleSessionReaped(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 10, IdleTimeout: 300 * time.Millisecond})
-	conn, err := net.Dial("udp", s.Addr().String())
+	conn, err := net.DialUDP("udp", nil, s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Handshake manually, then disappear.
-	req := wire.TestRequest{TestID: 42, RateKbps: wire.KbpsFromMbps(1)}
-	if _, err := conn.Write(req.AppendTo(nil)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.ActiveSessions() == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	handshake(t, conn, 42, wire.KbpsFromMbps(1), 0)
 	if s.ActiveSessions() == 0 {
 		t.Fatal("session never started")
 	}
-	conn.Close() // the client is gone; no Fin will ever arrive
+	conn.Close() // the client is gone; no Bye will ever arrive
 
-	deadline = time.Now().Add(3 * time.Second)
+	deadline := time.Now().Add(3 * time.Second)
 	for s.ActiveSessions() != 0 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -81,7 +77,7 @@ func TestClientSurvivesServerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 50}}}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(5)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,25 +104,21 @@ func TestClientSurvivesServerDeath(t *testing.T) {
 	}
 }
 
-// TestRateSetReorderingIgnoresStale delivers rate updates out of order and
+// TestRateSetReorderingIgnoresStale delivers Rate2 updates out of order and
 // confirms the newest seq wins.
 func TestRateSetReorderingIgnoresStale(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 100})
-	conn, err := net.Dial("udp", s.Addr().String())
+	conn, err := net.DialUDP("udp", nil, s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 
-	req := wire.TestRequest{TestID: 7, RateKbps: 0}
-	if _, err := conn.Write(req.AppendTo(nil)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
+	handshake(t, conn, 7, 0, 0)
 
 	// Newest first (seq 3, 20 Mbps), then a stale one (seq 2, 90 Mbps).
-	rs3 := wire.RateSet{TestID: 7, RateKbps: wire.KbpsFromMbps(20), Seq: 3}
-	rs2 := wire.RateSet{TestID: 7, RateKbps: wire.KbpsFromMbps(90), Seq: 2}
+	rs3 := wire.Rate2{SessionID: 7, RateKbps: wire.KbpsFromMbps(20), Seq: 3}
+	rs2 := wire.Rate2{SessionID: 7, RateKbps: wire.KbpsFromMbps(90), Seq: 2}
 	conn.Write(rs3.AppendTo(nil))
 	time.Sleep(20 * time.Millisecond)
 	conn.Write(rs2.AppendTo(nil))
@@ -142,20 +134,20 @@ func TestRateSetReorderingIgnoresStale(t *testing.T) {
 		if err != nil {
 			break
 		}
-		if typ, err := wire.PeekType(buf[:n]); err == nil && typ == wire.TypeData {
+		if _, typ, err := wire.PeekVersion(buf[:n]); err == nil && typ == wire.TypeData2 {
 			bytes += n
 		}
 	}
 	gotMbps := float64(bytes) * 8 / 0.5 / 1e6
 	if gotMbps > 40 {
-		t.Errorf("stale RateSet won: measured %.1f Mbps, want ≈20", gotMbps)
+		t.Errorf("stale rate update won: measured %.1f Mbps, want ≈20", gotMbps)
 	}
-	fin := wire.Fin{TestID: 7}
-	conn.Write(fin.AppendTo(nil))
+	bye := wire.Bye{SessionID: 7}
+	conn.Write(bye.AppendTo(nil))
 }
 
-// TestDuplicateTestRequestIsIdempotent retransmits the handshake and checks
-// only one session exists.
+// TestDuplicateTestRequestIsIdempotent retransmits the Setup and checks only
+// one session exists, owned by the socket that opened it.
 func TestDuplicateTestRequestIsIdempotent(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 10})
 	conn, err := net.Dial("udp", s.Addr().String())
@@ -163,7 +155,7 @@ func TestDuplicateTestRequestIsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	req := wire.TestRequest{TestID: 9, RateKbps: wire.KbpsFromMbps(1)}
+	req := wire.Setup{SessionID: 9, RateKbps: wire.KbpsFromMbps(1)}
 	for i := 0; i < 5; i++ {
 		if _, err := conn.Write(req.AppendTo(nil)); err != nil {
 			t.Fatal(err)
@@ -173,6 +165,38 @@ func TestDuplicateTestRequestIsIdempotent(t *testing.T) {
 	if n := s.ActiveSessions(); n != 1 {
 		t.Errorf("sessions = %d after duplicate requests, want 1", n)
 	}
+	// Every duplicate is re-acked, so a client whose first ack was lost
+	// still gets in; the same ID from another socket is someone else's.
+	buf := make([]byte, 256)
+	acks := 0
+	_ = conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	for {
+		n, err := conn.Read(buf)
+		if err != nil {
+			break
+		}
+		var ack wire.SetupAck
+		if ack.Decode(buf[:n]) == nil && ack.SessionID == 9 {
+			acks++
+		}
+	}
+	if acks != 5 {
+		t.Errorf("setup acks = %d, want one per duplicate (5)", acks)
+	}
+	other, err := net.Dial("udp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if _, err := other.Write(req.AppendTo(nil)); err != nil {
+		t.Fatal(err)
+	}
+	_ = other.SetReadDeadline(time.Now().Add(time.Second))
+	n, err := other.Read(buf)
+	var rej wire.SetupReject
+	if err != nil || rej.Decode(buf[:n]) != nil || rej.Code != wire.RejectBusy {
+		t.Errorf("foreign Setup for a live session ID: read %x, %v; want SetupReject(busy)", buf[:n], err)
+	}
 }
 
 // TestJitterObserved checks that a paced stream produces a plausible jitter
@@ -180,7 +204,7 @@ func TestDuplicateTestRequestIsIdempotent(t *testing.T) {
 func TestJitterObserved(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 50})
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 50}}}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(9)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}

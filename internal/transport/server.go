@@ -38,7 +38,7 @@ const DatagramSize = 1200
 // bytes corresponding to every session's current probing rate.
 const paceInterval = 5 * time.Millisecond
 
-// DefaultIdleTimeout reaps sessions whose client vanished without Fin.
+// DefaultIdleTimeout reaps sessions whose client vanished without a Bye.
 const DefaultIdleTimeout = 10 * time.Second
 
 // recvBatch is how many datagrams the server's read loop accepts per
@@ -69,7 +69,7 @@ type ServerConfig struct {
 	// OnResult, if non-nil, is invoked with each client-reported test
 	// result (Mbps) — the feed for periodic bandwidth-model refresh (§5.1).
 	OnResult func(mbps float64)
-	// IdleTimeout reaps sessions whose client vanished without a Fin; zero
+	// IdleTimeout reaps sessions whose client vanished without a Bye; zero
 	// selects DefaultIdleTimeout.
 	IdleTimeout time.Duration
 	// Metrics, when non-nil, receives the server's operational metrics
@@ -84,23 +84,19 @@ type ServerConfig struct {
 	// for deployments, WireFallback exists for equivalence testing and
 	// debugging.
 	Wire WireMode
-	// AuthKey, when non-zero, requires every protocol-v2 session setup to
-	// carry a token minted under this key by the fleet dispatcher
-	// (wire.MintToken); setups with absent or forged tokens are rejected
-	// with wire.RejectAuth and counted in
-	// swiftest_server_auth_rejects_total. Protocol-v1 clients predate the
-	// token exchange and are admitted regardless — the fallback path stays
-	// open so legacy clients keep working during a fleet upgrade.
+	// AuthKey, when non-zero, requires every session setup to carry an
+	// unexpired token minted under this key by the fleet dispatcher
+	// (wire.MintToken); setups with absent, forged or stale tokens are
+	// rejected with wire.RejectAuth and counted in
+	// swiftest_server_auth_rejects_total. Setup is the only frame that
+	// creates a session, so a keyed server has no unauthenticated path to
+	// paced traffic.
 	AuthKey uint64
 	// startedAt, when non-zero, pins the server's epoch — the base for
 	// fault-plan times and datagram timestamps. Test-only (unexported):
 	// scripted wheel schedules set it before the read loop starts so the
 	// override never races a live packet.
 	startedAt time.Time
-	// v1Only, when true, drops every v2 frame so the server behaves like a
-	// legacy deployment. Test-only (unexported): exercises the client's
-	// negotiated fallback without building an old binary.
-	v1Only bool
 }
 
 // Server is a Swiftest UDP test server.
@@ -118,11 +114,9 @@ type Server struct {
 	wheelStop chan struct{}
 
 	mu         sync.Mutex
-	sessions   map[sessionKey]*session // guarded by mu
-	byID       map[uint64]*session     // v2 sessions by session ID; guarded by mu
-	helloCaps  map[string]uint32       // per-address negotiated caps from the last Hello; guarded by mu
-	order      []*session              // registration order, for deterministic wheel iteration; guarded by mu
-	hsAttempts map[sessionKey]int      // handshake datagrams seen per key, for fault draws; guarded by mu
+	byID       map[uint64]*session // sessions by session ID; guarded by mu
+	order      []*session          // registration order, for deterministic wheel iteration; guarded by mu
+	hsAttempts map[uint64]int      // Setup datagrams seen per session ID, for fault draws; guarded by mu
 
 	// Wheel-goroutine scratch, reused every tick so the steady state runs at
 	// 0 allocs/packet.
@@ -137,29 +131,27 @@ type Server struct {
 	bytesSent atomic.Int64
 }
 
-type sessionKey struct {
-	addr   string
-	testID uint64
-}
-
+// session is one test in flight. Both of its channels arrive on the one
+// server socket — the split is on the client, which uses two sockets so
+// probe floods never queue behind control traffic. The server tells them
+// apart by session ID: Setup registers the session under the control-channel
+// address, DataOpen (sent from the client's data socket, hence a different
+// source port) binds the pacing destination.
 type session struct {
-	key    sessionKey
-	testID uint64
-	// peer is the address probe datagrams are paced to. v1 sessions set it
-	// at creation; v2 sessions publish with nil and store the data-channel
-	// address when the client's DataOpen arrives, hence the atomic — the
-	// wheel skips the session until the pointer lands.
+	// Identity, immutable after creation.
+	id       uint64       // session ID, the key both channels share
+	caps     uint32       // active capability set
+	ctrlPeer *net.UDPAddr // control-channel address (reports, acks)
+
+	// peer is the address probe datagrams are paced to. Sessions publish
+	// with nil and store the data-channel address when the client's
+	// DataOpen arrives, hence the atomic — the wheel skips the session
+	// until the pointer lands.
 	peer     atomic.Pointer[net.UDPAddr]
 	rateKbps atomic.Uint32
 	rateSeq  atomic.Uint32
 	lastSeen atomic.Int64 // unix nanos
 	retired  atomic.Bool  // exactly-once wheel deregistration
-
-	// Protocol v2 identity, immutable after creation.
-	v2       bool
-	id       uint64       // v2 session ID (key.testID carries it too)
-	caps     uint32       // active capability set
-	ctrlPeer *net.UDPAddr // control-channel address (reports, acks)
 
 	// Pacing state, owned by the wheel goroutine after publication.
 	seq        uint32
@@ -208,10 +200,8 @@ func newServer(addr string, cfg ServerConfig, startWheel bool) (*Server, error) 
 		bio:        batchio.New(conn, mode),
 		pool:       newBufPool(segsPerBuf*DatagramSize, 4),
 		cfg:        cfg,
-		sessions:   make(map[sessionKey]*session),
 		byID:       make(map[uint64]*session),
-		helloCaps:  make(map[string]uint32),
-		hsAttempts: make(map[sessionKey]int),
+		hsAttempts: make(map[uint64]int),
 		started:    time.Now(),
 		wheelStop:  make(chan struct{}),
 	}
@@ -243,7 +233,7 @@ func (s *Server) BytesSent() int64 { return s.bytesSent.Load() }
 func (s *Server) ActiveSessions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.sessions)
+	return len(s.byID)
 }
 
 // Close stops the server and retires all sessions.
@@ -285,6 +275,11 @@ func cloneUDPAddr(a *net.UDPAddr) *net.UDPAddr {
 	return &net.UDPAddr{IP: append(net.IP(nil), a.IP...), Port: a.Port, Zone: a.Zone}
 }
 
+// sameUDPAddr reports whether a and b name the same socket address.
+func sameUDPAddr(a, b *net.UDPAddr) bool {
+	return a.Port == b.Port && a.Zone == b.Zone && a.IP.Equal(b.IP)
+}
+
 func (s *Server) readLoop() {
 	defer s.wg.Done()
 	msgs := make([]batchio.Message, recvBatch)
@@ -313,9 +308,11 @@ func (s *Server) readLoop() {
 
 // handlePacket dispatches one inbound datagram. peer points into reused
 // batch storage: handlers that keep it beyond this call clone it. out is the
-// reply scratch buffer, returned so the read loop can keep reusing it.
+// reply scratch buffer, returned so the read loop can keep reusing it. Every
+// Decode checks the frame's version byte, so a type value arriving under the
+// wrong version — a retired frame, say — decodes as nothing and is dropped.
 func (s *Server) handlePacket(pkt []byte, peer *net.UDPAddr, out []byte) []byte {
-	ver, typ, err := wire.PeekVersion(pkt)
+	_, typ, err := wire.PeekVersion(pkt)
 	if err != nil {
 		return out // not ours; drop silently
 	}
@@ -324,12 +321,6 @@ func (s *Server) handlePacket(pkt []byte, peer *net.UDPAddr, out []byte) []byte 
 		// datagram vanishes, exactly like a crashed process.
 		s.metrics.faultsInjected.Inc()
 		return out
-	}
-	if ver == wire.Version2 {
-		if s.cfg.v1Only {
-			return out // legacy server: v2 frames mean nothing, negotiation times out
-		}
-		return s.handleV2(typ, pkt, peer, out[:0])
 	}
 	out = out[:0]
 	switch typ {
@@ -341,33 +332,74 @@ func (s *Server) handlePacket(pkt []byte, peer *net.UDPAddr, out []byte) []byte 
 			out = pong.AppendTo(out)
 			s.sendPong(out, peer)
 		}
-	case wire.TypeTestRequest:
-		var req wire.TestRequest
-		if req.Decode(pkt) == nil {
-			if s.dropHandshake(&req, peer) {
-				s.metrics.faultsInjected.Inc()
-				return out
-			}
-			s.handleTestRequest(&req, peer)
-			acc := wire.TestAccept{TestID: req.TestID}
-			out = acc.AppendTo(out)
-			s.sendControl(out, peer)
+
+	case wire.TypeHello:
+		// Answered from the frame alone: the client carries the capability
+		// set back in its Setup, so a Hello — spoofable, unauthenticated —
+		// leaves no state behind.
+		var h wire.Hello
+		if h.Decode(pkt) != nil {
+			return out
 		}
-	case wire.TypeRateSet:
-		var rs wire.RateSet
-		if rs.Decode(pkt) == nil {
-			s.handleRateSet(&rs, peer)
+		if h.MinVersion > wire.Version2 || h.MaxVersion < wire.Version2 {
+			return out // no common version; the client gives up
 		}
-	case wire.TypeFin:
-		var fin wire.Fin
-		if fin.Decode(pkt) == nil {
-			s.handleFin(&fin, peer)
-			ack := wire.FinAck{TestID: fin.TestID}
-			out = ack.AppendTo(out)
-			s.sendControl(out, peer)
+		ack := wire.HelloAck{Version: wire.Version2, Caps: h.Caps & wire.ServerCaps, Nonce: h.Nonce}
+		out = ack.AppendTo(out)
+		s.sendControl(out, peer)
+
+	case wire.TypeSetup:
+		var setup wire.Setup
+		if setup.Decode(pkt) == nil {
+			out = s.handleSetup(&setup, peer, out)
 		}
+
+	case wire.TypeDataOpen:
+		var do wire.DataOpen
+		if do.Decode(pkt) != nil {
+			return out
+		}
+		sess := s.lookup(do.SessionID)
+		if sess == nil {
+			return out // no such session; the client's setup never landed
+		}
+		// Re-binds are idempotent (DataOpen retransmits) and also cover a
+		// client whose NAT rebound the data socket mid-handshake.
+		sess.peer.Store(cloneUDPAddr(peer))
+		sess.lastSeen.Store(time.Now().UnixNano())
+		ack := wire.DataOpenAck{SessionID: do.SessionID}
+		out = ack.AppendTo(out)
+		s.sendControl(out, peer)
+
+	case wire.TypeRate2:
+		var r wire.Rate2
+		if r.Decode(pkt) != nil {
+			return out
+		}
+		if sess := s.lookup(r.SessionID); sess != nil {
+			s.applyRate(sess, r.RateKbps, r.Seq)
+		}
+
+	case wire.TypeBye:
+		var bye wire.Bye
+		if bye.Decode(pkt) != nil {
+			return out
+		}
+		s.handleBye(&bye, peer)
+		// Always ack, even for an unknown or already-retired session — the
+		// client may be retransmitting a Bye whose first ack was lost.
+		ack := wire.ByeAck{SessionID: bye.SessionID}
+		out = ack.AppendTo(out)
+		s.sendControl(out, peer)
 	}
 	return out
+}
+
+// lookup resolves a session ID; nil when no such session is live.
+func (s *Server) lookup(id uint64) *session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.byID[id]
 }
 
 // sendControl routes one control datagram through the batch sender, the
@@ -412,43 +444,89 @@ func (s *Server) sendPong(out []byte, peer *net.UDPAddr) {
 	send()
 }
 
-// dropHandshake consults the fault plan for one TestRequest datagram,
-// numbering retransmissions per (peer, test) so probabilistic drops re-draw
-// per attempt.
-func (s *Server) dropHandshake(req *wire.TestRequest, peer *net.UDPAddr) bool {
+// dropHandshake consults the fault plan for one Setup datagram, numbering
+// retransmissions per session ID so probabilistic drops re-draw per attempt.
+func (s *Server) dropHandshake(sessionID uint64) bool {
 	if s.cfg.Faults == nil {
 		return false
 	}
-	key := sessionKey{addr: peer.String(), testID: req.TestID}
 	s.mu.Lock()
-	attempt := s.hsAttempts[key]
-	s.hsAttempts[key] = attempt + 1
+	attempt := s.hsAttempts[sessionID]
+	s.hsAttempts[sessionID] = attempt + 1
 	s.mu.Unlock()
 	return s.cfg.Faults.DropHandshake(s.elapsed(), attempt)
 }
 
-func (s *Server) handleTestRequest(req *wire.TestRequest, peer *net.UDPAddr) {
-	key := sessionKey{addr: peer.String(), testID: req.TestID}
+// handleSetup runs session admission — the only way server state for a peer
+// comes to exist — and answers with a SetupAck or a SetupReject.
+func (s *Server) handleSetup(setup *wire.Setup, peer *net.UDPAddr, out []byte) []byte {
+	if s.dropHandshake(setup.SessionID) {
+		s.metrics.faultsInjected.Inc()
+		return out
+	}
+	reject := func(code uint8) []byte {
+		rej := wire.SetupReject{SessionID: setup.SessionID, Code: code}
+		out = rej.AppendTo(out)
+		s.sendControl(out, peer)
+		return out
+	}
+	if s.cfg.AuthKey != 0 {
+		// Forged and stale tokens share the RejectAuth path: the MAC
+		// covers the expiry deadline, so a client cannot stretch a lease
+		// by rewriting it.
+		expired := setup.Token.ExpiredAt(uint64(time.Now().UnixMilli()))
+		if !setup.Token.Verify(s.cfg.AuthKey) || expired {
+			s.metrics.authRejects.Inc()
+			s.logf("session auth rejected", "peer", peer.String(),
+				"session_id", setup.SessionID, "expired", expired)
+			return reject(wire.RejectAuth)
+		}
+	}
+	sess := s.admit(setup, peer)
+	if sess == nil {
+		return reject(wire.RejectBusy)
+	}
+	ack := wire.SetupAck{
+		SessionID:        sess.id,
+		Caps:             sess.caps,
+		ReportIntervalMS: uint32(reportInterval.Milliseconds()),
+	}
+	out = ack.AppendTo(out)
+	s.sendControl(out, peer)
+	return out
+}
+
+// admit registers a session and returns it; a duplicate Setup (client
+// retransmit) returns the session already running. Nil means the session ID
+// belongs to another client.
+func (s *Server) admit(setup *wire.Setup, peer *net.UDPAddr) *session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.sessions[key]; exists {
-		return // duplicate request (client retransmit); already running
+	if existing := s.byID[setup.SessionID]; existing != nil {
+		if sameUDPAddr(existing.ctrlPeer, peer) {
+			return existing
+		}
+		return nil
 	}
-	sess := &session{key: key, testID: req.TestID}
-	sess.peer.Store(cloneUDPAddr(peer))
-	granted := s.clampRateLocked(req.RateKbps, nil)
-	if granted < req.RateKbps {
+	sess := &session{
+		id:       setup.SessionID,
+		caps:     setup.Caps & wire.ServerCaps,
+		ctrlPeer: cloneUDPAddr(peer),
+	}
+	granted := s.clampRateLocked(setup.RateKbps, nil)
+	if granted < setup.RateKbps {
 		s.metrics.rateClamped.Inc()
 	}
 	sess.rateKbps.Store(granted)
 	sess.lastSeen.Store(time.Now().UnixNano())
-	s.sessions[key] = sess
+	s.byID[sess.id] = sess
 	s.order = append(s.order, sess)
 	s.metrics.sessionsStarted.Inc()
 	s.metrics.sessionsActive.Inc()
 	s.updatePacedGaugeLocked()
-	s.logf("test started", "peer", peer.String(), "test_id", req.TestID,
-		"rate_mbps", wire.MbpsFromKbps(req.RateKbps))
+	s.logf("test started", "peer", peer.String(), "session_id", sess.id,
+		"rate_mbps", wire.MbpsFromKbps(setup.RateKbps))
+	return sess
 }
 
 // clampRateLocked limits a session's rate so that the aggregate across all
@@ -457,7 +535,7 @@ func (s *Server) handleTestRequest(req *wire.TestRequest, peer *net.UDPAddr) {
 // Callers hold s.mu.
 func (s *Server) clampRateLocked(kbps uint32, except *session) uint32 {
 	var inUse float64
-	for _, sess := range s.sessions {
+	for _, sess := range s.order {
 		if sess == except {
 			continue
 		}
@@ -473,30 +551,47 @@ func (s *Server) clampRateLocked(kbps uint32, except *session) uint32 {
 	return kbps
 }
 
-func (s *Server) handleRateSet(rs *wire.RateSet, peer *net.UDPAddr) {
-	key := sessionKey{addr: peer.String(), testID: rs.TestID}
+// applyRate applies one rate update to a session: stale (reordered) updates
+// lose, and the rate is clamped to what the uplink has left.
+func (s *Server) applyRate(sess *session, kbps, seq uint32) {
 	s.mu.Lock()
-	sess := s.sessions[key]
+	clamped := s.clampRateLocked(kbps, sess)
 	s.mu.Unlock()
-	if sess == nil {
-		return
+	for {
+		cur := sess.rateSeq.Load()
+		if seq <= cur && cur != 0 {
+			return
+		}
+		if sess.rateSeq.CompareAndSwap(cur, seq) {
+			break
+		}
 	}
-	s.applyRate(sess, rs.RateKbps, rs.Seq)
+	if clamped < kbps {
+		s.metrics.rateClamped.Inc()
+	}
+	sess.rateKbps.Store(clamped)
+	sess.lastSeen.Store(time.Now().UnixNano())
+	s.mu.Lock()
+	s.updatePacedGaugeLocked()
+	s.mu.Unlock()
 }
 
-func (s *Server) handleFin(fin *wire.Fin, peer *net.UDPAddr) {
-	key := sessionKey{addr: peer.String(), testID: fin.TestID}
-	s.mu.Lock()
-	sess := s.sessions[key]
-	s.mu.Unlock()
+// handleBye retires the session the Bye names and accounts for the client's
+// result; an unknown or already-retired session is a no-op (the caller acks
+// regardless).
+func (s *Server) handleBye(bye *wire.Bye, peer *net.UDPAddr) {
+	sess := s.lookup(bye.SessionID)
 	if sess == nil || !s.retire(sess) {
-		return // unknown or already retired: still FinAck'd by the caller
+		return
 	}
 	s.metrics.sessionsFinished.Inc()
-	s.metrics.resultMbps.Observe(wire.MbpsFromKbps(fin.ResultKbps))
+	s.metrics.resultMbps.Observe(wire.MbpsFromKbps(bye.ResultKbps))
 	if s.cfg.OnResult != nil {
-		s.cfg.OnResult(wire.MbpsFromKbps(fin.ResultKbps))
+		s.cfg.OnResult(wire.MbpsFromKbps(bye.ResultKbps))
 	}
-	s.logf("test finished", "peer", peer.String(), "test_id", fin.TestID,
-		"result_mbps", wire.MbpsFromKbps(fin.ResultKbps))
+	s.logf("test finished", "peer", peer.String(), "session_id", bye.SessionID,
+		"result_mbps", wire.MbpsFromKbps(bye.ResultKbps),
+		"trimmed_mbps", wire.MbpsFromKbps(bye.TrimmedKbps),
+		"peak_mbps", wire.MbpsFromKbps(bye.PeakKbps),
+		"regime", bye.Regime)
 }

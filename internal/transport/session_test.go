@@ -1,0 +1,380 @@
+package transport
+
+import (
+	"context"
+	"encoding/hex"
+	"errors"
+	"math"
+	"math/rand"
+	"net"
+	"testing"
+	"time"
+
+	"github.com/mobilebandwidth/swiftest/internal/errdefs"
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
+	"github.com/mobilebandwidth/swiftest/internal/faults"
+	"github.com/mobilebandwidth/swiftest/internal/obs"
+	"github.com/mobilebandwidth/swiftest/internal/wire"
+)
+
+// newProbe prepares a probe against one server.
+func newProbe(t *testing.T, s *Server, seed int64) *UDPProbe {
+	t.Helper()
+	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 100}}}
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return probe
+}
+
+// TestV2EndToEnd runs the two-channel protocol on both syscall paths: paced
+// throughput tracks the request, per-interval Reports arrive, and the Bye
+// retires the session and delivers the result.
+func TestV2EndToEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode WireMode
+	}{
+		{"batched", WireAuto},
+		{"fallback", WireFallback},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			results := make(chan float64, 1)
+			s := startServer(t, ServerConfig{
+				UplinkMbps: 100, Wire: tc.mode, Metrics: reg,
+				OnResult: func(m float64) { results <- m },
+			})
+			probe := newProbe(t, s, 11)
+			probe.SetWire(tc.mode)
+
+			const want = 20.0
+			if err := probe.SetRate(want); err != nil {
+				t.Fatal(err)
+			}
+			probe.NextSample()
+			probe.NextSample()
+			var sum float64
+			const n = 10
+			for i := 0; i < n; i++ {
+				v, ok := probe.NextSample()
+				if !ok {
+					t.Fatal("sample stream ended")
+				}
+				sum += v
+			}
+			if got := sum / n; math.Abs(got-want)/want > 0.25 {
+				t.Errorf("paced throughput = %.1f Mbps, want ≈%.0f", got, want)
+			}
+			// Half a second of samples spans several 100 ms report
+			// intervals; the loss view must have a baseline by now.
+			var reported bool
+			probe.mu.Lock()
+			for _, sess := range probe.sessions {
+				if sess.repBytes.Load() > 0 {
+					reported = true
+				}
+			}
+			probe.mu.Unlock()
+			if !reported {
+				t.Error("no server Report arrived on the control channel")
+			}
+			if loss := probe.ReportedLoss(); loss < 0 || loss >= 1 {
+				t.Errorf("reported loss = %g, want [0, 1)", loss)
+			}
+
+			probe.SetFinalReport(estimate.Estimates{
+				CrossingMbps: 21, TrimmedMeanMbps: 20, SustainedPeakMbps: 22, P90P80Mbps: 21,
+			}, estimate.RegimeStable)
+			probe.Finish(21.5, 600*time.Millisecond)
+			select {
+			case got := <-results:
+				if math.Abs(got-21.5) > 0.01 {
+					t.Errorf("Bye result = %g, want 21.5", got)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("server never received the Bye result")
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for s.ActiveSessions() != 0 && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := s.ActiveSessions(); n != 0 {
+				t.Errorf("active sessions = %d after Bye, want 0", n)
+			}
+			if got := reg.Counter("swiftest_server_sessions_started_total", "").Value(); got != 1 {
+				t.Errorf("sessions-started counter = %d, want 1", got)
+			}
+		})
+	}
+}
+
+// TestV2AuthRejection locks the server with a fleet key: an unauthenticated
+// Setup is refused — observable in both the client error chain and the
+// server's auth-reject counter — while a client holding a minted token is
+// admitted.
+func TestV2AuthRejection(t *testing.T) {
+	const key = 0xfeedface12345678
+	reg := obs.NewRegistry()
+	s := startServer(t, ServerConfig{UplinkMbps: 100, AuthKey: key, Metrics: reg})
+
+	// No token: refused, and the refusal is not retried into oblivion.
+	probe := newProbe(t, s, 14)
+	err := probe.SetRate(10)
+	probe.Finish(0, 0)
+	if err == nil {
+		t.Fatal("unauthenticated SetRate succeeded against a keyed server")
+	}
+	if !errors.Is(err, errdefs.ErrAuthRejected) {
+		t.Errorf("error = %v, want errdefs.ErrAuthRejected in the chain", err)
+	}
+	if got := reg.Counter("swiftest_server_auth_rejects_total", "").Value(); got == 0 {
+		t.Error("auth-reject counter did not move")
+	}
+
+	// Minted token: admitted.
+	okProbe := newProbe(t, s, 15)
+	okProbe.SetToken(wire.MintToken(key, 7, 42, 0))
+	if err := okProbe.SetRate(10); err != nil {
+		t.Fatalf("authenticated SetRate: %v", err)
+	}
+	okProbe.NextSample()
+	if v, ok := okProbe.NextSample(); !ok || v <= 0 {
+		t.Errorf("authenticated session sample = (%.1f, %v), want traffic", v, ok)
+	}
+	okProbe.Finish(0, 0)
+
+	// A forged token (wrong key) is refused like a missing one.
+	forged := newProbe(t, s, 16)
+	forged.SetToken(wire.MintToken(key^1, 7, 42, 0))
+	err = forged.SetRate(10)
+	forged.Finish(0, 0)
+	if !errors.Is(err, errdefs.ErrAuthRejected) {
+		t.Errorf("forged-token error = %v, want errdefs.ErrAuthRejected", err)
+	}
+}
+
+// TestV2TokenExpiry is the lease-deadline round trip: a token whose expiry
+// already passed is rejected at setup exactly like a forged one, a token
+// whose deadline is still ahead is admitted, and the client cannot stretch
+// a stale deadline because the MAC covers it.
+func TestV2TokenExpiry(t *testing.T) {
+	const key = 0xfeedface87654321
+	reg := obs.NewRegistry()
+	s := startServer(t, ServerConfig{UplinkMbps: 100, AuthKey: key, Metrics: reg})
+	nowMS := uint64(time.Now().UnixMilli())
+
+	// Expired a minute ago: RejectAuth, counted.
+	stale := newProbe(t, s, 24)
+	stale.SetToken(wire.MintToken(key, 7, 42, nowMS-60_000))
+	err := stale.SetRate(10)
+	stale.Finish(0, 0)
+	if !errors.Is(err, errdefs.ErrAuthRejected) {
+		t.Fatalf("stale-token error = %v, want errdefs.ErrAuthRejected", err)
+	}
+	if got := reg.Counter("swiftest_server_auth_rejects_total", "").Value(); got == 0 {
+		t.Error("auth-reject counter did not move on an expired token")
+	}
+
+	// Same stale token with the deadline rewritten forward: the MAC no
+	// longer verifies, so the stretch buys nothing.
+	stretched := wire.MintToken(key, 7, 42, nowMS-60_000)
+	stretched.Expires = nowMS + 3_600_000
+	cheat := newProbe(t, s, 25)
+	cheat.SetToken(stretched)
+	err = cheat.SetRate(10)
+	cheat.Finish(0, 0)
+	if !errors.Is(err, errdefs.ErrAuthRejected) {
+		t.Errorf("stretched-token error = %v, want errdefs.ErrAuthRejected", err)
+	}
+
+	// An hour of validity left: admitted and served.
+	fresh := newProbe(t, s, 26)
+	fresh.SetToken(wire.MintToken(key, 7, 42, nowMS+3_600_000))
+	if err := fresh.SetRate(10); err != nil {
+		t.Fatalf("fresh-token SetRate: %v", err)
+	}
+	fresh.NextSample()
+	if v, ok := fresh.NextSample(); !ok || v <= 0 {
+		t.Errorf("fresh-token session sample = (%.1f, %v), want traffic", v, ok)
+	}
+	fresh.Finish(0, 0)
+}
+
+// TestRetiredFramesAreInert sends the session frames of the retired
+// single-socket protocol — byte for byte what its client put on the wire —
+// at an open server and at a keyed one. Once, a 16-byte TestRequest from any
+// source address made either server pace its uplink at that address until
+// the idle timeout; now the frames decode as nothing: no reply, no session,
+// not one paced byte.
+func TestRetiredFramesAreInert(t *testing.T) {
+	frames := map[string]string{
+		"TestRequest(id 42, 100 Mbps)":    "57540103" + "000000000000002a" + "000186a0",
+		"RateSet(id 42, 100 Mbps, seq 1)": "57540105" + "000000000000002a" + "000186a0" + "00000001",
+		"Fin(id 42, 100 Mbps, 1 s)":       "57540107" + "000000000000002a" + "000186a0" + "000003e8",
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  ServerConfig
+	}{
+		{"open", ServerConfig{UplinkMbps: 100}},
+		{"keyed", ServerConfig{UplinkMbps: 100, AuthKey: 0xabc}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := startServer(t, tc.cfg)
+			conn, err := net.DialUDP("udp", nil, s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			for name, h := range frames {
+				pkt, err := hex.DecodeString(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := conn.Write(pkt); err != nil {
+					t.Fatal(err)
+				}
+				buf := make([]byte, 2048)
+				_ = conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+				if n, err := conn.Read(buf); err == nil {
+					t.Errorf("%s elicited a %d-byte reply: %x", name, n, buf[:min(n, 32)])
+				}
+			}
+			if n := s.ActiveSessions(); n != 0 {
+				t.Errorf("active sessions = %d, want 0", n)
+			}
+			if n := s.BytesSent(); n != 0 {
+				t.Errorf("server paced %d bytes at a peer that opened no session", n)
+			}
+			// Still a live server: the selection probe is answered.
+			if _, err := PingServerContext(context.Background(), s.Addr().String(), 1, time.Second); err != nil {
+				t.Errorf("ping after retired frames: %v", err)
+			}
+		})
+	}
+}
+
+// TestCapsRideSetup: the capability set a session runs with is the one its
+// Setup carries, intersected with the server's — the server remembers nothing
+// from the Hello. A Setup offering no capabilities gets a paced stream and no
+// Reports; one offering CapReports gets both.
+func TestCapsRideSetup(t *testing.T) {
+	s := startServer(t, ServerConfig{UplinkMbps: 100})
+	for i, tc := range []struct {
+		name        string
+		caps        uint32
+		wantReports bool
+	}{
+		{"none", 0, false},
+		{"reports", wire.CapReports | 1<<31, true}, // the unknown bit is masked off, not echoed
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.DialUDP("udp", nil, s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			id := uint64(50 + i)
+			handshake(t, conn, id, wire.KbpsFromMbps(5), tc.caps)
+			if got := s.lookup(id).caps; got != tc.caps&wire.ServerCaps {
+				t.Errorf("session caps = %#x, want %#x", got, tc.caps&wire.ServerCaps)
+			}
+
+			// 350 ms spans three 100 ms report intervals.
+			var data, reports int
+			buf := make([]byte, 2048)
+			_ = conn.SetReadDeadline(time.Now().Add(350 * time.Millisecond))
+			for {
+				n, err := conn.Read(buf)
+				if err != nil {
+					break
+				}
+				switch _, typ, _ := wire.PeekVersion(buf[:n]); typ {
+				case wire.TypeData2:
+					data++
+				case wire.TypeReport:
+					reports++
+				}
+			}
+			bye := wire.Bye{SessionID: id}
+			conn.Write(bye.AppendTo(nil))
+			if data == 0 {
+				t.Error("no paced datagrams arrived")
+			}
+			if (reports > 0) != tc.wantReports {
+				t.Errorf("reports received = %d, want reports: %v", reports, tc.wantReports)
+			}
+		})
+	}
+}
+
+// TestSilentServerTimesOut: a peer that never answers the Hello exhausts the
+// one handshake budget and surfaces as a probe timeout, like any other
+// unanswered handshake frame.
+func TestSilentServerTimesOut(t *testing.T) {
+	mute, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	pool := &ServerPool{Servers: []PoolServer{{Addr: mute.LocalAddr().String(), UplinkMbps: 100}}}
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(13)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Finish(0, 0)
+	err = probe.SetRate(10)
+	if !errors.Is(err, errdefs.ErrProbeTimeout) || !errors.Is(err, errdefs.ErrNoReachableServer) {
+		t.Errorf("SetRate against a silent peer = %v, want ErrProbeTimeout under ErrNoReachableServer", err)
+	}
+	hellos := 0
+	buf := make([]byte, 256)
+	_ = mute.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	for {
+		n, _, err := mute.ReadFromUDP(buf)
+		if err != nil {
+			break
+		}
+		var h wire.Hello
+		if h.Decode(buf[:n]) == nil {
+			hellos++
+		}
+	}
+	if hellos != handshakeAttempts {
+		t.Errorf("silent peer saw %d Hellos, want the handshake budget (%d)", hellos, handshakeAttempts)
+	}
+}
+
+// TestHandshakeStateDiesWithSession: the per-session handshake counter a
+// fault plan keeps is dropped when the session retires, so a long-running
+// fault-injecting server does not accumulate one entry per test.
+func TestHandshakeStateDiesWithSession(t *testing.T) {
+	plan := &faults.Plan{Faults: []faults.Fault{
+		{Kind: faults.HandshakeDrop, Server: 0, AtMS: 0, DurationMS: 1, Prob: 0.5},
+	}}
+	s := startServer(t, ServerConfig{Faults: &faults.Binding{Inj: plan.Injector(), Server: 0}})
+	conn, err := net.DialUDP("udp", nil, s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	handshake(t, conn, 77, 0, 0)
+	held := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.hsAttempts)
+	}
+	if n := held(); n != 1 {
+		t.Fatalf("handshake counters held = %d, want 1", n)
+	}
+	bye := wire.Bye{SessionID: 77}
+	var ack wire.ByeAck
+	rawExchange(t, conn, bye.AppendTo(nil), func(pkt []byte) bool {
+		return ack.Decode(pkt) == nil && ack.SessionID == 77
+	})
+	if n := held(); n != 0 {
+		t.Errorf("handshake counters held after Bye = %d, want 0", n)
+	}
+}

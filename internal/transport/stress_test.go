@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -11,7 +12,7 @@ import (
 // TestServerParallelClients hammers one Server with many concurrent client
 // probes while other goroutines poll its counters — the §5.2 budget-server
 // situation where sessions from many users multiplex one uplink. The test
-// asserts functional outcomes (every test accepted, every Fin observed, the
+// asserts functional outcomes (every test accepted, every Bye observed, the
 // server drains to zero sessions) and doubles as the concurrency gate: under
 // `go test -race` it drives the readLoop/pacer/handler interleavings that
 // shared-counter races hide in.
@@ -54,7 +55,7 @@ func TestServerParallelClients(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			pool := &ServerPool{Servers: []PoolServer{{Addr: addr, UplinkMbps: 10000.0 / clients}}}
-			probe, err := NewUDPProbe(pool, rng)
+			probe, err := NewUDPProbeContext(context.Background(), pool, rng)
 			if err != nil {
 				errs <- err
 				return
@@ -85,8 +86,8 @@ func TestServerParallelClients(t *testing.T) {
 	close(pollStop)
 	wg.Wait()
 
-	// Every Fin must have been delivered to OnResult. Fin is sent once over
-	// UDP on loopback; give retried reads a moment to drain.
+	// Every Bye must have been delivered to OnResult; give the acked
+	// teardowns a moment to drain.
 	deadline := time.Now().Add(5 * time.Second)
 	for results.Load() < clients && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -98,7 +99,7 @@ func TestServerParallelClients(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if n := srv.ActiveSessions(); n != 0 {
-		t.Errorf("server still tracks %d sessions after all Fins", n)
+		t.Errorf("server still tracks %d sessions after all Byes", n)
 	}
 	if srv.BytesSent() == 0 {
 		t.Error("server paced no probe bytes despite active tests")
@@ -119,7 +120,7 @@ func TestServerCloseDuringLoad(t *testing.T) {
 	probes := make([]*UDPProbe, clients)
 	for i := 0; i < clients; i++ {
 		pool := &ServerPool{Servers: []PoolServer{{Addr: addr, UplinkMbps: 1000.0 / clients}}}
-		probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(int64(i+100))))
+		probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(int64(i+100))))
 		if err != nil {
 			t.Fatalf("probe %d: %v", i, err)
 		}

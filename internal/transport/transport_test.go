@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,7 +23,7 @@ func startServer(t *testing.T, cfg ServerConfig) *Server {
 
 func TestPingPong(t *testing.T) {
 	s := startServer(t, ServerConfig{})
-	rtt, err := PingServer(s.Addr().String(), 3, time.Second)
+	rtt, err := PingServerContext(context.Background(), s.Addr().String(), 3, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestPingPong(t *testing.T) {
 
 func TestPingUnreachable(t *testing.T) {
 	// A port with no server: must time out, not hang.
-	if _, err := PingServer("127.0.0.1:1", 1, 100*time.Millisecond); err == nil {
+	if _, err := PingServerContext(context.Background(), "127.0.0.1:1", 1, 100*time.Millisecond); err == nil {
 		t.Error("expected error pinging an unreachable server")
 	}
 }
@@ -46,7 +47,7 @@ func TestRankByLatency(t *testing.T) {
 		{Addr: s1.Addr().String(), UplinkMbps: 100},
 		{Addr: s2.Addr().String(), UplinkMbps: 100},
 	}}
-	if err := pool.RankByLatency(2, 200*time.Millisecond); err != nil {
+	if err := pool.RankByLatencyContext(context.Background(), 2, 200*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if len(pool.Servers) != 2 {
@@ -61,7 +62,7 @@ func TestRankByLatency(t *testing.T) {
 
 func TestRankByLatencyAllDead(t *testing.T) {
 	pool := &ServerPool{Servers: []PoolServer{{Addr: "127.0.0.1:1", UplinkMbps: 100}}}
-	if err := pool.RankByLatency(1, 50*time.Millisecond); err == nil {
+	if err := pool.RankByLatencyContext(context.Background(), 1, 50*time.Millisecond); err == nil {
 		t.Error("expected error when every server is unreachable")
 	}
 }
@@ -86,7 +87,7 @@ func TestServersForCoversRate(t *testing.T) {
 func TestPacedDeliveryAtRequestedRate(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 100})
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 100}}}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(1)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestPacedDeliveryAtRequestedRate(t *testing.T) {
 func TestServerClampsToUplink(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 10})
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 10}}}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(2)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestFinStopsSessionAndReportsResult(t *testing.T) {
 	results := make(chan float64, 1)
 	s := startServer(t, ServerConfig{UplinkMbps: 100, OnResult: func(m float64) { results <- m }})
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 100}}}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(3)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +161,14 @@ func TestFinStopsSessionAndReportsResult(t *testing.T) {
 			t.Errorf("reported result = %g, want 42.5", got)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("server never received the Fin result")
+		t.Fatal("server never received the Bye result")
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for s.ActiveSessions() != 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if n := s.ActiveSessions(); n != 0 {
-		t.Errorf("active sessions = %d after Fin, want 0", n)
+		t.Errorf("active sessions = %d after Bye, want 0", n)
 	}
 }
 
@@ -176,10 +177,10 @@ func TestFinStopsSessionAndReportsResult(t *testing.T) {
 func TestEndToEndSwiftestOverUDP(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 100})
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 100}}}
-	if err := pool.RankByLatency(2, time.Second); err != nil {
+	if err := pool.RankByLatencyContext(context.Background(), 2, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(4)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestEndToEndSwiftestOverUDP(t *testing.T) {
 func TestProbeAfterCloseErrors(t *testing.T) {
 	s := startServer(t, ServerConfig{})
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 100}}}
-	probe, err := NewUDPProbe(pool, rand.New(rand.NewSource(5)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestProbeAfterCloseErrors(t *testing.T) {
 }
 
 func TestEmptyPoolRejected(t *testing.T) {
-	if _, err := NewUDPProbe(&ServerPool{}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := NewUDPProbeContext(context.Background(), &ServerPool{}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("empty pool accepted")
 	}
 }

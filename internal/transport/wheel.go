@@ -72,13 +72,13 @@ func (s *Server) advance(now time.Time) {
 		if now.UnixNano()-sess.lastSeen.Load() > int64(s.cfg.IdleTimeout) {
 			if s.retire(sess) {
 				s.metrics.sessionsReaped.Inc()
-				s.logf("session idle timeout", "test_id", sess.testID) //lint:allow hotpath reap is a cold once-per-session exit
+				s.logf("session idle timeout", "session_id", sess.id) //lint:allow hotpath reap is a cold once-per-session exit
 			}
 			continue
 		}
 		peer := sess.peer.Load()
 		if peer == nil {
-			// v2 session still waiting for its DataOpen: nowhere to pace to
+			// Session still waiting for its DataOpen: nowhere to pace to
 			// yet, and no budget accrues until the data channel binds.
 			sess.carryBytes = 0
 			continue
@@ -116,7 +116,7 @@ func (s *Server) advance(now time.Time) {
 			sess.carryBytes = maxCarry
 		}
 		s.assemble(sess, peer, at, uint64(now.UnixNano()))
-		if sess.v2 && sess.caps&wire.CapReports != 0 {
+		if sess.caps&wire.CapReports != 0 {
 			if sess.lastReport.IsZero() || now.Sub(sess.lastReport) >= reportInterval {
 				sess.lastReport = now
 				sess.reportSeq++
@@ -127,8 +127,8 @@ func (s *Server) advance(now time.Time) {
 	s.flush()
 }
 
-// reportInterval is the cadence of per-interval server Reports on v2
-// sessions with CapReports active: two client sample windows, so every
+// reportInterval is the cadence of per-interval server Reports on sessions
+// with CapReports active: two client sample windows, so every
 // loss computation sees fresh cumulative counters.
 const reportInterval = 100 * time.Millisecond
 
@@ -160,8 +160,7 @@ func (s *Server) assemble(sess *session, peer *net.UDPAddr, at time.Duration, se
 	var buf *pktBuf
 	used := 0   // segments stamped into buf
 	msgLow := 0 // first unpackaged segment in buf
-	d := wire.Data{TestID: sess.testID, SentNS: sentNS}
-	d2 := wire.Data2{SessionID: sess.id, SentNS: sentNS}
+	d := wire.Data2{SessionID: sess.id, SentNS: sentNS}
 
 	for sess.carryBytes >= DatagramSize {
 		sess.carryBytes -= DatagramSize
@@ -176,16 +175,8 @@ func (s *Server) assemble(sess *session, peer *net.UDPAddr, at time.Duration, se
 			s.bufs = append(s.bufs, buf)
 			used, msgLow = 0, 0
 		}
-		// The two protocol generations share the exact header geometry
-		// (DataHeaderLen), so the segment layout, offload setup and buffer
-		// arithmetic are version-blind — only the stamp differs.
-		if sess.v2 {
-			d2.Seq = sess.seq
-			d2.EncodeHeader(buf.b[used*DatagramSize:])
-		} else {
-			d.Seq = sess.seq
-			d.EncodeHeader(buf.b[used*DatagramSize:])
-		}
+		d.Seq = sess.seq
+		d.EncodeHeader(buf.b[used*DatagramSize:])
 		used++
 		sess.sentBytes += DatagramSize
 		sess.sentDatagrams++
@@ -258,7 +249,7 @@ func (s *Server) flush() {
 }
 
 // retire removes a session from the wheel exactly once, whichever path gets
-// there first — client Fin, idle reap, blackout-driven client teardown, or
+// there first — client Bye, idle reap, blackout-driven client teardown, or
 // server Close. It reports whether this call did the retirement, so the
 // caller owns the path-specific accounting (finished vs reaped) without
 // double counting.
@@ -267,13 +258,8 @@ func (s *Server) retire(sess *session) bool {
 		return false
 	}
 	s.mu.Lock()
-	delete(s.sessions, sess.key)
-	if sess.v2 {
-		delete(s.byID, sess.id)
-		if sess.ctrlPeer != nil {
-			delete(s.helloCaps, sess.ctrlPeer.String())
-		}
-	}
+	delete(s.byID, sess.id)
+	delete(s.hsAttempts, sess.id)
 	for i, o := range s.order {
 		if o == sess {
 			s.order = append(s.order[:i], s.order[i+1:]...)

@@ -6,6 +6,27 @@ import (
 	"testing"
 )
 
+// frames lists a fresh decoder for every message the protocol speaks.
+var frames = []struct {
+	name  string
+	fresh func() codec
+}{
+	{"Ping", func() codec { return new(Ping) }},
+	{"Pong", func() codec { return new(Pong) }},
+	{"Hello", func() codec { return new(Hello) }},
+	{"HelloAck", func() codec { return new(HelloAck) }},
+	{"Setup", func() codec { return new(Setup) }},
+	{"SetupAck", func() codec { return new(SetupAck) }},
+	{"SetupReject", func() codec { return new(SetupReject) }},
+	{"DataOpen", func() codec { return new(DataOpen) }},
+	{"DataOpenAck", func() codec { return new(DataOpenAck) }},
+	{"Rate2", func() codec { return new(Rate2) }},
+	{"Report", func() codec { return new(Report) }},
+	{"Data2", func() codec { return new(Data2) }},
+	{"Bye", func() codec { return new(Bye) }},
+	{"ByeAck", func() codec { return new(ByeAck) }},
+}
+
 // FuzzDecode feeds arbitrary bytes to every decoder: none may panic, and any
 // input a decoder accepts must re-encode to an equivalent message. Run with
 // `go test -fuzz=FuzzDecode ./internal/wire/` for continuous fuzzing; the
@@ -15,14 +36,14 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x57, 0x54, 1, 1})
 	f.Add((&Ping{Seq: 1, SentNS: 2}).AppendTo(nil))
 	f.Add((&Pong{Seq: 3, EchoNS: 4}).AppendTo(nil))
-	f.Add((&TestRequest{TestID: 5, RateKbps: 6}).AppendTo(nil))
-	f.Add((&TestAccept{TestID: 7}).AppendTo(nil))
-	f.Add((&RateSet{TestID: 8, RateKbps: 9, Seq: 10}).AppendTo(nil))
-	f.Add((&Data{TestID: 11, Seq: 12, SentNS: 13, Payload: []byte{1, 2, 3}}).AppendTo(nil))
-	f.Add((&Fin{TestID: 14, ResultKbps: 15, DurationMS: 16}).AppendTo(nil))
-	f.Add((&FinAck{TestID: 17}).AppendTo(nil))
+	f.Add((&HelloAck{Version: 2, Caps: 5, Nonce: 6}).AppendTo(nil))
+	f.Add((&SetupAck{SessionID: 7, Caps: 8, ReportIntervalMS: 9}).AppendTo(nil))
+	f.Add((&SetupReject{SessionID: 10, Code: RejectBusy}).AppendTo(nil))
+	f.Add((&DataOpen{SessionID: 11, Nonce: 12}).AppendTo(nil))
+	f.Add((&DataOpenAck{SessionID: 14}).AppendTo(nil))
+	f.Add((&ByeAck{SessionID: 17}).AppendTo(nil))
 	f.Add((&Hello{MinVersion: 1, MaxVersion: 2, Caps: 3, Nonce: 18}).AppendTo(nil))
-	f.Add((&Setup{SessionID: 19, RateKbps: 20, Token: MintToken(1, 2, 3, 4)}).AppendTo(nil))
+	f.Add((&Setup{SessionID: 19, RateKbps: 20, Caps: 3, Token: MintToken(1, 2, 3, 4)}).AppendTo(nil))
 	f.Add((&Rate2{SessionID: 21, RateKbps: 22, Seq: 23}).AppendTo(nil))
 	f.Add((&Report{SessionID: 24, Seq: 25, SentBytes: 26, SentDatagrams: 27}).AppendTo(nil))
 	f.Add((&Data2{SessionID: 28, Seq: 29, SentNS: 30, Payload: []byte{4, 5}}).AppendTo(nil))
@@ -31,82 +52,24 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// PeekVersion must never panic and must reject anything shorter
 		// than the header.
-		ver, typ, err := PeekVersion(b)
+		_, typ, err := PeekVersion(b)
 		if err != nil {
 			if len(b) >= HeaderLen && errors.Is(err, ErrTruncated) {
 				t.Fatalf("ErrTruncated on %d-byte input", len(b))
 			}
 			return
 		}
-		_ = ver
 		_ = typ.String()
 
-		var ping Ping
-		if ping.Decode(b) == nil {
-			round := ping.AppendTo(nil)
-			var again Ping
-			if again.Decode(round) != nil || again != ping {
-				t.Fatal("Ping decode/encode not idempotent")
+		for _, fr := range frames {
+			m := fr.fresh()
+			if m.Decode(b) != nil {
+				continue
 			}
-		}
-		var rs RateSet
-		if rs.Decode(b) == nil {
-			round := rs.AppendTo(nil)
-			var again RateSet
-			if again.Decode(round) != nil || again != rs {
-				t.Fatal("RateSet decode/encode not idempotent")
-			}
-		}
-		var d Data
-		if d.Decode(b) == nil {
-			round := d.AppendTo(nil)
-			var again Data
-			if again.Decode(round) != nil ||
-				again.TestID != d.TestID || again.Seq != d.Seq || again.SentNS != d.SentNS ||
-				string(again.Payload) != string(d.Payload) {
-				t.Fatal("Data decode/encode not idempotent")
-			}
-		}
-		var fin Fin
-		if fin.Decode(b) == nil {
-			round := fin.AppendTo(nil)
-			var again Fin
-			if again.Decode(round) != nil || again != fin {
-				t.Fatal("Fin decode/encode not idempotent")
-			}
-		}
-		var su Setup
-		if su.Decode(b) == nil {
-			round := su.AppendTo(nil)
-			var again Setup
-			if again.Decode(round) != nil || again != su {
-				t.Fatal("Setup decode/encode not idempotent")
-			}
-		}
-		var rep Report
-		if rep.Decode(b) == nil {
-			round := rep.AppendTo(nil)
-			var again Report
-			if again.Decode(round) != nil || again != rep {
-				t.Fatal("Report decode/encode not idempotent")
-			}
-		}
-		var d2 Data2
-		if d2.Decode(b) == nil {
-			round := d2.AppendTo(nil)
-			var again Data2
-			if again.Decode(round) != nil ||
-				again.SessionID != d2.SessionID || again.Seq != d2.Seq || again.SentNS != d2.SentNS ||
-				string(again.Payload) != string(d2.Payload) {
-				t.Fatal("Data2 decode/encode not idempotent")
-			}
-		}
-		var bye Bye
-		if bye.Decode(b) == nil {
-			round := bye.AppendTo(nil)
-			var again Bye
-			if again.Decode(round) != nil || again != bye {
-				t.Fatal("Bye decode/encode not idempotent")
+			round := m.AppendTo(nil)
+			again := fr.fresh()
+			if again.Decode(round) != nil || !bytes.Equal(again.AppendTo(nil), round) {
+				t.Fatalf("%s decode/encode not idempotent", fr.name)
 			}
 		}
 	})
@@ -123,40 +86,41 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(^uint64(0), ^uint32(0), ^uint64(0), ^uint32(0), ^uint32(0), bytes.Repeat([]byte{0xA5}, 1183))
 
 	f.Fuzz(func(t *testing.T, id uint64, seq uint32, ns uint64, kbps uint32, dur uint32, payload []byte) {
-		type codec interface {
-			AppendTo([]byte) []byte
-			Decode([]byte) error
+		tok := Token{Server: seq, Seq: id, Expires: ns, MAC: ^id}
+		msgs := []codec{
+			&Ping{Seq: seq, SentNS: ns},
+			&Pong{Seq: seq, EchoNS: ns},
+			&Hello{MinVersion: uint8(seq), MaxVersion: uint8(dur), Caps: kbps, Nonce: ns},
+			&HelloAck{Version: uint8(seq), Caps: kbps, Nonce: ns},
+			&Setup{SessionID: id, RateKbps: kbps, Caps: dur, Token: tok},
+			&SetupAck{SessionID: id, Caps: kbps, ReportIntervalMS: dur},
+			&SetupReject{SessionID: id, Code: uint8(seq)},
+			&DataOpen{SessionID: id, Nonce: ns},
+			&DataOpenAck{SessionID: id},
+			&Rate2{SessionID: id, RateKbps: kbps, Seq: seq},
+			&Report{SessionID: id, Seq: seq, SentBytes: ns, SentDatagrams: dur},
+			&Data2{SessionID: id, Seq: seq, SentNS: ns, Payload: payload},
+			&Bye{SessionID: id, ResultKbps: kbps, DurationMS: dur, CrossingKbps: seq,
+				TrimmedKbps: kbps, PeakKbps: dur, P90P80Kbps: seq, Regime: uint8(dur)},
+			&ByeAck{SessionID: id},
 		}
-		msgs := []struct {
-			name  string
-			msg   codec
-			fresh func() codec
-		}{
-			{"Ping", &Ping{Seq: seq, SentNS: ns}, func() codec { return new(Ping) }},
-			{"Pong", &Pong{Seq: seq, EchoNS: ns}, func() codec { return new(Pong) }},
-			{"TestRequest", &TestRequest{TestID: id, RateKbps: kbps}, func() codec { return new(TestRequest) }},
-			{"TestAccept", &TestAccept{TestID: id}, func() codec { return new(TestAccept) }},
-			{"RateSet", &RateSet{TestID: id, RateKbps: kbps, Seq: seq}, func() codec { return new(RateSet) }},
-			{"Data", &Data{TestID: id, Seq: seq, SentNS: ns, Payload: payload}, func() codec { return new(Data) }},
-			{"Fin", &Fin{TestID: id, ResultKbps: kbps, DurationMS: dur}, func() codec { return new(Fin) }},
-			{"FinAck", &FinAck{TestID: id}, func() codec { return new(FinAck) }},
-		}
-		for _, m := range msgs {
-			first := m.msg.AppendTo(nil)
-			decoded := m.fresh()
+		for i, msg := range msgs {
+			name := frames[i].name
+			first := msg.AppendTo(nil)
+			decoded := frames[i].fresh()
 			if err := decoded.Decode(first); err != nil {
-				t.Fatalf("%s: decoding own encoding: %v", m.name, err)
+				t.Fatalf("%s: decoding own encoding: %v", name, err)
 			}
 			second := decoded.AppendTo(nil)
 			if !bytes.Equal(first, second) {
-				t.Fatalf("%s: round trip not byte-identical:\n first=%x\nsecond=%x", m.name, first, second)
+				t.Fatalf("%s: round trip not byte-identical:\n first=%x\nsecond=%x", name, first, second)
 			}
 			// Appending to a dirty, non-empty buffer must not change the
 			// encoded suffix.
 			prefix := []byte{0xDE, 0xAD}
 			appended := decoded.AppendTo(append([]byte(nil), prefix...))
 			if !bytes.Equal(appended[:len(prefix)], prefix) || !bytes.Equal(appended[len(prefix):], first) {
-				t.Fatalf("%s: AppendTo clobbered the destination prefix", m.name)
+				t.Fatalf("%s: AppendTo clobbered the destination prefix", name)
 			}
 		}
 	})

@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
-# Protocol interop smoke: the CI gate for the two-generation wire protocol.
+# Protocol smoke: the CI gate for the one wire protocol.
 #
-#  1. A current (dual-stack) server serves a v1-pinned client — the legacy
-#     single-socket protocol still works against new servers.
-#  2. v2 <-> v2 completes under each wire mode (batched and fallback), and
-#     the run-record carries the v2 schema with the estimator/regime tail.
-#  3. A ProtoAuto client against the same server negotiates v2.
-#  4. A keyed server refuses an untokened v2 client — observable in both the
+#  1. A test completes under each server wire mode (batched and fallback),
+#     the run-record carries the v2 schema with the estimator/regime tail,
+#     and the server counts exactly the session we opened, closed by a Bye.
+#  2. There is no protocol knob left: `test -protocol` is an unknown flag.
+#  3. A keyed server refuses an untokened client — observable in both the
 #     exit status and the auth-reject counter — and admits a tokened one.
 #
 # All listeners bind ephemeral ports; addresses are scraped from logs.
 set -euo pipefail
 
 WORK="$(mktemp -d)"
-trap 'kill ${PIDS:-} 2>/dev/null || true; rm -rf "$WORK"' EXIT
-PIDS=
+# start_server runs in a command substitution, so it records its server's pid
+# in a file: a variable set in that subshell would be lost to the trap.
+trap 'kill $(cat "$WORK/pids" 2>/dev/null) 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 go build -o "$WORK/swiftest" ./cmd/swiftest
 
@@ -24,7 +24,7 @@ start_server() {
   "$WORK/swiftest" serve -addr 127.0.0.1:0 -uplink 100 -metrics 127.0.0.1:0 "$@" \
     > "$log" 2>&1 &
   local pid=$!
-  PIDS="$PIDS $pid"
+  echo "$pid" >> "$WORK/pids"
   local serve= metrics=
   for i in $(seq 1 50); do
     serve="$(sed -n 's/^swiftest server listening on \([^ ]*\).*/\1/p' "$log")"
@@ -50,55 +50,56 @@ run_test() { # run_test <outfile> <args...>
   "$WORK/swiftest" test -max 2s "$@" > "$out" 2>"$out.err"
 }
 
-expect_proto() { # expect_proto <outfile> <v1|v2> <label>
-  grep -q "^protocol  : $2\$" "$1" || {
-    echo "$3: expected negotiated protocol $2:" >&2
-    cat "$1" >&2
-    exit 1
-  }
+counter() { # counter <metricsfile> <series>
+  sed -n "s/^$2 \\([0-9]*\\)\$/\\1/p" "$1"
 }
 
-# --- 1-3: open dual-stack server, both wire modes ---------------------------
+# --- 1: open server, both wire modes ----------------------------------------
 for mode in auto fallback; do
   read -r ADDR METRICS <<< "$(start_server "$WORK/serve-$mode.log" -wire "$mode")"
 
-  run_test "$WORK/v1-$mode.txt" -servers "$ADDR@100" -protocol v1
-  expect_proto "$WORK/v1-$mode.txt" v1 "v1 client, $mode server"
+  run_test "$WORK/test-$mode.txt" -servers "$ADDR@100" -trace "$WORK/test-$mode.jsonl"
 
-  run_test "$WORK/v2-$mode.txt" -servers "$ADDR@100" -protocol v2 \
-    -trace "$WORK/v2-$mode.jsonl"
-  expect_proto "$WORK/v2-$mode.txt" v2 "v2 client, $mode server"
-
-  run_test "$WORK/auto-$mode.txt" -servers "$ADDR@100"
-  expect_proto "$WORK/auto-$mode.txt" v2 "auto client, $mode server"
-
-  head -1 "$WORK/v2-$mode.jsonl" | grep -q '"schema":"swiftest-run-record/v2"' || {
+  head -1 "$WORK/test-$mode.jsonl" | grep -q '"schema":"swiftest-run-record/v2"' || {
     echo "run-record header missing the v2 schema tag ($mode):" >&2
-    head -1 "$WORK/v2-$mode.jsonl" >&2
+    head -1 "$WORK/test-$mode.jsonl" >&2
     exit 1
   }
   for kind in estimate bdp_regime; do
-    grep -q "\"kind\":\"$kind\"" "$WORK/v2-$mode.jsonl" || {
+    grep -q "\"kind\":\"$kind\"" "$WORK/test-$mode.jsonl" || {
       echo "run-record missing $kind event ($mode)" >&2
       exit 1
     }
   done
 
-  # The server saw exactly the sessions we opened, and the v2 ones as v2.
+  # The server saw exactly the session we opened, and saw it end with a Bye.
   curl -fsS "http://$METRICS/metrics" > "$WORK/metrics-$mode.txt"
-  grep -q '^swiftest_server_v2_sessions_total 2' "$WORK/metrics-$mode.txt" || {
-    echo "expected 2 v2 sessions on the $mode server:" >&2
-    grep '^swiftest_server_\(v2_\)\?sessions' "$WORK/metrics-$mode.txt" >&2
-    exit 1
-  }
+  for series in swiftest_server_sessions_started_total swiftest_server_sessions_finished_total; do
+    [ "$(counter "$WORK/metrics-$mode.txt" "$series")" = 1 ] || {
+      echo "expected $series 1 on the $mode server:" >&2
+      grep '^swiftest_server_sessions' "$WORK/metrics-$mode.txt" >&2
+      exit 1
+    }
+  done
 done
 
-# --- 4: lease-auth rejection ------------------------------------------------
+# --- 2: the protocol knob is gone -------------------------------------------
+if run_test "$WORK/knob.txt" -servers "$ADDR@100" -protocol v1; then
+  echo "test -protocol v1 was accepted; the flag should not exist" >&2
+  exit 1
+fi
+grep -q "flag provided but not defined: -protocol" "$WORK/knob.txt.err" || {
+  echo "test -protocol v1 failed for another reason:" >&2
+  cat "$WORK/knob.txt.err" >&2
+  exit 1
+}
+
+# --- 3: lease-auth rejection ------------------------------------------------
 KEY=5857300629132885844   # arbitrary non-zero deployment key
 read -r ADDR METRICS <<< "$(start_server "$WORK/serve-keyed.log" -authkey "$KEY")"
 
-if run_test "$WORK/noauth.txt" -servers "$ADDR@100" -protocol v2; then
-  echo "untokened v2 client was admitted by a keyed server:" >&2
+if run_test "$WORK/noauth.txt" -servers "$ADDR@100"; then
+  echo "untokened client was admitted by a keyed server:" >&2
   cat "$WORK/noauth.txt" >&2
   exit 1
 fi
@@ -108,19 +109,23 @@ grep -q "auth" "$WORK/noauth.txt.err" || {
   exit 1
 }
 curl -fsS "http://$METRICS/metrics" > "$WORK/metrics-keyed.txt"
-REJECTS="$(sed -n 's/^swiftest_server_auth_rejects_total \([0-9]*\)$/\1/p' "$WORK/metrics-keyed.txt")"
+REJECTS="$(counter "$WORK/metrics-keyed.txt" swiftest_server_auth_rejects_total)"
 if [ -z "$REJECTS" ] || [ "$REJECTS" -lt 1 ]; then
   echo "auth-reject counter did not move:" >&2
   grep '^swiftest_server_auth' "$WORK/metrics-keyed.txt" >&2 || true
   exit 1
 fi
+if [ "$(counter "$WORK/metrics-keyed.txt" swiftest_server_sessions_started_total)" != 0 ]; then
+  echo "keyed server started a session for an untokened client" >&2
+  exit 1
+fi
 
 TOKEN="$("$WORK/swiftest" token -authkey "$KEY" -server 0 -seq 1)"
-run_test "$WORK/auth.txt" -servers "$ADDR@100" -protocol v2 -token "$TOKEN"
-expect_proto "$WORK/auth.txt" v2 "tokened client, keyed server"
+run_test "$WORK/auth.txt" -servers "$ADDR@100" -token "$TOKEN"
+grep -q '^bandwidth : ' "$WORK/auth.txt" || {
+  echo "tokened client produced no result:" >&2
+  cat "$WORK/auth.txt" "$WORK/auth.txt.err" >&2
+  exit 1
+}
 
-# A v1 client has no token field and must still be served by a keyed server.
-run_test "$WORK/v1-keyed.txt" -servers "$ADDR@100" -protocol v1
-expect_proto "$WORK/v1-keyed.txt" v1 "v1 client, keyed server"
-
-echo "protocol smoke passed: v1 fallback, v2 on both wire modes, auth rejects=$REJECTS"
+echo "protocol smoke passed: both wire modes, no protocol knob, auth rejects=$REJECTS"

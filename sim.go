@@ -194,7 +194,7 @@ type BaselineReport struct {
 	Duration      time.Duration
 	DataMB        float64
 	Connections   int
-	// Estimates is the protocol-v2 estimator family over the baseline's
+	// Estimates is the estimator family over the baseline's
 	// 50 ms samples — the same struct Result carries, so baselines and
 	// Swiftest are comparable estimator by estimator.
 	Estimates Estimates

@@ -137,7 +137,7 @@ func LoadModel(path string) (*Model, error) {
 	return &m, nil
 }
 
-// Estimates is the protocol-v2 estimator family computed over a test's 50 ms
+// Estimates is the estimator family computed over a test's 50 ms
 // samples: the paper's crossing estimate plus the trimmed-mean,
 // sustained-peak and P90–P80 summaries. Every runner — live Test, emulated
 // SimulateTest, the baselines — reports the same struct, so results are
@@ -203,10 +203,6 @@ type Result struct {
 	// Regime classifies Trajectory by how the bandwidth-delay product
 	// evolved — the Figure-17-style view of what bounded the test.
 	Regime BDPRegime
-	// ProtocolVersion is the negotiated wire generation of a live test
-	// (2 for the two-channel protocol, 1 for legacy); zero for emulated
-	// tests, which have no wire.
-	ProtocolVersion uint8
 }
 
 func fromCore(r core.Result) Result {
@@ -253,10 +249,10 @@ type ServerOptions struct {
 	// portable one-datagram-per-syscall path. Both put byte-identical
 	// datagram streams on the wire.
 	Wire WireMode
-	// AuthKey, when non-zero, requires protocol-v2 clients to present a
+	// AuthKey, when non-zero, requires every client to present an unexpired
 	// session token minted under this key (see MintAuthToken and the fleet
-	// dispatcher's lease tokens). Legacy v1 clients carry no token field
-	// and are always admitted.
+	// dispatcher's lease tokens). A keyed server has no unauthenticated
+	// session path.
 	AuthKey uint64
 }
 
@@ -322,24 +318,7 @@ type ServerAddr struct {
 	UplinkMbps float64 // advertised egress capacity
 }
 
-// Protocol selects the client's wire-protocol policy for live tests.
-type Protocol = transport.Protocol
-
-const (
-	// ProtoAuto negotiates v2 and falls back to v1 against legacy servers.
-	ProtoAuto = transport.ProtoAuto
-	// ProtoV1 pins the legacy single-socket protocol.
-	ProtoV1 = transport.ProtoV1
-	// ProtoV2 requires the two-channel protocol; legacy servers are an
-	// error (wrapping ErrProtocolUnsupported).
-	ProtoV2 = transport.ProtoV2
-)
-
-// ParseProtocol maps a flag value ("auto", "v1", "v2", "1", "2", "") to a
-// Protocol.
-func ParseProtocol(s string) (Protocol, error) { return transport.ParseProtocol(s) }
-
-// AuthToken authenticates a v2 test session against a keyed deployment: the
+// AuthToken authenticates a test session against a keyed deployment: the
 // fleet dispatcher mints one per lease (MintAuthToken) and the client
 // presents it at session setup.
 type AuthToken = wire.Token
@@ -416,9 +395,6 @@ type TestOptions struct {
 	MaxDuration time.Duration
 	// Seed drives test-ID generation; zero derives one from the clock.
 	Seed int64
-	// Protocol is the wire-protocol policy; the zero value (ProtoAuto)
-	// negotiates v2 with v1 fallback.
-	Protocol Protocol
 	// Token authenticates the session against a keyed deployment (see
 	// AuthToken). Leave zero for open deployments.
 	Token AuthToken
@@ -484,7 +460,6 @@ func TestContext(ctx context.Context, opts TestOptions) (Result, error) {
 	}
 	probe.SetMetrics(opts.Metrics)
 	probe.SetLostAfter(opts.LostAfter)
-	probe.SetProtocol(opts.Protocol)
 	probe.SetToken(opts.Token)
 	if opts.Trace != nil {
 		opts.Trace.SetMeta("source", "udp")
@@ -509,7 +484,6 @@ func TestContext(ctx context.Context, opts TestOptions) (Result, error) {
 	out := fromCore(res)
 	out.SelectionTime = selectionTime
 	out.Jitter = jitter
-	out.ProtocolVersion = probe.NegotiatedVersion()
 	return out, nil
 }
 
@@ -549,7 +523,7 @@ func PingServer(ctx context.Context, opts PingOptions) (time.Duration, error) {
 //
 // Deprecated: use PingServer, which names its parameters and defaults them.
 func Ping(addr string, count int, timeout time.Duration) (time.Duration, error) {
-	return transport.PingServer(addr, count, timeout)
+	return transport.PingServerContext(context.Background(), addr, count, timeout)
 }
 
 // PingContext is Ping bounded by a context: cancellation or deadline expiry
