@@ -7,11 +7,13 @@
 package swiftest_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	swiftest "github.com/mobilebandwidth/swiftest"
 	"github.com/mobilebandwidth/swiftest/internal/analysis"
 	"github.com/mobilebandwidth/swiftest/internal/baseline"
 	"github.com/mobilebandwidth/swiftest/internal/cc"
@@ -417,6 +419,57 @@ func BenchmarkCostPlan(b *testing.B) {
 		ratio = legacy.MonthlyCost / plan.MonthlyCost
 	}
 	b.ReportMetric(ratio, "cost_ratio(paper15)")
+}
+
+// BenchmarkSimulateTest is one emulated test per iteration on the input mix
+// of the ledger's sim-static workload: static links drawn per technology
+// round-robin, termination policy by i%4 (crossing, crossing, fastbts,
+// earlystop). B/op and allocs/op show what a test costs beyond its samples.
+func BenchmarkSimulateTest(b *testing.B) {
+	techs := []swiftest.Tech{swiftest.Tech4G, swiftest.Tech5G, swiftest.TechWiFi}
+	models := make([]*swiftest.Model, len(techs))
+	for i, tech := range techs {
+		m, err := swiftest.DefaultModel(tech)
+		if err != nil {
+			b.Fatal(err)
+		}
+		models[i] = m
+	}
+	var policies []swiftest.TerminationPolicy
+	for _, name := range []string{"crossing", "crossing", "fastbts", "earlystop"} {
+		p, err := swiftest.ParseTerminationPolicy(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		policies = append(policies, p)
+	}
+	rng := rand.New(rand.NewSource(1))
+	links := make([]swiftest.LinkConfig, 1200) // a multiple of 3 and of 4: every (tech, policy) pair recurs
+	for i := range links {
+		d, err := exper.Scenario{Tech: techs[i%len(techs)], Model: models[i%len(techs)]}.Draw(rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		links[i] = swiftest.LinkConfig{
+			CapacityMbps: d.CapacityMbps,
+			RTT:          d.RTT,
+			Fluctuation:  d.Fluctuation,
+			LossRate:     d.Config.LossRate,
+			Seed:         rng.Int63(),
+		}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := i % len(links)
+		_, err := swiftest.SimulateTestContext(ctx, links[in], models[in%len(techs)], swiftest.SimulateOptions{
+			SessionOptions: swiftest.SessionOptions{Terminate: policies[in%len(policies)]},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --- ablation benches (DESIGN.md design choices) ---------------------------

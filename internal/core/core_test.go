@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -264,5 +265,36 @@ func TestEscalationMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSimSetupAllocations pins what an emulated test pays before its first
+// sample: the link, its generator and the probe's flow and sampler (424 B in
+// five allocations). A generator whose seeding fills a table — math/rand's
+// 607-word source cost 4.9 KB here — shows up in the byte bound.
+func TestSimSetupAllocations(t *testing.T) {
+	cfg := linksim.Config{CapacityMbps: 300, RTT: 30 * time.Millisecond, Fluctuation: 0.01}
+	seed := int64(0)
+	setup := func() {
+		seed++
+		l, err := linksim.New(cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		NewSimProbe(l).Close()
+	}
+	const wantAllocs = 5
+	if got := testing.AllocsPerRun(200, setup); got != wantAllocs {
+		t.Errorf("linksim.New + NewSimProbe allocate %v times, want %d", got, wantAllocs)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		setup()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 1024 {
+		t.Errorf("linksim.New + NewSimProbe allocate %d bytes, want ≤ 1024 (a seeded table?)", perRun)
 	}
 }

@@ -22,7 +22,7 @@ package linksim
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 )
 
@@ -152,6 +152,10 @@ type Link struct {
 }
 
 // New returns a Link with the given configuration, seeded deterministically.
+// The seed contract is replay: the same (cfg, seed) yields the same link,
+// tick for tick, on every run and platform. Which noise stream a seed names
+// belongs to the generator behind it, not to the contract. Seeding is O(1),
+// so a link costs its ticks, not its set-up.
 func New(cfg Config, seed int64) (*Link, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -159,7 +163,7 @@ func New(cfg Config, seed int64) (*Link, error) {
 	if cfg.BufferBDP <= 0 {
 		cfg.BufferBDP = 1
 	}
-	l := &Link{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	l := &Link{cfg: cfg, rng: rand.New(rand.NewPCG(uint64(seed), 0))}
 	if cfg.StateHook != nil {
 		// Prime the state so capacity and RTT are defined before the first
 		// Advance (Flow.RTT, buffer sizing). Hooks are deterministic in the

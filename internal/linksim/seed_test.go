@@ -1,0 +1,91 @@
+package linksim
+
+import (
+	"math"
+	"testing"
+	"time"
+)
+
+// deliveryTrace runs a link that exercises every draw the emulator makes —
+// AR(1) capacity noise, Poisson dip starts, burst and spurious loss — and
+// records what one saturating flow saw on each tick.
+func deliveryTrace(seed int64, ticks int) ([]float64, []bool) {
+	l := MustNew(Config{
+		CapacityMbps: 200,
+		RTT:          30 * time.Millisecond,
+		Fluctuation:  0.08,
+		LossRate:     0.05,
+		Dipping:      &Dips{RatePerSec: 2, Depth: 0.5, Duration: 100 * time.Millisecond},
+		Impair:       func(time.Duration) Impairment { return Impairment{LossProb: 0.05} },
+	}, seed)
+	f := l.NewFlow()
+	f.SetOffered(1000)
+	achieved := make([]float64, ticks)
+	lost := make([]bool, ticks)
+	for i := range achieved {
+		l.Advance()
+		achieved[i], lost[i] = f.Achieved(), f.LossSignal()
+	}
+	return achieved, lost
+}
+
+// TestSeedReplaysDeliveryTrace is the seed contract: one seed names one link,
+// tick for tick, and another seed names another.
+func TestSeedReplaysDeliveryTrace(t *testing.T) {
+	const ticks = 1000
+	a, aLost := deliveryTrace(7, ticks)
+	b, bLost := deliveryTrace(7, ticks)
+	for i := range a {
+		if a[i] != b[i] || aLost[i] != bLost[i] {
+			t.Fatalf("seed 7 diverged from itself at tick %d: %v/%v vs %v/%v", i, a[i], aLost[i], b[i], bLost[i])
+		}
+	}
+	c, _ := deliveryTrace(8, ticks)
+	same := 0
+	for i := range a {
+		if a[i] == c[i] {
+			same++
+		}
+	}
+	// Burst-lost ticks deliver exactly 0 on both links; anything beyond those
+	// coinciding means the seeds share a stream.
+	if same > ticks/10 {
+		t.Errorf("seeds 7 and 8 delivered the same rate on %d of %d ticks", same, ticks)
+	}
+}
+
+// TestGeneratorStatistics would catch a broken generator behind the seed: the
+// AR(1) noise must hold its configured stationary s.d. and spurious loss its
+// configured frequency. 20 000 correlated ticks resolve the s.d. to ≈2 % and
+// the loss frequency to ≈1.5 %, so the 10 % bands are several sigma wide.
+func TestGeneratorStatistics(t *testing.T) {
+	const (
+		ticks       = 20000
+		fluctuation = 0.05
+		lossRate    = 0.2
+	)
+	l := testLink(t, Config{CapacityMbps: 100, RTT: 30 * time.Millisecond, Fluctuation: fluctuation, LossRate: lossRate})
+	f := l.NewFlow()
+	f.SetOffered(10) // far under capacity: every loss signal is spurious
+	var sum, sumSq float64
+	losses := 0
+	for i := 0; i < ticks; i++ {
+		l.Advance()
+		sum += l.noise
+		sumSq += l.noise * l.noise
+		if f.LossSignal() {
+			losses++
+		}
+	}
+	mean := sum / ticks
+	sd := math.Sqrt(sumSq/ticks - mean*mean)
+	if math.Abs(sd-fluctuation) > 0.1*fluctuation {
+		t.Errorf("AR(1) noise s.d. = %.4f over %d ticks, want %.4f ±10 %%", sd, ticks, fluctuation)
+	}
+	if math.Abs(mean) > 0.2*fluctuation {
+		t.Errorf("AR(1) noise mean = %.4f, want ≈0", mean)
+	}
+	if freq := float64(losses) / ticks; math.Abs(freq-lossRate) > 0.1*lossRate {
+		t.Errorf("spurious loss frequency = %.4f over %d ticks, want %.4f ±10 %%", freq, ticks, lossRate)
+	}
+}

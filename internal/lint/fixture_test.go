@@ -38,7 +38,7 @@ func stdlibExportLookup(path string) (io.ReadCloser, error) {
 		out, err := exec.Command("go", "list", "-deps", "-export",
 			"-f", "{{.ImportPath}}\t{{.Export}}",
 			"context", "crypto/sha256", "encoding/json", "errors", "fmt", "hash",
-			"io", "math/rand", "net", "net/http", "sort", "sync", "time",
+			"io", "math/rand", "math/rand/v2", "net", "net/http", "sort", "sync", "time",
 			"github.com/mobilebandwidth/swiftest/internal/errdefs").Output()
 		if err != nil {
 			stdlibExports.err = fmt.Errorf("go list -export for stdlib: %w", err)

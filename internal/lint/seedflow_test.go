@@ -98,3 +98,63 @@ func GoodSeeded(seed int64) *rand.Rand {
 `,
 	})
 }
+
+// TestSeedflowCoversMathRandV2: the v2 constructors take their seed as
+// several arguments and the v2 globals have new names; linksim seeds with
+// rand.NewPCG, so a hard-coded or clock-derived PCG seed must be caught the
+// way a NewSource one is.
+func TestSeedflowCoversMathRandV2(t *testing.T) {
+	runFixture(t, Seedflow, "example.com/internal/linksim", map[string]string{
+		"link.go": `package linksim
+
+import (
+	"math/rand/v2"
+	"time"
+)
+
+type Config struct{ Seed int64 }
+
+func BadHardcodedPCG() *rand.Rand {
+	return rand.New(rand.NewPCG(42, 0)) // want "hard-coded rand seed"
+}
+
+func BadTimePCG() *rand.Rand {
+	return rand.New(rand.NewPCG(uint64(time.Now().UnixNano()), 0)) // want "time-derived rand seed"
+}
+
+func BadTimeSecondWord(seed int64) *rand.Rand {
+	return rand.New(rand.NewPCG(uint64(seed), uint64(time.Now().UnixNano()))) // want "time-derived rand seed"
+}
+
+func BadHardcodedChaCha() *rand.Rand {
+	return rand.New(rand.NewChaCha8([32]byte{})) // want "hard-coded rand seed"
+}
+
+func BadGlobals(n int) (int, int64, uint64, int32, uint, time.Duration, int) {
+	return rand.IntN(n), // want "global math/rand source call rand.IntN"
+		rand.Int64N(9), // want "global math/rand source call rand.Int64N"
+		rand.Uint64N(9), // want "global math/rand source call rand.Uint64N"
+		rand.Int32N(9), // want "global math/rand source call rand.Int32N"
+		rand.UintN(9), // want "global math/rand source call rand.UintN"
+		rand.N(time.Second), // want "global math/rand source call rand.N"
+		rand.N[int](n) // want "global math/rand source call rand.N"
+}
+
+func GoodPCG(seed int64) *rand.Rand {
+	return rand.New(rand.NewPCG(uint64(seed), 0))
+}
+
+func GoodPCGField(cfg Config, shard int) *rand.Rand {
+	return rand.New(rand.NewPCG(uint64(cfg.Seed), uint64(shard)))
+}
+
+func GoodChaCha(key [32]byte) *rand.Rand {
+	return rand.New(rand.NewChaCha8(key))
+}
+
+func GoodDraws(r *rand.Rand) (int, float64) {
+	return r.IntN(10), r.NormFloat64()
+}
+`,
+	})
+}

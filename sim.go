@@ -30,7 +30,9 @@ type LinkConfig struct {
 	// link clamps to ShapingMbps.
 	ShapingBurstMB float64
 	ShapingMbps    float64
-	// Seed makes the emulation deterministic.
+	// Seed makes the emulation deterministic: the same LinkConfig and Seed
+	// replay the same link, tick for tick. Which noise stream a seed names
+	// is the generator's business, not part of the contract.
 	Seed int64
 	// Profile, when non-nil, drives the link through a RAN scenario's
 	// state machine seeded from Seed — every runner that accepts a
