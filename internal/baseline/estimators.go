@@ -65,13 +65,18 @@ func SpeedtestEstimate(samples []float64) float64 {
 // that already hold their samples in ascending order enter at crucialSorted
 // and skip the copy and sort.
 func CrucialInterval(samples []float64) float64 {
-	sorted := append([]float64(nil), samples...)
+	n := len(samples)
+	// One allocation holds the sorted copy and crucialSorted's scratch.
+	buf := make([]float64, 2*n+1)
+	sorted := buf[:n]
+	copy(sorted, samples)
 	sort.Float64s(sorted)
-	return crucialSorted(sorted)
+	return crucialSorted(sorted, buf[n:])
 }
 
 // crucialSorted is CrucialInterval over samples already in ascending order.
-func crucialSorted(sorted []float64) float64 {
+// quantity is scratch of at least len(sorted)+1 entries, overwritten.
+func crucialSorted(sorted, quantity []float64) float64 {
 	n := len(sorted)
 	if n == 0 {
 		return 0
@@ -82,7 +87,7 @@ func crucialSorted(sorted []float64) float64 {
 		return sorted[0]
 	}
 	// quantity[k] is the share of all samples an interval holding k has.
-	quantity := make([]float64, n+1)
+	quantity = quantity[:n+1]
 	for k := range quantity {
 		quantity[k] = float64(k) / float64(n)
 	}

@@ -331,8 +331,9 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 
 	start := link.Now()
 	var samples []float64
-	var settled []float64 // samples[warmup:] kept ascending, for crucialSorted
-	var history []float64 // crucial-interval estimate per sample index
+	var settled []float64    // samples[warmup:] kept ascending, for crucialSorted
+	quantity := []float64{0} // crucialSorted's scratch, one entry longer than settled
+	var history []float64    // crucial-interval estimate per sample index
 	agree := 0
 	for link.Now()-start < maxDur {
 		for i := 0; i < ticksPerSample; i++ {
@@ -343,12 +344,13 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 		if len(samples) > warmup {
 			at, _ := slices.BinarySearch(settled, s)
 			settled = slices.Insert(settled, at, s)
+			quantity = append(quantity, 0)
 		}
 		if len(samples) < minSamples {
 			history = append(history, 0)
 			continue
 		}
-		est := crucialSorted(settled)
+		est := crucialSorted(settled, quantity)
 		history = append(history, est)
 		// Compare against the estimate one lag window ago: while the TCP
 		// ramp is still growing the lagged estimate trails the current one,
@@ -376,7 +378,7 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 	}
 	var result float64
 	if len(samples) > warmup {
-		result = crucialSorted(settled)
+		result = crucialSorted(settled, quantity)
 	} else {
 		result = CrucialInterval(samples)
 	}

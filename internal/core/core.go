@@ -170,6 +170,11 @@ type Result struct {
 	Regime estimate.Regime
 }
 
+// typicalSamples sizes a Result's sample and trajectory slices up front: a
+// converging test ends within ≈1 s of 50 ms samples (§5.3), so most tests
+// never grow them and a test that rides to the deadline grows them twice.
+const typicalSamples = 32
+
 // Run executes one bandwidth test over p using cfg. It is RunContext with a
 // background context, for callers with no cancellation requirement.
 func Run(p Probe, cfg Config) (Result, error) {
@@ -201,12 +206,19 @@ func RunContext(ctx context.Context, p Probe, cfg Config) (Result, error) {
 	}
 	cfg.Trace.Record(p.Elapsed(), obs.EventRateInit, rate, 0, "")
 
-	res := Result{InitialRate: initial}
+	res := Result{
+		InitialRate: initial,
+		Samples:     make([]float64, 0, typicalSamples),
+		Trajectory:  make([]estimate.TrajectoryPoint, 0, typicalSamples),
+	}
 	settle := cfg.SettleSamples
 	rttSrc, _ := p.(RTTSampler)
 	policy := cfg.Terminate
 	if policy == nil {
 		policy = CrossingPolicy{Window: cfg.ConvergeWindow, Threshold: cfg.ConvergeThreshold}
+	}
+	if pt, ok := policy.(perTestPolicy); ok {
+		policy = pt.forTest()
 	}
 	hinted := estimate.RegimeUnknown // regime already fed back as a hint
 	for p.Elapsed() < cfg.MaxDuration {

@@ -128,42 +128,101 @@ func (f FastBTSPolicy) withDefaults() FastBTSPolicy {
 	return f
 }
 
-// estimateAt is the crucial-interval estimate over the first n samples,
-// excluding the warmup ramp.
-func (f FastBTSPolicy) estimateAt(samples []float64, n int) float64 {
-	if n <= f.Warmup {
-		return 0
-	}
-	return baseline.CrucialInterval(samples[f.Warmup:n])
+// Decide implements TerminationPolicy as a pure function of the prefix: the
+// agreement streak is counted backwards from the latest sample until the
+// first disagreement, so one call costs at most 2·(streak+1) crucial-interval
+// estimates (each O(n²) in the prefix length) — two on a link that is not
+// agreeing yet, a dozen on the sample that stops a test. Inside the engine
+// the cost is lower still: RunContext takes a per-test instance through
+// forTest, which remembers every prefix estimate, so a test computes one new
+// estimate per sample (two while the lagged prefix is still shorter than
+// MinSamples).
+func (f FastBTSPolicy) Decide(samples []float64, _ []estimate.TrajectoryPoint, _ time.Duration) Decision {
+	return f.withDefaults().decide(samples, nil)
 }
 
-// Decide implements TerminationPolicy. The agreement streak is recomputed
-// from the full prefix on every call, keeping the policy stateless; sample
-// streams are short enough (≈100 at the engine's 5 s ceiling) that the
-// quadratic replay is negligible against the 50 ms sampling cadence.
-func (f FastBTSPolicy) Decide(samples []float64, _ []estimate.TrajectoryPoint, _ time.Duration) Decision {
-	f = f.withDefaults()
+// decide is the FastBTS agreement rule, the only implementation of it: f has
+// its defaults applied, and memo, when non-nil, holds the prefix estimates of
+// this same sample stream from earlier calls.
+func (f FastBTSPolicy) decide(samples []float64, memo *fastBTSMemo) Decision {
 	n := len(samples)
 	if n < f.MinSamples {
 		return Decision{}
 	}
+	// The streak ending at n: consecutive prefixes i = n, n−1, … ≥ MinSamples
+	// whose estimate agrees with the one AgreeLag samples before it.
 	agree := 0
-	var est float64
-	for i := f.MinSamples; i <= n; i++ {
-		est = f.estimateAt(samples, i)
-		prev := f.estimateAt(samples, i-f.AgreeLag)
-		if prev > 0 && est > 0 && relDiff(est, prev) <= f.AgreeThreshold {
-			agree++
-		} else {
-			agree = 0
+	var latest float64 // the estimate over all n samples
+	for i := n; i >= f.MinSamples; i-- {
+		est := memo.estimateAt(f, samples, i)
+		if i == n {
+			latest = est
 		}
+		prev := memo.estimateAt(f, samples, i-f.AgreeLag)
+		if !(prev > 0 && est > 0 && relDiff(est, prev) <= f.AgreeThreshold) {
+			break
+		}
+		agree++
 	}
 	d := Decision{Checked: true, Check: float64(agree), Threshold: float64(f.AgreeRounds)}
 	if agree >= f.AgreeRounds {
 		d.Stop = true
-		d.Estimate = est
+		d.Estimate = latest
 	}
 	return d
+}
+
+// fastBTSMemo remembers the crucial-interval estimate of each prefix length
+// of one test's sample stream. The nil memo remembers nothing.
+type fastBTSMemo struct {
+	est   []float64 // est[n] is the estimate over the first n samples, once known[n]
+	known []bool
+}
+
+// estimateAt is the crucial-interval estimate over the first n samples,
+// excluding the warmup ramp; 0 while the ramp is all there is.
+func (m *fastBTSMemo) estimateAt(f FastBTSPolicy, samples []float64, n int) float64 {
+	if n <= f.Warmup {
+		return 0
+	}
+	if m == nil {
+		return baseline.CrucialInterval(samples[f.Warmup:n])
+	}
+	if n >= len(m.est) {
+		m.est = append(m.est, make([]float64, n+1-len(m.est))...)
+		m.known = append(m.known, make([]bool, n+1-len(m.known))...)
+	}
+	if !m.known[n] {
+		m.est[n] = baseline.CrucialInterval(samples[f.Warmup:n])
+		m.known[n] = true
+	}
+	return m.est[n]
+}
+
+// fastBTSRun is a FastBTSPolicy bound to one test: the same rule over the
+// same prefixes, with each prefix estimate computed once. It relies on what
+// RunContext guarantees — every call sees the previous call's samples plus
+// one — and is not safe for concurrent use.
+type fastBTSRun struct {
+	FastBTSPolicy // defaults applied
+	memo          fastBTSMemo
+}
+
+func (r *fastBTSRun) Decide(samples []float64, _ []estimate.TrajectoryPoint, _ time.Duration) Decision {
+	return r.decide(samples, &r.memo)
+}
+
+// forTest implements perTestPolicy.
+func (f FastBTSPolicy) forTest() TerminationPolicy {
+	return &fastBTSRun{FastBTSPolicy: f.withDefaults()}
+}
+
+// perTestPolicy is the engine's one private hook behind the seam: a policy
+// whose pure Decide repeats work across the calls of one test may hand
+// RunContext an instance that lives for that test alone and carries the
+// work forward. The instance must decide exactly as the pure policy does.
+type perTestPolicy interface {
+	forTest() TerminationPolicy
 }
 
 func relDiff(a, b float64) float64 {

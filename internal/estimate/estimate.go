@@ -57,11 +57,13 @@ const peakWindow = 10
 // crossing-point estimate, passed through verbatim. Samples may be empty:
 // the result then carries only the crossing figure.
 func Compute(samples []float64, crossing float64) Estimates {
+	// The two order-independent estimators share one sorted copy.
+	sorted := sortedCopy(samples)
 	return Estimates{
 		CrossingMbps:      crossing,
-		TrimmedMeanMbps:   TrimmedMean(samples),
+		TrimmedMeanMbps:   trimmedMeanSorted(sorted),
 		SustainedPeakMbps: SustainedPeak(samples),
-		P90P80Mbps:        P90P80(samples),
+		P90P80Mbps:        p90p80Sorted(sorted),
 	}
 }
 
@@ -69,11 +71,14 @@ func Compute(samples []float64, crossing float64) Estimates {
 // samples (by value). Order-independent. With fewer than three samples no
 // trimming is possible and the plain mean is returned; empty input yields 0.
 func TrimmedMean(samples []float64) float64 {
-	n := len(samples)
+	return trimmedMeanSorted(sortedCopy(samples))
+}
+
+func trimmedMeanSorted(sorted []float64) float64 {
+	n := len(sorted)
 	if n == 0 {
 		return 0
 	}
-	sorted := sortedCopy(samples)
 	cut := int(float64(n) * trimFraction)
 	if 2*cut >= n {
 		cut = 0
@@ -113,11 +118,14 @@ func SustainedPeak(samples []float64) float64 {
 // to shed one-off spikes. Order-independent. Streams too short to resolve
 // the band (fewer than 10 samples) fall back to their maximum.
 func P90P80(samples []float64) float64 {
-	n := len(samples)
+	return p90p80Sorted(sortedCopy(samples))
+}
+
+func p90p80Sorted(sorted []float64) float64 {
+	n := len(sorted)
 	if n == 0 {
 		return 0
 	}
-	sorted := sortedCopy(samples)
 	lo := int(float64(n) * 0.80)
 	hi := int(float64(n) * 0.90)
 	if hi <= lo {

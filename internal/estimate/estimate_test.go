@@ -3,6 +3,7 @@ package estimate
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -328,5 +329,74 @@ func TestRegimeStringRoundTrip(t *testing.T) {
 	}
 	if got := ParseRegime("gibberish"); got != RegimeUnknown {
 		t.Errorf("ParseRegime(gibberish) = %v, want unknown", got)
+	}
+}
+
+// computeRef is Compute as it stood when TrimmedMean and P90P80 each sorted
+// their own copy of the stream.
+func computeRef(samples []float64, crossing float64) Estimates {
+	trimmed := func() float64 {
+		n := len(samples)
+		if n == 0 {
+			return 0
+		}
+		sorted := append([]float64(nil), samples...)
+		sort.Float64s(sorted)
+		cut := int(float64(n) * trimFraction)
+		if 2*cut >= n {
+			cut = 0
+		}
+		return mean(sorted[cut : n-cut])
+	}
+	band := func() float64 {
+		n := len(samples)
+		if n == 0 {
+			return 0
+		}
+		sorted := append([]float64(nil), samples...)
+		sort.Float64s(sorted)
+		lo := int(float64(n) * 0.80)
+		hi := int(float64(n) * 0.90)
+		if hi <= lo {
+			return sorted[n-1]
+		}
+		return mean(sorted[lo:hi])
+	}
+	return Estimates{
+		CrossingMbps:      crossing,
+		TrimmedMeanMbps:   trimmed(),
+		SustainedPeakMbps: SustainedPeak(samples),
+		P90P80Mbps:        band(),
+	}
+}
+
+// TestComputeMatchesTwoSortReference: sharing one sorted copy between the
+// two order-independent estimators must not move a bit, on distinct values,
+// on heavy ties, and at every length around the trim and band boundaries.
+func TestComputeMatchesTwoSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	levels := []float64{0, 12.5, 12.5 + 1e-9, 80, 300.25}
+	for n := 0; n <= 130; n++ {
+		random := make([]float64, n)
+		tied := make([]float64, n)
+		for i := range random {
+			random[i] = rng.Float64() * 900
+			tied[i] = levels[rng.Intn(len(levels))]
+		}
+		for name, samples := range map[string][]float64{"random": random, "tied": tied} {
+			before := append([]float64(nil), samples...)
+			got, want := Compute(samples, 77), computeRef(samples, 77)
+			if got != want {
+				t.Fatalf("%s n=%d: Compute = %+v, reference %+v", name, n, got, want)
+			}
+			if got.TrimmedMeanMbps != TrimmedMean(samples) || got.P90P80Mbps != P90P80(samples) {
+				t.Fatalf("%s n=%d: Compute disagrees with the stand-alone estimators", name, n)
+			}
+			for i := range samples {
+				if samples[i] != before[i] {
+					t.Fatalf("%s n=%d: Compute reordered its input", name, n)
+				}
+			}
+		}
 	}
 }
