@@ -173,10 +173,11 @@ func (f FastBTSPolicy) decide(samples []float64, memo *fastBTSMemo) Decision {
 }
 
 // fastBTSMemo remembers the crucial-interval estimate of each prefix length
-// of one test's sample stream. The nil memo remembers nothing.
-type fastBTSMemo struct {
-	est   []float64 // est[n] is the estimate over the first n samples, once known[n]
-	known []bool
+// of one test's sample stream, indexed by that length. The nil memo
+// remembers nothing.
+type fastBTSMemo []struct {
+	mbps  float64
+	known bool
 }
 
 // estimateAt is the crucial-interval estimate over the first n samples,
@@ -188,15 +189,14 @@ func (m *fastBTSMemo) estimateAt(f FastBTSPolicy, samples []float64, n int) floa
 	if m == nil {
 		return baseline.CrucialInterval(samples[f.Warmup:n])
 	}
-	if n >= len(m.est) {
-		m.est = append(m.est, make([]float64, n+1-len(m.est))...)
-		m.known = append(m.known, make([]bool, n+1-len(m.known))...)
+	if n >= len(*m) {
+		*m = append(*m, make(fastBTSMemo, n+1-len(*m))...)
 	}
-	if !m.known[n] {
-		m.est[n] = baseline.CrucialInterval(samples[f.Warmup:n])
-		m.known[n] = true
+	e := &(*m)[n]
+	if !e.known {
+		e.mbps, e.known = baseline.CrucialInterval(samples[f.Warmup:n]), true
 	}
-	return m.est[n]
+	return e.mbps
 }
 
 // fastBTSRun is a FastBTSPolicy bound to one test: the same rule over the

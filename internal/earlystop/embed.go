@@ -10,13 +10,12 @@ import (
 //
 //	go run ./cmd/swiftest earlystop train -seed 7 -runs 6 -tolerance 0.15 -threshold 0.80 -o internal/earlystop/default_model.json
 //
-// Training and encoding are both deterministic — the same command writes the
-// same bytes on every run — and the replay it trains on draws its links from
-// linksim seeds. The file was written while those seeds named math/rand
-// streams; since linksim moved to an O(1)-seeded generator the command still
-// repeats itself byte-for-byte but yields a sibling of this file (same row
-// count, bias equal to three digits, weights shifted by the different noise),
-// not this file. The tolerance/threshold pair was chosen
+// Training and encoding are deterministic: the command writes the same bytes
+// on every run. It no longer writes these bytes, though — the replay it
+// trains on draws its links from linksim seeds, and this file dates from
+// when those seeds named math/rand streams; today the command yields a
+// sibling (same row count, weights shifted by the different noise). The
+// tolerance/threshold pair was chosen
 // from the paired front (btsbench -only earlystop): at threshold 0.80 this
 // model matches or beats the crossing policy's mean accuracy on every eval
 // seed tried while cutting mean duration and bytes on wire by ~60%.
