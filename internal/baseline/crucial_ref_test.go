@@ -79,7 +79,7 @@ func TestCrucialIntervalMatchesReference(t *testing.T) {
 			if got := CrucialInterval(stream[:n]); got != want {
 				t.Fatalf("%s n=%d: CrucialInterval = %v, reference %v", name, n, got, want)
 			}
-			if got := crucialSorted(settled, make([]float64, n+1)); got != want {
+			if got := crucialSorted(settled, make([]float64, n)); got != want {
 				t.Fatalf("%s n=%d: crucialSorted = %v, reference %v", name, n, got, want)
 			}
 			if n < len(stream) {

@@ -67,7 +67,7 @@ func SpeedtestEstimate(samples []float64) float64 {
 func CrucialInterval(samples []float64) float64 {
 	n := len(samples)
 	// One allocation holds the sorted copy and crucialSorted's scratch.
-	buf := make([]float64, 2*n+1)
+	buf := make([]float64, 2*n)
 	sorted := buf[:n]
 	copy(sorted, samples)
 	sort.Float64s(sorted)
@@ -75,8 +75,8 @@ func CrucialInterval(samples []float64) float64 {
 }
 
 // crucialSorted is CrucialInterval over samples already in ascending order.
-// quantity is scratch of at least len(sorted)+1 entries, overwritten.
-func crucialSorted(sorted, quantity []float64) float64 {
+// share is scratch of at least len(sorted) entries, overwritten.
+func crucialSorted(sorted, share []float64) float64 {
 	n := len(sorted)
 	if n == 0 {
 		return 0
@@ -86,20 +86,24 @@ func crucialSorted(sorted, quantity []float64) float64 {
 	if eps <= 0 {
 		return sorted[0]
 	}
-	// quantity[k] is the share of all samples an interval holding k has.
-	quantity = quantity[:n+1]
-	for k := range quantity {
-		quantity[k] = float64(k) / float64(n)
+	// share[d] is the quantity term of an interval holding d+1 samples: its
+	// share of all n.
+	share = share[:n]
+	for d := range share {
+		share[d] = float64(d+1) / float64(n)
 	}
 	bestScore := math.Inf(-1)
 	bestLo, bestHi := 0, n-1
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			k := j - i + 1
+	for i, lo := range sorted {
+		// Ranging over two slices of one length lets the n² loop run
+		// without bounds checks.
+		tail := sorted[i:]
+		shares := share[:len(tail)]
+		for d, hi := range tail {
 			// density × quantity; strict > keeps the first of tied intervals.
-			score := float64(k) / (sorted[j] - sorted[i] + eps) * quantity[k]
+			score := float64(d+1) / (hi - lo + eps) * shares[d]
 			if score > bestScore {
-				bestScore, bestLo, bestHi = score, i, j
+				bestScore, bestLo, bestHi = score, i, i+d
 			}
 		}
 	}

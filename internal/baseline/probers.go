@@ -331,9 +331,9 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 
 	start := link.Now()
 	var samples []float64
-	var settled []float64    // samples[warmup:] kept ascending, for crucialSorted
-	quantity := []float64{0} // crucialSorted's scratch, one entry longer than settled
-	var history []float64    // crucial-interval estimate per sample index
+	var settled []float64 // samples[warmup:] kept ascending, for crucialSorted
+	var share []float64   // crucialSorted's scratch, as long as settled
+	var history []float64 // crucial-interval estimate per sample index
 	agree := 0
 	for link.Now()-start < maxDur {
 		for i := 0; i < ticksPerSample; i++ {
@@ -344,13 +344,13 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 		if len(samples) > warmup {
 			at, _ := slices.BinarySearch(settled, s)
 			settled = slices.Insert(settled, at, s)
-			quantity = append(quantity, 0)
+			share = append(share, 0)
 		}
 		if len(samples) < minSamples {
 			history = append(history, 0)
 			continue
 		}
-		est := crucialSorted(settled, quantity)
+		est := crucialSorted(settled, share)
 		history = append(history, est)
 		// Compare against the estimate one lag window ago: while the TCP
 		// ramp is still growing the lagged estimate trails the current one,
@@ -378,7 +378,7 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 	}
 	var result float64
 	if len(samples) > warmup {
-		result = crucialSorted(settled, quantity)
+		result = crucialSorted(settled, share)
 	} else {
 		result = CrucialInterval(samples)
 	}

@@ -130,20 +130,22 @@ func (f FastBTSPolicy) withDefaults() FastBTSPolicy {
 
 // Decide implements TerminationPolicy as a pure function of the prefix: the
 // agreement streak is counted backwards from the latest sample until the
-// first disagreement, so one call costs at most 2·(streak+1) crucial-interval
-// estimates (each O(n²) in the prefix length) — two on a link that is not
-// agreeing yet, a dozen on the sample that stops a test. Inside the engine
-// the cost is lower still: RunContext takes a per-test instance through
-// forTest, which remembers every prefix estimate, so a test computes one new
-// estimate per sample (two while the lagged prefix is still shorter than
-// MinSamples).
+// first disagreement, through a memo that lives for this call, so one call
+// costs at most 2·(streak+1) crucial-interval estimates (each O(n²) in the
+// prefix length) — two on a link that is not agreeing yet, a dozen on the
+// sample that stops a test — and fewer once the streak outruns AgreeLag and
+// the lagged prefixes are ones already judged. Inside the engine the cost is
+// lower still: RunContext takes a per-test instance through forTest, whose
+// memo lives for the test, so a test computes one new estimate per sample
+// (two while the lagged prefix is still shorter than MinSamples).
 func (f FastBTSPolicy) Decide(samples []float64, _ []estimate.TrajectoryPoint, _ time.Duration) Decision {
-	return f.withDefaults().decide(samples, nil)
+	var memo fastBTSMemo
+	return f.withDefaults().decide(samples, &memo)
 }
 
 // decide is the FastBTS agreement rule, the only implementation of it: f has
-// its defaults applied, and memo, when non-nil, holds the prefix estimates of
-// this same sample stream from earlier calls.
+// its defaults applied, and memo holds whatever prefix estimates of this same
+// sample stream earlier calls left in it.
 func (f FastBTSPolicy) decide(samples []float64, memo *fastBTSMemo) Decision {
 	n := len(samples)
 	if n < f.MinSamples {
@@ -173,8 +175,7 @@ func (f FastBTSPolicy) decide(samples []float64, memo *fastBTSMemo) Decision {
 }
 
 // fastBTSMemo remembers the crucial-interval estimate of each prefix length
-// of one test's sample stream, indexed by that length. The nil memo
-// remembers nothing.
+// of one sample stream, indexed by that length.
 type fastBTSMemo []struct {
 	mbps  float64
 	known bool
@@ -185,9 +186,6 @@ type fastBTSMemo []struct {
 func (m *fastBTSMemo) estimateAt(f FastBTSPolicy, samples []float64, n int) float64 {
 	if n <= f.Warmup {
 		return 0
-	}
-	if m == nil {
-		return baseline.CrucialInterval(samples[f.Warmup:n])
 	}
 	if n >= len(*m) {
 		*m = append(*m, make(fastBTSMemo, n+1-len(*m))...)

@@ -3,6 +3,7 @@ package linksim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -114,5 +115,37 @@ func TestAdvanceZeroAllocs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFlowCloseKeepsOrder compares Close with its old body — rebuild the
+// slice without the flow — closing from the front, the middle and the back:
+// the survivors must keep their order, because max-min sharing and the
+// per-flow draws walk the slice in that order.
+func TestFlowCloseKeepsOrder(t *testing.T) {
+	closeRef := func(flows []*Flow, f *Flow) []*Flow {
+		var out []*Flow
+		for _, x := range flows {
+			if x != f {
+				out = append(out, x)
+			}
+		}
+		return out
+	}
+	l := testLink(t, Config{CapacityMbps: 100, RTT: 20 * time.Millisecond})
+	flows := make([]*Flow, 9)
+	for i := range flows {
+		flows[i] = l.NewFlow()
+	}
+	want := slices.Clone(l.flows)
+	for _, i := range []int{0, 8, 4, 4, 1, 7, 3, 5, 2, 6} { // 4 twice: a closed flow stays closed
+		flows[i].Close()
+		want = closeRef(want, flows[i])
+		if !slices.Equal(l.flows, want) {
+			t.Fatalf("after closing flow %d the link holds %d flows in a different order than the rebuild (%d)", i, len(l.flows), len(want))
+		}
+	}
+	if len(l.flows) != 0 {
+		t.Errorf("%d flows left after closing all", len(l.flows))
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"time"
 )
 
@@ -335,13 +336,9 @@ func (f *Flow) Close() {
 	}
 	f.closed = true
 	f.offered = 0
-	flows := f.link.flows[:0]
-	for _, x := range f.link.flows {
-		if x != f {
-			flows = append(flows, x)
-		}
+	if i := slices.Index(f.link.flows, f); i >= 0 {
+		f.link.flows = slices.Delete(f.link.flows, i, i+1)
 	}
-	f.link.flows = flows
 }
 
 // capacityNow computes the link's instantaneous capacity before fair sharing.
