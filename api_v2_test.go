@@ -36,7 +36,7 @@ func TestPublicV2Negotiation(t *testing.T) {
 	}
 	defer srv.Close()
 
-	res, err := swiftest.Test(swiftest.TestOptions{
+	res, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		Servers:     []swiftest.ServerAddr{{Addr: srv.Addr(), UplinkMbps: 60}},
 		Model:       smallModel(t),
 		MaxDuration: 3 * time.Second,
@@ -79,7 +79,7 @@ func TestPublicAuthFlow(t *testing.T) {
 		MaxDuration: 2 * time.Second,
 		Seed:        33,
 	}
-	if _, err := swiftest.Test(opts); !errors.Is(err, swiftest.ErrAuthRejected) {
+	if _, err := swiftest.TestContext(context.Background(), opts); !errors.Is(err, swiftest.ErrAuthRejected) {
 		t.Errorf("untokened test: err = %v, want ErrAuthRejected", err)
 	}
 
@@ -89,7 +89,7 @@ func TestPublicAuthFlow(t *testing.T) {
 		t.Fatalf("token round-trip: %v (%v != %v)", err, parsed, token)
 	}
 	opts.Token = parsed
-	res, err := swiftest.Test(opts)
+	res, err := swiftest.TestContext(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("tokened test: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestPublicAuthFlow(t *testing.T) {
 // TestLiveTestRejectsFaultPlan: fault plans belong to the emulator and to
 // fault-injecting servers; a live test with one set is a caller bug.
 func TestLiveTestRejectsFaultPlan(t *testing.T) {
-	_, err := swiftest.Test(swiftest.TestOptions{
+	_, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		SessionOptions: swiftest.SessionOptions{Faults: &swiftest.FaultPlan{}},
 		Servers:        []swiftest.ServerAddr{{Addr: "127.0.0.1:1", UplinkMbps: 10}},
 		Model:          smallModel(t),
@@ -173,9 +173,5 @@ func TestPingServerOptions(t *testing.T) {
 	}
 	if rtt <= 0 {
 		t.Errorf("rtt = %v, want > 0", rtt)
-	}
-	legacy, err := swiftest.Ping(srv.Addr(), 1, time.Second)
-	if err != nil || legacy <= 0 {
-		t.Errorf("deprecated Ping = (%v, %v), want a latency", legacy, err)
 	}
 }

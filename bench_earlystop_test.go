@@ -15,7 +15,7 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/mobilebandwidth/swiftest/internal/earlystop"
+	"github.com/mobilebandwidth/swiftest/internal/exper"
 )
 
 type benchEarlystopReport struct {
@@ -27,7 +27,7 @@ type benchEarlystopReport struct {
 
 	// Front is the paired evaluation: crossing first, then the earlystop
 	// policy at the default model's threshold and the swept extras.
-	Front *earlystop.EvalReport `json:"front"`
+	Front *exper.EvalReport `json:"front"`
 
 	// The acceptance deltas of the default-threshold point versus crossing
 	// (positive accuracy delta and negative duration/data deltas mean the
@@ -47,16 +47,16 @@ func TestEmitBenchEarlystop(t *testing.T) {
 		t.Skip("set BENCH_EARLYSTOP_OUT=<path> to emit the benchmark report")
 	}
 
-	cfg := earlystop.EvalConfig{
+	cfg := exper.EvalConfig{
 		Runs:       3,
 		Seed:       1,
 		Thresholds: []float64{0.7, 0.75, 0.85, 0.9},
 	}
-	var rep *earlystop.EvalReport
+	var rep *exper.EvalReport
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var err error
-			rep, err = earlystop.Evaluate(context.Background(), cfg)
+			rep, err = exper.Evaluate(context.Background(), cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

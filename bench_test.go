@@ -504,7 +504,7 @@ func BenchmarkAblationInitialRate(b *testing.B) {
 	var warm, coldDur float64
 	for i := 0; i < b.N; i++ {
 		p1 := core.NewSimProbe(benchLink(1))
-		r1, err := core.Run(p1, core.Config{Model: model})
+		r1, err := core.RunContext(context.Background(), p1, core.Config{Model: model})
 		p1.Close()
 		if err != nil {
 			b.Fatal(err)
@@ -512,7 +512,7 @@ func BenchmarkAblationInitialRate(b *testing.B) {
 		warm = r1.Duration.Seconds()
 
 		p2 := core.NewSimProbe(benchLink(1))
-		r2, err := core.Run(p2, core.Config{Model: cold})
+		r2, err := core.RunContext(context.Background(), p2, core.Config{Model: cold})
 		p2.Close()
 		if err != nil {
 			b.Fatal(err)
@@ -535,7 +535,7 @@ func BenchmarkAblationEscalation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		link := linksim.MustNew(linksim.Config{CapacityMbps: 900, RTT: 30 * time.Millisecond, Fluctuation: 0.01}, 3)
 		p1 := core.NewSimProbe(link)
-		r1, err := core.Run(p1, core.Config{Model: model})
+		r1, err := core.RunContext(context.Background(), p1, core.Config{Model: model})
 		p1.Close()
 		if err != nil {
 			b.Fatal(err)
@@ -544,7 +544,7 @@ func BenchmarkAblationEscalation(b *testing.B) {
 
 		link2 := linksim.MustNew(linksim.Config{CapacityMbps: 900, RTT: 30 * time.Millisecond, Fluctuation: 0.01}, 3)
 		p2 := core.NewSimProbe(link2)
-		r2, err := core.Run(p2, core.Config{Model: fixed})
+		r2, err := core.RunContext(context.Background(), p2, core.Config{Model: fixed})
 		p2.Close()
 		if err != nil {
 			b.Fatal(err)
@@ -567,7 +567,7 @@ func BenchmarkAblationConvergence(b *testing.B) {
 		}{{0.01, &d1}, {0.03, &d3}, {0.10, &d10}} {
 			link := linksim.MustNew(linksim.Config{CapacityMbps: 300, RTT: 30 * time.Millisecond, Fluctuation: 0.015}, 5)
 			p := core.NewSimProbe(link)
-			r, err := core.Run(p, core.Config{Model: model, ConvergeThreshold: tc.thresh})
+			r, err := core.RunContext(context.Background(), p, core.Config{Model: model, ConvergeThreshold: tc.thresh})
 			p.Close()
 			if err != nil {
 				b.Fatal(err)
@@ -620,7 +620,7 @@ func BenchmarkAblationPacing(b *testing.B) {
 		}{{0.002, &calm}, {0.03, &rough}} {
 			link := linksim.MustNew(linksim.Config{CapacityMbps: 300, RTT: 30 * time.Millisecond, Fluctuation: tc.fluct}, 9)
 			p := core.NewSimProbe(link)
-			r, err := core.Run(p, core.Config{Model: model})
+			r, err := core.RunContext(context.Background(), p, core.Config{Model: model})
 			p.Close()
 			if err != nil {
 				b.Fatal(err)
@@ -646,7 +646,7 @@ func BenchmarkAblationTCPVariant(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		link := calm()
 		p := core.NewSimProbe(link)
-		r, err := core.Run(p, core.Config{Model: model})
+		r, err := core.RunContext(context.Background(), p, core.Config{Model: model})
 		p.Close()
 		if err != nil {
 			b.Fatal(err)

@@ -29,7 +29,6 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/dataset"
 	"github.com/mobilebandwidth/swiftest/internal/deploy"
-	"github.com/mobilebandwidth/swiftest/internal/earlystop"
 	"github.com/mobilebandwidth/swiftest/internal/exper"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/spectrum"
@@ -588,7 +587,7 @@ func (r *runner) sec7() {
 	for i := int64(0); i < reps; i++ {
 		link := calm(i)
 		p := core.NewSimProbe(link)
-		res, err := core.Run(p, core.Config{Model: model})
+		res, err := core.RunContext(context.Background(), p, core.Config{Model: model})
 		p.Close()
 		if err != nil {
 			r.fail("sec7 udp: %v", err)
@@ -679,14 +678,14 @@ func (r *runner) scenarios() {
 }
 
 // earlystop traces the learned-termination front: the §5.1 crossing
-// baseline versus the earlystop policy at a sweep of stop thresholds.
-// Campaign cells seed by algorithm name, so cross-algorithm campaign rows
-// run different links; this sweep instead runs every policy on identical
-// seeded links against fault-free flooding ground truth — the only
-// comparison where accuracy/duration/data deltas measure the policy alone.
+// baseline versus the earlystop policy at a sweep of stop thresholds, every
+// policy on identical seeded links against fault-free flooding ground truth,
+// so accuracy/duration/data deltas measure the policy alone. Campaign cells
+// are paired the same way but keyed by profile, not by (profile, fault plan):
+// the two sweeps run the same kind of link, not the same links.
 func (r *runner) earlystop() {
 	header("learned early termination — paired front (crossing vs earlystop thresholds)")
-	cfg := earlystop.EvalConfig{
+	cfg := exper.EvalConfig{
 		Runs:       3,
 		Seed:       r.seed,
 		Thresholds: []float64{0.7, 0.75, 0.85, 0.9},
@@ -696,7 +695,7 @@ func (r *runner) earlystop() {
 		cfg.Runs = 1
 		cfg.Thresholds = []float64{0.6}
 	}
-	rep, err := earlystop.Evaluate(context.Background(), cfg)
+	rep, err := exper.Evaluate(context.Background(), cfg)
 	if err != nil {
 		r.fail("earlystop: %v", err)
 		return

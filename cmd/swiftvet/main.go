@@ -1,12 +1,12 @@
 // Command swiftvet runs the repository's custom static-analysis suite
-// (package internal/lint) over the module. Nine analyzers enforce the
+// (package internal/lint) over the module. Ten analyzers enforce the
 // invariants the compiler cannot see: virtual-time discipline (walltime),
 // bandwidth-unit consistency (units), mutex-guarded state (lockedfields),
 // cancellable network paths (ctxflow), virtual-time core hygiene (vtcore),
 // seeded randomness in deterministic packages (seedflow), map-iteration
 // order leaking into digests and encoders (maporder), allocation-free
-// annotated hot paths (hotpath), and %w/errors.Is error discipline
-// (errwrap).
+// annotated hot paths (hotpath), %w/errors.Is error discipline (errwrap),
+// and one exported entry point per operation (onepath).
 //
 // Usage:
 //

@@ -23,8 +23,8 @@ func TestSelfCheck(t *testing.T) {
 		t.Fatalf("loading module: %v", err)
 	}
 	analyzers := lint.All()
-	if len(analyzers) < 9 {
-		t.Fatalf("expected at least 9 registered analyzers, got %d", len(analyzers))
+	if len(analyzers) < 10 {
+		t.Fatalf("expected at least 10 registered analyzers, got %d", len(analyzers))
 	}
 	for _, pkg := range pkgs {
 		diags, err := pkg.RunAnalyzers(analyzers)

@@ -2,8 +2,8 @@ package swiftest
 
 import "github.com/mobilebandwidth/swiftest/internal/errdefs"
 
-// Structured error vocabulary. Every error returned by Test, TestContext,
-// Ping, PingContext and SimulateTest wraps one of these sentinels (match
+// Structured error vocabulary. Every error returned by TestContext,
+// PingServer and SimulateTestContext wraps one of these sentinels (match
 // with errors.Is) or a *ServerError (match with errors.As), so callers can
 // dispatch on the failure class without string matching.
 var (

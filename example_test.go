@@ -1,15 +1,16 @@
 package swiftest_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	swiftest "github.com/mobilebandwidth/swiftest"
 )
 
-// ExampleSimulateTest runs one Swiftest bandwidth test on an emulated 5G
-// access link — the smallest end-to-end use of the library.
-func ExampleSimulateTest() {
+// ExampleSimulateTestContext runs one Swiftest bandwidth test on an emulated
+// 5G access link — the smallest end-to-end use of the library.
+func ExampleSimulateTestContext() {
 	model, err := swiftest.NewModel(
 		swiftest.ModelComponent{Weight: 0.6, Mu: 300, Sigma: 40},
 		swiftest.ModelComponent{Weight: 0.4, Mu: 600, Sigma: 60},
@@ -18,11 +19,11 @@ func ExampleSimulateTest() {
 		fmt.Println(err)
 		return
 	}
-	res, err := swiftest.SimulateTest(swiftest.LinkConfig{
+	res, err := swiftest.SimulateTestContext(context.Background(), swiftest.LinkConfig{
 		CapacityMbps: 310,
 		RTT:          25 * time.Millisecond,
 		Seed:         1,
-	}, model)
+	}, model, swiftest.SimulateOptions{})
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -52,7 +53,7 @@ func ExampleNewModel() {
 }
 
 // ExampleRunBTSApp runs the 10-second flooding baseline on the same emulated
-// link class, for comparison with SimulateTest.
+// link class, for comparison with SimulateTestContext.
 func ExampleRunBTSApp() {
 	rep, err := swiftest.RunBTSApp(swiftest.LinkConfig{CapacityMbps: 200, Seed: 2})
 	if err != nil {

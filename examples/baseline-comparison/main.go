@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -60,7 +61,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			sw, err := swiftest.SimulateTest(link, model)
+			sw, err := swiftest.SimulateTestContext(context.Background(), link, model, swiftest.SimulateOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -49,7 +50,7 @@ func main() {
 	// On fast multi-core machines the test converges in ≈1 s; on a loaded
 	// single-core box sample jitter can exceed the 3 % criterion, in which
 	// case the test rides to this deadline and reports the trailing window.
-	res, err := swiftest.Test(swiftest.TestOptions{
+	res, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		Servers:     pool,
 		Model:       model,
 		MaxDuration: 2 * time.Second,

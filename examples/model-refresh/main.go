@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -69,11 +70,11 @@ func main() {
 	// The refreshed model immediately drives better tests: a client on a
 	// 520 Mbps link starts at the right mode and converges without
 	// escalating through stale modes.
-	res, err := swiftest.SimulateTest(swiftest.LinkConfig{
+	res, err := swiftest.SimulateTestContext(context.Background(), swiftest.LinkConfig{
 		CapacityMbps: 520,
 		Fluctuation:  0.01,
 		Seed:         3,
-	}, refreshed)
+	}, refreshed, swiftest.SimulateOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -34,7 +35,7 @@ func main() {
 		Seed:         42,
 	}
 
-	res, err := swiftest.SimulateTest(link, model)
+	res, err := swiftest.SimulateTestContext(context.Background(), link, model, swiftest.SimulateOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import "github.com/mobilebandwidth/swiftest/internal/faults"
 type FaultPlan = faults.Plan
 
 // Fault is one scheduled clause of a FaultPlan. Times are milliseconds of
-// elapsed test time (virtual under SimulateTest, wall time since NewServer
+// elapsed test time (virtual under SimulateTestContext, wall time since NewServer
 // for real servers).
 type Fault = faults.Fault
 

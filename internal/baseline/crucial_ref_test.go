@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
+	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
 // crucialIntervalRef is CrucialInterval as it stood before crucialSorted was
@@ -41,7 +42,7 @@ func crucialIntervalRef(samples []float64) float64 {
 			}
 		}
 	}
-	return mean(sorted[bestLo : bestHi+1])
+	return stats.Mean(sorted[bestLo : bestHi+1])
 }
 
 // crucialStreams are seeded 250-sample streams of the three shapes that

@@ -9,6 +9,8 @@ package baseline
 import (
 	"math"
 	"sort"
+
+	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
 // BTSAppEstimate reproduces BTS-APP's result computation (§2): partition the
@@ -23,7 +25,7 @@ func BTSAppEstimate(samples []float64) float64 {
 		return 0
 	}
 	if n < groups {
-		return mean(samples)
+		return stats.Mean(samples)
 	}
 	per := n / groups
 	avgs := make([]float64, 0, groups)
@@ -33,11 +35,11 @@ func BTSAppEstimate(samples []float64) float64 {
 		if g == groups-1 {
 			hi = n // last group absorbs the remainder
 		}
-		avgs = append(avgs, mean(samples[lo:hi]))
+		avgs = append(avgs, stats.Mean(samples[lo:hi]))
 	}
 	sort.Float64s(avgs)
 	kept := avgs[dropLow : len(avgs)-dropHigh]
-	return mean(kept)
+	return stats.Mean(kept)
 }
 
 // SpeedtestEstimate reproduces Speedtest's static filter (§5.1): discard the
@@ -52,9 +54,9 @@ func SpeedtestEstimate(samples []float64) float64 {
 	lo := int(float64(n) * 0.25)
 	hi := n - int(float64(n)*0.10)
 	if lo >= hi {
-		return mean(sorted)
+		return stats.Mean(sorted)
 	}
-	return mean(sorted[lo:hi])
+	return stats.Mean(sorted[lo:hi])
 }
 
 // CrucialInterval reproduces FastBTS's crucial-interval sampling (§5.1):
@@ -107,7 +109,7 @@ func crucialSorted(sorted, share []float64) float64 {
 			}
 		}
 	}
-	return mean(sorted[bestLo : bestHi+1])
+	return stats.Mean(sorted[bestLo : bestHi+1])
 }
 
 // Stable reports whether the window of samples has converged per the FAST /
@@ -130,15 +132,4 @@ func Stable(window []float64, threshold float64) bool {
 		return false
 	}
 	return (hi-lo)/hi <= threshold
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

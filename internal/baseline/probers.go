@@ -6,6 +6,7 @@ import (
 
 	"github.com/mobilebandwidth/swiftest/internal/cc"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
+	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
 // Report is the outcome of one bandwidth test by any prober.
@@ -245,7 +246,7 @@ func (f *FAST) Run(link *linksim.Link) Report {
 			tail := samples[len(samples)-window:]
 			if Stable(tail, threshold) {
 				return Report{
-					Result:   mean(tail),
+					Result:   stats.Mean(tail),
 					Duration: link.Now() - start,
 					DataMB:   agg.totalBytes() / 1e6,
 					Samples:  samples,
@@ -260,7 +261,7 @@ func (f *FAST) Run(link *linksim.Link) Report {
 		tail = samples[len(samples)-window:]
 	}
 	return Report{
-		Result:   mean(tail),
+		Result:   stats.Mean(tail),
 		Duration: link.Now() - start,
 		DataMB:   agg.totalBytes() / 1e6,
 		Samples:  samples,

@@ -6,6 +6,7 @@ import (
 
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
+	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
 // TCPSwiftest is the §7 design alternative: data-driven probing realised
@@ -119,7 +120,7 @@ func (t *TCPSwiftest) Run(link *linksim.Link) Report {
 		// Convergence identical to the UDP engine.
 		if len(samples) >= window && Stable(samples[len(samples)-window:], threshold) {
 			return Report{
-				Result:   mean(samples[len(samples)-window:]),
+				Result:   stats.Mean(samples[len(samples)-window:]),
 				Duration: link.Now() - start,
 				DataMB:   flow.DeliveredBytes() / 1e6,
 				Samples:  samples,
@@ -152,7 +153,7 @@ func (t *TCPSwiftest) Run(link *linksim.Link) Report {
 		tail = samples[len(samples)-window:]
 	}
 	return Report{
-		Result:   mean(tail),
+		Result:   stats.Mean(tail),
 		Duration: link.Now() - start,
 		DataMB:   flow.DeliveredBytes() / 1e6,
 		Samples:  samples,

@@ -29,6 +29,7 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
+	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
 // ServerHealth is an optional Probe extension: multi-server probes report
@@ -175,12 +176,6 @@ type Result struct {
 // never grow them and a test that rides to the deadline grows them twice.
 const typicalSamples = 32
 
-// Run executes one bandwidth test over p using cfg. It is RunContext with a
-// background context, for callers with no cancellation requirement.
-func Run(p Probe, cfg Config) (Result, error) {
-	return RunContext(context.Background(), p, cfg)
-}
-
 // RunContext executes one bandwidth test over p using cfg, honouring ctx:
 // cancellation or deadline expiry aborts the test between samples with an
 // error matching errdefs.ErrTestAborted. An already-cancelled context
@@ -317,7 +312,7 @@ func RunContext(ctx context.Context, p Probe, cfg Config) (Result, error) {
 		if len(tail) > cfg.ConvergeWindow {
 			tail = tail[len(tail)-cfg.ConvergeWindow:]
 		}
-		res.Bandwidth = meanOf(tail)
+		res.Bandwidth = stats.Mean(tail)
 		cfg.Trace.Record(p.Elapsed(), obs.EventTimeout, res.Bandwidth, 0, "")
 	}
 	res.Duration = p.Elapsed()
@@ -338,38 +333,6 @@ func RunContext(ctx context.Context, p Probe, cfg Config) (Result, error) {
 	}
 	cfg.Metrics.onFinish(res)
 	return res, nil
-}
-
-// spreadOf reports the max/min difference ratio of the window — the quantity
-// the 3% convergence criterion bounds.
-func spreadOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == 0 {
-		return 0
-	}
-	return (hi - lo) / hi
-}
-
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // SimProbe implements Probe over the virtual-time link emulator. Setting a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -35,7 +36,7 @@ func runSim(t *testing.T, capMbps float64, seed int64) Result {
 	l := quietLink(capMbps, seed)
 	p := NewSimProbe(l)
 	defer p.Close()
-	res, err := Run(p, Config{Model: model5G()})
+	res, err := RunContext(context.Background(), p, Config{Model: model5G()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestRunRequiresModel(t *testing.T) {
 	l := quietLink(100, 1)
 	p := NewSimProbe(l)
 	defer p.Close()
-	if _, err := Run(p, Config{}); err == nil {
+	if _, err := RunContext(context.Background(), p, Config{}); err == nil {
 		t.Fatal("expected error without a model")
 	}
 }
@@ -120,7 +121,7 @@ func TestDeadlineOnNoisyLink(t *testing.T) {
 	}, 17)
 	p := NewSimProbe(l)
 	defer p.Close()
-	res, err := Run(p, Config{Model: model5G(), MaxDuration: 2 * time.Second})
+	res, err := RunContext(context.Background(), p, Config{Model: model5G(), MaxDuration: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +189,12 @@ func (e *errProbe) SetRate(mbps float64) error {
 func TestSetRateErrorsPropagate(t *testing.T) {
 	l := quietLink(2000, 1)
 	p := &errProbe{SimProbe: *NewSimProbe(l), failAt: 1}
-	if _, err := Run(p, Config{Model: model5G()}); err == nil {
+	if _, err := RunContext(context.Background(), p, Config{Model: model5G()}); err == nil {
 		t.Error("initial SetRate failure not propagated")
 	}
 	l2 := quietLink(2000, 1)
 	p2 := &errProbe{SimProbe: *NewSimProbe(l2), failAt: 2}
-	if _, err := Run(p2, Config{Model: model5G()}); err == nil {
+	if _, err := RunContext(context.Background(), p2, Config{Model: model5G()}); err == nil {
 		t.Error("escalation SetRate failure not propagated")
 	}
 }
@@ -231,7 +232,7 @@ func TestResultWithinSampleRange(t *testing.T) {
 		}, int64(capSeed)^int64(noiseSeed)<<16)
 		p := NewSimProbe(l)
 		defer p.Close()
-		res, err := Run(p, Config{Model: model5G(), MaxDuration: 2 * time.Second})
+		res, err := RunContext(context.Background(), p, Config{Model: model5G(), MaxDuration: 2 * time.Second})
 		if err != nil || len(res.Samples) == 0 {
 			return false
 		}
@@ -257,7 +258,7 @@ func TestEscalationMonotone(t *testing.T) {
 		}, int64(capSeed))
 		p := NewSimProbe(l)
 		defer p.Close()
-		res, err := Run(p, Config{Model: model5G(), MaxDuration: 2 * time.Second})
+		res, err := RunContext(context.Background(), p, Config{Model: model5G(), MaxDuration: 2 * time.Second})
 		if err != nil {
 			return false
 		}

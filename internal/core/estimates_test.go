@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ func TestResultCarriesEstimatorFamily(t *testing.T) {
 	l := quietLink(400, 11)
 	p := NewSimProbe(l)
 	defer p.Close()
-	res, err := Run(p, Config{Model: model5G()})
+	res, err := RunContext(context.Background(), p, Config{Model: model5G()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestRegimeOnQuietLink(t *testing.T) {
 	l := quietLink(400, 11)
 	p := NewSimProbe(l)
 	defer p.Close()
-	res, err := Run(p, Config{Model: model5G()})
+	res, err := RunContext(context.Background(), p, Config{Model: model5G()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func shapedLink(seed int64) *linksim.Link {
 func TestRegimeShapingDetected(t *testing.T) {
 	p := NewSimProbe(shapedLink(7))
 	defer p.Close()
-	res, err := Run(p, Config{Model: model5G(), MaxDuration: 3 * time.Second})
+	res, err := RunContext(context.Background(), p, Config{Model: model5G(), MaxDuration: 3 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestRegimeHintSuppressesEscalation(t *testing.T) {
 	run := func(hint bool) Result {
 		p := NewSimProbe(shapedLink(7))
 		defer p.Close()
-		res, err := Run(p, Config{Model: model5G(), MaxDuration: 3 * time.Second, RegimeHint: hint})
+		res, err := RunContext(context.Background(), p, Config{Model: model5G(), MaxDuration: 3 * time.Second, RegimeHint: hint})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +116,7 @@ func TestRegimeHintOffIsByteStable(t *testing.T) {
 	run := func() Result {
 		p := NewSimProbe(shapedLink(13))
 		defer p.Close()
-		res, err := Run(p, Config{Model: model5G(), MaxDuration: 2 * time.Second})
+		res, err := RunContext(context.Background(), p, Config{Model: model5G(), MaxDuration: 2 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}

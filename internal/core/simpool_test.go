@@ -48,7 +48,7 @@ func TestSimPoolAggregatesServers(t *testing.T) {
 	tr := obs.NewTrace(0)
 	sp, done := threeServerPool(t, 11, nil, tr)
 	defer done()
-	res, err := Run(sp, Config{Model: model5G(), Trace: tr})
+	res, err := RunContext(context.Background(), sp, Config{Model: model5G(), Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSimPoolBlackoutFailover(t *testing.T) {
 	tr := obs.NewTrace(0)
 	sp, done := threeServerPool(t, 11, plan, tr)
 	defer done()
-	res, err := Run(sp, Config{Model: model5G(), Trace: tr})
+	res, err := RunContext(context.Background(), sp, Config{Model: model5G(), Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSimPoolFailoverDeterministic(t *testing.T) {
 		tr := obs.NewTrace(0)
 		sp, done := threeServerPool(t, 11, plan, tr)
 		defer done()
-		res, err := Run(sp, Config{Model: model5G(), Trace: tr})
+		res, err := RunContext(context.Background(), sp, Config{Model: model5G(), Trace: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestSimPoolHandshakeDropSkipsServer(t *testing.T) {
 	tr := obs.NewTrace(0)
 	sp, done := threeServerPool(t, 11, plan, tr)
 	defer done()
-	res, err := Run(sp, Config{Model: model5G(), Trace: tr})
+	res, err := RunContext(context.Background(), sp, Config{Model: model5G(), Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSimPoolTotalBlackoutExhaustsProbe(t *testing.T) {
 	tr := obs.NewTrace(0)
 	sp, done := threeServerPool(t, 11, plan, tr)
 	defer done()
-	res, err := Run(sp, Config{Model: model5G(), Trace: tr})
+	res, err := RunContext(context.Background(), sp, Config{Model: model5G(), Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRunContextCancelMidTest(t *testing.T) {
 }
 
 func TestRunModelRequiredSentinel(t *testing.T) {
-	_, err := Run(&recordingProbe{}, Config{})
+	_, err := RunContext(context.Background(), &recordingProbe{}, Config{})
 	if !errors.Is(err, errdefs.ErrModelRequired) {
 		t.Fatalf("err = %v, want ErrModelRequired", err)
 	}

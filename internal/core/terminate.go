@@ -5,6 +5,7 @@ import (
 
 	"github.com/mobilebandwidth/swiftest/internal/baseline"
 	"github.com/mobilebandwidth/swiftest/internal/estimate"
+	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
 // Decision is a TerminationPolicy's verdict after one 50 ms sample.
@@ -76,10 +77,10 @@ func (c CrossingPolicy) Decide(samples []float64, _ []estimate.TrajectoryPoint, 
 		return Decision{}
 	}
 	tail := samples[len(samples)-c.Window:]
-	d := Decision{Checked: true, Check: spreadOf(tail), Threshold: c.Threshold}
+	d := Decision{Checked: true, Check: stats.Spread(tail), Threshold: c.Threshold}
 	if baseline.Stable(tail, c.Threshold) {
 		d.Stop = true
-		d.Estimate = meanOf(tail)
+		d.Estimate = stats.Mean(tail)
 	}
 	return d
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ func TestTraceEmissionOverSimProbe(t *testing.T) {
 	defer p.Close()
 	tr := obs.NewTrace(0)
 	reg := obs.NewRegistry()
-	res, err := Run(p, Config{Model: model5G(), Trace: tr, Metrics: NewEngineMetrics(reg)})
+	res, err := RunContext(context.Background(), p, Config{Model: model5G(), Trace: tr, Metrics: NewEngineMetrics(reg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestTraceTimeoutEvent(t *testing.T) {
 	noisy := quietLinkFluct(200, 0.4, 17)
 	pn := NewSimProbe(noisy)
 	defer pn.Close()
-	res, err := Run(pn, Config{Model: model5G(), MaxDuration: 1 * time.Second,
+	res, err := RunContext(context.Background(), pn, Config{Model: model5G(), MaxDuration: 1 * time.Second,
 		Trace: tr, Metrics: NewEngineMetrics(reg)})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +148,7 @@ func TestTraceDeterministicAcrossRuns(t *testing.T) {
 		p := NewSimProbe(l)
 		defer p.Close()
 		tr := obs.NewTrace(0)
-		if _, err := Run(p, Config{Model: model5G(), Trace: tr}); err != nil {
+		if _, err := RunContext(context.Background(), p, Config{Model: model5G(), Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
 		return tr.Events()
@@ -170,7 +171,7 @@ func TestTraceRingBoundsUnderLongRun(t *testing.T) {
 	p := NewSimProbe(l)
 	defer p.Close()
 	tr := obs.NewTrace(8)
-	if _, err := Run(p, Config{Model: model5G(), MaxDuration: 2 * time.Second, Trace: tr}); err != nil {
+	if _, err := RunContext(context.Background(), p, Config{Model: model5G(), MaxDuration: 2 * time.Second, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() > 8 {
@@ -186,7 +187,7 @@ func TestNilTraceAndMetricsUnchangedResult(t *testing.T) {
 		l := quietLink(300, 31)
 		p := NewSimProbe(l)
 		defer p.Close()
-		res, err := Run(p, Config{Model: model5G(), Trace: tr, Metrics: m})
+		res, err := RunContext(context.Background(), p, Config{Model: model5G(), Trace: tr, Metrics: m})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,7 @@
 // full flooding test would report — cutting duration and bytes-on-wire
 // beyond any fixed crossing rule.
 //
-// The subsystem has four parts behind the core.TerminationPolicy seam:
+// The package has three parts behind the core.TerminationPolicy seam:
 //
 //   - a featurizer (Featurize) turning a sample/trajectory prefix into a
 //     fixed-size feature vector: throughput slope, variance, plateau ratio,
@@ -16,10 +16,12 @@
 //     byte-identical weights and a byte-identical JSON artifact
 //     (swiftest-earlystop-model/v1);
 //   - Policy, the core.TerminationPolicy implementation combining the model
-//     with the §5.1 crossing rule as a graceful fallback;
-//   - a label/training pipeline (Replay, TrainFromReplay) that replays
-//     seeded campaign scenarios (RAN profiles × fault plans, flooding
-//     ground truth) to emit labeled feature rows and a fitted model.
+//     with the §5.1 crossing rule as a graceful fallback.
+//
+// Where the labeled rows come from is not this package's business: the
+// replay that labels seeded scenario runs against flooding ground truth
+// (Replay, TrainFromReplay) and the paired evaluation (Evaluate) live in
+// internal/exper, beside the campaign, on the one scenario runner.
 //
 // Everything here is a pure function of its inputs — no wall clock, no
 // global randomness — so reruns are byte-identical and the swiftvet
@@ -32,6 +34,7 @@ import (
 
 	"github.com/mobilebandwidth/swiftest/internal/cc"
 	"github.com/mobilebandwidth/swiftest/internal/estimate"
+	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
 // NFeatures is the fixed feature-vector width. Feature vectors are arrays,
@@ -55,10 +58,19 @@ var FeatureNames = [NFeatures]string{
 	"regime_stable",       // ClassifyBDP one-hot
 }
 
-// featureWindow is the trailing window the tail_* features and the policy's
+// FeatureWindow is the trailing window the tail_* features and the policy's
 // reported estimate use — the same 10-sample window as the §5.1 crossing
 // rule, so an early stop reports the same statistic a crossing stop would.
-const featureWindow = 10
+const FeatureWindow = 10
+
+// Tail is the trailing FeatureWindow samples, or all of them when there are
+// fewer: the window whose mean an early stop reports.
+func Tail(samples []float64) []float64 {
+	if len(samples) > FeatureWindow {
+		return samples[len(samples)-FeatureWindow:]
+	}
+	return samples
+}
 
 // Featurize fills out with the feature vector of the sample/trajectory
 // prefix. samples and traj are the complete prefixes in arrival order (traj
@@ -74,12 +86,8 @@ func Featurize(samples []float64, traj []estimate.TrajectoryPoint, out *[NFeatur
 	}
 	out[0] = float64(n) / 100
 
-	w := featureWindow
-	if w > n {
-		w = n
-	}
-	tail := samples[n-w:]
-	out[1] = spreadOf(tail)
+	tail := Tail(samples)
+	out[1] = stats.Spread(tail)
 	out[2] = slopeNorm(samples)
 	out[3] = cvOf(tail)
 
@@ -94,7 +102,7 @@ func Featurize(samples []float64, traj []estimate.TrajectoryPoint, out *[NFeatur
 		}
 	}
 	if peak > 0 {
-		out[4] = meanOf(samples[n-third:]) / peak
+		out[4] = stats.Mean(samples[n-third:]) / peak
 	}
 	out[5] = cvOf(samples)
 	out[6] = rttInflation(traj)
@@ -112,42 +120,10 @@ func Featurize(samples []float64, traj []estimate.TrajectoryPoint, out *[NFeatur
 	}
 }
 
-// spreadOf is the max/min difference ratio of the window — the §5.1
-// convergence statistic.
-func spreadOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == 0 {
-		return 0
-	}
-	return (hi - lo) / hi
-}
-
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // cvOf is the coefficient of variation (population std / mean), 0 for
 // degenerate windows.
 func cvOf(xs []float64) float64 {
-	m := meanOf(xs)
+	m := stats.Mean(xs)
 	if m == 0 || len(xs) < 2 {
 		return 0
 	}
@@ -167,7 +143,7 @@ func slopeNorm(xs []float64) float64 {
 	if n < 2 {
 		return 0
 	}
-	m := meanOf(xs)
+	m := stats.Mean(xs)
 	if m == 0 {
 		return 0
 	}

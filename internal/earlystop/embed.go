@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// defaultModelJSON is the default model artifact, trained offline by the
-// training pipeline itself over the full RAN profile library:
+// defaultModelJSON is the default model artifact, trained offline — rows from
+// internal/exper's replay over the full RAN profile library, fitted by Train:
 //
 //	go run ./cmd/swiftest earlystop train -seed 7 -runs 6 -tolerance 0.15 -threshold 0.80 -o internal/earlystop/default_model.json
 //

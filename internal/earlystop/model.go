@@ -100,9 +100,9 @@ func Parse(data []byte) (*Model, error) {
 		return nil, fmt.Errorf("earlystop: model threshold %g outside (0,1)",
 			m.Threshold)
 	}
-	if m.MinSamples < featureWindow {
+	if m.MinSamples < FeatureWindow {
 		return nil, fmt.Errorf("earlystop: model min_samples %d below the %d-sample feature window",
-			m.MinSamples, featureWindow)
+			m.MinSamples, FeatureWindow)
 	}
 	return &m, nil
 }

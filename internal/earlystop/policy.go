@@ -5,6 +5,7 @@ import (
 
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/estimate"
+	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
 // Policy plugs a trained Model into the engine as a core.TerminationPolicy.
@@ -57,13 +58,9 @@ func (p Policy) Decide(samples []float64, traj []estimate.TrajectoryPoint, elaps
 	if score < m.Threshold {
 		return d
 	}
-	w := featureWindow
-	if w > len(samples) {
-		w = len(samples)
-	}
 	return core.Decision{
 		Stop:      true,
-		Estimate:  meanOf(samples[len(samples)-w:]),
+		Estimate:  stats.Mean(Tail(samples)),
 		Early:     true,
 		Checked:   true,
 		Check:     score,

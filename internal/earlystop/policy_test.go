@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/dataset"
@@ -92,9 +93,9 @@ func TestPolicyEngineDeterministic(t *testing.T) {
 		}
 		probe := core.NewSimProbe(link)
 		defer probe.Close()
-		res, err := core.Run(probe, core.Config{
+		res, err := core.RunContext(context.Background(), probe, core.Config{
 			Model:       model,
-			MaxDuration: replayMaxDuration,
+			MaxDuration: 4500 * time.Millisecond,
 			Terminate:   NewPolicy(nil),
 		})
 		if err != nil {
@@ -105,106 +106,5 @@ func TestPolicyEngineDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("two runs on the identical seeded link diverged:\n%+v\n%+v", a, b)
-	}
-}
-
-func TestReplayDeterministicRows(t *testing.T) {
-	cfg := ReplayConfig{
-		Profiles:   []string{"wifi-cafe"},
-		FaultCases: []FaultCase{{Name: "none"}},
-		Runs:       2,
-		Seed:       5,
-	}
-	r1, err := Replay(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Replay(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1) == 0 {
-		t.Fatal("replay produced no rows")
-	}
-	if !reflect.DeepEqual(r1, r2) {
-		t.Error("two replays of the identical config produced different rows")
-	}
-}
-
-func TestTrainFromReplayByteIdenticalArtifact(t *testing.T) {
-	rcfg := ReplayConfig{
-		Profiles: []string{"5g-static", "4g-drive", "subway"},
-		Runs:     2,
-		Seed:     3,
-	}
-	m1, rows, err := TrainFromReplay(context.Background(), rcfg, TrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("TrainFromReplay returned no rows")
-	}
-	m2, _, err := TrainFromReplay(context.Background(), rcfg, TrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, err := m1.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := m2.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b1) != string(b2) {
-		t.Error("TrainFromReplay artifacts differ across identical reruns")
-	}
-}
-
-func TestReplayCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Replay(ctx, ReplayConfig{Profiles: []string{"wifi-cafe"}}); err == nil {
-		t.Error("Replay with a cancelled context returned nil error")
-	}
-}
-
-// TestEvaluatePairedAcceptance is the headline gate: over the full RAN
-// profile library × builtin fault plans, the default earlystop model must
-// match or beat the crossing policy's mean accuracy while spending less
-// time and fewer bytes — every policy on identical seeded links.
-func TestEvaluatePairedAcceptance(t *testing.T) {
-	rep, err := Evaluate(context.Background(), EvalConfig{Runs: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("Points = %d, want crossing + one earlystop point", len(rep.Points))
-	}
-	crossing, learned := rep.Points[0], rep.Points[1]
-	if learned.MeanAccuracy < crossing.MeanAccuracy {
-		t.Errorf("earlystop accuracy %.4f below crossing %.4f",
-			learned.MeanAccuracy, crossing.MeanAccuracy)
-	}
-	if learned.MeanDurationMS >= crossing.MeanDurationMS {
-		t.Errorf("earlystop duration %.0f ms not below crossing %.0f ms",
-			learned.MeanDurationMS, crossing.MeanDurationMS)
-	}
-	if learned.MeanDataMB >= crossing.MeanDataMB {
-		t.Errorf("earlystop data %.1f MB not below crossing %.1f MB",
-			learned.MeanDataMB, crossing.MeanDataMB)
-	}
-	if learned.EarlyStops == 0 {
-		t.Error("earlystop never fired across the full matrix")
-	}
-}
-
-func TestEvaluateRejectsBadThreshold(t *testing.T) {
-	_, err := Evaluate(context.Background(), EvalConfig{
-		Profiles:   []string{"wifi-cafe"},
-		Thresholds: []float64{1.2},
-	})
-	if err == nil {
-		t.Error("Evaluate accepted a threshold outside (0,1)")
 	}
 }

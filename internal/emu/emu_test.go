@@ -142,7 +142,7 @@ func TestSwiftestThroughEmulatedLink(t *testing.T) {
 		gmm.Component{Weight: 0.6, Mu: 8, Sigma: 1.5},
 		gmm.Component{Weight: 0.4, Mu: 25, Sigma: 4},
 	)
-	res, err := core.Run(probe, core.Config{Model: model, MaxDuration: 4 * time.Second})
+	res, err := core.RunContext(context.Background(), probe, core.Config{Model: model, MaxDuration: 4 * time.Second})
 	probe.Finish(res.Bandwidth, res.Duration)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestVirtualRealConsistency(t *testing.T) {
 		CapacityMbps: capMbps, RTT: 20 * time.Millisecond, Fluctuation: 0.005,
 	}, 5)
 	vProbe := core.NewSimProbe(vLink)
-	vRes, err := core.Run(vProbe, core.Config{Model: model, MaxDuration: 3 * time.Second})
+	vRes, err := core.RunContext(context.Background(), vProbe, core.Config{Model: model, MaxDuration: 3 * time.Second})
 	vProbe.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestVirtualRealConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rRes, err := core.Run(rProbe, core.Config{Model: model, MaxDuration: 3 * time.Second})
+	rRes, err := core.RunContext(context.Background(), rProbe, core.Config{Model: model, MaxDuration: 3 * time.Second})
 	rProbe.Finish(rRes.Bandwidth, rRes.Duration)
 	if err != nil {
 		t.Fatal(err)

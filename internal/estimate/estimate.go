@@ -24,6 +24,8 @@ package estimate
 import (
 	"math"
 	"time"
+
+	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
 // Estimates is the estimator family of one test. Zero-valued fields mean
@@ -83,7 +85,7 @@ func trimmedMeanSorted(sorted []float64) float64 {
 	if 2*cut >= n {
 		cut = 0
 	}
-	return mean(sorted[cut : n-cut])
+	return stats.Mean(sorted[cut : n-cut])
 }
 
 // SustainedPeak is the highest mean over any window of peakWindow
@@ -131,7 +133,7 @@ func p90p80Sorted(sorted []float64) float64 {
 	if hi <= lo {
 		return sorted[n-1]
 	}
-	return mean(sorted[lo:hi])
+	return stats.Mean(sorted[lo:hi])
 }
 
 func sortedCopy(samples []float64) []float64 {
@@ -149,17 +151,6 @@ func sortedCopy(samples []float64) []float64 {
 		out[j+1] = v
 	}
 	return out
-}
-
-func mean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range samples {
-		sum += v
-	}
-	return sum / float64(len(samples))
 }
 
 // TrajectoryPoint is one joint (bandwidth, RTT) observation. RTT may be
@@ -348,7 +339,7 @@ func bdpCV(pts []TrajectoryPoint) (float64, bool) {
 	if len(bdps) < minPoints/2 {
 		return 0, false
 	}
-	m := mean(bdps)
+	m := stats.Mean(bdps)
 	if m == 0 {
 		return 0, false
 	}

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
 func almostEqual(a, b float64) bool {
@@ -346,7 +348,7 @@ func computeRef(samples []float64, crossing float64) Estimates {
 		if 2*cut >= n {
 			cut = 0
 		}
-		return mean(sorted[cut : n-cut])
+		return stats.Mean(sorted[cut : n-cut])
 	}
 	band := func() float64 {
 		n := len(samples)
@@ -360,7 +362,7 @@ func computeRef(samples []float64, crossing float64) Estimates {
 		if hi <= lo {
 			return sorted[n-1]
 		}
-		return mean(sorted[lo:hi])
+		return stats.Mean(sorted[lo:hi])
 	}
 	return Estimates{
 		CrossingMbps:      crossing,

@@ -4,59 +4,58 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sync"
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/baseline"
 	"github.com/mobilebandwidth/swiftest/internal/core"
-	"github.com/mobilebandwidth/swiftest/internal/dataset"
 	"github.com/mobilebandwidth/swiftest/internal/earlystop"
-	"github.com/mobilebandwidth/swiftest/internal/faults"
-	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
 	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
-	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
 // CampaignReportSchema names the campaign report layout, carried in the
 // report header so downstream tooling can dispatch on it.
 const CampaignReportSchema = "swiftest-campaign-report/v1"
 
-// NamedFaultPlan pairs a display name with a fault plan applied link-wide —
-// every flow on the access link (Swiftest's and the baselines' alike) sees
-// the same RAN-side fault, so algorithms are compared under identical
-// adversity. A nil Plan is the fault-free control.
-type NamedFaultPlan struct {
-	Name string
-	Plan *faults.Plan
+// algorithm is one row of the campaign's algorithm table. A row with a
+// prober floods the link with that baseline; a row without runs the Swiftest
+// engine under policy, nil being the §5.1 crossing default. The earlystop row
+// is the learned policy over the same engine: the crossing rule stays as its
+// fallback, so accuracy can only differ where the model fires first.
+type algorithm struct {
+	name   string
+	policy core.TerminationPolicy
+	prober baseline.Prober
 }
 
-// BuiltinFaultPlans are the standard campaign fault plans: the fault-free
-// control, a mid-test burst-loss episode, and a short access blackout.
-func BuiltinFaultPlans() []NamedFaultPlan {
-	return []NamedFaultPlan{
-		{Name: "none"},
-		{Name: "burst-loss", Plan: &faults.Plan{Seed: 1, Faults: []faults.Fault{
-			{Kind: faults.BurstLoss, Server: faults.AllServers, AtMS: 800, DurationMS: 600, Prob: 0.35},
-		}}},
-		{Name: "blackout", Plan: &faults.Plan{Seed: 1, Faults: []faults.Fault{
-			{Kind: faults.Blackout, Server: faults.AllServers, AtMS: 1000, DurationMS: 350},
-		}}},
+// algorithms are the termination algorithms a campaign can sweep.
+var algorithms = []algorithm{
+	{name: "swiftest"},
+	{name: "fastbts", prober: &baseline.FastBTS{}},
+	{name: "fast", prober: &baseline.FAST{}},
+	{name: "earlystop", policy: earlystop.NewPolicy(nil)},
+}
+
+func findAlgorithm(name string) (algorithm, error) {
+	known := make([]string, len(algorithms))
+	for i, a := range algorithms {
+		if a.name == name {
+			return a, nil
+		}
+		known[i] = a.name
 	}
+	return algorithm{}, fmt.Errorf("exper: unknown campaign algorithm %q (known: %v)", name, known)
 }
-
-// CampaignAlgorithms are the termination algorithms a campaign can sweep.
-var CampaignAlgorithms = []string{"swiftest", "fastbts", "fast", "earlystop"}
 
 // CampaignConfig parameterises a scenario campaign: the cross product of
 // profiles × algorithms × fault plans, each cell measured Runs times.
 type CampaignConfig struct {
 	// Profiles are built-in profile names; empty selects the whole library.
 	Profiles []string
-	// Algorithms are termination algorithms from CampaignAlgorithms; empty
-	// selects swiftest and fastbts.
+	// Algorithms are termination algorithms — swiftest, fastbts, fast,
+	// earlystop; empty selects swiftest and fastbts.
 	Algorithms []string
 	// FaultPlans are the fault plans to sweep; empty selects
 	// BuiltinFaultPlans.
@@ -77,34 +76,12 @@ type CampaignConfig struct {
 }
 
 func (c CampaignConfig) withDefaults() (CampaignConfig, error) {
-	if len(c.Profiles) == 0 {
-		c.Profiles = ranprofile.Names()
+	var err error
+	if c.Profiles, c.FaultPlans, c.Runs, err = sweepDefaults(c.Profiles, c.FaultPlans, c.Runs); err != nil {
+		return c, err
 	}
 	if len(c.Algorithms) == 0 {
 		c.Algorithms = []string{"swiftest", "fastbts"}
-	}
-	for _, alg := range c.Algorithms {
-		switch alg {
-		case "swiftest", "fastbts", "fast", "earlystop":
-		default:
-			return c, fmt.Errorf("exper: unknown campaign algorithm %q (known: %v)", alg, CampaignAlgorithms)
-		}
-	}
-	if len(c.FaultPlans) == 0 {
-		c.FaultPlans = BuiltinFaultPlans()
-	}
-	for _, fp := range c.FaultPlans {
-		if fp.Plan != nil {
-			if err := fp.Plan.Validate(); err != nil {
-				return c, fmt.Errorf("exper: fault plan %q: %w", fp.Name, err)
-			}
-		}
-	}
-	if c.Runs <= 0 {
-		c.Runs = 3
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	return c, nil
 }
@@ -178,11 +155,8 @@ func (r *CampaignReport) WriteTable(w io.Writer) error {
 // campaignCell is one (profile, algorithm, fault plan) coordinate.
 type campaignCell struct {
 	profile *ranprofile.Profile
-	alg     string
+	alg     algorithm
 	plan    NamedFaultPlan
-	// hash is FNV-64a of the profile name alone. With the run index it
-	// seeds the run, so run r of every cell of a profile gets one link.
-	hash uint64
 }
 
 // runOutcome is one measured run of a cell.
@@ -195,88 +169,28 @@ type runOutcome struct {
 	stateChanges int
 }
 
-// impairFromPlan renders a fault plan as the link-wide impairment hook: the
-// access link is "server 0", and AllServers faults match it too.
-func impairFromPlan(plan *faults.Plan) func(at time.Duration) linksim.Impairment {
-	if plan == nil {
-		return nil
-	}
-	inj := plan.Injector()
-	return func(at time.Duration) linksim.Impairment {
-		imp := linksim.Impairment{
-			Down:     inj.Blackout(0, at),
-			LossProb: inj.LossProb(0, at),
-		}
-		if capMbps, ok := inj.CapMbps(0, at); ok {
-			imp.CapMbps = capMbps
-		}
-		return imp
-	}
-}
-
 // runScenario measures one run of one cell: the algorithm under test on a
 // profiled, possibly faulted link. runTruth floods the same link fault-free.
-func runScenario(cell campaignCell, runSeed int64, reg *obs.Registry) (runOutcome, error) {
-	machine := ranprofile.NewMachine(cell.profile, runSeed, ranprofile.MachineOptions{
-		Metrics: ranprofile.NewLinkMetrics(reg),
-	})
-	testCfg := linksim.Config{
-		StateHook: machine.Hook(),
-		Impair:    impairFromPlan(cell.plan.Plan),
-	}
-	testLink, err := linksim.New(testCfg, runSeed)
-	if err != nil {
-		return runOutcome{}, fmt.Errorf("exper: campaign link: %w", err)
-	}
-
-	var out runOutcome
-	switch cell.alg {
-	case "swiftest", "earlystop":
-		model, err := dataset.TechModel(cell.profile.DatasetTech(), 2021)
+func runScenario(ctx context.Context, cell campaignCell, seed int64, reg *obs.Registry) (runOutcome, error) {
+	if cell.alg.prober == nil {
+		res, machine, err := runEngine(ctx, cell.profile, cell.plan.Plan, seed, cell.alg.policy, reg)
 		if err != nil {
-			return runOutcome{}, fmt.Errorf("exper: %v", err)
+			return runOutcome{}, err
 		}
-		cfg := core.Config{Model: model, MaxDuration: SwiftestMaxDuration}
-		if cell.alg == "earlystop" {
-			// The learned policy over the same engine: the crossing rule
-			// stays as its fallback, so accuracy can only differ where the
-			// model fires first.
-			cfg.Terminate = earlystop.NewPolicy(nil)
-		}
-		probe := core.NewSimProbe(testLink)
-		res, err := core.Run(probe, cfg)
-		probe.Close()
-		if err != nil {
-			return runOutcome{}, fmt.Errorf("exper: %s on %s: %w", cell.alg, cell.profile.Name, err)
-		}
-		out = runOutcome{estimate: res.Bandwidth, duration: res.Duration, dataMB: res.DataMB, converged: res.Converged}
-	case "fastbts":
-		rep := (&baseline.FastBTS{}).Run(testLink)
-		out = runOutcome{estimate: rep.Result, duration: rep.Duration, dataMB: rep.DataMB, converged: true}
-	case "fast":
-		rep := (&baseline.FAST{}).Run(testLink)
-		out = runOutcome{estimate: rep.Result, duration: rep.Duration, dataMB: rep.DataMB, converged: true}
-	default:
-		return runOutcome{}, fmt.Errorf("exper: unknown campaign algorithm %q", cell.alg)
+		return runOutcome{
+			estimate: res.Bandwidth, duration: res.Duration, dataMB: res.DataMB, converged: res.Converged,
+			handovers: machine.Handovers(), stateChanges: machine.StateChanges(),
+		}, nil
 	}
-	out.handovers = machine.Handovers()
-	out.stateChanges = machine.StateChanges()
-	return out, nil
-}
-
-// runTruth is the ground truth of one (profile, run): BTS-APP floods the
-// link runScenario builds from the same seed — same state chain, same AR(1)
-// noise — for 10 s with no faults, so accuracy isolates what the termination
-// algorithm loses, not what the fault destroyed. It depends on neither
-// algorithm nor fault plan, so every cell of the profile shares it. The
-// machine carries no metrics: registry rows count measured links only.
-func runTruth(profile *ranprofile.Profile, runSeed int64) (float64, error) {
-	machine := ranprofile.NewMachine(profile, runSeed, ranprofile.MachineOptions{})
-	link, err := linksim.New(linksim.Config{StateHook: machine.Hook()}, runSeed)
+	link, machine, err := newLink(cell.profile, cell.plan.Plan, seed, reg)
 	if err != nil {
-		return 0, fmt.Errorf("exper: truth link: %w", err)
+		return runOutcome{}, err
 	}
-	return (&baseline.BTSApp{}).Run(link).Result, nil
+	rep := cell.alg.prober.Run(link)
+	return runOutcome{
+		estimate: rep.Result, duration: rep.Duration, dataMB: rep.DataMB, converged: true,
+		handovers: machine.Handovers(), stateChanges: machine.StateChanges(),
+	}, nil
 }
 
 // RunCampaign sweeps profiles × algorithms × fault plans under cfg and
@@ -288,42 +202,47 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignReport, erro
 		return nil, err
 	}
 
+	algs := make([]algorithm, len(cfg.Algorithms))
+	for i, name := range cfg.Algorithms {
+		if algs[i], err = findAlgorithm(name); err != nil {
+			return nil, err
+		}
+	}
+
 	// The cell list is fixed up front in sweep order; each run gets a slot
 	// in a preallocated result matrix, so completion order cannot reorder
-	// the report.
+	// the report. seeds has one entry per (profile, run), keyed by the
+	// profile alone: run r of every cell of a profile gets one link — the
+	// fault plan is left out too, since truth is fault-free by construction.
 	var cells []campaignCell
+	seeds := make([]int64, 0, len(cfg.Profiles)*cfg.Runs)
 	for _, name := range cfg.Profiles {
 		p, err := ranprofile.Get(name)
 		if err != nil {
 			return nil, err
 		}
-		h := fnv.New64a()
-		h.Write([]byte(name))
-		for _, alg := range cfg.Algorithms {
+		for run := 0; run < cfg.Runs; run++ {
+			seeds = append(seeds, runSeed(cfg.Seed, name, run))
+		}
+		for _, alg := range algs {
 			for _, fp := range cfg.FaultPlans {
-				cells = append(cells, campaignCell{profile: p, alg: alg, plan: fp, hash: h.Sum64()})
+				cells = append(cells, campaignCell{profile: p, alg: alg, plan: fp})
 			}
 		}
 	}
-	perProfile := len(cfg.Algorithms) * len(cfg.FaultPlans)
-	runSeed := func(cell campaignCell, run int) int64 {
-		return int64(stats.SplitMix64(uint64(cfg.Seed) ^ cell.hash ^ uint64(run)*stats.SplitMix64Gamma))
-	}
+	perProfile := len(algs) * len(cfg.FaultPlans)
 
 	// Jobs are numbered truth floods first — one per (profile, run), shared
-	// by the profile's cells — then one per (cell, run); errs has a slot for
-	// each.
-	truths := make([]float64, len(cfg.Profiles)*cfg.Runs)
+	// by the profile's cells and indexed like seeds — then one per (cell,
+	// run); errs has a slot for each.
+	truths := make([]float64, len(seeds))
 	outcomes := make([]runOutcome, len(cells)*cfg.Runs)
 	errs := make([]error, len(truths)+len(outcomes))
 	var (
 		wg   sync.WaitGroup
 		next = make(chan int)
 	)
-	workers := cfg.Workers
-	if workers > len(errs) {
-		workers = len(errs)
-	}
+	workers := min(max(cfg.Workers, 1), len(errs)) // zero selects 1
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -331,12 +250,12 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignReport, erro
 			for idx := range next {
 				if idx < len(truths) {
 					first := cells[idx/cfg.Runs*perProfile]
-					truths[idx], errs[idx] = runTruth(first.profile, runSeed(first, idx%cfg.Runs))
+					truths[idx], errs[idx] = runTruth(first.profile, seeds[idx])
 					continue
 				}
 				o := idx - len(truths)
-				cell := cells[o/cfg.Runs]
-				outcomes[o], errs[idx] = runScenario(cell, runSeed(cell, o%cfg.Runs), cfg.Registry)
+				c := o / cfg.Runs
+				outcomes[o], errs[idx] = runScenario(ctx, cells[c], seeds[c/perProfile*cfg.Runs+o%cfg.Runs], cfg.Registry)
 			}
 		}()
 	}
@@ -367,15 +286,13 @@ feed:
 		Runs:       cfg.Runs,
 		Profiles:   cfg.Profiles,
 		Algorithms: cfg.Algorithms,
+		FaultPlans: planNames(cfg.FaultPlans),
 		Scenarios:  make([]ScenarioStats, 0, len(cells)),
-	}
-	for _, fp := range cfg.FaultPlans {
-		report.FaultPlans = append(report.FaultPlans, fp.Name)
 	}
 	for c, cell := range cells {
 		s := ScenarioStats{
 			Profile:   cell.profile.Name,
-			Algorithm: cell.alg,
+			Algorithm: cell.alg.name,
 			FaultPlan: cell.plan.Name,
 			Runs:      cfg.Runs,
 		}

@@ -1,0 +1,153 @@
+package exper
+
+import (
+	"context"
+	"fmt"
+
+	"github.com/mobilebandwidth/swiftest/internal/core"
+	"github.com/mobilebandwidth/swiftest/internal/earlystop"
+	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
+)
+
+// EvalReportSchema names the paired-evaluation report layout.
+const EvalReportSchema = "swiftest-earlystop-eval/v1"
+
+// EvalConfig parameterises a paired policy evaluation: every point runs on
+// the identical seeded links — per-run seeds hash only (profile, fault
+// plan, run), never the policy — so differences between points measure the
+// policies, not link noise.
+type EvalConfig struct {
+	// Profiles are built-in RAN profile names; empty selects the whole
+	// library.
+	Profiles []string
+	// FaultPlans are the fault plans swept; empty selects
+	// BuiltinFaultPlans.
+	FaultPlans []NamedFaultPlan
+	// Runs is the number of seeded runs per (profile, fault plan) cell.
+	// Zero selects 3.
+	Runs int
+	// Seed roots every per-run seed; the report is a pure function of
+	// (config, seed).
+	Seed int64
+	// Model is the earlystop model under evaluation; nil selects the
+	// embedded default.
+	Model *earlystop.Model
+	// Thresholds are extra stop-probability thresholds to trace the
+	// accuracy-vs-duration-vs-data front with; the model's own threshold
+	// is always evaluated. Values outside (0,1) are rejected.
+	Thresholds []float64
+}
+
+// EvalPoint is one policy's aggregate over the whole paired matrix.
+type EvalPoint struct {
+	// Policy is "crossing" or "earlystop".
+	Policy string `json:"policy"`
+	// Threshold is the earlystop stop threshold (0 for crossing).
+	Threshold float64 `json:"threshold,omitempty"`
+	// MeanAccuracy is mean 1 − deviation versus the fault-free BTS-APP
+	// flooding ground truth on the identical (profile, seed) link.
+	MeanAccuracy float64 `json:"mean_accuracy"`
+	// MeanDurationMS and MeanDataMB are the mean test cost.
+	MeanDurationMS float64 `json:"mean_duration_ms"`
+	MeanDataMB     float64 `json:"mean_data_mb"`
+	// EarlyStops counts runs the learned model fired on (0 for crossing).
+	EarlyStops int `json:"early_stops"`
+	// Runs is the number of paired runs aggregated.
+	Runs int `json:"runs"`
+}
+
+// EvalReport is the full deterministic paired-evaluation outcome. Points
+// come in config order: crossing first, then one earlystop point per
+// evaluated threshold (the model's own threshold first).
+type EvalReport struct {
+	Schema     string      `json:"schema"`
+	Seed       int64       `json:"seed"`
+	Runs       int         `json:"runs_per_cell"`
+	Profiles   []string    `json:"profiles"`
+	FaultPlans []string    `json:"fault_plans"`
+	Points     []EvalPoint `json:"points"`
+}
+
+// Evaluate measures the crossing policy and the earlystop policy (at one or
+// more thresholds) over the full profiles × fault plans matrix, every
+// policy on the identical seeded links, against fault-free flooding ground
+// truth. The report is a pure function of (cfg, Seed).
+func Evaluate(ctx context.Context, cfg EvalConfig) (*EvalReport, error) {
+	var err error
+	if cfg.Profiles, cfg.FaultPlans, cfg.Runs, err = sweepDefaults(cfg.Profiles, cfg.FaultPlans, cfg.Runs); err != nil {
+		return nil, err
+	}
+	model := cfg.Model
+	if model == nil {
+		model = earlystop.Default()
+	}
+	thresholds := append([]float64{model.Threshold}, cfg.Thresholds...)
+
+	// points[0] is crossing (the engine's nil default); the rest are
+	// earlystop variants of the same model at each threshold.
+	policies := make([]core.TerminationPolicy, 1, 1+len(thresholds))
+	points := make([]EvalPoint, 1, 1+len(thresholds))
+	points[0].Policy = "crossing"
+	for _, t := range thresholds {
+		if t <= 0 || t >= 1 {
+			return nil, fmt.Errorf("exper: eval threshold %g outside (0,1)", t)
+		}
+		variant := *model
+		variant.Threshold = t
+		policies = append(policies, earlystop.NewPolicy(&variant))
+		points = append(points, EvalPoint{Policy: "earlystop", Threshold: t})
+	}
+
+	for _, name := range cfg.Profiles {
+		profile, err := ranprofile.Get(name)
+		if err != nil {
+			return nil, err
+		}
+		for _, fp := range cfg.FaultPlans {
+			for run := 0; run < cfg.Runs; run++ {
+				if err := ctx.Err(); err != nil {
+					return nil, fmt.Errorf("exper: eval cancelled: %w", err)
+				}
+				seed := runSeed(cfg.Seed, name+"|"+fp.Name, run)
+				truth, err := runTruth(profile, seed)
+				if err != nil {
+					return nil, err
+				}
+				for pi, policy := range policies {
+					res, _, err := runEngine(ctx, profile, fp.Plan, seed, policy, nil)
+					if err != nil {
+						return nil, err
+					}
+					pt := &points[pi]
+					pt.MeanAccuracy += 1 - Deviation(res.Bandwidth, truth)
+					pt.MeanDurationMS += float64(res.Duration.Milliseconds())
+					pt.MeanDataMB += res.DataMB
+					// A converged earlystop run the crossing rule would not
+					// have stopped is a model-fired early stop.
+					if pi > 0 && res.Converged {
+						if _, crossed := crossingReplay(res.Samples); !crossed {
+							pt.EarlyStops++
+						}
+					}
+					pt.Runs++
+				}
+			}
+		}
+	}
+
+	for pi := range points {
+		pt := &points[pi]
+		n := float64(pt.Runs)
+		pt.MeanAccuracy /= n
+		pt.MeanDurationMS /= n
+		pt.MeanDataMB /= n
+	}
+	return &EvalReport{
+		Schema:     EvalReportSchema,
+		Seed:       cfg.Seed,
+		Runs:       cfg.Runs,
+		Profiles:   cfg.Profiles,
+		FaultPlans: planNames(cfg.FaultPlans),
+		Points:     points,
+	}, nil
+}

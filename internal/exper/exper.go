@@ -10,9 +10,11 @@
 package exper
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/baseline"
@@ -43,12 +45,6 @@ type Scenario struct {
 	ShapedFraction float64
 }
 
-// rttRange returns the plausible base-RTT range per technology, from the
-// canonical per-tech table in package dataset (shared with ranprofile).
-func rttRange(tech dataset.Tech) (lo, hi time.Duration) {
-	return dataset.TechRTTRange(tech)
-}
-
 // Draw samples one link scenario.
 func (s Scenario) Draw(rng *rand.Rand) (LinkDraw, error) {
 	model := s.Model
@@ -68,7 +64,7 @@ func (s Scenario) Draw(rng *rand.Rand) (LinkDraw, error) {
 	if capMbps < 2 {
 		capMbps = 2
 	}
-	lo, hi := rttRange(s.Tech)
+	lo, hi := dataset.TechRTTRange(s.Tech)
 	rtt := lo + time.Duration(rng.Float64()*float64(hi-lo))
 
 	// Link-quality mixture: mostly calm links; some with episodic capacity
@@ -159,10 +155,7 @@ const PairDriftSigma = 0.035
 // RunPair executes one back-to-back pair: the two tests see the same link
 // scenario up to a small sequential capacity drift.
 func RunPair(draw LinkDraw, model *gmm.Model, seed int64) (PairResult, error) {
-	swLink := linksim.MustNew(draw.Config, seed)
-	probe := core.NewSimProbe(swLink)
-	res, err := core.Run(probe, core.Config{Model: model, MaxDuration: SwiftestMaxDuration})
-	probe.Close()
+	res, err := engineOn(context.TODO(), linksim.MustNew(draw.Config, seed), model, nil)
 	if err != nil {
 		return PairResult{}, fmt.Errorf("exper: swiftest run: %w", err)
 	}
@@ -250,10 +243,7 @@ func ThreeWayCampaign(tech dataset.Tech, n int, seed int64) ([]ThreeWayResult, e
 		fbtsLink := linksim.MustNew(draw.Config, base+2)
 		res.FastBTS = (&baseline.FastBTS{}).Run(fbtsLink)
 
-		swLink := linksim.MustNew(draw.Config, base+3)
-		probe := core.NewSimProbe(swLink)
-		sw, err := core.Run(probe, core.Config{Model: model, MaxDuration: SwiftestMaxDuration})
-		probe.Close()
+		sw, err := engineOn(context.TODO(), linksim.MustNew(draw.Config, base+3), model, nil)
 		if err != nil {
 			return nil, fmt.Errorf("exper: swiftest in group %d: %w", i, err)
 		}
@@ -331,21 +321,13 @@ func SwiftestDurations(pairs []PairResult) DurationStats {
 			within++
 		}
 	}
-	sortDurations(ds)
+	slices.Sort(ds)
 	return DurationStats{
 		Mean:             sum / time.Duration(len(ds)),
 		Median:           ds[len(ds)/2],
 		Max:              ds[len(ds)-1],
 		WithinOneSecond:  float64(within) / float64(len(ds)),
 		IncludesPingMean: sum/time.Duration(len(ds)) + PingOverhead,
-	}
-}
-
-func sortDurations(ds []time.Duration) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
 	}
 }
 
@@ -400,21 +382,13 @@ func Deviations(pairs []PairResult) DeviationStats {
 			n30++
 		}
 	}
-	sortFloats(xs)
+	slices.Sort(xs)
 	return DeviationStats{
 		Mean:       sum / float64(len(xs)),
 		Median:     xs[len(xs)/2],
 		Max:        xs[len(xs)-1],
 		Above10Pct: float64(n10) / float64(len(xs)),
 		Above30Pct: float64(n30) / float64(len(xs)),
-	}
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }
 

@@ -1,0 +1,148 @@
+package exper
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"github.com/mobilebandwidth/swiftest/internal/core"
+	"github.com/mobilebandwidth/swiftest/internal/earlystop"
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
+	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
+	"github.com/mobilebandwidth/swiftest/internal/stats"
+)
+
+// ReplayConfig parameterises the labeling replay behind the earlystop model:
+// the cross product of profiles × fault plans, each run Runs times on seeded
+// links.
+type ReplayConfig struct {
+	// Profiles are built-in RAN profile names; empty selects the whole
+	// library.
+	Profiles []string
+	// FaultPlans are the fault plans to sweep; empty selects
+	// BuiltinFaultPlans, so training sees the adversity campaigns sweep.
+	FaultPlans []NamedFaultPlan
+	// Runs is the number of seeded runs per (profile, fault plan) cell.
+	// Zero selects 3.
+	Runs int
+	// Seed roots every per-run seed; rows are a pure function of
+	// (config, seed).
+	Seed int64
+	// MinSamples is the shortest prefix labeled (the model's K). Zero
+	// selects 20.
+	MinSamples int
+	// PrefixStep is the stride between labeled prefixes of one run. Zero
+	// selects 5.
+	PrefixStep int
+	// Tolerance is the accuracy slack a positive label allows versus the
+	// crossing baseline: a prefix is positive when its deviation from the
+	// flooding ground truth is at most the crossing-policy result's
+	// deviation plus Tolerance. Zero selects 0.10.
+	Tolerance float64
+}
+
+func (c ReplayConfig) withDefaults() (ReplayConfig, error) {
+	var err error
+	if c.Profiles, c.FaultPlans, c.Runs, err = sweepDefaults(c.Profiles, c.FaultPlans, c.Runs); err != nil {
+		return c, err
+	}
+	if c.MinSamples <= 0 {
+		c.MinSamples = 20
+	}
+	if c.MinSamples < earlystop.FeatureWindow {
+		return c, fmt.Errorf("exper: MinSamples %d below the %d-sample feature window", c.MinSamples, earlystop.FeatureWindow)
+	}
+	if c.PrefixStep <= 0 {
+		c.PrefixStep = 5
+	}
+	if c.Tolerance <= 0 {
+		c.Tolerance = 0.10
+	}
+	return c, nil
+}
+
+// neverStop runs the engine to its deadline so the replay captures the full
+// sample stream — every prefix of which becomes a training example.
+type neverStop struct{}
+
+func (neverStop) Name() string { return "never" }
+func (neverStop) Decide([]float64, []estimate.TrajectoryPoint, time.Duration) core.Decision {
+	return core.Decision{}
+}
+
+// Replay sweeps profiles × fault plans under cfg, runs the probing engine
+// to its deadline on each seeded link, and labels every prefix against the
+// fault-free flooding ground truth on the identical (profile, seed) link.
+// A prefix is positive when stopping there — reporting its trailing-window
+// mean — deviates from the truth by at most the §5.1 crossing policy's own
+// deviation plus Tolerance: "less is enough" exactly when cutting the test
+// short costs no material accuracy versus the default rule. Rows come back
+// in sweep order — a pure function of (cfg, Seed) — so earlystop.Train over
+// them is deterministic too.
+func Replay(ctx context.Context, cfg ReplayConfig) ([]earlystop.Row, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	var rows []earlystop.Row
+	for _, name := range cfg.Profiles {
+		profile, err := ranprofile.Get(name)
+		if err != nil {
+			return nil, err
+		}
+		for _, fp := range cfg.FaultPlans {
+			for run := 0; run < cfg.Runs; run++ {
+				if err := ctx.Err(); err != nil {
+					return nil, fmt.Errorf("exper: replay cancelled: %w", err)
+				}
+				seed := runSeed(cfg.Seed, name+"|"+fp.Name, run)
+				res, _, err := runEngine(ctx, profile, fp.Plan, seed, neverStop{}, nil)
+				if err != nil {
+					return nil, err
+				}
+				truth, err := runTruth(profile, seed)
+				if err != nil {
+					return nil, err
+				}
+				// The crossing baseline on the same stream anchors the labels.
+				crossing, _ := crossingReplay(res.Samples)
+				crossingDev := Deviation(crossing, truth)
+
+				for n := cfg.MinSamples; n <= len(res.Samples); n += cfg.PrefixStep {
+					prefix := res.Samples[:n]
+					row := earlystop.Row{
+						Label:     Deviation(stats.Mean(earlystop.Tail(prefix)), truth) <= crossingDev+cfg.Tolerance,
+						Profile:   name,
+						FaultPlan: fp.Name,
+						Run:       run,
+						Prefix:    n,
+					}
+					earlystop.Featurize(prefix, res.Trajectory[:n], &row.Features)
+					rows = append(rows, row)
+				}
+			}
+		}
+	}
+	return rows, nil
+}
+
+// TrainFromReplay runs the labeling replay and fits a model in one step,
+// keeping MinSamples and Tolerance consistent between the rows and the
+// artifact. It returns the fitted model and the rows it was trained on.
+func TrainFromReplay(ctx context.Context, rcfg ReplayConfig, topts earlystop.TrainOptions) (*earlystop.Model, []earlystop.Row, error) {
+	rcfg, err := rcfg.withDefaults()
+	if err != nil {
+		return nil, nil, err
+	}
+	topts.MinSamples = rcfg.MinSamples
+	topts.Tolerance = rcfg.Tolerance
+	rows, err := Replay(ctx, rcfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := earlystop.Train(rows, topts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, rows, nil
+}

@@ -45,6 +45,7 @@ var ctxFlowPackageSuffixes = []string{
 	"internal/fleet",
 	"internal/loadgen",
 	"internal/earlystop",
+	"internal/exper",
 }
 
 // blockingReadFuncs are method names that block on network input.

@@ -33,7 +33,7 @@ var Seedflow = &Analyzer{
 	Doc: "flags global math/rand source calls, time-derived seeds and " +
 		"hard-coded rand.NewSource/NewPCG/NewChaCha8 seeds in the " +
 		"deterministic packages (dataset, faults, fleet, loadgen, linksim, " +
-		"deploy, core, ranprofile, earlystop)",
+		"deploy, core, ranprofile, earlystop, exper)",
 	Run: runSeedflow,
 }
 
@@ -52,6 +52,7 @@ var seedflowPackageSuffixes = []string{
 	"internal/core",
 	"internal/ranprofile",
 	"internal/earlystop",
+	"internal/exper",
 }
 
 // globalRandFuncs are the package-level math/rand and math/rand/v2

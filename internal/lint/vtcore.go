@@ -36,6 +36,7 @@ var vtCorePackageSuffixes = []string{
 	"internal/loadgen",
 	"internal/ranprofile",
 	"internal/earlystop",
+	"internal/exper",
 }
 
 func runVTCore(pass *Pass) error {

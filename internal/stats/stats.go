@@ -14,6 +14,42 @@ import (
 	"sort"
 )
 
+// Mean is the arithmetic mean of xs by one left-to-right sum, 0 for an empty
+// slice. Every windowed estimate in the engine, the baselines and the
+// estimator family goes through it, so their float results agree bit for bit.
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
+
+// Spread is the max/min difference ratio (max − min) / max of xs — the
+// quantity the §5.1 3 % convergence criterion bounds. It is 0 for an empty
+// slice and when the maximum is 0.
+func Spread(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	lo, hi := xs[0], xs[0]
+	for _, x := range xs[1:] {
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+	}
+	if hi == 0 {
+		return 0
+	}
+	return (hi - lo) / hi
+}
+
 // Summary accumulates a running summary of a stream of observations using
 // Welford's online algorithm. The zero value is an empty summary ready to use.
 type Summary struct {

@@ -244,3 +244,26 @@ func TestNewSampleCopies(t *testing.T) {
 		t.Error("NewSample mutated the caller's slice")
 	}
 }
+
+func TestMeanAndSpread(t *testing.T) {
+	if Mean(nil) != 0 || Spread(nil) != 0 {
+		t.Error("Mean/Spread of an empty slice should be 0")
+	}
+	xs := []float64{0.1, 0.2, 0.3, 97, 100}
+	// One left-to-right sum and one division: callers that used to carry
+	// their own copy compare results with ==.
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	if got, want := Mean(xs), sum/float64(len(xs)); got != want {
+		t.Errorf("Mean = %v, want %v", got, want)
+	}
+	lo, hi := xs[0], xs[4]
+	if got, want := Spread(xs), (hi-lo)/hi; got != want {
+		t.Errorf("Spread = %v, want %v", got, want)
+	}
+	if got := Spread([]float64{0, 0}); got != 0 {
+		t.Errorf("Spread of an all-zero window = %v, want 0", got)
+	}
+}

@@ -66,7 +66,7 @@ func TestLoopbackBlackoutFailover(t *testing.T) {
 	// the 900 ms blackout plus the lost-session windows have played out — so
 	// the run is held open to MaxDuration.
 	model := gmm.MustNew(gmm.Component{Weight: 1, Mu: 60, Sigma: 6})
-	res, err := core.Run(probe, core.Config{Model: model, MaxDuration: 4 * time.Second, Trace: tr, Terminate: neverStop{}})
+	res, err := core.RunContext(context.Background(), probe, core.Config{Model: model, MaxDuration: 4 * time.Second, Trace: tr, Terminate: neverStop{}})
 	probe.Finish(res.Bandwidth, res.Duration)
 	if err != nil {
 		t.Fatal(err)

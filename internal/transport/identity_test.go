@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"reflect"
@@ -237,7 +238,7 @@ func TestBatchedFallbackBitIdentity(t *testing.T) {
 	}
 }
 
-// replayProbe feeds a fixed sample series through core.Run under virtual
+// replayProbe feeds a fixed sample series through core.RunContext under virtual
 // time, so two identical wire captures produce identical engine results.
 type replayProbe struct {
 	samples []float64
@@ -292,7 +293,7 @@ func samplesFromCapture(t *testing.T, capd wireCapture) []float64 {
 
 // TestBatchedFallbackResultIdentity closes the loop from wire bytes to
 // engine output: the sample series derived from each path's capture is run
-// through core.Run, and the Results and trace event streams must be
+// through core.RunContext, and the Results and trace event streams must be
 // reflect.DeepEqual — the refactor is invisible above the socket.
 func TestBatchedFallbackResultIdentity(t *testing.T) {
 	sc := identityScript{ticks: 120, rateKbps: 20000, sessions: 1, plan: identityPlan()}
@@ -301,7 +302,7 @@ func TestBatchedFallbackResultIdentity(t *testing.T) {
 	run := func(mode WireMode) (core.Result, []obs.Event) {
 		capd := runScripted(t, mode, sc)
 		tr := obs.NewTrace(0)
-		res, err := core.Run(&replayProbe{samples: samplesFromCapture(t, capd)},
+		res, err := core.RunContext(context.Background(), &replayProbe{samples: samplesFromCapture(t, capd)},
 			core.Config{Model: model, MaxDuration: 5 * time.Second, Trace: tr})
 		if err != nil {
 			t.Fatal(err)

@@ -90,7 +90,7 @@ func TestClientSurvivesServerDeath(t *testing.T) {
 		s.Close()
 	}()
 	start := time.Now()
-	res, err := core.Run(probe, core.Config{Model: model, MaxDuration: 2 * time.Second})
+	res, err := core.RunContext(context.Background(), probe, core.Config{Model: model, MaxDuration: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

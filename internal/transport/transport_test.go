@@ -191,7 +191,7 @@ func TestEndToEndSwiftestOverUDP(t *testing.T) {
 		gmm.Component{Weight: 0.7, Mu: 25, Sigma: 3},
 		gmm.Component{Weight: 0.3, Mu: 80, Sigma: 8},
 	)
-	res, err := core.Run(probe, core.Config{Model: model, MaxDuration: 4 * time.Second})
+	res, err := core.RunContext(context.Background(), probe, core.Config{Model: model, MaxDuration: 4 * time.Second})
 	probe.Finish(res.Bandwidth, res.Duration)
 	if err != nil {
 		t.Fatal(err)

@@ -139,7 +139,7 @@ func TestLoopbackRunRecordAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := swiftest.NewTrace(0)
-	res, err := swiftest.Test(swiftest.TestOptions{
+	res, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		SessionOptions: swiftest.SessionOptions{Trace: trace, Metrics: reg},
 		Servers:        []swiftest.ServerAddr{{Addr: srv.Addr(), UplinkMbps: 60}},
 		Model:          model,

@@ -1,6 +1,7 @@
 package swiftest_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -96,7 +97,8 @@ func TestProfileSimulationIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		trace := swiftest.NewTrace(0)
-		res, err := swiftest.SimulateTestObserved(
+		res, err := swiftest.SimulateTestContext(
+			context.Background(),
 			swiftest.LinkConfig{Seed: seed},
 			model,
 			swiftest.SimulateOptions{SessionOptions: swiftest.SessionOptions{Trace: trace}, Profile: p},

@@ -15,15 +15,15 @@ import (
 func TestPublicErrorSentinels(t *testing.T) {
 	model, _ := swiftest.DefaultModel(swiftest.Tech4G)
 
-	if _, err := swiftest.Test(swiftest.TestOptions{Model: model}); !errors.Is(err, swiftest.ErrNoServers) {
+	if _, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{Model: model}); !errors.Is(err, swiftest.ErrNoServers) {
 		t.Errorf("empty pool: err = %v, want ErrNoServers", err)
 	}
-	if _, err := swiftest.Test(swiftest.TestOptions{
+	if _, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		Servers: []swiftest.ServerAddr{{Addr: "127.0.0.1:1"}},
 	}); !errors.Is(err, swiftest.ErrModelRequired) {
 		t.Errorf("missing model: err = %v, want ErrModelRequired", err)
 	}
-	if _, err := swiftest.Test(swiftest.TestOptions{
+	if _, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		Servers:     []swiftest.ServerAddr{{Addr: "127.0.0.1:1", UplinkMbps: 100}},
 		Model:       model,
 		PingTimeout: 100 * time.Millisecond,
@@ -31,7 +31,7 @@ func TestPublicErrorSentinels(t *testing.T) {
 		t.Errorf("unreachable pool: err = %v, want ErrNoReachableServer", err)
 	}
 
-	_, err := swiftest.Ping("127.0.0.1:1", 1, 50*time.Millisecond)
+	_, err := swiftest.PingServer(context.Background(), swiftest.PingOptions{Addr: "127.0.0.1:1", Count: 1, Timeout: 50 * time.Millisecond})
 	if !errors.Is(err, swiftest.ErrProbeTimeout) {
 		t.Errorf("dead ping: err = %v, want ErrProbeTimeout", err)
 	}
@@ -80,7 +80,7 @@ func TestTestContextPreCancelled(t *testing.T) {
 func TestPingContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := swiftest.PingContext(ctx, "127.0.0.1:1", 1, time.Second); !errors.Is(err, swiftest.ErrTestAborted) {
+	if _, err := swiftest.PingServer(ctx, swiftest.PingOptions{Addr: "127.0.0.1:1", Count: 1, Timeout: time.Second}); !errors.Is(err, swiftest.ErrTestAborted) {
 		t.Errorf("err = %v, want ErrTestAborted", err)
 	}
 }
@@ -210,7 +210,7 @@ func TestLoopbackFaultyServerPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := swiftest.NewMetricsRegistry()
-	res, err := swiftest.Test(swiftest.TestOptions{
+	res, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		SessionOptions: swiftest.SessionOptions{Metrics: reg},
 		Servers:        []swiftest.ServerAddr{{Addr: srv.Addr(), UplinkMbps: 50}},
 		Model:          model,

@@ -36,7 +36,7 @@ type LinkConfig struct {
 	Seed int64
 	// Profile, when non-nil, drives the link through a RAN scenario's
 	// state machine seeded from Seed — every runner that accepts a
-	// LinkConfig (SimulateTest, RunBTSApp, RunFAST, RunFastBTS,
+	// LinkConfig (SimulateTestContext, RunBTSApp, RunFAST, RunFastBTS,
 	// RunTCPSwiftest) then sees the same replayable state chain, so
 	// baselines and Swiftest are comparable on identical dynamics.
 	// CapacityMbps and RTT are ignored while a profile drives the link.
@@ -77,13 +77,6 @@ func (c LinkConfig) newLink(profile *Profile, trace *Trace, metrics *MetricsRegi
 	return linksim.New(cfg, c.Seed)
 }
 
-// SimulateTest runs one Swiftest bandwidth test on an emulated access link
-// in virtual time (microseconds of wall clock). It exercises exactly the
-// same probing engine as Test.
-func SimulateTest(link LinkConfig, model *Model) (Result, error) {
-	return SimulateTestContext(context.Background(), link, model, SimulateOptions{})
-}
-
 // SimServer describes one emulated test server in a multi-server
 // simulation (SimulateOptions.Servers). Servers are consulted
 // nearest-first in slice order, mirroring the real transport's RTT-ranked
@@ -118,18 +111,11 @@ type SimulateOptions struct {
 	RegimeHint bool
 }
 
-// SimulateTestObserved is SimulateTestContext with a background context.
-//
-// Deprecated: use SimulateTestContext; the options struct now embeds
-// SessionOptions shared with the live runner.
-func SimulateTestObserved(link LinkConfig, model *Model, opts SimulateOptions) (Result, error) {
-	return SimulateTestContext(context.Background(), link, model, opts)
-}
-
-// SimulateTestContext runs one Swiftest test on an emulated link with
-// options attached: the emulator reuses the exact instrumentation of the
-// live path, so run-records from virtual and real tests are directly
-// comparable. The emulator runs in virtual time, so the context matters only
+// SimulateTestContext runs one Swiftest bandwidth test on an emulated access
+// link in virtual time (microseconds of wall clock), through exactly the same
+// probing engine and instrumentation as TestContext, so run-records from
+// virtual and real tests are directly comparable. The zero SimulateOptions is
+// a plain test. The emulator runs in virtual time, so the context matters only
 // for aborting long parameter sweeps between samples; cancellation returns
 // an error wrapping ErrTestAborted, like a live test.
 func SimulateTestContext(ctx context.Context, link LinkConfig, model *Model, opts SimulateOptions) (Result, error) {

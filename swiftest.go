@@ -14,7 +14,7 @@
 //	srv, _ := swiftest.NewServer("0.0.0.0:7007", swiftest.ServerOptions{UplinkMbps: 100})
 //	defer srv.Close()
 //
-//	res, err := swiftest.Test(swiftest.TestOptions{
+//	res, err := swiftest.TestContext(ctx, swiftest.TestOptions{
 //		Servers: []swiftest.ServerAddr{{Addr: "203.0.113.7:7007", UplinkMbps: 100}},
 //		Model:   swiftest.DefaultModel(swiftest.Tech5G),
 //	})
@@ -29,7 +29,7 @@
 //
 // The same engine runs on a virtual-time link emulator, which is how the
 // repository regenerates every figure of the paper quickly and
-// deterministically; see SimulateTest, the baselines (RunBTSApp, RunFAST,
+// deterministically; see SimulateTestContext, the baselines (RunBTSApp, RunFAST,
 // RunFastBTS), and the measurement/deployment sub-APIs in this package.
 package swiftest
 
@@ -67,8 +67,8 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // Trace records the structured events of one bandwidth test (rate
 // escalations, 50 ms samples, convergence checks, server additions) into a
 // bounded ring. Dump it as a JSONL run-record with WriteJSONL. Event
-// timestamps are the probe's elapsed time: virtual under SimulateTest, wall
-// time under Test — the record schema is identical in both worlds.
+// timestamps are the probe's elapsed time: virtual under SimulateTestContext,
+// wall time under TestContext — the record schema is identical in both worlds.
 type Trace = obs.Trace
 
 // TraceEvent is one structured trace record.
@@ -139,8 +139,8 @@ func LoadModel(path string) (*Model, error) {
 
 // Estimates is the estimator family computed over a test's 50 ms
 // samples: the paper's crossing estimate plus the trimmed-mean,
-// sustained-peak and P90–P80 summaries. Every runner — live Test, emulated
-// SimulateTest, the baselines — reports the same struct, so results are
+// sustained-peak and P90–P80 summaries. Every runner — live
+// TestContext, emulated SimulateTestContext, the baselines — reports the same struct, so results are
 // comparable across worlds.
 type Estimates = estimate.Estimates
 
@@ -404,14 +404,9 @@ type TestOptions struct {
 	RegimeHint bool
 }
 
-// Test runs one full Swiftest bandwidth test over real UDP: server selection
-// by PING latency, data-driven probing, convergence, and result reporting
-// back to the servers. It is TestContext with a background context.
-func Test(opts TestOptions) (Result, error) {
-	return TestContext(context.Background(), opts)
-}
-
-// TestContext is Test bounded by a context: cancellation or deadline expiry
+// TestContext runs one full Swiftest bandwidth test over real UDP: server
+// selection by PING latency, data-driven probing, convergence, and result
+// reporting back to the servers. Cancellation or deadline expiry on ctx
 // aborts server selection, session setup, and the probing loop at the next
 // sample boundary, returning an error wrapping ErrTestAborted. A context
 // that is already done aborts before a single datagram is sent.
@@ -429,7 +424,7 @@ func TestContext(ctx context.Context, opts TestOptions) (Result, error) {
 		return Result{}, fmt.Errorf("swiftest: %w (see DefaultModel)", ErrModelRequired)
 	}
 	if opts.Faults != nil {
-		return Result{}, fmt.Errorf("swiftest: fault plans apply to emulated tests and fault-injecting servers, not the live client; set ServerOptions.FaultPlan or use SimulateTest")
+		return Result{}, fmt.Errorf("swiftest: fault plans apply to emulated tests and fault-injecting servers, not the live client; set ServerOptions.FaultPlan or use SimulateTestContext")
 	}
 	pingCount := opts.PingCount
 	if pingCount <= 0 {
@@ -517,21 +512,6 @@ func PingServer(ctx context.Context, opts PingOptions) (time.Duration, error) {
 		timeout = time.Second
 	}
 	return transport.PingServerContext(ctx, opts.Addr, count, timeout)
-}
-
-// Ping measures the minimum round-trip latency to one test server.
-//
-// Deprecated: use PingServer, which names its parameters and defaults them.
-func Ping(addr string, count int, timeout time.Duration) (time.Duration, error) {
-	return transport.PingServerContext(context.Background(), addr, count, timeout)
-}
-
-// PingContext is Ping bounded by a context: cancellation or deadline expiry
-// cuts the probe train short.
-//
-// Deprecated: use PingServer.
-func PingContext(ctx context.Context, addr string, count int, timeout time.Duration) (time.Duration, error) {
-	return transport.PingServerContext(ctx, addr, count, timeout)
 }
 
 // ModelStore maintains a bandwidth model refreshed periodically from

@@ -1,6 +1,7 @@
 package swiftest_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -57,11 +58,11 @@ func TestSimulateTest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := swiftest.SimulateTest(swiftest.LinkConfig{
+	res, err := swiftest.SimulateTestContext(context.Background(), swiftest.LinkConfig{
 		CapacityMbps: 280,
 		Fluctuation:  0.01,
 		Seed:         1,
-	}, model)
+	}, model, swiftest.SimulateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestSimulateTest(t *testing.T) {
 
 func TestSimulateTestValidation(t *testing.T) {
 	model, _ := swiftest.DefaultModel(swiftest.Tech4G)
-	if _, err := swiftest.SimulateTest(swiftest.LinkConfig{}, model); err == nil {
+	if _, err := swiftest.SimulateTestContext(context.Background(), swiftest.LinkConfig{}, model, swiftest.SimulateOptions{}); err == nil {
 		t.Error("zero-capacity link accepted")
 	}
 }
@@ -105,7 +106,7 @@ func TestBaselinesOnEmulatedLink(t *testing.T) {
 	}
 	// The headline comparison: Swiftest beats all baselines on duration.
 	model, _ := swiftest.DefaultModel(swiftest.Tech4G)
-	sw, err := swiftest.SimulateTest(link, model)
+	sw, err := swiftest.SimulateTestContext(context.Background(), link, model, swiftest.SimulateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestEndToEndOverUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := swiftest.Test(swiftest.TestOptions{
+	res, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		Servers:     []swiftest.ServerAddr{{Addr: srv.Addr(), UplinkMbps: 60}},
 		Model:       model,
 		MaxDuration: 4 * time.Second,
@@ -156,15 +157,15 @@ func TestEndToEndOverUDP(t *testing.T) {
 
 func TestTestValidation(t *testing.T) {
 	model, _ := swiftest.DefaultModel(swiftest.Tech4G)
-	if _, err := swiftest.Test(swiftest.TestOptions{Model: model}); err == nil {
+	if _, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{Model: model}); err == nil {
 		t.Error("no servers accepted")
 	}
-	if _, err := swiftest.Test(swiftest.TestOptions{
+	if _, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		Servers: []swiftest.ServerAddr{{Addr: "127.0.0.1:1"}},
 	}); err == nil {
 		t.Error("missing model accepted")
 	}
-	if _, err := swiftest.Test(swiftest.TestOptions{
+	if _, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		Servers:     []swiftest.ServerAddr{{Addr: "127.0.0.1:1", UplinkMbps: 100}},
 		Model:       model,
 		PingTimeout: 100 * time.Millisecond,
@@ -252,7 +253,7 @@ func TestLinkRelayFacade(t *testing.T) {
 	defer relay.Close()
 
 	// Ping through the relay: latency must include the added delay.
-	rtt, err := swiftest.Ping(relay.Addr(), 2, time.Second)
+	rtt, err := swiftest.PingServer(context.Background(), swiftest.PingOptions{Addr: relay.Addr(), Count: 2, Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestLinkRelayFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := swiftest.Test(swiftest.TestOptions{
+	res, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		Servers:     []swiftest.ServerAddr{{Addr: relay.Addr(), UplinkMbps: 100}},
 		Model:       model,
 		MaxDuration: 3 * time.Second,

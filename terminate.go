@@ -6,6 +6,7 @@ import (
 
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/earlystop"
+	"github.com/mobilebandwidth/swiftest/internal/exper"
 )
 
 // TerminationPolicy decides, after every 50 ms sample, whether a bandwidth
@@ -70,9 +71,9 @@ func ParseTerminationPolicy(name string) (TerminationPolicy, error) {
 type EarlyStopTrainOptions = earlystop.TrainOptions
 
 // EarlyStopReplayConfig parameterises the labeling replay behind
-// TrainEarlyStopModel: RAN profiles × fault cases × seeded runs, labeled
+// TrainEarlyStopModel: RAN profiles × fault plans × seeded runs, labeled
 // against flooding ground truth.
-type EarlyStopReplayConfig = earlystop.ReplayConfig
+type EarlyStopReplayConfig = exper.ReplayConfig
 
 // EarlyStopRow is one labeled training example emitted by the replay.
 type EarlyStopRow = earlystop.Row
@@ -81,5 +82,5 @@ type EarlyStopRow = earlystop.Row
 // earlystop model. Deterministic: the same configs produce a
 // byte-identical Encode artifact and identical rows.
 func TrainEarlyStopModel(ctx context.Context, rcfg EarlyStopReplayConfig, topts EarlyStopTrainOptions) (*EarlyStopModel, []EarlyStopRow, error) {
-	return earlystop.TrainFromReplay(ctx, rcfg, topts)
+	return exper.TrainFromReplay(ctx, rcfg, topts)
 }
