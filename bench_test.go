@@ -292,7 +292,7 @@ const benchPairs = 30
 func BenchmarkFig20SwiftestDuration(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		pairs, err := exper.PairCampaign(dataset.Tech5G, benchPairs, 1)
+		pairs, err := exper.PairCampaign(context.Background(), dataset.Tech5G, benchPairs, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func BenchmarkFig20SwiftestDuration(b *testing.B) {
 func BenchmarkFig21DataUsage(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		pairs, err := exper.PairCampaign(dataset.Tech5G, benchPairs, 1)
+		pairs, err := exper.PairCampaign(context.Background(), dataset.Tech5G, benchPairs, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func BenchmarkFig21DataUsage(b *testing.B) {
 func BenchmarkFig22Deviation(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		pairs, err := exper.PairCampaign(dataset.Tech5G, benchPairs, 1)
+		pairs, err := exper.PairCampaign(context.Background(), dataset.Tech5G, benchPairs, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -334,7 +334,7 @@ const benchGroups = 12
 func BenchmarkFig23ThreeBTSTime(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		groups, err := exper.ThreeWayCampaign(dataset.Tech5G, benchGroups, 1)
+		groups, err := exper.ThreeWayCampaign(context.Background(), dataset.Tech5G, benchGroups, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func BenchmarkFig23ThreeBTSTime(b *testing.B) {
 func BenchmarkFig24ThreeBTSData(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		groups, err := exper.ThreeWayCampaign(dataset.Tech5G, benchGroups, 1)
+		groups, err := exper.ThreeWayCampaign(context.Background(), dataset.Tech5G, benchGroups, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -362,7 +362,7 @@ func BenchmarkFig24ThreeBTSData(b *testing.B) {
 func BenchmarkFig25ThreeBTSAccuracy(b *testing.B) {
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		groups, err := exper.ThreeWayCampaign(dataset.Tech5G, benchGroups, 1)
+		groups, err := exper.ThreeWayCampaign(context.Background(), dataset.Tech5G, benchGroups, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"os/signal"
 	"sort"
 	"strings"
 	"time"
@@ -42,7 +43,9 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. fig1,fig22,cost)")
 	flag.Parse()
 
-	r := &runner{seed: *seed, workers: *workers}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	r := &runner{ctx: ctx, seed: *seed, workers: *workers}
 	if *quick {
 		r.records = 150000
 		r.pairN = 40
@@ -95,6 +98,10 @@ func main() {
 		if len(want) > 0 && !want[e.id] {
 			continue
 		}
+		if ctx.Err() != nil {
+			r.fail("interrupted before %s", e.id)
+			break
+		}
 		e.fn(r)
 	}
 	fmt.Printf("\nall experiments completed in %v\n", time.Since(start).Round(time.Millisecond))
@@ -104,6 +111,7 @@ func main() {
 }
 
 type runner struct {
+	ctx       context.Context // cancelled on interrupt; campaigns stop between runs
 	seed      int64
 	workers   int
 	records   int
@@ -414,7 +422,7 @@ func (r *runner) fig20to22() {
 	}
 	var allPairs []exper.PairResult
 	for i, tech := range []dataset.Tech{dataset.Tech4G, dataset.Tech5G, dataset.TechWiFi} {
-		pairs, err := exper.PairCampaign(tech, r.pairN, r.seed+int64(i)*31)
+		pairs, err := exper.PairCampaign(r.ctx, tech, r.pairN, r.seed+int64(i)*31)
 		if err != nil {
 			r.fail("fig20 %v: %v", tech, err)
 			continue
@@ -441,7 +449,7 @@ func (r *runner) fig23to25() {
 	header("Figures 23–25 — FAST vs FastBTS vs Swiftest")
 	techs := []dataset.Tech{dataset.Tech4G, dataset.Tech5G, dataset.TechWiFi}
 	for i, tech := range techs {
-		groups, err := exper.ThreeWayCampaign(tech, r.threeWayN, r.seed+int64(i)*53)
+		groups, err := exper.ThreeWayCampaign(r.ctx, tech, r.threeWayN, r.seed+int64(i)*53)
 		if err != nil {
 			r.fail("fig23 %v: %v", tech, err)
 			continue
@@ -587,7 +595,7 @@ func (r *runner) sec7() {
 	for i := int64(0); i < reps; i++ {
 		link := calm(i)
 		p := core.NewSimProbe(link)
-		res, err := core.RunContext(context.Background(), p, core.Config{Model: model})
+		res, err := core.RunContext(r.ctx, p, core.Config{Model: model})
 		p.Close()
 		if err != nil {
 			r.fail("sec7 udp: %v", err)
@@ -636,7 +644,7 @@ func (r *runner) scenarios() {
 	if r.pairN <= 40 { // -quick
 		runs = 1
 	}
-	rep, err := exper.RunCampaign(context.Background(), exper.CampaignConfig{
+	rep, err := exper.RunCampaign(r.ctx, exper.CampaignConfig{
 		Runs:    runs,
 		Seed:    r.seed,
 		Workers: r.workers,
@@ -695,7 +703,7 @@ func (r *runner) earlystop() {
 		cfg.Runs = 1
 		cfg.Thresholds = []float64{0.6}
 	}
-	rep, err := exper.Evaluate(context.Background(), cfg)
+	rep, err := exper.Evaluate(r.ctx, cfg)
 	if err != nil {
 		r.fail("earlystop: %v", err)
 		return

@@ -8,12 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
-// crucialIntervalRef is CrucialInterval as it stood before crucialSorted was
-// split out: copy, sort, and two divisions per candidate interval.
+// crucialIntervalRef is estimate.CrucialInterval as it stood before
+// CrucialSorted was split out: copy, sort, and two divisions per candidate
+// interval.
 func crucialIntervalRef(samples []float64) float64 {
 	n := len(samples)
 	if n == 0 {
@@ -70,18 +72,18 @@ func crucialStreams() map[string][]float64 {
 
 // TestCrucialIntervalMatchesReference compares both entries with the old
 // body at every prefix length: CrucialInterval over the unsorted prefix, and
-// crucialSorted over the same prefix kept ascending by insertion, the way
+// CrucialSorted over the same prefix kept ascending by insertion, the way
 // FastBTS.Run holds it.
 func TestCrucialIntervalMatchesReference(t *testing.T) {
 	for name, stream := range crucialStreams() {
 		var settled []float64
 		for n := 0; n <= len(stream); n++ {
 			want := crucialIntervalRef(stream[:n])
-			if got := CrucialInterval(stream[:n]); got != want {
+			if got := estimate.CrucialInterval(stream[:n]); got != want {
 				t.Fatalf("%s n=%d: CrucialInterval = %v, reference %v", name, n, got, want)
 			}
-			if got := crucialSorted(settled, make([]float64, n)); got != want {
-				t.Fatalf("%s n=%d: crucialSorted = %v, reference %v", name, n, got, want)
+			if got := estimate.CrucialSorted(settled, make([]float64, n)); got != want {
+				t.Fatalf("%s n=%d: CrucialSorted = %v, reference %v", name, n, got, want)
 			}
 			if n < len(stream) {
 				at, _ := slices.BinarySearch(settled, stream[n])

@@ -1,3 +1,9 @@
+// Package baseline implements the bandwidth-testing systems the paper
+// compares Swiftest against: BTS-APP's probing-by-flooding (§2), Speedtest's
+// static sample filter, FAST's stability-stop logic, and FastBTS's
+// crucial-interval estimation (§5.1, §5.3). The probers run on the
+// linksim virtual-time emulator with the cc TCP models, so a full 10-second
+// flooding test simulates in microseconds.
 package baseline
 
 import (
@@ -5,6 +11,7 @@ import (
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/cc"
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
@@ -113,12 +120,6 @@ type BTSApp struct {
 	NewAlg func() cc.Algorithm
 }
 
-// DefaultScaleLadder is the connection scale-up ladder of §2, extended
-// upward for 5G/WiFi-6-class bandwidths.
-func DefaultScaleLadder() []float64 {
-	return []float64{25, 35, 50, 75, 100, 200, 400}
-}
-
 // Name implements Prober.
 func (b *BTSApp) Name() string { return "bts-app" }
 
@@ -130,7 +131,7 @@ func (b *BTSApp) Run(link *linksim.Link) Report {
 	}
 	ladder := b.ScaleThresholds
 	if ladder == nil {
-		ladder = DefaultScaleLadder()
+		ladder = estimate.BTSAppScaleLadder()
 	}
 	maxFlows := b.MaxFlows
 	if maxFlows <= 0 {
@@ -177,7 +178,7 @@ func (b *BTSApp) Run(link *linksim.Link) Report {
 		}
 	}
 	return Report{
-		Result:   BTSAppEstimate(samples),
+		Result:   estimate.BTSAppEstimate(samples),
 		Duration: link.Now() - start,
 		DataMB:   agg.totalBytes() / 1e6,
 		Samples:  samples,
@@ -244,7 +245,7 @@ func (f *FAST) Run(link *linksim.Link) Report {
 		samples = append(samples, agg.sample())
 		if link.Now()-start >= minDur && len(samples) >= window {
 			tail := samples[len(samples)-window:]
-			if Stable(tail, threshold) {
+			if estimate.Stable(tail, threshold) {
 				return Report{
 					Result:   stats.Mean(tail),
 					Duration: link.Now() - start,
@@ -332,8 +333,8 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 
 	start := link.Now()
 	var samples []float64
-	var settled []float64 // samples[warmup:] kept ascending, for crucialSorted
-	var share []float64   // crucialSorted's scratch, as long as settled
+	var settled []float64 // samples[warmup:] kept ascending, for estimate.CrucialSorted
+	var share []float64   // estimate.CrucialSorted's scratch, as long as settled
 	var history []float64 // crucial-interval estimate per sample index
 	agree := 0
 	for link.Now()-start < maxDur {
@@ -351,7 +352,7 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 			history = append(history, 0)
 			continue
 		}
-		est := crucialSorted(settled, share)
+		est := estimate.CrucialSorted(settled, share)
 		history = append(history, est)
 		// Compare against the estimate one lag window ago: while the TCP
 		// ramp is still growing the lagged estimate trails the current one,
@@ -379,9 +380,9 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 	}
 	var result float64
 	if len(samples) > warmup {
-		result = crucialSorted(settled, share)
+		result = estimate.CrucialSorted(settled, share)
 	} else {
-		result = CrucialInterval(samples)
+		result = estimate.CrucialInterval(samples)
 	}
 	return Report{
 		Result:   result,
@@ -412,6 +413,6 @@ func (s *Speedtest) Run(link *linksim.Link) Report {
 		NewAlg:        s.NewAlg,
 	}
 	rep := inner.Run(link)
-	rep.Result = SpeedtestEstimate(rep.Samples)
+	rep.Result = estimate.SpeedtestEstimate(rep.Samples)
 	return rep
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/stats"
@@ -118,7 +119,7 @@ func (t *TCPSwiftest) Run(link *linksim.Link) Report {
 		flow.SetOffered(rate)
 
 		// Convergence identical to the UDP engine.
-		if len(samples) >= window && Stable(samples[len(samples)-window:], threshold) {
+		if len(samples) >= window && estimate.Stable(samples[len(samples)-window:], threshold) {
 			return Report{
 				Result:   stats.Mean(samples[len(samples)-window:]),
 				Duration: link.Now() - start,

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"github.com/mobilebandwidth/swiftest/internal/baseline"
 	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
@@ -78,7 +77,7 @@ func (c CrossingPolicy) Decide(samples []float64, _ []estimate.TrajectoryPoint, 
 	}
 	tail := samples[len(samples)-c.Window:]
 	d := Decision{Checked: true, Check: stats.Spread(tail), Threshold: c.Threshold}
-	if baseline.Stable(tail, c.Threshold) {
+	if estimate.Stable(tail, c.Threshold) {
 		d.Stop = true
 		d.Estimate = stats.Mean(tail)
 	}
@@ -193,7 +192,7 @@ func (m *fastBTSMemo) estimateAt(f FastBTSPolicy, samples []float64, n int) floa
 	}
 	e := &(*m)[n]
 	if !e.known {
-		e.mbps, e.known = baseline.CrucialInterval(samples[f.Warmup:n]), true
+		e.mbps, e.known = estimate.CrucialInterval(samples[f.Warmup:n]), true
 	}
 	return e.mbps
 }

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/mobilebandwidth/swiftest/internal/baseline"
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
 )
@@ -23,7 +23,7 @@ func fastBTSDecideRef(f FastBTSPolicy, samples []float64) Decision {
 		if n <= f.Warmup {
 			return 0
 		}
-		return baseline.CrucialInterval(samples[f.Warmup:n])
+		return estimate.CrucialInterval(samples[f.Warmup:n])
 	}
 	n := len(samples)
 	if n < f.MinSamples {

@@ -19,6 +19,11 @@
 // slow-start ramp, queue buildup (bufferbloat), token-bucket shaping, or
 // stable. The regime feeds back into the engine as a convergence hint and
 // travels in v2 Bye frames and run-records.
+//
+// estimators.go holds the published rules of the systems Swiftest is compared
+// against (the 3 % stability window, FastBTS's crucial interval, BTS-APP's and
+// Speedtest's trimming), so the engine and the baseline probers share them
+// without importing each other.
 package estimate
 
 import (

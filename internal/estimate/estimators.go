@@ -1,10 +1,4 @@
-// Package baseline implements the bandwidth-testing systems the paper
-// compares Swiftest against: BTS-APP's probing-by-flooding (§2), Speedtest's
-// static sample filter, FAST's stability-stop logic, and FastBTS's
-// crucial-interval estimation (§5.1, §5.3). The probers run on the
-// linksim virtual-time emulator with the cc TCP models, so a full 10-second
-// flooding test simulates in microseconds.
-package baseline
+package estimate
 
 import (
 	"math"
@@ -42,6 +36,13 @@ func BTSAppEstimate(samples []float64) float64 {
 	return stats.Mean(kept)
 }
 
+// BTSAppScaleLadder is BTS-APP's connection scale-up ladder (§2), extended
+// upward for 5G/WiFi-6-class bandwidths: one more parallel connection each
+// time the measured Mbps passes the next rung.
+func BTSAppScaleLadder() []float64 {
+	return []float64{25, 35, 50, 75, 100, 200, 400}
+}
+
 // SpeedtestEstimate reproduces Speedtest's static filter (§5.1): discard the
 // top 10 % and bottom 25 % of bandwidth samples and average the rest.
 func SpeedtestEstimate(samples []float64) float64 {
@@ -64,21 +65,21 @@ func SpeedtestEstimate(samples []float64) float64 {
 // the product of sample density and quantity, and estimate the bandwidth as
 // the mean of the samples inside it. The search is O(n²) over the sorted
 // samples, which is cheap at BTS sample counts (≤ a few hundred). Callers
-// that already hold their samples in ascending order enter at crucialSorted
+// that already hold their samples in ascending order enter at CrucialSorted
 // and skip the copy and sort.
 func CrucialInterval(samples []float64) float64 {
 	n := len(samples)
-	// One allocation holds the sorted copy and crucialSorted's scratch.
+	// One allocation holds the sorted copy and CrucialSorted's scratch.
 	buf := make([]float64, 2*n)
 	sorted := buf[:n]
 	copy(sorted, samples)
 	sort.Float64s(sorted)
-	return crucialSorted(sorted, buf[n:])
+	return CrucialSorted(sorted, buf[n:])
 }
 
-// crucialSorted is CrucialInterval over samples already in ascending order.
+// CrucialSorted is CrucialInterval over samples already in ascending order.
 // share is scratch of at least len(sorted) entries, overwritten.
-func crucialSorted(sorted, share []float64) float64 {
+func CrucialSorted(sorted, share []float64) float64 {
 	n := len(sorted)
 	if n == 0 {
 		return 0

@@ -3,6 +3,7 @@ package exper
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"github.com/mobilebandwidth/swiftest/internal/obs"
@@ -172,5 +173,24 @@ func TestCampaignCellsArePaired(t *testing.T) {
 	}
 	if len(fewerAlgs) != 6 || len(fewerPlans) != 4 {
 		t.Fatalf("subset campaigns have %d and %d cells, want 6 and 4", len(fewerAlgs), len(fewerPlans))
+	}
+}
+
+// BenchmarkCampaign measures one small campaign sweep per iteration — the
+// CI bench smoke's guard that the campaign runner stays on the fast path.
+func BenchmarkCampaign(b *testing.B) {
+	cfg := CampaignConfig{
+		Profiles:   []string{"4g-static", "wifi-cafe"},
+		Algorithms: []string{"fastbts"},
+		FaultPlans: []NamedFaultPlan{{Name: "none"}},
+		Runs:       1,
+		Seed:       3,
+		Workers:    runtime.NumCPU(),
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunCampaign(context.Background(), cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -154,8 +154,8 @@ const PairDriftSigma = 0.035
 
 // RunPair executes one back-to-back pair: the two tests see the same link
 // scenario up to a small sequential capacity drift.
-func RunPair(draw LinkDraw, model *gmm.Model, seed int64) (PairResult, error) {
-	res, err := engineOn(context.TODO(), linksim.MustNew(draw.Config, seed), model, nil)
+func RunPair(ctx context.Context, draw LinkDraw, model *gmm.Model, seed int64) (PairResult, error) {
+	res, err := engineOn(ctx, linksim.MustNew(draw.Config, seed), model, nil)
 	if err != nil {
 		return PairResult{}, fmt.Errorf("exper: swiftest run: %w", err)
 	}
@@ -177,8 +177,9 @@ func RunPair(draw LinkDraw, model *gmm.Model, seed int64) (PairResult, error) {
 	}, nil
 }
 
-// PairCampaign runs n back-to-back pairs for one technology.
-func PairCampaign(tech dataset.Tech, n int, seed int64) ([]PairResult, error) {
+// PairCampaign runs n back-to-back pairs for one technology; a cancelled ctx
+// stops it between pairs.
+func PairCampaign(ctx context.Context, tech dataset.Tech, n int, seed int64) ([]PairResult, error) {
 	model, err := dataset.TechModel(tech, 2021)
 	if err != nil {
 		return nil, fmt.Errorf("exper: %v", err)
@@ -187,11 +188,14 @@ func PairCampaign(tech dataset.Tech, n int, seed int64) ([]PairResult, error) {
 	scenario := Scenario{Tech: tech, Model: model, ShapedFraction: -1}
 	out := make([]PairResult, 0, n)
 	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		draw, err := scenario.Draw(rng)
 		if err != nil {
 			return nil, err
 		}
-		pair, err := RunPair(draw, model, seed+int64(i)*7919)
+		pair, err := RunPair(ctx, draw, model, seed+int64(i)*7919)
 		if err != nil {
 			return nil, err
 		}
@@ -217,8 +221,9 @@ func (r ThreeWayResult) Accuracy(result float64) float64 {
 	return 1 - Deviation(result, r.Truth.Result)
 }
 
-// ThreeWayCampaign runs n test groups for one technology.
-func ThreeWayCampaign(tech dataset.Tech, n int, seed int64) ([]ThreeWayResult, error) {
+// ThreeWayCampaign runs n test groups for one technology; a cancelled ctx
+// stops it between groups.
+func ThreeWayCampaign(ctx context.Context, tech dataset.Tech, n int, seed int64) ([]ThreeWayResult, error) {
 	model, err := dataset.TechModel(tech, 2021)
 	if err != nil {
 		return nil, fmt.Errorf("exper: %v", err)
@@ -227,6 +232,9 @@ func ThreeWayCampaign(tech dataset.Tech, n int, seed int64) ([]ThreeWayResult, e
 	scenario := Scenario{Tech: tech, Model: model, ShapedFraction: -1}
 	out := make([]ThreeWayResult, 0, n)
 	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		draw, err := scenario.Draw(rng)
 		if err != nil {
 			return nil, err
@@ -243,7 +251,7 @@ func ThreeWayCampaign(tech dataset.Tech, n int, seed int64) ([]ThreeWayResult, e
 		fbtsLink := linksim.MustNew(draw.Config, base+2)
 		res.FastBTS = (&baseline.FastBTS{}).Run(fbtsLink)
 
-		sw, err := engineOn(context.TODO(), linksim.MustNew(draw.Config, base+3), model, nil)
+		sw, err := engineOn(ctx, linksim.MustNew(draw.Config, base+3), model, nil)
 		if err != nil {
 			return nil, fmt.Errorf("exper: swiftest in group %d: %w", i, err)
 		}

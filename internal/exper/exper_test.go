@@ -1,6 +1,8 @@
 package exper
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,7 +58,7 @@ func TestScenarioDrawUnknownTech(t *testing.T) {
 // headline shapes: ≈1 s Swiftest tests vs 10 s BTS-APP, ≈8–9× data-usage
 // reduction, and small average deviation with a heavy tail.
 func TestFig20And21And22(t *testing.T) {
-	pairs, err := PairCampaign(dataset.Tech5G, 120, 99)
+	pairs, err := PairCampaign(context.Background(), dataset.Tech5G, 120, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestFig20And21And22(t *testing.T) {
 // ordering: Swiftest fastest and most accurate, FAST slowest and heaviest,
 // FastBTS least accurate.
 func TestFig23to25(t *testing.T) {
-	groups, err := ThreeWayCampaign(dataset.Tech5G, 60, 7)
+	groups, err := ThreeWayCampaign(context.Background(), dataset.Tech5G, 60, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +173,11 @@ func TestEmptyAggregations(t *testing.T) {
 }
 
 func TestCampaignDeterminism(t *testing.T) {
-	a, err := PairCampaign(dataset.Tech4G, 10, 5)
+	a, err := PairCampaign(context.Background(), dataset.Tech4G, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PairCampaign(dataset.Tech4G, 10, 5)
+	b, err := PairCampaign(context.Background(), dataset.Tech4G, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,5 +185,16 @@ func TestCampaignDeterminism(t *testing.T) {
 		if a[i].Swiftest.Bandwidth != b[i].Swiftest.Bandwidth || a[i].BTSApp.Result != b[i].BTSApp.Result {
 			t.Fatalf("pair %d differs across identical campaign seeds", i)
 		}
+	}
+}
+
+func TestCampaignsStopOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := PairCampaign(ctx, dataset.Tech4G, 10, 5); !errors.Is(err, context.Canceled) {
+		t.Errorf("PairCampaign on a cancelled context: %v, want context.Canceled", err)
+	}
+	if _, err := ThreeWayCampaign(ctx, dataset.Tech4G, 10, 5); !errors.Is(err, context.Canceled) {
+		t.Errorf("ThreeWayCampaign on a cancelled context: %v, want context.Canceled", err)
 	}
 }

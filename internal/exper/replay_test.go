@@ -160,23 +160,17 @@ func TestEvaluateRejectsBadThreshold(t *testing.T) {
 	}
 }
 
-// TestEvaluateMatchesCommittedFront re-runs the configuration behind
-// BENCH_earlystop.json and requires the report to marshal to the committed
-// "front" object: the paired front is bit-identical to the one the report was
-// emitted from.
+// TestEvaluateMatchesCommittedFront re-runs the configuration `btsbench -only
+// earlystop` evaluates at its default seed and requires the report to marshal
+// to testdata/earlystop_front.json: the paired front is bit-identical to the
+// committed one.
 func TestEvaluateMatchesCommittedFront(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_earlystop.json")
+	raw, err := os.ReadFile("testdata/earlystop_front.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var committed struct {
-		Front json.RawMessage `json:"front"`
-	}
-	if err := json.Unmarshal(raw, &committed); err != nil {
-		t.Fatal(err)
-	}
 	var want bytes.Buffer
-	if err := json.Compact(&want, committed.Front); err != nil {
+	if err := json.Compact(&want, raw); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Evaluate(context.Background(), EvalConfig{
@@ -192,6 +186,6 @@ func TestEvaluateMatchesCommittedFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("paired front differs from BENCH_earlystop.json:\n got %s\nwant %s", got, want.Bytes())
+		t.Errorf("paired front differs from testdata/earlystop_front.json:\n got %s\nwant %s", got, want.Bytes())
 	}
 }

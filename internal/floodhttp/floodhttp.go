@@ -12,7 +12,7 @@
 // The client floods for a fixed duration over parallel HTTP connections,
 // samples aggregate goodput every 50 ms, progressively adds connections when
 // samples cross the Speedtest-style threshold ladder, and estimates with the
-// 20-group 5-low/2-high trimming rule (baseline.BTSAppEstimate).
+// 20-group 5-low/2-high trimming rule (estimate.BTSAppEstimate).
 //
 //lint:allow walltime deployment-side flooding over real HTTP/TCP; the virtual-time counterpart is baseline.BTSApp
 package floodhttp
@@ -30,7 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/mobilebandwidth/swiftest/internal/baseline"
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
 )
 
 // DefaultChunkBytes is the per-request download size (25 MiB, the fast.com /
@@ -130,7 +130,7 @@ type ClientConfig struct {
 	// MaxConns bounds parallel connections; zero selects 8.
 	MaxConns int
 	// ScaleThresholds is the Mbps ladder that adds connections; nil selects
-	// baseline.DefaultScaleLadder.
+	// estimate.BTSAppScaleLadder.
 	ScaleThresholds []float64
 	// ChunkBytes is the per-request download size; zero selects 25 MiB.
 	ChunkBytes int64
@@ -169,7 +169,7 @@ func RunTest(cfg ClientConfig) (Report, error) {
 	}
 	ladder := cfg.ScaleThresholds
 	if ladder == nil {
-		ladder = baseline.DefaultScaleLadder()
+		ladder = estimate.BTSAppScaleLadder()
 	}
 	chunk := cfg.ChunkBytes
 	if chunk <= 0 {
@@ -232,7 +232,7 @@ func RunTest(cfg ClientConfig) (Report, error) {
 		return Report{}, errors.New("floodhttp: no samples collected")
 	}
 	return Report{
-		ResultMbps: baseline.BTSAppEstimate(samples),
+		ResultMbps: estimate.BTSAppEstimate(samples),
 		Duration:   time.Since(start),
 		DataMB:     float64(rx.Load()) / 1e6,
 		Samples:    samples,

@@ -221,3 +221,18 @@ func TestMachineDrivesLinkStates(t *testing.T) {
 		t.Errorf("chain visited only %v in 30s", seen)
 	}
 }
+
+// BenchmarkProfileMachine measures the per-tick cost of the RAN state
+// machine — the hook the link emulator calls every 10 ms of virtual time.
+func BenchmarkProfileMachine(b *testing.B) {
+	p, err := Get("5g-drive")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := NewMachine(p, 5, MachineOptions{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = m.At(time.Duration(i) * 10 * time.Millisecond)
+	}
+}

@@ -1,19 +1,13 @@
-// Wire hot-path benchmarks and the BENCH_wire.json emitter: how fast the
-// pacing wheel pushes probe datagrams through each syscall path, and what a
-// tick costs per session. The emitter is gated on BENCH_WIRE_OUT so regular
-// `go test ./...` runs never pay for it:
-//
-//	BENCH_WIRE_OUT=BENCH_wire.json go test -run TestEmitBenchWire ./internal/transport
-//
-// The headline figures are the batched-vs-fallback packets/sec ratio (the
-// refactor's ≥3× target) and allocations per packet at steady state (0).
+// Wire hot-path benchmark: how fast the pacing wheel pushes probe datagrams
+// through each syscall path, and what a tick costs per session.
+// scripts/wire_smoke.sh gates the batched-vs-fallback ns/datagram ratio at 64
+// sessions (≥3× with segmentation offload); zero allocations per tick is
+// TestWheelAdvanceZeroAllocs.
 package transport
 
 import (
-	"encoding/json"
 	"net"
-	"os"
-	"runtime"
+	"strconv"
 	"testing"
 )
 
@@ -65,7 +59,7 @@ func BenchmarkPacingWheel(b *testing.B) {
 		mode WireMode
 	}{{"batched", WireAuto}, {"fallback", WireFallback}} {
 		for _, sessions := range []int{1, 64} {
-			b.Run(mode.name+"-"+itoa(sessions), func(b *testing.B) {
+			b.Run(mode.name+"-"+strconv.Itoa(sessions), func(b *testing.B) {
 				w := newWheelBench(b, mode.mode, sessions, 20000)
 				w.tick() // first tick only arms lastTick
 				w.tick() // warm scratch and pool
@@ -76,6 +70,14 @@ func BenchmarkPacingWheel(b *testing.B) {
 				}
 				b.StopTimer()
 				dg := w.datagrams() - start
+				// 1 when the server negotiated UDP segmentation offload:
+				// without it the batched path still coalesces syscalls via
+				// sendmmsg, but the ≥3× target applies to the offloaded path.
+				gso := 0.0
+				if w.srv.gso {
+					gso = 1
+				}
+				b.ReportMetric(gso, "gso")
 				if dg > 0 {
 					b.ReportMetric(float64(dg)/float64(b.N), "datagrams/tick")
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(dg), "ns/datagram")
@@ -83,137 +85,4 @@ func BenchmarkPacingWheel(b *testing.B) {
 			})
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-type benchWireReport struct {
-	Schema string `json:"schema"`
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	CPUs   int    `json:"cpus"`
-	Note   string `json:"note"`
-
-	// Whether the batched path negotiated UDP segmentation offload. Without
-	// it the batched path still coalesces syscalls via sendmmsg, but the
-	// speedup target applies to the offloaded path.
-	SegmentOffload bool `json:"segment_offload"`
-
-	// Per-datagram cost of one full wheel tick (budget + assemble + send)
-	// on each syscall path, 64 sessions at 20 Mbps each.
-	FallbackNsPerDatagram float64 `json:"fallback_ns_per_datagram"`
-	FallbackPktsPerSec    float64 `json:"fallback_pkts_per_sec"`
-	BatchedNsPerDatagram  float64 `json:"batched_ns_per_datagram"`
-	BatchedPktsPerSec     float64 `json:"batched_pkts_per_sec"`
-	SendSpeedup           float64 `json:"send_speedup"`
-
-	// Steady-state heap allocations per paced packet (target: 0).
-	AllocsPerPacket float64 `json:"allocs_per_packet"`
-
-	// Capacity: how many 20 Mbps sessions one core keeps paced, i.e. how
-	// many per-session tick costs fit inside one paceInterval.
-	WheelTickNs64Sessions float64 `json:"wheel_tick_ns_64_sessions"`
-	SessionsPerCore       float64 `json:"sessions_per_core"`
-}
-
-// benchWheelMode times wheel ticks in the given mode and returns
-// (ns per datagram, ns per tick, datagrams per tick).
-func benchWheelMode(t *testing.T, mode WireMode, sessions int) (nsPerDg, nsPerTick, dgPerTick float64) {
-	t.Helper()
-	var w *wheelBench
-	var dg int64
-	r := testing.Benchmark(func(b *testing.B) {
-		w = newWheelBench(b, mode, sessions, 20000)
-		w.tick()
-		w.tick()
-		start := w.datagrams()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.tick()
-		}
-		b.StopTimer()
-		dg = w.datagrams() - start
-	})
-	if dg == 0 {
-		t.Fatal("wheel benchmark paced no datagrams")
-	}
-	nsPerTick = float64(r.T.Nanoseconds()) / float64(r.N)
-	dgPerTick = float64(dg) / float64(r.N)
-	return nsPerTick / dgPerTick, nsPerTick, dgPerTick
-}
-
-// TestEmitBenchWire measures both syscall paths through the full pacing
-// wheel and writes BENCH_wire.json.
-func TestEmitBenchWire(t *testing.T) {
-	out := os.Getenv("BENCH_WIRE_OUT")
-	if out == "" {
-		t.Skip("set BENCH_WIRE_OUT=<path> to emit the benchmark report")
-	}
-
-	fbNs, _, _ := benchWheelMode(t, WireFallback, 64)
-	btNs, tickNs, dgPerTick := benchWheelMode(t, WireAuto, 64)
-
-	// Steady-state allocation budget, measured on the batched path (the
-	// fallback shares every allocation site; only the syscall differs).
-	w := newWheelBench(t, WireAuto, 64, 20000)
-	for i := 0; i < 20; i++ {
-		w.tick()
-	}
-	allocsPerTick := testing.AllocsPerRun(100, w.tick)
-
-	gso := false
-	{
-		srv, err := newServer("127.0.0.1:0", ServerConfig{Wire: WireAuto}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gso = srv.gso
-		srv.Close()
-	}
-
-	report := benchWireReport{
-		Schema: "swiftest-bench-wire/v1",
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		CPUs:   runtime.NumCPU(),
-		Note: "full wheel tick (budget + assemble + batched send) over loopback, " +
-			"64 sessions at 20 Mbps each, 1200-byte datagrams; speedup is " +
-			"batched-vs-fallback packets/sec through the identical pacing path",
-		SegmentOffload:        gso,
-		FallbackNsPerDatagram: fbNs,
-		FallbackPktsPerSec:    1e9 / fbNs,
-		BatchedNsPerDatagram:  btNs,
-		BatchedPktsPerSec:     1e9 / btNs,
-		SendSpeedup:           fbNs / btNs,
-		AllocsPerPacket:       allocsPerTick / dgPerTick,
-		WheelTickNs64Sessions: tickNs,
-		SessionsPerCore:       float64(paceInterval.Nanoseconds()) / (tickNs / 64),
-	}
-
-	f, err := os.Create(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("batched %.0f ns/datagram (%.0f pkts/s), fallback %.0f ns/datagram, %.1f× speedup, %.3f allocs/packet, %.0f sessions/core",
-		btNs, report.BatchedPktsPerSec, fbNs, report.SendSpeedup, report.AllocsPerPacket, report.SessionsPerCore)
 }
