@@ -47,9 +47,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// On fast multi-core machines the test converges in ≈1 s; on a loaded
-	// single-core box sample jitter can exceed the 3 % criterion, in which
-	// case the test rides to this deadline and reports the trailing window.
+	// The test stops when ten 50 ms samples agree within 3 % — about a
+	// second here: three samples of ramp, one escalation past a single
+	// server's uplink, then the window. A sample is the bytes that arrived
+	// in a fixed window, by arrival time, so it does not depend on when this
+	// process was scheduled; the deadline is for a link that really is
+	// unsteady, and is not expected to be reached.
 	res, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		Servers:     pool,
 		Model:       model,

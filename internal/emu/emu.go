@@ -58,6 +58,7 @@ type Relay struct {
 	cfg      Config
 	listener *net.UDPConn
 	target   *net.UDPAddr
+	started  time.Time
 	closed   atomic.Bool
 	wg       sync.WaitGroup
 
@@ -68,15 +69,33 @@ type Relay struct {
 	dropped   atomic.Int64 // downlink datagrams dropped (queue or loss)
 }
 
+// pipeIdle is how long a pipe may stay silent in both directions before it
+// removes itself: a test opens three client sockets (ping, control, data)
+// and a relay outlives many tests.
+const pipeIdle = 2 * time.Second
+
+// pipeSlots bounds the datagrams a pipe holds between shaping and delivery —
+// the bottleneck queue plus what the propagation delay keeps in flight. The
+// byte bound, QueueBytes, is the one that models the link; this one only
+// caps memory when datagrams are tiny or Delay×rate is huge.
+const pipeSlots = 4096
+
 // peerPipe is the per-client state: an upstream socket plus the shaped
-// downlink queue.
+// downlink FIFO.
 type peerPipe struct {
 	clientAddr *net.UDPAddr
 	upstream   *net.UDPConn
-	queue      chan []byte
-	queued     atomic.Int64 // bytes currently queued
+	queue      chan shaped
+	active     atomic.Int64 // latest traffic either way, as an offset from Relay.started
 	stop       chan struct{}
 	stopOnce   sync.Once
+}
+
+// shaped is a downlink datagram with the time it reaches the client, as an
+// offset from Relay.started.
+type shaped struct {
+	pkt []byte
+	due time.Duration
 }
 
 // NewRelay starts a relay on 127.0.0.1:0 shaping traffic toward cfg.Target.
@@ -95,7 +114,7 @@ func NewRelay(cfg Config) (*Relay, error) {
 	if err != nil {
 		return nil, fmt.Errorf("emu: listening: %w", err)
 	}
-	r := &Relay{cfg: cfg, listener: ln, target: target, peers: map[string]*peerPipe{}}
+	r := &Relay{cfg: cfg, listener: ln, target: target, started: time.Now(), peers: map[string]*peerPipe{}}
 	r.wg.Add(1)
 	go r.uplinkLoop()
 	return r, nil
@@ -153,11 +172,15 @@ func (r *Relay) uplinkLoop() {
 	}
 }
 
+// pipeFor returns the client's pipe, opening it on first contact, and marks
+// it active — under r.mu, so retire cannot take an idle pipe that was just
+// handed out.
 func (r *Relay) pipeFor(client *net.UDPAddr) (*peerPipe, error) {
 	key := client.String()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if p, ok := r.peers[key]; ok {
+		p.touch(time.Since(r.started))
 		return p, nil
 	}
 	up, err := net.DialUDP("udp", nil, r.target)
@@ -168,14 +191,47 @@ func (r *Relay) pipeFor(client *net.UDPAddr) (*peerPipe, error) {
 	p := &peerPipe{
 		clientAddr: client,
 		upstream:   up,
-		queue:      make(chan []byte, 4096),
+		queue:      make(chan shaped, pipeSlots),
 		stop:       make(chan struct{}),
 	}
+	p.touch(time.Since(r.started))
 	r.peers[key] = p
 	r.wg.Add(2)
-	go r.downlinkIngest(p)
-	go r.downlinkPacer(p)
+	go r.downlinkShape(p)
+	go r.downlinkDeliver(p)
 	return p, nil
+}
+
+// touch records traffic at offset at, which for a downlink datagram is the
+// time it will leave the link; the latest mark stands.
+func (p *peerPipe) touch(at time.Duration) {
+	for {
+		old := p.active.Load()
+		if int64(at) <= old || p.active.CompareAndSwap(old, int64(at)) {
+			return
+		}
+	}
+}
+
+// idleAt is when the pipe will have been silent for pipeIdle.
+func (r *Relay) idleAt(p *peerPipe) time.Time {
+	return r.started.Add(time.Duration(p.active.Load()) + pipeIdle)
+}
+
+// retire removes the pipe from the relay and shuts it down, so the client's
+// next datagram opens a fresh one. With ifIdle it declines, and reports
+// false, while the pipe has seen traffic within pipeIdle.
+func (r *Relay) retire(p *peerPipe, ifIdle bool) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ifIdle && time.Now().Before(r.idleAt(p)) {
+		return false
+	}
+	if key := p.clientAddr.String(); r.peers[key] == p {
+		delete(r.peers, key)
+	}
+	p.shutdown()
+	return true
 }
 
 func (p *peerPipe) shutdown() {
@@ -185,100 +241,75 @@ func (p *peerPipe) shutdown() {
 	})
 }
 
-// downlinkIngest reads server datagrams and enqueues them at the bottleneck,
-// applying drop-tail and random loss.
-func (r *Relay) downlinkIngest(p *peerPipe) {
+// downlinkShape reads server datagrams and gives each its departure time
+// from a virtual-finish-time bottleneck: free is when the link will have
+// serialised everything accepted so far, so (free − now)·rate is the backlog
+// the drop-tail test sees, and a datagram leaves one serialisation time
+// after free and arrives Delay later. Random loss comes first. The read
+// deadline is the pipe's idle time: a pipe retires itself after pipeIdle of
+// silence both ways, or when its upstream socket fails.
+func (r *Relay) downlinkShape(p *peerPipe) {
 	defer r.wg.Done()
 	rng := rand.New(rand.NewSource(r.cfg.Seed))
+	bytesPerSec := r.cfg.RateMbps * 1e6 / 8
+	var free time.Duration // offset from r.started
 	buf := make([]byte, 64<<10)
 	for {
-		_ = p.upstream.SetReadDeadline(time.Now().Add(time.Second))
+		_ = p.upstream.SetReadDeadline(r.idleAt(p))
 		n, err := p.upstream.Read(buf)
 		if err != nil {
-			if r.closed.Load() {
+			var ne net.Error
+			if r.retire(p, errors.As(err, &ne) && ne.Timeout()) {
 				return
 			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				select {
-				case <-p.stop:
-					return
-				default:
-					continue
-				}
-			}
-			return
+			continue
 		}
 		if r.cfg.LossRate > 0 && rng.Float64() < r.cfg.LossRate {
 			r.dropped.Add(1)
 			continue
 		}
-		if p.queued.Load()+int64(n) > int64(r.cfg.QueueBytes) {
+		now := time.Since(r.started)
+		free = max(free, now)
+		if (free-now).Seconds()*bytesPerSec+float64(n) > float64(r.cfg.QueueBytes) {
 			r.dropped.Add(1) // drop-tail: the bottleneck queue is full
 			continue
 		}
-		pkt := make([]byte, n)
-		copy(pkt, buf[:n])
+		sent := free + time.Duration(float64(n)/bytesPerSec*float64(time.Second))
+		d := shaped{pkt: append([]byte(nil), buf[:n]...), due: sent + r.cfg.Delay}
 		select {
-		case p.queue <- pkt:
-			p.queued.Add(int64(n))
+		case p.queue <- d:
+			free = sent
+			p.touch(d.due)
 		default:
 			r.dropped.Add(1)
 		}
 	}
 }
 
-// downlinkPacer drains the bottleneck queue at the configured rate and
-// delivers each datagram to the client after the propagation delay.
-func (r *Relay) downlinkPacer(p *peerPipe) {
+// downlinkDeliver hands the FIFO's datagrams to the client at their due
+// times. One already overdue leaves at once, so a late wake-up is repaid by
+// exactly what it delayed and the long-run rate is the configured one.
+func (r *Relay) downlinkDeliver(p *peerPipe) {
 	defer r.wg.Done()
-	bytesPerSec := r.cfg.RateMbps * 1e6 / 8
-	var debt float64 // seconds of transmission time owed to the bottleneck
-	last := time.Now()
+	timer := time.NewTimer(0)
+	defer timer.Stop()
 	for {
-		var pkt []byte
+		var d shaped
 		select {
 		case <-p.stop:
 			return
-		case pkt = <-p.queue:
+		case d = <-p.queue:
 		}
-		p.queued.Add(-int64(len(pkt)))
-
-		// Serialisation time at the bottleneck, amortised against wall time.
-		// Sleep overshoot becomes bounded credit (debt going negative) so
-		// the long-run rate stays exact even with coarse timers; the bound
-		// caps catch-up bursts at 10 ms of line rate.
-		now := time.Now()
-		debt -= now.Sub(last).Seconds()
-		if debt < -0.010 {
-			debt = -0.010
-		}
-		last = now
-		debt += float64(len(pkt)) / bytesPerSec
-		if debt > 0.002 { // sleep in ≥2 ms chunks to bound timer churn
-			time.Sleep(time.Duration(debt * float64(time.Second)))
-		}
-
-		if r.cfg.Delay > 0 {
-			// Propagation delay is pipelined: schedule the delivery without
-			// blocking the bottleneck.
-			delivery := append([]byte(nil), pkt...)
-			time.AfterFunc(r.cfg.Delay, func() {
-				if r.closed.Load() {
-					return
-				}
-				if _, err := r.listener.WriteToUDP(delivery, p.clientAddr); err == nil {
-					r.delivered.Add(int64(len(delivery)))
-				}
-			})
-			continue
-		}
-		if _, err := r.listener.WriteToUDP(pkt, p.clientAddr); err != nil {
-			if r.closed.Load() {
+		if wait := d.due - time.Since(r.started); wait > 0 {
+			timer.Reset(wait)
+			select {
+			case <-p.stop:
 				return
+			case <-timer.C:
 			}
-			continue
 		}
-		r.delivered.Add(int64(len(pkt)))
+		if _, err := r.listener.WriteToUDP(d.pkt, p.clientAddr); err == nil {
+			r.delivered.Add(int64(len(d.pkt)))
+		}
 	}
 }

@@ -194,16 +194,15 @@ type UDPProbe struct {
 	targetMbps float64          // guarded by mu
 	used       int              // sessions opened; guarded by mu
 	lost       int              // sessions declared dead; guarded by mu
+	window     int              // next sample window to report; NextSample writes it under mu
 
 	lostAfter    int   // K zero-byte windows before a session is lost
 	lastOpenErr  error // most recent session-open failure; guarded by mu
 	lostCounter  *obs.Counter
 	retryCounter *obs.Counter
 
-	rateSeq     atomic.Uint32
-	rxBytes     atomic.Int64
-	lastSample  time.Time
-	lastRxBytes int64
+	rateSeq atomic.Uint32
+	rxBytes atomic.Int64
 
 	// jitterNs is the RFC 3550-style interarrival jitter estimate in
 	// nanoseconds, stored as float64 bits for lock-free updates.
@@ -231,9 +230,9 @@ type clientSession struct {
 	done   chan struct{}
 
 	rxBytes  atomic.Int64
-	lastRx   int64   // NextSample's window cursor; sampling goroutine only
-	assigned float64 // Mbps currently asked of this server; probe.mu held for access
-	lost     bool    // probe.mu held for access
+	bins     arrivalBins // rxBytes by sample window, in arrival time
+	assigned float64     // Mbps currently asked of this server; probe.mu held for access
+	lost     bool        // probe.mu held for access
 	tracker  *faults.LostTracker
 
 	id         uint64 // session ID, the key both channels share
@@ -248,6 +247,70 @@ type clientSession struct {
 // SampleInterval is the client's sampling period, matching §5.1's 50 ms.
 const SampleInterval = 50 * time.Millisecond
 
+// sampleGrace is how long after a window's end NextSample waits before
+// reporting it, so the receive loops have read what the kernel already held
+// and the batch straddling the edge has paid its share into the window. It
+// is also the shortest stretch a batch is spread over: arrivals closer
+// together than a scheduling quantum were bunched by a scheduler after the
+// bottleneck, not spaced by it.
+const sampleGrace = 2 * time.Millisecond
+
+// arrivalBins attributes one session's received bytes to the probe's fixed
+// sample windows — window k covers [k, k+1) intervals from the probe's start
+// — by arrival time: a batch occupied the bottleneck since the arrival
+// before it, so its bytes are spread over that stretch in proportion to each
+// window's overlap. A sample is then a property of the traffic, not of when
+// the sampling goroutine woke, and is not quantised to whole datagrams.
+type arrivalBins struct {
+	mu       sync.Mutex
+	interval time.Duration
+	first    int           // window bins[0] stands for; earlier ones are reported and closed
+	bins     []float64     // bytes attributed to windows first, first+1, …
+	prev     time.Duration // previous arrival, as an offset from the probe's start
+}
+
+// add attributes bytes stamped at offset at to the stretch since the previous
+// arrival — no shorter than sampleGrace, no longer than one interval (silence
+// is not occupancy) — clipped to windows not yet reported: what a late stamp
+// owes a closed window goes to the oldest open one, so bytes are conserved
+// and a reported sample never changes.
+func (b *arrivalBins) add(at time.Duration, bytes int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	open := time.Duration(b.first) * b.interval
+	at = max(at, open)
+	from := max(min(b.prev, at-sampleGrace), at-b.interval, open)
+	b.prev = at
+	last := int(at/b.interval) - b.first
+	for len(b.bins) <= last {
+		b.bins = append(b.bins, 0)
+	}
+	if from >= at {
+		b.bins[last] += float64(bytes)
+		return
+	}
+	perNs := float64(bytes) / float64(at-from)
+	for w := int(from/b.interval) - b.first; w <= last; w++ {
+		lo := max(from, time.Duration(b.first+w)*b.interval)
+		hi := min(at, time.Duration(b.first+w+1)*b.interval)
+		b.bins[w] += perNs * float64(hi-lo)
+	}
+}
+
+// take reports the next n windows as one figure and closes them.
+func (b *arrivalBins) take(n int) float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.first += n
+	n = min(n, len(b.bins))
+	var sum float64
+	for _, v := range b.bins[:n] {
+		sum += v
+	}
+	b.bins = b.bins[:copy(b.bins, b.bins[n:])]
+	return sum
+}
+
 // NewUDPProbeContext prepares a probe against the ranked pool. The probe is
 // idle until the first SetRate; its handshakes and sample waits honour ctx:
 // cancellation makes the next NextSample return !ok and stops handshake
@@ -259,12 +322,10 @@ func NewUDPProbeContext(ctx context.Context, pool *ServerPool, rng *rand.Rand) (
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	now := time.Now()
 	return &UDPProbe{
 		pool:           pool,
 		testID:         rng.Uint64(),
-		started:        now,
-		lastSample:     now,
+		started:        time.Now(),
 		sampleInterval: SampleInterval,
 		lostAfter:      faults.DefaultLostWindows,
 		ctx:            ctx,
@@ -466,6 +527,8 @@ func (p *UDPProbe) openSessionLocked(server PoolServer) (*clientSession, error) 
 		ctrlDone: make(chan struct{}),
 		byeAck:   make(chan struct{}),
 		tracker:  faults.NewLostTracker(p.lostAfter),
+		// Windows already reported are closed to a session opened late.
+		bins: arrivalBins{interval: p.sampleInterval, first: p.window, prev: p.Elapsed()},
 	}
 	p.used++
 	p.trace.Record(p.Elapsed(), obs.EventServerAdd, 0, server.UplinkMbps, server.Addr)
@@ -595,16 +658,25 @@ func (cs *clientSession) receiveLoop() {
 			}
 			return
 		}
+		// One arrival stamp per batch serves the sample windows and the
+		// jitter estimator alike.
+		now := time.Now()
+		arrivedNS, bytes := now.UnixNano(), 0
 		for i := 0; i < n; i++ {
 			pkt := msgs[i].Buf[:msgs[i].N]
 			var d wire.Data2
 			if d.Decode(pkt) != nil {
 				continue
 			}
-			cs.rxBytes.Add(int64(len(pkt)))
-			cs.probe.rxBytes.Add(int64(len(pkt)))
-			cs.probe.observeJitter(d.SentNS)
+			bytes += len(pkt)
+			cs.probe.observeJitter(arrivedNS, d.SentNS)
 		}
+		if bytes == 0 {
+			continue
+		}
+		cs.bins.add(now.Sub(cs.probe.started), bytes)
+		cs.rxBytes.Add(int64(bytes))
+		cs.probe.rxBytes.Add(int64(bytes))
 	}
 }
 
@@ -648,12 +720,13 @@ func (cs *clientSession) ctrlLoop() {
 	}
 }
 
-// observeJitter folds one probe datagram into the RFC 3550 interarrival-jitter
-// estimator: J += (|D| − J)/16 where D is the change in (arrival − send)
-// transit time between consecutive packets. Clock offset between client and
-// server cancels in the difference, so no synchronisation is needed.
-func (p *UDPProbe) observeJitter(sentNS uint64) {
-	transit := time.Now().UnixNano() - int64(sentNS)
+// observeJitter folds one probe datagram, stamped with its batch's arrival
+// time, into the RFC 3550 interarrival-jitter estimator: J += (|D| − J)/16
+// where D is the change in (arrival − send) transit time between consecutive
+// packets. Clock offset between client and server cancels in the difference,
+// so no synchronisation is needed.
+func (p *UDPProbe) observeJitter(arrivedNS int64, sentNS uint64) {
+	transit := arrivedNS - int64(sentNS)
 	prev := p.lastTransit.Swap(transit)
 	if prev == 0 {
 		return
@@ -696,19 +769,22 @@ func (p *UDPProbe) ReportedLoss() float64 {
 	return 1 - float64(rx)/float64(sent)
 }
 
-// NextSample implements core.Probe: it waits until the next sampling
-// boundary (abandoning the wait if the probe's context is cancelled),
-// reports the throughput observed in the window, and folds each session's
-// delivery through the dead-session detector — failing over when a session
-// that owes traffic has been silent for K consecutive windows.
+// NextSample implements core.Probe: it waits for the end of the next sample
+// window plus sampleGrace (abandoning the wait if the probe's context is
+// cancelled) and reports the bytes that arrived in that window over exactly
+// one interval. A caller more than a window late — SetRate held it for a
+// handshake — gets one sample over every window that ended meanwhile, not a
+// run of stale ones. Each session's share goes through the dead-session
+// detector, failing over when a session that owes traffic has been silent
+// for K consecutive samples.
 //
 //lint:allow ctxflow the wait is bounded by the sampling interval and the probe's stored context
 func (p *UDPProbe) NextSample() (float64, bool) {
 	if p.closed.Load() {
 		return 0, false
 	}
-	next := p.lastSample.Add(p.sampleInterval)
-	if d := time.Until(next); d > 0 {
+	due := p.started.Add(time.Duration(p.window+1)*p.sampleInterval + sampleGrace)
+	if d := time.Until(due); d > 0 {
 		timer := time.NewTimer(d)
 		select {
 		case <-timer.C:
@@ -717,59 +793,49 @@ func (p *UDPProbe) NextSample() (float64, bool) {
 			return 0, false
 		}
 	}
-	now := time.Now()
-	elapsed := now.Sub(p.lastSample).Seconds()
-	if elapsed <= 0 {
-		return 0, false
-	}
-	rx := p.rxBytes.Load()
-	bytes := rx - p.lastRxBytes
-	p.lastRxBytes = rx
-	p.lastSample = now
-
-	p.detectLostSessions()
-
-	p.mu.Lock()
-	alive := p.liveCountLocked() > 0 || p.targetMbps == 0
-	p.mu.Unlock()
+	ended := int((p.Elapsed() - sampleGrace) / p.sampleInterval)
+	n := max(ended-p.window, 1)
+	bytes, alive := p.takeWindows(n)
 	if !alive {
 		return 0, false // every server is gone; the probe is exhausted
 	}
-	return float64(bytes) * 8 / elapsed / 1e6, true
+	return bytes * 8 / (float64(n) * p.sampleInterval.Seconds()) / 1e6, true
 }
 
-// detectLostSessions folds the last window's per-session deliveries through
-// each tracker and fails over any session declared dead: its share is
-// redistributed to the survivors and its socket closed.
-func (p *UDPProbe) detectLostSessions() {
+// takeWindows closes the next n windows of every live session and returns
+// their bytes, folding each session's delivery through its tracker and
+// failing over any session declared dead: its share is redistributed to the
+// survivors and its sockets closed. alive reports whether a server is left
+// to sample.
+func (p *UDPProbe) takeWindows(n int) (bytes float64, alive bool) {
 	var toClose []*clientSession
 	p.mu.Lock()
-	failedOver := false
+	p.window += n
 	for _, sess := range p.sessions {
 		if sess.lost {
 			continue
 		}
-		rx := sess.rxBytes.Load()
-		window := rx - sess.lastRx
-		sess.lastRx = rx
-		if sess.tracker.Observe(window, sess.assigned > 0) {
+		got := sess.bins.take(n)
+		bytes += got
+		if sess.tracker.Observe(int64(math.Ceil(got)), sess.assigned > 0) {
 			sess.lost = true
 			p.lost++
 			p.lostCounter.Inc()
 			p.trace.Record(p.Elapsed(), obs.EventServerLost, sess.assigned, 0, sess.server.Addr)
 			sess.assigned = 0
 			toClose = append(toClose, sess)
-			failedOver = true
 		}
 	}
-	if failedOver {
+	if len(toClose) > 0 {
 		p.redistributeLocked()
 	}
+	alive = p.liveCountLocked() > 0 || p.targetMbps == 0
 	p.mu.Unlock()
 	for _, sess := range toClose {
 		sess.conn.Close() // unblocks the receive loop
 		sess.ctrl.Close() // unblocks the control loop
 	}
+	return bytes, alive
 }
 
 // Elapsed implements core.Probe.

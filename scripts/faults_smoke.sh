@@ -34,18 +34,21 @@ grep -q '"kind":"server_lost"' "$WORK/sim.jsonl" || {
 }
 
 # --- Leg 2: the same plan over real loopback UDP ----------------------------
-# Three loopback servers of 25 Mbps each; pool index 1 blacks out 1.5 s after
+# Three loopback servers of 25 Mbps each; pool index 1 blacks out 2.5 s after
 # startup (server fault times are wall time since NewServer). The model
 # demands ~60 Mbps, so the client needs all three servers and must detect and
-# survive the mid-test loss.
+# survive the mid-test loss. A live test converges in ≈0.6 s, so the test is
+# started 2.2 s after the servers: the blackout lands 0.3 s in, past the ramp
+# and before the ten-sample window can close.
 cat > "$WORK/plan_live.json" <<'EOF'
-{"faults": [{"kind": "blackout", "server": 1, "at_ms": 1500}]}
+{"faults": [{"kind": "blackout", "server": 1, "at_ms": 2500}]}
 EOF
 cat > "$WORK/model60.json" <<'EOF'
 {"version": 1, "components": [{"weight": 1, "mu": 60, "sigma": 6}]}
 EOF
 
 SERVERS=""
+STARTED_NS="$(date +%s%N)"
 for i in 0 1 2; do
   port=$((7910 + i))
   "$WORK/swiftest" serve -addr "127.0.0.1:$port" -uplink 25 \
@@ -67,6 +70,10 @@ for i in 0 1 2; do
   done
   [ "$ok" -eq 1 ] || { echo "server on port $port never answered a ping" >&2; exit 1; }
 done
+
+WAIT_MS=$((2200 - ($(date +%s%N) - STARTED_NS) / 1000000))
+[ "$WAIT_MS" -gt 0 ] || { echo "servers took over 2.2 s to answer; the blackout would miss the test" >&2; exit 1; }
+sleep "$(printf '%d.%03d' $((WAIT_MS / 1000)) $((WAIT_MS % 1000)))"
 
 "$WORK/swiftest" test -servers "$SERVERS" -model "$WORK/model60.json" \
   -max 4s -trace "$WORK/live.jsonl" | tee "$WORK/live.out"

@@ -12,6 +12,11 @@
 # spread and the pairs the change won, then the failed operations and the
 # result digests. Exits 1 when a median is worse than its bound, a digest
 # differs between the sides, or the share of failed operations rose.
+#
+# Then one `--trace 1` run per side (seed 1) says where the time went: every
+# per-layer row whose two values differ by more than 2 %, and always the
+# live-test rows (converged share, data per test, the four stage medians)
+# when the workload fills them. Those rows inform; they do not gate.
 set -euo pipefail
 
 [ $# -ge 1 ] || { echo "usage: scripts/perf_gate.sh <parent-ref> [workload...]" >&2; exit 2; }
@@ -31,6 +36,8 @@ import subprocess
 import sys
 
 PAIRS = 10
+LIVE_ROWS = {"core.live_converged_share", "swiftest.live_data_mb_p50", "transport.select_ms_p50",
+             "transport.handshake_ms_p50", "transport.first_sample_ms_p50", "transport.report_ms_p50"}
 parent_sha, parent_dir, names = sys.argv[1], sys.argv[2], sys.argv[3:]
 with open("BENCHMARK.json") as f:
     bench = json.load(f)
@@ -40,9 +47,9 @@ if unknown := [n for n in names if n not in known]:
 dirs = {"parent": parent_dir, "change": "."}
 
 
-def run(side, workload, seed):
+def run(side, workload, seed, trace=0):
     argv = bench["command"] + ["--workload", workload, "--seed", str(seed),
-                               "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+                               "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=dirs[side], stdout=subprocess.PIPE, text=True).stdout
     lines = out.strip().splitlines()
     try:
@@ -91,5 +98,13 @@ for name in names or known:
     differ = [f"seed {i + 1}: {p} != {c}" for i, (p, c) in enumerate(pairs) if p != c]
     print("  digests      " + " ".join(c for _, c in pairs) + ("  DIFFER " + "; ".join(differ) if differ else "  (equal on both sides)"))
     ok = ok and not rose and not differ
+    traced = {side: run(side, name, 1, trace=1)[0]["metrics"] for side in dirs}
+    print(f"  {'per-layer (one traced run a side)':<40} {'parent':>12} {'change':>12} {'moved':>8}")
+    for row in bench["per_layer"]:
+        p, c = (traced[side].get(row["name"], {}).get("value", 0.0) for side in ("parent", "change"))
+        moved = abs(c - p) > 0.02 * abs(p)
+        if (p or c) and (moved or row["name"] in LIVE_ROWS):
+            by = f"{100 * (c - p) / p:>+7.1f}%" if p else f"{'new':>8}"
+            print(f"  {row['name']:<40} {p:>12.6g} {c:>12.6g} {by}  {row['unit']}")
 sys.exit(0 if ok else 1)
 EOF

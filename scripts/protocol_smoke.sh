@@ -7,6 +7,8 @@
 #  2. There is no protocol knob left: `test -protocol` is an unknown flag.
 #  3. A keyed server refuses an untokened client — observable in both the
 #     exit status and the auth-reject counter — and admits a tokened one.
+#  4. Behind `swiftest relay -rate 20 -delay 10ms` a test stops on the 3 %
+#     rule inside 2 s of probing with the link's rate, to 2 %, as its answer.
 #
 # All listeners bind ephemeral ports; addresses are scraped from logs.
 set -euo pipefail
@@ -128,4 +130,39 @@ grep -q '^bandwidth : ' "$WORK/auth.txt" || {
   exit 1
 }
 
-echo "protocol smoke passed: both wire modes, no protocol knob, auth rejects=$REJECTS"
+# --- 4: a live test converges through an emulated link -----------------------
+read -r ADDR METRICS <<< "$(start_server "$WORK/serve-relay.log")"
+"$WORK/swiftest" relay -target "$ADDR" -rate 20 -delay 10ms > "$WORK/relay.log" 2>&1 &
+echo $! >> "$WORK/pids"
+RELAY=
+for i in $(seq 1 50); do
+  RELAY="$(sed -n 's/^emulated .* link on \([^ ]*\) .*/\1/p' "$WORK/relay.log")"
+  [ -n "$RELAY" ] && break
+  sleep 0.1
+done
+[ -n "$RELAY" ] || { echo "relay logged no address:" >&2; cat "$WORK/relay.log" >&2; exit 1; }
+# The two-mode model of examples/live-udp and the ledger's live-loopback rig.
+cat > "$WORK/model.json" <<'MODEL'
+{"version": 1, "components": [
+  {"weight": 0.6, "mu": 12, "sigma": 2},
+  {"weight": 0.4, "mu": 35, "sigma": 5}
+]}
+MODEL
+field() { sed -n "s/^  \"$2\": \([^,]*\),\{0,1\}\$/\1/p" "$1"; }
+# Best of three: a shared CI host can stall one test for tens of milliseconds.
+LIVE=
+for try in 1 2 3; do
+  "$WORK/swiftest" test -json -max 3s -model "$WORK/model.json" -servers "$RELAY@100" > "$WORK/live.json"
+  MBPS="$(field "$WORK/live.json" BandwidthMbps)"
+  NS="$(field "$WORK/live.json" Duration)"
+  CONVERGED="$(field "$WORK/live.json" Converged)"
+  LIVE="$MBPS Mbit/s in $((NS / 1000000)) ms, converged=$CONVERGED"
+  if [ "$CONVERGED" = true ] && [ "$NS" -lt 2000000000 ] &&
+     awk -v m="$MBPS" 'BEGIN { exit !(m >= 19.6 && m <= 20.4) }'; then
+    break
+  fi
+  echo "live test through the relay, try $try: $LIVE" >&2
+  [ "$try" -lt 3 ] || { echo "no test in three converged inside 2 s within 2 % of 20 Mbit/s" >&2; exit 1; }
+done
+
+echo "protocol smoke passed: both wire modes, no protocol knob, auth rejects=$REJECTS, through a 20 Mbit/s relay $LIVE"

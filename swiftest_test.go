@@ -155,6 +155,57 @@ func TestEndToEndOverUDP(t *testing.T) {
 	t.Logf("end-to-end: %.1f Mbps in %v (+%v selection)", res.BandwidthMbps, res.Duration, res.SelectionTime)
 }
 
+// TestLiveTestConvergesThroughRelay is the paper's headline on the product
+// path: TestContext against a real server behind an emulated access link
+// stops on the 3 %/ten-sample rule — not at the deadline — with the link's
+// rate as its answer, at a rate below the model's first mode, between its
+// modes and above them. Best of three per rate: a shared CI host can stall
+// any one test for tens of milliseconds, which is a sample out of line.
+func TestLiveTestConvergesThroughRelay(t *testing.T) {
+	srv, err := swiftest.NewServer("127.0.0.1:0", swiftest.ServerOptions{UplinkMbps: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	model, err := swiftest.NewModel(
+		swiftest.ModelComponent{Weight: 0.6, Mu: 12, Sigma: 2},
+		swiftest.ModelComponent{Weight: 0.4, Mu: 35, Sigma: 5},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rate := range []float64{8, 20, 50} {
+		relay, err := swiftest.NewLinkRelay(swiftest.LinkRelayConfig{
+			Target: srv.Addr(), RateMbps: rate, Delay: 10 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res swiftest.Result
+		met := false
+		for try := int64(1); try <= 3 && !met; try++ {
+			res, err = swiftest.TestContext(context.Background(), swiftest.TestOptions{
+				Servers:     []swiftest.ServerAddr{{Addr: relay.Addr(), UplinkMbps: 200}},
+				Model:       model,
+				MaxDuration: 3 * time.Second,
+				Seed:        try,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			met = res.Converged && res.Duration < 2*time.Second &&
+				math.Abs(res.BandwidthMbps-rate)/rate <= 0.02
+			t.Logf("%g Mbit/s link, try %d: %.2f Mbit/s in %v, %.2f MB, converged=%v",
+				rate, try, res.BandwidthMbps, res.Duration.Round(time.Millisecond), res.DataMB, res.Converged)
+		}
+		if !met {
+			t.Errorf("%g Mbit/s link: no test in three converged within 2 s and 2 %%; last read %.2f Mbit/s in %v (converged=%v)",
+				rate, res.BandwidthMbps, res.Duration, res.Converged)
+		}
+		relay.Close()
+	}
+}
+
 func TestTestValidation(t *testing.T) {
 	model, _ := swiftest.DefaultModel(swiftest.Tech4G)
 	if _, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{Model: model}); err == nil {
