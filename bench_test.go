@@ -1,9 +1,7 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation, plus ablation benches for the design choices DESIGN.md
-// calls out. Each bench regenerates its experiment end to end per iteration
-// (at reduced scale — cmd/btsbench runs the full-scale versions) and reports
-// the headline quantity as a custom metric so `go test -bench=.` output
-// doubles as a compact paper-vs-measured table.
+// Benchmark harness: the per-test cost of an emulated Swiftest test,
+// ablation benches for the design choices DESIGN.md calls out, and the
+// generate→aggregate engine. The paper's claims are checked by
+// internal/claims (TestPaperClaims, cmd/btsbench), not here.
 package swiftest_test
 
 import (
@@ -24,402 +22,11 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/spectrum"
-	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
-// benchRecords is the per-iteration corpus size for dataset-driven figures.
+// benchRecords is the per-iteration corpus size for the generate→aggregate
+// benches.
 const benchRecords = 60000
-
-func genRecords(b *testing.B, year int) []dataset.Record {
-	b.Helper()
-	return dataset.MustNewGenerator(dataset.Config{Year: year, Seed: 1}).Generate(benchRecords)
-}
-
-// BenchmarkFig01YearOverYear regenerates Figure 1 (average bandwidth per
-// technology, 2020 vs 2021).
-func BenchmarkFig01YearOverYear(b *testing.B) {
-	var mean4g21 float64
-	for i := 0; i < b.N; i++ {
-		r20 := genRecords(b, 2020)
-		r21 := genRecords(b, 2021)
-		a20 := analysis.AverageByTech(r20)
-		a21 := analysis.AverageByTech(r21)
-		if a21.Mean[dataset.Tech4G] >= a20.Mean[dataset.Tech4G] {
-			b.Fatal("4G did not decline year over year")
-		}
-		mean4g21 = a21.Mean[dataset.Tech4G]
-	}
-	b.ReportMetric(mean4g21, "4G2021_Mbps(paper53)")
-}
-
-// BenchmarkFig02AndroidVersion regenerates Figure 2.
-func BenchmarkFig02AndroidVersion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := analysis.ByAndroidVersion(genRecords(b, 2021))
-		if len(rows) < 6 {
-			b.Fatal("missing Android versions")
-		}
-	}
-}
-
-// BenchmarkFig03ISP regenerates Figure 3.
-func BenchmarkFig03ISP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := analysis.ByISP(genRecords(b, 2021))
-		if len(rows) != 4 {
-			b.Fatal("missing ISPs")
-		}
-	}
-}
-
-// BenchmarkFig04LTECDF regenerates Figure 4 (4G bandwidth CDF).
-func BenchmarkFig04LTECDF(b *testing.B) {
-	var median float64
-	for i := 0; i < b.N; i++ {
-		d := analysis.TechDistribution(genRecords(b, 2021), dataset.Tech4G)
-		median = d.Median
-	}
-	b.ReportMetric(median, "median_Mbps(paper22)")
-}
-
-// BenchmarkTab1LTEBands validates Table 1 and the refarmed-spectrum share.
-func BenchmarkTab1LTEBands(b *testing.B) {
-	var frac float64
-	for i := 0; i < b.N; i++ {
-		if len(spectrum.LTEBands()) != 9 {
-			b.Fatal("Table 1 wrong")
-		}
-		frac = spectrum.RefarmedHBandFraction()
-	}
-	b.ReportMetric(frac*100, "refarmed_pct(paper58.2)")
-}
-
-// BenchmarkFig05LTEBandBandwidth regenerates Figure 5.
-func BenchmarkFig05LTEBandBandwidth(b *testing.B) {
-	var b3 float64
-	for i := 0; i < b.N; i++ {
-		rows := analysis.ByBand(genRecords(b, 2021), spectrum.LTE)
-		for _, r := range rows {
-			if r.Band.Name == "B3" {
-				b3 = r.Mean
-			}
-		}
-	}
-	b.ReportMetric(b3, "B3_Mbps(paper56)")
-}
-
-// BenchmarkFig06LTEBandLoad regenerates Figure 6.
-func BenchmarkFig06LTEBandLoad(b *testing.B) {
-	var hband float64
-	for i := 0; i < b.N; i++ {
-		rows := analysis.ByBand(genRecords(b, 2021), spectrum.LTE)
-		hband, _, _ = analysis.HBandShare(rows)
-	}
-	b.ReportMetric(hband*100, "hband_pct(paper85.6)")
-}
-
-// BenchmarkFig07NRCDF regenerates Figure 7 (5G bandwidth CDF).
-func BenchmarkFig07NRCDF(b *testing.B) {
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		d := analysis.TechDistribution(genRecords(b, 2021), dataset.Tech5G)
-		mean = d.Mean
-	}
-	b.ReportMetric(mean, "mean_Mbps(paper303)")
-}
-
-// BenchmarkTab2NRBands validates Table 2.
-func BenchmarkTab2NRBands(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bands := spectrum.NRBands()
-		if len(bands) != 5 {
-			b.Fatal("Table 2 wrong")
-		}
-	}
-}
-
-// BenchmarkFig08NRBandBandwidth regenerates Figure 8.
-func BenchmarkFig08NRBandBandwidth(b *testing.B) {
-	var n1 float64
-	for i := 0; i < b.N; i++ {
-		for _, r := range analysis.ByBand(genRecords(b, 2021), spectrum.NR) {
-			if r.Band.Name == "N1" {
-				n1 = r.Mean
-			}
-		}
-	}
-	b.ReportMetric(n1, "N1_Mbps(paper103)")
-}
-
-// BenchmarkFig09NRBandLoad regenerates Figure 9.
-func BenchmarkFig09NRBandLoad(b *testing.B) {
-	var n78Share float64
-	for i := 0; i < b.N; i++ {
-		rows := analysis.ByBand(genRecords(b, 2021), spectrum.NR)
-		var total, n78 int
-		for _, r := range rows {
-			total += r.Count
-			if r.Band.Name == "N78" {
-				n78 = r.Count
-			}
-		}
-		n78Share = float64(n78) / float64(total)
-	}
-	b.ReportMetric(n78Share*100, "N78_pct(paper~62)")
-}
-
-// BenchmarkFig10Diurnal regenerates Figure 10.
-func BenchmarkFig10Diurnal(b *testing.B) {
-	var night float64
-	for i := 0; i < b.N; i++ {
-		rows := analysis.Diurnal(genRecords(b, 2021), dataset.Tech5G)
-		night = (rows[21].Mean + rows[22].Mean) / 2
-	}
-	b.ReportMetric(night, "night_Mbps(paper276)")
-}
-
-// BenchmarkFig11RSSSNR regenerates Figure 11.
-func BenchmarkFig11RSSSNR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := analysis.ByRSSLevel(genRecords(b, 2021), dataset.Tech5G)
-		for j := 1; j < len(rows); j++ {
-			if rows[j].MeanSNR <= rows[j-1].MeanSNR {
-				b.Fatal("SNR not monotone in RSS level")
-			}
-		}
-	}
-}
-
-// BenchmarkFig12RSSBandwidth regenerates Figure 12 (the level-5 drop).
-func BenchmarkFig12RSSBandwidth(b *testing.B) {
-	var level5 float64
-	for i := 0; i < b.N; i++ {
-		rows := analysis.ByRSSLevel(genRecords(b, 2021), dataset.Tech5G)
-		if rows[4].MeanBW >= rows[3].MeanBW {
-			b.Fatal("level-5 bandwidth drop missing")
-		}
-		level5 = rows[4].MeanBW
-	}
-	b.ReportMetric(level5, "level5_Mbps(below_level4)")
-}
-
-// BenchmarkFig13WiFiCDF regenerates Figure 13.
-func BenchmarkFig13WiFiCDF(b *testing.B) {
-	var w6 float64
-	for i := 0; i < b.N; i++ {
-		d := analysis.WiFiDistributions(genRecords(b, 2021), nil)
-		w6 = d.ByStandard[6].Mean
-	}
-	b.ReportMetric(w6, "WiFi6_Mbps(paper345)")
-}
-
-// BenchmarkFig14WiFi24GHz regenerates Figure 14.
-func BenchmarkFig14WiFi24GHz(b *testing.B) {
-	g := dataset.Band24GHz
-	var w4 float64
-	for i := 0; i < b.N; i++ {
-		d := analysis.WiFiDistributions(genRecords(b, 2021), &g)
-		w4 = d.ByStandard[4].Mean
-	}
-	b.ReportMetric(w4, "WiFi4_24G_Mbps(paper39)")
-}
-
-// BenchmarkFig15WiFi5GHz regenerates Figure 15 (WiFi4 ≈ WiFi5 on 5 GHz).
-func BenchmarkFig15WiFi5GHz(b *testing.B) {
-	g := dataset.Band5GHz
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		d := analysis.WiFiDistributions(genRecords(b, 2021), &g)
-		gap = d.ByStandard[5].Mean - d.ByStandard[4].Mean
-	}
-	b.ReportMetric(gap, "WiFi5-WiFi4_gap_Mbps(paper13)")
-}
-
-// BenchmarkFig16WiFi5PDF regenerates Figure 16 (multi-modal WiFi 5 fit).
-func BenchmarkFig16WiFi5PDF(b *testing.B) {
-	var modes float64
-	for i := 0; i < b.N; i++ {
-		res, err := analysis.BandwidthPDF(genRecords(b, 2021),
-			analysis.WiFiStandardFilter(5), 1000, 5, 2000, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		modes = float64(res.Modes)
-	}
-	b.ReportMetric(modes, "modes(multi-modal)")
-}
-
-// BenchmarkFig17SlowStart regenerates Figure 17 (TCP ramp times).
-func BenchmarkFig17SlowStart(b *testing.B) {
-	var bbrAt1G float64
-	for i := 0; i < b.N; i++ {
-		points := exper.SlowStartSweep([]float64{100, 500, 1000}, 1, 1)
-		for _, p := range points {
-			if p.Algorithm == "bbr" && p.BucketMbps == 1000 {
-				bbrAt1G = p.MeanRamp.Seconds()
-			}
-		}
-	}
-	b.ReportMetric(bbrAt1G, "bbr@1G_s(paper~4)")
-}
-
-// BenchmarkFig18LTEPDF regenerates Figure 18.
-func BenchmarkFig18LTEPDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := analysis.BandwidthPDF(genRecords(b, 2021),
-			analysis.TechFilter(dataset.Tech4G), 500, 5, 2000, 1)
-		if err != nil || res.Modes < 2 {
-			b.Fatalf("4G PDF: modes=%d err=%v", res.Modes, err)
-		}
-	}
-}
-
-// BenchmarkFig19NRPDF regenerates Figure 19.
-func BenchmarkFig19NRPDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := analysis.BandwidthPDF(genRecords(b, 2021),
-			analysis.TechFilter(dataset.Tech5G), 1000, 5, 2000, 1)
-		if err != nil || res.Modes < 2 {
-			b.Fatalf("5G PDF: modes=%d err=%v", res.Modes, err)
-		}
-	}
-}
-
-// benchPairs is the per-iteration campaign size for §5.3 benches.
-const benchPairs = 30
-
-// BenchmarkFig20SwiftestDuration regenerates Figure 20.
-func BenchmarkFig20SwiftestDuration(b *testing.B) {
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		pairs, err := exper.PairCampaign(context.Background(), dataset.Tech5G, benchPairs, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean = exper.SwiftestDurations(pairs).Mean.Seconds()
-	}
-	b.ReportMetric(mean, "mean_s(paper0.95)")
-}
-
-// BenchmarkFig21DataUsage regenerates Figure 21.
-func BenchmarkFig21DataUsage(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		pairs, err := exper.PairCampaign(context.Background(), dataset.Tech5G, benchPairs, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = exper.AverageDataUsage(pairs).Ratio
-	}
-	b.ReportMetric(ratio, "ratio(paper9.0)")
-}
-
-// BenchmarkFig22Deviation regenerates Figure 22.
-func BenchmarkFig22Deviation(b *testing.B) {
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		pairs, err := exper.PairCampaign(context.Background(), dataset.Tech5G, benchPairs, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean = exper.Deviations(pairs).Mean * 100
-	}
-	b.ReportMetric(mean, "mean_dev_pct(paper5.1)")
-}
-
-// benchGroups is the per-iteration three-way campaign size.
-const benchGroups = 12
-
-// BenchmarkFig23ThreeBTSTime regenerates Figure 23.
-func BenchmarkFig23ThreeBTSTime(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		groups, err := exper.ThreeWayCampaign(context.Background(), dataset.Tech5G, benchGroups, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cmp := exper.CompareBTSes(groups)
-		speedup = float64(cmp.MeanTime["fast"]) / float64(cmp.MeanTime["swiftest"])
-	}
-	b.ReportMetric(speedup, "fast/swiftest(paper≤16.5)")
-}
-
-// BenchmarkFig24ThreeBTSData regenerates Figure 24.
-func BenchmarkFig24ThreeBTSData(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		groups, err := exper.ThreeWayCampaign(context.Background(), dataset.Tech5G, benchGroups, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cmp := exper.CompareBTSes(groups)
-		ratio = cmp.MeanDataMB["fast"] / cmp.MeanDataMB["swiftest"]
-	}
-	b.ReportMetric(ratio, "fast/swiftest(paper≤16.7)")
-}
-
-// BenchmarkFig25ThreeBTSAccuracy regenerates Figure 25.
-func BenchmarkFig25ThreeBTSAccuracy(b *testing.B) {
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		groups, err := exper.ThreeWayCampaign(context.Background(), dataset.Tech5G, benchGroups, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cmp := exper.CompareBTSes(groups)
-		if cmp.MeanAccuracy["swiftest"] <= cmp.MeanAccuracy["fastbts"] {
-			b.Fatal("Swiftest not more accurate than FastBTS")
-		}
-		acc = cmp.MeanAccuracy["fastbts"]
-	}
-	b.ReportMetric(acc, "fastbts_acc(paper0.79)")
-}
-
-// BenchmarkFig26Utilization regenerates Figure 26.
-func BenchmarkFig26Utilization(b *testing.B) {
-	plan, err := deploy.PlanPurchase(deploy.SyntheticCatalogue(), 1860, 0.075,
-		deploy.PlanOptions{MinServers: 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	model, err := dataset.TechModel(dataset.Tech5G, 2021)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var p99 float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		utils, err := deploy.SimulateUtilization(plan, deploy.UtilizationOptions{
-			Days:          3,
-			TestsPerDay:   10000,
-			DrawBandwidth: func(rng *rand.Rand) float64 { return model.Sample(rng) },
-			Seed:          1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		p99 = stats.NewSample(utils).Quantile(0.99)
-	}
-	b.ReportMetric(p99, "P99_pct(paper45)")
-}
-
-// BenchmarkCostPlan regenerates the §5.3 cost comparison.
-func BenchmarkCostPlan(b *testing.B) {
-	cat := deploy.SyntheticCatalogue()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		plan, err := deploy.PlanPurchase(cat, 1860, 0.075, deploy.PlanOptions{MinServers: 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		legacy, err := deploy.LegacyBTSAppFleet(cat)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = legacy.MonthlyCost / plan.MonthlyCost
-	}
-	b.ReportMetric(ratio, "cost_ratio(paper15)")
-}
 
 // BenchmarkSimulateTest is one emulated test per iteration on the input mix
 // of the ledger's sim-static workload: static links drawn per technology
@@ -724,7 +331,7 @@ func BenchmarkGenThroughput(b *testing.B) {
 // BenchmarkAggPipeline measures the single-pass Study aggregation — every
 // figure's state in one traversal — serial and fanned out.
 func BenchmarkAggPipeline(b *testing.B) {
-	recs := genRecords(b, 2021)
+	recs := dataset.MustNewGenerator(dataset.Config{Year: 2021, Seed: 1}).Generate(benchRecords)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()

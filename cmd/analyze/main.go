@@ -22,7 +22,6 @@ import (
 
 	"github.com/mobilebandwidth/swiftest/internal/analysis"
 	"github.com/mobilebandwidth/swiftest/internal/dataset"
-	"github.com/mobilebandwidth/swiftest/internal/plot"
 	"github.com/mobilebandwidth/swiftest/internal/spectrum"
 )
 
@@ -61,26 +60,17 @@ func run(in, report string, seed int64, workers int, modelsOut string) error {
 
 	study := analysis.Fanout(records, workers, analysis.NewStudy)
 
-	all := report == "all"
-	if all || report == "tech" {
-		reportTech(study)
-	}
-	if all || report == "bands" {
-		reportBands(study)
-	}
-	if all || report == "diurnal" {
-		reportDiurnal(study)
-	}
-	if all || report == "rss" {
-		reportRSS(study)
-	}
-	if all || report == "wifi" {
-		reportWiFi(study)
-	}
-	if all || report == "models" {
-		if err := reportModels(records, seed, modelsOut); err != nil {
-			return err
+	reports := []struct {
+		name string
+		fn   func(*analysis.Study)
+	}{{"tech", reportTech}, {"bands", reportBands}, {"diurnal", reportDiurnal}, {"rss", reportRSS}, {"wifi", reportWiFi}}
+	for _, r := range reports {
+		if report == "all" || report == r.name {
+			r.fn(study)
 		}
+	}
+	if report == "all" || report == "models" {
+		return reportModels(records, seed, modelsOut)
 	}
 	return nil
 }
@@ -100,25 +90,20 @@ func reportTech(study *analysis.Study) {
 		}
 		fmt.Printf("%-5s median %6.1f  mean %6.1f  max %7.1f (Figures 4/7)\n",
 			tech, d.Median, d.Mean, d.Max)
-		fmt.Printf("%v bandwidth CDF (Mbps):\n%s", tech, plot.CDF(d.CDF, 56, 10))
+		fmt.Printf("%v bandwidth CDF (Mbps):\n%s", tech, cdfGrid(d.CDF, 56, 10))
 	}
 }
 
 func reportBands(study *analysis.Study) {
 	fmt.Println("\n# per-band statistics (Figures 5/6 and 8/9)")
 	for _, gen := range []spectrum.Generation{spectrum.LTE, spectrum.NR} {
-		rows := study.Band.Snapshot(gen)
-		chart := plot.BarChart{Unit: "Mbps", Width: 36}
-		for _, br := range rows {
-			if br.Count == 0 {
-				continue
+		var chart []barRow
+		for _, br := range study.Band.Snapshot(gen) {
+			if br.Count > 0 {
+				chart = append(chart, barRow{fmt.Sprintf("%v %-4s (%d tests)", gen, br.Band.Name, br.Count), br.Mean})
 			}
-			chart.Rows = append(chart.Rows, plot.BarRow{
-				Label: fmt.Sprintf("%v %-4s (%d tests)", gen, br.Band.Name, br.Count),
-				Value: br.Mean,
-			})
 		}
-		fmt.Print(chart.Render())
+		fmt.Print(barChart(chart, "Mbps", 36))
 	}
 	h, top, name := analysis.HBandShare(study.Band.Snapshot(spectrum.LTE))
 	fmt.Printf("LTE H-band share %.1f %%, busiest band %s (%.0f %%)\n", 100*h, name, 100*top)
@@ -135,8 +120,8 @@ func reportDiurnal(study *analysis.Study) {
 		loads = append(loads, float64(row.Tests))
 		means = append(means, row.Mean)
 	}
-	fmt.Printf("load by hour      %s\n", plot.Sparkline(loads))
-	fmt.Printf("bandwidth by hour %s\n", plot.Sparkline(means))
+	fmt.Printf("load by hour      %s\n", sparkline(loads))
+	fmt.Printf("bandwidth by hour %s\n", sparkline(means))
 }
 
 func reportRSS(study *analysis.Study) {

@@ -16,7 +16,7 @@ import (
 // when those seeds named math/rand streams; today the command yields a
 // sibling (same row count, weights shifted by the different noise). The
 // tolerance/threshold pair was chosen
-// from the paired front (btsbench -only earlystop): at threshold 0.80 this
+// from the paired front (internal/exper/testdata/earlystop_front.json): at 0.80 this
 // model matches or beats the crossing policy's mean accuracy on every eval
 // seed tried while cutting mean duration and bytes on wire by ~60%.
 //

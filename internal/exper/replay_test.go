@@ -160,10 +160,11 @@ func TestEvaluateRejectsBadThreshold(t *testing.T) {
 	}
 }
 
-// TestEvaluateMatchesCommittedFront re-runs the configuration `btsbench -only
-// earlystop` evaluates at its default seed and requires the report to marshal
-// to testdata/earlystop_front.json: the paired front is bit-identical to the
-// committed one.
+// TestEvaluateMatchesCommittedFront re-runs the full paired front (every
+// profile and fault plan, three runs per cell, seed 1, four extra thresholds)
+// and requires the report to marshal to testdata/earlystop_front.json: the
+// front, model firings included, is bit-identical to the committed one. A
+// failure prints the regenerated JSON.
 func TestEvaluateMatchesCommittedFront(t *testing.T) {
 	raw, err := os.ReadFile("testdata/earlystop_front.json")
 	if err != nil {

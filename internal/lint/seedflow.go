@@ -33,7 +33,7 @@ var Seedflow = &Analyzer{
 	Doc: "flags global math/rand source calls, time-derived seeds and " +
 		"hard-coded rand.NewSource/NewPCG/NewChaCha8 seeds in the " +
 		"deterministic packages (dataset, faults, fleet, loadgen, linksim, " +
-		"deploy, core, ranprofile, earlystop, exper)",
+		"deploy, core, ranprofile, earlystop, exper, claims)",
 	Run: runSeedflow,
 }
 
@@ -53,6 +53,7 @@ var seedflowPackageSuffixes = []string{
 	"internal/ranprofile",
 	"internal/earlystop",
 	"internal/exper",
+	"internal/claims",
 }
 
 // globalRandFuncs are the package-level math/rand and math/rand/v2

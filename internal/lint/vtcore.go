@@ -37,6 +37,7 @@ var vtCorePackageSuffixes = []string{
 	"internal/ranprofile",
 	"internal/earlystop",
 	"internal/exper",
+	"internal/claims",
 }
 
 func runVTCore(pass *Pass) error {

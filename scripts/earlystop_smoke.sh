@@ -10,9 +10,10 @@
 #     across reruns — the policy does not leak nondeterminism into the core.
 #  3. The same flag drives the live loopback substrate end to end, with both
 #     the embedded default model and a freshly trained artifact.
-#  4. The paired front (`btsbench -only earlystop -quick`: crossing vs the
-#     learned policy on identical seeded links) is byte-identical across
-#     reruns, and the model fires on it.
+#
+# The paired front (crossing vs the learned policy on identical seeded links)
+# is pinned bit for bit, model firings included, by internal/exper's
+# TestEvaluateMatchesCommittedFront against testdata/earlystop_front.json.
 set -euo pipefail
 
 WORK="$(mktemp -d)"
@@ -105,20 +106,4 @@ grep -q 'bandwidth' "$WORK/live_default.txt" || {
 }
 echo "earlystop live gate passed: both models served a loopback test"
 
-# --- Leg 4: paired front -------------------------------------------------------
-# The only wall-clock figure in the output is the closing "completed in" line.
-go build -o "$WORK/btsbench" ./cmd/btsbench
-"$WORK/btsbench" -only earlystop -quick | grep -v '^all experiments completed in' > "$WORK/front_a.txt"
-"$WORK/btsbench" -only earlystop -quick | grep -v '^all experiments completed in' > "$WORK/front_b.txt"
-cmp "$WORK/front_a.txt" "$WORK/front_b.txt" || {
-  echo "the paired earlystop front differs across reruns" >&2
-  exit 1
-}
-grep -q '^earlystop @ .* [1-9][0-9]*/[0-9]* early stops' "$WORK/front_a.txt" || {
-  echo "the paired front shows no model-fired early stop:" >&2
-  cat "$WORK/front_a.txt" >&2
-  exit 1
-}
-echo "earlystop front gate passed: byte-identical paired front"
-
-echo "earlystop smoke passed: deterministic training, deterministic emulated early stop, live substrate on both models, deterministic paired front"
+echo "earlystop smoke passed: deterministic training, deterministic emulated early stop, live substrate on both models"
