@@ -1,7 +1,7 @@
 // Benchmark harness: the per-test cost of an emulated Swiftest test,
 // ablation benches for the design choices DESIGN.md calls out, and the
 // generate→aggregate engine. The paper's claims are checked by
-// internal/claims (TestPaperClaims, cmd/btsbench), not here.
+// internal/claims (TestPaperClaims, `swiftest claims`), not here.
 package swiftest_test
 
 import (

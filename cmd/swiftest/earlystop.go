@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	swiftest "github.com/mobilebandwidth/swiftest"
+	"github.com/mobilebandwidth/swiftest/internal/earlystop"
+	"github.com/mobilebandwidth/swiftest/internal/exper"
 )
 
 // parseTerminate maps the -terminate/-terminate-model flag pair to a
@@ -69,7 +72,7 @@ func earlystopTrain(args []string) error {
 		return err
 	}
 
-	rcfg := swiftest.EarlyStopReplayConfig{
+	rcfg := exper.ReplayConfig{
 		Runs:       *runs,
 		Seed:       *seed,
 		MinSamples: *minSamples,
@@ -79,7 +82,7 @@ func earlystopTrain(args []string) error {
 	if *profilesFlag != "all" && *profilesFlag != "" {
 		rcfg.Profiles = strings.Split(*profilesFlag, ",")
 	}
-	topts := swiftest.EarlyStopTrainOptions{Iterations: *iters, Threshold: *threshold}
+	topts := earlystop.TrainOptions{Iterations: *iters, Threshold: *threshold}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -87,7 +90,7 @@ func earlystopTrain(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	model, rows, err := swiftest.TrainEarlyStopModel(ctx, rcfg, topts)
+	model, rows, err := exper.TrainFromReplay(ctx, rcfg, topts)
 	if err != nil {
 		return err
 	}
@@ -124,22 +127,19 @@ func earlystopTrain(args []string) error {
 }
 
 // writeRows dumps labeled training rows as JSONL, one row per line.
-func writeRows(path string, rows []swiftest.EarlyStopRow) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("creating rows file: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for _, r := range rows {
-		if err := enc.Encode(r); err != nil {
-			f.Close()
-			return fmt.Errorf("writing rows: %w", err)
+func writeRows(path string, rows []earlystop.Row) error {
+	err := writeFile(path, func(f io.Writer) error {
+		w := bufio.NewWriter(f)
+		enc := json.NewEncoder(w)
+		for _, r := range rows {
+			if err := enc.Encode(r); err != nil {
+				return err
+			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
+		return w.Flush()
+	})
+	if err != nil {
 		return fmt.Errorf("writing rows: %w", err)
 	}
-	return f.Close()
+	return nil
 }

@@ -1,10 +1,11 @@
 package main
 
-// The fleet control-plane face of the CLI: `swiftest dispatch` serves the
-// HTTP control plane for a planned fleet, `swiftest serve -register` makes a
-// test server join it and heartbeat, `swiftest test -dispatch` asks it for a
-// ranked server pool, and `swiftest loadgen` rehearses the whole thing at
-// Figure-26 scale in virtual time.
+// The fleet face of the CLI: `swiftest plan` sizes and places a fleet and
+// writes its deployment artifact, `swiftest dispatch` serves the HTTP
+// control plane for it, `swiftest serve -register` makes a test server join
+// it and heartbeat, `swiftest test -dispatch` asks it for a ranked server
+// pool, and `swiftest loadgen` rehearses the whole thing at Figure-26 scale
+// in virtual time.
 
 import (
 	"context"
@@ -12,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -22,13 +24,94 @@ import (
 	"time"
 
 	swiftest "github.com/mobilebandwidth/swiftest"
+	"github.com/mobilebandwidth/swiftest/internal/deploy"
+	"github.com/mobilebandwidth/swiftest/internal/errdefs"
+	"github.com/mobilebandwidth/swiftest/internal/fleet"
+	"github.com/mobilebandwidth/swiftest/internal/loadgen"
 )
+
+// planCmd runs the §5.2 cost-effective deployment planner: it estimates the
+// egress a test workload needs, solves the integer-linear purchase problem
+// with branch-and-bound, and places the purchased servers across the eight
+// core-IXP domains. -json writes the artifact dispatch and loadgen read.
+func planCmd(args []string) error {
+	fs := flag.NewFlagSet("plan", flag.ExitOnError)
+	testsPerDay := fs.Float64("tests-per-day", 10000, "expected daily bandwidth tests")
+	avgDur := fs.Duration("avg-duration", 1200*time.Millisecond, "average test duration")
+	avgBW := fs.Float64("avg-bandwidth", 300, "average client access bandwidth (Mbps)")
+	peak := fs.Float64("peak", 3, "peak-to-mean concurrency factor")
+	margin := fs.Float64("margin", 0.075, "burst headroom over the estimate (0.05–0.10)")
+	minServers := fs.Int("min-servers", 20, "geographic-coverage minimum server count")
+	jsonPath := fs.String("json", "", "write the plan as a deployment artifact to this file")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	w := deploy.Workload{
+		TestsPerDay:     *testsPerDay,
+		AvgTestDuration: *avgDur,
+		AvgBandwidth:    *avgBW,
+		PeakFactor:      *peak,
+	}
+	required := w.RequiredMbps()
+	fmt.Printf("workload: %.0f tests/day × %v × %.0f Mbps, peak ×%.1f\n",
+		*testsPerDay, *avgDur, *avgBW, *peak)
+	fmt.Printf("estimated egress requirement: %.0f Mbps (+%.1f %% margin → %.0f Mbps)\n",
+		required, *margin*100, required*(1+*margin))
+
+	catalogue := deploy.SyntheticCatalogue()
+	plan, err := deploy.PlanPurchase(catalogue, required, *margin, deploy.PlanOptions{MinServers: *minServers})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\npurchase plan ($%.2f/month, %.0f Mbps total, %d branch-and-bound nodes):\n",
+		plan.MonthlyCost, plan.TotalMbps, plan.NodesExplored)
+	for _, pu := range plan.Purchases {
+		fmt.Printf("  %3d × %-14s %6.0f Mbps  $%8.2f/mo each\n",
+			pu.Count, pu.Config.Name, pu.Config.BandwidthMbps, pu.Config.PricePerMonth)
+	}
+
+	placements, err := deploy.PlaceServers(plan, nil)
+	if err != nil {
+		return err
+	}
+	fmt.Println("\nplacement (one entry per core IXP domain, §5.2):")
+	for _, p := range placements {
+		fmt.Printf("  %-10s %2d servers, %6.0f Mbps\n", p.Domain, len(p.Servers), p.Mbps)
+	}
+
+	legacy, err := deploy.LegacyBTSAppFleet(catalogue)
+	if err == nil {
+		fmt.Printf("\nvs BTS-APP's allocation (50 × 1 Gbps): $%.2f/mo — %.1f× more expensive\n",
+			legacy.MonthlyCost, legacy.MonthlyCost/plan.MonthlyCost)
+	}
+
+	if *jsonPath != "" {
+		if err := writeArtifact(*jsonPath, w, plan, placements); err != nil {
+			return err
+		}
+		fmt.Printf("\ndeployment artifact written to %s\n", *jsonPath)
+	}
+	return nil
+}
+
+// writeArtifact saves the plan in the schema `swiftest dispatch` loads.
+func writeArtifact(path string, w deploy.Workload, plan deploy.Plan, placements []deploy.Placement) error {
+	art := deploy.NewArtifact(w, plan, placements)
+	if err := art.Validate(); err != nil {
+		return fmt.Errorf("artifact: %w", err)
+	}
+	if err := writeFile(path, art.Encode); err != nil {
+		return fmt.Errorf("writing artifact: %w", err)
+	}
+	return nil
+}
 
 // assignResponse is the /assign payload: the lease plus the ranked pool,
 // ready to feed a client's -servers list.
 type assignResponse struct {
-	LeaseServer int                  `json:"lease_server"`
-	LeaseSeq    uint64               `json:"lease_seq"`
+	LeaseServer int                   `json:"lease_server"`
+	LeaseSeq    uint64                `json:"lease_seq"`
 	Servers     []swiftest.ServerAddr `json:"servers"`
 	// Token is the hex session auth token minted for this lease; empty on
 	// open (unkeyed) fleets. Clients present it at v2 session setup.
@@ -41,10 +124,146 @@ type registerResponse struct {
 	HeartbeatMS int64 `json:"heartbeat_ms"`
 }
 
+// controlPlane is the HTTP face of a fleet.Dispatcher. The dispatcher's core
+// is caller-stamped; the control plane stamps every call with the wall time
+// elapsed since it was built.
+type controlPlane struct {
+	d     *fleet.Dispatcher
+	start time.Time
+	logf  func(format string, a ...any)
+}
+
+// newControlPlane builds the dispatcher for a deployment artifact. With a
+// token TTL, lease tokens expire counting from the instant elapsed time
+// counts from.
+func newControlPlane(art *deploy.Artifact, cfg fleet.Config, logf func(string, ...any)) (*controlPlane, error) {
+	start := time.Now() //lint:allow walltime the live control plane's time base, mirroring transport.Server
+	if cfg.TokenTTL > 0 {
+		cfg.TokenEpochMS = uint64(start.UnixMilli())
+	}
+	d, err := fleet.NewDispatcherFromArtifact(art, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &controlPlane{d: d, start: start, logf: logf}, nil
+}
+
+func (c *controlPlane) elapsed() time.Duration {
+	return time.Since(c.start) //lint:allow walltime the live control plane's time base, mirroring transport.Server
+}
+
+// nonNegative reads a finite, non-negative number from query parameter name;
+// an absent parameter reads as zero. A NaN claim would poison a server's
+// load for good, because every later release subtracts from NaN.
+func nonNegative(q url.Values, name string) (float64, error) {
+	s := q.Get(name)
+	if s == "" {
+		return 0, nil
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return 0, fmt.Errorf("bad %s %q: want a finite, non-negative number", name, s)
+	}
+	return v, nil
+}
+
+// handler routes the control plane's HTTP API, with the fleet's metrics on
+// /metrics.
+func (c *controlPlane) handler(metrics *swiftest.MetricsRegistry) http.Handler {
+	reg := c.d.Registry()
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", metrics.Handler())
+	mux.HandleFunc("/register", func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		uplink, err := nonNegative(q, "uplink")
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		id, err := reg.Register(q.Get("addr"), q.Get("domain"), uplink, c.elapsed())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		c.logf("register server=%d addr=%s domain=%s uplink=%.0f", id, q.Get("addr"), q.Get("domain"), uplink)
+		writeJSON(w, registerResponse{ID: id, HeartbeatMS: reg.HeartbeatWindow().Milliseconds()})
+	})
+	mux.HandleFunc("/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		id, err := strconv.Atoi(r.URL.Query().Get("id"))
+		if err != nil {
+			http.Error(w, "bad id", http.StatusBadRequest)
+			return
+		}
+		if err := reg.Heartbeat(id, c.elapsed()); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	})
+	mux.HandleFunc("/assign", func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		key, _ := strconv.ParseUint(q.Get("key"), 10, 64)
+		claim, err := nonNegative(q, "claim")
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		// A client that has hung up is charged no token and no lease.
+		var a fleet.Assignment
+		if err = r.Context().Err(); err == nil {
+			a, err = c.d.Dispatch(fleet.ClientInfo{Key: key, Domain: q.Get("domain"), ClaimMbps: claim}, c.elapsed())
+		}
+		if err != nil {
+			var sat *errdefs.SaturatedError
+			if errors.As(err, &sat) {
+				w.Header().Set("Retry-After", strconv.Itoa(int(sat.RetryAfter.Seconds()+1)))
+				c.logf("reject client=%d retry-after=%v", key, sat.RetryAfter)
+			} else {
+				c.logf("reject client=%d err=%v", key, err)
+			}
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		out := assignResponse{LeaseServer: a.Lease.Server, LeaseSeq: a.Lease.Seq}
+		for _, s := range a.Servers {
+			out.Servers = append(out.Servers, swiftest.ServerAddr{Addr: s.Addr, UplinkMbps: s.UplinkMbps})
+		}
+		if !a.Token.IsZero() {
+			out.Token = a.Token.String()
+		}
+		c.logf("assign client=%d server=%d addr=%s pool=%d", key, a.Lease.Server, out.Servers[0].Addr, len(out.Servers))
+		writeJSON(w, out)
+	})
+	mux.HandleFunc("/release", func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		server, _ := strconv.Atoi(q.Get("server"))
+		seq, _ := strconv.ParseUint(q.Get("seq"), 10, 64)
+		reg.Release(fleet.LeaseID{Server: server, Seq: seq}, c.elapsed())
+		w.WriteHeader(http.StatusNoContent)
+	})
+	mux.HandleFunc("/drain", func(w http.ResponseWriter, r *http.Request) {
+		id, err := strconv.Atoi(r.URL.Query().Get("id"))
+		if err != nil {
+			http.Error(w, "bad id", http.StatusBadRequest)
+			return
+		}
+		if err := reg.Drain(id, c.elapsed()); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		c.logf("drain server=%d", id)
+		w.WriteHeader(http.StatusNoContent)
+	})
+	mux.HandleFunc("/servers", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, reg.Servers())
+	})
+	return mux
+}
+
 func dispatch(args []string) error {
 	fs := flag.NewFlagSet("dispatch", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7900", "HTTP listen address for the control plane")
-	planPath := fs.String("plan", "", "deployment-plan artifact from `deployplan -json` (required)")
+	planPath := fs.String("plan", "", "deployment-plan artifact from `swiftest plan -json` (required)")
 	perTest := fs.Float64("pertest", 5, "per-test bandwidth reservation (Mbps) for admission caps")
 	window := fs.Duration("window", 0, "heartbeat liveness window (0 selects the 500ms default)")
 	authKey := fs.Uint64("authkey", 0, "fleet auth key; non-zero mints a session token per lease (give servers the same -authkey)")
@@ -57,20 +276,9 @@ func dispatch(args []string) error {
 		return fmt.Errorf("-token-ttl needs -authkey: open fleets mint no tokens to expire")
 	}
 	if *planPath == "" {
-		return fmt.Errorf("no deployment plan given (use -plan artifact.json; see deployplan -json)")
+		return fmt.Errorf("no deployment plan given (use -plan artifact.json; see swiftest plan -json)")
 	}
-	art, err := swiftest.LoadDeployArtifact(*planPath)
-	if err != nil {
-		return err
-	}
-	metrics := swiftest.NewMetricsRegistry()
-	d, err := swiftest.NewFleetDispatcherFromArtifact(art, swiftest.FleetConfig{
-		PerTestMbps:     *perTest,
-		HeartbeatWindow: *window,
-		AuthKey:         *authKey,
-		TokenTTL:        *tokenTTL,
-		Metrics:         metrics,
-	})
+	art, err := deploy.LoadArtifact(*planPath)
 	if err != nil {
 		return err
 	}
@@ -79,96 +287,32 @@ func dispatch(args []string) error {
 			fmt.Printf(format+"\n", a...)
 		}
 	}
-
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", metrics.Handler())
-	mux.HandleFunc("/register", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		uplink, _ := strconv.ParseFloat(q.Get("uplink"), 64)
-		id, err := d.Register(q.Get("addr"), q.Get("domain"), uplink)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		logf("register server=%d addr=%s domain=%s uplink=%.0f", id, q.Get("addr"), q.Get("domain"), uplink)
-		writeJSON(w, registerResponse{ID: id, HeartbeatMS: heartbeatWindowMS(*window)})
-	})
-	mux.HandleFunc("/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.Atoi(r.URL.Query().Get("id"))
-		if err != nil {
-			http.Error(w, "bad id", http.StatusBadRequest)
-			return
-		}
-		if err := d.Heartbeat(id); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("/assign", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		key, _ := strconv.ParseUint(q.Get("key"), 10, 64)
-		claim, _ := strconv.ParseFloat(q.Get("claim"), 64)
-		a, pool, err := d.DispatchContext(r.Context(), swiftest.FleetClient{
-			Key: key, Domain: q.Get("domain"), ClaimMbps: claim,
-		})
-		if err != nil {
-			var sat *swiftest.SaturatedError
-			if errors.As(err, &sat) {
-				w.Header().Set("Retry-After", strconv.Itoa(int(sat.RetryAfter.Seconds()+1)))
-				logf("reject client=%d retry-after=%v", key, sat.RetryAfter)
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-			logf("reject client=%d err=%v", key, err)
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		logf("assign client=%d server=%d addr=%s pool=%d", key, a.Lease.Server, pool[0].Addr, len(pool))
-		out := assignResponse{LeaseServer: a.Lease.Server, LeaseSeq: a.Lease.Seq, Servers: pool}
-		if !a.Token.IsZero() {
-			out.Token = a.Token.String()
-		}
-		writeJSON(w, out)
-	})
-	mux.HandleFunc("/release", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		server, _ := strconv.Atoi(q.Get("server"))
-		seq, _ := strconv.ParseUint(q.Get("seq"), 10, 64)
-		d.Release(swiftest.FleetLease{Server: server, Seq: seq})
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("/drain", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.Atoi(r.URL.Query().Get("id"))
-		if err != nil {
-			http.Error(w, "bad id", http.StatusBadRequest)
-			return
-		}
-		if err := d.Drain(id); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		logf("drain server=%d", id)
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("/servers", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, d.Servers())
-	})
+	metrics := swiftest.NewMetricsRegistry()
+	c, err := newControlPlane(art, fleet.Config{
+		PerTestMbps:     *perTest,
+		HeartbeatWindow: *window,
+		AuthKey:         *authKey,
+		TokenTTL:        *tokenTTL,
+		Metrics:         metrics,
+	}, logf)
+	if err != nil {
+		return err
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return fmt.Errorf("control-plane listener: %w", err)
 	}
 	defer ln.Close()
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: c.handler(metrics)}
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 	fmt.Printf("fleet dispatch on http://%s (plan: %d servers, %d-session capacity)\n",
-		ln.Addr(), art.Plan.Servers(), d.Capacity())
+		ln.Addr(), art.Plan.Servers(), c.d.Capacity())
 
 	// The clock loop: fold heartbeat windows twice per window and narrate
 	// state transitions (server_dead, drain completion) for the logs.
-	tick := time.NewTicker(heartbeatWindowDur(*window) / 2) //lint:allow walltime the live control plane advances on wall time, like transport
+	tick := time.NewTicker(c.d.Registry().HeartbeatWindow() / 2) //lint:allow walltime the live control plane advances on wall time, like transport
 	defer tick.Stop()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -176,8 +320,8 @@ func dispatch(args []string) error {
 	for {
 		select {
 		case <-tick.C:
-			d.Advance()
-			for _, s := range d.Servers() {
+			c.d.Registry().Advance(c.elapsed())
+			for _, s := range c.d.Registry().Servers() {
 				state := s.State.String()
 				if prev, ok := lastState[s.ID]; ok && prev != state {
 					switch state {
@@ -194,17 +338,6 @@ func dispatch(args []string) error {
 			return nil
 		}
 	}
-}
-
-func heartbeatWindowDur(w time.Duration) time.Duration {
-	if w <= 0 {
-		return 500 * time.Millisecond
-	}
-	return w
-}
-
-func heartbeatWindowMS(w time.Duration) int64 {
-	return heartbeatWindowDur(w).Milliseconds()
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -287,9 +420,9 @@ func fetchAssignment(ctx context.Context, dispatchURL string, key uint64, domain
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusServiceUnavailable {
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			return assignResponse{}, fmt.Errorf("%w: dispatcher says retry after %ss", swiftest.ErrFleetSaturated, ra)
+			return assignResponse{}, fmt.Errorf("%w: dispatcher says retry after %ss", errdefs.ErrFleetSaturated, ra)
 		}
-		return assignResponse{}, fmt.Errorf("%w: dispatcher has no capacity", swiftest.ErrFleetSaturated)
+		return assignResponse{}, fmt.Errorf("%w: dispatcher has no capacity", errdefs.ErrFleetSaturated)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return assignResponse{}, fmt.Errorf("dispatcher: HTTP %d", resp.StatusCode)
@@ -315,7 +448,7 @@ func releaseAssignment(dispatchURL string, a assignResponse) {
 
 func loadgenCmd(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
-	planPath := fs.String("plan", "", "deployment-plan artifact from `deployplan -json` (required)")
+	planPath := fs.String("plan", "", "deployment-plan artifact from `swiftest plan -json` (required)")
 	peak := fs.Int("peak", 1000, "target concurrent tests at the diurnal peak")
 	duration := fs.Duration("duration", 30*time.Second, "virtual horizon (one diurnal day is compressed into it)")
 	perTest := fs.Float64("pertest", 1, "per-test offered rate and admission sizing (Mbps)")
@@ -331,13 +464,13 @@ func loadgenCmd(args []string) error {
 		return err
 	}
 	if *planPath == "" {
-		return fmt.Errorf("no deployment plan given (use -plan artifact.json; see deployplan -json)")
+		return fmt.Errorf("no deployment plan given (use -plan artifact.json; see swiftest plan -json)")
 	}
-	art, err := swiftest.LoadDeployArtifact(*planPath)
+	art, err := deploy.LoadArtifact(*planPath)
 	if err != nil {
 		return err
 	}
-	cfg := swiftest.LoadgenConfig{
+	cfg := loadgen.Config{
 		Plan:           art.Plan,
 		Placements:     art.Placements,
 		PeakConcurrent: *peak,
@@ -360,7 +493,7 @@ func loadgenCmd(args []string) error {
 		}
 		cfg.Profile = p
 	}
-	rep, err := swiftest.GenerateLoad(context.Background(), cfg)
+	rep, err := loadgen.Run(context.Background(), cfg)
 	if err != nil {
 		return err
 	}

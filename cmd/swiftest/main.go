@@ -1,6 +1,7 @@
-// Command swiftest is the deployable CLI of the Swiftest bandwidth testing
+// Command swiftest is the one binary of the Swiftest bandwidth testing
 // service: run a test server, run a client bandwidth test against a server
-// pool, or ping servers for latency.
+// pool, plan and operate a fleet, and reproduce the paper's measurement study
+// and claims. Every operation is a verb; `swiftest help` lists them.
 //
 // Usage:
 //
@@ -8,98 +9,153 @@
 //	swiftest test   -servers host1:7007[@uplink],host2:7007[@uplink] [-tech 5G] [-max 5s] [-timeout 30s] [-json] [-trace run.jsonl]
 //	swiftest ping   -servers host1:7007,host2:7007 [-count 3]
 //
-// A planned fleet (see cmd/deployplan) comes alive with:
+// A planned fleet comes alive with:
 //
+//	swiftest plan     [-tests-per-day 10000] [-min-servers 20] -json plan.json
 //	swiftest dispatch -plan plan.json [-addr 127.0.0.1:7900] [-v]
 //	swiftest serve    -register http://127.0.0.1:7900 -domain Beijing
 //	swiftest test     -dispatch http://127.0.0.1:7900 [-domain Beijing]
 //	swiftest loadgen  -plan plan.json -peak 5000 [-duration 30s] [-json]
+//
+// The §3 measurement study and the paper's claims:
+//
+//	swiftest dataset -n 1000000 -seed 1 | swiftest analyze [-report tech|bands|diurnal|rss|wifi|models|all]
+//	swiftest claims  [-quick] [-seed 1] [-only fig4,sec5.3,fig20.ping]
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	swiftest "github.com/mobilebandwidth/swiftest"
+	"github.com/mobilebandwidth/swiftest/internal/exper"
+	"github.com/mobilebandwidth/swiftest/internal/floodhttp"
 )
+
+// verb is one swiftest subcommand: run receives the arguments after its name.
+type verb struct {
+	name, help string
+	run        func(args []string) error
+}
+
+// verbs drives both main's dispatch and usage.
+var verbs = []verb{
+	{"serve", "run a Swiftest UDP test server", serve},
+	{"test", "run a Swiftest client bandwidth test against a server pool", test},
+	{"ping", "measure latency to servers", ping},
+	{"simulate", "run a test on an emulated access link (no network needed)", simulate},
+	{"relay", "emulate an access link in front of a real test server", relay},
+	{"token", "mint a session auth token for a keyed deployment", tokenCmd},
+	{"plan", "plan a server purchase and its IXP placement for a test workload", planCmd},
+	{"dispatch", "run the fleet control plane for a deployment plan (HTTP)", dispatch},
+	{"loadgen", "rehearse a deployment plan under diurnal load in virtual time", loadgenCmd},
+	{"campaign", "sweep RAN profiles x algorithms x fault plans in virtual time", campaign},
+	{"profiles", "list the built-in RAN scenario profile library", profilesCmd},
+	{"earlystop", "train a learned early-termination model from replayed scenarios", earlystopCmd},
+	{"dataset", "generate a synthetic measurement dataset as JSONL", datasetCmd},
+	{"analyze", "compute the measurement-study findings from a JSONL dataset", analyze},
+	{"claims", "check the paper's claims and print paper vs measured", claimsCmd},
+	{"floodserve", "run a legacy probing-by-flooding HTTP server (the BTS-APP baseline)", floodServe},
+	{"floodtest", "run a legacy 10-second flooding test against HTTP servers", floodTest},
+}
+
+// usageError marks a request the verb cannot run as asked (an unknown name
+// among its options); main exits 2 for it, as for a bad flag, and 1 for
+// every other failure.
+type usageError struct{ error }
 
 func main() {
 	if len(os.Args) < 2 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
-	var err error
-	switch os.Args[1] {
-	case "serve":
-		err = serve(os.Args[2:])
-	case "test":
-		err = test(os.Args[2:])
-	case "ping":
-		err = ping(os.Args[2:])
-	case "simulate":
-		err = simulate(os.Args[2:])
-	case "relay":
-		err = relay(os.Args[2:])
-	case "floodserve":
-		err = floodServe(os.Args[2:])
-	case "floodtest":
-		err = floodTest(os.Args[2:])
-	case "dispatch":
-		err = dispatch(os.Args[2:])
-	case "loadgen":
-		err = loadgenCmd(os.Args[2:])
-	case "campaign":
-		err = campaign(os.Args[2:])
-	case "profiles":
-		err = profilesCmd(os.Args[2:])
-	case "token":
-		err = tokenCmd(os.Args[2:])
-	case "earlystop":
-		err = earlystopCmd(os.Args[2:])
-	case "-h", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "swiftest: unknown command %q\n", os.Args[1])
-		usage()
+	name := os.Args[1]
+	if name == "-h" || name == "--help" || name == "help" {
+		usage(os.Stderr)
+		return
+	}
+	i := slices.IndexFunc(verbs, func(v verb) bool { return v.name == name })
+	if i < 0 {
+		fmt.Fprintf(os.Stderr, "swiftest: unknown command %q\n", name)
+		usage(os.Stderr)
 		os.Exit(2)
 	}
-	if err != nil {
+	if err := verbs[i].run(os.Args[2:]); err != nil {
 		fmt.Fprintln(os.Stderr, "swiftest:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `swiftest — ultra-fast, ultra-light bandwidth testing (SIGCOMM '22)
+func usage(w io.Writer) {
+	fmt.Fprint(w, "swiftest — ultra-fast, ultra-light bandwidth testing (SIGCOMM '22)\n\ncommands:\n")
+	for _, v := range verbs {
+		fmt.Fprintf(w, "  %-11s %s\n", v.name, v.help)
+	}
+	fmt.Fprint(w, "\nrun \"swiftest <command> -h\" for command flags.\n")
+}
 
-commands:
-  serve       run a Swiftest UDP test server
-  test        run a Swiftest client bandwidth test against a server pool
-  ping        measure latency to servers
-  simulate    run a test on an emulated access link (no network needed)
-  relay       emulate an access link in front of a real test server
-  floodserve  run a legacy probing-by-flooding HTTP server (the BTS-APP baseline)
-  floodtest   run a legacy 10-second flooding test against HTTP servers
-  dispatch    run the fleet control plane for a deployment plan (HTTP)
-  loadgen     rehearse a deployment plan under diurnal load in virtual time
-  campaign    sweep RAN profiles x algorithms x fault plans in virtual time
-  profiles    list the built-in RAN scenario profile library
-  token       mint a session auth token for a keyed deployment
-  earlystop   train a learned early-termination model from replayed scenarios
+// writeFile creates path, hands it to write and closes it, returning the
+// first error of the three: a close that fails (a full disk) is not lost.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
-run "swiftest <command> -h" for command flags.
-`)
+// parseTech maps a -tech flag value to its access technology.
+func parseTech(s string) (swiftest.Tech, error) {
+	switch strings.ToUpper(s) {
+	case "4G", "LTE":
+		return swiftest.Tech4G, nil
+	case "5G", "NR":
+		return swiftest.Tech5G, nil
+	case "WIFI":
+		return swiftest.TechWiFi, nil
+	}
+	return 0, fmt.Errorf("unknown technology %q", s)
+}
+
+// loadModel reads the -model file when one is given, else returns the
+// default model of the -tech technology.
+func loadModel(path, tech string) (*swiftest.Model, error) {
+	if path != "" {
+		return swiftest.LoadModel(path)
+	}
+	t, err := parseTech(tech)
+	if err != nil {
+		return nil, err
+	}
+	return swiftest.DefaultModel(t)
+}
+
+// waitForSignal blocks until SIGINT or SIGTERM.
+func waitForSignal() {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	<-sig
 }
 
 func serve(args []string) error {
@@ -169,9 +225,7 @@ func serve(args []string) error {
 		defer stop()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	waitForSignal()
 	fmt.Printf("shutting down; %d bytes of probe traffic sent\n", srv.BytesSent())
 	return nil
 }
@@ -221,49 +275,27 @@ func test(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	terminate, err2 := parseTerminate(*terminateFlag, *terminateModel)
-	if err2 != nil {
-		return err2
+	terminate, err := parseTerminate(*terminateFlag, *terminateModel)
+	if err != nil {
+		return err
 	}
 	var token swiftest.AuthToken
 	if *tokenFlag != "" {
-		t, err := swiftest.ParseAuthToken(*tokenFlag)
-		if err != nil {
+		if token, err = swiftest.ParseAuthToken(*tokenFlag); err != nil {
 			return err
 		}
-		token = t
 	}
 
 	var pool []swiftest.ServerAddr
-	var err error
 	if *dispatchURL == "" {
 		pool, err = parseServers(*servers)
 		if err != nil {
 			return err
 		}
 	}
-	var model *swiftest.Model
-	if *modelPath != "" {
-		model, err = swiftest.LoadModel(*modelPath)
-		if err != nil {
-			return err
-		}
-	} else {
-		var t swiftest.Tech
-		switch strings.ToUpper(*tech) {
-		case "4G", "LTE":
-			t = swiftest.Tech4G
-		case "5G", "NR":
-			t = swiftest.Tech5G
-		case "WIFI":
-			t = swiftest.TechWiFi
-		default:
-			return fmt.Errorf("unknown technology %q", *tech)
-		}
-		model, err = swiftest.DefaultModel(t)
-		if err != nil {
-			return err
-		}
+	model, err := loadModel(*modelPath, *tech)
+	if err != nil {
+		return err
 	}
 
 	var trace *swiftest.Trace
@@ -303,11 +335,8 @@ func test(args []string) error {
 	if err != nil {
 		return err
 	}
-	if trace != nil {
-		if err := writeTrace(*tracePath, trace); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "run-record written to %s\n", *tracePath)
+	if err := writeTrace(*tracePath, trace); err != nil {
+		return err
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -332,17 +361,17 @@ func test(args []string) error {
 	return nil
 }
 
-// writeTrace dumps a test's run-record to path as JSONL.
+// writeTrace dumps a test's run-record to path as JSONL; a nil trace (no
+// -trace flag) writes nothing.
 func writeTrace(path string, tr *swiftest.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("creating run-record: %w", err)
+	if tr == nil {
+		return nil
 	}
-	if err := tr.WriteJSONL(f); err != nil {
-		f.Close()
+	if err := writeFile(path, tr.WriteJSONL); err != nil {
 		return fmt.Errorf("writing run-record: %w", err)
 	}
-	return f.Close()
+	fmt.Fprintf(os.Stderr, "run-record written to %s\n", path)
+	return nil
 }
 
 func ping(args []string) error {
@@ -409,21 +438,7 @@ func simulate(args []string) error {
 			*tech = p.Tech // default the model to the profile's technology
 		}
 	}
-	var model *swiftest.Model
-	if *modelPath != "" {
-		model, err = swiftest.LoadModel(*modelPath)
-	} else {
-		switch strings.ToUpper(*tech) {
-		case "4G", "LTE":
-			model, err = swiftest.DefaultModel(swiftest.Tech4G)
-		case "5G", "NR":
-			model, err = swiftest.DefaultModel(swiftest.Tech5G)
-		case "WIFI":
-			model, err = swiftest.DefaultModel(swiftest.TechWiFi)
-		default:
-			return fmt.Errorf("unknown technology %q", *tech)
-		}
-	}
+	model, err := loadModel(*modelPath, *tech)
 	if err != nil {
 		return err
 	}
@@ -458,11 +473,8 @@ func simulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	if trace != nil {
-		if err := writeTrace(*tracePath, trace); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "run-record written to %s\n", *tracePath)
+	if err := writeTrace(*tracePath, trace); err != nil {
+		return err
 	}
 	fmt.Printf("swiftest : %.1f Mbps in %v, %.1f MB, converged=%v (%d escalations)\n",
 		res.BandwidthMbps, res.Duration, res.DataMB, res.Converged, res.RateChanges)
@@ -519,9 +531,7 @@ func relay(args []string) error {
 		*rate, *delay, *loss*100, rl.Addr(), *target)
 	fmt.Println("point clients at the relay address instead of the server")
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	waitForSignal()
 	fmt.Printf("shutting down; delivered %d bytes, dropped %d datagrams\n",
 		rl.DeliveredBytes(), rl.DroppedPackets())
 	return nil
@@ -533,16 +543,14 @@ func floodServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	srv, err := swiftest.NewFloodServer(*addr)
+	srv, err := floodhttp.NewServer(*addr)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
 	fmt.Printf("flooding server listening on %s (GET /chunk, GET /ping)\n", srv.Addr())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	waitForSignal()
 	fmt.Printf("shutting down; %d payload bytes served\n", srv.BytesSent())
 	return nil
 }
@@ -557,7 +565,7 @@ func floodTest(args []string) error {
 	if *urls == "" {
 		return fmt.Errorf("no URLs given (use -urls http://host:port,...)")
 	}
-	rep, err := swiftest.RunFloodTest(swiftest.FloodConfig{
+	rep, err := floodhttp.RunTest(floodhttp.ClientConfig{
 		URLs:     strings.Split(*urls, ","),
 		Duration: *dur,
 	})
@@ -585,14 +593,14 @@ func campaign(args []string) error {
 	if err := validateWorkers(*workers); err != nil {
 		return err
 	}
-	cfg := swiftest.CampaignConfig{Runs: *runs, Seed: *seed, Workers: *workers}
+	cfg := exper.CampaignConfig{Runs: *runs, Seed: *seed, Workers: *workers}
 	if *profilesFlag != "all" && *profilesFlag != "" {
 		cfg.Profiles = strings.Split(*profilesFlag, ",")
 	}
 	if *algsFlag != "" {
 		cfg.Algorithms = strings.Split(*algsFlag, ",")
 	}
-	rep, err := swiftest.RunCampaign(context.Background(), cfg)
+	rep, err := exper.RunCampaign(context.Background(), cfg)
 	if err != nil {
 		return err
 	}
@@ -600,15 +608,7 @@ func campaign(args []string) error {
 		return rep.WriteJSON(os.Stdout)
 	}
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*jsonOut, rep.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "campaign report written to %s\n", *jsonOut)

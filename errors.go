@@ -20,20 +20,11 @@ var (
 	// ErrTestAborted reports a test cancelled by its context (cancellation
 	// or deadline) before completing.
 	ErrTestAborted = errdefs.ErrTestAborted
-	// ErrFleetSaturated reports that the dispatch control plane admitted no
-	// server: every live server is at its session cap or out of admission
-	// tokens. Match the wrapping *SaturatedError with errors.As for the
-	// retry-after hint.
-	ErrFleetSaturated = errdefs.ErrFleetSaturated
 	// ErrAuthRejected reports that a keyed server refused the session token
 	// (missing, forged, or minted under a different deployment key; see
 	// TestOptions.Token and ServerOptions.AuthKey).
 	ErrAuthRejected = errdefs.ErrAuthRejected
 )
-
-// SaturatedError is the structured form of ErrFleetSaturated: the dispatcher
-// rejected a test and suggests when admission capacity should be back.
-type SaturatedError = errdefs.SaturatedError
 
 // ServerError attributes a failure to one test server: which address, and
 // which protocol operation ("ping", "handshake", "dial", ...) was in

@@ -63,17 +63,3 @@ func ExampleRunBTSApp() {
 	fmt.Printf("system=%s duration=%v connections=%d\n", rep.System, rep.Duration, rep.Connections)
 	// Output: system=bts-app duration=10s connections=8
 }
-
-// ExamplePlanDeployment solves the §5.2 server purchase problem for the
-// paper's evaluation workload.
-func ExamplePlanDeployment() {
-	plan, err := swiftest.PlanDeployment(swiftest.ServerCatalogue(), 1860, 0.075,
-		swiftest.PlanOptions{MinServers: 20})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("%d servers, %.0f Mbps, $%.2f/month\n",
-		plan.Servers(), plan.TotalMbps, plan.MonthlyCost)
-	// Output: 20 servers, 2000 Mbps, $208.20/month
-}

@@ -7,7 +7,7 @@
 // bandwidth PDFs (Figures 16/18/19) including a refreshed mixture model fit.
 //
 // Each analysis is a pure function over records, so the same code serves the
-// synthetic dataset, a JSONL dump from cmd/datasetgen, or — in a real
+// synthetic dataset, a JSONL dump from `swiftest dataset`, or — in a real
 // deployment — production measurement records.
 package analysis
 

@@ -2,8 +2,8 @@
 // one row per claim: where the paper states it, the paper's value, how this
 // repository measures it over a shared seeded Corpus, the predicate that
 // decides whether the claim holds, and the footnote explaining any
-// departure. TestPaperClaims runs the table at Quick scale, cmd/btsbench
-// prints it at Full scale, and EXPERIMENTS.md carries that output verbatim.
+// departure. TestPaperClaims runs the table at Quick scale, `swiftest
+// claims` prints it at Full scale, and EXPERIMENTS.md carries that output verbatim.
 package claims
 
 import (

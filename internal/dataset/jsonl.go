@@ -55,7 +55,7 @@ func (jw *JSONLWriter) Flush() error {
 }
 
 // WriteJSONL writes records to w, one JSON object per line — the interchange
-// format between cmd/datasetgen and cmd/analyze.
+// format between `swiftest dataset` and `swiftest analyze`.
 func WriteJSONL(w io.Writer, records []Record) error {
 	jw := NewJSONLWriter(w)
 	for i := range records {

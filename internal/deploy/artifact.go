@@ -9,7 +9,7 @@ import (
 	"os"
 )
 
-// ArtifactSchema names the JSON layout emitted by cmd/deployplan -json and
+// ArtifactSchema names the JSON layout emitted by `swiftest plan -json` and
 // consumed by the fleet dispatcher (fleet.NewDispatcher) and the load
 // generator: the planner's output becomes the control plane's input.
 const ArtifactSchema = "swiftest-deploy-plan/v1"
@@ -76,7 +76,7 @@ func ParseArtifact(data []byte) (*Artifact, error) {
 	return &a, nil
 }
 
-// LoadArtifact reads an artifact file written by cmd/deployplan -json.
+// LoadArtifact reads an artifact file written by `swiftest plan -json`.
 func LoadArtifact(path string) (*Artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

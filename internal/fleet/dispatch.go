@@ -44,8 +44,8 @@ type Config struct {
 	// deterministic core never reads a clock.
 	TokenTTL time.Duration
 	// TokenEpochMS is the absolute unix-ms instant of elapsed time zero —
-	// the dispatcher's birth on the wall clock. The live wrapper
-	// (the root package's NewFleetDispatcher) stamps it automatically when
+	// the dispatcher's birth on the wall clock. The live control plane
+	// (the `swiftest dispatch` verb) stamps it automatically when
 	// TokenTTL is set; emulated fleets pin any fixed value. Token expiry
 	// deadlines are TokenEpochMS + at + TokenTTL, so mints stay a pure
 	// function of caller-stamped time.
@@ -136,7 +136,7 @@ var errNoLiveServers = fmt.Errorf("fleet: dispatch: %w: no live servers", errdef
 // derived from the plan's uplinks via deploy.Plan.ConcurrentCapacity
 // arithmetic. placements may be nil (servers stay unplaced); otherwise they
 // must cover exactly the plan's servers, e.g. from deploy.PlaceServers or a
-// deployplan -json artifact.
+// `swiftest plan -json` artifact.
 func NewDispatcher(plan deploy.Plan, placements []deploy.Placement, cfg Config) (*Dispatcher, error) {
 	if plan.Servers() == 0 {
 		return nil, fmt.Errorf("fleet: %w: plan purchases no servers", errdefs.ErrNoServers)
@@ -212,7 +212,7 @@ func NewDispatcher(plan deploy.Plan, placements []deploy.Placement, cfg Config) 
 	return d, nil
 }
 
-// NewDispatcherFromArtifact builds a dispatcher from a deployplan -json
+// NewDispatcherFromArtifact builds a dispatcher from a `swiftest plan -json`
 // artifact — the e2e path: planner output round-trips through JSON into the
 // live control plane.
 func NewDispatcherFromArtifact(a *deploy.Artifact, cfg Config) (*Dispatcher, error) {

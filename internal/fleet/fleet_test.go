@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -96,6 +97,28 @@ func TestRegisterClaimsPlannedSlotSameDomainFirst(t *testing.T) {
 	}
 	if n := len(r.Servers()); n != 4 {
 		t.Fatalf("registry has %d entries, want 4", n)
+	}
+}
+
+// TestRegisterRejectsNonFiniteUplink: a NaN or infinite uplink would size
+// the slot's admission from garbage, so Register refuses it like a
+// non-positive one and the planned slots stay unclaimed.
+func TestRegisterRejectsNonFiniteUplink(t *testing.T) {
+	plan, placements := threeTierPlan()
+	d, err := NewDispatcher(plan, placements, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := d.Registry()
+	for _, uplink := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -5} {
+		if id, err := r.Register("10.0.0.1:7777", deploy.IXPDomains[0], uplink, 0); err == nil {
+			t.Errorf("Register(uplink=%g) claimed slot %d, want an error", uplink, id)
+		}
+	}
+	for _, s := range r.Servers() {
+		if s.State != StatePlanned {
+			t.Errorf("server %d is %s after rejected registrations, want planned", s.ID, s.State)
+		}
 	}
 }
 

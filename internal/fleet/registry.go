@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -73,8 +74,8 @@ func (r *Registry) Register(addr, domain string, uplinkMbps float64, at time.Dur
 	if addr == "" {
 		return 0, fmt.Errorf("fleet: register: empty address")
 	}
-	if uplinkMbps <= 0 {
-		return 0, fmt.Errorf("fleet: register %s: uplink %g Mbps must be positive", addr, uplinkMbps)
+	if !(uplinkMbps > 0) || math.IsInf(uplinkMbps, 1) {
+		return 0, fmt.Errorf("fleet: register %s: uplink %g Mbps must be positive and finite", addr, uplinkMbps)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -12,7 +12,7 @@ import (
 )
 
 // plannerFleet solves a real §5.2 purchase plan sized for requiredMbps with
-// the geographic minimum-server constraint, like cmd/deployplan does.
+// the geographic minimum-server constraint, like `swiftest plan` does.
 func plannerFleet(t testing.TB, requiredMbps float64, minServers int) (deploy.Plan, []deploy.Placement) {
 	t.Helper()
 	plan, err := deploy.PlanPurchase(deploy.SyntheticCatalogue(), requiredMbps, 0.075, deploy.PlanOptions{MinServers: minServers})

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Fleet dispatch smoke: plan a small fleet with deployplan, boot the dispatch
+# Fleet dispatch smoke: plan a small fleet with `swiftest plan`, boot the dispatch
 # control plane from the JSON artifact, register three real loopback servers
 # against it, dispatch a client test through it, then black out one server via
 # its fault plan and assert the control plane detects the death (K silent
@@ -15,13 +15,12 @@ PIDS=()
 trap 'for p in "${PIDS[@]:-}"; do kill "$p" 2>/dev/null || true; done; rm -rf "$WORK"' EXIT
 
 go build -o "$WORK/swiftest" ./cmd/swiftest
-go build -o "$WORK/deployplan" ./cmd/deployplan
 
 # --- Plan: a 3-server fleet from the §5.2 planner ---------------------------
-"$WORK/deployplan" -tests-per-day 20000 -avg-bandwidth 100 -min-servers 3 \
+"$WORK/swiftest" plan -tests-per-day 20000 -avg-bandwidth 100 -min-servers 3 \
   -json "$WORK/plan.json" > "$WORK/plan.out"
 grep -q '"schema": "swiftest-deploy-plan/v1"' "$WORK/plan.json" || {
-  echo "deployplan artifact missing schema tag" >&2
+  echo "plan artifact missing schema tag" >&2
   cat "$WORK/plan.json" >&2
   exit 1
 }

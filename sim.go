@@ -36,9 +36,9 @@ type LinkConfig struct {
 	Seed int64
 	// Profile, when non-nil, drives the link through a RAN scenario's
 	// state machine seeded from Seed — every runner that accepts a
-	// LinkConfig (SimulateTestContext, RunBTSApp, RunFAST, RunFastBTS,
-	// RunTCPSwiftest) then sees the same replayable state chain, so
-	// baselines and Swiftest are comparable on identical dynamics.
+	// LinkConfig (SimulateTestContext, RunBTSApp, RunFAST, RunFastBTS) then
+	// sees the same replayable state chain, so baselines and Swiftest are
+	// comparable on identical dynamics.
 	// CapacityMbps and RTT are ignored while a profile drives the link.
 	// SimulateOptions.Profile, when also set, takes precedence.
 	Profile *Profile
@@ -237,17 +237,6 @@ func RunFastBTS(link LinkConfig) (BaselineReport, error) {
 		return BaselineReport{}, err
 	}
 	return fromBaseline("fastbts", (&baseline.FastBTS{}).Run(l)), nil
-}
-
-// RunTCPSwiftest runs the §7 TCP-compatible data-driven variant on an
-// emulated link: jump-started congestion window, mode escalation, and
-// loss-responsive multiplicative decrease that retains TCP fairness.
-func RunTCPSwiftest(link LinkConfig, model *Model) (BaselineReport, error) {
-	l, err := link.newLink(nil, nil, nil)
-	if err != nil {
-		return BaselineReport{}, err
-	}
-	return fromBaseline("swiftest-tcp", (&baseline.TCPSwiftest{Model: model}).Run(l)), nil
 }
 
 // LinkRelay is a running real-socket access-link emulator: a UDP relay that

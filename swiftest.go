@@ -1,11 +1,12 @@
-// Package swiftest is the public API of this repository: a production-style
-// implementation of the Swiftest ultra-fast, ultra-light bandwidth testing
-// service from "Mobile Access Bandwidth in Practice: Measurement, Analysis,
-// and Implications" (SIGCOMM 2022), together with the substrates the paper
-// builds on — the flooding baseline it replaces, the FAST/FastBTS
-// comparators, a virtual-time access-link emulator, the crowdsourced
-// measurement-study pipeline of §3, and the cost-effective server deployment
-// planner of §5.2.
+// Package swiftest is the public API of this repository's bandwidth test: a
+// production-style implementation of the Swiftest ultra-fast, ultra-light
+// bandwidth testing service from "Mobile Access Bandwidth in Practice:
+// Measurement, Analysis, and Implications" (SIGCOMM 2022) — the test server,
+// the client test, and the same engine on a virtual-time access-link
+// emulator beside the baselines it is compared with. The rest of the paper's
+// system (the §3 measurement study, the §5.2 deployment planner and fleet
+// control plane, scenario campaigns) is operated through the swiftest
+// command's verbs.
 //
 // # Running a real bandwidth test
 //
@@ -29,8 +30,8 @@
 //
 // The same engine runs on a virtual-time link emulator, which is how the
 // repository regenerates every figure of the paper quickly and
-// deterministically; see SimulateTestContext, the baselines (RunBTSApp, RunFAST,
-// RunFastBTS), and the measurement/deployment sub-APIs in this package.
+// deterministically; see SimulateTestContext and the baselines (RunBTSApp,
+// RunFAST, RunFastBTS).
 package swiftest
 
 import (

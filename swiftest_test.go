@@ -225,47 +225,6 @@ func TestTestValidation(t *testing.T) {
 	}
 }
 
-func TestMeasurementSubAPI(t *testing.T) {
-	gen, err := swiftest.NewDatasetGenerator(swiftest.DatasetConfig{Year: 2021, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := gen.Generate(50000)
-	avg := swiftest.AverageByTech(records)
-	if avg.Mean[swiftest.Tech4G] <= 0 || avg.Mean[swiftest.TechWiFi] <= 0 {
-		t.Error("averages missing")
-	}
-	if len(swiftest.LTEBands()) != 9 || len(swiftest.NRBands()) != 5 {
-		t.Error("band tables wrong")
-	}
-	d := swiftest.TechDistribution(records, swiftest.Tech4G)
-	if d.Count == 0 || d.Median <= 0 {
-		t.Error("distribution empty")
-	}
-}
-
-func TestDeploySubAPI(t *testing.T) {
-	plan, err := swiftest.PlanDeployment(swiftest.ServerCatalogue(), 1860, 0.075,
-		swiftest.PlanOptions{MinServers: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Servers() != 20 {
-		t.Errorf("servers = %d, want 20", plan.Servers())
-	}
-	placements, err := swiftest.PlaceAtIXPs(plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(placements) != len(swiftest.IXPDomains) {
-		t.Error("placement domains wrong")
-	}
-	w := swiftest.DeployWorkload{TestsPerDay: 10000, AvgTestDuration: 1200 * time.Millisecond, AvgBandwidth: 300}
-	if w.RequiredMbps() <= 0 {
-		t.Error("workload estimate not positive")
-	}
-}
-
 func TestSaveLoadModel(t *testing.T) {
 	model, err := swiftest.DefaultModel(swiftest.Tech4G)
 	if err != nil {

@@ -1,12 +1,10 @@
 package swiftest
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/earlystop"
-	"github.com/mobilebandwidth/swiftest/internal/exper"
 )
 
 // TerminationPolicy decides, after every 50 ms sample, whether a bandwidth
@@ -64,23 +62,4 @@ func ParseTerminationPolicy(name string) (TerminationPolicy, error) {
 	default:
 		return nil, fmt.Errorf("swiftest: unknown termination policy %q (known: crossing, fastbts, earlystop)", name)
 	}
-}
-
-// EarlyStopTrainOptions parameterise EarlyStop model fitting; see
-// earlystop.TrainOptions for the per-field defaults.
-type EarlyStopTrainOptions = earlystop.TrainOptions
-
-// EarlyStopReplayConfig parameterises the labeling replay behind
-// TrainEarlyStopModel: RAN profiles × fault plans × seeded runs, labeled
-// against flooding ground truth.
-type EarlyStopReplayConfig = exper.ReplayConfig
-
-// EarlyStopRow is one labeled training example emitted by the replay.
-type EarlyStopRow = earlystop.Row
-
-// TrainEarlyStopModel replays seeded campaign scenarios and fits an
-// earlystop model. Deterministic: the same configs produce a
-// byte-identical Encode artifact and identical rows.
-func TrainEarlyStopModel(ctx context.Context, rcfg EarlyStopReplayConfig, topts EarlyStopTrainOptions) (*EarlyStopModel, []EarlyStopRow, error) {
-	return exper.TrainFromReplay(ctx, rcfg, topts)
 }
