@@ -174,7 +174,7 @@ func BenchmarkAblationConvergence(b *testing.B) {
 		}{{0.01, &d1}, {0.03, &d3}, {0.10, &d10}} {
 			link := linksim.MustNew(linksim.Config{CapacityMbps: 300, RTT: 30 * time.Millisecond, Fluctuation: 0.015}, 5)
 			p := core.NewSimProbe(link)
-			r, err := core.RunContext(context.Background(), p, core.Config{Model: model, ConvergeThreshold: tc.thresh})
+			r, err := core.RunContext(context.Background(), p, core.Config{Model: model, Terminate: core.CrossingPolicy{Threshold: tc.thresh}})
 			p.Close()
 			if err != nil {
 				b.Fatal(err)
@@ -306,10 +306,11 @@ func BenchmarkAblationDSS(b *testing.B) {
 func BenchmarkGenThroughput(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		g := dataset.MustNewGenerator(dataset.Config{Year: 2021, Seed: 1})
+		recs := make([]dataset.Record, benchRecords)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if len(g.Generate(benchRecords)) != benchRecords {
-				b.Fatal("short generate")
+			for j := range recs {
+				recs[j] = g.Next()
 			}
 		}
 		b.ReportMetric(float64(benchRecords)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrec/s")
@@ -331,7 +332,11 @@ func BenchmarkGenThroughput(b *testing.B) {
 // BenchmarkAggPipeline measures the single-pass Study aggregation — every
 // figure's state in one traversal — serial and fanned out.
 func BenchmarkAggPipeline(b *testing.B) {
-	recs := dataset.MustNewGenerator(dataset.Config{Year: 2021, Seed: 1}).Generate(benchRecords)
+	g := dataset.MustNewGenerator(dataset.Config{Year: 2021, Seed: 1})
+	recs := make([]dataset.Record, benchRecords)
+	for i := range recs {
+		recs[i] = g.Next()
+	}
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()

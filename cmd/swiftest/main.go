@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -246,7 +247,7 @@ func parseServers(spec string) ([]swiftest.ServerAddr, error) {
 		if at := strings.LastIndex(part, "@"); at >= 0 {
 			addr = part[:at]
 			u, err := strconv.ParseFloat(part[at+1:], 64)
-			if err != nil || u <= 0 {
+			if err != nil || !(u > 0) || math.IsInf(u, 1) {
 				return nil, fmt.Errorf("bad uplink in %q", part)
 			}
 			uplink = u
@@ -269,7 +270,6 @@ func test(args []string) error {
 	asJSON := fs.Bool("json", false, "emit the result as JSON")
 	tracePath := fs.String("trace", "", "write a JSONL run-record of the test to this file")
 	tokenFlag := fs.String("token", "", "hex session auth token for a keyed deployment (minted by the dispatcher; implicit with -dispatch)")
-	regimeHint := fs.Bool("regime-hint", false, "feed the BDP-regime classifier back as a convergence hint")
 	terminateFlag := fs.String("terminate", "", "termination policy: crossing (default), fastbts, or earlystop")
 	terminateModel := fs.String("terminate-model", "", "earlystop model artifact to use with -terminate earlystop (empty selects the embedded default)")
 	if err := fs.Parse(args); err != nil {
@@ -330,7 +330,6 @@ func test(args []string) error {
 		Model:          model,
 		MaxDuration:    *maxDur,
 		Token:          token,
-		RegimeHint:     *regimeHint,
 	})
 	if err != nil {
 		return err

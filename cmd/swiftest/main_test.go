@@ -40,7 +40,7 @@ func TestParseServersIPv6(t *testing.T) {
 }
 
 func TestParseServersErrors(t *testing.T) {
-	for _, spec := range []string{"", "host:1@zero", "host:1@-5", "host:1@"} {
+	for _, spec := range []string{"", "host:1@zero", "host:1@-5", "host:1@", "host:1@0", "host:1@NaN", "host:1@Inf", "host:1@+Inf", "host:1@-Inf"} {
 		if _, err := parseServers(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}

@@ -1,0 +1,338 @@
+package main
+
+import (
+	"go/ast"
+	"go/types"
+	"sort"
+	"strings"
+	"testing"
+
+	"github.com/mobilebandwidth/swiftest/internal/lint"
+)
+
+const internalPath = "github.com/mobilebandwidth/swiftest/internal/"
+
+// deadExportKeep lists the exported declarations kept without a non-test
+// caller, each with the reason it stays. Keys are "pkg.Name" or
+// "pkg.Recv.Name" under internal/; a type's key covers its methods too.
+var deadExportKeep = map[string]string{
+	"exper.Evaluate": "acceptance harness of TestEvaluatePairedAcceptance and of the committed earlystop front",
+}
+
+// deadExportPending lists dead exported declarations whose only callers are
+// their own tests, which go when they go. Each entry names those tests; an
+// entry that gains a caller or is deleted must leave the list.
+var deadExportPending = map[string]string{
+	"stats.Summary":                  "TestSummaryBasics, TestSummaryEmpty, TestSummaryMatchesSample",
+	"stats.StreamingQuantile":        "the five TestStreamingQuantile* tests",
+	"stats.NewStreamingQuantile":     "the five TestStreamingQuantile* tests",
+	"stats.Histogram":                "TestHistogram, TestHistogramDensityIntegratesToOne, TestHistogramPanicsOnBadArgs",
+	"stats.NewHistogram":             "TestHistogram, TestHistogramDensityIntegratesToOne, TestHistogramPanicsOnBadArgs",
+	"stats.GroupBy":                  "TestGroupBy and seven calibration tests in dataset",
+	"stats.NewGroupBy":               "TestGroupBy and seven calibration tests in dataset",
+	"spectrum.PathLossDB":            "TestPathLossMonotone",
+	"spectrum.Defragment":            "TestDefragmentImproves",
+	"spectrum.LTEAdvancedPeak":       "TestLTEAdvancedPeak, TestCarrierAggregation",
+	"linksim.SleepingFactor":         "TestSleepingFactor, TestSleepingFactorNegativeOriginWrap; it builds linksim.Config.CapacityFactor, which goes with it and TestCapacityFactorApplies",
+	"obs.LinearBuckets":              "TestBucketHelpers",
+	"obs.ExpBuckets":                 "TestBucketHelpers",
+	"obs.Histogram.Merge":            "TestHistogramMergeShapeMismatch",
+	"obs.HistogramSnapshot.Merge":    "TestHistogramMergePartitionProperty",
+	"floodhttp.PingHTTP":             "TestPingHTTP",
+	"gmm.Model.CDF":                  "TestCDFProperties, TestCDFMonotoneProperty",
+	"core.ModelStore.LastFit":        "TestStoreInjectedClock; it is the only reader of RefreshConfig.Clock, which goes with it",
+	"analysis.SpatialAgg.ByCityTier": "TestByCityTier, TestMergeEqualsSinglePass",
+}
+
+var deadLists = []map[string]string{deadExportKeep, deadExportPending}
+
+// stdInterfaces are the standard-library interfaces a method may exist to
+// satisfy without the module naming them: fmt prints Stringers and errors,
+// errors.Is unwraps, and encoding/json and net/http call the rest.
+var stdInterfaces = []iface{
+	{{name: "Error", sig: "Error() string"}},
+	{{name: "String", sig: "String() string"}},
+	{{name: "Unwrap", sig: "Unwrap() error"}},
+	{{name: "MarshalJSON", sig: "MarshalJSON() ([]byte, error)"}},
+	{{name: "UnmarshalJSON", sig: "UnmarshalJSON([]byte) error"}},
+	{{name: "ServeHTTP", sig: "ServeHTTP(net/http.ResponseWriter, *net/http.Request)"}},
+}
+
+// An iface is an interface's method set.
+type iface []ifaceMethod
+
+// An ifaceMethod is one method of an interface. A generic interface's
+// methods mention its type parameters, so they match by name alone.
+type ifaceMethod struct {
+	name, sig string
+	generic   bool
+}
+
+// ifaceOf lists the methods of it, embedded ones included.
+func ifaceOf(it *types.Interface) iface {
+	var out iface
+	for i := 0; i < it.NumMethods(); i++ {
+		m := it.Method(i)
+		sig := m.Type().(*types.Signature)
+		out = append(out, ifaceMethod{m.Name(), sigString(m.Name(), sig), hasTypeParam(sig)})
+	}
+	return out
+}
+
+func hasTypeParam(t types.Type) bool {
+	switch t := t.(type) {
+	case *types.TypeParam:
+		return true
+	case *types.Pointer:
+		return hasTypeParam(t.Elem())
+	case *types.Slice:
+		return hasTypeParam(t.Elem())
+	case *types.Array:
+		return hasTypeParam(t.Elem())
+	case *types.Map:
+		return hasTypeParam(t.Key()) || hasTypeParam(t.Elem())
+	case *types.Chan:
+		return hasTypeParam(t.Elem())
+	case *types.Named:
+		for i := 0; i < t.TypeArgs().Len(); i++ {
+			if hasTypeParam(t.TypeArgs().At(i)) {
+				return true
+			}
+		}
+	case *types.Signature:
+		for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
+			for i := 0; i < tup.Len(); i++ {
+				if hasTypeParam(tup.At(i).Type()) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// declKey names a declaration across type-checks: each package is checked
+// from source once and seen through export data everywhere else, so the
+// two views share no types.Object and are matched by path, receiver and
+// name instead.
+type declKey struct{ pkg, recv, name string }
+
+func (k declKey) String() string {
+	if k.recv == "" {
+		return k.pkg + "." + k.name
+	}
+	return k.pkg + "." + k.recv + "." + k.name
+}
+
+// keyOf names a package-level type or function, or a method of a named
+// non-interface type; ok is false for anything else.
+func keyOf(obj types.Object) (k declKey, ok bool) {
+	if obj == nil || obj.Pkg() == nil {
+		return k, false
+	}
+	switch o := obj.(type) {
+	case *types.TypeName:
+		return declKey{pkg: o.Pkg().Path(), name: o.Name()}, o.Parent() == o.Pkg().Scope()
+	case *types.Func:
+		o = o.Origin()
+		recv := o.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return declKey{pkg: o.Pkg().Path(), name: o.Name()}, true
+		}
+		named := recvNamed(recv.Type())
+		if named == nil || types.IsInterface(named) {
+			return k, false
+		}
+		return declKey{pkg: o.Pkg().Path(), recv: named.Obj().Name(), name: o.Name()}, true
+	}
+	return k, false
+}
+
+func recvNamed(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+// sigString prints a method signature without parameter names and with
+// full package paths, so the same signature reads the same from source and
+// from export data, whatever its parameters are called.
+func sigString(name string, sig *types.Signature) string {
+	qual := func(p *types.Package) string { return p.Path() }
+	tuple := func(t *types.Tuple, variadic bool) string {
+		parts := make([]string, t.Len())
+		for i := range parts {
+			typ := t.At(i).Type()
+			if variadic && i == len(parts)-1 {
+				parts[i] = "..." + types.TypeString(typ.(*types.Slice).Elem(), qual)
+			} else {
+				parts[i] = types.TypeString(typ, qual)
+			}
+		}
+		return strings.Join(parts, ", ")
+	}
+	s := name + "(" + tuple(sig.Params(), sig.Variadic()) + ")"
+	switch res := tuple(sig.Results(), false); {
+	case sig.Results().Len() > 1:
+		s += " (" + res + ")"
+	case res != "":
+		s += " " + res
+	}
+	return s
+}
+
+// TestNoDeadExports keeps every exported function, method and type
+// declared under internal/ referenced from some other non-test declaration
+// in the module or in the benchmark module. A per-package swiftvet
+// analyzer cannot see uses in other packages, so this is a test over both
+// loaded modules. A method is exempt when its receiver implements an
+// interface that declares it — any interface written in the loaded code, or
+// one of stdInterfaces — since calls through the interface name the
+// interface method, not the concrete one.
+func TestNoDeadExports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the module and the benchmark with go list -export")
+	}
+	mod, err := lint.Load("../..", "./...")
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	bench, err := lint.Load("../../bench", "./...")
+	if err != nil {
+		t.Fatalf("loading benchmark: %v", err)
+	}
+	pkgs := append(mod, bench...)
+
+	ifaces := stdInterfaces
+	candidates := map[declKey]types.Object{}
+	positions := map[declKey]string{}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					ifaces = append(ifaces, ifaceOf(pkg.Info.Types[it].Type.(*types.Interface)))
+				}
+				return true
+			})
+		}
+		internal := strings.HasPrefix(pkg.PkgPath, internalPath)
+		for ident, obj := range pkg.Info.Defs {
+			if !internal || !ident.IsExported() {
+				continue
+			}
+			if k, ok := keyOf(obj); ok {
+				candidates[k] = obj
+				positions[k] = pkg.Fset.Position(ident.Pos()).String()
+			}
+		}
+	}
+
+	// References: every use inside a top-level declaration other than the
+	// used one itself. A type's own methods do not keep the type alive.
+	used := map[declKey]bool{}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				self := selfKeys(pkg, decl)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if k, ok := keyOf(pkg.Info.Uses[id]); ok && !self[k] {
+							used[k] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	// A dead declaration must be on a list under its own key or its
+	// receiver type's; every list entry must cover a dead declaration.
+	covered := map[string]bool{}
+	var dead []string
+	for k, obj := range candidates {
+		if used[k] || implementsIface(obj, ifaces) {
+			continue
+		}
+		listed := false
+		for _, key := range []declKey{k, {pkg: k.pkg, name: k.recv}} {
+			name := strings.TrimPrefix(key.String(), internalPath)
+			for _, list := range deadLists {
+				if _, ok := list[name]; ok {
+					listed, covered[name] = true, true
+				}
+			}
+		}
+		if !listed {
+			dead = append(dead, positions[k]+": "+k.String())
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("no non-test caller: %s", d)
+	}
+	for _, list := range deadLists {
+		for name := range list {
+			if !covered[name] {
+				t.Errorf("%s is listed as dead but has a caller or is gone; drop it from the list", name)
+			}
+		}
+	}
+}
+
+// selfKeys names what decl declares: a function, a method together with its
+// receiver type, or the types of a type declaration.
+func selfKeys(pkg *lint.Package, decl ast.Decl) map[declKey]bool {
+	self := map[declKey]bool{}
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if k, ok := keyOf(pkg.Info.Defs[d.Name]); ok {
+			self[k] = true
+			if k.recv != "" {
+				self[declKey{pkg: k.pkg, name: k.recv}] = true
+			}
+		}
+	case *ast.GenDecl:
+		for _, spec := range d.Specs {
+			if ts, ok := spec.(*ast.TypeSpec); ok {
+				if k, ok := keyOf(pkg.Info.Defs[ts.Name]); ok {
+					self[k] = true
+				}
+			}
+		}
+	}
+	return self
+}
+
+// implementsIface reports whether obj is a method that belongs to an
+// interface its receiver type implements, comparing method sets by
+// signature text.
+func implementsIface(obj types.Object, ifaces []iface) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Type().(*types.Signature).Recv() == nil {
+		return false
+	}
+	sig := sigString(fn.Name(), fn.Type().(*types.Signature))
+	named := recvNamed(fn.Type().(*types.Signature).Recv().Type())
+	have := map[string]string{} // method name → signature
+	mset := types.NewMethodSet(types.NewPointer(named))
+	for i := 0; i < mset.Len(); i++ {
+		m := mset.At(i).Obj()
+		have[m.Name()] = sigString(m.Name(), m.Type().(*types.Signature))
+	}
+	for _, it := range ifaces {
+		declares, all := false, true
+		for _, m := range it {
+			matches := func(s string) bool { return m.generic || s == m.sig }
+			got, ok := have[m.name]
+			declares = declares || (m.name == fn.Name() && matches(sig))
+			all = all && ok && matches(got)
+		}
+		if declares && all {
+			return true
+		}
+	}
+	return false
+}

@@ -56,7 +56,7 @@ func main() {
 	}
 	fmt.Printf("window holds  : %d recent results\n", store.Results())
 
-	// Periodic refresh (a deployment runs store.RunRefresher in a goroutine;
+	// Periodic refresh (a deployment calls store.Refresh on its cadence;
 	// here one explicit refit shows the effect).
 	refreshed, refitted, err := store.Refresh()
 	if err != nil {

@@ -1,7 +1,7 @@
-// Single-pass mergeable aggregators. Every figure-level function in this
-// package is a thin wrapper over one of the Aggregator implementations
-// below: dense-array accumulators indexed by small enums (technology, ISP,
-// hour, RSS level, band slot, city) instead of per-record map operations.
+// Single-pass mergeable aggregators. Every figure of this package is one of
+// the Aggregator implementations below: dense-array accumulators indexed by
+// small enums (technology, ISP, hour, RSS level, band slot, city) instead of
+// per-record map operations.
 // Aggregators merge, so Fanout can run one per shard of a record slice and
 // combine the partials — the parallel path of the generate→aggregate
 // engine.
@@ -520,6 +520,13 @@ func (a *WiFiAgg) PlanShareAtOrBelow(mbps float64, standard int) float64 {
 		return 0
 	}
 	return float64(below) / float64(n)
+}
+
+// SpatialRow is one city tier's statistics (§3.1 "Spatial Disparity").
+type SpatialRow struct {
+	Tier  dataset.CityTier
+	Mean  map[dataset.Tech]float64
+	Count map[dataset.Tech]int
 }
 
 // SpatialAgg accumulates the §3.1 spatial-disparity state: per-city-tier,

@@ -222,14 +222,14 @@ func aggRecords(t testing.TB, n int) []dataset.Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g.Generate(n)
+	return generate(g, n)
 }
 
 func TestAggMatchesLegacy(t *testing.T) {
 	recs := aggRecords(t, 200_000)
 
 	t.Run("AverageByTech", func(t *testing.T) {
-		got, want := AverageByTech(recs), legacyAverageByTech(recs)
+		got, want := single(recs, NewTechAgg()).Snapshot(), legacyAverageByTech(recs)
 		if len(got.Mean) != len(want.Mean) || len(got.Count) != len(want.Count) {
 			t.Fatalf("shape mismatch: got %v, want %v", got, want)
 		}
@@ -244,13 +244,13 @@ func TestAggMatchesLegacy(t *testing.T) {
 	})
 
 	t.Run("CellularAverage", func(t *testing.T) {
-		if got, want := CellularAverage(recs), legacyCellularAverage(recs); !closeEnough(got, want) {
+		if got, want := single(recs, NewTechAgg()).CellularMean(), legacyCellularAverage(recs); !closeEnough(got, want) {
 			t.Errorf("got %v, want %v", got, want)
 		}
 	})
 
 	t.Run("ByAndroidVersion", func(t *testing.T) {
-		got, want := ByAndroidVersion(recs), legacyByAndroidVersion(recs)
+		got, want := single(recs, NewVersionAgg()).Snapshot(), legacyByAndroidVersion(recs)
 		if len(got) != len(want) {
 			t.Fatalf("got %d rows, want %d", len(got), len(want))
 		}
@@ -268,7 +268,7 @@ func TestAggMatchesLegacy(t *testing.T) {
 	})
 
 	t.Run("ByISP", func(t *testing.T) {
-		got, want := ByISP(recs), legacyByISP(recs)
+		got, want := single(recs, NewISPAgg()).Snapshot(), legacyByISP(recs)
 		if len(got) != len(want) {
 			t.Fatalf("got %d rows, want %d", len(got), len(want))
 		}
@@ -287,7 +287,7 @@ func TestAggMatchesLegacy(t *testing.T) {
 
 	t.Run("ByBand", func(t *testing.T) {
 		for _, gen := range []spectrum.Generation{spectrum.LTE, spectrum.NR} {
-			got, want := ByBand(recs, gen), legacyByBand(recs, gen)
+			got, want := single(recs, NewBandAgg()).Snapshot(gen), legacyByBand(recs, gen)
 			if len(got) != len(want) {
 				t.Fatalf("%v: got %d rows, want %d", gen, len(got), len(want))
 			}
@@ -302,7 +302,7 @@ func TestAggMatchesLegacy(t *testing.T) {
 
 	t.Run("Diurnal", func(t *testing.T) {
 		for _, tech := range []dataset.Tech{dataset.Tech4G, dataset.Tech5G, dataset.TechWiFi} {
-			got, want := Diurnal(recs, tech), legacyDiurnal(recs, tech)
+			got, want := single(recs, NewDiurnalAgg()).Snapshot(tech), legacyDiurnal(recs, tech)
 			for h := range want {
 				if got[h] != want[h] {
 					t.Errorf("%v hour %d: got %+v, want %+v", tech, h, got[h], want[h])
@@ -313,7 +313,7 @@ func TestAggMatchesLegacy(t *testing.T) {
 
 	t.Run("ByRSSLevel", func(t *testing.T) {
 		for _, tech := range []dataset.Tech{dataset.Tech4G, dataset.Tech5G} {
-			got, want := ByRSSLevel(recs, tech), legacyByRSSLevel(recs, tech)
+			got, want := single(recs, NewRSSAgg()).Snapshot(tech), legacyByRSSLevel(recs, tech)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Errorf("%v level %d: got %+v, want %+v", tech, want[i].Level, got[i], want[i])
@@ -324,7 +324,7 @@ func TestAggMatchesLegacy(t *testing.T) {
 
 	t.Run("TechDistribution", func(t *testing.T) {
 		for _, tech := range []dataset.Tech{dataset.Tech4G, dataset.Tech5G} {
-			got := TechDistribution(recs, tech)
+			got := single(recs, NewDistAgg()).Snapshot(tech)
 			var xs []float64
 			for _, r := range recs {
 				if r.Tech == tech {
@@ -341,7 +341,7 @@ func TestAggMatchesLegacy(t *testing.T) {
 
 	t.Run("PlanShareAtOrBelow", func(t *testing.T) {
 		for _, std := range []int{0, 4, 5, 6} {
-			if got, want := PlanShareAtOrBelow(recs, 200, std), legacyPlanShareAtOrBelow(recs, 200, std); got != want {
+			if got, want := single(recs, NewWiFiAgg(nil)).PlanShareAtOrBelow(200, std), legacyPlanShareAtOrBelow(recs, 200, std); got != want {
 				t.Errorf("std=%d: got %v, want %v", std, got, want)
 			}
 		}
@@ -523,7 +523,7 @@ func BenchmarkAggAverageByTech(b *testing.B) {
 	b.Run("agg", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			AverageByTech(recs)
+			single(recs, NewTechAgg()).Snapshot()
 		}
 	})
 }
@@ -539,7 +539,7 @@ func BenchmarkAggByAndroidVersion(b *testing.B) {
 	b.Run("agg", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ByAndroidVersion(recs)
+			single(recs, NewVersionAgg()).Snapshot()
 		}
 	})
 }
@@ -555,7 +555,7 @@ func BenchmarkAggByISP(b *testing.B) {
 	b.Run("agg", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ByISP(recs)
+			single(recs, NewISPAgg()).Snapshot()
 		}
 	})
 }
@@ -571,7 +571,7 @@ func BenchmarkAggByBand(b *testing.B) {
 	b.Run("agg", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ByBand(recs, spectrum.LTE)
+			single(recs, NewBandAgg()).Snapshot(spectrum.LTE)
 		}
 	})
 }
@@ -587,7 +587,7 @@ func BenchmarkAggDiurnal(b *testing.B) {
 	b.Run("agg", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			Diurnal(recs, dataset.Tech4G)
+			single(recs, NewDiurnalAgg()).Snapshot(dataset.Tech4G)
 		}
 	})
 }

@@ -6,9 +6,10 @@
 // (Figures 11–12), the WiFi breakdowns (Figures 13–15), and the multi-modal
 // bandwidth PDFs (Figures 16/18/19) including a refreshed mixture model fit.
 //
-// Each analysis is a pure function over records, so the same code serves the
-// synthetic dataset, a JSONL dump from `swiftest dataset`, or — in a real
-// deployment — production measurement records.
+// Each figure is a mergeable single-pass aggregator over records
+// (aggregate.go), so the same code serves the synthetic dataset, a JSONL
+// dump from `swiftest dataset`, or — in a real deployment — production
+// measurement records.
 package analysis
 
 import (
@@ -28,25 +29,6 @@ type TechAverages struct {
 	Count map[dataset.Tech]int
 }
 
-// AverageByTech computes mean bandwidth per technology.
-func AverageByTech(records []dataset.Record) TechAverages {
-	a := NewTechAgg()
-	for _, r := range records {
-		a.Observe(r)
-	}
-	return a.Snapshot()
-}
-
-// CellularAverage reports the blended 2G–5G average of §3.1 (117 Mbps in
-// 2020 vs 135 Mbps in 2021).
-func CellularAverage(records []dataset.Record) float64 {
-	a := NewTechAgg()
-	for _, r := range records {
-		a.Observe(r)
-	}
-	return a.CellularMean()
-}
-
 // VersionRow is one Android version's averages (Figure 2).
 type VersionRow struct {
 	Version int
@@ -54,29 +36,11 @@ type VersionRow struct {
 	Count   map[dataset.Tech]int
 }
 
-// ByAndroidVersion computes per-version, per-technology averages (Figure 2).
-func ByAndroidVersion(records []dataset.Record) []VersionRow {
-	a := NewVersionAgg()
-	for _, r := range records {
-		a.Observe(r)
-	}
-	return a.Snapshot()
-}
-
 // ISPRow is one ISP's averages (Figure 3).
 type ISPRow struct {
 	ISP   spectrum.ISP
 	Mean  map[dataset.Tech]float64
 	Count map[dataset.Tech]int
-}
-
-// ByISP computes per-ISP, per-technology averages (Figure 3).
-func ByISP(records []dataset.Record) []ISPRow {
-	a := NewISPAgg()
-	for _, r := range records {
-		a.Observe(r)
-	}
-	return a.Snapshot()
 }
 
 // Distribution summarises one technology's bandwidth distribution
@@ -129,18 +93,6 @@ func distribute(values []float64) Distribution {
 	}
 }
 
-// TechDistribution computes the bandwidth distribution of one technology
-// (Figure 4 for 4G, Figure 7 for 5G).
-func TechDistribution(records []dataset.Record, tech dataset.Tech) Distribution {
-	a := NewDistAgg()
-	for _, r := range records {
-		if r.Tech == tech { // collect only the requested technology
-			a.Observe(r)
-		}
-	}
-	return a.Snapshot(tech)
-}
-
 // BandRow is one frequency band's statistics (Figures 5/6 for LTE, 8/9 for
 // NR).
 type BandRow struct {
@@ -149,16 +101,6 @@ type BandRow struct {
 	Mean   float64
 	HBand  bool // LTE H-Band (≥20 MHz max channel)
 	Biased bool // too few tests for a meaningful mean (§3.2's B28 caveat)
-}
-
-// ByBand computes per-band counts and means for one cellular generation,
-// ordered by downlink spectrum as in the paper's figures.
-func ByBand(records []dataset.Record, gen spectrum.Generation) []BandRow {
-	a := NewBandAgg()
-	for _, r := range records {
-		a.Observe(r)
-	}
-	return a.Snapshot(gen)
 }
 
 // HBandShare reports the fraction of 4G tests carried by H-Bands (§3.2:
@@ -188,35 +130,12 @@ type DiurnalRow struct {
 	Mean  float64
 }
 
-// Diurnal computes per-hour test counts and mean bandwidth for a technology.
-func Diurnal(records []dataset.Record, tech dataset.Tech) []DiurnalRow {
-	a := NewDiurnalAgg()
-	for _, r := range records {
-		if r.Tech == tech { // the other technologies' cells go unread
-			a.Observe(r)
-		}
-	}
-	return a.Snapshot(tech)
-}
-
 // RSSRow is one RSS level's statistics (Figures 11 and 12).
 type RSSRow struct {
 	Level   int
 	Count   int
 	MeanSNR float64
 	MeanBW  float64
-}
-
-// ByRSSLevel computes per-RSS-level SNR and bandwidth averages for a
-// technology.
-func ByRSSLevel(records []dataset.Record, tech dataset.Tech) []RSSRow {
-	a := NewRSSAgg()
-	for _, r := range records {
-		if r.Tech == tech { // the other technologies' cells go unread
-			a.Observe(r)
-		}
-	}
-	return a.Snapshot(tech)
 }
 
 // WiFiBreakdown holds per-standard distributions, optionally filtered by
@@ -233,17 +152,6 @@ func WiFiDistributions(records []dataset.Record, radio *dataset.RadioBand) WiFiB
 		a.Observe(r)
 	}
 	return a.Snapshot()
-}
-
-// PlanShareAtOrBelow reports the fraction of WiFi tests whose broadband plan
-// is ≤ mbps (§3.4: ~64 % of WiFi customers on ≤200 Mbps plans). filter
-// restricts by standard (0 = all).
-func PlanShareAtOrBelow(records []dataset.Record, mbps float64, standard int) float64 {
-	a := NewWiFiAgg(nil)
-	for _, r := range records {
-		a.Observe(r)
-	}
-	return a.PlanShareAtOrBelow(mbps, standard)
 }
 
 // PDFResult is an estimated bandwidth probability density with a fitted

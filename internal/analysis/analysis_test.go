@@ -19,18 +19,35 @@ var (
 func corpus(t *testing.T) ([]dataset.Record, []dataset.Record) {
 	t.Helper()
 	corpusOnce.Do(func() {
-		recs2021 = dataset.MustNewGenerator(dataset.Config{Year: 2021, Seed: 11}).Generate(1400000)
-		recs2020 = dataset.MustNewGenerator(dataset.Config{Year: 2020, Seed: 12}).Generate(400000)
+		recs2021 = generate(dataset.MustNewGenerator(dataset.Config{Year: 2021, Seed: 11}), 1400000)
+		recs2020 = generate(dataset.MustNewGenerator(dataset.Config{Year: 2020, Seed: 12}), 400000)
 	})
 	return recs2020, recs2021
+}
+
+// generate draws n records from g.
+func generate(g *dataset.Generator, n int) []dataset.Record {
+	out := make([]dataset.Record, n)
+	for i := range out {
+		out[i] = g.Next()
+	}
+	return out
+}
+
+// single runs one fresh aggregator over records in a single pass.
+func single[A Aggregator[A]](records []dataset.Record, agg A) A {
+	for _, r := range records {
+		agg.Observe(r)
+	}
+	return agg
 }
 
 // TestFig1 reproduces Figure 1: WiFi roughly flat year over year, 4G and 5G
 // both declining.
 func TestFig1(t *testing.T) {
 	r20, r21 := corpus(t)
-	a20 := AverageByTech(r20)
-	a21 := AverageByTech(r21)
+	a20 := single(r20, NewTechAgg()).Snapshot()
+	a21 := single(r21, NewTechAgg()).Snapshot()
 	if !(a21.Mean[dataset.Tech4G] < a20.Mean[dataset.Tech4G]*0.9) {
 		t.Errorf("4G did not decline: %.1f → %.1f", a20.Mean[dataset.Tech4G], a21.Mean[dataset.Tech4G])
 	}
@@ -42,9 +59,9 @@ func TestFig1(t *testing.T) {
 		t.Errorf("WiFi changed %.0f%%, want roughly unchanged", wifiChange*100)
 	}
 	// §3.1 consolation: the blended cellular average still rises.
-	if CellularAverage(r21) <= CellularAverage(r20) {
+	if single(r21, NewTechAgg()).CellularMean() <= single(r20, NewTechAgg()).CellularMean() {
 		t.Errorf("overall cellular average did not rise: %.1f → %.1f",
-			CellularAverage(r20), CellularAverage(r21))
+			single(r20, NewTechAgg()).CellularMean(), single(r21, NewTechAgg()).CellularMean())
 	}
 }
 
@@ -52,7 +69,7 @@ func TestFig1(t *testing.T) {
 // every technology.
 func TestFig2(t *testing.T) {
 	_, r21 := corpus(t)
-	rows := ByAndroidVersion(r21)
+	rows := single(r21, NewVersionAgg()).Snapshot()
 	if len(rows) < 6 {
 		t.Fatalf("only %d Android versions", len(rows))
 	}
@@ -74,7 +91,7 @@ func TestFig2(t *testing.T) {
 // TestFig3 reproduces Figure 3's ISP findings.
 func TestFig3(t *testing.T) {
 	_, r21 := corpus(t)
-	rows := ByISP(r21)
+	rows := single(r21, NewISPAgg()).Snapshot()
 	if len(rows) != 4 {
 		t.Fatalf("ISP rows = %d, want 4", len(rows))
 	}
@@ -101,7 +118,7 @@ func TestFig3(t *testing.T) {
 // TestFig4 reproduces Figure 4: the 4G distribution summary.
 func TestFig4(t *testing.T) {
 	_, r21 := corpus(t)
-	d := TechDistribution(r21, dataset.Tech4G)
+	d := single(r21, NewDistAgg()).Snapshot(dataset.Tech4G)
 	if d.Count < 10000 {
 		t.Fatalf("4G tests = %d, too few", d.Count)
 	}
@@ -131,7 +148,7 @@ func TestFig4(t *testing.T) {
 // TestFig5and6 reproduces the LTE band figures.
 func TestFig5and6(t *testing.T) {
 	_, r21 := corpus(t)
-	rows := ByBand(r21, spectrum.LTE)
+	rows := single(r21, NewBandAgg()).Snapshot(spectrum.LTE)
 	if len(rows) != 9 {
 		t.Fatalf("LTE band rows = %d, want 9", len(rows))
 	}
@@ -158,7 +175,7 @@ func TestFig5and6(t *testing.T) {
 // TestFig8and9 reproduces the 5G band figures.
 func TestFig8and9(t *testing.T) {
 	_, r21 := corpus(t)
-	rows := ByBand(r21, spectrum.NR)
+	rows := single(r21, NewBandAgg()).Snapshot(spectrum.NR)
 	byName := map[string]BandRow{}
 	var total int
 	for _, r := range rows {
@@ -180,7 +197,7 @@ func TestFig8and9(t *testing.T) {
 // TestFig10 reproduces the diurnal pattern.
 func TestFig10(t *testing.T) {
 	_, r21 := corpus(t)
-	rows := Diurnal(r21, dataset.Tech5G)
+	rows := single(r21, NewDiurnalAgg()).Snapshot(dataset.Tech5G)
 	if len(rows) != 24 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -205,7 +222,7 @@ func TestFig10(t *testing.T) {
 // TestFig11and12 reproduces the RSS correlations.
 func TestFig11and12(t *testing.T) {
 	_, r21 := corpus(t)
-	rows5 := ByRSSLevel(r21, dataset.Tech5G)
+	rows5 := single(r21, NewRSSAgg()).Snapshot(dataset.Tech5G)
 	for i := 1; i < 5; i++ {
 		if rows5[i].MeanSNR <= rows5[i-1].MeanSNR {
 			t.Error("SNR must rise with RSS level (Figure 11)")
@@ -219,7 +236,7 @@ func TestFig11and12(t *testing.T) {
 	if !(rows5[4].MeanBW < rows5[3].MeanBW && rows5[4].MeanBW < rows5[2].MeanBW) {
 		t.Error("5G level-5 bandwidth drop missing (Figure 12)")
 	}
-	rows4 := ByRSSLevel(r21, dataset.Tech4G)
+	rows4 := single(r21, NewRSSAgg()).Snapshot(dataset.Tech4G)
 	for i := 1; i < 5; i++ {
 		if rows4[i].MeanBW <= rows4[i-1].MeanBW {
 			t.Error("4G bandwidth must stay monotone in RSS (§3.3)")
@@ -254,11 +271,11 @@ func TestFig13to15(t *testing.T) {
 // TestPlanShares reproduces §3.4's broadband-plan findings.
 func TestPlanShares(t *testing.T) {
 	_, r21 := corpus(t)
-	all := PlanShareAtOrBelow(r21, 200, 0)
+	all := single(r21, NewWiFiAgg(nil)).PlanShareAtOrBelow(200, 0)
 	if all < 0.55 || all > 0.75 {
 		t.Errorf("≤200 Mbps plan share = %.2f, want ≈0.64", all)
 	}
-	w6 := PlanShareAtOrBelow(r21, 200, 6)
+	w6 := single(r21, NewWiFiAgg(nil)).PlanShareAtOrBelow(200, 6)
 	if w6 > all-0.1 {
 		t.Errorf("WiFi 6 ≤200 plan share (%.2f) should be well below overall (%.2f)", w6, all)
 	}
@@ -280,9 +297,9 @@ func TestFig16PDF(t *testing.T) {
 	}
 	// At least one fitted mode should sit near a plan cluster (~100×n).
 	foundCluster := false
-	for _, m := range res.Model.Modes() {
+	for _, c := range res.Model.Components() {
 		for _, plan := range []float64{50, 100, 200, 300, 500, 1000} {
-			if math.Abs(m.Rate-plan*0.94) < plan*0.25 {
+			if math.Abs(c.Mu-plan*0.94) < plan*0.25 {
 				foundCluster = true
 			}
 		}
@@ -313,16 +330,16 @@ func TestBandwidthPDFTooFew(t *testing.T) {
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if got := CellularAverage(nil); got != 0 {
-		t.Error("CellularAverage(nil) != 0")
+	if got := single(nil, NewTechAgg()).CellularMean(); got != 0 {
+		t.Error("single(nil, NewTechAgg()).CellularMean() != 0")
 	}
-	if d := TechDistribution(nil, dataset.Tech4G); d.Count != 0 || d.FractionBelow(10) != 0 || d.MeanAbove(5) != 0 {
+	if d := single(nil, NewDistAgg()).Snapshot(dataset.Tech4G); d.Count != 0 || d.FractionBelow(10) != 0 || d.MeanAbove(5) != 0 {
 		t.Error("empty distribution not zero")
 	}
 	if h, tp, name := HBandShare(nil); h != 0 || tp != 0 || name != "" {
 		t.Error("empty HBandShare not zero")
 	}
-	if got := PlanShareAtOrBelow(nil, 200, 0); got != 0 {
+	if got := single(nil, NewWiFiAgg(nil)).PlanShareAtOrBelow(200, 0); got != 0 {
 		t.Error("empty PlanShare not zero")
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 func TestByCityTier(t *testing.T) {
 	_, r21 := corpus(t)
-	rows := ByCityTier(r21)
+	rows := single(r21, NewSpatialAgg()).ByCityTier()
 	if len(rows) != 3 {
 		t.Fatalf("tiers = %d, want 3", len(rows))
 	}
@@ -26,8 +26,8 @@ func TestByCityTier(t *testing.T) {
 // with the 5G gap the larger.
 func TestUrbanRuralRatios(t *testing.T) {
 	_, r21 := corpus(t)
-	r4 := UrbanRuralRatio(r21, dataset.Tech4G)
-	r5 := UrbanRuralRatio(r21, dataset.Tech5G)
+	r4 := single(r21, NewSpatialAgg()).UrbanRuralRatio(dataset.Tech4G)
+	r5 := single(r21, NewSpatialAgg()).UrbanRuralRatio(dataset.Tech5G)
 	if r4 < 1.1 || r4 > 1.45 {
 		t.Errorf("4G urban/rural = %.2f, want ≈1.24", r4)
 	}
@@ -43,14 +43,14 @@ func TestUrbanRuralRatios(t *testing.T) {
 // every technology.
 func TestCityRange(t *testing.T) {
 	_, r21 := corpus(t)
-	lo4, hi4, n4 := CityRange(r21, dataset.Tech4G, 30)
+	lo4, hi4, n4 := single(r21, NewSpatialAgg()).CityRange(dataset.Tech4G, 30)
 	if n4 < 50 {
 		t.Fatalf("only %d cities with enough 4G tests", n4)
 	}
 	if hi4/lo4 < 1.5 {
 		t.Errorf("4G city range %.0f–%.0f too narrow (paper: 28–119)", lo4, hi4)
 	}
-	lo5, hi5, n5 := CityRange(r21, dataset.Tech5G, 30)
+	lo5, hi5, n5 := single(r21, NewSpatialAgg()).CityRange(dataset.Tech5G, 30)
 	if n5 < 30 {
 		t.Fatalf("only %d cities with enough 5G tests", n5)
 	}
@@ -60,7 +60,7 @@ func TestCityRange(t *testing.T) {
 }
 
 func TestCityRangeEmpty(t *testing.T) {
-	if lo, hi, n := CityRange(nil, dataset.Tech4G, 1); lo != 0 || hi != 0 || n != 0 {
+	if lo, hi, n := single(nil, NewSpatialAgg()).CityRange(dataset.Tech4G, 1); lo != 0 || hi != 0 || n != 0 {
 		t.Error("empty input should report zeros")
 	}
 }
@@ -69,17 +69,17 @@ func TestCityRangeEmpty(t *testing.T) {
 // unbalanced development of 4G and 5G".
 func TestUnbalancedCityShare(t *testing.T) {
 	_, r21 := corpus(t)
-	share := UnbalancedCityShare(r21, 20)
+	share := single(r21, NewSpatialAgg()).UnbalancedCityShare(20)
 	if share < 0.2 || share > 0.65 {
 		t.Errorf("unbalanced city share = %.2f, want ≈0.41", share)
 	}
-	if UnbalancedCityShare(nil, 1) != 0 {
+	if single(nil, NewSpatialAgg()).UnbalancedCityShare(1) != 0 {
 		t.Error("empty input should report 0")
 	}
 }
 
 func TestUrbanRuralRatioEmpty(t *testing.T) {
-	if UrbanRuralRatio(nil, dataset.Tech4G) != 0 {
+	if single(nil, NewSpatialAgg()).UrbanRuralRatio(dataset.Tech4G) != 0 {
 		t.Error("empty input should report 0")
 	}
 }

@@ -72,9 +72,9 @@ func TestFASTTimesOutOnNoisyLink(t *testing.T) {
 	l := linksim.MustNew(linksim.Config{
 		CapacityMbps: 100, RTT: 40 * time.Millisecond, Fluctuation: 0.3,
 	}, 9)
-	rep := (&FAST{MaxDuration: 8 * time.Second}).Run(l)
-	if rep.Duration < 8*time.Second {
-		t.Errorf("duration = %v, expected timeout at 8 s under 30%% noise", rep.Duration)
+	rep := (&FAST{}).Run(l)
+	if rep.Duration < fastMaxDuration {
+		t.Errorf("duration = %v, expected timeout at %v under 30%% noise", rep.Duration, fastMaxDuration)
 	}
 	if rep.Result <= 0 {
 		t.Error("timed-out test must still report a result")
@@ -130,22 +130,5 @@ func TestBTSAppShapedLinkLowerResult(t *testing.T) {
 	rep := (&BTSApp{}).Run(shaped)
 	if rep.Result > 200 {
 		t.Errorf("result = %g on a link shaped to 100 Mbps sustained", rep.Result)
-	}
-}
-
-func TestSpeedtestRun(t *testing.T) {
-	l := quietLink(t, 200, 41)
-	rep := (&Speedtest{}).Run(l)
-	if rep.Duration != 15*time.Second {
-		t.Errorf("duration = %v, want Speedtest's fixed 15 s", rep.Duration)
-	}
-	if len(rep.Samples) != 300 {
-		t.Errorf("samples = %d, want 300 over 15 s", len(rep.Samples))
-	}
-	if math.Abs(rep.Result-200) > 25 {
-		t.Errorf("result = %g, want ≈200", rep.Result)
-	}
-	if (&Speedtest{}).Name() != "speedtest" {
-		t.Error("name wrong")
 	}
 }

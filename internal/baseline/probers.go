@@ -1,9 +1,10 @@
 // Package baseline implements the bandwidth-testing systems the paper
-// compares Swiftest against: BTS-APP's probing-by-flooding (§2), Speedtest's
-// static sample filter, FAST's stability-stop logic, and FastBTS's
-// crucial-interval estimation (§5.1, §5.3). The probers run on the
-// linksim virtual-time emulator with the cc TCP models, so a full 10-second
-// flooding test simulates in microseconds.
+// compares Swiftest against: BTS-APP's probing-by-flooding (§2), FAST's
+// stability-stop logic, and FastBTS's crucial-interval estimation (§5.1,
+// §5.3). The probers run on the linksim virtual-time emulator with CUBIC
+// connections, so a full 10-second flooding test simulates in microseconds.
+// Each system runs with its published parameters, written once as the
+// constants beside it.
 package baseline
 
 import (
@@ -37,21 +38,21 @@ type aggregate struct {
 	link    *linksim.Link
 	senders []*cc.Sender
 	flows   []*linksim.Flow
-	newAlg  func() cc.Algorithm
 
 	lastBytes float64
 	lastAt    time.Duration
 }
 
-func newAggregate(link *linksim.Link, newAlg func() cc.Algorithm) *aggregate {
-	return &aggregate{link: link, newAlg: newAlg, lastAt: link.Now()}
+func newAggregate(link *linksim.Link) *aggregate {
+	return &aggregate{link: link, lastAt: link.Now()}
 }
 
-// addFlow opens one more TCP connection.
+// addFlow opens one more TCP connection running CUBIC, the dominant server
+// default.
 func (a *aggregate) addFlow() {
 	f := a.link.NewFlow()
 	a.flows = append(a.flows, f)
-	a.senders = append(a.senders, cc.NewSender(f, a.newAlg()))
+	a.senders = append(a.senders, cc.NewSender(f, cc.NewCubic(0)))
 }
 
 // step advances one tick of the connection set.
@@ -95,72 +96,43 @@ func (a *aggregate) close() {
 // ticksPerSample is the number of emulator ticks per 50 ms sample.
 const ticksPerSample = int(linksim.SampleInterval / linksim.Tick)
 
+// BTS-APP's published parameters (§2).
+const (
+	// btsAppDuration is the fixed flooding duration (Speedtest uses 15 s).
+	btsAppDuration = 10 * time.Second
+	// btsAppInitialFlows is the number of parallel connections opened at
+	// test start, before any ladder rung is crossed; Speedtest-class
+	// testers begin with several.
+	btsAppInitialFlows = 4
+	// btsAppMaxFlows bounds parallel connections.
+	btsAppMaxFlows = 8
+)
+
 // BTSApp reproduces the commercial app's probing-by-flooding (§2): download
 // for a fixed 10 seconds over HTTP/TCP connections, collect a bandwidth
 // sample every 50 ms (200 samples total), progressively open connections to
 // additional nearby servers whenever the latest sample crosses the next
-// threshold of the Speedtest-style ladder, and estimate with the 20-group
-// 5-low/2-high trimming rule.
-type BTSApp struct {
-	// ProbeDuration is the fixed flooding duration; BTS-APP uses 10 s
-	// (Speedtest uses 15 s). Zero selects 10 s.
-	ProbeDuration time.Duration
-	// ScaleThresholds is the sample ladder (Mbps) that triggers opening an
-	// extra connection; §2 names 25 and 35 Mbps as the first rungs. Nil
-	// selects the default ladder.
-	ScaleThresholds []float64
-	// InitialFlows is the number of parallel connections opened at test
-	// start, before any ladder rung is crossed; Speedtest-class testers
-	// begin with several. Zero selects 4.
-	InitialFlows int
-	// MaxFlows bounds parallel connections. Zero selects 8.
-	MaxFlows int
-	// NewAlg constructs the congestion control per connection; nil selects
-	// CUBIC, the dominant server default.
-	NewAlg func() cc.Algorithm
-}
+// threshold of the Speedtest-style ladder (estimate.BTSAppScaleLadder), and
+// estimate with the 20-group 5-low/2-high trimming rule.
+type BTSApp struct{}
 
 // Name implements Prober.
 func (b *BTSApp) Name() string { return "bts-app" }
 
 // Run implements Prober.
 func (b *BTSApp) Run(link *linksim.Link) Report {
-	dur := b.ProbeDuration
-	if dur <= 0 {
-		dur = 10 * time.Second
-	}
-	ladder := b.ScaleThresholds
-	if ladder == nil {
-		ladder = estimate.BTSAppScaleLadder()
-	}
-	maxFlows := b.MaxFlows
-	if maxFlows <= 0 {
-		maxFlows = 8
-	}
-	newAlg := b.NewAlg
-	if newAlg == nil {
-		newAlg = func() cc.Algorithm { return cc.NewCubic(0) }
-	}
-
-	initial := b.InitialFlows
-	if initial <= 0 {
-		initial = 4
-	}
-	if initial > maxFlows {
-		initial = maxFlows
-	}
-
-	agg := newAggregate(link, newAlg)
+	ladder := estimate.BTSAppScaleLadder()
+	agg := newAggregate(link)
 	defer agg.close()
-	for i := 0; i < initial; i++ {
+	for i := 0; i < btsAppInitialFlows; i++ {
 		agg.addFlow()
 	}
 
 	start := link.Now()
 	var samples []float64
 	nextRung := 0
-	peak := initial
-	for link.Now()-start < dur {
+	peak := btsAppInitialFlows
+	for link.Now()-start < btsAppDuration {
 		for i := 0; i < ticksPerSample; i++ {
 			agg.step()
 		}
@@ -168,7 +140,7 @@ func (b *BTSApp) Run(link *linksim.Link) Report {
 		samples = append(samples, s)
 		// Progressive connection scale-up (§2).
 		for nextRung < len(ladder) && s >= ladder[nextRung] {
-			if len(agg.flows) < maxFlows {
+			if len(agg.flows) < btsAppMaxFlows {
 				agg.addFlow()
 				if len(agg.flows) > peak {
 					peak = len(agg.flows)
@@ -186,89 +158,78 @@ func (b *BTSApp) Run(link *linksim.Link) Report {
 	}
 }
 
+// fast.com's published parameters, as reverse-engineered by the FastBTS work
+// (§5.3). Its stability threshold is estimate.StableThreshold.
+const (
+	fastFlows       = 4                // parallel connections
+	fastMinDuration = 8 * time.Second  // fast.com's observed floor
+	fastMaxDuration = 30 * time.Second // give up on stability here
+	fastWindow      = 20               // stability window: one second of samples
+)
+
 // FAST reproduces the key testing logic of Netflix's fast.com (§5.3, as
 // reverse-engineered by the FastBTS work): several parallel TCP connections,
-// 50 ms samples, and a stability stop — the test ends once the last
-// StableWindow samples agree within StableThreshold, subject to a minimum
-// and maximum duration. The result is the mean of the stable window.
-type FAST struct {
-	Flows           int           // parallel connections; 0 selects 4
-	MinDuration     time.Duration // 0 selects 8 s (fast.com's observed floor)
-	MaxDuration     time.Duration // 0 selects 30 s
-	StableWindow    int           // 0 selects 20 samples (one second)
-	StableThreshold float64       // 0 selects 0.03
-	NewAlg          func() cc.Algorithm
-}
+// 50 ms samples, and a stability stop — the test ends once the last second
+// of samples agree within 3 %, subject to a minimum and maximum duration.
+// The result is the mean of the stable window.
+type FAST struct{}
 
 // Name implements Prober.
 func (f *FAST) Name() string { return "fast" }
 
 // Run implements Prober.
 func (f *FAST) Run(link *linksim.Link) Report {
-	flows := f.Flows
-	if flows <= 0 {
-		flows = 4
-	}
-	minDur := f.MinDuration
-	if minDur <= 0 {
-		minDur = 8 * time.Second
-	}
-	maxDur := f.MaxDuration
-	if maxDur <= 0 {
-		maxDur = 30 * time.Second
-	}
-	window := f.StableWindow
-	if window <= 0 {
-		window = 20
-	}
-	threshold := f.StableThreshold
-	if threshold <= 0 {
-		threshold = 0.03
-	}
-	newAlg := f.NewAlg
-	if newAlg == nil {
-		newAlg = func() cc.Algorithm { return cc.NewCubic(0) }
-	}
-
-	agg := newAggregate(link, newAlg)
+	agg := newAggregate(link)
 	defer agg.close()
-	for i := 0; i < flows; i++ {
+	for i := 0; i < fastFlows; i++ {
 		agg.addFlow()
 	}
 
 	start := link.Now()
 	var samples []float64
-	for link.Now()-start < maxDur {
+	for link.Now()-start < fastMaxDuration {
 		for i := 0; i < ticksPerSample; i++ {
 			agg.step()
 		}
 		samples = append(samples, agg.sample())
-		if link.Now()-start >= minDur && len(samples) >= window {
-			tail := samples[len(samples)-window:]
-			if estimate.Stable(tail, threshold) {
+		if link.Now()-start >= fastMinDuration && len(samples) >= fastWindow {
+			tail := samples[len(samples)-fastWindow:]
+			if estimate.Stable(tail, estimate.StableThreshold) {
 				return Report{
 					Result:   stats.Mean(tail),
 					Duration: link.Now() - start,
 					DataMB:   agg.totalBytes() / 1e6,
 					Samples:  samples,
-					Flows:    flows,
+					Flows:    fastFlows,
 				}
 			}
 		}
 	}
 	// Timed out without stability: report the stable-window mean anyway.
 	tail := samples
-	if len(tail) > window {
-		tail = samples[len(samples)-window:]
+	if len(tail) > fastWindow {
+		tail = samples[len(samples)-fastWindow:]
 	}
 	return Report{
 		Result:   stats.Mean(tail),
 		Duration: link.Now() - start,
 		DataMB:   agg.totalBytes() / 1e6,
 		Samples:  samples,
-		Flows:    flows,
+		Flows:    fastFlows,
 	}
 }
+
+// FastBTS's published parameters (NSDI '21). core.FastBTSPolicy's zero value
+// selects the same stop rule.
+const (
+	fastBTSFlows          = 4                // parallel connections
+	fastBTSMinSamples     = 30               // samples before the first estimate
+	fastBTSWarmup         = 10               // leading ramp samples excluded from the crucial interval
+	fastBTSMaxDuration    = 10 * time.Second // deadline
+	fastBTSAgreeThreshold = 0.05             // relative agreement between lagged estimates
+	fastBTSAgreeLag       = 20               // samples between compared estimates (one second)
+	fastBTSAgreeRounds    = 5                // consecutive agreeing comparisons to stop
+)
 
 // FastBTS reproduces the NSDI'21 FastBTS design (§5.1/§5.3): TCP probing
 // with crucial-interval bandwidth estimation, stopping as soon as consecutive
@@ -276,58 +237,16 @@ func (f *FAST) Run(link *linksim.Link) Report {
 // but tends to stop before the client's bandwidth is saturated (its samples
 // still include the ramp), underestimating the access bandwidth — the
 // accuracy deficit of Figure 25.
-type FastBTS struct {
-	Flows          int           // parallel connections; 0 selects 4
-	MinSamples     int           // samples before the first estimate; 0 selects 30
-	WarmupSamples  int           // leading ramp samples excluded from the crucial interval; 0 selects 10
-	MaxDuration    time.Duration // 0 selects 10 s
-	AgreeThreshold float64       // relative agreement between lagged estimates; 0 selects 0.05
-	AgreeLag       int           // samples between compared estimates; 0 selects 20 (one second)
-	AgreeRounds    int           // consecutive agreeing comparisons to stop; 0 selects 5
-	NewAlg         func() cc.Algorithm
-}
+type FastBTS struct{}
 
 // Name implements Prober.
 func (f *FastBTS) Name() string { return "fastbts" }
 
 // Run implements Prober.
 func (f *FastBTS) Run(link *linksim.Link) Report {
-	flows := f.Flows
-	if flows <= 0 {
-		flows = 4
-	}
-	warmup := f.WarmupSamples
-	if warmup <= 0 {
-		warmup = 10
-	}
-	minSamples := f.MinSamples
-	if minSamples <= 0 {
-		minSamples = 30
-	}
-	maxDur := f.MaxDuration
-	if maxDur <= 0 {
-		maxDur = 10 * time.Second
-	}
-	agreeThresh := f.AgreeThreshold
-	if agreeThresh <= 0 {
-		agreeThresh = 0.05
-	}
-	agreeRounds := f.AgreeRounds
-	if agreeRounds <= 0 {
-		agreeRounds = 5
-	}
-	agreeLag := f.AgreeLag
-	if agreeLag <= 0 {
-		agreeLag = 20
-	}
-	newAlg := f.NewAlg
-	if newAlg == nil {
-		newAlg = func() cc.Algorithm { return cc.NewCubic(0) }
-	}
-
-	agg := newAggregate(link, newAlg)
+	agg := newAggregate(link)
 	defer agg.close()
-	for i := 0; i < flows; i++ {
+	for i := 0; i < fastBTSFlows; i++ {
 		agg.addFlow()
 	}
 
@@ -337,18 +256,18 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 	var share []float64   // estimate.CrucialSorted's scratch, as long as settled
 	var history []float64 // crucial-interval estimate per sample index
 	agree := 0
-	for link.Now()-start < maxDur {
+	for link.Now()-start < fastBTSMaxDuration {
 		for i := 0; i < ticksPerSample; i++ {
 			agg.step()
 		}
 		s := agg.sample()
 		samples = append(samples, s)
-		if len(samples) > warmup {
+		if len(samples) > fastBTSWarmup {
 			at, _ := slices.BinarySearch(settled, s)
 			settled = slices.Insert(settled, at, s)
 			share = append(share, 0)
 		}
-		if len(samples) < minSamples {
+		if len(samples) < fastBTSMinSamples {
 			history = append(history, 0)
 			continue
 		}
@@ -357,29 +276,29 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 		// Compare against the estimate one lag window ago: while the TCP
 		// ramp is still growing the lagged estimate trails the current one,
 		// so the test keeps probing until growth levels off.
-		if lagIdx := len(history) - 1 - agreeLag; lagIdx >= 0 && history[lagIdx] > 0 && est > 0 {
+		if lagIdx := len(history) - 1 - fastBTSAgreeLag; lagIdx >= 0 && history[lagIdx] > 0 && est > 0 {
 			rel := est/history[lagIdx] - 1
 			if rel < 0 {
 				rel = -rel
 			}
-			if rel <= agreeThresh {
+			if rel <= fastBTSAgreeThreshold {
 				agree++
 			} else {
 				agree = 0
 			}
 		}
-		if agree >= agreeRounds {
+		if agree >= fastBTSAgreeRounds {
 			return Report{
 				Result:   est,
 				Duration: link.Now() - start,
 				DataMB:   agg.totalBytes() / 1e6,
 				Samples:  samples,
-				Flows:    flows,
+				Flows:    fastBTSFlows,
 			}
 		}
 	}
 	var result float64
-	if len(samples) > warmup {
+	if len(samples) > fastBTSWarmup {
 		result = estimate.CrucialSorted(settled, share)
 	} else {
 		result = estimate.CrucialInterval(samples)
@@ -389,30 +308,6 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 		Duration: link.Now() - start,
 		DataMB:   agg.totalBytes() / 1e6,
 		Samples:  samples,
-		Flows:    flows,
+		Flows:    fastBTSFlows,
 	}
-}
-
-// Speedtest reproduces the reference commercial architecture the paper
-// benchmarks BTS-APP against (§2): the same probing-by-flooding pipeline but
-// with Speedtest's 15-second window and its static filter (drop the top 10 %
-// and bottom 25 % of samples, §5.1) instead of the 20-group trimming.
-type Speedtest struct {
-	// NewAlg constructs the per-connection congestion control; nil selects
-	// CUBIC.
-	NewAlg func() cc.Algorithm
-}
-
-// Name implements Prober.
-func (s *Speedtest) Name() string { return "speedtest" }
-
-// Run implements Prober.
-func (s *Speedtest) Run(link *linksim.Link) Report {
-	inner := &BTSApp{
-		ProbeDuration: 15 * time.Second,
-		NewAlg:        s.NewAlg,
-	}
-	rep := inner.Run(link)
-	rep.Result = estimate.SpeedtestEstimate(rep.Samples)
-	return rep
 }

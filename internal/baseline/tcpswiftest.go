@@ -22,16 +22,14 @@ import (
 type TCPSwiftest struct {
 	// Model is the bandwidth prior; required.
 	Model *gmm.Model
-	// ConvergeWindow / ConvergeThreshold mirror the UDP engine; zero
-	// selects 10 samples and 3 %.
-	ConvergeWindow    int
-	ConvergeThreshold float64
-	// MaxDuration bounds the test; zero selects 5 s.
-	MaxDuration time.Duration
-	// Beta is the multiplicative decrease on loss; zero selects 0.7
-	// (CUBIC-friendly).
-	Beta float64
 }
+
+const (
+	// tcpSwiftestMaxDuration bounds the test, as core.Config's default does.
+	tcpSwiftestMaxDuration = 5 * time.Second
+	// tcpSwiftestBeta is the multiplicative decrease on loss (CUBIC-friendly).
+	tcpSwiftestBeta = 0.7
+)
 
 // Name implements Prober.
 func (t *TCPSwiftest) Name() string { return "swiftest-tcp" }
@@ -40,22 +38,6 @@ func (t *TCPSwiftest) Name() string { return "swiftest-tcp" }
 func (t *TCPSwiftest) Run(link *linksim.Link) Report {
 	if t.Model == nil {
 		return Report{}
-	}
-	window := t.ConvergeWindow
-	if window <= 0 {
-		window = 10
-	}
-	threshold := t.ConvergeThreshold
-	if threshold <= 0 {
-		threshold = 0.03
-	}
-	maxDur := t.MaxDuration
-	if maxDur <= 0 {
-		maxDur = 5 * time.Second
-	}
-	beta := t.Beta
-	if beta <= 0 {
-		beta = 0.7
 	}
 
 	flow := link.NewFlow()
@@ -72,7 +54,7 @@ func (t *TCPSwiftest) Run(link *linksim.Link) Report {
 	var samples []float64
 	settle := 2
 	recoverPerSample := 0.0 // additive-increase step after a loss backoff
-	for link.Now()-start < maxDur {
+	for link.Now()-start < tcpSwiftestMaxDuration {
 		lossSeen := false
 		for i := 0; i < ticksPerSample; i++ {
 			link.Advance()
@@ -99,7 +81,7 @@ func (t *TCPSwiftest) Run(link *linksim.Link) Report {
 			if s > 0 && s < delivered {
 				delivered = s
 			}
-			rate = delivered * beta
+			rate = delivered * tcpSwiftestBeta
 			if c := delivered * 1.02; c < ceiling {
 				ceiling = c
 			}
@@ -119,9 +101,9 @@ func (t *TCPSwiftest) Run(link *linksim.Link) Report {
 		flow.SetOffered(rate)
 
 		// Convergence identical to the UDP engine.
-		if len(samples) >= window && estimate.Stable(samples[len(samples)-window:], threshold) {
+		if tail := estimate.Tail(samples); len(tail) == estimate.Window && estimate.Stable(tail, estimate.StableThreshold) {
 			return Report{
-				Result:   stats.Mean(samples[len(samples)-window:]),
+				Result:   stats.Mean(tail),
 				Duration: link.Now() - start,
 				DataMB:   flow.DeliveredBytes() / 1e6,
 				Samples:  samples,
@@ -149,12 +131,8 @@ func (t *TCPSwiftest) Run(link *linksim.Link) Report {
 			}
 		}
 	}
-	tail := samples
-	if len(tail) > window {
-		tail = samples[len(samples)-window:]
-	}
 	return Report{
-		Result:   stats.Mean(tail),
+		Result:   stats.Mean(estimate.Tail(samples)),
 		Duration: link.Now() - start,
 		DataMB:   flow.DeliveredBytes() / 1e6,
 		Samples:  samples,

@@ -48,7 +48,7 @@ func TestTCPSwiftestBacksOffOnLoss(t *testing.T) {
 		RTT:          30 * time.Millisecond,
 		LossRate:     0.08, // frequent spurious losses
 	}, 29)
-	rep := (&TCPSwiftest{Model: hybridModel(), MaxDuration: 3 * time.Second}).Run(lossy)
+	rep := (&TCPSwiftest{Model: hybridModel()}).Run(lossy)
 	// With repeated 0.7× backoffs the delivered average must sit clearly
 	// below the link capacity (a UDP pacer would stay at ≈300).
 	var sum float64

@@ -68,11 +68,13 @@ func TestCubicTickMatchesReference(t *testing.T) {
 			var (
 				senders [flows]*Sender
 				got     [flows]*Cubic
+				offers  [flows]*offerLog
 				ref     [flows]*Cubic
 			)
 			for i := range senders {
 				got[i], ref[i] = NewCubic(0), NewCubic(0)
-				senders[i] = NewSender(link.NewFlow(), got[i])
+				offers[i] = &offerLog{Algorithm: got[i]}
+				senders[i] = NewSender(link.NewFlow(), offers[i])
 			}
 			var losses, concave, convex int
 			for tick := 0; tick < int(10*time.Second/linksim.Tick); tick++ {
@@ -90,8 +92,8 @@ func TestCubicTickMatchesReference(t *testing.T) {
 						}
 					}
 					s.Step(linksim.Tick)
-					if want := cubicTickRef(ref[i], fb); s.Flow.Offered() != want {
-						t.Fatalf("tick %d flow %d: offered %v, reference %v", tick, i, s.Flow.Offered(), want)
+					if want := cubicTickRef(ref[i], fb); offers[i].rate != want {
+						t.Fatalf("tick %d flow %d: offered %v, reference %v", tick, i, offers[i].rate, want)
 					}
 					if got[i].cwnd != ref[i].cwnd || got[i].wmax != ref[i].wmax {
 						t.Fatalf("tick %d flow %d: state (cwnd %v, wmax %v), reference (%v, %v)",
@@ -104,4 +106,16 @@ func TestCubicTickMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// offerLog is an Algorithm that remembers the rate it last handed its
+// Sender, which the sender installs as the flow's offered rate.
+type offerLog struct {
+	Algorithm
+	rate float64
+}
+
+func (o *offerLog) Tick(fb Feedback) float64 {
+	o.rate = o.Algorithm.Tick(fb)
+	return o.rate
 }

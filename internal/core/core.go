@@ -71,32 +71,15 @@ type Probe interface {
 	DataMB() float64
 }
 
-// Config parameterises the probing engine. The zero value selects the
-// paper's published parameters.
+// Config parameterises the probing engine. The zero value of every field
+// but Model selects the paper's published behaviour.
 type Config struct {
 	// Model is the bandwidth distribution for the client's access
 	// technology. Required.
 	Model *gmm.Model
-	// ConvergeWindow is the number of trailing samples that must agree;
-	// §5.1 uses 10. Zero selects 10.
-	ConvergeWindow int
-	// ConvergeThreshold is the max/min difference ratio regarded as
-	// convergent; §5.1 uses 3 % following FAST. Zero selects 0.03.
-	ConvergeThreshold float64
-	// SaturationMargin is the relative gap below the probing rate at which
-	// a sample indicates the access link (not the probing rate) is the
-	// bottleneck. Zero selects 0.05.
-	SaturationMargin float64
-	// SettleSamples is the number of samples to wait after a rate change
-	// before judging saturation again. Zero selects 2.
-	SettleSamples int
 	// MaxDuration bounds the test; Swiftest's field deployment saw a worst
 	// case of 4.49 s (§5.3). Zero selects 5 s.
 	MaxDuration time.Duration
-	// Headroom multiplies the probing rate when escalating beyond the
-	// largest mode of the model, covering clients faster than any mode.
-	// Zero selects 1.25.
-	Headroom float64
 	// Trace, when non-nil, receives the structured events of this test
 	// (rate escalations, samples, convergence checks...). Events are
 	// stamped with the probe's Elapsed() — virtual time under the emulator,
@@ -109,42 +92,23 @@ type Config struct {
 	// enough: CrossingPolicy (the paper's §5.1 stability window),
 	// FastBTSPolicy (crucial-interval lagged agreement), or
 	// earlystop.Policy (the learned TURBOTEST-style model). Nil selects
-	// CrossingPolicy parameterised by ConvergeWindow/ConvergeThreshold,
-	// preserving the historical sample-for-sample behaviour.
+	// CrossingPolicy{}.
 	Terminate TerminationPolicy
-	// RegimeHint, when true, feeds the mid-test BDP regime classification
-	// back into the engine: once the trajectory reads as traffic shaping or
-	// queue buildup, further rate escalation is suppressed — probing harder
-	// would only deepen the queue or drain the token bucket faster, not
-	// reveal more capacity. Off by default so seeded experiment digests are
-	// reproducible against earlier releases.
-	RegimeHint bool
 }
 
-func (c Config) withDefaults() (Config, error) {
-	if c.Model == nil {
-		return c, fmt.Errorf("core: Config.Model: %w", errdefs.ErrModelRequired)
-	}
-	if c.ConvergeWindow <= 0 {
-		c.ConvergeWindow = 10
-	}
-	if c.ConvergeThreshold <= 0 {
-		c.ConvergeThreshold = 0.03
-	}
-	if c.SaturationMargin <= 0 {
-		c.SaturationMargin = 0.05
-	}
-	if c.SettleSamples <= 0 {
-		c.SettleSamples = 2
-	}
-	if c.MaxDuration <= 0 {
-		c.MaxDuration = 5 * time.Second
-	}
-	if c.Headroom <= 0 {
-		c.Headroom = 1.25
-	}
-	return c, nil
-}
+// The §5.1 escalation rule's constants.
+const (
+	// saturationMargin is the relative gap below the probing rate at which
+	// a sample shows the access link, not the probing rate, is the
+	// bottleneck.
+	saturationMargin = 0.05
+	// settleSamples is the number of samples to wait after a rate change
+	// before judging saturation again.
+	settleSamples = 2
+	// headroom multiplies the probing rate when escalating beyond the
+	// largest mode of the model, covering clients faster than any mode.
+	headroom = 1.25
+)
 
 // Result is the outcome of one Swiftest bandwidth test.
 type Result struct {
@@ -181,9 +145,11 @@ const typicalSamples = 32
 // error matching errdefs.ErrTestAborted. An already-cancelled context
 // aborts before the first rate is set — no datagram is sent.
 func RunContext(ctx context.Context, p Probe, cfg Config) (Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return Result{}, err
+	if cfg.Model == nil {
+		return Result{}, fmt.Errorf("core: Config.Model: %w", errdefs.ErrModelRequired)
+	}
+	if cfg.MaxDuration <= 0 {
+		cfg.MaxDuration = 5 * time.Second
 	}
 
 	initial := cfg.Model.MostProbableMode().Rate
@@ -206,16 +172,15 @@ func RunContext(ctx context.Context, p Probe, cfg Config) (Result, error) {
 		Samples:     make([]float64, 0, typicalSamples),
 		Trajectory:  make([]estimate.TrajectoryPoint, 0, typicalSamples),
 	}
-	settle := cfg.SettleSamples
+	settle := settleSamples
 	rttSrc, _ := p.(RTTSampler)
 	policy := cfg.Terminate
 	if policy == nil {
-		policy = CrossingPolicy{Window: cfg.ConvergeWindow, Threshold: cfg.ConvergeThreshold}
+		policy = CrossingPolicy{}
 	}
 	if pt, ok := policy.(perTestPolicy); ok {
 		policy = pt.forTest()
 	}
-	hinted := estimate.RegimeUnknown // regime already fed back as a hint
 	for p.Elapsed() < cfg.MaxDuration {
 		s, ok := p.NextSample()
 		if err := ctx.Err(); err != nil {
@@ -263,32 +228,17 @@ func RunContext(ctx context.Context, p Probe, cfg Config) (Result, error) {
 			break
 		}
 
-		// Convergence hint: once the trajectory reads as shaping or queue
-		// buildup, escalating the probing rate cannot reveal more capacity —
-		// hold the rate and let the convergence window close the test.
-		holdRate := false
-		if cfg.RegimeHint {
-			switch r := estimate.ClassifyBDP(res.Trajectory); r {
-			case estimate.RegimeShaping, estimate.RegimeQueueBuildup:
-				holdRate = true
-				if r != hinted {
-					hinted = r
-					cfg.Trace.Record(p.Elapsed(), obs.EventRegimeHint, float64(r), 0, r.String())
-				}
-			}
-		}
-
 		// Saturation judgement: a sample at (or above) the probing rate
 		// means the probing rate, not the access link, is the bottleneck —
 		// escalate to the most probable larger mode.
-		if settle == 0 && !holdRate && s >= rate*(1-cfg.SaturationMargin) {
+		if settle == 0 && s >= rate*(1-saturationMargin) {
 			next, ok := cfg.Model.NextLargerMode(rate)
 			var newRate float64
 			note := "mode"
 			if ok {
 				newRate = next.Rate
 			} else {
-				newRate = rate * cfg.Headroom
+				newRate = rate * headroom
 				note = "headroom"
 			}
 			if newRate > rate {
@@ -301,18 +251,14 @@ func RunContext(ctx context.Context, p Probe, cfg Config) (Result, error) {
 				cfg.Trace.Record(p.Elapsed(), obs.EventEscalate, rate, oldRate, note)
 				res.RateChanges++
 				cfg.Metrics.onEscalate()
-				settle = cfg.SettleSamples
+				settle = settleSamples
 			}
 		}
 	}
 
 	if !res.Converged {
 		// Deadline or probe exhaustion: report the trailing-window mean.
-		tail := res.Samples
-		if len(tail) > cfg.ConvergeWindow {
-			tail = tail[len(tail)-cfg.ConvergeWindow:]
-		}
-		res.Bandwidth = stats.Mean(tail)
+		res.Bandwidth = stats.Mean(estimate.Tail(res.Samples))
 		cfg.Trace.Record(p.Elapsed(), obs.EventTimeout, res.Bandwidth, 0, "")
 	}
 	res.Duration = p.Elapsed()

@@ -200,13 +200,19 @@ func TestSetRateErrorsPropagate(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg, err := Config{Model: model5G()}.withDefaults()
+	if c := (CrossingPolicy{}).withDefaults(); c.Window != 10 || c.Threshold != 0.03 {
+		t.Errorf("crossing defaults wrong: %+v", c)
+	}
+	// A zero MaxDuration selects 5 s: a link too noisy to converge rides to it.
+	l := linksim.MustNew(linksim.Config{CapacityMbps: 200, RTT: 30 * time.Millisecond, Fluctuation: 0.4}, 17)
+	p := NewSimProbe(l)
+	defer p.Close()
+	res, err := RunContext(context.Background(), p, Config{Model: model5G()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ConvergeWindow != 10 || cfg.ConvergeThreshold != 0.03 ||
-		cfg.MaxDuration != 5*time.Second || cfg.SettleSamples != 2 {
-		t.Errorf("defaults wrong: %+v", cfg)
+	if res.Converged || res.Duration != 5*time.Second {
+		t.Errorf("converged=%v duration=%v, want the 5 s default deadline", res.Converged, res.Duration)
 	}
 }
 

@@ -111,8 +111,8 @@ func (s *ModelStore) Results() int {
 
 // Refresh refits the model from the current window. It returns the new model
 // and whether a refit actually happened (it does not before MinResults
-// accumulate). Refresh is cheap enough to run from a ticker goroutine; the
-// EM input is the whole window.
+// accumulate). A deployment calls it on its refresh cadence; the EM input is
+// the whole window.
 func (s *ModelStore) Refresh() (*gmm.Model, bool, error) {
 	s.mu.Lock()
 	if len(s.window) < s.cfg.MinResults {
@@ -147,22 +147,4 @@ func (s *ModelStore) LastFit() time.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lastFit
-}
-
-// RunRefresher refits on the given cadence until stop is closed. Errors are
-// delivered to onErr if non-nil and otherwise dropped (a failed refit leaves
-// the previous model serving, which is always safe).
-func (s *ModelStore) RunRefresher(interval time.Duration, stop <-chan struct{}, onErr func(error)) {
-	ticker := time.NewTicker(interval) //lint:allow walltime deployment-side cadence; simulations call Refresh directly
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			if _, _, err := s.Refresh(); err != nil && onErr != nil {
-				onErr(err)
-			}
-		}
-	}
 }

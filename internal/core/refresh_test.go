@@ -122,32 +122,6 @@ func TestStoreConcurrentUse(t *testing.T) {
 	wg.Wait()
 }
 
-func TestRunRefresher(t *testing.T) {
-	store, _ := NewModelStore(seedModel(), RefreshConfig{MinResults: 50, Seed: 7})
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 1000; i++ {
-		store.Report(rng.NormFloat64()*20 + 300)
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		store.RunRefresher(10*time.Millisecond, stop, func(err error) { t.Error(err) })
-		close(done)
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if m := store.Model(); math.Abs(m.MostProbableMode().Rate-300) < 40 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	close(stop)
-	<-done
-	if m := store.Model(); math.Abs(m.MostProbableMode().Rate-300) > 40 {
-		t.Errorf("refresher never adopted the new population: mode %.0f", m.MostProbableMode().Rate)
-	}
-}
-
 // TestStoreInjectedClock: the store's refit timestamp comes from the
 // injected clock, never the wall clock — the walltime invariant that keeps
 // virtual-time experiments deterministic.

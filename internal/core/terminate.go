@@ -49,10 +49,10 @@ type TerminationPolicy interface {
 // (10 samples, 3 %).
 type CrossingPolicy struct {
 	// Window is the number of trailing samples that must agree; zero
-	// selects 10.
+	// selects estimate.Window (10).
 	Window int
 	// Threshold is the max/min difference ratio regarded as convergent;
-	// zero selects 0.03.
+	// zero selects estimate.StableThreshold (0.03).
 	Threshold float64
 }
 
@@ -61,10 +61,10 @@ func (CrossingPolicy) Name() string { return "crossing" }
 
 func (c CrossingPolicy) withDefaults() CrossingPolicy {
 	if c.Window <= 0 {
-		c.Window = 10
+		c.Window = estimate.Window
 	}
 	if c.Threshold <= 0 {
-		c.Threshold = 0.03
+		c.Threshold = estimate.StableThreshold
 	}
 	return c
 }

@@ -8,6 +8,15 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
+// Generate draws n records, continuing the generator's stream.
+func (g *Generator) Generate(n int) []Record {
+	out := make([]Record, n)
+	for i := range out {
+		out[i] = g.Next()
+	}
+	return out
+}
+
 func gen(t *testing.T, year int, n int) []Record {
 	t.Helper()
 	g, err := NewGenerator(Config{Year: year, Seed: 42})

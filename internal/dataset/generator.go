@@ -238,15 +238,6 @@ func newBandTable(shares map[string]float64, stats map[string]bandStat) bandTabl
 	return t
 }
 
-// Generate draws n records, continuing the generator's stream.
-func (g *Generator) Generate(n int) []Record {
-	out := make([]Record, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
 // Next draws one record.
 //
 // swiftvet:hotpath

@@ -39,9 +39,6 @@ func (jw *JSONLWriter) Write(rec *Record) error {
 	return nil
 }
 
-// Written reports how many records have been accepted so far.
-func (jw *JSONLWriter) Written() int { return jw.written }
-
 // Flush drains the buffer and reports the first error encountered by any
 // prior Write.
 func (jw *JSONLWriter) Flush() error {

@@ -70,8 +70,8 @@ func TestJSONLWriterStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if jw.Written() != len(records) {
-		t.Fatalf("Written() = %d, want %d", jw.Written(), len(records))
+	if jw.written != len(records) {
+		t.Fatalf("written = %d, want %d", jw.written, len(records))
 	}
 	if err := jw.Flush(); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -340,4 +341,57 @@ func TestSyntheticCatalogueShape(t *testing.T) {
 			t.Error("catalogue prices not increasing with bandwidth")
 		}
 	}
+}
+
+// BruteForcePlan solves the same ILP by exhaustive enumeration. It is
+// exponential and exists to cross-check the branch-and-bound solver on small
+// instances (see the property tests above).
+func BruteForcePlan(catalogue []ServerConfig, requiredMbps, margin float64, opts ...PlanOptions) (Plan, error) {
+	if margin <= 0 {
+		margin = 0.075
+	}
+	var opt PlanOptions
+	if len(opts) > 0 {
+		opt = opts[0]
+	}
+	need := requiredMbps * (1 + margin)
+	configs := make([]ServerConfig, 0, len(catalogue))
+	for _, c := range catalogue {
+		if c.BandwidthMbps > 0 && c.Available > 0 {
+			configs = append(configs, c)
+		}
+	}
+	bestCost := math.Inf(1)
+	var best []int
+	counts := make([]int, len(configs))
+	var rec func(i int, cost, got float64, units int)
+	rec = func(i int, cost, got float64, units int) {
+		if got >= need && units >= opt.MinServers {
+			if cost < bestCost {
+				bestCost = cost
+				best = append([]int(nil), counts...)
+			}
+			return
+		}
+		if i >= len(configs) {
+			return
+		}
+		for n := 0; n <= configs[i].Available; n++ {
+			counts[i] = n
+			rec(i+1, cost+float64(n)*configs[i].PricePerMonth, got+float64(n)*configs[i].BandwidthMbps, units+n)
+		}
+		counts[i] = 0
+	}
+	rec(0, 0, 0, 0)
+	if math.IsInf(bestCost, 1) {
+		return Plan{}, errors.New("deploy: no feasible plan found")
+	}
+	plan := Plan{RequiredMbps: need, MonthlyCost: bestCost}
+	for i, n := range best {
+		if n > 0 {
+			plan.Purchases = append(plan.Purchases, Purchase{Config: configs[i], Count: n})
+			plan.TotalMbps += float64(n) * configs[i].BandwidthMbps
+		}
+	}
+	return plan, nil
 }

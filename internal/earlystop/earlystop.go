@@ -44,32 +44,18 @@ const NFeatures = 12
 // FeatureNames labels each feature index, in vector order. The names are
 // embedded in the model artifact so a trained model is self-describing.
 var FeatureNames = [NFeatures]string{
-	"sample_count",    // samples collected so far, scaled by 1/100
-	"tail_spread",     // max/min difference ratio of the trailing window
-	"slope_norm",      // OLS slope of all samples, normalised by their mean
-	"tail_cv",         // coefficient of variation of the trailing window
-	"plateau_ratio",   // mean of the last third over the peak sample
-	"total_cv",        // coefficient of variation of all samples
-	"rtt_inflation",   // mean RTT last third / first third (0 without RTT)
-	"ramp_fraction",   // cc.RampFraction: slow-start-like growth share
+	"sample_count",        // samples collected so far, scaled by 1/100
+	"tail_spread",         // max/min difference ratio of the trailing window
+	"slope_norm",          // OLS slope of all samples, normalised by their mean
+	"tail_cv",             // coefficient of variation of the trailing window
+	"plateau_ratio",       // mean of the last third over the peak sample
+	"total_cv",            // coefficient of variation of all samples
+	"rtt_inflation",       // mean RTT last third / first third (0 without RTT)
+	"ramp_fraction",       // cc.RampFraction: slow-start-like growth share
 	"regime_slowstart",    // ClassifyBDP one-hot
 	"regime_queuebuildup", // ClassifyBDP one-hot
 	"regime_shaping",      // ClassifyBDP one-hot
 	"regime_stable",       // ClassifyBDP one-hot
-}
-
-// FeatureWindow is the trailing window the tail_* features and the policy's
-// reported estimate use — the same 10-sample window as the §5.1 crossing
-// rule, so an early stop reports the same statistic a crossing stop would.
-const FeatureWindow = 10
-
-// Tail is the trailing FeatureWindow samples, or all of them when there are
-// fewer: the window whose mean an early stop reports.
-func Tail(samples []float64) []float64 {
-	if len(samples) > FeatureWindow {
-		return samples[len(samples)-FeatureWindow:]
-	}
-	return samples
 }
 
 // Featurize fills out with the feature vector of the sample/trajectory
@@ -86,7 +72,8 @@ func Featurize(samples []float64, traj []estimate.TrajectoryPoint, out *[NFeatur
 	}
 	out[0] = float64(n) / 100
 
-	tail := Tail(samples)
+	// The tail_* features read the §5.1 window an early stop reports.
+	tail := estimate.Tail(samples)
 	out[1] = stats.Spread(tail)
 	out[2] = slopeNorm(samples)
 	out[3] = cvOf(tail)

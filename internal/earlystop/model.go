@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
 )
 
 // ModelSchema names the model artifact layout, carried in the artifact
@@ -100,9 +102,9 @@ func Parse(data []byte) (*Model, error) {
 		return nil, fmt.Errorf("earlystop: model threshold %g outside (0,1)",
 			m.Threshold)
 	}
-	if m.MinSamples < FeatureWindow {
+	if m.MinSamples < estimate.Window {
 		return nil, fmt.Errorf("earlystop: model min_samples %d below the %d-sample feature window",
-			m.MinSamples, FeatureWindow)
+			m.MinSamples, estimate.Window)
 	}
 	return &m, nil
 }

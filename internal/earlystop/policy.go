@@ -9,7 +9,7 @@ import (
 )
 
 // Policy plugs a trained Model into the engine as a core.TerminationPolicy.
-// After every sample it first applies the §5.1 crossing rule (Fallback): a
+// After every sample it first applies the §5.1 crossing rule: a
 // test the crossing rule would stop, stops — earlystop never degrades the
 // fixed rule. Otherwise, once at least Model.MinSamples samples are in, the
 // model scores the prefix; a score at or above Model.Threshold stops the
@@ -22,13 +22,9 @@ import (
 type Policy struct {
 	// Model scores prefixes; nil selects the embedded Default model.
 	Model *Model
-	// Fallback is the crossing rule consulted first; the zero value
-	// selects the published §5.1 parameters (10 samples, 3 %).
-	Fallback core.CrossingPolicy
 }
 
-// NewPolicy returns a Policy over model (nil selects Default()) with the
-// default crossing fallback.
+// NewPolicy returns a Policy over model (nil selects Default()).
 func NewPolicy(model *Model) Policy {
 	if model == nil {
 		model = Default()
@@ -41,7 +37,7 @@ func (Policy) Name() string { return "earlystop" }
 
 // Decide implements core.TerminationPolicy.
 func (p Policy) Decide(samples []float64, traj []estimate.TrajectoryPoint, elapsed time.Duration) core.Decision {
-	d := p.Fallback.Decide(samples, traj, elapsed)
+	d := core.CrossingPolicy{}.Decide(samples, traj, elapsed)
 	if d.Stop {
 		return d // the crossing rule already converged — not an early stop
 	}
@@ -60,7 +56,7 @@ func (p Policy) Decide(samples []float64, traj []estimate.TrajectoryPoint, elaps
 	}
 	return core.Decision{
 		Stop:      true,
-		Estimate:  stats.Mean(Tail(samples)),
+		Estimate:  stats.Mean(estimate.Tail(samples)),
 		Early:     true,
 		Checked:   true,
 		Check:     score,

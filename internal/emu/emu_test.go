@@ -333,7 +333,7 @@ func TestShaperUnderOverload(t *testing.T) {
 		for _, a := range got {
 			transits.Add(float64(a.transit) / float64(time.Millisecond))
 		}
-		if least := transits.Min(); least < float64(delay/time.Millisecond) {
+		if least := transits.Quantile(0); least < float64(delay/time.Millisecond) {
 			t.Errorf("a datagram crossed in %.2f ms, under the link's %v delay", least, delay)
 		}
 		if p99, bound := transits.Quantile(0.99), queueing+delay+slack; p99 > float64(bound)/float64(time.Millisecond) {

@@ -17,13 +17,12 @@
 //
 // — and classifies the joint bandwidth/RTT trajectory into a BDP regime:
 // slow-start ramp, queue buildup (bufferbloat), token-bucket shaping, or
-// stable. The regime feeds back into the engine as a convergence hint and
-// travels in v2 Bye frames and run-records.
+// stable. The regime travels in v2 Bye frames and run-records.
 //
 // estimators.go holds the published rules of the systems Swiftest is compared
-// against (the 3 % stability window, FastBTS's crucial interval, BTS-APP's and
-// Speedtest's trimming), so the engine and the baseline probers share them
-// without importing each other.
+// against (the 3 % stability window, FastBTS's crucial interval, BTS-APP's
+// trimming), so the engine and the baseline probers share them without
+// importing each other.
 package estimate
 
 import (
@@ -51,7 +50,7 @@ type Estimates struct {
 	P90P80Mbps float64 `json:"p90_p80_mbps"`
 }
 
-// trimFraction is the symmetric trim applied by TrimmedMean: 10 % from each
+// trimFraction is the symmetric trim of TrimmedMeanMbps: 10 % from each
 // tail, the convention commercial BTS aggregation uses.
 const trimFraction = 0.10
 
@@ -72,13 +71,6 @@ func Compute(samples []float64, crossing float64) Estimates {
 		SustainedPeakMbps: SustainedPeak(samples),
 		P90P80Mbps:        p90p80Sorted(sorted),
 	}
-}
-
-// TrimmedMean is the mean after dropping the top and bottom 10 % of
-// samples (by value). Order-independent. With fewer than three samples no
-// trimming is possible and the plain mean is returned; empty input yields 0.
-func TrimmedMean(samples []float64) float64 {
-	return trimmedMeanSorted(sortedCopy(samples))
 }
 
 func trimmedMeanSorted(sorted []float64) float64 {
@@ -118,14 +110,6 @@ func SustainedPeak(samples []float64) float64 {
 		}
 	}
 	return best / float64(w)
-}
-
-// P90P80 is the mean of the samples in the [P80, P90) quantile band of the
-// sorted stream — high enough to sit near the capacity plateau, low enough
-// to shed one-off spikes. Order-independent. Streams too short to resolve
-// the band (fewer than 10 samples) fall back to their maximum.
-func P90P80(samples []float64) float64 {
-	return p90p80Sorted(sortedCopy(samples))
 }
 
 func p90p80Sorted(sorted []float64) float64 {
@@ -202,23 +186,6 @@ func (r Regime) String() string {
 		return "stable"
 	default:
 		return "unknown"
-	}
-}
-
-// ParseRegime maps a regime name (as produced by String) back to its value,
-// defaulting to RegimeUnknown.
-func ParseRegime(s string) Regime {
-	switch s {
-	case "slow-start":
-		return RegimeSlowStart
-	case "queue-buildup":
-		return RegimeQueueBuildup
-	case "shaping":
-		return RegimeShaping
-	case "stable":
-		return RegimeStable
-	default:
-		return RegimeUnknown
 	}
 }
 

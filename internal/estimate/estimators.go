@@ -43,23 +43,6 @@ func BTSAppScaleLadder() []float64 {
 	return []float64{25, 35, 50, 75, 100, 200, 400}
 }
 
-// SpeedtestEstimate reproduces Speedtest's static filter (§5.1): discard the
-// top 10 % and bottom 25 % of bandwidth samples and average the rest.
-func SpeedtestEstimate(samples []float64) float64 {
-	n := len(samples)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	lo := int(float64(n) * 0.25)
-	hi := n - int(float64(n)*0.10)
-	if lo >= hi {
-		return stats.Mean(sorted)
-	}
-	return stats.Mean(sorted[lo:hi])
-}
-
 // CrucialInterval reproduces FastBTS's crucial-interval sampling (§5.1):
 // among all intervals bounded by sample values, choose the one maximising
 // the product of sample density and quantity, and estimate the bandwidth as
@@ -111,6 +94,23 @@ func CrucialSorted(sorted, share []float64) float64 {
 		}
 	}
 	return stats.Mean(sorted[bestLo : bestHi+1])
+}
+
+// Window is the §5.1 convergence window: the number of trailing samples
+// that must agree within StableThreshold, and whose mean a test reports
+// when it stops, by convergence or at its deadline.
+const Window = 10
+
+// StableThreshold is the §5.1 convergence criterion Swiftest takes from
+// FAST: the max/min difference ratio of a converged window is at most 3 %.
+const StableThreshold = 0.03
+
+// Tail is the trailing Window samples, or all of them when there are fewer.
+func Tail(samples []float64) []float64 {
+	if len(samples) > Window {
+		return samples[len(samples)-Window:]
+	}
+	return samples
 }
 
 // Stable reports whether the window of samples has converged per the FAST /

@@ -33,26 +33,6 @@ func TestBTSAppEstimateEdgeCases(t *testing.T) {
 	}
 }
 
-func TestSpeedtestEstimate(t *testing.T) {
-	// 100 samples: 25 low outliers, 10 high outliers, 65 at 200.
-	var samples []float64
-	for i := 0; i < 25; i++ {
-		samples = append(samples, 1)
-	}
-	for i := 0; i < 65; i++ {
-		samples = append(samples, 200)
-	}
-	for i := 0; i < 10; i++ {
-		samples = append(samples, 10000)
-	}
-	if got := SpeedtestEstimate(samples); math.Abs(got-200) > 1e-9 {
-		t.Errorf("estimate = %g, want 200", got)
-	}
-	if SpeedtestEstimate(nil) != 0 {
-		t.Error("empty input should estimate 0")
-	}
-}
-
 func TestCrucialIntervalFindsDensestCluster(t *testing.T) {
 	var samples []float64
 	// Sparse ramp plus a dense plateau at ≈300.
@@ -95,7 +75,7 @@ func TestEstimatorsWithinRange(t *testing.T) {
 			lo = math.Min(lo, x)
 			hi = math.Max(hi, x)
 		}
-		for _, est := range []func([]float64) float64{BTSAppEstimate, SpeedtestEstimate, CrucialInterval} {
+		for _, est := range []func([]float64) float64{BTSAppEstimate, CrucialInterval} {
 			v := est(xs)
 			if v < lo-1e-9 || v > hi+1e-9 {
 				return false

@@ -49,8 +49,8 @@ func (c ReplayConfig) withDefaults() (ReplayConfig, error) {
 	if c.MinSamples <= 0 {
 		c.MinSamples = 20
 	}
-	if c.MinSamples < earlystop.FeatureWindow {
-		return c, fmt.Errorf("exper: MinSamples %d below the %d-sample feature window", c.MinSamples, earlystop.FeatureWindow)
+	if c.MinSamples < estimate.Window {
+		return c, fmt.Errorf("exper: MinSamples %d below the %d-sample feature window", c.MinSamples, estimate.Window)
 	}
 	if c.PrefixStep <= 0 {
 		c.PrefixStep = 5
@@ -111,7 +111,7 @@ func Replay(ctx context.Context, cfg ReplayConfig) ([]earlystop.Row, error) {
 				for n := cfg.MinSamples; n <= len(res.Samples); n += cfg.PrefixStep {
 					prefix := res.Samples[:n]
 					row := earlystop.Row{
-						Label:     Deviation(stats.Mean(earlystop.Tail(prefix)), truth) <= crossingDev+cfg.Tolerance,
+						Label:     Deviation(stats.Mean(estimate.Tail(prefix)), truth) <= crossingDev+cfg.Tolerance,
 						Profile:   name,
 						FaultPlan: fp.Name,
 						Run:       run,

@@ -9,7 +9,7 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/baseline"
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/dataset"
-	"github.com/mobilebandwidth/swiftest/internal/earlystop"
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/faults"
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
@@ -166,12 +166,12 @@ func runTruth(profile *ranprofile.Profile, seed int64) (float64, error) {
 // stream: what `-terminate crossing` would have reported on it, and whether
 // the rule stopped at all. A stream it never stops on reports the deadline
 // trailing-window mean, exactly like the engine.
-func crossingReplay(samples []float64) (estimate float64, stopped bool) {
+func crossingReplay(samples []float64) (mbps float64, stopped bool) {
 	var cp core.CrossingPolicy
 	for n := 1; n <= len(samples); n++ {
 		if d := cp.Decide(samples[:n], nil, 0); d.Stop {
 			return d.Estimate, true
 		}
 	}
-	return stats.Mean(earlystop.Tail(samples)), false
+	return stats.Mean(estimate.Tail(samples)), false
 }

@@ -50,12 +50,6 @@ type Config struct {
 	// deadlines are TokenEpochMS + at + TokenTTL, so mints stay a pure
 	// function of caller-stamped time.
 	TokenEpochMS uint64
-	// TokensPerSec overrides the per-server token refill rate; zero derives
-	// it from the session cap and AvgTestDuration.
-	TokensPerSec float64
-	// BurstTokens overrides the token-bucket ceiling; zero derives it from
-	// the session cap.
-	BurstTokens float64
 	// HeartbeatWindow is the liveness sampling window; zero selects
 	// DefaultHeartbeatWindow.
 	HeartbeatWindow time.Duration
@@ -231,23 +225,12 @@ func (d *Dispatcher) admissionFor(uplinkMbps float64) (cap int, rate, burst floa
 	if cap < 1 {
 		cap = 1
 	}
-	rate = d.cfg.TokensPerSec
-	if rate <= 0 {
-		rate = float64(cap) / d.cfg.AvgTestDuration.Seconds()
-	}
-	burst = d.cfg.BurstTokens
-	if burst <= 0 {
-		burst = float64(cap)
-	}
-	return cap, rate, burst
+	return cap, float64(cap) / d.cfg.AvgTestDuration.Seconds(), float64(cap)
 }
 
 // Registry exposes the dispatcher's server table for registration,
 // heartbeats, drains, and the host's Advance clock loop.
 func (d *Dispatcher) Registry() *Registry { return d.reg }
-
-// Plan reports the deployment plan the dispatcher was built from.
-func (d *Dispatcher) Plan() deploy.Plan { return d.plan }
 
 // Capacity reports the fleet-wide concurrent-session capacity at the
 // dispatcher's per-test sizing.

@@ -131,7 +131,7 @@ func TestHeartbeatLivenessKSilentWindows(t *testing.T) {
 	}
 	r := d.Registry()
 	w := r.HeartbeatWindow()
-	k := r.LostWindows()
+	k := r.k
 
 	// Servers 1 and 2 heartbeat every window; server 0 goes silent.
 	at := time.Duration(0)
@@ -356,7 +356,7 @@ func TestReassignMovesSessionToRankedAlternate(t *testing.T) {
 	primary := a.Lease.Server
 
 	// Kill the primary: silence it while others heartbeat.
-	w, k := r.HeartbeatWindow(), r.LostWindows()
+	w, k := r.HeartbeatWindow(), r.k
 	at := time.Duration(0)
 	for win := 0; win < k; win++ {
 		for _, s := range r.Servers() {
@@ -426,7 +426,7 @@ func TestStateGaugesTrackTransitions(t *testing.T) {
 		t.Fatalf("live gauge = %g, want 3", got)
 	}
 	// Silence everyone for K windows.
-	at := time.Duration(r.LostWindows()) * r.HeartbeatWindow()
+	at := time.Duration(r.k) * r.HeartbeatWindow()
 	r.Advance(at)
 	if got := live.Value(); got != 0 {
 		t.Errorf("live gauge after blackout = %g, want 0", got)

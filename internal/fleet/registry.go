@@ -46,9 +46,6 @@ func newRegistry(window time.Duration, k int, metrics *fleetMetrics, trace *obs.
 // HeartbeatWindow reports the liveness sampling window.
 func (r *Registry) HeartbeatWindow() time.Duration { return r.window }
 
-// LostWindows reports K, the silent windows before a server is dead.
-func (r *Registry) LostWindows() int { return r.k }
-
 // addServerLocked appends a registry entry and returns it.
 func (r *Registry) addServerLocked(info ServerInfo, state ServerState, cap int, rate, burst float64) *server {
 	info.ID = len(r.servers)
@@ -160,25 +157,6 @@ func (r *Registry) Drain(id int, at time.Duration) error {
 	s.state = StateDraining
 	r.trace.Record(at, obs.EventDrain, float64(len(s.leases)), 0, s.info.Addr)
 	r.metrics.drainsTotal.Inc()
-	if len(s.leases) == 0 {
-		r.finishDrainLocked(s)
-	}
-	r.updateStateGaugesLocked()
-	return nil
-}
-
-// Deregister removes a server: immediately when idle, via drain otherwise.
-func (r *Registry) Deregister(id int, at time.Duration) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, err := r.serverLocked(id)
-	if err != nil {
-		return err
-	}
-	if s.state == StateGone {
-		return nil
-	}
-	s.state = StateDraining
 	if len(s.leases) == 0 {
 		r.finishDrainLocked(s)
 	}

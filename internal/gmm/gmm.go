@@ -12,7 +12,7 @@
 // ordered list of larger modes drives rate escalation when the client's
 // access bandwidth is not yet saturated.
 //
-// The package provides mixture evaluation (PDF/CDF), sampling, mode queries,
+// The package provides mixture evaluation (CDF), sampling, mode queries,
 // and fitting from observed bandwidths via the EM algorithm with BIC model
 // selection, so a deployment can periodically refresh its models from recent
 // test results exactly as §5.1 prescribes.
@@ -90,15 +90,6 @@ func gaussPDF(x, mu, sigma float64) float64 {
 	return math.Exp(-0.5*u*u) / (sigma * math.Sqrt(2*math.Pi))
 }
 
-// PDF evaluates the mixture density at x.
-func (m *Model) PDF(x float64) float64 {
-	var p float64
-	for _, c := range m.components {
-		p += c.Weight * gaussPDF(x, c.Mu, c.Sigma)
-	}
-	return p
-}
-
 // CDF evaluates the mixture cumulative distribution at x.
 func (m *Model) CDF(x float64) float64 {
 	var p float64
@@ -150,15 +141,6 @@ type Mode struct {
 	Weight float64 // its mixing weight
 }
 
-// Modes returns the mixture modes ordered by ascending rate.
-func (m *Model) Modes() []Mode {
-	out := make([]Mode, len(m.components))
-	for i, c := range m.components {
-		out[i] = Mode{Rate: c.Mu, Weight: c.Weight}
-	}
-	return out
-}
-
 // MostProbableMode returns the mode with the largest weight — the paper's
 // "most significant mode", used as the initial probing data rate. Ties break
 // toward the lower rate so the initial probe is conservative.
@@ -188,12 +170,6 @@ func (m *Model) NextLargerMode(rate float64) (mode Mode, ok bool) {
 		return Mode{}, false
 	}
 	return Mode{Rate: best.Mu, Weight: best.Weight}, true
-}
-
-// MaxMode returns the largest-rate mode of the mixture.
-func (m *Model) MaxMode() Mode {
-	c := m.components[len(m.components)-1]
-	return Mode{Rate: c.Mu, Weight: c.Weight}
 }
 
 // String renders the model compactly, e.g. "GMM{0.3·N(100,20) 0.7·N(300,40)}".

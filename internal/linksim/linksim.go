@@ -93,9 +93,6 @@ type Config struct {
 	Shaping *Shaper
 	// Dipping, if non-nil, adds episodic capacity drops.
 	Dipping *Dips
-	// BackgroundFlows adds contending always-on flows that consume a fair
-	// share of the link, modelling other users on the same BS/AP sector.
-	BackgroundFlows int
 	// StateHook, if non-nil, drives the link from a multi-state profile:
 	// it is evaluated once per tick (with the current virtual time) and the
 	// returned LinkState overrides CapacityMbps, RTT, LossRate and
@@ -131,17 +128,16 @@ func (c Config) validate() error {
 
 // Link is one emulated access link carrying zero or more flows.
 type Link struct {
-	cfg        Config
-	rng        *rand.Rand
-	now        time.Duration
-	flows      []*Flow
-	noise      float64       // AR(1) state of the fluctuation process
-	queueBits  float64       // bottleneck queue occupancy in bits
-	shapedMB   float64       // cumulative traffic counted against the shaper burst
-	dipUntil   time.Duration // episodic dip active until this virtual time
-	background *Flow         // aggregate stand-in for background users, nil if none
-	state      LinkState     // current profile state, valid when haveState
-	haveState  bool          // a StateHook has been evaluated at least once
+	cfg       Config
+	rng       *rand.Rand
+	now       time.Duration
+	flows     []*Flow
+	noise     float64       // AR(1) state of the fluctuation process
+	queueBits float64       // bottleneck queue occupancy in bits
+	shapedMB  float64       // cumulative traffic counted against the shaper burst
+	dipUntil  time.Duration // episodic dip active until this virtual time
+	state     LinkState     // current profile state, valid when haveState
+	haveState bool          // a StateHook has been evaluated at least once
 
 	// Per-tick scratch, sized to the flow count and reused across Advance
 	// calls: effective offered rates, impairment states, fair shares, and the
@@ -172,9 +168,6 @@ func New(cfg Config, seed int64) (*Link, error) {
 		l.state = cfg.StateHook(0)
 		l.haveState = true
 	}
-	if cfg.BackgroundFlows > 0 {
-		l.background = l.NewFlow()
-	}
 	return l, nil
 }
 
@@ -201,10 +194,6 @@ func (l *Link) BaseRTT() time.Duration {
 	}
 	return l.cfg.RTT
 }
-
-// State reports the active profile state; ok is false when no StateHook
-// drives the link.
-func (l *Link) State() (state LinkState, ok bool) { return l.state, l.haveState }
 
 // baseCapacity is the pre-noise bottleneck capacity this tick.
 func (l *Link) baseCapacity() float64 {
@@ -304,9 +293,6 @@ func (f *Flow) SetOffered(mbps float64) {
 	f.offered = mbps
 }
 
-// Offered reports the currently offered rate in Mbps.
-func (f *Flow) Offered() float64 { return f.offered }
-
 // Achieved reports the rate (Mbps) delivered to this flow during the last
 // tick.
 func (f *Flow) Achieved() float64 { return f.achieved }
@@ -389,11 +375,6 @@ func (l *Link) Advance() {
 			l.dipUntil = l.now + d.Duration
 		}
 	}
-	// Background users contend for their fair share at full demand.
-	if l.background != nil {
-		l.background.offered = l.baseCapacity() * float64(l.cfg.BackgroundFlows)
-	}
-
 	// Evaluate the link-wide fault hook once, then per-flow impairments,
 	// and derive the effective offered rates the link sees this tick.
 	var linkImp Impairment
@@ -525,14 +506,6 @@ func (l *Link) fairShare(cap float64, offered []float64) []float64 {
 	return shares
 }
 
-// RunFor advances the link for the given virtual duration.
-func (l *Link) RunFor(d time.Duration) {
-	steps := int(d / Tick)
-	for i := 0; i < steps; i++ {
-		l.Advance()
-	}
-}
-
 // Sampler turns a flow's deliveries into the periodic bandwidth samples that
 // every BTS in the paper consumes (one sample each 50 ms).
 type Sampler struct {
@@ -554,11 +527,8 @@ func NewSampler(flow *Flow) *Sampler {
 // Interval reports the sampling period.
 func (s *Sampler) Interval() time.Duration { return s.interval }
 
-// Ready reports whether a full interval has elapsed since the last Take.
-func (s *Sampler) Ready() bool { return s.flow.link.Now()-s.lastAt >= s.interval }
-
 // Take returns the throughput (Mbps) observed since the previous Take and
-// resets the window. Call when Ready.
+// resets the window; callers advance the link one Interval between Takes.
 func (s *Sampler) Take() float64 {
 	now := s.flow.link.Now()
 	elapsed := (now - s.lastAt).Seconds()

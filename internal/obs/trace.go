@@ -16,7 +16,7 @@ const DefaultTraceCapacity = 4096
 // RunRecordSchema names the JSONL run-record layout emitted by WriteJSONL,
 // carried in the header line so downstream tooling can dispatch on it. v2
 // adds the estimator-family and BDP-regime event kinds (EventRTTSample,
-// EventEstimate, EventRegime, EventRegimeHint) emitted by the protocol-v2
+// EventEstimate, EventRegime) emitted by the protocol-v2
 // engine; the line layout itself is unchanged, so v1 consumers can read v2
 // records by ignoring the new kinds.
 const RunRecordSchema = "swiftest-run-record/v2"
@@ -40,11 +40,10 @@ const (
 
 // Trace kinds added by the protocol-v2 estimator pipeline (schema v2).
 const (
-	EventRTTSample  = "rtt_sample"  // value = RTT (ms), aux = concurrent sample (Mbps)
-	EventEstimate   = "estimate"    // value = estimate (Mbps), note = estimator name
-	EventRegime     = "bdp_regime"  // value = numeric regime code, note = regime name
-	EventRegimeHint = "regime_hint" // the regime fed back as a convergence hint; note = regime name
-	EventEarlyStop  = "early_stop"  // value = reported bandwidth, aux = model score, note = policy note
+	EventRTTSample = "rtt_sample" // value = RTT (ms), aux = concurrent sample (Mbps)
+	EventEstimate  = "estimate"   // value = estimate (Mbps), note = estimator name
+	EventRegime    = "bdp_regime" // value = numeric regime code, note = regime name
+	EventEarlyStop = "early_stop" // value = reported bandwidth, aux = model score, note = policy note
 )
 
 // Trace kinds emitted by the RAN profile state machine (package
@@ -146,16 +145,6 @@ func (t *Trace) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.events)
-}
-
-// Dropped reports how many events the ring evicted.
-func (t *Trace) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // Events returns the retained events in recording order.

@@ -21,8 +21,8 @@ func TestTraceRecordsInOrder(t *testing.T) {
 	if ev[0].Kind != EventRateInit || ev[2].Note != "mode" {
 		t.Errorf("order lost: %+v", ev)
 	}
-	if tr.Dropped() != 0 {
-		t.Errorf("dropped = %d", tr.Dropped())
+	if tr.dropped != 0 {
+		t.Errorf("dropped = %d", tr.dropped)
 	}
 }
 
@@ -38,8 +38,8 @@ func TestTraceRingEvictsOldest(t *testing.T) {
 	if ev[0].Value != 6 || ev[3].Value != 9 {
 		t.Errorf("ring did not keep the newest events: %+v", ev)
 	}
-	if tr.Dropped() != 6 {
-		t.Errorf("dropped = %d, want 6", tr.Dropped())
+	if tr.dropped != 6 {
+		t.Errorf("dropped = %d, want 6", tr.dropped)
 	}
 }
 
@@ -50,8 +50,8 @@ func TestTraceReset(t *testing.T) {
 		tr.Record(0, EventSample, 0, 0, "")
 	}
 	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 {
-		t.Errorf("reset left len=%d dropped=%d", tr.Len(), tr.Dropped())
+	if tr.Len() != 0 || tr.dropped != 0 {
+		t.Errorf("reset left len=%d dropped=%d", tr.Len(), tr.dropped)
 	}
 	tr.Record(0, EventSample, 1, 0, "")
 	if got := tr.Events(); len(got) != 1 || got[0].Value != 1 {
@@ -129,7 +129,7 @@ func TestNilTraceIsInert(t *testing.T) {
 	tr.Record(0, EventSample, 1, 2, "x")
 	tr.SetMeta("k", "v")
 	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 || tr.Events() != nil {
 		t.Error("nil trace not inert")
 	}
 	var buf bytes.Buffer

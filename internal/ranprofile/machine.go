@@ -136,9 +136,6 @@ func NewMachine(profile *Profile, seed int64, opts MachineOptions) *Machine {
 	return m
 }
 
-// Profile reports the machine's profile.
-func (m *Machine) Profile() *Profile { return m.profile }
-
 // draw returns a uniform in [0,1) keyed by (seed, stream, tick).
 func (m *Machine) draw(stream uint64, tick int) float64 {
 	return stats.Uniform01(stats.SplitMix64(m.seed ^ stream ^ uint64(tick)*stats.SplitMix64Gamma))
@@ -232,8 +229,3 @@ func (m *Machine) Handovers() int { return m.handovers }
 
 // StateChanges reports the number of state transitions so far.
 func (m *Machine) StateChanges() int { return len(m.transitions) }
-
-// Transitions returns the transition log so far, in order.
-func (m *Machine) Transitions() []Transition {
-	return append([]Transition(nil), m.transitions...)
-}

@@ -75,11 +75,6 @@ type State struct {
 	MeanDwellMillis float64 `json:"mean_dwell_ms"`
 }
 
-// RTT reports the state's base RTT.
-func (s State) RTT() time.Duration {
-	return time.Duration(s.RTTMillis * float64(time.Millisecond))
-}
-
 // HandoverSpec shapes the durable cell swap applied when the chain leaves
 // the handover state: the new cell's capacity and RTT are the profile's
 // state parameters scaled by factors drawn uniformly from 1 ± swing.
@@ -312,14 +307,4 @@ func Get(name string) (*Profile, error) {
 		return nil, fmt.Errorf("ranprofile: unknown profile %q (known: %v)", name, builtins.names)
 	}
 	return p, nil
-}
-
-// All returns the built-in profiles sorted by name.
-func All() []*Profile {
-	names := Names()
-	out := make([]*Profile, len(names))
-	for i, n := range names {
-		out[i] = builtins.byName[n]
-	}
-	return out
 }

@@ -25,13 +25,10 @@ func TestEmbeddedLibrary(t *testing.T) {
 	if _, err := Get("no-such-profile"); err == nil {
 		t.Error("Get of unknown profile succeeded")
 	}
-	all := All()
-	if len(all) != len(names) {
-		t.Fatalf("All() returned %d profiles, Names() %d", len(all), len(names))
-	}
-	for i, p := range all {
-		if p.Name != names[i] {
-			t.Errorf("All()[%d] = %q, want %q", i, p.Name, names[i])
+	for _, name := range names {
+		p, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if p.NominalCapacityMbps() <= 0 {
 			t.Errorf("profile %q has non-positive nominal capacity", p.Name)
@@ -74,7 +71,7 @@ func runMachine(t *testing.T, name string, seed int64, horizon time.Duration, op
 	for at := time.Duration(0); at <= horizon; at += linksim.Tick {
 		m.At(at)
 	}
-	return m.Transitions()
+	return m.transitions
 }
 
 func TestMachineReplayIsByteIdentical(t *testing.T) {
@@ -128,7 +125,7 @@ func TestMachineStridedQueriesAgree(t *testing.T) {
 	for at := time.Duration(0); at <= 20*time.Second; at += 5 * linksim.Tick {
 		coarse.At(at)
 	}
-	fa, ca := fine.Transitions(), coarse.Transitions()
+	fa, ca := fine.transitions, coarse.transitions
 	if len(fa) != len(ca) {
 		t.Fatalf("stride changed transition count: %d vs %d", len(fa), len(ca))
 	}
@@ -154,7 +151,7 @@ func TestMachineHandoverSwapsCell(t *testing.T) {
 		t.Fatal("5g-train produced no handovers in 60s")
 	}
 	var sawSwap bool
-	for _, tr := range m.Transitions() {
+	for _, tr := range m.transitions {
 		if tr.Handover {
 			if tr.From != StateHandover {
 				t.Errorf("handover recorded leaving %q, want %q", tr.From, StateHandover)

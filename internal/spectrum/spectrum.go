@@ -88,16 +88,6 @@ func (b Band) UsableContiguousMHz() float64 {
 	return b.MaxChannelMHz
 }
 
-// ServedBy reports whether isp operates on the band.
-func (b Band) ServedBy(isp ISP) bool {
-	for _, i := range b.ISPs {
-		if i == isp {
-			return true
-		}
-	}
-	return false
-}
-
 // LTEBands reproduces Table 1: the nine LTE bands involved in the study,
 // ordered by downlink spectrum.
 func LTEBands() []Band {

@@ -2,6 +2,7 @@ package spectrum
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -23,7 +24,7 @@ func TestTable1Contents(t *testing.T) {
 	if b3.DLLowMHz != 1805 || b3.DLHighMHz != 1880 || b3.MaxChannelMHz != 20 {
 		t.Errorf("B3 = %+v mismatches Table 1", b3)
 	}
-	if !b3.ServedBy(ISP1) || !b3.ServedBy(ISP2) || !b3.ServedBy(ISP3) || b3.ServedBy(ISP4) {
+	if !slices.Contains(b3.ISPs, ISP1) || !slices.Contains(b3.ISPs, ISP2) || !slices.Contains(b3.ISPs, ISP3) || slices.Contains(b3.ISPs, ISP4) {
 		t.Errorf("B3 ISPs wrong: %v", b3.ISPs)
 	}
 }

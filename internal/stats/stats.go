@@ -128,13 +128,6 @@ func (s *Sample) Add(x float64) {
 // N reports the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 
-// Values returns the observations in sorted order. The returned slice is
-// owned by the Sample and must not be modified.
-func (s *Sample) Values() []float64 {
-	s.ensureSorted()
-	return s.xs
-}
-
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
 		sort.Float64s(s.xs)
@@ -167,15 +160,6 @@ func (s *Sample) StdDev() float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n-1))
-}
-
-// Min reports the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.xs[0]
 }
 
 // Max reports the largest observation, or 0 for an empty sample.

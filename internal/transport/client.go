@@ -241,7 +241,6 @@ type clientSession struct {
 	byeAck     chan struct{}
 	byeAckOnce sync.Once
 	repBytes   atomic.Uint64 // cumulative paced bytes, latest server Report
-	repDgrams  atomic.Uint32 // cumulative paced datagrams, latest server Report
 }
 
 // SampleInterval is the client's sampling period, matching §5.1's 50 ms.
@@ -350,12 +349,6 @@ func (p *UDPProbe) SetLostAfter(k int) {
 		p.lostAfter = k
 	}
 }
-
-// SetWire selects the receive syscall strategy (WireAuto batches datagrams
-// per syscall where the platform supports it; WireFallback forces one read
-// per datagram). Call before the first SetRate. Both paths observe identical
-// traffic — the batched-vs-fallback property test pins that.
-func (p *UDPProbe) SetWire(mode WireMode) { p.wire = mode }
 
 // SetMetrics registers the client-side metric series on reg. Call before the
 // first SetRate; a nil registry disables instrumentation.
@@ -709,7 +702,6 @@ func (cs *clientSession) ctrlLoop() {
 			// even when UDP reorders them, so keep the high-water mark.
 			if r.SentBytes > cs.repBytes.Load() {
 				cs.repBytes.Store(r.SentBytes)
-				cs.repDgrams.Store(r.SentDatagrams)
 			}
 		case wire.TypeByeAck:
 			var a wire.ByeAck
@@ -749,24 +741,6 @@ func (p *UDPProbe) observeJitter(arrivedNS int64, sentNS uint64) {
 // diagnostic of the access link's queueing behaviour during the test.
 func (p *UDPProbe) Jitter() time.Duration {
 	return time.Duration(math.Float64frombits(p.jitterNs.Load()))
-}
-
-// ReportedLoss is the delivery-loss fraction observed through the servers'
-// per-interval Reports, aggregated across sessions: 1 − received/paced
-// bytes. It reads 0 until the first Report lands (or with CapReports
-// inactive) — absence of evidence is not loss.
-func (p *UDPProbe) ReportedLoss() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var sent, rx uint64
-	for _, sess := range p.sessions {
-		sent += sess.repBytes.Load()
-		rx += uint64(sess.rxBytes.Load())
-	}
-	if sent == 0 || rx >= sent {
-		return 0
-	}
-	return 1 - float64(rx)/float64(sent)
 }
 
 // NextSample implements core.Probe: it waits for the end of the next sample

@@ -106,9 +106,6 @@ type SimulateOptions struct {
 	// are ignored while the profile drives the link. State changes and
 	// handovers appear in Trace, dwell/handover instruments in Metrics.
 	Profile *Profile
-	// RegimeHint feeds the BDP-regime classifier back into the engine as a
-	// convergence hint, exactly as on the live path. Off by default.
-	RegimeHint bool
 }
 
 // SimulateTestContext runs one Swiftest bandwidth test on an emulated access
@@ -163,11 +160,10 @@ func SimulateTestContext(ctx context.Context, link LinkConfig, model *Model, opt
 	}
 	defer probe.Close()
 	res, err := core.RunContext(ctx, probe, core.Config{
-		Model:      model,
-		Trace:      opts.Trace,
-		Metrics:    core.NewEngineMetrics(opts.Metrics),
-		RegimeHint: opts.RegimeHint,
-		Terminate:  opts.Terminate,
+		Model:     model,
+		Trace:     opts.Trace,
+		Metrics:   core.NewEngineMetrics(opts.Metrics),
+		Terminate: opts.Terminate,
 	})
 	if err != nil {
 		return Result{}, err

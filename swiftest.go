@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -315,8 +316,11 @@ func (s *Server) Close() error { return s.inner.Close() }
 
 // ServerAddr names one test server available to a client.
 type ServerAddr struct {
-	Addr       string  // "host:port"
-	UplinkMbps float64 // advertised egress capacity
+	Addr string // "host:port"
+	// UplinkMbps is the server's advertised egress capacity. Required, and
+	// a positive finite number: the client opens servers until their uplinks
+	// cover the probing rate and asks none for more than its uplink.
+	UplinkMbps float64
 }
 
 // AuthToken authenticates a test session against a keyed deployment: the
@@ -399,10 +403,6 @@ type TestOptions struct {
 	// Token authenticates the session against a keyed deployment (see
 	// AuthToken). Leave zero for open deployments.
 	Token AuthToken
-	// RegimeHint feeds the BDP-regime classifier back into the engine as a
-	// convergence hint: a trajectory already classified as stable may end
-	// the test one window early. Off by default.
-	RegimeHint bool
 }
 
 // TestContext runs one full Swiftest bandwidth test over real UDP: server
@@ -423,6 +423,12 @@ func TestContext(ctx context.Context, opts TestOptions) (Result, error) {
 	}
 	if opts.Model == nil {
 		return Result{}, fmt.Errorf("swiftest: %w (see DefaultModel)", ErrModelRequired)
+	}
+	for _, s := range opts.Servers {
+		if !(s.UplinkMbps > 0) || math.IsInf(s.UplinkMbps, 1) {
+			return Result{}, fmt.Errorf("swiftest: %w", &ServerError{Addr: s.Addr, Op: "uplink",
+				Err: fmt.Errorf("%g Mbit/s is not a positive finite number", s.UplinkMbps)})
+		}
 	}
 	if opts.Faults != nil {
 		return Result{}, fmt.Errorf("swiftest: fault plans apply to emulated tests and fault-injecting servers, not the live client; set ServerOptions.FaultPlan or use SimulateTestContext")
@@ -468,7 +474,6 @@ func TestContext(ctx context.Context, opts TestOptions) (Result, error) {
 		MaxDuration: opts.MaxDuration,
 		Trace:       opts.Trace,
 		Metrics:     core.NewEngineMetrics(opts.Metrics),
-		RegimeHint:  opts.RegimeHint,
 		Terminate:   opts.Terminate,
 	})
 	jitter := probe.Jitter()

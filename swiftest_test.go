@@ -2,6 +2,7 @@ package swiftest_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -222,6 +223,32 @@ func TestTestValidation(t *testing.T) {
 		PingTimeout: 100 * time.Millisecond,
 	}); err == nil {
 		t.Error("unreachable pool accepted")
+	}
+
+	// A server whose uplink is not a positive finite number is refused before
+	// server selection: the live server behind it never sees a ping. Taken as
+	// given, a zero or negative uplink caps every share at nothing and the
+	// test reports 0 Mbit/s; NaN or +Inf stops the client opening or capping
+	// any share.
+	reg := swiftest.NewMetricsRegistry()
+	srv, err := swiftest.NewServer("127.0.0.1:0", swiftest.ServerOptions{UplinkMbps: 100, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, uplink := range []float64{0, -5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
+			Servers:     []swiftest.ServerAddr{{Addr: srv.Addr(), UplinkMbps: uplink}},
+			Model:       model,
+			MaxDuration: 300 * time.Millisecond,
+		})
+		var se *swiftest.ServerError
+		if !errors.As(err, &se) || se.Addr != srv.Addr() {
+			t.Errorf("uplink %g: err = %v, want a ServerError naming %s", uplink, err, srv.Addr())
+		}
+	}
+	if pings := reg.Snapshot().Counters["swiftest_server_pings_total"]; pings != 0 {
+		t.Errorf("server answered %d pings for pools it should have refused", pings)
 	}
 }
 
