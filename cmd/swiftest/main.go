@@ -43,6 +43,7 @@ import (
 	"time"
 
 	swiftest "github.com/mobilebandwidth/swiftest"
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/exper"
 	"github.com/mobilebandwidth/swiftest/internal/floodhttp"
 )
@@ -557,7 +558,7 @@ func floodServe(args []string) error {
 func floodTest(args []string) error {
 	fs := flag.NewFlagSet("floodtest", flag.ExitOnError)
 	urls := fs.String("urls", "", "comma-separated server base URLs (http://host:port)")
-	dur := fs.Duration("duration", 10*time.Second, "flooding duration (§2 uses 10 s)")
+	dur := fs.Duration("duration", estimate.BTSAppDuration, "flooding duration (§2 uses 10 s)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

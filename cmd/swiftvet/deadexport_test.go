@@ -19,33 +19,6 @@ var deadExportKeep = map[string]string{
 	"exper.Evaluate": "acceptance harness of TestEvaluatePairedAcceptance and of the committed earlystop front",
 }
 
-// deadExportPending lists dead exported declarations whose only callers are
-// their own tests, which go when they go. Each entry names those tests; an
-// entry that gains a caller or is deleted must leave the list.
-var deadExportPending = map[string]string{
-	"stats.Summary":                  "TestSummaryBasics, TestSummaryEmpty, TestSummaryMatchesSample",
-	"stats.StreamingQuantile":        "the five TestStreamingQuantile* tests",
-	"stats.NewStreamingQuantile":     "the five TestStreamingQuantile* tests",
-	"stats.Histogram":                "TestHistogram, TestHistogramDensityIntegratesToOne, TestHistogramPanicsOnBadArgs",
-	"stats.NewHistogram":             "TestHistogram, TestHistogramDensityIntegratesToOne, TestHistogramPanicsOnBadArgs",
-	"stats.GroupBy":                  "TestGroupBy and seven calibration tests in dataset",
-	"stats.NewGroupBy":               "TestGroupBy and seven calibration tests in dataset",
-	"spectrum.PathLossDB":            "TestPathLossMonotone",
-	"spectrum.Defragment":            "TestDefragmentImproves",
-	"spectrum.LTEAdvancedPeak":       "TestLTEAdvancedPeak, TestCarrierAggregation",
-	"linksim.SleepingFactor":         "TestSleepingFactor, TestSleepingFactorNegativeOriginWrap; it builds linksim.Config.CapacityFactor, which goes with it and TestCapacityFactorApplies",
-	"obs.LinearBuckets":              "TestBucketHelpers",
-	"obs.ExpBuckets":                 "TestBucketHelpers",
-	"obs.Histogram.Merge":            "TestHistogramMergeShapeMismatch",
-	"obs.HistogramSnapshot.Merge":    "TestHistogramMergePartitionProperty",
-	"floodhttp.PingHTTP":             "TestPingHTTP",
-	"gmm.Model.CDF":                  "TestCDFProperties, TestCDFMonotoneProperty",
-	"core.ModelStore.LastFit":        "TestStoreInjectedClock; it is the only reader of RefreshConfig.Clock, which goes with it",
-	"analysis.SpatialAgg.ByCityTier": "TestByCityTier, TestMergeEqualsSinglePass",
-}
-
-var deadLists = []map[string]string{deadExportKeep, deadExportPending}
-
 // stdInterfaces are the standard-library interfaces a method may exist to
 // satisfy without the module naming them: fmt prints Stringers and errors,
 // errors.Is unwraps, and encoding/json and net/http call the rest.
@@ -248,8 +221,8 @@ func TestNoDeadExports(t *testing.T) {
 		}
 	}
 
-	// A dead declaration must be on a list under its own key or its
-	// receiver type's; every list entry must cover a dead declaration.
+	// A dead declaration must be kept under its own key or its receiver
+	// type's; every kept entry must cover a dead declaration.
 	covered := map[string]bool{}
 	var dead []string
 	for k, obj := range candidates {
@@ -259,10 +232,8 @@ func TestNoDeadExports(t *testing.T) {
 		listed := false
 		for _, key := range []declKey{k, {pkg: k.pkg, name: k.recv}} {
 			name := strings.TrimPrefix(key.String(), internalPath)
-			for _, list := range deadLists {
-				if _, ok := list[name]; ok {
-					listed, covered[name] = true, true
-				}
+			if _, ok := deadExportKeep[name]; ok {
+				listed, covered[name] = true, true
 			}
 		}
 		if !listed {
@@ -273,11 +244,9 @@ func TestNoDeadExports(t *testing.T) {
 	for _, d := range dead {
 		t.Errorf("no non-test caller: %s", d)
 	}
-	for _, list := range deadLists {
-		for name := range list {
-			if !covered[name] {
-				t.Errorf("%s is listed as dead but has a caller or is gone; drop it from the list", name)
-			}
+	for name := range deadExportKeep {
+		if !covered[name] {
+			t.Errorf("%s is listed as dead but has a caller or is gone; drop it from the list", name)
 		}
 	}
 }

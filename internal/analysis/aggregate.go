@@ -522,19 +522,10 @@ func (a *WiFiAgg) PlanShareAtOrBelow(mbps float64, standard int) float64 {
 	return float64(below) / float64(n)
 }
 
-// SpatialRow is one city tier's statistics (§3.1 "Spatial Disparity").
-type SpatialRow struct {
-	Tier  dataset.CityTier
-	Mean  map[dataset.Tech]float64
-	Count map[dataset.Tech]int
-}
-
-// SpatialAgg accumulates the §3.1 spatial-disparity state: per-city-tier,
-// per-city, and urban/rural sums, densely indexed (city IDs beyond the
-// calibrated NumCities are skipped).
+// SpatialAgg accumulates the §3.1 spatial-disparity state: per-city and
+// urban/rural sums, densely indexed (city IDs beyond the calibrated
+// NumCities are skipped).
 type SpatialAgg struct {
-	tierSum  [3][numTech]float64
-	tierN    [3][numTech]int
 	urbanSum [numTech][2]float64 // 0 urban, 1 rural
 	urbanN   [numTech][2]int
 	citySum  [numTech][]float64
@@ -557,10 +548,6 @@ func (a *SpatialAgg) Observe(r dataset.Record) {
 	if t < 0 || t >= numTech {
 		return
 	}
-	if tier := int(r.CityTier); tier >= 0 && tier < 3 {
-		a.tierSum[tier][t] += r.BandwidthMbps
-		a.tierN[tier][t]++
-	}
 	side := 1
 	if r.Urban {
 		side = 0
@@ -575,12 +562,6 @@ func (a *SpatialAgg) Observe(r dataset.Record) {
 
 // Merge implements Aggregator.
 func (a *SpatialAgg) Merge(other *SpatialAgg) {
-	for tier := range a.tierSum {
-		for t := range a.tierSum[tier] {
-			a.tierSum[tier][t] += other.tierSum[tier][t]
-			a.tierN[tier][t] += other.tierN[tier][t]
-		}
-	}
 	for t := 0; t < numTech; t++ {
 		for s := 0; s < 2; s++ {
 			a.urbanSum[t][s] += other.urbanSum[t][s]
@@ -591,25 +572,6 @@ func (a *SpatialAgg) Merge(other *SpatialAgg) {
 			a.cityN[t][c] += other.cityN[t][c]
 		}
 	}
-}
-
-// ByCityTier materialises the per-tier rows.
-func (a *SpatialAgg) ByCityTier() []SpatialRow {
-	var out []SpatialRow
-	for tier := 0; tier < 3; tier++ {
-		row := SpatialRow{Tier: dataset.CityTier(tier), Mean: map[dataset.Tech]float64{}, Count: map[dataset.Tech]int{}}
-		for t := 0; t < numTech; t++ {
-			if a.tierN[tier][t] == 0 {
-				continue
-			}
-			row.Count[dataset.Tech(t)] = a.tierN[tier][t]
-			row.Mean[dataset.Tech(t)] = a.tierSum[tier][t] / float64(a.tierN[tier][t])
-		}
-		if len(row.Count) > 0 {
-			out = append(out, row)
-		}
-	}
-	return out
 }
 
 // UrbanRuralRatio reports one technology's urban/rural mean ratio.

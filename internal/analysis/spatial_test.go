@@ -6,22 +6,6 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/dataset"
 )
 
-func TestByCityTier(t *testing.T) {
-	_, r21 := corpus(t)
-	rows := single(r21, NewSpatialAgg()).ByCityTier()
-	if len(rows) != 3 {
-		t.Fatalf("tiers = %d, want 3", len(rows))
-	}
-	for _, row := range rows {
-		if row.Count[dataset.TechWiFi] == 0 {
-			t.Errorf("tier %v has no WiFi tests", row.Tier)
-		}
-		if row.Mean[dataset.Tech4G] <= 0 {
-			t.Errorf("tier %v has no 4G mean", row.Tier)
-		}
-	}
-}
-
 // TestUrbanRuralRatios pins the §3.1 gaps: urban 4G +24 %, urban 5G +33 %,
 // with the 5G gap the larger.
 func TestUrbanRuralRatios(t *testing.T) {

@@ -96,24 +96,13 @@ func (a *aggregate) close() {
 // ticksPerSample is the number of emulator ticks per 50 ms sample.
 const ticksPerSample = int(linksim.SampleInterval / linksim.Tick)
 
-// BTS-APP's published parameters (§2).
-const (
-	// btsAppDuration is the fixed flooding duration (Speedtest uses 15 s).
-	btsAppDuration = 10 * time.Second
-	// btsAppInitialFlows is the number of parallel connections opened at
-	// test start, before any ladder rung is crossed; Speedtest-class
-	// testers begin with several.
-	btsAppInitialFlows = 4
-	// btsAppMaxFlows bounds parallel connections.
-	btsAppMaxFlows = 8
-)
-
 // BTSApp reproduces the commercial app's probing-by-flooding (§2): download
 // for a fixed 10 seconds over HTTP/TCP connections, collect a bandwidth
 // sample every 50 ms (200 samples total), progressively open connections to
 // additional nearby servers whenever the latest sample crosses the next
 // threshold of the Speedtest-style ladder (estimate.BTSAppScaleLadder), and
-// estimate with the 20-group 5-low/2-high trimming rule.
+// estimate with the 20-group 5-low/2-high trimming rule. Its duration and
+// flow counts are the estimate.BTSApp* constants.
 type BTSApp struct{}
 
 // Name implements Prober.
@@ -124,15 +113,15 @@ func (b *BTSApp) Run(link *linksim.Link) Report {
 	ladder := estimate.BTSAppScaleLadder()
 	agg := newAggregate(link)
 	defer agg.close()
-	for i := 0; i < btsAppInitialFlows; i++ {
+	for i := 0; i < estimate.BTSAppInitialFlows; i++ {
 		agg.addFlow()
 	}
 
 	start := link.Now()
 	var samples []float64
 	nextRung := 0
-	peak := btsAppInitialFlows
-	for link.Now()-start < btsAppDuration {
+	peak := estimate.BTSAppInitialFlows
+	for link.Now()-start < estimate.BTSAppDuration {
 		for i := 0; i < ticksPerSample; i++ {
 			agg.step()
 		}
@@ -140,7 +129,7 @@ func (b *BTSApp) Run(link *linksim.Link) Report {
 		samples = append(samples, s)
 		// Progressive connection scale-up (§2).
 		for nextRung < len(ladder) && s >= ladder[nextRung] {
-			if len(agg.flows) < btsAppMaxFlows {
+			if len(agg.flows) < estimate.BTSAppMaxFlows {
 				agg.addFlow()
 				if len(agg.flows) > peak {
 					peak = len(agg.flows)

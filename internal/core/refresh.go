@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 )
@@ -19,13 +18,11 @@ import (
 // The store is safe for concurrent use: servers report results from their
 // handler goroutines while clients read the current model.
 type ModelStore struct {
-	mu      sync.Mutex
-	model   *gmm.Model // guarded by mu
-	window  []float64  // recent results, bounded ring; guarded by mu
-	next    int        // ring cursor once the window is full; guarded by mu
-	full    bool       // guarded by mu
-	lastFit time.Time  // guarded by mu
-	rng     *rand.Rand // guarded by mu
+	mu     sync.Mutex
+	model  *gmm.Model // guarded by mu
+	window []float64  // recent results, bounded ring; guarded by mu
+	next   int        // ring cursor once the window is full; guarded by mu
+	rng    *rand.Rand // guarded by mu
 
 	cfg RefreshConfig
 }
@@ -42,10 +39,6 @@ type RefreshConfig struct {
 	MaxModes int
 	// Seed drives EM initialisation.
 	Seed int64
-	// Clock supplies the store's notion of now for refit bookkeeping; nil
-	// selects the wall clock. Virtual-time experiments inject the
-	// simulation clock so refresh timestamps stay deterministic.
-	Clock func() time.Time
 }
 
 func (c RefreshConfig) withDefaults() RefreshConfig {
@@ -57,9 +50,6 @@ func (c RefreshConfig) withDefaults() RefreshConfig {
 	}
 	if c.MaxModes <= 0 {
 		c.MaxModes = 6
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now //lint:allow walltime deployment default; simulations inject a virtual clock
 	}
 	return c
 }
@@ -97,7 +87,6 @@ func (s *ModelStore) Report(mbps float64) {
 		s.window = append(s.window, mbps)
 		return
 	}
-	s.full = true
 	s.window[s.next] = mbps
 	s.next = (s.next + 1) % s.cfg.WindowSize
 }
@@ -136,15 +125,6 @@ func (s *ModelStore) Refresh() (*gmm.Model, bool, error) {
 
 	s.mu.Lock()
 	s.model = fitted
-	s.lastFit = s.cfg.Clock()
 	s.mu.Unlock()
 	return fitted, true, nil
-}
-
-// LastFit reports when the model was last refitted (zero before the first
-// refit), in the store's configured clock.
-func (s *ModelStore) LastFit() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastFit
 }

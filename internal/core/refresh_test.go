@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 )
@@ -120,34 +119,6 @@ func TestStoreConcurrentUse(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-}
-
-// TestStoreInjectedClock: the store's refit timestamp comes from the
-// injected clock, never the wall clock — the walltime invariant that keeps
-// virtual-time experiments deterministic.
-func TestStoreInjectedClock(t *testing.T) {
-	virtual := time.Date(2022, 8, 22, 9, 0, 0, 0, time.UTC) // SIGCOMM '22, day one
-	store, err := NewModelStore(seedModel(), RefreshConfig{
-		MinResults: 50,
-		Seed:       11,
-		Clock:      func() time.Time { return virtual },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !store.LastFit().IsZero() {
-		t.Errorf("LastFit before any refit = %v, want zero", store.LastFit())
-	}
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 100; i++ {
-		store.Report(rng.Float64()*100 + 20)
-	}
-	if _, refitted, err := store.Refresh(); err != nil || !refitted {
-		t.Fatalf("Refresh: refitted=%v err=%v", refitted, err)
-	}
-	if got := store.LastFit(); !got.Equal(virtual) {
-		t.Errorf("LastFit = %v, want the injected virtual instant %v", got, virtual)
-	}
 }
 
 // TestRefreshDeterministicForSeed pins the regression the walltime audit

@@ -153,9 +153,6 @@ var hourFactor4G = [24]float64{
 	1.03, 1.03, 1.04, 1.05, 1.05, 1.01, 1.01, 0.99,
 }
 
-// SleepingWindow is the 5G base-station antenna-sleeping window of §3.3.
-var SleepingWindow = struct{ StartHour, EndHour int }{21, 9}
-
 // cellISPShares are per-technology ISP user shares. ISP-4 (the 5G-first
 // newcomer on the 700 MHz band) has almost no LTE footprint (§3.2: Band 28
 // saw two tests).

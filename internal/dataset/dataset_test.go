@@ -93,14 +93,22 @@ func TestRecordFieldValidity(t *testing.T) {
 }
 
 func techSamples(rs []Record) map[Tech]*stats.Sample {
-	out := map[Tech]*stats.Sample{}
+	byTech := map[Tech][]float64{}
 	for _, r := range rs {
-		s := out[r.Tech]
-		if s == nil {
-			s = &stats.Sample{}
-			out[r.Tech] = s
-		}
-		s.Add(r.BandwidthMbps)
+		byTech[r.Tech] = append(byTech[r.Tech], r.BandwidthMbps)
+	}
+	out := map[Tech]*stats.Sample{}
+	for tech, xs := range byTech {
+		out[tech] = stats.NewSample(xs)
+	}
+	return out
+}
+
+// groupMeans reports each group's mean, for failure messages.
+func groupMeans[K comparable](groups map[K][]float64) map[K]float64 {
+	out := make(map[K]float64, len(groups))
+	for k, xs := range groups {
+		out[k] = stats.Mean(xs)
 	}
 	return out
 }
@@ -126,12 +134,13 @@ func TestFig1Calibration(t *testing.T) {
 // TestFig4Skew pins the 4G distribution's skew: median ≈22 vs mean ≈53, a
 // heavy sub-10 Mbps mass and an LTE-Advanced tail above 300 Mbps.
 func TestFig4Skew(t *testing.T) {
-	s := &stats.Sample{}
+	var xs []float64
 	for _, r := range gen(t, 2021, 500000) {
 		if r.Tech == Tech4G {
-			s.Add(r.BandwidthMbps)
+			xs = append(xs, r.BandwidthMbps)
 		}
 	}
+	s := stats.NewSample(xs)
 	if med := s.Median(); med < 17 || med > 28 {
 		t.Errorf("4G median = %.1f, want ≈22", med)
 	}
@@ -150,32 +159,31 @@ func TestFig4Skew(t *testing.T) {
 // TestFig5BandMeans checks per-LTE-band calibration and the H-Band/L-Band
 // contrast, including the B39/B34 anomaly (§3.2).
 func TestFig5BandMeans(t *testing.T) {
-	groups := stats.NewGroupBy()
+	groups := map[string][]float64{}
 	for _, r := range gen(t, 2021, 600000) {
 		if r.Tech == Tech4G {
-			groups.Add(r.Band, r.BandwidthMbps)
+			groups[r.Band] = append(groups[r.Band], r.BandwidthMbps)
 		}
 	}
-	b3 := groups.Group("B3")
-	if b3 == nil || b3.N() < 1000 {
+	if len(groups["B3"]) < 1000 {
 		t.Fatal("too few B3 tests")
 	}
 	for band, want := range map[string]float64{"B3": 56, "B1": 63, "B41": 58, "B39": 48.2, "B34": 47.1, "B8": 35} {
-		g := groups.Group(band)
-		if g == nil || g.N() < 50 {
+		g := groups[band]
+		if len(g) < 50 {
 			t.Errorf("band %s missing or tiny", band)
 			continue
 		}
-		if got := g.Mean(); math.Abs(got-want)/want > 0.15 {
+		if got := stats.Mean(g); math.Abs(got-want)/want > 0.15 {
 			t.Errorf("band %s mean = %.1f, want ≈%.1f", band, got, want)
 		}
 	}
 	// H-band B1 must beat L-band B8 (§3.2), and B39 ≈ B34 despite being an
 	// H-band (rural deployment).
-	if groups.Group("B1").Mean() <= groups.Group("B8").Mean() {
+	if stats.Mean(groups["B1"]) <= stats.Mean(groups["B8"]) {
 		t.Error("H-band B1 not above L-band B8")
 	}
-	if d := math.Abs(groups.Group("B39").Mean() - groups.Group("B34").Mean()); d > 10 {
+	if d := math.Abs(stats.Mean(groups["B39"]) - stats.Mean(groups["B34"])); d > 10 {
 		t.Errorf("B39 vs B34 gap = %.1f, want small (§3.2 anomaly)", d)
 	}
 }
@@ -209,22 +217,22 @@ func TestFig6BandLoad(t *testing.T) {
 // TestFig8NRBands checks the refarming contrast: thin refarmed N1/N28 far
 // below wide N41/N78.
 func TestFig8NRBands(t *testing.T) {
-	groups := stats.NewGroupBy()
+	groups := map[string][]float64{}
 	for _, r := range gen(t, 2021, 800000) {
 		if r.Tech == Tech5G {
-			groups.Add(r.Band, r.BandwidthMbps)
+			groups[r.Band] = append(groups[r.Band], r.BandwidthMbps)
 		}
 	}
 	for band, want := range map[string]float64{"N78": 332, "N41": 312, "N1": 103, "N28": 113} {
-		g := groups.Group(band)
-		if g == nil || g.N() < 100 {
+		g := groups[band]
+		if len(g) < 100 {
 			t.Fatalf("band %s missing or tiny", band)
 		}
-		if got := g.Mean(); math.Abs(got-want)/want > 0.15 {
+		if got := stats.Mean(g); math.Abs(got-want)/want > 0.15 {
 			t.Errorf("band %s mean = %.1f, want ≈%.0f", band, got, want)
 		}
 	}
-	if groups.Group("N1").Mean() > groups.Group("N41").Mean()/2 {
+	if stats.Mean(groups["N1"]) > stats.Mean(groups["N41"])/2 {
 		t.Error("refarmed N1 should sit far below N41 (§3.3)")
 	}
 }
@@ -232,27 +240,25 @@ func TestFig8NRBands(t *testing.T) {
 // TestFig12RSSAnomaly checks the counter-intuitive 5G finding: bandwidth
 // rises through RSS level 4 and drops at level 5; 4G stays monotone.
 func TestFig12RSSAnomaly(t *testing.T) {
-	g5 := stats.NewGroupBy()
-	g4 := stats.NewGroupBy()
-	snr := stats.NewGroupBy()
+	g5 := map[int][]float64{}
+	g4 := map[int][]float64{}
+	snr := map[int][]float64{}
 	for _, r := range gen(t, 2021, 800000) {
-		key := string(rune('0' + r.RSSLevel))
 		switch r.Tech {
 		case Tech5G:
-			g5.Add(key, r.BandwidthMbps)
-			snr.Add(key, r.SNRdB)
+			g5[r.RSSLevel] = append(g5[r.RSSLevel], r.BandwidthMbps)
+			snr[r.RSSLevel] = append(snr[r.RSSLevel], r.SNRdB)
 		case Tech4G:
-			g4.Add(key, r.BandwidthMbps)
+			g4[r.RSSLevel] = append(g4[r.RSSLevel], r.BandwidthMbps)
 		}
 	}
 	means5 := make([]float64, 5)
 	means4 := make([]float64, 5)
 	snrs := make([]float64, 5)
 	for i := 1; i <= 5; i++ {
-		key := string(rune('0' + i))
-		means5[i-1] = g5.Group(key).Mean()
-		means4[i-1] = g4.Group(key).Mean()
-		snrs[i-1] = snr.Group(key).Mean()
+		means5[i-1] = stats.Mean(g5[i])
+		means4[i-1] = stats.Mean(g4[i])
+		snrs[i-1] = stats.Mean(snr[i])
 	}
 	for i := 1; i < 4; i++ {
 		if means5[i] <= means5[i-1] {
@@ -276,17 +282,17 @@ func TestFig12RSSAnomaly(t *testing.T) {
 // TestFig10Diurnal checks the sleeping-strategy signature: 5G bandwidth
 // bottoms at 21–23 h despite light load and peaks at 03–05 h.
 func TestFig10Diurnal(t *testing.T) {
-	groups := stats.NewGroupBy()
+	var byHour [24][]float64
 	counts := make([]int, 24)
 	for _, r := range gen(t, 2021, 1200000) {
 		if r.Tech == Tech5G {
-			groups.Add(hourKey(r.Hour), r.BandwidthMbps)
+			byHour[r.Hour] = append(byHour[r.Hour], r.BandwidthMbps)
 			counts[r.Hour]++
 		}
 	}
-	night := mergedMean(groups, 21, 22) // 21:00–23:00
-	dawn := mergedMean(groups, 3, 4)    // 03:00–05:00
-	afternoon := mergedMean(groups, 15, 16)
+	night := mergedMean(&byHour, 21, 22) // 21:00–23:00
+	dawn := mergedMean(&byHour, 3, 4)    // 03:00–05:00
+	afternoon := mergedMean(&byHour, 15, 16)
 	if !(dawn > afternoon && afternoon > night) {
 		t.Errorf("diurnal ordering wrong: dawn %.0f, afternoon %.0f, night %.0f", dawn, afternoon, night)
 	}
@@ -298,18 +304,13 @@ func TestFig10Diurnal(t *testing.T) {
 	}
 }
 
-func hourKey(h int) string { return string([]rune{rune('a' + h)}) }
-
-func mergedMean(g *stats.GroupBy, hours ...int) float64 {
+func mergedMean(byHour *[24][]float64, hours ...int) float64 {
 	var sum float64
 	var n int
 	for _, h := range hours {
-		s := g.Group(hourKey(h))
-		if s == nil {
-			continue
-		}
-		sum += s.Mean() * float64(s.N())
-		n += s.N()
+		xs := byHour[h]
+		sum += stats.Mean(xs) * float64(len(xs))
+		n += len(xs)
 	}
 	if n == 0 {
 		return 0
@@ -320,26 +321,25 @@ func mergedMean(g *stats.GroupBy, hours ...int) float64 {
 // TestFig13WiFiStandards checks the WiFi generation means and the §3.4
 // surprise: WiFi 4 ≈ WiFi 5 on the 5 GHz band.
 func TestFig13WiFiStandards(t *testing.T) {
-	byStd := stats.NewGroupBy()
-	on5 := stats.NewGroupBy()
+	byStd := map[int][]float64{}
+	on5 := map[int][]float64{}
 	for _, r := range gen(t, 2021, 500000) {
 		if r.Tech != TechWiFi {
 			continue
 		}
-		key := string(rune('0' + r.WiFiStandard))
-		byStd.Add(key, r.BandwidthMbps)
+		byStd[r.WiFiStandard] = append(byStd[r.WiFiStandard], r.BandwidthMbps)
 		if r.WiFiRadio == Band5GHz {
-			on5.Add(key, r.BandwidthMbps)
+			on5[r.WiFiStandard] = append(on5[r.WiFiStandard], r.BandwidthMbps)
 		}
 	}
-	for std, want := range map[string]float64{"4": 59, "5": 208, "6": 345} {
-		got := byStd.Group(std).Mean()
+	for std, want := range map[int]float64{4: 59, 5: 208, 6: 345} {
+		got := stats.Mean(byStd[std])
 		if math.Abs(got-want)/want > 0.12 {
-			t.Errorf("WiFi %s mean = %.0f, want ≈%.0f", std, got, want)
+			t.Errorf("WiFi %d mean = %.0f, want ≈%.0f", std, got, want)
 		}
 	}
-	w4 := on5.Group("4").Mean()
-	w5 := on5.Group("5").Mean()
+	w4 := stats.Mean(on5[4])
+	w5 := stats.Mean(on5[5])
 	if math.Abs(w4-w5)/w5 > 0.20 {
 		t.Errorf("5 GHz means WiFi4 %.0f vs WiFi5 %.0f should be close (§3.4)", w4, w5)
 	}
@@ -367,19 +367,19 @@ func TestPlanCeiling(t *testing.T) {
 // TestFig2AndroidVersions checks the monotone version effect and the small
 // device-model spread at a fixed version.
 func TestFig2AndroidVersions(t *testing.T) {
-	byVer := stats.NewGroupBy()
+	byVer := map[int][]float64{}
 	for _, r := range gen(t, 2021, 600000) {
 		if r.Tech == Tech5G {
-			byVer.Add(string(rune('a'+r.AndroidVersion)), r.BandwidthMbps)
+			byVer[r.AndroidVersion] = append(byVer[r.AndroidVersion], r.BandwidthMbps)
 		}
 	}
 	prev := 0.0
 	for v := 5; v <= 12; v++ {
-		s := byVer.Group(string(rune('a' + v)))
-		if s == nil || s.N() < 100 {
+		xs := byVer[v]
+		if len(xs) < 100 {
 			continue
 		}
-		if m := s.Mean(); m <= prev {
+		if m := stats.Mean(xs); m <= prev {
 			t.Errorf("5G bandwidth not rising with Android version at %d: %.0f ≤ %.0f", v, m, prev)
 		} else {
 			prev = m
@@ -390,38 +390,33 @@ func TestFig2AndroidVersions(t *testing.T) {
 // TestFig3ISPs checks the ISP ordering findings: similar 4G, ISP-3 on top
 // for 5G and WiFi, ISP-4 far behind on 5G.
 func TestFig3ISPs(t *testing.T) {
-	fiveG := stats.NewGroupBy()
-	fourG := stats.NewGroupBy()
-	wifi := stats.NewGroupBy()
+	fiveG := map[spectrum.ISP][]float64{}
+	fourG := map[spectrum.ISP][]float64{}
+	wifi := map[spectrum.ISP][]float64{}
 	for _, r := range gen(t, 2021, 900000) {
-		key := r.ISP.String()
 		switch r.Tech {
 		case Tech5G:
-			fiveG.Add(key, r.BandwidthMbps)
+			fiveG[r.ISP] = append(fiveG[r.ISP], r.BandwidthMbps)
 		case Tech4G:
-			fourG.Add(key, r.BandwidthMbps)
+			fourG[r.ISP] = append(fourG[r.ISP], r.BandwidthMbps)
 		case TechWiFi:
-			wifi.Add(key, r.BandwidthMbps)
+			wifi[r.ISP] = append(wifi[r.ISP], r.BandwidthMbps)
 		}
 	}
-	isp := func(g *stats.GroupBy, i int) float64 {
-		s := g.Group(spectrum.ISP(i).String())
-		if s == nil {
-			return 0
-		}
-		return s.Mean()
+	isp := func(g map[spectrum.ISP][]float64, i int) float64 {
+		return stats.Mean(g[spectrum.ISP(i)])
 	}
 	// 5G: ISP-3 highest among 1–3; ISP-4 lowest by far.
 	if !(isp(fiveG, 3) > isp(fiveG, 1) && isp(fiveG, 3) > isp(fiveG, 2)) {
-		t.Errorf("5G ISP-3 not on top: %v", fiveG.Means())
+		t.Errorf("5G ISP-3 not on top: %v", groupMeans(fiveG))
 	}
 	if isp(fiveG, 4) > isp(fiveG, 1)/1.5 {
-		t.Errorf("5G ISP-4 (700 MHz) should trail badly: %v", fiveG.Means())
+		t.Errorf("5G ISP-4 (700 MHz) should trail badly: %v", groupMeans(fiveG))
 	}
 	// WiFi: ISP-3 highest (broadband investment).
 	for i := 1; i <= 2; i++ {
 		if isp(wifi, 3) <= isp(wifi, i) {
-			t.Errorf("WiFi ISP-3 not above ISP-%d: %v", i, wifi.Means())
+			t.Errorf("WiFi ISP-3 not above ISP-%d: %v", i, groupMeans(wifi))
 		}
 	}
 	// 4G: ISPs 1–3 similar (mature infrastructure): spread within 25 %.
@@ -431,13 +426,13 @@ func TestFig3ISPs(t *testing.T) {
 		lo, hi = math.Min(lo, m), math.Max(hi, m)
 	}
 	if (hi-lo)/hi > 0.25 {
-		t.Errorf("4G ISP spread too wide: %v", fourG.Means())
+		t.Errorf("4G ISP spread too wide: %v", groupMeans(fourG))
 	}
 }
 
 // TestUrbanRuralGap checks the §3.1 urban/rural bandwidth ratios.
 func TestUrbanRuralGap(t *testing.T) {
-	type acc struct{ urban, rural stats.Summary }
+	type acc struct{ urban, rural []float64 }
 	gaps := map[Tech]*acc{Tech4G: {}, Tech5G: {}}
 	for _, r := range gen(t, 2021, 700000) {
 		a, ok := gaps[r.Tech]
@@ -445,13 +440,13 @@ func TestUrbanRuralGap(t *testing.T) {
 			continue
 		}
 		if r.Urban {
-			a.urban.Add(r.BandwidthMbps)
+			a.urban = append(a.urban, r.BandwidthMbps)
 		} else {
-			a.rural.Add(r.BandwidthMbps)
+			a.rural = append(a.rural, r.BandwidthMbps)
 		}
 	}
-	r4 := gaps[Tech4G].urban.Mean() / gaps[Tech4G].rural.Mean()
-	r5 := gaps[Tech5G].urban.Mean() / gaps[Tech5G].rural.Mean()
+	r4 := stats.Mean(gaps[Tech4G].urban) / stats.Mean(gaps[Tech4G].rural)
+	r5 := stats.Mean(gaps[Tech5G].urban) / stats.Mean(gaps[Tech5G].rural)
 	if r4 < 1.10 || r4 > 1.45 {
 		t.Errorf("4G urban/rural ratio = %.2f, want ≈1.24", r4)
 	}

@@ -322,17 +322,18 @@ func TestShaperUnderOverload(t *testing.T) {
 		if math.Abs(mbps-rate)/rate > 0.005 {
 			faults = append(faults, fmt.Sprintf("delivered %.3f Mbit/s through a %g Mbit/s link", mbps, rate))
 		}
-		var gaps stats.Sample // ms
+		var gapMS []float64
 		for i := 1; i < len(steady); i++ {
-			gaps.Add(float64(steady[i].at-steady[i-1].at) / float64(time.Millisecond))
+			gapMS = append(gapMS, float64(steady[i].at-steady[i-1].at)/float64(time.Millisecond))
 		}
-		if p99 := gaps.Quantile(0.99); p99 > 3 {
+		if p99 := stats.NewSample(gapMS).Quantile(0.99); p99 > 3 {
 			faults = append(faults, fmt.Sprintf("one delivery in 100 comes %.2f ms or more after the last", p99))
 		}
-		var transits stats.Sample // ms
-		for _, a := range got {
-			transits.Add(float64(a.transit) / float64(time.Millisecond))
+		transitMS := make([]float64, len(got))
+		for i, a := range got {
+			transitMS[i] = float64(a.transit) / float64(time.Millisecond)
 		}
+		transits := stats.NewSample(transitMS)
 		if least := transits.Quantile(0); least < float64(delay/time.Millisecond) {
 			t.Errorf("a datagram crossed in %.2f ms, under the link's %v delay", least, delay)
 		}

@@ -3,6 +3,7 @@ package estimate
 import (
 	"math"
 	"sort"
+	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
@@ -35,6 +36,19 @@ func BTSAppEstimate(samples []float64) float64 {
 	kept := avgs[dropLow : len(avgs)-dropHigh]
 	return stats.Mean(kept)
 }
+
+// BTS-APP's published parameters (§2), read by the virtual-time
+// baseline.BTSApp and the real-socket floodhttp client alike.
+const (
+	// BTSAppDuration is the fixed flooding duration (Speedtest uses 15 s).
+	BTSAppDuration = 10 * time.Second
+	// BTSAppInitialFlows is the number of parallel connections opened at
+	// test start, before any ladder rung is crossed; Speedtest-class
+	// testers begin with several.
+	BTSAppInitialFlows = 4
+	// BTSAppMaxFlows bounds parallel connections.
+	BTSAppMaxFlows = 8
+)
 
 // BTSAppScaleLadder is BTS-APP's connection scale-up ladder (§2), extended
 // upward for 5G/WiFi-6-class bandwidths: one more parallel connection each

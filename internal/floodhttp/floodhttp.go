@@ -12,7 +12,9 @@
 // The client floods for a fixed duration over parallel HTTP connections,
 // samples aggregate goodput every 50 ms, progressively adds connections when
 // samples cross the Speedtest-style threshold ladder, and estimates with the
-// 20-group 5-low/2-high trimming rule (estimate.BTSAppEstimate).
+// 20-group 5-low/2-high trimming rule (estimate.BTSAppEstimate). Its flow
+// counts and default duration are the estimate.BTSApp* constants that
+// baseline.BTSApp also runs with.
 //
 //lint:allow walltime deployment-side flooding over real HTTP/TCP; the virtual-time counterpart is baseline.BTSApp
 package floodhttp
@@ -21,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -36,6 +37,9 @@ import (
 // DefaultChunkBytes is the per-request download size (25 MiB, the fast.com /
 // Speedtest class of object size).
 const DefaultChunkBytes = 25 << 20
+
+// sampleInterval is the goodput sampling period (§2: 50 ms).
+const sampleInterval = 50 * time.Millisecond
 
 // maxChunkBytes bounds client-requested chunk sizes.
 const maxChunkBytes = 256 << 20
@@ -122,20 +126,9 @@ type ClientConfig struct {
 	// Required. Additional connections rotate across them, mirroring §2's
 	// "new HTTP connections to other nearby test servers".
 	URLs []string
-	// Duration is the fixed flooding time; zero selects 10 s (§2).
+	// Duration is the fixed flooding time; zero selects
+	// estimate.BTSAppDuration (§2: 10 s).
 	Duration time.Duration
-	// InitialConns is the number of connections opened at start; zero
-	// selects 4.
-	InitialConns int
-	// MaxConns bounds parallel connections; zero selects 8.
-	MaxConns int
-	// ScaleThresholds is the Mbps ladder that adds connections; nil selects
-	// estimate.BTSAppScaleLadder.
-	ScaleThresholds []float64
-	// ChunkBytes is the per-request download size; zero selects 25 MiB.
-	ChunkBytes int64
-	// SampleInterval is the goodput sampling period; zero selects 50 ms.
-	SampleInterval time.Duration
 }
 
 // Report is the outcome of one flooding test.
@@ -154,31 +147,9 @@ func RunTest(cfg ClientConfig) (Report, error) {
 	}
 	dur := cfg.Duration
 	if dur <= 0 {
-		dur = 10 * time.Second
+		dur = estimate.BTSAppDuration
 	}
-	initial := cfg.InitialConns
-	if initial <= 0 {
-		initial = 4
-	}
-	maxConns := cfg.MaxConns
-	if maxConns <= 0 {
-		maxConns = 8
-	}
-	if initial > maxConns {
-		initial = maxConns
-	}
-	ladder := cfg.ScaleThresholds
-	if ladder == nil {
-		ladder = estimate.BTSAppScaleLadder()
-	}
-	chunk := cfg.ChunkBytes
-	if chunk <= 0 {
-		chunk = DefaultChunkBytes
-	}
-	interval := cfg.SampleInterval
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
+	ladder := estimate.BTSAppScaleLadder()
 
 	ctx, cancel := context.WithTimeout(context.Background(), dur)
 	defer cancel()
@@ -187,7 +158,7 @@ func RunTest(cfg ClientConfig) (Report, error) {
 	var wg sync.WaitGroup
 	conns := 0
 	spawn := func() {
-		url := fmt.Sprintf("%s/chunk?bytes=%d", cfg.URLs[conns%len(cfg.URLs)], chunk)
+		url := cfg.URLs[conns%len(cfg.URLs)] + "/chunk"
 		conns++
 		wg.Add(1)
 		go func() {
@@ -195,7 +166,7 @@ func RunTest(cfg ClientConfig) (Report, error) {
 			floodWorker(ctx, url, &rx)
 		}()
 	}
-	for i := 0; i < initial; i++ {
+	for i := 0; i < estimate.BTSAppInitialFlows; i++ {
 		spawn()
 	}
 
@@ -204,7 +175,7 @@ func RunTest(cfg ClientConfig) (Report, error) {
 	lastBytes := int64(0)
 	lastAt := start
 	nextRung := 0
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(sampleInterval)
 	defer ticker.Stop()
 	for time.Since(start) < dur {
 		<-ticker.C
@@ -219,7 +190,7 @@ func RunTest(cfg ClientConfig) (Report, error) {
 		lastBytes, lastAt = cur, now
 
 		for nextRung < len(ladder) && sample >= ladder[nextRung] {
-			if conns < maxConns {
+			if conns < estimate.BTSAppMaxFlows {
 				spawn()
 			}
 			nextRung++
@@ -273,25 +244,4 @@ func floodWorker(ctx context.Context, url string, rx *atomic.Int64) {
 		}
 		resp.Body.Close()
 	}
-}
-
-// PingHTTP measures HTTP-level request latency to a server's /ping endpoint.
-func PingHTTP(baseURL string, timeout time.Duration) (time.Duration, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/ping", nil)
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, fmt.Errorf("floodhttp: ping %s: %w", baseURL, err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return 0, fmt.Errorf("floodhttp: ping %s: status %d", baseURL, resp.StatusCode)
-	}
-	return time.Since(start), nil
 }

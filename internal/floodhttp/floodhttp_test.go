@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
 )
 
 func startServer(t *testing.T) *Server {
@@ -56,29 +58,14 @@ func TestChunkRejectsBadSizes(t *testing.T) {
 	}
 }
 
-func TestPingHTTP(t *testing.T) {
-	s := startServer(t)
-	rtt, err := PingHTTP("http://"+s.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rtt <= 0 || rtt > time.Second {
-		t.Errorf("implausible HTTP ping %v", rtt)
-	}
-	if _, err := PingHTTP("http://127.0.0.1:1", 200*time.Millisecond); err == nil {
-		t.Error("unreachable server pinged successfully")
-	}
-}
-
 // TestRunTestOnLoopback floods a local server for a short window: the
 // full §2 pipeline — parallel connections, 50 ms samples, connection
 // scale-up, trimmed estimation — over real TCP.
 func TestRunTestOnLoopback(t *testing.T) {
 	s := startServer(t)
 	rep, err := RunTest(ClientConfig{
-		URLs:       []string{"http://" + s.Addr()},
-		Duration:   1500 * time.Millisecond,
-		ChunkBytes: 4 << 20,
+		URLs:     []string{"http://" + s.Addr()},
+		Duration: 1500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +76,8 @@ func TestRunTestOnLoopback(t *testing.T) {
 	if len(rep.Samples) < 20 {
 		t.Errorf("samples = %d, want ≈30 over 1.5 s", len(rep.Samples))
 	}
-	if rep.Conns < 4 {
-		t.Errorf("connections = %d, want ≥4 (initial parallelism)", rep.Conns)
+	if rep.Conns < estimate.BTSAppInitialFlows {
+		t.Errorf("connections = %d, want ≥%d (initial parallelism)", rep.Conns, estimate.BTSAppInitialFlows)
 	}
 	if rep.DataMB <= 0 {
 		t.Error("no data accounted")
@@ -98,21 +85,20 @@ func TestRunTestOnLoopback(t *testing.T) {
 	t.Logf("loopback flood: %.0f Mbps, %.0f MB, %d conns", rep.ResultMbps, rep.DataMB, rep.Conns)
 }
 
+// TestRunTestScaleUp: a loopback flood crosses every rung of the ladder up
+// to 400 Mbit/s, so the client opens connections up to the published
+// maximum and no further.
 func TestRunTestScaleUp(t *testing.T) {
 	s := startServer(t)
 	rep, err := RunTest(ClientConfig{
-		URLs:            []string{"http://" + s.Addr()},
-		Duration:        800 * time.Millisecond,
-		InitialConns:    1,
-		MaxConns:        3,
-		ScaleThresholds: []float64{1, 2}, // trivially crossed on loopback
-		ChunkBytes:      2 << 20,
+		URLs:     []string{"http://" + s.Addr()},
+		Duration: 800 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Conns != 3 {
-		t.Errorf("connections = %d, want scale-up to 3", rep.Conns)
+	if rep.Conns != estimate.BTSAppMaxFlows {
+		t.Errorf("connections = %d, want scale-up to %d", rep.Conns, estimate.BTSAppMaxFlows)
 	}
 }
 

@@ -12,10 +12,10 @@
 // ordered list of larger modes drives rate escalation when the client's
 // access bandwidth is not yet saturated.
 //
-// The package provides mixture evaluation (CDF), sampling, mode queries,
-// and fitting from observed bandwidths via the EM algorithm with BIC model
-// selection, so a deployment can periodically refresh its models from recent
-// test results exactly as §5.1 prescribes.
+// The package provides sampling, mode queries, and fitting from observed
+// bandwidths via the EM algorithm with BIC model selection, so a deployment
+// can periodically refresh its models from recent test results exactly as
+// §5.1 prescribes.
 package gmm
 
 import (
@@ -88,16 +88,6 @@ func (m *Model) K() int { return len(m.components) }
 func gaussPDF(x, mu, sigma float64) float64 {
 	u := (x - mu) / sigma
 	return math.Exp(-0.5*u*u) / (sigma * math.Sqrt(2*math.Pi))
-}
-
-// CDF evaluates the mixture cumulative distribution at x.
-func (m *Model) CDF(x float64) float64 {
-	var p float64
-	for _, c := range m.components {
-		u := (x - c.Mu) / (c.Sigma * math.Sqrt2)
-		p += c.Weight * 0.5 * (1 + math.Erf(u))
-	}
-	return p
 }
 
 // Mean reports the mixture mean Σ wᵢ·μᵢ.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func bimodal(t *testing.T) *Model {
@@ -67,24 +66,6 @@ func TestPDFIntegratesToOne(t *testing.T) {
 	}
 }
 
-func TestCDFProperties(t *testing.T) {
-	m := bimodal(t)
-	if got := m.CDF(-1e6); got > 1e-9 {
-		t.Errorf("CDF(-inf) = %g, want ≈0", got)
-	}
-	if got := m.CDF(1e6); math.Abs(got-1) > 1e-9 {
-		t.Errorf("CDF(+inf) = %g, want ≈1", got)
-	}
-	prev := -1.0
-	for x := -100.0; x <= 600; x += 10 {
-		c := m.CDF(x)
-		if c < prev {
-			t.Fatalf("CDF not monotone at %g", x)
-		}
-		prev = c
-	}
-}
-
 func TestMean(t *testing.T) {
 	m := bimodal(t)
 	want := 0.3*100 + 0.7*300
@@ -135,28 +116,6 @@ func TestModeQueries(t *testing.T) {
 	}
 	if _, ok := m.NextLargerMode(500); ok {
 		t.Error("NextLargerMode above max should report !ok")
-	}
-}
-
-// TestCDFMonotoneProperty property-checks monotonicity of the CDF for random
-// two-component models.
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(mu1, mu2, s1, s2, w, a, b float64) bool {
-		s1, s2 = math.Abs(s1)+0.1, math.Abs(s2)+0.1
-		w = math.Abs(math.Mod(w, 1)) + 0.01
-		mu1, mu2 = math.Mod(mu1, 1000), math.Mod(mu2, 1000)
-		m, err := New(Component{w, mu1, s1}, Component{1.01 - w, mu2, s2})
-		if err != nil {
-			return true
-		}
-		a, b = math.Mod(a, 2000), math.Mod(b, 2000)
-		if a > b {
-			a, b = b, a
-		}
-		return m.CDF(a) <= m.CDF(b)+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

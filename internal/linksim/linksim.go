@@ -6,9 +6,9 @@
 //
 // The emulator advances in fixed ticks of virtual time. Each tick the link
 // has an instantaneous capacity (base capacity modulated by multiplicative
-// fluctuation noise, an optional diurnal/base-station-sleeping factor, and an
-// optional token-bucket traffic shaper), which is divided across the active
-// flows by max-min fair sharing — the same proportional-fair behaviour that
+// fluctuation noise, optional episodic dips, and an optional token-bucket
+// traffic shaper), which is divided across the active flows by max-min
+// fair sharing — the same proportional-fair behaviour that
 // base stations and APs implement (§5.1). A drop-tail queue models buffering:
 // offered traffic beyond capacity accumulates queueing delay, and overflow
 // produces loss signals that drive the TCP congestion-control models in
@@ -85,10 +85,6 @@ type Config struct {
 	// BufferBDP sizes the bottleneck queue in multiples of the
 	// bandwidth-delay product. Zero means the default of 1.
 	BufferBDP float64
-	// CapacityFactor, if non-nil, scales capacity as a function of virtual
-	// time — used for diurnal patterns and the 5G base-station sleeping
-	// strategy of Figure 10.
-	CapacityFactor func(at time.Duration) float64
 	// Shaping, if non-nil, applies token-bucket traffic shaping.
 	Shaping *Shaper
 	// Dipping, if non-nil, adds episodic capacity drops.
@@ -330,9 +326,6 @@ func (f *Flow) Close() {
 // capacityNow computes the link's instantaneous capacity before fair sharing.
 func (l *Link) capacityNow() float64 {
 	cap := l.baseCapacity() * (1 + l.noise)
-	if l.cfg.CapacityFactor != nil {
-		cap *= l.cfg.CapacityFactor(l.now)
-	}
 	if s := l.cfg.Shaping; s != nil && l.shapedMB >= s.BurstMB {
 		cap = math.Min(cap, s.SustainedMbps)
 	}
@@ -539,31 +532,4 @@ func (s *Sampler) Take() float64 {
 	s.lastBits = s.flow.bits
 	s.lastAt = now
 	return bits / elapsed / 1e6
-}
-
-// SleepingFactor returns a CapacityFactor implementing the 5G base-station
-// sleeping strategy of §3.3: between startHour and endHour (wrapping
-// midnight) the active antenna units are partially off, scaling capacity by
-// factor. hourOfDay maps virtual time to wall-clock hours via the given
-// origin hour.
-func SleepingFactor(startHour, endHour int, factor float64, originHour float64) func(time.Duration) float64 {
-	return func(at time.Duration) float64 {
-		h := math.Mod(originHour+at.Hours(), 24)
-		if h < 0 {
-			// math.Mod keeps the sign of its dividend, so a negative origin
-			// hour (e.g. "one hour before midnight" written as -1) would
-			// otherwise sit outside [0,24) and miss every window.
-			h += 24
-		}
-		inWindow := false
-		if startHour <= endHour {
-			inWindow = h >= float64(startHour) && h < float64(endHour)
-		} else {
-			inWindow = h >= float64(startHour) || h < float64(endHour)
-		}
-		if inWindow {
-			return factor
-		}
-		return 1
-	}
 }

@@ -201,17 +201,6 @@ func TestShaperClampsAfterBurst(t *testing.T) {
 	}
 }
 
-func TestCapacityFactorApplies(t *testing.T) {
-	halved := func(at time.Duration) float64 { return 0.5 }
-	l := testLink(t, Config{CapacityMbps: 100, RTT: 20 * time.Millisecond, CapacityFactor: halved})
-	f := l.NewFlow()
-	f.SetOffered(1000)
-	l.Advance()
-	if math.Abs(f.Achieved()-50) > 1e-9 {
-		t.Errorf("achieved = %g with 0.5 factor, want 50", f.Achieved())
-	}
-}
-
 func TestFlowClose(t *testing.T) {
 	l := testLink(t, Config{CapacityMbps: 100, RTT: 20 * time.Millisecond})
 	a := l.NewFlow()
@@ -255,31 +244,6 @@ func TestSamplerSeriesTracksRateChanges(t *testing.T) {
 	second := s.Take()
 	if math.Abs(first-100) > 1e-6 || math.Abs(second-400) > 1e-6 {
 		t.Errorf("samples = %g, %g; want 100, 400", first, second)
-	}
-}
-
-func TestSleepingFactor(t *testing.T) {
-	// Sleeping 21:00–9:00 at factor 0.8, origin at hour 20.
-	fac := SleepingFactor(21, 9, 0.8, 20)
-	if got := fac(0); got != 1 { // hour 20: awake
-		t.Errorf("factor(20h) = %g, want 1", got)
-	}
-	if got := fac(2 * time.Hour); got != 0.8 { // hour 22: asleep
-		t.Errorf("factor(22h) = %g, want 0.8", got)
-	}
-	if got := fac(10 * time.Hour); got != 0.8 { // hour 6: asleep
-		t.Errorf("factor(6h) = %g, want 0.8", got)
-	}
-	if got := fac(14 * time.Hour); got != 1 { // hour 10: awake
-		t.Errorf("factor(10h) = %g, want 1", got)
-	}
-	// Non-wrapping window.
-	day := SleepingFactor(9, 17, 0.5, 0)
-	if got := day(10 * time.Hour); got != 0.5 {
-		t.Errorf("day factor(10h) = %g, want 0.5", got)
-	}
-	if got := day(20 * time.Hour); got != 1 {
-		t.Errorf("day factor(20h) = %g, want 1", got)
 	}
 }
 
@@ -426,32 +390,6 @@ func TestNoImpairmentMatchesBaselineExactly(t *testing.T) {
 	}
 	if a, b := run(false), run(true); a != b {
 		t.Errorf("a zero-impairment hook changed delivery: %.0f vs %.0f", a, b)
-	}
-}
-
-// TestSleepingFactorNegativeOriginWrap is the regression for the hour
-// normalisation: math.Mod keeps the dividend's sign, so an origin written as
-// "one hour before midnight" (-1) used to evaluate to h = -1 and fall
-// outside every window, silently disabling the sleeping schedule.
-func TestSleepingFactorNegativeOriginWrap(t *testing.T) {
-	// Sleeping 23:00–06:00 at factor 0.6, origin one hour before midnight.
-	fac := SleepingFactor(23, 6, 0.6, -1)
-	if got := fac(0); got != 0.6 { // hour 23: asleep
-		t.Errorf("factor(23h) = %g, want 0.6 (negative origin missed the window)", got)
-	}
-	if got := fac(3 * time.Hour); got != 0.6 { // hour 2: asleep
-		t.Errorf("factor(2h) = %g, want 0.6", got)
-	}
-	if got := fac(8 * time.Hour); got != 1 { // hour 7: awake
-		t.Errorf("factor(7h) = %g, want 1", got)
-	}
-	// A deeply negative origin must land in the same place as its positive
-	// residue: -25h ≡ 23h (mod 24).
-	deep := SleepingFactor(23, 6, 0.6, -25)
-	for _, at := range []time.Duration{0, 3 * time.Hour, 8 * time.Hour, 30 * time.Hour} {
-		if a, b := deep(at), fac(at); a != b {
-			t.Errorf("origin -25 vs -1 disagree at %v: %g vs %g", at, a, b)
-		}
 	}
 }
 

@@ -41,7 +41,7 @@ func BenchmarkObsGaugeSet(b *testing.B) {
 
 func BenchmarkObsHistogramObserve(b *testing.B) {
 	reg := NewRegistry()
-	h := reg.Histogram("bench", "", ExpBuckets(1, 2, 12))
+	h := reg.Histogram("bench", "", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i & 1023))

@@ -1,5 +1,5 @@
 // Package obs is the repository's zero-dependency observability substrate:
-// a metrics registry (counters, gauges, mergeable fixed-bucket histograms)
+// a metrics registry (counters, gauges, fixed-bucket histograms)
 // with Prometheus text exposition and a JSON snapshot API, plus a per-test
 // tracer that records structured engine events into a bounded ring and dumps
 // completed tests as JSONL run-records.
@@ -231,10 +231,8 @@ func (g *Gauge) promType() string   { return "gauge" }
 
 // --- Histogram -------------------------------------------------------------
 
-// Histogram counts observations into fixed buckets. Buckets are stored as
-// per-bucket (non-cumulative) atomic counts so that independent histograms
-// with identical bounds merge by plain addition — the same mergeability
-// contract as the analysis aggregators. Observe is atomic, lock-free and
+// Histogram counts observations into fixed buckets, stored as per-bucket
+// (non-cumulative) atomic counts. Observe is atomic, lock-free and
 // allocation-free. All methods are nil-receiver safe.
 type Histogram struct {
 	name, help string
@@ -296,7 +294,7 @@ func (h *Histogram) Sum() float64 {
 
 // Snapshot captures the histogram state. Concurrent Observe calls may land
 // between the field reads; quiesce writers first when exact consistency
-// matters (merges in tests, end-of-run dumps).
+// matters (end-of-run dumps).
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
@@ -313,46 +311,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Merge folds another histogram with identical bounds into h.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == nil || o == nil {
-		return nil
-	}
-	return h.MergeSnapshot(o.Snapshot())
-}
-
-// MergeSnapshot folds a snapshot with identical bounds into h.
-func (h *Histogram) MergeSnapshot(s HistogramSnapshot) error {
-	if h == nil {
-		return nil
-	}
-	if len(s.Bounds) != len(h.bounds) {
-		return fmt.Errorf("obs: merging histogram %q: %d bounds vs %d", h.name, len(s.Bounds), len(h.bounds))
-	}
-	for i, b := range s.Bounds {
-		if h.bounds[i] != b {
-			return fmt.Errorf("obs: merging histogram %q: bound %d differs (%g vs %g)", h.name, i, b, h.bounds[i])
-		}
-	}
-	for i, c := range s.Counts {
-		h.counts[i].Add(c)
-	}
-	h.count.Add(s.Count)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + s.Sum)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return nil
-		}
-	}
-}
-
 func (h *Histogram) metricName() string { return h.name }
 func (h *Histogram) metricHelp() string { return h.help }
 func (h *Histogram) promType() string   { return "histogram" }
 
-// HistogramSnapshot is a point-in-time copy of a histogram, the mergeable
-// unit for sharded accumulation and the JSON exposition form.
+// HistogramSnapshot is a point-in-time copy of a histogram, the JSON
+// exposition form.
 type HistogramSnapshot struct {
 	// Bounds are the ascending bucket upper limits; Counts has one extra
 	// trailing element for the implicit +Inf bucket. Counts are per-bucket,
@@ -361,52 +325,4 @@ type HistogramSnapshot struct {
 	Counts []uint64  `json:"counts"`
 	Sum    float64   `json:"sum"`
 	Count  uint64    `json:"count"`
-}
-
-// Merge folds another snapshot with identical bounds into s. Merging is
-// commutative and associative: any partition of an observation stream,
-// merged in any order, equals single-stream accumulation.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) error {
-	if len(s.Bounds) == 0 && len(s.Counts) == 0 {
-		// Merging into a zero snapshot adopts the other's shape.
-		s.Bounds = append([]float64(nil), o.Bounds...)
-		s.Counts = make([]uint64, len(o.Counts))
-	}
-	if len(o.Bounds) != len(s.Bounds) || len(o.Counts) != len(s.Counts) {
-		return fmt.Errorf("obs: merging snapshots with mismatched shapes (%d/%d vs %d/%d bounds/counts)",
-			len(o.Bounds), len(o.Counts), len(s.Bounds), len(s.Counts))
-	}
-	for i, b := range o.Bounds {
-		if s.Bounds[i] != b {
-			return fmt.Errorf("obs: merging snapshots: bound %d differs (%g vs %g)", i, b, s.Bounds[i])
-		}
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.Sum += o.Sum
-	s.Count += o.Count
-	return nil
-}
-
-// --- bucket helpers --------------------------------------------------------
-
-// LinearBuckets returns n ascending bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + width*float64(i)
-	}
-	return out
-}
-
-// ExpBuckets returns n ascending bounds start, start*factor, ...
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -220,74 +219,6 @@ func readAll(res *http.Response) (string, error) {
 	return string(data), err
 }
 
-// TestHistogramMergePartitionProperty: merging histograms accumulated over
-// arbitrary partitions of a value stream — in arbitrary merge order and
-// association — equals single-stream accumulation, mirroring the PR 2
-// aggregator merge tests. This is the property that makes per-shard
-// histograms safe to combine for exposition.
-func TestHistogramMergePartitionProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	bounds := []float64{0.5, 1, 2, 4, 8, 16, 32}
-
-	values := make([]float64, 3000)
-	for i := range values {
-		values[i] = rng.ExpFloat64() * 4 // spills into every bucket incl. +Inf
-	}
-	single := newHistogram("ref", "", bounds)
-	for _, v := range values {
-		single.Observe(v)
-	}
-	ref := single.Snapshot()
-
-	for trial := 0; trial < 25; trial++ {
-		parts := 1 + rng.Intn(7)
-		shards := make([]*Histogram, parts)
-		for i := range shards {
-			shards[i] = newHistogram("shard", "", bounds)
-		}
-		for _, v := range values {
-			shards[rng.Intn(parts)].Observe(v)
-		}
-		// Merge the shard snapshots pairwise in a random order/association.
-		snaps := make([]HistogramSnapshot, parts)
-		for i, sh := range shards {
-			snaps[i] = sh.Snapshot()
-		}
-		for len(snaps) > 1 {
-			i := rng.Intn(len(snaps) - 1)
-			if err := snaps[i].Merge(snaps[i+1]); err != nil {
-				t.Fatal(err)
-			}
-			snaps = append(snaps[:i+1], snaps[i+2:]...)
-		}
-		got := snaps[0]
-		if got.Count != ref.Count {
-			t.Fatalf("trial %d: merged count %d != %d", trial, got.Count, ref.Count)
-		}
-		for i := range ref.Counts {
-			if got.Counts[i] != ref.Counts[i] {
-				t.Fatalf("trial %d: bucket %d = %d, want %d", trial, i, got.Counts[i], ref.Counts[i])
-			}
-		}
-		// Sums differ only by float addition order.
-		if diff := got.Sum - ref.Sum; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("trial %d: merged sum %g != %g", trial, got.Sum, ref.Sum)
-		}
-	}
-}
-
-func TestHistogramMergeShapeMismatch(t *testing.T) {
-	a := newHistogram("a", "", []float64{1, 2})
-	b := newHistogram("b", "", []float64{1, 3})
-	if err := a.Merge(b); err == nil {
-		t.Error("merging mismatched bounds succeeded")
-	}
-	c := newHistogram("c", "", []float64{1})
-	if err := a.Merge(c); err == nil {
-		t.Error("merging mismatched bucket counts succeeded")
-	}
-}
-
 // TestDisabledInstrumentationZeroAllocs asserts the disabled fast path: a
 // nil registry hands out nil metrics, and every update on them — and on a
 // nil tracer — performs zero allocations. This is the contract that lets
@@ -322,7 +253,7 @@ func TestEnabledHotPathZeroAllocs(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "")
 	g := reg.Gauge("g", "")
-	h := reg.Histogram("h", "", ExpBuckets(1, 2, 10))
+	h := reg.Histogram("h", "", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512})
 	tr := NewTrace(64)
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
@@ -366,16 +297,5 @@ func TestConcurrentUpdatesAndExposition(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8000 || h.Count() != 8000 {
 		t.Errorf("lost updates: counter=%d hist=%d", c.Value(), h.Count())
-	}
-}
-
-func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(1, 2, 3)
-	if lin[0] != 1 || lin[1] != 3 || lin[2] != 5 {
-		t.Errorf("LinearBuckets = %v", lin)
-	}
-	exp := ExpBuckets(0.5, 2, 4)
-	if exp[0] != 0.5 || exp[3] != 4 {
-		t.Errorf("ExpBuckets = %v", exp)
 	}
 }

@@ -1,15 +1,13 @@
 // Package spectrum models the radio-spectrum layer of the study (§3.2, §3.3,
 // §4): the nine LTE bands and five 5G NR bands observed in the measurement
 // (Tables 1 and 2), the early-2021 refarming of LTE Bands 1/28/41 into NR
-// N1/N28/N41, a Shannon-style capacity model linking channel bandwidth and
-// SNR to achievable access bandwidth, and fragmentation metrics that quantify
-// why thin refarmed spectrum yields low 5G bandwidth.
+// N1/N28/N41, and a Shannon-style capacity model linking channel bandwidth
+// and SNR to achievable access bandwidth.
 package spectrum
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ISP identifies one of the four major Chinese mobile ISPs in the study,
@@ -182,127 +180,4 @@ func Capacity(channelMHz, snrDB, efficiency float64) float64 {
 	}
 	snr := math.Pow(10, snrDB/10)
 	return efficiency * channelMHz * math.Log2(1+snr)
-}
-
-// PathLossDB approximates free-space-dominated propagation loss in dB for a
-// carrier at freqMHz over distanceKm, used to derive why low bands cover
-// better: loss grows with log of both frequency and distance.
-func PathLossDB(freqMHz, distanceKm float64) float64 {
-	if freqMHz <= 0 || distanceKm <= 0 {
-		return 0
-	}
-	return 20*math.Log10(freqMHz) + 20*math.Log10(distanceKm) + 32.45
-}
-
-// Fragment is one contiguous allocated slice of spectrum within a band,
-// used by the fragmentation analysis of §4.
-type Fragment struct {
-	LowMHz, HighMHz float64
-	Owner           string // service occupying the slice, e.g. "LTE/ISP-1"
-}
-
-// Width reports the fragment width in MHz.
-func (f Fragment) Width() float64 { return f.HighMHz - f.LowMHz }
-
-// FragmentationReport summarises how fragmented a band's allocation is.
-type FragmentationReport struct {
-	TotalMHz         float64 // width of the whole band
-	AllocatedMHz     float64 // width covered by fragments
-	LargestFreeMHz   float64 // widest contiguous unallocated gap
-	Fragments        int     // number of allocated fragments
-	GuardWasteMHz    float64 // spectrum lost to guard gaps between fragments
-	RefarmableFor5G  bool    // whether the largest free gap fits need5GMHz
-	FragmentationIdx float64 // 1 − largestFree/totalFree (0 = one big gap)
-}
-
-// AnalyzeFragmentation computes a fragmentation report for a band whose
-// allocations are the given fragments. need5GMHz is the contiguous width 5G
-// requires (§4: "5G usually requires nearly 100 MHz contiguous spectrum").
-// guardMHz is the spacing required between adjacent fragments.
-func AnalyzeFragmentation(band Band, frags []Fragment, need5GMHz, guardMHz float64) FragmentationReport {
-	sorted := append([]Fragment(nil), frags...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].LowMHz < sorted[j].LowMHz })
-
-	rep := FragmentationReport{TotalMHz: band.DLWidthMHz(), Fragments: len(sorted)}
-	var totalFree float64
-	cursor := band.DLLowMHz
-	for i, f := range sorted {
-		gap := f.LowMHz - cursor
-		if gap > 0 {
-			totalFree += gap
-			if gap > rep.LargestFreeMHz {
-				rep.LargestFreeMHz = gap
-			}
-		}
-		rep.AllocatedMHz += f.Width()
-		if i > 0 {
-			rep.GuardWasteMHz += math.Min(guardMHz, math.Max(0, f.LowMHz-sorted[i-1].HighMHz))
-		}
-		if f.HighMHz > cursor {
-			cursor = f.HighMHz
-		}
-	}
-	if tail := band.DLHighMHz - cursor; tail > 0 {
-		totalFree += tail
-		if tail > rep.LargestFreeMHz {
-			rep.LargestFreeMHz = tail
-		}
-	}
-	rep.RefarmableFor5G = rep.LargestFreeMHz >= need5GMHz
-	if totalFree > 0 {
-		rep.FragmentationIdx = 1 - rep.LargestFreeMHz/totalFree
-	}
-	return rep
-}
-
-// Defragment simulates the band-defragmentation strategy advocated in §4: it
-// repacks the given fragments contiguously from the band's lower edge
-// (respecting guard spacing between different owners) and returns the new
-// fragment layout plus the resulting report. This models dynamic spectrum
-// allocation freeing a maximal contiguous slice for refarming.
-func Defragment(band Band, frags []Fragment, need5GMHz, guardMHz float64) ([]Fragment, FragmentationReport) {
-	sorted := append([]Fragment(nil), frags...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Width() > sorted[j].Width() })
-	out := make([]Fragment, 0, len(sorted))
-	cursor := band.DLLowMHz
-	for i, f := range sorted {
-		if i > 0 {
-			cursor += guardMHz
-		}
-		nf := Fragment{LowMHz: cursor, HighMHz: cursor + f.Width(), Owner: f.Owner}
-		out = append(out, nf)
-		cursor = nf.HighMHz
-	}
-	return out, AnalyzeFragmentation(band, out, need5GMHz, guardMHz)
-}
-
-// CarrierAggregation models LTE-Advanced's headline feature (§3.2, §4):
-// combining up to maxCarriers non-contiguous channels into one logical
-// channel. It returns the aggregate channel width achievable from the given
-// per-fragment free widths.
-func CarrierAggregation(freeWidthsMHz []float64, maxCarriers int, perCarrierCapMHz float64) float64 {
-	ws := append([]float64(nil), freeWidthsMHz...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(ws)))
-	var agg float64
-	for i, w := range ws {
-		if i >= maxCarriers {
-			break
-		}
-		agg += math.Min(w, perCarrierCapMHz)
-	}
-	return agg
-}
-
-// LTEAdvancedPeak models the LTE-Advanced deployments of §3.2: carrier
-// aggregation of up to maxCarriers 20 MHz component carriers across the
-// operator's fragmented bands, combined with a MIMO/256-QAM gain factor.
-// With 5 carriers, 4×4 MIMO and high-order modulation this reaches the
-// technology's ≈2 Gbps headline; the paper's field peak of 813 Mbps
-// corresponds to ≈3 aggregated carriers at good (but not lab) SNR.
-func LTEAdvancedPeak(freeWidthsMHz []float64, maxCarriers int, snrDB, efficiency, mimoGain float64) float64 {
-	if mimoGain <= 0 {
-		mimoGain = 1
-	}
-	agg := CarrierAggregation(freeWidthsMHz, maxCarriers, 20)
-	return Capacity(agg, snrDB, efficiency) * mimoGain
 }

@@ -115,121 +115,3 @@ func TestCapacityShannon(t *testing.T) {
 		t.Errorf("100 MHz capacity = %g Mbps, want 300–600", c100)
 	}
 }
-
-func TestPathLossMonotone(t *testing.T) {
-	if PathLossDB(700, 1) >= PathLossDB(3500, 1) {
-		t.Error("higher frequency should lose more")
-	}
-	if PathLossDB(700, 1) >= PathLossDB(700, 5) {
-		t.Error("longer distance should lose more")
-	}
-	if PathLossDB(0, 1) != 0 || PathLossDB(700, 0) != 0 {
-		t.Error("degenerate inputs should yield 0")
-	}
-}
-
-func fragBand() Band { return Band{Name: "Btest", DLLowMHz: 1000, DLHighMHz: 1100, MaxChannelMHz: 20} }
-
-func TestAnalyzeFragmentation(t *testing.T) {
-	band := fragBand()
-	frags := []Fragment{
-		{LowMHz: 1010, HighMHz: 1030, Owner: "LTE/ISP-1"},
-		{LowMHz: 1050, HighMHz: 1070, Owner: "GSM/ISP-2"},
-	}
-	rep := AnalyzeFragmentation(band, frags, 100, 1)
-	if rep.TotalMHz != 100 {
-		t.Errorf("TotalMHz = %g", rep.TotalMHz)
-	}
-	if rep.AllocatedMHz != 40 {
-		t.Errorf("AllocatedMHz = %g, want 40", rep.AllocatedMHz)
-	}
-	if rep.LargestFreeMHz != 30 { // tail gap 1070–1100
-		t.Errorf("LargestFreeMHz = %g, want 30", rep.LargestFreeMHz)
-	}
-	if rep.RefarmableFor5G {
-		t.Error("30 MHz gap should not satisfy a 100 MHz 5G need")
-	}
-	if rep.FragmentationIdx <= 0 || rep.FragmentationIdx >= 1 {
-		t.Errorf("FragmentationIdx = %g, want in (0,1)", rep.FragmentationIdx)
-	}
-}
-
-func TestAnalyzeFragmentationEmpty(t *testing.T) {
-	band := fragBand()
-	rep := AnalyzeFragmentation(band, nil, 50, 1)
-	if rep.LargestFreeMHz != 100 || rep.FragmentationIdx != 0 {
-		t.Errorf("empty band report = %+v", rep)
-	}
-	if !rep.RefarmableFor5G {
-		t.Error("empty band should be refarmable")
-	}
-}
-
-func TestDefragmentImproves(t *testing.T) {
-	band := fragBand()
-	frags := []Fragment{
-		{LowMHz: 1005, HighMHz: 1020, Owner: "a"},
-		{LowMHz: 1040, HighMHz: 1055, Owner: "b"},
-		{LowMHz: 1080, HighMHz: 1095, Owner: "c"},
-	}
-	before := AnalyzeFragmentation(band, frags, 50, 1)
-	newFrags, after := Defragment(band, frags, 50, 1)
-	if len(newFrags) != 3 {
-		t.Fatalf("defragment lost fragments: %d", len(newFrags))
-	}
-	if after.LargestFreeMHz <= before.LargestFreeMHz {
-		t.Errorf("defragmentation did not grow the free gap: %g → %g",
-			before.LargestFreeMHz, after.LargestFreeMHz)
-	}
-	if !after.RefarmableFor5G {
-		t.Error("defragmented band should fit the 50 MHz 5G need")
-	}
-	// Width conservation.
-	var wBefore, wAfter float64
-	for _, f := range frags {
-		wBefore += f.Width()
-	}
-	for _, f := range newFrags {
-		wAfter += f.Width()
-	}
-	if math.Abs(wBefore-wAfter) > 1e-9 {
-		t.Errorf("defragment changed allocated width: %g → %g", wBefore, wAfter)
-	}
-}
-
-func TestCarrierAggregation(t *testing.T) {
-	// §4: CA combines non-contiguous fragments into one wide channel.
-	got := CarrierAggregation([]float64{15, 10, 25, 5}, 3, 20)
-	// Picks 25→20 (capped), 15, 10 = 45.
-	if got != 45 {
-		t.Errorf("CA width = %g, want 45", got)
-	}
-	if CarrierAggregation(nil, 3, 20) != 0 {
-		t.Error("no carriers should aggregate to 0")
-	}
-}
-
-// TestLTEAdvancedPeak validates §3.2's LTE-Advanced claims: ≈2 Gbps at the
-// technology limit, and the study's 813 Mbps field peak reachable with ≈3
-// aggregated carriers at realistic SNR.
-func TestLTEAdvancedPeak(t *testing.T) {
-	// Technology limit: 5 × 20 MHz carriers, lab SNR, 4×4 MIMO.
-	limit := LTEAdvancedPeak([]float64{20, 20, 20, 20, 20}, 5, 30, 0.75, 2.7)
-	if limit < 1700 || limit > 2500 {
-		t.Errorf("LTE-A technology peak = %.0f Mbps, want ≈2000", limit)
-	}
-	// Field conditions: 3 carriers from fragmented spectrum, 22 dB SNR,
-	// 2×2 MIMO-class gain — the ≈813 Mbps of Figure 4's best tests.
-	field := LTEAdvancedPeak([]float64{20, 20, 15, 10}, 3, 22, 0.7, 2.2)
-	if field < 600 || field > 1000 {
-		t.Errorf("LTE-A field peak = %.0f Mbps, want ≈813", field)
-	}
-	// Plain LTE (single carrier) must stay well below.
-	plain := LTEAdvancedPeak([]float64{20}, 1, 22, 0.7, 1)
-	if plain > 150 {
-		t.Errorf("single-carrier LTE = %.0f Mbps, want ≤150 (§3.2)", plain)
-	}
-	if field <= plain*3 {
-		t.Errorf("aggregation gain too small: %.0f vs %.0f", field, plain)
-	}
-}

@@ -1,15 +1,12 @@
-// Package stats provides the streaming and batch statistics used throughout
-// the measurement-analysis pipeline and the experiment harness: running
-// summaries, quantiles, empirical CDFs, histograms, kernel density estimates,
-// and keyed group-by aggregation.
+// Package stats provides the batch statistics used throughout the
+// measurement-analysis pipeline, the engine and the experiment harness: the
+// windowed mean and spread, the quantiles, empirical CDF and kernel density
+// estimate of a Sample, and the SplitMix64 mixing behind seeded draws.
 //
-// All types are plain values with useful zero values where possible, and none
-// of them retain references to caller-owned slices beyond what their
-// documentation states.
+// A Sample copies the slice it is built from and retains no reference to it.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -50,64 +47,8 @@ func Spread(xs []float64) float64 {
 	return (hi - lo) / hi
 }
 
-// Summary accumulates a running summary of a stream of observations using
-// Welford's online algorithm. The zero value is an empty summary ready to use.
-type Summary struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add incorporates one observation.
-func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// N reports the number of observations added.
-func (s *Summary) N() int { return s.n }
-
-// Mean reports the arithmetic mean, or 0 for an empty summary.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Min reports the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max reports the largest observation, or 0 for an empty summary.
-func (s *Summary) Max() float64 { return s.max }
-
-// Variance reports the unbiased sample variance, or 0 with fewer than two
-// observations.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev reports the sample standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// String renders the summary in a compact human-readable form.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f min=%.2f max=%.2f sd=%.2f",
-		s.n, s.mean, s.min, s.max, s.StdDev())
-}
-
-// Sample collects observations for batch statistics that need the full data,
-// such as medians and arbitrary quantiles. The zero value is ready to use.
+// Sample holds observations for batch statistics that need the full data,
+// such as medians and arbitrary quantiles. The zero value is an empty sample.
 type Sample struct {
 	xs     []float64
 	sorted bool
@@ -117,12 +58,6 @@ type Sample struct {
 func NewSample(xs []float64) *Sample {
 	s := &Sample{xs: append([]float64(nil), xs...)}
 	return s
-}
-
-// Add appends one observation.
-func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
-	s.sorted = false
 }
 
 // N reports the number of observations.
@@ -266,54 +201,6 @@ func (s *Sample) CDF(points int) []CDFPoint {
 	return out
 }
 
-// Histogram counts observations in equal-width bins over [lo, hi).
-// Observations outside the range are clamped into the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram returns a histogram with bins equal-width bins over [lo, hi).
-// It panics if bins ≤ 0 or hi ≤ lo, which indicates a programming error.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram [%g,%g) bins=%d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	bin := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if bin < 0 {
-		bin = 0
-	}
-	if bin >= len(h.Counts) {
-		bin = len(h.Counts) - 1
-	}
-	h.Counts[bin]++
-	h.total++
-}
-
-// Total reports the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter reports the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Density reports the probability density of bin i (fraction / bin width).
-func (h *Histogram) Density(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / float64(h.total) / w
-}
-
 // PDFPoint is one point of an estimated probability density function.
 type PDFPoint struct {
 	X float64
@@ -345,60 +232,6 @@ func (s *Sample) KDE(lo, hi float64, points int, bandwidth float64) []PDFPoint {
 			y += math.Exp(-0.5 * u * u)
 		}
 		out[i] = PDFPoint{X: x, Y: y * norm}
-	}
-	return out
-}
-
-// GroupBy aggregates observations under string keys, one Sample per key.
-// The zero value is not usable; construct with NewGroupBy.
-type GroupBy struct {
-	groups map[string]*Sample
-	order  []string
-}
-
-// NewGroupBy returns an empty keyed aggregation.
-func NewGroupBy() *GroupBy {
-	return &GroupBy{groups: make(map[string]*Sample)}
-}
-
-// Add records an observation under key, creating the group if needed.
-func (g *GroupBy) Add(key string, x float64) {
-	s, ok := g.groups[key]
-	if !ok {
-		s = &Sample{}
-		g.groups[key] = s
-		g.order = append(g.order, key)
-	}
-	s.Add(x)
-}
-
-// Group returns the Sample for key, or nil if the key has no observations.
-func (g *GroupBy) Group(key string) *Sample { return g.groups[key] }
-
-// Keys returns group keys in first-seen order.
-func (g *GroupBy) Keys() []string { return g.order }
-
-// SortedKeys returns group keys in lexical order.
-func (g *GroupBy) SortedKeys() []string {
-	ks := append([]string(nil), g.order...)
-	sort.Strings(ks)
-	return ks
-}
-
-// Means returns each group's mean keyed by group name.
-func (g *GroupBy) Means() map[string]float64 {
-	out := make(map[string]float64, len(g.groups))
-	for k, s := range g.groups {
-		out[k] = s.Mean()
-	}
-	return out
-}
-
-// Counts returns each group's observation count keyed by group name.
-func (g *GroupBy) Counts() map[string]int {
-	out := make(map[string]int, len(g.groups))
-	for k, s := range g.groups {
-		out[k] = s.N()
 	}
 	return out
 }

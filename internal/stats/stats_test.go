@@ -10,49 +10,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{1, 2, 3, 4, 5} {
-		s.Add(x)
-	}
-	if s.N() != 5 {
-		t.Fatalf("N = %d, want 5", s.N())
-	}
-	if !almostEqual(s.Mean(), 3, 1e-12) {
-		t.Errorf("Mean = %g, want 3", s.Mean())
-	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("Min/Max = %g/%g, want 1/5", s.Min(), s.Max())
-	}
-	if !almostEqual(s.Variance(), 2.5, 1e-12) {
-		t.Errorf("Variance = %g, want 2.5", s.Variance())
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Variance() != 0 || s.N() != 0 {
-		t.Errorf("empty summary not zero: %v", s.String())
-	}
-}
-
-func TestSummaryMatchesSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var sum Summary
-	sm := &Sample{}
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*10 + 50
-		sum.Add(x)
-		sm.Add(x)
-	}
-	if !almostEqual(sum.Mean(), sm.Mean(), 1e-9) {
-		t.Errorf("Summary mean %g != Sample mean %g", sum.Mean(), sm.Mean())
-	}
-	if !almostEqual(sum.StdDev(), sm.StdDev(), 1e-9) {
-		t.Errorf("Summary sd %g != Sample sd %g", sum.StdDev(), sm.StdDev())
-	}
-}
-
 func TestSampleQuantiles(t *testing.T) {
 	s := NewSample([]float64{5, 1, 4, 2, 3})
 	if s.Median() != 3 {
@@ -91,10 +48,11 @@ func TestFractions(t *testing.T) {
 
 func TestCDFMonotonic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := &Sample{}
-	for i := 0; i < 500; i++ {
-		s.Add(rng.Float64() * 1000)
+	xs := make([]float64, 500)
+	for i := range xs {
+		xs[i] = rng.Float64() * 1000
 	}
+	s := NewSample(xs)
 	cdf := s.CDF(50)
 	for i := 1; i < len(cdf); i++ {
 		if cdf[i].X < cdf[i-1].X {
@@ -131,61 +89,13 @@ func TestQuantileWithinRange(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	for i, c := range h.Counts {
-		if c != 10 {
-			t.Errorf("bin %d count = %d, want 10", i, c)
-		}
-	}
-	if h.Total() != 100 {
-		t.Errorf("Total = %d, want 100", h.Total())
-	}
-	// Out-of-range values clamp.
-	h.Add(-5)
-	h.Add(1e9)
-	if h.Counts[0] != 11 || h.Counts[9] != 11 {
-		t.Errorf("clamping failed: first=%d last=%d", h.Counts[0], h.Counts[9])
-	}
-	if got := h.BinCenter(0); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("BinCenter(0) = %g, want 5", got)
-	}
-}
-
-func TestHistogramDensityIntegratesToOne(t *testing.T) {
-	h := NewHistogram(0, 50, 25)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 10000; i++ {
-		h.Add(rng.Float64() * 50)
-	}
-	w := 50.0 / 25
-	var integral float64
-	for i := range h.Counts {
-		integral += h.Density(i) * w
-	}
-	if !almostEqual(integral, 1, 1e-9) {
-		t.Errorf("density integral = %g, want 1", integral)
-	}
-}
-
-func TestHistogramPanicsOnBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for invalid histogram")
-		}
-	}()
-	NewHistogram(10, 0, 5)
-}
-
 func TestKDEIntegratesToRoughlyOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	s := &Sample{}
-	for i := 0; i < 2000; i++ {
-		s.Add(rng.NormFloat64()*20 + 100)
+	xs := make([]float64, 2000)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()*20 + 100
 	}
+	s := NewSample(xs)
 	pts := s.KDE(0, 200, 400, 0)
 	var integral float64
 	for i := 1; i < len(pts); i++ {
@@ -199,10 +109,11 @@ func TestKDEIntegratesToRoughlyOne(t *testing.T) {
 
 func TestKDEPeakNearMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	s := &Sample{}
-	for i := 0; i < 3000; i++ {
-		s.Add(rng.NormFloat64()*10 + 300)
+	xs := make([]float64, 3000)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()*10 + 300
 	}
+	s := NewSample(xs)
 	pts := s.KDE(200, 400, 200, 0)
 	best := pts[0]
 	for _, p := range pts {
@@ -212,28 +123,6 @@ func TestKDEPeakNearMean(t *testing.T) {
 	}
 	if math.Abs(best.X-300) > 10 {
 		t.Errorf("KDE peak at %g, want ≈300", best.X)
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	g := NewGroupBy()
-	g.Add("a", 1)
-	g.Add("b", 10)
-	g.Add("a", 3)
-	if got := g.Group("a").Mean(); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("group a mean = %g, want 2", got)
-	}
-	if got := g.Keys(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("Keys = %v, want [a b]", got)
-	}
-	if g.Group("missing") != nil {
-		t.Error("missing group should be nil")
-	}
-	if got := g.Counts()["b"]; got != 1 {
-		t.Errorf("count b = %d, want 1", got)
-	}
-	if got := g.Means()["b"]; got != 10 {
-		t.Errorf("mean b = %g, want 10", got)
 	}
 }
 

@@ -148,22 +148,6 @@ func (p *ServerPool) RankByLatencyContext(ctx context.Context, pingCount int, ti
 	return nil
 }
 
-// serversFor picks the nearest servers whose total uplink covers rateMbps
-// with a little headroom (§5.1). It never returns an empty set while the
-// pool is non-empty.
-func (p *ServerPool) serversFor(rateMbps float64) []PoolServer {
-	var out []PoolServer
-	var total float64
-	for _, srv := range p.Servers {
-		out = append(out, srv)
-		total += srv.UplinkMbps
-		if total >= rateMbps*uplinkHeadroom {
-			break
-		}
-	}
-	return out
-}
-
 // uplinkHeadroom over-provisions the selected server set slightly beyond the
 // probing rate (§5.1 "slightly exceeds").
 const uplinkHeadroom = 1.05

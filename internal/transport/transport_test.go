@@ -67,20 +67,34 @@ func TestRankByLatencyAllDead(t *testing.T) {
 	}
 }
 
+// TestServersForCoversRate pins the server-selection rule SetRate runs:
+// sessions open nearest-first until the live uplink covers the rate with 5 %
+// headroom (so one 100 Mbit/s server does not cover 100 Mbit/s), and a rate
+// beyond the pool takes every server.
 func TestServersForCoversRate(t *testing.T) {
-	pool := &ServerPool{Servers: []PoolServer{
-		{Addr: "a", UplinkMbps: 100},
-		{Addr: "b", UplinkMbps: 100},
-		{Addr: "c", UplinkMbps: 100},
-	}}
-	if got := len(pool.serversFor(50)); got != 1 {
-		t.Errorf("servers for 50 Mbps = %d, want 1", got)
+	var servers []PoolServer
+	for i := 0; i < 3; i++ {
+		s := startServer(t, ServerConfig{UplinkMbps: 100})
+		servers = append(servers, PoolServer{Addr: s.Addr().String(), UplinkMbps: 100})
 	}
-	if got := len(pool.serversFor(150)); got != 2 {
-		t.Errorf("servers for 150 Mbps = %d, want 2", got)
-	}
-	if got := len(pool.serversFor(10000)); got != 3 {
-		t.Errorf("servers for 10 Gbps = %d, want all 3", got)
+	for _, tc := range []struct {
+		mbps float64
+		want int
+	}{{50, 1}, {100, 2}, {150, 2}, {10000, 3}} {
+		pool := &ServerPool{Servers: append([]PoolServer(nil), servers...)}
+		probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = probe.SetRate(tc.mbps)
+		got := probe.ServersUsed()
+		probe.Finish(0, 0)
+		if err != nil {
+			t.Fatalf("SetRate(%g): %v", tc.mbps, err)
+		}
+		if got != tc.want {
+			t.Errorf("servers for %g Mbps = %d, want %d", tc.mbps, got, tc.want)
+		}
 	}
 }
 
