@@ -266,7 +266,7 @@ func (d *Dispatcher) Dispatch(client ClientInfo, at time.Duration) (Assignment, 
 		}
 	}
 	if primary < 0 {
-		sat := &errdefs.SaturatedError{RetryAfter: d.retryAfterLocked(), Servers: len(ranked)}
+		sat := &errdefs.SaturatedError{RetryAfter: d.retryAfterLocked(at), Servers: len(ranked)}
 		r.metrics.rejectedTotal.Inc()
 		r.trace.Record(at, obs.EventReject, float64(client.Key), sat.RetryAfter.Seconds(), "")
 		return Assignment{}, sat
@@ -292,7 +292,7 @@ func (d *Dispatcher) Dispatch(client ClientInfo, at time.Duration) (Assignment, 
 	}
 	r.metrics.assignmentsTotal.Inc()
 	r.metrics.updateServer(s)
-	r.trace.Record(at, obs.EventAssign, float64(client.Key), float64(len(s.leases)), s.info.Addr)
+	r.trace.Record(at, obs.EventAssign, float64(client.Key), float64(s.live), s.info.Addr)
 	return Assignment{
 		Client:  client,
 		Lease:   LeaseID{Server: s.info.ID, Seq: r.leaseSeq},
@@ -332,7 +332,7 @@ func (d *Dispatcher) Reassign(a Assignment, at time.Duration) (Assignment, error
 	}
 	if old, err := r.serverLocked(a.Lease.Server); err == nil {
 		if old.releaseLocked(a.Lease.Seq) {
-			if old.state == StateDraining && len(old.leases) == 0 {
+			if old.state == StateDraining && old.live == 0 {
 				r.finishDrainLocked(old)
 				r.updateStateGaugesLocked()
 			}
@@ -366,10 +366,10 @@ func (d *Dispatcher) Reassign(a Assignment, at time.Duration) (Assignment, error
 		}
 		r.metrics.failoversTotal.Inc()
 		r.metrics.updateServer(s)
-		r.trace.Record(at, obs.EventAssign, float64(a.Client.Key), float64(len(s.leases)), s.info.Addr+" failover")
+		r.trace.Record(at, obs.EventAssign, float64(a.Client.Key), float64(s.live), s.info.Addr+" failover")
 		return out, nil
 	}
-	sat := &errdefs.SaturatedError{RetryAfter: d.retryAfterLocked(), Servers: len(a.Servers) - 1}
+	sat := &errdefs.SaturatedError{RetryAfter: d.retryAfterLocked(at), Servers: len(a.Servers) - 1}
 	r.metrics.rejectedTotal.Inc()
 	r.trace.Record(at, obs.EventReject, float64(a.Client.Key), sat.RetryAfter.Seconds(), "failover")
 	return Assignment{}, sat
@@ -412,11 +412,11 @@ func (d *Dispatcher) rankLocked(client ClientInfo) []int {
 	return ranked
 }
 
-// retryAfterLocked estimates when admission capacity frees up: for each live
-// server, the wait until its token bucket refills past one token or its
-// earliest lease expires — whichever constraint binds — minimised across the
-// fleet and floored at one heartbeat window.
-func (d *Dispatcher) retryAfterLocked() time.Duration {
+// retryAfterLocked estimates how long from at until admission capacity frees
+// up: for each live server, the wait until its token bucket refills past one
+// token or its earliest live lease expires — whichever constraint binds —
+// minimised across the fleet and floored at one heartbeat window.
+func (d *Dispatcher) retryAfterLocked(at time.Duration) time.Duration {
 	r := d.reg
 	best := time.Duration(-1)
 	for _, s := range r.servers {
@@ -427,16 +427,16 @@ func (d *Dispatcher) retryAfterLocked() time.Duration {
 		if s.tokens < 1 && s.rate > 0 {
 			wait = time.Duration((1 - s.tokens) / s.rate * float64(time.Second))
 		}
-		if s.cap > 0 && len(s.leases) >= s.cap {
+		if s.cap > 0 && s.live >= s.cap {
 			earliest := time.Duration(-1)
 			for _, l := range s.leases {
-				if l.expires > 0 && (earliest < 0 || l.expires < earliest) {
+				if !l.released && l.expires > 0 && (earliest < 0 || l.expires < earliest) {
 					earliest = l.expires
 				}
 			}
 			capWait := d.cfg.AvgTestDuration
 			if earliest > 0 {
-				capWait = earliest
+				capWait = earliest - at
 			}
 			if capWait > wait {
 				wait = capWait
@@ -456,14 +456,14 @@ func loadRatio(s *server) float64 {
 	if s.cap <= 0 {
 		return 0
 	}
-	return float64(len(s.leases)) / float64(s.cap)
+	return float64(s.live) / float64(s.cap)
 }
 
 func headroom(s *server) float64 {
 	if s.cap <= 0 {
 		return s.info.UplinkMbps - s.load
 	}
-	return float64(s.cap - len(s.leases))
+	return float64(s.cap - s.live)
 }
 
 // domainIndex maps an IXP domain name to its index, -1 when unknown.

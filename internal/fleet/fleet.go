@@ -23,7 +23,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/faults"
@@ -92,9 +94,10 @@ type ServerStatus struct {
 
 // lease is one admitted test occupying a session slot on a server.
 type lease struct {
-	seq     uint64
-	mbps    float64
-	expires time.Duration // at-time after which Advance reclaims the slot
+	seq      uint64
+	mbps     float64
+	expires  time.Duration // at-time after which Advance reclaims the slot
+	released bool          // freed, awaiting compaction
 }
 
 // server is one registry entry. All fields are guarded by the Registry
@@ -109,15 +112,20 @@ type server struct {
 	beats   int     // heartbeats since the last liveness window
 	silent  int     // consecutive silent windows (mirrors tracker state for reporting)
 	tracker *faults.LostTracker
-	leases  []lease
-	load    float64 // Mbps claimed by leases
+	// leases holds the server's leases in grant order, which is ascending
+	// seq because the registry's leaseSeq only grows. A release marks its
+	// entry; marked entries are compacted away lazily, so live, not
+	// len(leases), is the session count.
+	leases []lease
+	live   int     // leases not yet released or expired
+	load   float64 // Mbps claimed by live leases
 }
 
 func (s *server) status() ServerStatus {
 	return ServerStatus{
 		ServerInfo: s.info,
 		State:      s.state,
-		Sessions:   len(s.leases),
+		Sessions:   s.live,
 		SessionCap: s.cap,
 		LoadMbps:   s.load,
 		Tokens:     s.tokens,
@@ -131,7 +139,7 @@ func (s *server) assignable() bool {
 	if s.state != StateLive {
 		return false
 	}
-	if s.cap > 0 && len(s.leases) >= s.cap {
+	if s.cap > 0 && s.live >= s.cap {
 		return false
 	}
 	return s.tokens >= 1
@@ -144,37 +152,48 @@ func (s *server) acceptsFailover() bool {
 	if s.state != StateLive {
 		return false
 	}
-	return s.cap == 0 || len(s.leases) < s.cap
+	return s.cap == 0 || s.live < s.cap
 }
 
 // claimLocked records a lease on the server.
 func (s *server) claimLocked(seq uint64, mbps float64, expires time.Duration) {
 	s.leases = append(s.leases, lease{seq: seq, mbps: mbps, expires: expires})
+	s.live++
 	s.load += mbps
 }
 
-// releaseLocked drops the lease with the given seq, reporting whether it was
-// present.
+// releaseLocked frees the lease with the given seq, reporting whether it was
+// live. The lease is found by binary search and marked, not removed; the
+// slice is compacted, in order, once marked entries outnumber live ones, so
+// a release costs amortised O(log n) whatever order leases end in.
 func (s *server) releaseLocked(seq uint64) bool {
-	for i := range s.leases {
-		if s.leases[i].seq == seq {
-			s.load -= s.leases[i].mbps
-			if s.load < 0 {
-				s.load = 0
-			}
-			s.leases = append(s.leases[:i], s.leases[i+1:]...)
-			return true
-		}
+	i, ok := slices.BinarySearchFunc(s.leases, seq, func(l lease, seq uint64) int { return cmp.Compare(l.seq, seq) })
+	if !ok || s.leases[i].released {
+		return false
 	}
-	return false
+	s.leases[i].released = true
+	s.live--
+	s.load -= s.leases[i].mbps
+	if s.load < 0 {
+		s.load = 0
+	}
+	if len(s.leases)-s.live > s.live {
+		s.leases = slices.DeleteFunc(s.leases, func(l lease) bool { return l.released })
+	}
+	return true
 }
 
-// expireLocked reclaims leases past their TTL, returning how many were
-// reclaimed. Leases are stored in grant order, so the scan is deterministic.
+// expireLocked reclaims live leases past their TTL, returning how many were
+// reclaimed. It walks the leases in grant order, so load is decremented in
+// the same order on every run, and compacts the slice as it goes, dropping
+// released and expired entries alike.
 func (s *server) expireLocked(at time.Duration) int {
 	kept := s.leases[:0]
 	reclaimed := 0
 	for _, l := range s.leases {
+		if l.released {
+			continue
+		}
 		if l.expires > 0 && at >= l.expires {
 			s.load -= l.mbps
 			reclaimed++
@@ -183,6 +202,7 @@ func (s *server) expireLocked(at time.Duration) int {
 		kept = append(kept, l)
 	}
 	s.leases = kept
+	s.live = len(kept)
 	if s.load < 0 {
 		s.load = 0
 	}

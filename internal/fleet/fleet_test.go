@@ -270,6 +270,45 @@ func TestAdmissionSaturationReturnsSaturatedError(t *testing.T) {
 	}
 }
 
+// TestSaturationRetryAfterIsAWait saturates a server by its session cap an
+// hour into the dispatcher's life. The hint must be the time left until the
+// earliest lease expires, not that lease's elapsed-time deadline: at at = 0,
+// where the two coincide, the saturation test above cannot tell them apart.
+func TestSaturationRetryAfterIsAWait(t *testing.T) {
+	// One tiny server: 10 Mbps at 5 Mbps/test → cap 2.
+	plan := deploy.Plan{Purchases: []deploy.Purchase{{Config: deploy.ServerConfig{BandwidthMbps: 10}, Count: 1}}, TotalMbps: 10}
+	const ttl = 30 * time.Second
+	d, err := NewDispatcher(plan, nil, Config{ActivatePlanned: true, LeaseTTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := d.Registry()
+	for at := r.HeartbeatWindow(); at <= time.Hour; at += r.HeartbeatWindow() {
+		if err := r.Heartbeat(0, at); err != nil {
+			t.Fatal(err)
+		}
+		r.Advance(at)
+	}
+	for i, at := range []time.Duration{time.Hour, time.Hour + 10*time.Second} {
+		if _, err := d.Dispatch(ClientInfo{Key: uint64(i)}, at); err != nil {
+			t.Fatalf("dispatch %d within cap: %v", i, err)
+		}
+	}
+	_, err = d.Dispatch(ClientInfo{Key: 9}, time.Hour+20*time.Second)
+	var sat *errdefs.SaturatedError
+	if !errors.As(err, &sat) {
+		t.Fatalf("err = %v, want *SaturatedError", err)
+	}
+	if sat.RetryAfter <= 0 || sat.RetryAfter > ttl {
+		t.Fatalf("RetryAfter = %v, want a wait in (0, LeaseTTL = %v]", sat.RetryAfter, ttl)
+	}
+	// The first lease expires at 1h+30s, ten seconds after the request; the
+	// bucket's 0.6 s refill wait does not bind.
+	if want := 10 * time.Second; sat.RetryAfter != want {
+		t.Errorf("RetryAfter = %v, want %v", sat.RetryAfter, want)
+	}
+}
+
 func TestTokenBucketRefillsOnAdvance(t *testing.T) {
 	// cap 2, rate = cap/avgDur = 2 per second with AvgTestDuration 1s.
 	plan := deploy.Plan{Purchases: []deploy.Purchase{{Config: deploy.ServerConfig{BandwidthMbps: 10}, Count: 1}}, TotalMbps: 10}

@@ -69,7 +69,7 @@ func (m *fleetMetrics) updateServer(s *server) {
 	if m == nil || s == nil || s.info.ID >= len(m.sessions) {
 		return
 	}
-	m.sessions[s.info.ID].Set(float64(len(s.leases)))
+	m.sessions[s.info.ID].Set(float64(s.live))
 	m.loadMbps[s.info.ID].Set(s.load)
 }
 

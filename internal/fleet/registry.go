@@ -155,9 +155,9 @@ func (r *Registry) Drain(id int, at time.Duration) error {
 		return fmt.Errorf("fleet: drain: server %d is %s", id, s.state)
 	}
 	s.state = StateDraining
-	r.trace.Record(at, obs.EventDrain, float64(len(s.leases)), 0, s.info.Addr)
+	r.trace.Record(at, obs.EventDrain, float64(s.live), 0, s.info.Addr)
 	r.metrics.drainsTotal.Inc()
-	if len(s.leases) == 0 {
+	if s.live == 0 {
 		r.finishDrainLocked(s)
 	}
 	r.updateStateGaugesLocked()
@@ -201,7 +201,7 @@ func (r *Registry) advanceWindowLocked(windowEnd time.Duration) {
 				s.tokens = s.burst
 			}
 		}
-		if s.expireLocked(windowEnd) > 0 && s.state == StateDraining && len(s.leases) == 0 {
+		if s.expireLocked(windowEnd) > 0 && s.state == StateDraining && s.live == 0 {
 			r.finishDrainLocked(s)
 			changed = true
 		}
@@ -238,7 +238,7 @@ func (r *Registry) Release(l LeaseID, at time.Duration) {
 	if !s.releaseLocked(l.Seq) {
 		return
 	}
-	if s.state == StateDraining && len(s.leases) == 0 {
+	if s.state == StateDraining && s.live == 0 {
 		r.finishDrainLocked(s)
 		r.updateStateGaugesLocked()
 	}

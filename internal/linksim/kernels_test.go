@@ -2,6 +2,7 @@ package linksim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -118,34 +119,140 @@ func TestAdvanceZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFlowCloseKeepsOrder compares Close with its old body — rebuild the
-// slice without the flow — closing from the front, the middle and the back:
-// the survivors must keep their order, because max-min sharing and the
-// per-flow draws walk the slice in that order.
+// TestFlowCloseKeepsOrder closes flows from the front, the middle and the
+// back, opening new ones in between, and checks the link's flows where the
+// compaction happens — at the next Advance. The survivors must keep their
+// order, with flows opened since the Close after them, because max-min
+// sharing and the per-flow draws walk the slice in that order.
 func TestFlowCloseKeepsOrder(t *testing.T) {
-	closeRef := func(flows []*Flow, f *Flow) []*Flow {
-		var out []*Flow
-		for _, x := range flows {
-			if x != f {
-				out = append(out, x)
-			}
-		}
-		return out
-	}
 	l := testLink(t, Config{CapacityMbps: 100, RTT: 20 * time.Millisecond})
-	flows := make([]*Flow, 9)
-	for i := range flows {
-		flows[i] = l.NewFlow()
+	var want []*Flow // open flows in open order
+	open := func() {
+		f := l.NewFlow()
+		f.SetOffered(10)
+		want = append(want, f)
 	}
-	want := slices.Clone(l.flows)
-	for _, i := range []int{0, 8, 4, 4, 1, 7, 3, 5, 2, 6} { // 4 twice: a closed flow stays closed
-		flows[i].Close()
-		want = closeRef(want, flows[i])
+	for range 9 {
+		open()
+	}
+	rounds := [][]int{{0}, {8, 3}, {3, 3}, {0, 1, 2}, {4, 0}, {1}}
+	for r, closes := range rounds {
+		for _, i := range closes { // an index twice: a closed flow stays closed
+			want[i].Close()
+		}
+		want = slices.DeleteFunc(want, func(f *Flow) bool { return f.closed })
+		open() // opened between Close and the compaction
+		l.Advance()
 		if !slices.Equal(l.flows, want) {
-			t.Fatalf("after closing flow %d the link holds %d flows in a different order than the rebuild (%d)", i, len(l.flows), len(want))
+			t.Fatalf("round %d: after Advance the link holds %d flows, want the %d open ones in open order", r, len(l.flows), len(want))
+		}
+		if l.closing != 0 {
+			t.Fatalf("round %d: %d closes still pending after Advance", r, l.closing)
 		}
 	}
+	for _, f := range want {
+		f.Close()
+	}
+	l.Advance()
 	if len(l.flows) != 0 {
 		t.Errorf("%d flows left after closing all", len(l.flows))
+	}
+}
+
+// closeRef is Close as it stood before closing became a mark: find the flow
+// and delete it from the link's slice at once.
+func closeRef(f *Flow) {
+	if f.closed {
+		return
+	}
+	f.closed = true
+	f.offered = 0
+	if i := slices.Index(f.link.flows, f); i >= 0 {
+		f.link.flows = slices.Delete(f.link.flows, i, i+1)
+	}
+}
+
+// TestLazyCloseMatchesEagerDelete churns two identically seeded links — one
+// closing with Close, one with closeRef — under spurious loss, per-flow
+// burst-loss impairments and episodic dips, so every tick draws from the
+// link's rng once per flow. Every flow's delivered bytes must stay equal in
+// their bits: the lazy removal leaves the draw order untouched.
+func TestLazyCloseMatchesEagerDelete(t *testing.T) {
+	cfg := Config{
+		CapacityMbps: 120, RTT: 30 * time.Millisecond, LossRate: 0.02, Fluctuation: 0.08,
+		Dipping: &Dips{RatePerSec: 1, Depth: 0.6, Duration: 150 * time.Millisecond},
+	}
+	lazy, eager := MustNew(cfg, 9), MustNew(cfg, 9)
+	rng := rand.New(rand.NewSource(9))
+	var lazyFlows, eagerFlows []*Flow
+	open := func() {
+		offered := rng.Float64() * 40
+		lossProb := 0.0
+		if rng.Intn(2) == 0 {
+			lossProb = rng.Float64() * 0.3
+		}
+		imp := func(time.Duration) Impairment { return Impairment{LossProb: lossProb} }
+		for _, side := range []struct {
+			l     *Link
+			flows *[]*Flow
+		}{{lazy, &lazyFlows}, {eager, &eagerFlows}} {
+			f := side.l.NewFlow()
+			f.SetOffered(offered)
+			f.SetImpairment(imp)
+			*side.flows = append(*side.flows, f)
+		}
+	}
+	for range 12 {
+		open()
+	}
+	for tick := 0; tick < 400; tick++ {
+		for range rng.Intn(3) {
+			i := rng.Intn(len(lazyFlows))
+			lazyFlows[i].Close()
+			closeRef(eagerFlows[i])
+		}
+		for range rng.Intn(3) {
+			open()
+		}
+		lazy.Advance()
+		eager.Advance()
+		for i := range lazyFlows {
+			a, b := lazyFlows[i], eagerFlows[i]
+			if math.Float64bits(a.DeliveredBytes()) != math.Float64bits(b.DeliveredBytes()) || a.LossSignal() != b.LossSignal() {
+				t.Fatalf("tick %d flow %d: delivered %v loss %v, eager reference %v %v",
+					tick, i, a.DeliveredBytes(), a.LossSignal(), b.DeliveredBytes(), b.LossSignal())
+			}
+		}
+	}
+}
+
+// BenchmarkFlowChurn is a server uplink under a fleet day's load: 2000 flows,
+// with a handful closed and as many opened every 5-tick step. One op is one
+// step.
+func BenchmarkFlowChurn(b *testing.B) {
+	const flows, churn = 2000, 8
+	l := MustNew(Config{CapacityMbps: 2500, RTT: 20 * time.Millisecond, Fluctuation: 0.05}, 1)
+	open := make([]*Flow, 0, flows+churn)
+	for range flows {
+		f := l.NewFlow()
+		f.SetOffered(1)
+		open = append(open, f)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Equal-length tests end in the order they started.
+		for _, f := range open[:churn] {
+			f.Close()
+		}
+		open = append(open[:0], open[churn:]...)
+		for range churn {
+			f := l.NewFlow()
+			f.SetOffered(1)
+			open = append(open, f)
+		}
+		for range 5 {
+			l.Advance()
+		}
 	}
 }

@@ -127,7 +127,8 @@ type Link struct {
 	cfg       Config
 	rng       *rand.Rand
 	now       time.Duration
-	flows     []*Flow
+	flows     []*Flow       // in open order; closed flows leave at the next Advance
+	closing   int           // flows closed since the last Advance pruned them
 	noise     float64       // AR(1) state of the fluctuation process
 	queueBits float64       // bottleneck queue occupancy in bits
 	shapedMB  float64       // cumulative traffic counted against the shaper burst
@@ -312,15 +313,15 @@ func (f *Flow) RTT() time.Duration {
 }
 
 // Close detaches the flow from the link; subsequent ticks deliver nothing.
+// It only marks the flow: the next Advance drops every closed flow in one
+// order-preserving pass, so closing is O(1) however many flows the link holds.
 func (f *Flow) Close() {
 	if f.closed {
 		return
 	}
 	f.closed = true
 	f.offered = 0
-	if i := slices.Index(f.link.flows, f); i >= 0 {
-		f.link.flows = slices.Delete(f.link.flows, i, i+1)
-	}
+	f.link.closing++
 }
 
 // capacityNow computes the link's instantaneous capacity before fair sharing.
@@ -367,6 +368,13 @@ func (l *Link) Advance() {
 		if l.rng.Float64() < d.RatePerSec*Tick.Seconds() {
 			l.dipUntil = l.now + d.Duration
 		}
+	}
+	// Drop the flows closed since the last tick. The survivors keep their
+	// order, so max-min sharing and the per-flow draws below walk the same
+	// slice an eager removal would have left.
+	if l.closing > 0 {
+		l.flows = slices.DeleteFunc(l.flows, func(f *Flow) bool { return f.closed })
+		l.closing = 0
 	}
 	// Evaluate the link-wide fault hook once, then per-flow impairments,
 	// and derive the effective offered rates the link sees this tick.

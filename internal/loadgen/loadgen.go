@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
@@ -217,6 +218,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		active   []*client
 		nextKey  uint64
 		achieved float64
+		line     []byte // one digest line, reused
 	)
 	ticksPerStep := int(Step / linksim.Tick)
 	steps := int(cfg.Duration / Step)
@@ -229,15 +231,13 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 
 		// Heartbeats: every server beats unless its fault plan blacks it
 		// out — blackout silences the control plane and the data plane
-		// identically.
+		// identically. Heartbeat refuses planned and gone servers without
+		// touching them, so no state check is needed here.
 		for i := range infos {
 			if cfg.Faults != nil && cfg.Faults.Blackout(i, at) {
 				continue
 			}
-			st := reg.Servers()[i].State
-			if st == fleet.StateLive || st == fleet.StateDead || st == fleet.StateDraining {
-				_ = reg.Heartbeat(i, at)
-			}
+			_ = reg.Heartbeat(i, at)
 		}
 		reg.Advance(at)
 
@@ -257,7 +257,8 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 				return rep, err
 			}
 			rep.TestsStarted++
-			fmt.Fprintf(digest, "assign %d -> %s\n", key, assignKey(a))
+			line = appendAssign(append(line[:0], "assign "...), key, a)
+			digest.Write(line)
 			c := &client{
 				key:     key,
 				assign:  a,
@@ -271,9 +272,9 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		if len(active) > rep.PeakConcurrent {
 			rep.PeakConcurrent = len(active)
 		}
-		for i := range infos {
-			if s := reg.Servers()[i].Sessions; s > peakSessions[i] {
-				peakSessions[i] = s
+		for i, s := range reg.Servers() {
+			if s.Sessions > peakSessions[i] {
+				peakSessions[i] = s.Sessions
 			}
 		}
 
@@ -315,7 +316,8 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 					continue
 				}
 				rep.Failovers++
-				fmt.Fprintf(digest, "failover %d -> %s\n", c.key, assignKey(moved))
+				line = appendAssign(append(line[:0], "failover "...), c.key, moved)
+				digest.Write(line)
 				c.flow.Close()
 				c.assign = moved
 				c.server = moved.Lease.Server
@@ -415,12 +417,16 @@ func clientDomain(cfg Config, key uint64) string {
 	return deploy.IXPDomains[mix(cfg.Seed, key)%uint64(len(deploy.IXPDomains))]
 }
 
-func assignKey(a fleet.Assignment) string {
-	out := ""
+// appendAssign appends the rest of an assign or failover digest line to
+// buf: "<key> -> " and the ranked server IDs, each followed by a comma.
+func appendAssign(buf []byte, key uint64, a fleet.Assignment) []byte {
+	buf = strconv.AppendUint(buf, key, 10)
+	buf = append(buf, " -> "...)
 	for _, s := range a.Servers {
-		out += fmt.Sprintf("%d,", s.ID)
+		buf = strconv.AppendInt(buf, int64(s.ID), 10)
+		buf = append(buf, ',')
 	}
-	return out
+	return append(buf, '\n')
 }
 
 func finishReport(rep *Report, digest interface{ Sum([]byte) []byte }, infos []fleet.ServerStatus, links []*linksim.Link, delivered []float64, peakSessions []int, achieved float64, ran time.Duration) {
