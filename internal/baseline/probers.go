@@ -8,7 +8,6 @@
 package baseline
 
 import (
-	"slices"
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/cc"
@@ -241,9 +240,8 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 
 	start := link.Now()
 	var samples []float64
-	var settled []float64 // samples[warmup:] kept ascending, for estimate.CrucialSorted
-	var share []float64   // estimate.CrucialSorted's scratch, as long as settled
-	var history []float64 // crucial-interval estimate per sample index
+	var settled estimate.Crucial // samples[warmup:]
+	var history []float64        // crucial-interval estimate per sample index
 	agree := 0
 	for link.Now()-start < fastBTSMaxDuration {
 		for i := 0; i < ticksPerSample; i++ {
@@ -252,15 +250,13 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 		s := agg.sample()
 		samples = append(samples, s)
 		if len(samples) > fastBTSWarmup {
-			at, _ := slices.BinarySearch(settled, s)
-			settled = slices.Insert(settled, at, s)
-			share = append(share, 0)
+			settled.Add(s)
 		}
 		if len(samples) < fastBTSMinSamples {
 			history = append(history, 0)
 			continue
 		}
-		est := estimate.CrucialSorted(settled, share)
+		est := settled.Estimate()
 		history = append(history, est)
 		// Compare against the estimate one lag window ago: while the TCP
 		// ramp is still growing the lagged estimate trails the current one,
@@ -286,14 +282,8 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 			}
 		}
 	}
-	var result float64
-	if len(samples) > fastBTSWarmup {
-		result = estimate.CrucialSorted(settled, share)
-	} else {
-		result = estimate.CrucialInterval(samples)
-	}
 	return Report{
-		Result:   result,
+		Result:   settled.Estimate(),
 		Duration: link.Now() - start,
 		DataMB:   agg.totalBytes() / 1e6,
 		Samples:  samples,

@@ -131,13 +131,16 @@ func (f FastBTSPolicy) withDefaults() FastBTSPolicy {
 // Decide implements TerminationPolicy as a pure function of the prefix: the
 // agreement streak is counted backwards from the latest sample until the
 // first disagreement, through a memo that lives for this call, so one call
-// costs at most 2·(streak+1) crucial-interval estimates (each O(n²) in the
-// prefix length) — two on a link that is not agreeing yet, a dozen on the
-// sample that stops a test — and fewer once the streak outruns AgreeLag and
-// the lagged prefixes are ones already judged. Inside the engine the cost is
-// lower still: RunContext takes a per-test instance through forTest, whose
-// memo lives for the test, so a test computes one new estimate per sample
-// (two while the lagged prefix is still shorter than MinSamples).
+// costs at most 2·(streak+1) one-shot crucial-interval estimates (each n²/2
+// subtractions and O(n) divisions in the prefix length) — two on a link
+// that is not agreeing yet, a dozen on the sample that stops a test — and
+// fewer once the streak outruns AgreeLag and the lagged prefixes are ones
+// already judged. Inside the engine the cost is lower still: RunContext
+// takes a per-test instance through forTest, which keeps the judged samples
+// in an estimate.Crucial and the prefix estimates in a memo for the test, so
+// a sample costs one Add (the windows that hold it) and one O(n) estimate,
+// plus one one-shot estimate while the lagged prefix is still shorter than
+// MinSamples.
 func (f FastBTSPolicy) Decide(samples []float64, _ []estimate.TrajectoryPoint, _ time.Duration) Decision {
 	var memo fastBTSMemo
 	return f.withDefaults().decide(samples, &memo)
@@ -176,9 +179,19 @@ func (f FastBTSPolicy) decide(samples []float64, memo *fastBTSMemo) Decision {
 
 // fastBTSMemo remembers the crucial-interval estimate of each prefix length
 // of one sample stream, indexed by that length.
-type fastBTSMemo []struct {
+type fastBTSMemo []prefixEstimate
+
+type prefixEstimate struct {
 	mbps  float64
 	known bool
+}
+
+// at is the memo entry of prefix length n, growing the memo to hold it.
+func (m *fastBTSMemo) at(n int) *prefixEstimate {
+	if n >= len(*m) {
+		*m = append(*m, make(fastBTSMemo, n+1-len(*m))...)
+	}
+	return &(*m)[n]
 }
 
 // estimateAt is the crucial-interval estimate over the first n samples,
@@ -187,10 +200,7 @@ func (m *fastBTSMemo) estimateAt(f FastBTSPolicy, samples []float64, n int) floa
 	if n <= f.Warmup {
 		return 0
 	}
-	if n >= len(*m) {
-		*m = append(*m, make(fastBTSMemo, n+1-len(*m))...)
-	}
-	e := &(*m)[n]
+	e := m.at(n)
 	if !e.known {
 		e.mbps, e.known = estimate.CrucialInterval(samples[f.Warmup:n]), true
 	}
@@ -198,15 +208,28 @@ func (m *fastBTSMemo) estimateAt(f FastBTSPolicy, samples []float64, n int) floa
 }
 
 // fastBTSRun is a FastBTSPolicy bound to one test: the same rule over the
-// same prefixes, with each prefix estimate computed once. It relies on what
-// RunContext guarantees — every call sees the previous call's samples plus
-// one — and is not safe for concurrent use.
+// same prefixes, with each prefix estimate computed once. A judged prefix
+// takes its estimate from a crucial-interval table that the first judged
+// call fills with samples[Warmup:n] and each later call feeds one sample;
+// a lagged prefix shorter than MinSamples, which no call judges, goes
+// through the memo's one-shot estimate. It relies on what RunContext
+// guarantees — every call sees the previous call's samples plus one — and
+// is not safe for concurrent use.
 type fastBTSRun struct {
 	FastBTSPolicy // defaults applied
 	memo          fastBTSMemo
+	table         estimate.Crucial // samples[Warmup:fed]
+	fed           int
 }
 
 func (r *fastBTSRun) Decide(samples []float64, _ []estimate.TrajectoryPoint, _ time.Duration) Decision {
+	if n := len(samples); n >= r.MinSamples && n > r.Warmup {
+		for _, x := range samples[max(r.fed, r.Warmup):n] {
+			r.table.Add(x)
+		}
+		r.fed = n
+		*r.memo.at(n) = prefixEstimate{r.table.Estimate(), true}
+	}
 	return r.decide(samples, &r.memo)
 }
 

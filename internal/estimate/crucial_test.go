@@ -1,0 +1,202 @@
+package estimate
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"github.com/mobilebandwidth/swiftest/internal/stats"
+)
+
+// crucialIntervalRef is the crucial-interval rule as first written: copy,
+// sort, and score every candidate interval with two divisions, keeping the
+// first interval to reach the best score (strict >), start by start and
+// count by count.
+func crucialIntervalRef(samples []float64) float64 {
+	n := len(samples)
+	if n == 0 {
+		return 0
+	}
+	if n == 1 {
+		return samples[0]
+	}
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	eps := (sorted[n-1] - sorted[0]) / float64(n*10)
+	if eps <= 0 {
+		return sorted[0]
+	}
+	bestScore := math.Inf(-1)
+	bestLo, bestHi := 0, n-1
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			k := float64(j - i + 1)
+			width := sorted[j] - sorted[i] + eps
+			density := k / width
+			quantity := k / float64(n)
+			score := density * quantity
+			if score > bestScore {
+				bestScore, bestLo, bestHi = score, i, j
+			}
+		}
+	}
+	return stats.Mean(sorted[bestLo : bestHi+1])
+}
+
+// ranStream is 200 samples shaped like what FastBTS collects on a RAN
+// profile: a TCP ramp to a noisy plateau, a step down, and two blackouts
+// that leave runs of zeros.
+func ranStream(seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	s := make([]float64, 200)
+	for i := range s {
+		level := 180.0
+		if i >= 120 {
+			level = 140
+		}
+		s[i] = math.Max(0, level*(1-math.Exp(-float64(i)/8))+rng.NormFloat64()*6)
+		if (i >= 70 && i < 78) || (i >= 150 && i < 156) {
+			s[i] = 0
+		}
+	}
+	return s
+}
+
+// crucialStreams are seeded streams of the shapes that stress the interval
+// search and the table: all-distinct values, a handful of values repeated
+// many times (score ties), runs of exact zeros in a live stream (what a
+// blackout leaves behind), strictly ascending (every Add appends), strictly
+// descending (every Add inserts at index 0), and a RAN-like run.
+func crucialStreams() map[string][]float64 {
+	const n = 250
+	rng := rand.New(rand.NewSource(31))
+	random := make([]float64, n)
+	duplicated := make([]float64, n)
+	zeroRuns := make([]float64, n)
+	levels := []float64{0, 12.5, 12.5 + 1e-9, 80, 300.25}
+	for i := 0; i < n; i++ {
+		random[i] = rng.Float64() * 900
+		duplicated[i] = levels[rng.Intn(len(levels))]
+		if i%40 < 7+rng.Intn(6) {
+			zeroRuns[i] = 0
+		} else {
+			zeroRuns[i] = 150 + rng.NormFloat64()*4
+		}
+	}
+	ascending := make([]float64, n)
+	descending := make([]float64, n)
+	up, down := 0.0, 1000.0
+	for i := 0; i < n; i++ {
+		up += 0.05 + rng.ExpFloat64()
+		down -= 0.05 + rng.ExpFloat64()
+		ascending[i], descending[i] = up, down
+	}
+	return map[string][]float64{
+		"random": random, "duplicated": duplicated, "zero-runs": zeroRuns,
+		"ascending": ascending, "descending": descending, "ran": ranStream(7),
+	}
+}
+
+// checkCrucial holds both paths to the reference at every prefix of stream:
+// CrucialInterval over the unsorted prefix, and one Crucial fed the stream
+// in order with Estimate called after every Add.
+func checkCrucial(t *testing.T, name string, stream []float64) {
+	t.Helper()
+	var c Crucial
+	for n := 0; ; n++ {
+		want := crucialIntervalRef(stream[:n])
+		if got := CrucialInterval(stream[:n]); got != want {
+			t.Fatalf("%s n=%d: CrucialInterval = %v, reference %v", name, n, got, want)
+		}
+		if got := c.Estimate(); got != want {
+			t.Fatalf("%s n=%d: Crucial.Estimate = %v, reference %v", name, n, got, want)
+		}
+		if n == len(stream) {
+			return
+		}
+		c.Add(stream[n])
+	}
+}
+
+func TestCrucialMatchesReference(t *testing.T) {
+	for name, stream := range crucialStreams() {
+		checkCrucial(t, name, stream)
+	}
+}
+
+// FuzzCrucial holds both paths to the reference on streams of ties and
+// near-ties: each byte picks one of a few levels (low three bits) and moves
+// it up to three ulps (bits 3–4), down when bit 5 is set.
+func FuzzCrucial(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4})
+	f.Add([]byte{2, 10, 2, 42, 2, 18, 3, 3, 11, 35, 3, 43})
+	f.Add([]byte{1, 9, 17, 25, 33, 41, 49, 57, 1, 1, 2, 2, 3, 3, 4, 4, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		levels := [...]float64{0, 12.5, 80, 80.25, 300}
+		stream := make([]float64, 0, 96)
+		for _, b := range data[:min(len(data), 96)] {
+			x := levels[int(b&7)%len(levels)]
+			toward := math.Inf(1)
+			if b&0x20 != 0 {
+				toward = math.Inf(-1)
+			}
+			for range (b >> 3) & 3 {
+				x = math.Nextafter(x, toward)
+			}
+			stream = append(stream, x)
+		}
+		checkCrucial(t, "fuzz", stream)
+	})
+}
+
+var crucialSink float64
+
+func TestCrucialAllocs(t *testing.T) {
+	stream := ranStream(1)
+	var c Crucial
+	for _, x := range stream[:100] {
+		c.Add(x)
+	}
+	if a := testing.AllocsPerRun(100, func() { crucialSink = c.Estimate() }); a != 0 {
+		t.Errorf("Estimate: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { crucialSink = CrucialInterval(stream[:90]) }); a != 1 {
+		t.Errorf("CrucialInterval: %v allocs, want 1", a)
+	}
+	roomy := Crucial{sorted: make([]float64, 0, len(stream)), minW: make([]float64, 0, len(stream))}
+	next := 0
+	// AllocsPerRun calls once more than it is asked to: len(stream) Adds.
+	if a := testing.AllocsPerRun(len(stream)-1, func() { roomy.Add(stream[next]); next++ }); a != 0 {
+		t.Errorf("Add with room: %v allocs, want 0", a)
+	}
+}
+
+// BenchmarkCrucial times both ways into the rule: a FastBTS run (200
+// samples, Adds after the 10-sample warm-up, an estimate after every sample
+// from the 30th) and one-shot CrucialInterval calls at a short and a long
+// prefix.
+func BenchmarkCrucial(b *testing.B) {
+	stream := ranStream(1)
+	b.Run("fastbts-run", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var c Crucial
+			for n := 10; n < len(stream); n++ {
+				c.Add(stream[n])
+				if n+1 >= 30 {
+					crucialSink = c.Estimate()
+				}
+			}
+		}
+	})
+	for _, n := range []int{20, 90} {
+		b.Run(fmt.Sprintf("oneshot-n%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				crucialSink = CrucialInterval(stream[:n])
+			}
+		})
+	}
+}

@@ -1,7 +1,6 @@
 package estimate
 
 import (
-	"math"
 	"sort"
 	"time"
 
@@ -55,59 +54,6 @@ const (
 // time the measured Mbps passes the next rung.
 func BTSAppScaleLadder() []float64 {
 	return []float64{25, 35, 50, 75, 100, 200, 400}
-}
-
-// CrucialInterval reproduces FastBTS's crucial-interval sampling (§5.1):
-// among all intervals bounded by sample values, choose the one maximising
-// the product of sample density and quantity, and estimate the bandwidth as
-// the mean of the samples inside it. The search is O(n²) over the sorted
-// samples, which is cheap at BTS sample counts (≤ a few hundred). Callers
-// that already hold their samples in ascending order enter at CrucialSorted
-// and skip the copy and sort.
-func CrucialInterval(samples []float64) float64 {
-	n := len(samples)
-	// One allocation holds the sorted copy and CrucialSorted's scratch.
-	buf := make([]float64, 2*n)
-	sorted := buf[:n]
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	return CrucialSorted(sorted, buf[n:])
-}
-
-// CrucialSorted is CrucialInterval over samples already in ascending order.
-// share is scratch of at least len(sorted) entries, overwritten.
-func CrucialSorted(sorted, share []float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	// Guard width so identical samples don't divide by zero; scale-relative.
-	eps := (sorted[n-1] - sorted[0]) / float64(n*10)
-	if eps <= 0 {
-		return sorted[0]
-	}
-	// share[d] is the quantity term of an interval holding d+1 samples: its
-	// share of all n.
-	share = share[:n]
-	for d := range share {
-		share[d] = float64(d+1) / float64(n)
-	}
-	bestScore := math.Inf(-1)
-	bestLo, bestHi := 0, n-1
-	for i, lo := range sorted {
-		// Ranging over two slices of one length lets the n² loop run
-		// without bounds checks.
-		tail := sorted[i:]
-		shares := share[:len(tail)]
-		for d, hi := range tail {
-			// density × quantity; strict > keeps the first of tied intervals.
-			score := float64(d+1) / (hi - lo + eps) * shares[d]
-			if score > bestScore {
-				bestScore, bestLo, bestHi = score, i, i+d
-			}
-		}
-	}
-	return stats.Mean(sorted[bestLo : bestHi+1])
 }
 
 // Window is the §5.1 convergence window: the number of trailing samples

@@ -58,6 +58,11 @@ func TestCrucialIntervalDegenerate(t *testing.T) {
 	if got := CrucialInterval([]float64{7, 7, 7}); got != 7 {
 		t.Errorf("identical samples = %g, want 7", got)
 	}
+	// No score is a number, so no interval wins: the mean of all, as the
+	// full scan gave.
+	if got := CrucialInterval([]float64{3, math.NaN(), 5}); !math.IsNaN(got) {
+		t.Errorf("NaN sample = %g, want NaN", got)
+	}
 }
 
 // TestEstimatorsWithinRange property-checks that every estimator returns a
