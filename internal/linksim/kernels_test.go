@@ -11,15 +11,15 @@ import (
 
 // fairShareRef is fairShare as it stood before it reused Link scratch: fresh
 // shares and active slices on every call. Same arithmetic in the same order.
-func fairShareRef(l *Link, cap float64, offered []float64) []float64 {
-	n := len(l.flows)
+func fairShareRef(cap float64, offered []float64) []float64 {
+	n := len(offered)
 	shares := make([]float64, n)
 	if n == 0 {
 		return shares
 	}
 	remaining := cap
 	active := make([]int, 0, n)
-	for i := range l.flows {
+	for i := range offered {
 		if offered[i] > 0 {
 			active = append(active, i)
 		}
@@ -74,7 +74,7 @@ func TestFairShareMatchesReference(t *testing.T) {
 				}
 			}
 			capMbps := rng.Float64() * 400
-			want := fairShareRef(l, capMbps, offered)
+			want := fairShareRef(capMbps, offered)
 			got := l.fairShare(capMbps, offered)
 			for i := range want {
 				if got[i] != want[i] {
@@ -119,11 +119,25 @@ func TestAdvanceZeroAllocs(t *testing.T) {
 	}
 }
 
+// tableHandles lists the handles of the link's flow rows in table order and
+// fails if a handle's row index does not name its own row.
+func tableHandles(t *testing.T, l *Link) []*Flow {
+	t.Helper()
+	out := make([]*Flow, len(l.flows))
+	for i, r := range l.flows {
+		if r.flow.row != i {
+			t.Fatalf("row %d holds a handle pointing at row %d", i, r.flow.row)
+		}
+		out[i] = r.flow
+	}
+	return out
+}
+
 // TestFlowCloseKeepsOrder closes flows from the front, the middle and the
-// back, opening new ones in between, and checks the link's flows where the
-// compaction happens — at the next Advance. The survivors must keep their
+// back, opening new ones in between, and checks the link's flow table where
+// the compaction happens — at the next Advance. The survivors must keep their
 // order, with flows opened since the Close after them, because max-min
-// sharing and the per-flow draws walk the slice in that order.
+// sharing and the per-flow draws walk the rows in that order.
 func TestFlowCloseKeepsOrder(t *testing.T) {
 	l := testLink(t, Config{CapacityMbps: 100, RTT: 20 * time.Millisecond})
 	var want []*Flow // open flows in open order
@@ -143,7 +157,7 @@ func TestFlowCloseKeepsOrder(t *testing.T) {
 		want = slices.DeleteFunc(want, func(f *Flow) bool { return f.closed })
 		open() // opened between Close and the compaction
 		l.Advance()
-		if !slices.Equal(l.flows, want) {
+		if !slices.Equal(tableHandles(t, l), want) {
 			t.Fatalf("round %d: after Advance the link holds %d flows, want the %d open ones in open order", r, len(l.flows), len(want))
 		}
 		if l.closing != 0 {
@@ -159,16 +173,23 @@ func TestFlowCloseKeepsOrder(t *testing.T) {
 	}
 }
 
-// closeRef is Close as it stood before closing became a mark: find the flow
-// and delete it from the link's slice at once.
+// closeRef is Close as it stood before closing became a mark: freeze the
+// flow's values, delete its row from the link's table at once and re-point
+// every handle behind it.
 func closeRef(f *Flow) {
 	if f.closed {
 		return
 	}
+	l := f.link
+	r := l.flows[f.row]
 	f.closed = true
-	f.offered = 0
-	if i := slices.Index(f.link.flows, f); i >= 0 {
-		f.link.flows = slices.Delete(f.link.flows, i, i+1)
+	f.achieved, f.bits, f.lost = r.achieved, r.bits, r.lost
+	if r.impair != nil {
+		l.hooked--
+	}
+	l.flows = slices.Delete(l.flows, f.row, f.row+1)
+	for i := f.row; i < len(l.flows); i++ {
+		l.flows[i].flow.row = i
 	}
 }
 
@@ -223,6 +244,131 @@ func TestLazyCloseMatchesEagerDelete(t *testing.T) {
 					tick, i, a.DeliveredBytes(), a.LossSignal(), b.DeliveredBytes(), b.LossSignal())
 			}
 		}
+	}
+}
+
+// TestClosedFlowIsInert closes one flow mid-table, then closes and opens
+// others so the prune moves rows into the one it left. Before and after the
+// prune, the closed flow's readers and its sampler must report the last tick
+// it was open; its setters, called throughout on one of two identical links,
+// must leave every other flow's bits where the untouched twin has them.
+func TestClosedFlowIsInert(t *testing.T) {
+	cfg := Config{CapacityMbps: 90, RTT: 20 * time.Millisecond, LossRate: 0.05, Fluctuation: 0.05}
+	poked, twin := MustNew(cfg, 4), MustNew(cfg, 4)
+	var pokedFlows, twinFlows []*Flow
+	open := func(mbps float64) {
+		for _, side := range []struct {
+			l     *Link
+			flows *[]*Flow
+		}{{poked, &pokedFlows}, {twin, &twinFlows}} {
+			f := side.l.NewFlow()
+			f.SetOffered(mbps)
+			*side.flows = append(*side.flows, f)
+		}
+	}
+	for i := range 6 {
+		open(float64(5 + 7*i))
+	}
+	closed := pokedFlows[2]
+	s := NewSampler(closed)
+	for range 3 {
+		poked.Advance()
+		twin.Advance()
+	}
+	achieved, delivered, lost := closed.Achieved(), closed.DeliveredBytes(), closed.LossSignal()
+	peek := *s
+	sample := peek.Take()
+	if sample == 0 {
+		t.Fatal("the flow delivered nothing before Close; the test needs a live sample")
+	}
+
+	poke := func() {
+		closed.SetOffered(1000)
+		closed.SetImpairment(func(time.Duration) Impairment { return Impairment{Down: true} })
+	}
+	check := func(when string) {
+		t.Helper()
+		if closed.Achieved() != achieved || closed.DeliveredBytes() != delivered || closed.LossSignal() != lost {
+			t.Fatalf("%s: closed flow reads %v/%v/%v, want the last tick's %v/%v/%v", when,
+				closed.Achieved(), closed.DeliveredBytes(), closed.LossSignal(), achieved, delivered, lost)
+		}
+		for i, f := range pokedFlows {
+			if f == closed {
+				continue
+			}
+			g := twinFlows[i]
+			if math.Float64bits(f.DeliveredBytes()) != math.Float64bits(g.DeliveredBytes()) || f.LossSignal() != g.LossSignal() {
+				t.Fatalf("%s: flow %d delivered %v loss %v, untouched twin %v %v: a closed flow's setter reached it",
+					when, i, f.DeliveredBytes(), f.LossSignal(), g.DeliveredBytes(), g.LossSignal())
+			}
+		}
+	}
+
+	closed.Close()
+	twinFlows[2].Close()
+	poke()
+	check("before the prune")
+	if got := s.Take(); got != sample {
+		t.Fatalf("sampler after Close reads %v, want the last window's %v", got, sample)
+	}
+	for _, i := range []int{0, 1, 3} { // the flow opened next lands in row 2
+		pokedFlows[i].Close()
+		twinFlows[i].Close()
+	}
+	open(3) // under its fair share: a stray SetOffered would show
+	poke()
+	for range 5 {
+		poked.Advance()
+		twin.Advance()
+		poke()
+		check("after the prune")
+	}
+	if closed.row < len(poked.flows) && poked.flows[closed.row].flow == closed {
+		t.Fatal("the prune left the closed flow's row in the table")
+	}
+	if got := s.Take(); got != 0 {
+		t.Errorf("sampler on a closed flow reads %v over windows after Close, want 0", got)
+	}
+}
+
+// BenchmarkAdvance times one tick: a lone flow on a static link, eight on a
+// profile- and fault-hooked link, and a fleet server's 5 Gbit/s uplink
+// carrying 4300 1 Mbit/s tests. One op is one Advance.
+func BenchmarkAdvance(b *testing.B) {
+	states := [2]LinkState{
+		{Name: "good", CapacityMbps: 200, RTT: 30 * time.Millisecond, LossRate: 0.01, Fluctuation: 0.05},
+		{Name: "fade", CapacityMbps: 40, RTT: 60 * time.Millisecond, LossRate: 0.05, Fluctuation: 0.2},
+	}
+	cases := []struct {
+		name  string
+		cfg   Config
+		flows int
+		mbps  func(i int) float64
+	}{
+		{"static/1", Config{CapacityMbps: 200, RTT: 30 * time.Millisecond, LossRate: 0.01, Fluctuation: 0.05}, 1,
+			func(int) float64 { return 1000 }},
+		{"hooked/8", Config{
+			StateHook: func(at time.Duration) LinkState { return states[int(at/time.Second)%2] },
+			Impair: func(at time.Duration) Impairment {
+				return Impairment{Down: at%time.Second < 50*time.Millisecond, LossProb: 0.1}
+			},
+		}, 8, func(i int) float64 { return float64(10 + 40*i) }},
+		{"fleet/4300", Config{CapacityMbps: 5000, RTT: 20 * time.Millisecond, Fluctuation: 0.05}, 4300,
+			func(int) float64 { return 1 }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			l := MustNew(c.cfg, 1)
+			for i := range c.flows {
+				l.NewFlow().SetOffered(c.mbps(i))
+			}
+			l.Advance()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Advance()
+			}
+		})
 	}
 }
 

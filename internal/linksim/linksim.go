@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"slices"
 	"time"
 )
 
@@ -127,8 +126,9 @@ type Link struct {
 	cfg       Config
 	rng       *rand.Rand
 	now       time.Duration
-	flows     []*Flow       // in open order; closed flows leave at the next Advance
-	closing   int           // flows closed since the last Advance pruned them
+	flows     []flowRow     // the flow table, in open order; closed rows leave at the next Advance
+	closing   int           // rows closed since the last Advance pruned them
+	hooked    int           // open rows with a non-nil impair hook
 	noise     float64       // AR(1) state of the fluctuation process
 	queueBits float64       // bottleneck queue occupancy in bits
 	shapedMB  float64       // cumulative traffic counted against the shaper burst
@@ -137,8 +137,9 @@ type Link struct {
 	haveState bool          // a StateHook has been evaluated at least once
 
 	// Per-tick scratch, sized to the flow count and reused across Advance
-	// calls: effective offered rates, impairment states, fair shares, and the
-	// max-min working set of still-unsatisfied flow indices.
+	// calls: effective offered rates, impairment states (sized only once a
+	// tick merges impairments), fair shares, and the max-min working set of
+	// still-unsatisfied flow indices.
 	effScratch    []float64
 	impScratch    []Impairment
 	shareScratch  []float64
@@ -219,15 +220,29 @@ func (l *Link) lossRateNow() float64 {
 // Flow is one traffic flow over a Link. A sender (congestion-control model or
 // UDP pacer) sets the flow's offered rate each tick; the link reports what
 // was actually delivered.
+//
+// A Flow is a handle on its row of the link's flow table. While the flow is
+// open, row is its index there; Close freezes the three values the readers
+// report, after which the row index may belong to another flow.
 type Flow struct {
-	link      *Link
-	offered   float64 // Mbps the sender wants to push this tick
-	achieved  float64 // Mbps actually delivered last tick
-	bits      float64 // cumulative delivered bits
-	lost      bool    // loss signal observed last tick
-	closed    bool
-	queueBits float64 // this flow's share of queued bits (for per-flow RTT)
-	impair    func(at time.Duration) Impairment
+	link     *Link
+	row      int
+	closed   bool
+	lost     bool    // frozen at Close
+	achieved float64 // frozen at Close
+	bits     float64 // frozen at Close
+}
+
+// flowRow is one open flow's per-tick state. A link keeps its rows
+// contiguous, in open order, so a tick walks memory instead of pointers.
+type flowRow struct {
+	flow     *Flow
+	offered  float64 // Mbps the sender wants to push this tick
+	achieved float64 // Mbps actually delivered last tick
+	bits     float64 // cumulative delivered bits
+	lost     bool    // loss signal observed last tick
+	closed   bool    // closed since the last Advance; pruned by the next
+	impair   func(at time.Duration) Impairment
 }
 
 // Impairment is the per-tick fault state applied to one flow — the
@@ -248,8 +263,21 @@ type Impairment struct {
 }
 
 // SetImpairment attaches a fault hook queried once per tick at the current
-// virtual time, before capacity is shared. A nil hook clears it.
-func (f *Flow) SetImpairment(h func(at time.Duration) Impairment) { f.impair = h }
+// virtual time, before capacity is shared. A nil hook clears it. It does
+// nothing on a closed flow.
+func (f *Flow) SetImpairment(h func(at time.Duration) Impairment) {
+	if f.closed {
+		return
+	}
+	r := &f.link.flows[f.row]
+	switch {
+	case r.impair == nil && h != nil:
+		f.link.hooked++
+	case r.impair != nil && h == nil:
+		f.link.hooked--
+	}
+	r.impair = h
+}
 
 // mergeImpairments combines the link-wide fault state with one flow's own:
 // blackout wins, loss probabilities take the worse of the two, and rate caps
@@ -266,40 +294,54 @@ func mergeImpairments(link, flow Impairment) Impairment {
 	return out
 }
 
-// impairmentNow evaluates the flow's hook at the link's current time.
-func (f *Flow) impairmentNow(at time.Duration) Impairment {
-	if f.impair == nil {
-		return Impairment{}
-	}
-	return f.impair(at)
-}
-
 // NewFlow attaches a new idle flow to the link.
 func (l *Link) NewFlow() *Flow {
-	f := &Flow{link: l}
-	l.flows = append(l.flows, f)
+	f := &Flow{link: l, row: len(l.flows)}
+	l.flows = append(l.flows, flowRow{flow: f})
 	return f
 }
 
 // SetOffered sets the rate (Mbps) the sender will push during subsequent
-// ticks. Negative values are treated as zero.
+// ticks. Negative values are treated as zero. It does nothing on a closed
+// flow.
 func (f *Flow) SetOffered(mbps float64) {
+	if f.closed {
+		return
+	}
 	if mbps < 0 {
 		mbps = 0
 	}
-	f.offered = mbps
+	f.link.flows[f.row].offered = mbps
 }
 
 // Achieved reports the rate (Mbps) delivered to this flow during the last
 // tick.
-func (f *Flow) Achieved() float64 { return f.achieved }
+func (f *Flow) Achieved() float64 {
+	if f.closed {
+		return f.achieved
+	}
+	return f.link.flows[f.row].achieved
+}
 
 // DeliveredBytes reports the cumulative bytes delivered to this flow.
-func (f *Flow) DeliveredBytes() float64 { return f.bits / 8 }
+func (f *Flow) DeliveredBytes() float64 { return f.deliveredBits() / 8 }
+
+// deliveredBits reports the cumulative bits delivered to this flow.
+func (f *Flow) deliveredBits() float64 {
+	if f.closed {
+		return f.bits
+	}
+	return f.link.flows[f.row].bits
+}
 
 // LossSignal reports whether the flow experienced loss during the last tick
 // (congestion overflow or spurious wireless loss).
-func (f *Flow) LossSignal() bool { return f.lost }
+func (f *Flow) LossSignal() bool {
+	if f.closed {
+		return f.lost
+	}
+	return f.link.flows[f.row].lost
+}
 
 // RTT reports the flow's current round-trip time including queueing delay at
 // the bottleneck.
@@ -312,16 +354,46 @@ func (f *Flow) RTT() time.Duration {
 	return f.link.BaseRTT() + queueDelay
 }
 
-// Close detaches the flow from the link; subsequent ticks deliver nothing.
-// It only marks the flow: the next Advance drops every closed flow in one
-// order-preserving pass, so closing is O(1) however many flows the link holds.
+// Close detaches the flow from the link; subsequent ticks deliver nothing,
+// and the readers keep reporting the last tick's values. It freezes those
+// values in the handle and only marks the row: the next Advance drops every
+// closed row in one order-preserving pass, so closing is O(1) however many
+// flows the link holds.
 func (f *Flow) Close() {
 	if f.closed {
 		return
 	}
+	l := f.link
+	r := &l.flows[f.row]
 	f.closed = true
-	f.offered = 0
-	f.link.closing++
+	f.achieved, f.bits, f.lost = r.achieved, r.bits, r.lost
+	r.closed = true
+	if r.impair != nil {
+		l.hooked--
+	}
+	l.closing++
+}
+
+// prune drops the rows closed since the last Advance. The survivors keep
+// their order, and only the handles of rows that moved are re-pointed; the
+// vacated tail is cleared so its handles and hooks can be collected.
+//
+// swiftvet:hotpath
+func (l *Link) prune() {
+	kept := 0
+	for i := range l.flows {
+		if l.flows[i].closed {
+			continue
+		}
+		if kept != i {
+			l.flows[kept] = l.flows[i]
+			l.flows[kept].flow.row = kept
+		}
+		kept++
+	}
+	clear(l.flows[kept:])
+	l.flows = l.flows[:kept]
+	l.closing = 0
 }
 
 // capacityNow computes the link's instantaneous capacity before fair sharing.
@@ -371,33 +443,50 @@ func (l *Link) Advance() {
 	}
 	// Drop the flows closed since the last tick. The survivors keep their
 	// order, so max-min sharing and the per-flow draws below walk the same
-	// slice an eager removal would have left.
+	// rows an eager removal would have left.
 	if l.closing > 0 {
-		l.flows = slices.DeleteFunc(l.flows, func(f *Flow) bool { return f.closed })
-		l.closing = 0
+		l.prune()
 	}
+	n := len(l.flows)
+	if cap(l.effScratch) < n {
+		l.effScratch = make([]float64, n)
+		l.shareScratch = make([]float64, n)
+		l.activeScratch = make([]int, n)
+	}
+	eff := l.effScratch[:n]
 	// Evaluate the link-wide fault hook once, then per-flow impairments,
-	// and derive the effective offered rates the link sees this tick.
-	var linkImp Impairment
-	if l.cfg.Impair != nil {
-		linkImp = l.cfg.Impair(l.now)
-	}
-	if cap(l.effScratch) < len(l.flows) {
-		l.effScratch = make([]float64, len(l.flows))
-		l.impScratch = make([]Impairment, len(l.flows))
-		l.shareScratch = make([]float64, len(l.flows))
-		l.activeScratch = make([]int, len(l.flows))
-	}
-	eff := l.effScratch[:len(l.flows)]
-	imps := l.impScratch[:len(l.flows)]
-	for i, f := range l.flows {
-		imp := mergeImpairments(linkImp, f.impairmentNow(l.now))
-		imps[i] = imp
-		eff[i] = f.offered
-		if imp.Down {
-			eff[i] = 0
-		} else if imp.CapMbps > 0 && eff[i] > imp.CapMbps {
-			eff[i] = imp.CapMbps
+	// and derive the effective offered rates the link sees this tick. With
+	// no hook anywhere every merged impairment is the zero value, which
+	// changes no rate and draws nothing, so the merge is skipped.
+	impaired := l.hooked > 0 || l.cfg.Impair != nil
+	var imps []Impairment
+	if impaired {
+		var linkImp Impairment
+		if l.cfg.Impair != nil {
+			linkImp = l.cfg.Impair(l.now)
+		}
+		if cap(l.impScratch) < n {
+			l.impScratch = make([]Impairment, n)
+		}
+		imps = l.impScratch[:n]
+		for i := range l.flows {
+			r := &l.flows[i]
+			var own Impairment
+			if r.impair != nil {
+				own = r.impair(l.now)
+			}
+			imp := mergeImpairments(linkImp, own)
+			imps[i] = imp
+			eff[i] = r.offered
+			if imp.Down {
+				eff[i] = 0
+			} else if imp.CapMbps > 0 && eff[i] > imp.CapMbps {
+				eff[i] = imp.CapMbps
+			}
+		}
+	} else {
+		for i := range l.flows {
+			eff[i] = l.flows[i].offered
 		}
 	}
 
@@ -407,20 +496,23 @@ func (l *Link) Advance() {
 	tickSec := Tick.Seconds()
 	lossRate := l.lossRateNow()
 	var offeredSum float64
-	for i, f := range l.flows {
-		f.lost = false
+	for i := range l.flows {
+		r := &l.flows[i]
+		r.lost = false
 		granted := shares[i]
-		if p := imps[i].LossProb; p > 0 && granted > 0 && l.rng.Float64() < p {
-			// Burst loss: the whole tick's delivery vanishes.
-			granted = 0
-			f.lost = true
+		if impaired {
+			if p := imps[i].LossProb; p > 0 && granted > 0 && l.rng.Float64() < p {
+				// Burst loss: the whole tick's delivery vanishes.
+				granted = 0
+				r.lost = true
+			}
 		}
-		f.achieved = granted
+		r.achieved = granted
 		deliveredBits := granted * 1e6 * tickSec
-		f.bits += deliveredBits
+		r.bits += deliveredBits
 		offeredSum += eff[i]
 		if lossRate > 0 && eff[i] > 0 && l.rng.Float64() < lossRate {
-			f.lost = true
+			r.lost = true
 		}
 	}
 
@@ -438,9 +530,9 @@ func (l *Link) Advance() {
 	bufferBits := l.cfg.BufferBDP * l.baseCapacity() * 1e6 * l.BaseRTT().Seconds()
 	if l.queueBits > bufferBits {
 		l.queueBits = bufferBits
-		for i, f := range l.flows {
+		for i := range l.flows {
 			if eff[i] > shares[i] {
-				f.lost = true
+				l.flows[i].lost = true
 			}
 		}
 	}
@@ -448,8 +540,8 @@ func (l *Link) Advance() {
 	// Account shaped traffic.
 	if l.cfg.Shaping != nil {
 		var delivered float64
-		for _, f := range l.flows {
-			delivered += f.achieved
+		for i := range l.flows {
+			delivered += l.flows[i].achieved
 		}
 		l.shapedMB += delivered * 1e6 * tickSec / 8 / 1e6
 	}
@@ -536,8 +628,9 @@ func (s *Sampler) Take() float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	bits := s.flow.bits - s.lastBits
-	s.lastBits = s.flow.bits
+	total := s.flow.deliveredBits()
+	bits := total - s.lastBits
+	s.lastBits = total
 	s.lastAt = now
 	return bits / elapsed / 1e6
 }

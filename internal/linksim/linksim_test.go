@@ -99,7 +99,7 @@ func TestFairShareConservation(t *testing.T) {
 		l.Advance()
 		var sum float64
 		for _, fl := range flows {
-			if fl.Achieved() > fl.offered+1e-9 {
+			if fl.Achieved() > fl.link.flows[fl.row].offered+1e-9 {
 				return false
 			}
 			sum += fl.Achieved()

@@ -250,7 +250,8 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 			if err != nil {
 				if errors.Is(err, errdefs.ErrFleetSaturated) {
 					rep.TestsRejected++
-					fmt.Fprintf(digest, "reject %d\n", key)
+					line = appendKey(append(line[:0], "reject "...), key)
+					digest.Write(line)
 					break // the bucket is dry; retry next step
 				}
 				finishReport(&rep, digest, infos, links, delivered, peakSessions, achieved, at)
@@ -311,7 +312,8 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 				moved, err := d.Reassign(c.assign, after)
 				if err != nil {
 					rep.TestsAbandoned++
-					fmt.Fprintf(digest, "abandon %d\n", c.key)
+					line = appendKey(append(line[:0], "abandon "...), c.key)
+					digest.Write(line)
 					c.flow.Close()
 					continue
 				}
@@ -330,7 +332,8 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 			if after >= c.end {
 				rep.TestsCompleted++
 				achieved += bytes * 8 / cfg.TestDuration.Seconds() / 1e6
-				fmt.Fprintf(digest, "complete %d\n", c.key)
+				line = appendKey(append(line[:0], "complete "...), c.key)
+				digest.Write(line)
 				c.flow.Close()
 				reg.Release(c.assign.Lease, after)
 				continue
@@ -415,6 +418,12 @@ func clientDomain(cfg Config, key uint64) string {
 		return ""
 	}
 	return deploy.IXPDomains[mix(cfg.Seed, key)%uint64(len(deploy.IXPDomains))]
+}
+
+// appendKey appends the rest of a reject, abandon or complete digest line to
+// buf: "<key>\n".
+func appendKey(buf []byte, key uint64) []byte {
+	return append(strconv.AppendUint(buf, key, 10), '\n')
 }
 
 // appendAssign appends the rest of an assign or failover digest line to
