@@ -18,10 +18,12 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/dataset"
 	"github.com/mobilebandwidth/swiftest/internal/deploy"
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/exper"
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/spectrum"
+	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
 // benchRecords is the per-iteration corpus size for the generate→aggregate
@@ -174,7 +176,7 @@ func BenchmarkAblationConvergence(b *testing.B) {
 		}{{0.01, &d1}, {0.03, &d3}, {0.10, &d10}} {
 			link := linksim.MustNew(linksim.Config{CapacityMbps: 300, RTT: 30 * time.Millisecond, Fluctuation: 0.015}, 5)
 			p := core.NewSimProbe(link)
-			r, err := core.RunContext(context.Background(), p, core.Config{Model: model, Terminate: core.CrossingPolicy{Threshold: tc.thresh}})
+			r, err := core.RunContext(context.Background(), p, core.Config{Model: model, Terminate: crossingAt(tc.thresh)})
 			p.Close()
 			if err != nil {
 				b.Fatal(err)
@@ -185,6 +187,23 @@ func BenchmarkAblationConvergence(b *testing.B) {
 	b.ReportMetric(d1, "dur@1pct_s")
 	b.ReportMetric(d3, "dur@3pct_s")
 	b.ReportMetric(d10, "dur@10pct_s")
+}
+
+// crossingAt is the §5.1 crossing rule at a swept threshold: stop when the
+// last estimate.Window samples agree within it, reporting their mean.
+type crossingAt float64
+
+func (crossingAt) Name() string { return "crossing" }
+
+func (c crossingAt) Decide(samples []float64, _ []estimate.TrajectoryPoint, _ time.Duration) core.Decision {
+	if len(samples) < estimate.Window {
+		return core.Decision{}
+	}
+	tail := samples[len(samples)-estimate.Window:]
+	if !estimate.Stable(tail, float64(c)) {
+		return core.Decision{}
+	}
+	return core.Decision{Stop: true, Estimate: stats.Mean(tail)}
 }
 
 // BenchmarkAblationILP measures the branch-and-bound planner at catalogue

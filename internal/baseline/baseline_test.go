@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
 )
 
@@ -89,6 +90,49 @@ func TestFastBTSRun(t *testing.T) {
 	}
 	if rep.Result <= 0 {
 		t.Error("no result")
+	}
+}
+
+// TestFastBTSRunMatchesReplay: Run stops at its own decision, so a fresh
+// estimate.FastBTSStop fed the samples it returns must first reach
+// FastBTSAgreeRounds on the last one, with Run's result — or never, on a
+// test that rode to the deadline and reported the deadline estimate.
+func TestFastBTSRunMatchesReplay(t *testing.T) {
+	blackouts := func(at time.Duration) linksim.Impairment {
+		// 300 ms of silence each second: runs of zero samples after warm-up.
+		return linksim.Impairment{Down: at%time.Second >= 700*time.Millisecond}
+	}
+	cases := map[string]linksim.Config{
+		"quiet":     {CapacityMbps: 300, RTT: 40 * time.Millisecond, Fluctuation: 0.01},
+		"noisy":     {CapacityMbps: 80, RTT: 60 * time.Millisecond, Fluctuation: 0.3, LossRate: 0.01},
+		"blackouts": {CapacityMbps: 200, RTT: 40 * time.Millisecond, Fluctuation: 0.05, Impair: blackouts},
+	}
+	earlyStops := 0
+	for name, cfg := range cases {
+		for seed := int64(1); seed <= 4; seed++ {
+			rep := (&FastBTS{}).Run(linksim.MustNew(cfg, seed))
+			var rule estimate.FastBTSStop
+			n, want := 0, 0.0
+			for i, x := range rep.Samples {
+				if est, streak, _ := rule.Add(x); streak >= estimate.FastBTSAgreeRounds {
+					n, want = i+1, est
+					break
+				}
+			}
+			if n == 0 { // the rule never stopped: the deadline answer
+				n, want = len(rep.Samples), rule.Estimate()
+			}
+			if n != len(rep.Samples) || rep.Result != want {
+				t.Errorf("%s seed %d: stopped at %d samples with %v, replay says %d with %v",
+					name, seed, len(rep.Samples), rep.Result, n, want)
+			}
+			if rep.Duration < 10*time.Second {
+				earlyStops++
+			}
+		}
+	}
+	if earlyStops == 0 {
+		t.Error("no case stopped on agreement: the early-stop return is untested")
 	}
 }
 

@@ -207,16 +207,11 @@ func (f *FAST) Run(link *linksim.Link) Report {
 	}
 }
 
-// FastBTS's published parameters (NSDI '21). core.FastBTSPolicy's zero value
-// selects the same stop rule.
+// FastBTS's connection count and deadline (NSDI '21); its stopping rule is
+// estimate.FastBTSStop, which core.FastBTSPolicy runs too.
 const (
-	fastBTSFlows          = 4                // parallel connections
-	fastBTSMinSamples     = 30               // samples before the first estimate
-	fastBTSWarmup         = 10               // leading ramp samples excluded from the crucial interval
-	fastBTSMaxDuration    = 10 * time.Second // deadline
-	fastBTSAgreeThreshold = 0.05             // relative agreement between lagged estimates
-	fastBTSAgreeLag       = 20               // samples between compared estimates (one second)
-	fastBTSAgreeRounds    = 5                // consecutive agreeing comparisons to stop
+	fastBTSFlows       = 4                // parallel connections
+	fastBTSMaxDuration = 10 * time.Second // deadline
 )
 
 // FastBTS reproduces the NSDI'21 FastBTS design (§5.1/§5.3): TCP probing
@@ -240,53 +235,25 @@ func (f *FastBTS) Run(link *linksim.Link) Report {
 
 	start := link.Now()
 	var samples []float64
-	var settled estimate.Crucial // samples[warmup:]
-	var history []float64        // crucial-interval estimate per sample index
-	agree := 0
+	var rule estimate.FastBTSStop
+	report := func(result float64) Report {
+		return Report{
+			Result:   result,
+			Duration: link.Now() - start,
+			DataMB:   agg.totalBytes() / 1e6,
+			Samples:  samples,
+			Flows:    fastBTSFlows,
+		}
+	}
 	for link.Now()-start < fastBTSMaxDuration {
 		for i := 0; i < ticksPerSample; i++ {
 			agg.step()
 		}
 		s := agg.sample()
 		samples = append(samples, s)
-		if len(samples) > fastBTSWarmup {
-			settled.Add(s)
-		}
-		if len(samples) < fastBTSMinSamples {
-			history = append(history, 0)
-			continue
-		}
-		est := settled.Estimate()
-		history = append(history, est)
-		// Compare against the estimate one lag window ago: while the TCP
-		// ramp is still growing the lagged estimate trails the current one,
-		// so the test keeps probing until growth levels off.
-		if lagIdx := len(history) - 1 - fastBTSAgreeLag; lagIdx >= 0 && history[lagIdx] > 0 && est > 0 {
-			rel := est/history[lagIdx] - 1
-			if rel < 0 {
-				rel = -rel
-			}
-			if rel <= fastBTSAgreeThreshold {
-				agree++
-			} else {
-				agree = 0
-			}
-		}
-		if agree >= fastBTSAgreeRounds {
-			return Report{
-				Result:   est,
-				Duration: link.Now() - start,
-				DataMB:   agg.totalBytes() / 1e6,
-				Samples:  samples,
-				Flows:    fastBTSFlows,
-			}
+		if est, streak, _ := rule.Add(s); streak >= estimate.FastBTSAgreeRounds {
+			return report(est)
 		}
 	}
-	return Report{
-		Result:   settled.Estimate(),
-		Duration: link.Now() - start,
-		DataMB:   agg.totalBytes() / 1e6,
-		Samples:  samples,
-		Flows:    fastBTSFlows,
-	}
+	return report(rule.Estimate())
 }

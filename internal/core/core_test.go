@@ -200,9 +200,6 @@ func TestSetRateErrorsPropagate(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	if c := (CrossingPolicy{}).withDefaults(); c.Window != 10 || c.Threshold != 0.03 {
-		t.Errorf("crossing defaults wrong: %+v", c)
-	}
 	// A zero MaxDuration selects 5 s: a link too noisy to converge rides to it.
 	l := linksim.MustNew(linksim.Config{CapacityMbps: 200, RTT: 30 * time.Millisecond, Fluctuation: 0.4}, 17)
 	p := NewSimProbe(l)

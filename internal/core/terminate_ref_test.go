@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -14,107 +13,50 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/obs"
 )
 
-// fastBTSDecideRef is FastBTSPolicy.Decide as it stood before the streak was
-// counted backwards: replay every prefix from MinSamples to n, two fresh
-// crucial-interval estimates per step.
-func fastBTSDecideRef(f FastBTSPolicy, samples []float64) Decision {
-	f = f.withDefaults()
-	estimateAt := func(n int) float64 {
-		if n <= f.Warmup {
-			return 0
-		}
-		return estimate.CrucialInterval(samples[f.Warmup:n])
-	}
-	n := len(samples)
-	if n < f.MinSamples {
-		return Decision{}
-	}
-	agree := 0
-	var est float64
-	for i := f.MinSamples; i <= n; i++ {
-		est = estimateAt(i)
-		prev := estimateAt(i - f.AgreeLag)
-		if prev > 0 && est > 0 && relDiff(est, prev) <= f.AgreeThreshold {
-			agree++
-		} else {
-			agree = 0
-		}
-	}
-	d := Decision{Checked: true, Check: float64(agree), Threshold: float64(f.AgreeRounds)}
-	if agree >= f.AgreeRounds {
-		d.Stop = true
-		d.Estimate = est
-	}
-	return d
-}
-
-// fastBTSStreams are 96-sample streams of the shapes the agreement rule
-// must tell apart: a ramp that settles (the streak grows far past
-// AgreeRounds), a link that switches level every few samples (streaks start
-// and break, never reaching AgreeRounds at the default parameters), a plateau
-// with blackouts (zero estimates), and plain noise.
-func fastBTSStreams() map[string][]float64 {
-	const n = 96
-	rng := rand.New(rand.NewSource(17))
-	settling := make([]float64, n)
-	switching := make([]float64, n)
-	blackouts := make([]float64, n)
-	noise := make([]float64, n)
-	for i := range settling {
-		settling[i] = 300*(1-math.Exp(-float64(i)/6)) + rng.NormFloat64()*2
-		level := 200.0
-		if (i/26)%2 == 1 {
-			level = 90
-		}
-		switching[i] = level + rng.NormFloat64()*3
-		blackouts[i] = 150 + rng.NormFloat64()
-		if i < 45 || i%30 < 8 {
-			blackouts[i] = 0
-		}
-		noise[i] = rng.Float64() * 400
-	}
-	return map[string][]float64{"settling": settling, "switching": switching, "blackouts": blackouts, "noise": noise}
-}
-
-// TestFastBTSDecideMatchesForwardReplay holds the backward-counted rule to
-// the old body on every prefix, through both entries: the pure Decide, and
-// the per-test instance fed the prefixes in order the way RunContext does.
+// TestFastBTSDecideMatchesForwardReplay holds both entries — the pure
+// Decide, and the per-test instance fed the prefixes in order the way
+// RunContext does — to one estimate.FastBTSStop fed the stream a sample at a
+// time, on every prefix of full-length streams from the emulated links.
 func TestFastBTSDecideMatchesForwardReplay(t *testing.T) {
-	policies := map[string]FastBTSPolicy{
-		"default":         {},
-		"min-below-lag":   {MinSamples: 12, Warmup: 4, AgreeLag: 20},
-		"lag-past-warmup": {MinSamples: 8, Warmup: 3, AgreeLag: 5, AgreeRounds: 3},
-		"agree-at-min":    {MinSamples: 12, Warmup: 2, AgreeLag: 4, AgreeRounds: 3}, // the first judged prefix can already agree
-		"long-warmup":     {MinSamples: 20, Warmup: 25, AgreeLag: 10, AgreeThreshold: 0.2, AgreeRounds: 8},
-		"tight":           {AgreeThreshold: 0.005, AgreeRounds: 2},
-	}
-	longest, broken := 0.0, false
-	for pname, policy := range policies {
-		for sname, stream := range fastBTSStreams() {
-			perTest := policy.forTest()
-			prev := Decision{}
-			for n := 0; n <= len(stream); n++ {
-				want := fastBTSDecideRef(policy, stream[:n])
-				if got := policy.Decide(stream[:n], nil, 0); got != want {
-					t.Fatalf("%s/%s n=%d: Decide = %+v, forward replay %+v", pname, sname, n, got, want)
+	stops := 0
+	for name, cfg := range fastBTSLinks() {
+		for seed := int64(1); seed <= 2; seed++ {
+			stream, _ := runFastBTS(t, cfg, seed, neverStop{})
+			var rule estimate.FastBTSStop
+			perTest := FastBTSPolicy{}.forTest()
+			for n := 0; n <= len(stream.Samples); n++ {
+				want := Decision{}
+				if n > 0 {
+					if est, streak, judged := rule.Add(stream.Samples[n-1]); judged {
+						want = Decision{Checked: true, Check: float64(streak), Threshold: estimate.FastBTSAgreeRounds}
+						if streak >= estimate.FastBTSAgreeRounds {
+							want.Stop, want.Estimate = true, est
+							stops++
+						}
+					}
 				}
-				if got := perTest.Decide(stream[:n], nil, 0); got != want {
-					t.Fatalf("%s/%s n=%d: per-test Decide = %+v, forward replay %+v", pname, sname, n, got, want)
+				if got := (FastBTSPolicy{}).Decide(stream.Samples[:n], nil, 0); got != want {
+					t.Fatalf("%s seed %d n=%d: Decide = %+v, forward replay %+v", name, seed, n, got, want)
 				}
-				longest = math.Max(longest, want.Check-want.Threshold)
-				if prev.Check > 0 && !prev.Stop && want.Check == 0 {
-					broken = true
+				if got := perTest.Decide(stream.Samples[:n], nil, 0); got != want {
+					t.Fatalf("%s seed %d n=%d: per-test Decide = %+v, forward replay %+v", name, seed, n, got, want)
 				}
-				prev = want
 			}
 		}
 	}
-	if longest < 10 {
-		t.Errorf("longest streak ran %v past AgreeRounds: streaks beyond the stop are untested", longest)
+	if stops == 0 {
+		t.Error("no prefix stopped: the stop decision is untested")
 	}
-	if !broken {
-		t.Error("no streak broke before reaching AgreeRounds: the reset is untested")
-	}
+}
+
+// neverStop rides every test to the deadline, so a run yields a
+// full-length sample stream.
+type neverStop struct{}
+
+func (neverStop) Name() string { return "never" }
+
+func (neverStop) Decide([]float64, []estimate.TrajectoryPoint, time.Duration) Decision {
+	return Decision{}
 }
 
 // pureOnly hides everything of a policy but the TerminationPolicy methods,

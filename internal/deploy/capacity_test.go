@@ -14,12 +14,12 @@ func TestSessionCap(t *testing.T) {
 		{1000, 5, 200},
 		{100, 5, 20},
 		{100, 1, 100},
-		{10, 3, 3},    // floor, not round
-		{4, 5, 0},     // uplink below one test
-		{100, 0, 0},   // degenerate per-test rate
-		{0, 5, 0},     // degenerate uplink
-		{100, -1, 0},  // negative guard
-		{-100, 5, 0},  // negative guard
+		{10, 3, 3},   // floor, not round
+		{4, 5, 0},    // uplink below one test
+		{100, 0, 0},  // degenerate per-test rate
+		{0, 5, 0},    // degenerate uplink
+		{100, -1, 0}, // negative guard
+		{-100, 5, 0}, // negative guard
 	}
 	for _, c := range cases {
 		got := ServerConfig{BandwidthMbps: c.uplink}.SessionCap(c.perTest)

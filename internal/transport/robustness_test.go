@@ -104,9 +104,9 @@ func TestClientSurvivesServerDeath(t *testing.T) {
 	}
 }
 
-// TestRateSetReorderingIgnoresStale delivers Rate2 updates out of order and
+// TestRate2ReorderingIgnoresStale delivers Rate2 updates out of order and
 // confirms the newest seq wins.
-func TestRateSetReorderingIgnoresStale(t *testing.T) {
+func TestRate2ReorderingIgnoresStale(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 100})
 	conn, err := net.DialUDP("udp", nil, s.Addr())
 	if err != nil {
@@ -146,9 +146,9 @@ func TestRateSetReorderingIgnoresStale(t *testing.T) {
 	conn.Write(bye.AppendTo(nil))
 }
 
-// TestDuplicateTestRequestIsIdempotent retransmits the Setup and checks only
+// TestDuplicateSetupIsIdempotent retransmits the Setup and checks only
 // one session exists, owned by the socket that opened it.
-func TestDuplicateTestRequestIsIdempotent(t *testing.T) {
+func TestDuplicateSetupIsIdempotent(t *testing.T) {
 	s := startServer(t, ServerConfig{UplinkMbps: 10})
 	conn, err := net.Dial("udp", s.Addr().String())
 	if err != nil {

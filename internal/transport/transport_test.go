@@ -155,7 +155,7 @@ func TestServerClampsToUplink(t *testing.T) {
 	}
 }
 
-func TestFinStopsSessionAndReportsResult(t *testing.T) {
+func TestByeStopsSessionAndReportsResult(t *testing.T) {
 	results := make(chan float64, 1)
 	s := startServer(t, ServerConfig{UplinkMbps: 100, OnResult: func(m float64) { results <- m }})
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 100}}}

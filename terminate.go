@@ -15,13 +15,13 @@ import (
 type TerminationPolicy = core.TerminationPolicy
 
 // CrossingTermination is the paper's §5.1 stopping rule: stop when the last
-// Window samples agree within Threshold, reporting their mean. The zero
-// value selects the published parameters (10 samples, 3 %).
+// 10 samples agree within 3 %, reporting their mean.
 type CrossingTermination = core.CrossingPolicy
 
 // FastBTSTermination is FastBTS's crucial-interval stopping rule (NSDI '21)
-// applied to the Swiftest engine's sample stream. The zero value selects
-// the baseline prober's parameters.
+// applied to the Swiftest engine's sample stream: the same rule, with the
+// same published parameters, that the FastBTS baseline of the paper's
+// Fig 23–25 runs.
 type FastBTSTermination = core.FastBTSPolicy
 
 // EarlyStopModel is a trained learned-termination model
