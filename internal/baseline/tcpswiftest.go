@@ -40,9 +40,11 @@ func (t *TCPSwiftest) Run(link *linksim.Link) Report {
 		return Report{}
 	}
 
+	// One paced flow and no CC sender: the window below is the sender.
+	agg := newAggregate(link)
+	defer agg.close()
 	flow := link.NewFlow()
-	defer flow.Close()
-	sampler := linksim.NewSampler(flow)
+	agg.flows = append(agg.flows, flow)
 
 	// Jump start: the window carries the most probable modal rate.
 	rate := t.Model.MostProbableMode().Rate
@@ -62,7 +64,7 @@ func (t *TCPSwiftest) Run(link *linksim.Link) Report {
 				lossSeen = true
 			}
 		}
-		s := sampler.Take()
+		s := agg.sample()
 		samples = append(samples, s)
 		if settle > 0 {
 			settle--

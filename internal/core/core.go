@@ -27,15 +27,15 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/errdefs"
 	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
-	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
-// ServerHealth is an optional Probe extension: multi-server probes report
-// how many server sessions the test opened and how many were declared dead
-// mid-test, so Run can mark the result Degraded. Single-link probes simply
-// don't implement it.
+// ServerHealth is an optional Probe extension: probes over a server pool
+// (SimProbe, the live transport's) report how many server sessions the test
+// opened and how many were declared dead mid-test, so Run can mark the
+// result Degraded. Probes without server accounting simply don't implement
+// it.
 type ServerHealth interface {
 	// ServersUsed is the number of server sessions opened over the test.
 	ServersUsed() int
@@ -120,7 +120,7 @@ type Result struct {
 	RateChanges int           // number of probing-rate escalations
 	InitialRate float64       // the model-selected initial probing rate
 	FinalRate   float64       // the probing rate when the test ended
-	ServersUsed int           // server sessions opened (0 when the probe has no server accounting)
+	ServersUsed int           // server sessions opened (1 for a one-server SimProbe; 0 when the probe has no server accounting)
 	ServersLost int           // server sessions declared dead mid-test
 	Degraded    bool          // true when the test survived losing at least one server
 
@@ -280,58 +280,3 @@ func RunContext(ctx context.Context, p Probe, cfg Config) (Result, error) {
 	cfg.Metrics.onFinish(res)
 	return res, nil
 }
-
-// SimProbe implements Probe over the virtual-time link emulator. Setting a
-// rate paces a UDP-style flow (no congestion control — the pacing is the
-// application-layer mechanism of §5.1); each NextSample advances virtual
-// time by one sampling interval.
-type SimProbe struct {
-	link    *linksim.Link
-	flow    *linksim.Flow
-	sampler *linksim.Sampler
-	start   time.Duration
-}
-
-// NewSimProbe attaches a probe to an emulated access link.
-func NewSimProbe(link *linksim.Link) *SimProbe {
-	flow := link.NewFlow()
-	return &SimProbe{
-		link:    link,
-		flow:    flow,
-		sampler: linksim.NewSampler(flow),
-		start:   link.Now(),
-	}
-}
-
-// SetRate implements Probe.
-func (sp *SimProbe) SetRate(mbps float64) error {
-	if mbps < 0 {
-		return fmt.Errorf("core: negative probing rate %g", mbps)
-	}
-	sp.flow.SetOffered(mbps)
-	return nil
-}
-
-// NextSample implements Probe.
-func (sp *SimProbe) NextSample() (float64, bool) {
-	ticks := int(sp.sampler.Interval() / linksim.Tick)
-	for i := 0; i < ticks; i++ {
-		sp.link.Advance()
-	}
-	return sp.sampler.Take(), true
-}
-
-// Elapsed implements Probe.
-func (sp *SimProbe) Elapsed() time.Duration { return sp.link.Now() - sp.start }
-
-// SampleRTT implements RTTSampler: the emulated link's base RTT plus the
-// current bottleneck queueing delay.
-func (sp *SimProbe) SampleRTT() (time.Duration, bool) { return sp.flow.RTT(), true }
-
-// DataMB implements Probe: the data metered at the client — what actually
-// crossed its access link (overshoot beyond the bottleneck is dropped at the
-// bottleneck queue, not delivered over the radio).
-func (sp *SimProbe) DataMB() float64 { return sp.flow.DeliveredBytes() / 1e6 }
-
-// Close releases the probe's flow.
-func (sp *SimProbe) Close() { sp.flow.Close() }

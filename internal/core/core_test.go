@@ -174,7 +174,7 @@ func TestSimProbeRejectsNegativeRate(t *testing.T) {
 
 // errProbe fails SetRate after n calls, to exercise error propagation.
 type errProbe struct {
-	SimProbe
+	*SimProbe
 	calls, failAt int
 }
 
@@ -188,12 +188,12 @@ func (e *errProbe) SetRate(mbps float64) error {
 
 func TestSetRateErrorsPropagate(t *testing.T) {
 	l := quietLink(2000, 1)
-	p := &errProbe{SimProbe: *NewSimProbe(l), failAt: 1}
+	p := &errProbe{SimProbe: NewSimProbe(l), failAt: 1}
 	if _, err := RunContext(context.Background(), p, Config{Model: model5G()}); err == nil {
 		t.Error("initial SetRate failure not propagated")
 	}
 	l2 := quietLink(2000, 1)
-	p2 := &errProbe{SimProbe: *NewSimProbe(l2), failAt: 2}
+	p2 := &errProbe{SimProbe: NewSimProbe(l2), failAt: 2}
 	if _, err := RunContext(context.Background(), p2, Config{Model: model5G()}); err == nil {
 		t.Error("escalation SetRate failure not propagated")
 	}
@@ -273,9 +273,11 @@ func TestEscalationMonotone(t *testing.T) {
 }
 
 // TestSimSetupAllocations pins what an emulated test pays before its first
-// sample: the link, its generator and the probe's flow and sampler (424 B in
-// five allocations). A generator whose seeding fills a table — math/rand's
-// 607-word source cost 4.9 KB here — shows up in the byte bound.
+// sample: the link, its generator and the flow the first SetRate opens
+// (448 B in five allocations). The probe keeps its one server inline and
+// stays on the stack here. A generator whose seeding fills a table —
+// math/rand's 607-word source cost 4.9 KB here — shows up in the byte
+// bound.
 func TestSimSetupAllocations(t *testing.T) {
 	cfg := linksim.Config{CapacityMbps: 300, RTT: 30 * time.Millisecond, Fluctuation: 0.01}
 	seed := int64(0)
@@ -285,11 +287,15 @@ func TestSimSetupAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		NewSimProbe(l).Close()
+		p := NewSimProbe(l)
+		if err := p.SetRate(100); err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
 	}
 	const wantAllocs = 5
 	if got := testing.AllocsPerRun(200, setup); got != wantAllocs {
-		t.Errorf("linksim.New + NewSimProbe allocate %v times, want %d", got, wantAllocs)
+		t.Errorf("linksim.New + NewSimProbe + SetRate allocate %v times, want %d", got, wantAllocs)
 	}
 	const runs = 200
 	var before, after runtime.MemStats
@@ -299,6 +305,6 @@ func TestSimSetupAllocations(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 1024 {
-		t.Errorf("linksim.New + NewSimProbe allocate %d bytes, want ≤ 1024 (a seeded table?)", perRun)
+		t.Errorf("linksim.New + NewSimProbe + SetRate allocate %d bytes, want ≤ 1024 (a seeded table?)", perRun)
 	}
 }

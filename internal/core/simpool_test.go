@@ -16,10 +16,10 @@ import (
 // threeServerPool is the canonical failover fixture: a 600 Mbps access link
 // fed by three servers of 200 Mbps uplink each, so losing one server drops
 // the reachable pool capacity to 400 Mbps.
-func threeServerPool(t *testing.T, seed int64, plan *faults.Plan, trace *obs.Trace) (*SimPoolProbe, func()) {
+func threeServerPool(t *testing.T, seed int64, plan *faults.Plan, trace *obs.Trace) (*SimProbe, func()) {
 	t.Helper()
 	l := quietLink(600, seed)
-	sp, err := NewSimPoolProbe(l, SimPoolConfig{
+	sp := NewSimProbe(l, SimPoolConfig{
 		Servers: []SimServer{
 			{Addr: "srv-a", UplinkMbps: 200},
 			{Addr: "srv-b", UplinkMbps: 200},
@@ -28,9 +28,6 @@ func threeServerPool(t *testing.T, seed int64, plan *faults.Plan, trace *obs.Tra
 		Faults: plan.Injector(),
 		Trace:  trace,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return sp, sp.Close
 }
 
@@ -151,8 +148,8 @@ func TestSimPoolHandshakeDropSkipsServer(t *testing.T) {
 		t.Errorf("health = used %d lost %d degraded %v, want 2/0/false",
 			res.ServersUsed, res.ServersLost, res.Degraded)
 	}
-	if n := countEvents(tr, obs.EventServerRetry); n != simPoolHandshakeAttempts {
-		t.Errorf("server_retry events = %d, want %d", n, simPoolHandshakeAttempts)
+	if n := countEvents(tr, obs.EventServerRetry); n != simHandshakeAttempts {
+		t.Errorf("server_retry events = %d, want %d", n, simHandshakeAttempts)
 	}
 	// Two 200 Mbps servers remain.
 	if rel := math.Abs(res.Bandwidth-400) / 400; rel > 0.1 {

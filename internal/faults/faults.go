@@ -9,7 +9,7 @@
 //
 // The package is virtual-time safe by construction: it never reads a clock.
 // Callers stamp every query with their own elapsed time — virtual under
-// core.SimPool, wall time inside the transport server.
+// core.SimProbe, wall time inside the transport server.
 package faults
 
 import (
@@ -20,6 +20,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
@@ -331,6 +332,28 @@ func (inj *Injector) CapMbps(server int, at time.Duration) (float64, bool) {
 		}
 	}
 	return capMbps, ok
+}
+
+// Impair renders server's faults as a linksim impairment hook: blackouts
+// silence the flow, burst-loss windows drop whole ticks, rate caps clamp
+// the offered rate. The hook is called with link time and reads the plan
+// at link time minus start. A nil injector returns a nil hook, so a link
+// without a plan keeps linksim's unimpaired fast path.
+func (inj *Injector) Impair(server int, start time.Duration) func(at time.Duration) linksim.Impairment {
+	if inj == nil {
+		return nil
+	}
+	return func(at time.Duration) linksim.Impairment {
+		rel := at - start
+		imp := linksim.Impairment{
+			Down:     inj.Blackout(server, rel),
+			LossProb: inj.LossProb(server, rel),
+		}
+		if capMbps, ok := inj.CapMbps(server, rel); ok {
+			imp.CapMbps = capMbps
+		}
+		return imp
+	}
 }
 
 // draw produces a uniform [0,1) variate as a pure hash of the injector

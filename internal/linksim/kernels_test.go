@@ -249,9 +249,10 @@ func TestLazyCloseMatchesEagerDelete(t *testing.T) {
 
 // TestClosedFlowIsInert closes one flow mid-table, then closes and opens
 // others so the prune moves rows into the one it left. Before and after the
-// prune, the closed flow's readers and its sampler must report the last tick
-// it was open; its setters, called throughout on one of two identical links,
-// must leave every other flow's bits where the untouched twin has them.
+// prune, the closed flow's readers and its delivered-byte windows must
+// report the last tick it was open; its setters, called throughout on one of
+// two identical links, must leave every other flow's bits where the
+// untouched twin has them.
 func TestClosedFlowIsInert(t *testing.T) {
 	cfg := Config{CapacityMbps: 90, RTT: 20 * time.Millisecond, LossRate: 0.05, Fluctuation: 0.05}
 	poked, twin := MustNew(cfg, 4), MustNew(cfg, 4)
@@ -270,14 +271,13 @@ func TestClosedFlowIsInert(t *testing.T) {
 		open(float64(5 + 7*i))
 	}
 	closed := pokedFlows[2]
-	s := NewSampler(closed)
 	for range 3 {
 		poked.Advance()
 		twin.Advance()
 	}
 	achieved, delivered, lost := closed.Achieved(), closed.DeliveredBytes(), closed.LossSignal()
-	peek := *s
-	sample := peek.Take()
+	var peek float64
+	sample := windowMbps(closed, &peek, 3*Tick)
 	if sample == 0 {
 		t.Fatal("the flow delivered nothing before Close; the test needs a live sample")
 	}
@@ -308,8 +308,9 @@ func TestClosedFlowIsInert(t *testing.T) {
 	twinFlows[2].Close()
 	poke()
 	check("before the prune")
-	if got := s.Take(); got != sample {
-		t.Fatalf("sampler after Close reads %v, want the last window's %v", got, sample)
+	var window float64
+	if got := windowMbps(closed, &window, 3*Tick); got != sample {
+		t.Fatalf("window after Close reads %v, want the last window's %v", got, sample)
 	}
 	for _, i := range []int{0, 1, 3} { // the flow opened next lands in row 2
 		pokedFlows[i].Close()
@@ -326,8 +327,8 @@ func TestClosedFlowIsInert(t *testing.T) {
 	if closed.row < len(poked.flows) && poked.flows[closed.row].flow == closed {
 		t.Fatal("the prune left the closed flow's row in the table")
 	}
-	if got := s.Take(); got != 0 {
-		t.Errorf("sampler on a closed flow reads %v over windows after Close, want 0", got)
+	if got := windowMbps(closed, &window, 5*Tick); got != 0 {
+		t.Errorf("a closed flow delivers %v Mbps over windows after Close, want 0", got)
 	}
 }
 

@@ -324,14 +324,11 @@ func (f *Flow) Achieved() float64 {
 }
 
 // DeliveredBytes reports the cumulative bytes delivered to this flow.
-func (f *Flow) DeliveredBytes() float64 { return f.deliveredBits() / 8 }
-
-// deliveredBits reports the cumulative bits delivered to this flow.
-func (f *Flow) deliveredBits() float64 {
+func (f *Flow) DeliveredBytes() float64 {
 	if f.closed {
-		return f.bits
+		return f.bits / 8
 	}
-	return f.link.flows[f.row].bits
+	return f.link.flows[f.row].bits / 8
 }
 
 // LossSignal reports whether the flow experienced loss during the last tick
@@ -599,38 +596,6 @@ func (l *Link) fairShare(cap float64, offered []float64) []float64 {
 	return shares
 }
 
-// Sampler turns a flow's deliveries into the periodic bandwidth samples that
-// every BTS in the paper consumes (one sample each 50 ms).
-type Sampler struct {
-	flow     *Flow
-	interval time.Duration
-	lastBits float64
-	lastAt   time.Duration
-}
-
 // SampleInterval is the common 50 ms sampling period of BTS-APP, Speedtest
 // and Swiftest (§2, §5.1).
 const SampleInterval = 50 * time.Millisecond
-
-// NewSampler returns a sampler over flow with the standard 50 ms interval.
-func NewSampler(flow *Flow) *Sampler {
-	return &Sampler{flow: flow, interval: SampleInterval, lastAt: flow.link.Now()}
-}
-
-// Interval reports the sampling period.
-func (s *Sampler) Interval() time.Duration { return s.interval }
-
-// Take returns the throughput (Mbps) observed since the previous Take and
-// resets the window; callers advance the link one Interval between Takes.
-func (s *Sampler) Take() float64 {
-	now := s.flow.link.Now()
-	elapsed := (now - s.lastAt).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	total := s.flow.deliveredBits()
-	bits := total - s.lastBits
-	s.lastBits = total
-	s.lastAt = now
-	return bits / elapsed / 1e6
-}

@@ -216,32 +216,41 @@ func TestFlowClose(t *testing.T) {
 	}
 }
 
+// windowMbps is the throughput (Mbps) a flow delivered since *last bytes
+// over window, advancing *last: the 50 ms sample every BTS consumes.
+func windowMbps(f *Flow, last *float64, window time.Duration) float64 {
+	total := f.DeliveredBytes()
+	bytes := total - *last
+	*last = total
+	return bytes * 8 / window.Seconds() / 1e6
+}
+
 func TestSampler(t *testing.T) {
 	l := testLink(t, Config{CapacityMbps: 80, RTT: 20 * time.Millisecond})
 	f := l.NewFlow()
 	f.SetOffered(1000)
-	s := NewSampler(f)
+	var last float64
 	l.RunFor(SampleInterval)
-	got := s.Take()
+	got := windowMbps(f, &last, SampleInterval)
 	if math.Abs(got-80) > 1e-6 {
 		t.Errorf("sample = %g, want 80", got)
 	}
-	// After Take the window resets.
-	if got := s.Take(); got != 0 {
-		t.Errorf("sample right after Take = %g, want 0 over an empty window", got)
+	// Without an Advance the next window delivers nothing.
+	if got := windowMbps(f, &last, SampleInterval); got != 0 {
+		t.Errorf("sample right after the last = %g, want 0 over an empty window", got)
 	}
 }
 
 func TestSamplerSeriesTracksRateChanges(t *testing.T) {
 	l := testLink(t, Config{CapacityMbps: 500, RTT: 20 * time.Millisecond})
 	f := l.NewFlow()
-	s := NewSampler(f)
+	var last float64
 	f.SetOffered(100)
 	l.RunFor(SampleInterval)
-	first := s.Take()
+	first := windowMbps(f, &last, SampleInterval)
 	f.SetOffered(400)
 	l.RunFor(SampleInterval)
-	second := s.Take()
+	second := windowMbps(f, &last, SampleInterval)
 	if math.Abs(first-100) > 1e-6 || math.Abs(second-400) > 1e-6 {
 		t.Errorf("samples = %g, %g; want 100, 400", first, second)
 	}

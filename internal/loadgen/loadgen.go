@@ -355,19 +355,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 func (c *client) openFlow(links []*linksim.Link, cfg Config) {
 	c.flow = links[c.server].NewFlow()
 	c.flow.SetOffered(cfg.PerTestMbps)
-	if inj := cfg.Faults; inj != nil {
-		server := c.server
-		c.flow.SetImpairment(func(at time.Duration) linksim.Impairment {
-			im := linksim.Impairment{
-				Down:     inj.Blackout(server, at),
-				LossProb: inj.LossProb(server, at),
-			}
-			if cap, ok := inj.CapMbps(server, at); ok {
-				im.CapMbps = cap
-			}
-			return im
-		})
-	}
+	c.flow.SetImpairment(cfg.Faults.Impair(c.server, 0))
 }
 
 // arrivalTargets compresses one diurnal day into a per-trace-point target

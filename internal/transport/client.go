@@ -196,7 +196,6 @@ type UDPProbe struct {
 	sampleInterval time.Duration
 	closed         atomic.Bool
 
-	wire    WireMode // syscall strategy for session receive loops
 	recvBuf *bufPool // pooled receive buffers, shared across sessions
 
 	token wire.Token // dispatcher-lease auth token carried by every Setup
@@ -606,11 +605,7 @@ const clientRecvBufSize = 2048
 // lifetime, so the steady state reads at 0 allocs/packet.
 func (cs *clientSession) receiveLoop() {
 	defer close(cs.done)
-	mode := batchio.ModeAuto
-	if cs.probe.wire == WireFallback {
-		mode = batchio.ModeFallback
-	}
-	bio := batchio.New(cs.conn, mode)
+	bio := batchio.New(cs.conn, batchio.ModeAuto)
 	msgs := make([]batchio.Message, clientRecvBatch)
 	bufs := make([]*pktBuf, clientRecvBatch)
 	for i := range msgs {

@@ -2,9 +2,9 @@
 // sockets: a test server that paces probe datagrams at a client-controlled
 // rate, and a client probe that plugs into the core engine (core.Probe).
 //
-// This is the deployable counterpart of the virtual-time SimProbe: the same
-// engine logic (package core) drives both, so experiments validated on the
-// emulator carry over to the wire. The server is intentionally cheap — a
+// This is the deployable counterpart of core.SimProbe, the emulated server
+// pool on a virtual-time link: the same engine logic (package core) drives
+// both, so experiments validated on the emulator carry over to the wire. The server is intentionally cheap — a
 // batched read loop plus one pacing-wheel goroutine shared by every active
 // test — matching the paper's point that Swiftest runs on small 100 Mbps
 // budget VMs (§5.2/§5.3). The wire hot path is built on package batchio:

@@ -47,7 +47,6 @@ func TestV2EndToEnd(t *testing.T) {
 				OnResult: func(m float64) { results <- m },
 			})
 			probe := newProbe(t, s, 11)
-			probe.wire = tc.mode
 
 			const want = 20.0
 			if err := probe.SetRate(want); err != nil {

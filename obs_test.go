@@ -93,8 +93,10 @@ func TestEmulatedRunRecordAndMetrics(t *testing.T) {
 	if meta["source"] != "sim" || meta["capacity_mbps"] != "300" || meta["seed"] != "7" {
 		t.Errorf("meta = %v", meta)
 	}
-	if kinds[0] != "rate_init" {
-		t.Errorf("first event = %q, want rate_init", kinds[0])
+	// Like a live record, an emulated one opens with the server joining,
+	// then the initial rate.
+	if len(kinds) < 2 || kinds[0] != "server_add" || kinds[1] != "rate_init" {
+		t.Errorf("first events = %q, want server_add then rate_init", kinds[:min(len(kinds), 2)])
 	}
 	if !hasKind(kinds, "sample") || !hasKind(kinds, "converge_check") {
 		t.Errorf("missing core event kinds: %v", kinds)

@@ -99,9 +99,9 @@ func TestProfileSimulationIsDeterministic(t *testing.T) {
 		trace := swiftest.NewTrace(0)
 		res, err := swiftest.SimulateTestContext(
 			context.Background(),
-			swiftest.LinkConfig{Seed: seed},
+			swiftest.LinkConfig{Seed: seed, Profile: p},
 			model,
-			swiftest.SimulateOptions{SessionOptions: swiftest.SessionOptions{Trace: trace}, Profile: p},
+			swiftest.SimulateOptions{SessionOptions: swiftest.SessionOptions{Trace: trace}},
 		)
 		if err != nil {
 			t.Fatalf("%s seed %d: %v", profileName, seed, err)

@@ -40,7 +40,8 @@ type LinkConfig struct {
 	// sees the same replayable state chain, so baselines and Swiftest are
 	// comparable on identical dynamics.
 	// CapacityMbps and RTT are ignored while a profile drives the link.
-	// SimulateOptions.Profile, when also set, takes precedence.
+	// Under SimulateTestContext, state changes and handovers appear in the
+	// trace and dwell/handover instruments in the metrics registry.
 	Profile *Profile
 }
 
@@ -61,14 +62,11 @@ func (c LinkConfig) toInternal() linksim.Config {
 }
 
 // newLink builds the emulated link, installing the profile state machine
-// when one drives it. profile overrides c.Profile when non-nil.
-func (c LinkConfig) newLink(profile *Profile, trace *Trace, metrics *MetricsRegistry) (*linksim.Link, error) {
+// when one drives it.
+func (c LinkConfig) newLink(trace *Trace, metrics *MetricsRegistry) (*linksim.Link, error) {
 	cfg := c.toInternal()
-	if profile == nil {
-		profile = c.Profile
-	}
-	if profile != nil {
-		machine := ranprofile.NewMachine(profile, c.Seed, ranprofile.MachineOptions{
+	if c.Profile != nil {
+		machine := ranprofile.NewMachine(c.Profile, c.Seed, ranprofile.MachineOptions{
 			Trace:   trace,
 			Metrics: ranprofile.NewLinkMetrics(metrics),
 		})
@@ -95,17 +93,14 @@ type SimulateOptions struct {
 	SessionOptions
 	// Servers, when non-empty, emulates a multi-server pool sharing the
 	// access link: the probing rate is split nearest-first under each
-	// server's uplink cap, exactly like the real transport, and mid-test
-	// server loss triggers the same failover. Empty emulates one uncapped
-	// server.
+	// server's uplink cap, and mid-test server loss triggers the same
+	// K-silent-window failover as the real transport. Empty emulates one
+	// uncapped server. The split differs from the live client's in when a
+	// server joins: here a server opens only when a positive share is left
+	// for it, and one whose share falls to zero idles; the live client opens
+	// servers until their uplinks cover 1.05× the target and keeps every
+	// opened one paced.
 	Servers []SimServer
-	// Profile, when non-nil, drives the emulated link through a RAN
-	// scenario's state machine seeded from link.Seed: capacity, RTT, loss
-	// and jitter follow the chain's states, and mid-test handovers durably
-	// swap the cell. The static LinkConfig capacity/RTT become optional and
-	// are ignored while the profile drives the link. State changes and
-	// handovers appear in Trace, dwell/handover instruments in Metrics.
-	Profile *Profile
 }
 
 // SimulateTestContext runs one Swiftest bandwidth test on an emulated access
@@ -122,7 +117,7 @@ func SimulateTestContext(ctx context.Context, link LinkConfig, model *Model, opt
 	if err := opts.Faults.Validate(); err != nil {
 		return Result{}, err
 	}
-	l, err := link.newLink(opts.Profile, opts.Trace, opts.Metrics)
+	l, err := link.newLink(opts.Trace, opts.Metrics)
 	if err != nil {
 		return Result{}, err
 	}
@@ -130,34 +125,16 @@ func SimulateTestContext(ctx context.Context, link LinkConfig, model *Model, opt
 		opts.Trace.SetMeta("source", "sim")
 		opts.Trace.SetMeta("capacity_mbps", strconv.FormatFloat(link.CapacityMbps, 'g', -1, 64))
 		opts.Trace.SetMeta("seed", strconv.FormatInt(link.Seed, 10))
-		if profile := opts.Profile; profile != nil || link.Profile != nil {
-			if profile == nil {
-				profile = link.Profile
-			}
-			opts.Trace.SetMeta("profile", profile.Name)
+		if link.Profile != nil {
+			opts.Trace.SetMeta("profile", link.Profile.Name)
 		}
 	}
-	var probe interface {
-		core.Probe
-		Close()
-	}
-	if len(opts.Servers) > 0 || opts.Faults != nil {
-		servers := opts.Servers
-		if len(servers) == 0 {
-			servers = []SimServer{{}} // single uncapped server, fault index 0
-		}
-		probe, err = core.NewSimPoolProbe(l, core.SimPoolConfig{
-			Servers:   servers,
-			Faults:    opts.Faults.Injector(),
-			LostAfter: opts.LostAfter,
-			Trace:     opts.Trace,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-	} else {
-		probe = core.NewSimProbe(l)
-	}
+	probe := core.NewSimProbe(l, core.SimPoolConfig{
+		Servers:   opts.Servers,
+		Faults:    opts.Faults.Injector(),
+		LostAfter: opts.LostAfter,
+		Trace:     opts.Trace,
+	})
 	defer probe.Close()
 	res, err := core.RunContext(ctx, probe, core.Config{
 		Model:     model,
@@ -208,7 +185,7 @@ func fromBaseline(name string, r baseline.Report) BaselineReport {
 // multi-connection TCP download with Speedtest-style trimming) on an
 // emulated link.
 func RunBTSApp(link LinkConfig) (BaselineReport, error) {
-	l, err := link.newLink(nil, nil, nil)
+	l, err := link.newLink(nil, nil)
 	if err != nil {
 		return BaselineReport{}, err
 	}
@@ -218,7 +195,7 @@ func RunBTSApp(link LinkConfig) (BaselineReport, error) {
 // RunFAST runs the fast.com-style stability-stop baseline on an emulated
 // link.
 func RunFAST(link LinkConfig) (BaselineReport, error) {
-	l, err := link.newLink(nil, nil, nil)
+	l, err := link.newLink(nil, nil)
 	if err != nil {
 		return BaselineReport{}, err
 	}
@@ -228,7 +205,7 @@ func RunFAST(link LinkConfig) (BaselineReport, error) {
 // RunFastBTS runs the FastBTS crucial-interval baseline (NSDI '21) on an
 // emulated link.
 func RunFastBTS(link LinkConfig) (BaselineReport, error) {
-	l, err := link.newLink(nil, nil, nil)
+	l, err := link.newLink(nil, nil)
 	if err != nil {
 		return BaselineReport{}, err
 	}

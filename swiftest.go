@@ -187,7 +187,9 @@ type Result struct {
 	// (RFC 3550 style), a free link-quality diagnostic. Zero for emulated
 	// tests.
 	Jitter time.Duration
-	// ServersUsed counts the test servers that carried probe traffic.
+	// ServersUsed counts the test servers that carried probe traffic. An
+	// emulated test without SimulateOptions.Servers reports 1: its one
+	// uncapped server.
 	ServersUsed int
 	// ServersLost counts servers that went silent mid-test and were failed
 	// over away from.
