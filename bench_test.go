@@ -14,7 +14,6 @@ import (
 	swiftest "github.com/mobilebandwidth/swiftest"
 	"github.com/mobilebandwidth/swiftest/internal/analysis"
 	"github.com/mobilebandwidth/swiftest/internal/baseline"
-	"github.com/mobilebandwidth/swiftest/internal/cc"
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/dataset"
 	"github.com/mobilebandwidth/swiftest/internal/deploy"
@@ -367,18 +366,4 @@ func BenchmarkAggPipeline(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkWireThroughput measures the UDP message encode/decode hot path.
-func BenchmarkWireThroughput(b *testing.B) {
-	b.Run("cc-step", func(b *testing.B) {
-		link := benchLink(1)
-		flow := link.NewFlow()
-		s := cc.NewSender(flow, cc.NewCubic(0))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			link.Advance()
-			s.Step(linksim.Tick)
-		}
-	})
 }

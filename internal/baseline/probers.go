@@ -31,12 +31,15 @@ type Prober interface {
 	Run(link *linksim.Link) Report
 }
 
-// aggregate drives a set of TCP senders over one link and produces aggregate
-// 50 ms samples. It is the shared machinery of all TCP-based probers.
+// aggregate drives a set of TCP connections over one link and produces
+// aggregate 50 ms samples. It is the shared machinery of all TCP-based
+// probers. cubics[i] is the CUBIC sender of flows[i]; a flow past
+// len(cubics) has no congestion control of its own (TCPSwiftest paces its
+// one flow itself).
 type aggregate struct {
-	link    *linksim.Link
-	senders []*cc.Sender
-	flows   []*linksim.Flow
+	link   *linksim.Link
+	flows  []*linksim.Flow
+	cubics []*cc.Cubic
 
 	lastBytes float64
 	lastAt    time.Duration
@@ -47,18 +50,25 @@ func newAggregate(link *linksim.Link) *aggregate {
 }
 
 // addFlow opens one more TCP connection running CUBIC, the dominant server
-// default.
+// default, at its initial-window rate.
 func (a *aggregate) addFlow() {
 	f := a.link.NewFlow()
+	f.SetOffered(cc.InitialRate(a.link.RTT()))
 	a.flows = append(a.flows, f)
-	a.senders = append(a.senders, cc.NewSender(f, cc.NewCubic(0)))
+	a.cubics = append(a.cubics, cc.NewCubic(0))
 }
 
-// step advances one tick of the connection set.
+// step advances one tick of the connection set: the link moves, then each
+// CUBIC sender reads its flow's delivery and the link-wide RTT and offers
+// its next rate.
+//
+// swiftvet:hotpath
 func (a *aggregate) step() {
 	a.link.Advance()
-	for _, s := range a.senders {
-		s.Step(linksim.Tick)
+	rtt := a.link.RTT()
+	for i, c := range a.cubics {
+		f := a.flows[i]
+		f.SetOffered(c.Tick(cc.Feedback{Achieved: f.Achieved(), Loss: f.LossSignal(), RTT: rtt}))
 	}
 }
 

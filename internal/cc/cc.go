@@ -8,9 +8,11 @@
 // as a function of the access bandwidth, and which "noise" samples the ramp
 // injects into a bandwidth test.
 //
-// Window growth is driven by delivery feedback from a linksim.Flow. Two
-// calibration knobs map the textbook dynamics onto the field behaviour the
-// paper measured with tcp_probe on production servers:
+// Window growth is driven by delivery feedback from a linksim.Flow: after
+// each link.Advance the caller hands the algorithm one Feedback and offers
+// the rate Tick returns (see MeasureRamp). Two calibration knobs map the
+// textbook dynamics onto the field behaviour the paper measured with
+// tcp_probe on production servers:
 //
 //   - AckDelayFactor models the delayed ACKs, ACK compression and radio
 //     scheduling latency of commercial cellular/WiFi paths, which stretch a
@@ -54,13 +56,12 @@ const (
 	gainBBR   = 0.95 // ≈2.59× per round: Startup pacing gain 2/ln2
 )
 
-// Feedback carries one tick of delivery feedback from the link to an
+// Feedback carries one linksim.Tick of delivery feedback from the link to an
 // Algorithm.
 type Feedback struct {
 	Achieved float64       // Mbps delivered during the tick
 	Loss     bool          // loss signal observed during the tick
-	RTT      time.Duration // current RTT including queueing delay
-	Tick     time.Duration // tick length
+	RTT      time.Duration // the link's RTT, queueing delay included
 }
 
 // Algorithm is a congestion-control model. Tick consumes one tick of
@@ -81,10 +82,14 @@ func windowRate(cwnd float64, rtt time.Duration) float64 {
 	return cwnd * PacketBytes * 8 / rtt.Seconds() / 1e6
 }
 
+// InitialRate is the rate (Mbps) a new connection offers before its first
+// feedback: InitialWindow packets per rtt.
+func InitialRate(rtt time.Duration) float64 { return windowRate(InitialWindow, rtt) }
+
 // ackedPackets converts delivered Mbps during a tick into effective
 // window-growth events after ACK thinning.
 func ackedPackets(fb Feedback, ackDelay float64) float64 {
-	bytes := fb.Achieved * 1e6 * fb.Tick.Seconds() / 8
+	bytes := fb.Achieved * 1e6 * linksim.TickSeconds / 8
 	return bytes / PacketBytes / ackDelay
 }
 
@@ -172,7 +177,7 @@ func (c *Cubic) setWmax(w float64) {
 //
 // swiftvet:hotpath
 func (c *Cubic) Tick(fb Feedback) float64 {
-	c.elapsed += fb.Tick
+	c.elapsed += linksim.Tick
 	if c.minRTT == 0 || fb.RTT < c.minRTT {
 		c.minRTT = fb.RTT
 	}
@@ -262,8 +267,8 @@ func (b *BBR) Tick(fb Feedback) float64 {
 	if fb.Achieved > b.btlBw {
 		b.btlBw = fb.Achieved
 	}
-	b.roundTime += fb.Tick
-	roundLen := time.Duration(float64(maxDuration(b.minRTT, fb.Tick)) * b.ackDelay)
+	b.roundTime += linksim.Tick
+	roundLen := time.Duration(float64(maxDuration(b.minRTT, linksim.Tick)) * b.ackDelay)
 
 	switch b.phase {
 	case bbrStartup:
@@ -290,7 +295,7 @@ func (b *BBR) Tick(fb Feedback) float64 {
 		}
 		return math.Max(b.btlBw*0.75, 0.1)
 	default: // bbrProbeBW
-		b.cycleTime += fb.Tick
+		b.cycleTime += linksim.Tick
 		if b.cycleTime >= maxDuration(b.minRTT, 10*time.Millisecond) {
 			b.cycleTime = 0
 			b.cycleIdx = (b.cycleIdx + 1) % len(bbrProbeGains)
@@ -304,33 +309,6 @@ func maxDuration(a, b time.Duration) time.Duration {
 		return a
 	}
 	return b
-}
-
-// Sender drives a linksim.Flow with an Algorithm. Call Step after each
-// link.Advance.
-type Sender struct {
-	Flow *linksim.Flow
-	Alg  Algorithm
-}
-
-// NewSender attaches alg to flow and offers the initial-window rate.
-func NewSender(flow *linksim.Flow, alg Algorithm) *Sender {
-	flow.SetOffered(windowRate(InitialWindow, flow.RTT()))
-	return &Sender{Flow: flow, Alg: alg}
-}
-
-// Step feeds the last tick's delivery feedback to the algorithm and installs
-// the new offered rate.
-//
-// swiftvet:hotpath
-func (s *Sender) Step(tick time.Duration) {
-	fb := Feedback{
-		Achieved: s.Flow.Achieved(),
-		Loss:     s.Flow.LossSignal(),
-		RTT:      s.Flow.RTT(),
-		Tick:     tick,
-	}
-	s.Flow.SetOffered(s.Alg.Tick(fb))
 }
 
 // RampResult reports how a congestion-control algorithm ramped on a link.
@@ -348,12 +326,12 @@ type RampResult struct {
 func MeasureRamp(link *linksim.Link, alg Algorithm, frac float64, deadline time.Duration) RampResult {
 	flow := link.NewFlow()
 	defer flow.Close()
-	s := NewSender(flow, alg)
+	flow.SetOffered(InitialRate(link.RTT()))
 	target := frac * link.Config().CapacityMbps
 	start := link.Now()
 	for link.Now()-start < deadline {
 		link.Advance()
-		s.Step(linksim.Tick)
+		flow.SetOffered(alg.Tick(Feedback{Achieved: flow.Achieved(), Loss: flow.LossSignal(), RTT: link.RTT()}))
 		if flow.Achieved() >= target {
 			return RampResult{RampTime: link.Now() - start, Reached: true}
 		}

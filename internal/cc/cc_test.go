@@ -90,12 +90,12 @@ func TestBBRCalibration(t *testing.T) {
 
 func TestRenoHalvesOnLoss(t *testing.T) {
 	r := NewReno(1)
-	fb := Feedback{Achieved: 100, RTT: 40 * time.Millisecond, Tick: linksim.Tick}
+	fb := Feedback{Achieved: 100, RTT: 40 * time.Millisecond}
 	var rate float64
 	for i := 0; i < 200; i++ {
 		rate = r.Tick(fb)
 	}
-	lossRate := r.Tick(Feedback{Achieved: 100, Loss: true, RTT: 40 * time.Millisecond, Tick: linksim.Tick})
+	lossRate := r.Tick(Feedback{Achieved: 100, Loss: true, RTT: 40 * time.Millisecond})
 	if lossRate >= rate {
 		t.Errorf("rate did not drop on loss: %g → %g", rate, lossRate)
 	}
@@ -109,12 +109,12 @@ func TestRenoHalvesOnLoss(t *testing.T) {
 
 func TestCubicBetaDecrease(t *testing.T) {
 	c := NewCubic(1)
-	fb := Feedback{Achieved: 100, RTT: 40 * time.Millisecond, Tick: linksim.Tick}
+	fb := Feedback{Achieved: 100, RTT: 40 * time.Millisecond}
 	var rate float64
 	for i := 0; i < 200; i++ {
 		rate = c.Tick(fb)
 	}
-	lossRate := c.Tick(Feedback{Achieved: 100, Loss: true, RTT: 40 * time.Millisecond, Tick: linksim.Tick})
+	lossRate := c.Tick(Feedback{Achieved: 100, Loss: true, RTT: 40 * time.Millisecond})
 	if lossRate < rate*0.65 || lossRate > rate*0.75 {
 		t.Errorf("CUBIC loss response %g not ≈ 0.7 × %g", lossRate, rate)
 	}
@@ -123,12 +123,12 @@ func TestCubicBetaDecrease(t *testing.T) {
 func TestCubicHyStartExitsOnDelay(t *testing.T) {
 	c := NewCubic(1)
 	base := 40 * time.Millisecond
-	c.Tick(Feedback{Achieved: 50, RTT: base, Tick: linksim.Tick})
+	c.Tick(Feedback{Achieved: 50, RTT: base})
 	if !c.InSlowStart() {
 		t.Fatal("should start in slow start")
 	}
 	// Inflate RTT well past minRTT + minRTT/8.
-	c.Tick(Feedback{Achieved: 50, RTT: base * 2, Tick: linksim.Tick})
+	c.Tick(Feedback{Achieved: 50, RTT: base * 2})
 	if c.InSlowStart() {
 		t.Error("HyStart did not exit slow start on RTT inflation")
 	}
@@ -137,11 +137,11 @@ func TestCubicHyStartExitsOnDelay(t *testing.T) {
 func TestCubicRecoversAfterLoss(t *testing.T) {
 	// After a loss, the cubic window function must grow the rate back.
 	c := NewCubic(1)
-	fb := Feedback{Achieved: 200, RTT: 40 * time.Millisecond, Tick: linksim.Tick}
+	fb := Feedback{Achieved: 200, RTT: 40 * time.Millisecond}
 	for i := 0; i < 300; i++ {
 		c.Tick(fb)
 	}
-	after := c.Tick(Feedback{Achieved: 200, Loss: true, RTT: 40 * time.Millisecond, Tick: linksim.Tick})
+	after := c.Tick(Feedback{Achieved: 200, Loss: true, RTT: 40 * time.Millisecond})
 	var later float64
 	for i := 0; i < 500; i++ {
 		later = c.Tick(fb)
@@ -155,10 +155,10 @@ func TestBBRExitsStartupOnPlateau(t *testing.T) {
 	l := mobileLink(t, 100)
 	b := NewBBR(0)
 	f := l.NewFlow()
-	s := NewSender(f, b)
+	f.SetOffered(InitialRate(l.RTT()))
 	for i := 0; i < 1500 && b.InSlowStart(); i++ {
 		l.Advance()
-		s.Step(linksim.Tick)
+		f.SetOffered(b.Tick(Feedback{Achieved: f.Achieved(), Loss: f.LossSignal(), RTT: l.RTT()}))
 	}
 	if b.InSlowStart() {
 		t.Error("BBR never exited Startup on a fixed-capacity link")
@@ -169,17 +169,19 @@ func TestBBRSteadyStateNearCapacity(t *testing.T) {
 	l := mobileLink(t, 200)
 	b := NewBBR(0)
 	f := l.NewFlow()
-	s := NewSender(f, b)
+	f.SetOffered(InitialRate(l.RTT()))
+	step := func() {
+		l.Advance()
+		f.SetOffered(b.Tick(Feedback{Achieved: f.Achieved(), Loss: f.LossSignal(), RTT: l.RTT()}))
+	}
 	// Run well past Startup.
 	for i := 0; i < 3000; i++ {
-		l.Advance()
-		s.Step(linksim.Tick)
+		step()
 	}
 	var sum float64
 	n := 0
 	for i := 0; i < 500; i++ {
-		l.Advance()
-		s.Step(linksim.Tick)
+		step()
 		sum += f.Achieved()
 		n++
 	}
@@ -192,7 +194,7 @@ func TestBBRSteadyStateNearCapacity(t *testing.T) {
 func TestSenderInitialOffer(t *testing.T) {
 	l := mobileLink(t, 100)
 	f := l.NewFlow()
-	NewSender(f, NewReno(0))
+	f.SetOffered(InitialRate(f.RTT()))
 	want := windowRate(InitialWindow, f.RTT())
 	// The initial window is far below capacity, so the link delivers all of
 	// the offered rate.

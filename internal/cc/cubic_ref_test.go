@@ -8,11 +8,16 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
 )
 
-// cubicTickRef is Cubic.Tick as it stood before K was cached: a cube root
-// and a math.Pow on every congestion-avoidance tick. It ignores c.k, so it
-// is the reference the cached form must equal bit for bit.
+// cubicTickRef is Cubic.Tick as it stood before K was cached and the tick
+// length became a constant: a cube root and a math.Pow on every
+// congestion-avoidance tick, and Tick.Seconds() in every ACK count. It
+// ignores c.k, so it is the reference the cached form must equal bit for bit.
 func cubicTickRef(c *Cubic, fb Feedback) float64 {
-	c.elapsed += fb.Tick
+	ackedPackets := func(fb Feedback, ackDelay float64) float64 {
+		bytes := fb.Achieved * 1e6 * linksim.Tick.Seconds() / 8
+		return bytes / PacketBytes / ackDelay
+	}
+	c.elapsed += linksim.Tick
 	if c.minRTT == 0 || fb.RTT < c.minRTT {
 		c.minRTT = fb.RTT
 	}
@@ -48,8 +53,9 @@ func cubicTickRef(c *Cubic, fb Feedback) float64 {
 }
 
 // TestCubicTickMatchesReference floods a link for 10 s with four CUBIC
-// connections and shadows each with the reference body on the identical
-// feedback. Every offered rate must be == — the campaign digests rest on it.
+// connections, driving each Tick directly as the probers do, and shadows each
+// with the reference body on the identical feedback. Every offered rate must
+// be == — the campaign digests rest on it.
 func TestCubicTickMatchesReference(t *testing.T) {
 	cases := []struct {
 		name string
@@ -66,34 +72,35 @@ func TestCubicTickMatchesReference(t *testing.T) {
 			link := linksim.MustNew(tc.cfg, 17)
 			const flows = 4
 			var (
-				senders [flows]*Sender
-				got     [flows]*Cubic
-				offers  [flows]*offerLog
-				ref     [flows]*Cubic
+				fl  [flows]*linksim.Flow
+				got [flows]*Cubic
+				ref [flows]*Cubic
 			)
-			for i := range senders {
+			for i := range fl {
 				got[i], ref[i] = NewCubic(0), NewCubic(0)
-				offers[i] = &offerLog{Algorithm: got[i]}
-				senders[i] = NewSender(link.NewFlow(), offers[i])
+				fl[i] = link.NewFlow()
+				fl[i].SetOffered(InitialRate(link.RTT()))
 			}
 			var losses, concave, convex int
 			for tick := 0; tick < int(10*time.Second/linksim.Tick); tick++ {
 				link.Advance()
-				for i, s := range senders {
-					fb := Feedback{Achieved: s.Flow.Achieved(), Loss: s.Flow.LossSignal(), RTT: s.Flow.RTT(), Tick: linksim.Tick}
+				rtt := link.RTT()
+				for i, f := range fl {
+					fb := Feedback{Achieved: f.Achieved(), Loss: f.LossSignal(), RTT: rtt}
 					if fb.Loss {
 						losses++
 					} else if !got[i].slow {
 						// The tick about to run evaluates (t−K)³ at this t.
-						if (got[i].elapsed + fb.Tick - got[i].epochStart).Seconds() < got[i].k {
+						if (got[i].elapsed + linksim.Tick - got[i].epochStart).Seconds() < got[i].k {
 							concave++
 						} else {
 							convex++
 						}
 					}
-					s.Step(linksim.Tick)
-					if want := cubicTickRef(ref[i], fb); offers[i].rate != want {
-						t.Fatalf("tick %d flow %d: offered %v, reference %v", tick, i, offers[i].rate, want)
+					rate := got[i].Tick(fb)
+					f.SetOffered(rate)
+					if want := cubicTickRef(ref[i], fb); rate != want {
+						t.Fatalf("tick %d flow %d: offered %v, reference %v", tick, i, rate, want)
 					}
 					if got[i].cwnd != ref[i].cwnd || got[i].wmax != ref[i].wmax {
 						t.Fatalf("tick %d flow %d: state (cwnd %v, wmax %v), reference (%v, %v)",
@@ -106,16 +113,4 @@ func TestCubicTickMatchesReference(t *testing.T) {
 			}
 		})
 	}
-}
-
-// offerLog is an Algorithm that remembers the rate it last handed its
-// Sender, which the sender installs as the flow's offered rate.
-type offerLog struct {
-	Algorithm
-	rate float64
-}
-
-func (o *offerLog) Tick(fb Feedback) float64 {
-	o.rate = o.Algorithm.Tick(fb)
-	return o.rate
 }

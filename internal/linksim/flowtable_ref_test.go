@@ -14,7 +14,8 @@ import (
 // one heap object per flow, the link holding pointers in open order, Close
 // marking the flow and the next Advance dropping marked flows. Advance is the
 // same arithmetic in the same order, merging impairments for every flow on
-// every tick whether or not any hook exists.
+// every tick whether or not any hook exists, with Tick.Seconds() computed at
+// run time; rtt is the per-flow RTT formula from before Link.RTT.
 type refLink struct {
 	cfg       Config
 	rng       *randv2.Rand
@@ -87,6 +88,15 @@ func (l *refLink) baseCapacity() float64 {
 		return l.state.CapacityMbps
 	}
 	return l.cfg.CapacityMbps
+}
+
+func (l *refLink) rtt() time.Duration {
+	cap := l.capacityNow()
+	if cap <= 0 {
+		return l.baseRTT()
+	}
+	queueDelay := time.Duration(l.queueBits / (cap * 1e6) * float64(time.Second))
+	return l.baseRTT() + queueDelay
 }
 
 func (l *refLink) capacityNow() float64 {
@@ -199,7 +209,10 @@ func (l *refLink) advance() {
 
 // lockstepConfigs are the link shapes the flow table must match the pointer
 // flows on: no draw but noise, every static draw, a profile state machine,
-// and a link-wide fault hook.
+// a link-wide fault hook that impairs every tick, and one that opens Down,
+// LossProb and CapMbps windows in turn over quiet ticks. Rows with no hook of
+// their own take the link's impairment without the merge the reference does,
+// so these two pin that skip.
 func lockstepConfigs() map[string]Config {
 	states := [2]LinkState{
 		{Name: "good", CapacityMbps: 150, RTT: 30 * time.Millisecond, LossRate: 0.02, Fluctuation: 0.06},
@@ -221,6 +234,29 @@ func lockstepConfigs() map[string]Config {
 				return Impairment{Down: at%time.Second < 40*time.Millisecond, LossProb: 0.05, CapMbps: 30}
 			},
 		},
+		"impair-windows": {
+			CapacityMbps: 90, RTT: 35 * time.Millisecond, LossRate: 0.01, Fluctuation: 0.05,
+			Impair: func(at time.Duration) Impairment {
+				switch phase := at % (900 * time.Millisecond); {
+				case phase < 100*time.Millisecond:
+					return Impairment{Down: true}
+				case phase < 200*time.Millisecond:
+					return Impairment{}
+				case phase < 400*time.Millisecond:
+					return Impairment{LossProb: 0.3}
+				case phase < 500*time.Millisecond:
+					return Impairment{}
+				case phase < 700*time.Millisecond:
+					return Impairment{CapMbps: 12}
+				case phase < 800*time.Millisecond:
+					// Not a probability a fault plan would give, but the
+					// merge would have raised it to 0: the skip must not
+					// care.
+					return Impairment{LossProb: -0.5}
+				}
+				return Impairment{}
+			},
+		},
 	}
 }
 
@@ -240,7 +276,8 @@ var flowHooks = []func(at time.Duration) Impairment{
 // and re-rates random flows, attaches and clears per-flow hooks, and pokes
 // the setters of flows already closed; then it compares every flow ever
 // opened, closed ones included — delivered bytes, achieved rate and loss
-// signal — by their bits, and checks the link's hook count.
+// signal — by their bits, the link's RTT, and the link's hook count. On a
+// link with a fault hook, hooked and hook-less rows must share some ticks.
 func TestFlowTableMatchesPointerFlows(t *testing.T) {
 	for name, cfg := range lockstepConfigs() {
 		for seed := int64(1); seed <= 5; seed++ {
@@ -259,6 +296,7 @@ func TestFlowTableMatchesPointerFlows(t *testing.T) {
 				for range 6 {
 					open()
 				}
+				mixed := 0 // ticks with hooked and hook-less rows both open
 				for tick := 0; tick < 400; tick++ {
 					for range rng.Intn(3) {
 						open()
@@ -294,15 +332,27 @@ func TestFlowTableMatchesPointerFlows(t *testing.T) {
 								tick, i, f.closed, f.DeliveredBytes(), f.Achieved(), f.LossSignal(), r.bits/8, r.achieved, r.lost)
 						}
 					}
-					hooked := 0
+					if got, want := l.RTT(), ref.rtt(); got != want {
+						t.Fatalf("tick %d: RTT %v, pointer flows %v", tick, got, want)
+					}
+					hooked, open := 0, 0
 					for _, row := range l.flows {
-						if !row.closed && row.impair != nil {
-							hooked++
+						if !row.closed {
+							open++
+							if row.impair != nil {
+								hooked++
+							}
 						}
 					}
 					if l.hooked != hooked {
 						t.Fatalf("tick %d: hooked = %d, %d open rows hold a hook", tick, l.hooked, hooked)
 					}
+					if hooked > 0 && hooked < open {
+						mixed++
+					}
+				}
+				if cfg.Impair != nil && mixed == 0 {
+					t.Fatal("no tick had hooked and hook-less rows open together")
 				}
 			})
 		}

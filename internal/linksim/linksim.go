@@ -31,6 +31,10 @@ import (
 // to five ticks.
 const Tick = 10 * time.Millisecond
 
+// TickSeconds is Tick in seconds, folded at compile time. It is bit-equal to
+// Tick.Seconds(): both round 1e7/1e9 to the nearest float64.
+const TickSeconds = float64(Tick) / float64(time.Second)
+
 // Shaper models ISP/AP traffic shaping: a token bucket that allows BurstMB of
 // unshaped traffic, after which throughput is clamped to SustainedMbps. The
 // paper observes such shaping as the cause of the >30 % deviation tail in
@@ -340,16 +344,9 @@ func (f *Flow) LossSignal() bool {
 	return f.link.flows[f.row].lost
 }
 
-// RTT reports the flow's current round-trip time including queueing delay at
-// the bottleneck.
-func (f *Flow) RTT() time.Duration {
-	cap := f.link.capacityNow()
-	if cap <= 0 {
-		return f.link.BaseRTT()
-	}
-	queueDelay := time.Duration(f.link.queueBits / (cap * 1e6) * float64(time.Second))
-	return f.link.BaseRTT() + queueDelay
-}
+// RTT reports the flow's current round-trip time: the link's, which every
+// flow on it shares.
+func (f *Flow) RTT() time.Duration { return f.link.RTT() }
 
 // Close detaches the flow from the link; subsequent ticks deliver nothing,
 // and the readers keep reporting the last tick's values. It freezes those
@@ -393,6 +390,18 @@ func (l *Link) prune() {
 	l.closing = 0
 }
 
+// RTT reports the link's current round-trip time: the base RTT plus the
+// queueing delay at the bottleneck. It is link-wide, so a sender driving
+// several flows reads it once per tick.
+func (l *Link) RTT() time.Duration {
+	cap := l.capacityNow()
+	if cap <= 0 {
+		return l.BaseRTT()
+	}
+	queueDelay := time.Duration(l.queueBits / (cap * 1e6) * float64(time.Second))
+	return l.BaseRTT() + queueDelay
+}
+
 // capacityNow computes the link's instantaneous capacity before fair sharing.
 func (l *Link) capacityNow() float64 {
 	cap := l.baseCapacity() * (1 + l.noise)
@@ -434,7 +443,7 @@ func (l *Link) Advance() {
 	}
 	// Start episodic dips (Poisson arrivals).
 	if d := l.cfg.Dipping; d != nil && l.now >= l.dipUntil {
-		if l.rng.Float64() < d.RatePerSec*Tick.Seconds() {
+		if l.rng.Float64() < d.RatePerSec*TickSeconds {
 			l.dipUntil = l.now + d.Duration
 		}
 	}
@@ -454,7 +463,9 @@ func (l *Link) Advance() {
 	// Evaluate the link-wide fault hook once, then per-flow impairments,
 	// and derive the effective offered rates the link sees this tick. With
 	// no hook anywhere every merged impairment is the zero value, which
-	// changes no rate and draws nothing, so the merge is skipped.
+	// changes no rate and draws nothing, so the merge is skipped. A row
+	// with no hook of its own takes the link's impairment as is: merging it
+	// with the zero value changes no field read below.
 	impaired := l.hooked > 0 || l.cfg.Impair != nil
 	var imps []Impairment
 	if impaired {
@@ -468,11 +479,10 @@ func (l *Link) Advance() {
 		imps = l.impScratch[:n]
 		for i := range l.flows {
 			r := &l.flows[i]
-			var own Impairment
+			imp := linkImp
 			if r.impair != nil {
-				own = r.impair(l.now)
+				imp = mergeImpairments(linkImp, r.impair(l.now))
 			}
-			imp := mergeImpairments(linkImp, own)
 			imps[i] = imp
 			eff[i] = r.offered
 			if imp.Down {
@@ -490,7 +500,6 @@ func (l *Link) Advance() {
 	cap := l.capacityNow()
 	shares := l.fairShare(cap, eff)
 
-	tickSec := Tick.Seconds()
 	lossRate := l.lossRateNow()
 	var offeredSum float64
 	for i := range l.flows {
@@ -505,7 +514,7 @@ func (l *Link) Advance() {
 			}
 		}
 		r.achieved = granted
-		deliveredBits := granted * 1e6 * tickSec
+		deliveredBits := granted * 1e6 * TickSeconds
 		r.bits += deliveredBits
 		offeredSum += eff[i]
 		if lossRate > 0 && eff[i] > 0 && l.rng.Float64() < lossRate {
@@ -515,7 +524,7 @@ func (l *Link) Advance() {
 
 	// Queue dynamics: excess offered traffic accumulates; overflow beyond
 	// the buffer produces congestion-loss signals for all backlogged flows.
-	excessBits := (offeredSum - cap) * 1e6 * tickSec
+	excessBits := (offeredSum - cap) * 1e6 * TickSeconds
 	if excessBits > 0 {
 		l.queueBits += excessBits
 	} else {
@@ -540,7 +549,7 @@ func (l *Link) Advance() {
 		for i := range l.flows {
 			delivered += l.flows[i].achieved
 		}
-		l.shapedMB += delivered * 1e6 * tickSec / 8 / 1e6
+		l.shapedMB += delivered * 1e6 * TickSeconds / 8 / 1e6
 	}
 
 	l.now += Tick

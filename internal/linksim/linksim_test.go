@@ -187,6 +187,67 @@ func TestRTTDrainsAfterBacklog(t *testing.T) {
 	}
 }
 
+// TestLinkRTTIsLinkWide: the RTT is the link's, base RTT plus queueing
+// delay, so every flow, open or closed, reports Link.RTT before the first
+// Advance and after each one — on a static link, a StateHook link and a
+// dipping link, while the queue fills and drains.
+func TestLinkRTTIsLinkWide(t *testing.T) {
+	states := [2]LinkState{
+		{Name: "good", CapacityMbps: 80, RTT: 25 * time.Millisecond, Fluctuation: 0.05},
+		{Name: "fade", CapacityMbps: 20, RTT: 60 * time.Millisecond, Fluctuation: 0.1},
+	}
+	cases := map[string]Config{
+		"static": {CapacityMbps: 60, RTT: 30 * time.Millisecond, Fluctuation: 0.05, BufferBDP: 2},
+		"statehook": {BufferBDP: 2, StateHook: func(at time.Duration) LinkState {
+			return states[int(at/(400*time.Millisecond))%2]
+		}},
+		"dipping": {
+			CapacityMbps: 60, RTT: 30 * time.Millisecond, Fluctuation: 0.05,
+			Dipping: &Dips{RatePerSec: 2, Depth: 0.7, Duration: 100 * time.Millisecond},
+		},
+	}
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			l := testLink(t, cfg)
+			flows := []*Flow{l.NewFlow(), l.NewFlow(), l.NewFlow()}
+			check := func(tick int) {
+				t.Helper()
+				for i, f := range flows {
+					if f.RTT() != l.RTT() {
+						t.Fatalf("tick %d: flow %d (closed %v) RTT %v, link %v", tick, i, f.closed, f.RTT(), l.RTT())
+					}
+				}
+			}
+			check(0)
+			inflated := false
+			for tick := 1; tick <= 300; tick++ {
+				switch tick {
+				case 60:
+					flows[1].Close()
+				case 120:
+					flows = append(flows, l.NewFlow())
+				}
+				// Half a second over capacity, half a second well under.
+				rate := 40.0
+				if tick/50%2 == 1 {
+					rate = 5
+				}
+				for _, f := range flows {
+					f.SetOffered(rate)
+				}
+				l.Advance()
+				check(tick)
+				if l.RTT() > l.BaseRTT() {
+					inflated = true
+				}
+			}
+			if !inflated {
+				t.Fatal("the queue never built: the RTT never left the base RTT")
+			}
+		})
+	}
+}
+
 func TestShaperClampsAfterBurst(t *testing.T) {
 	l := testLink(t, Config{
 		CapacityMbps: 200, RTT: 20 * time.Millisecond,

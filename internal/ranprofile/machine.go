@@ -81,6 +81,9 @@ type Machine struct {
 	// probability thresholds, compiled from the profile in States order (a
 	// slice walk with map lookups — never a map range into ordered sinks).
 	edges [][]weightedEdge
+	// leave[i] is state i's per-tick leave probability, min(Tick/mean
+	// dwell, 1), compiled once so a tick only draws against it.
+	leave []float64
 
 	tick      int // last decided tick
 	stateIdx  int
@@ -113,7 +116,9 @@ func NewMachine(profile *Profile, seed int64, opts MachineOptions) *Machine {
 		rttFactor: 1,
 	}
 	m.edges = make([][]weightedEdge, len(profile.States))
+	m.leave = make([]float64, len(profile.States))
 	for i, s := range profile.States {
+		m.leave[i] = min(linksim.Tick.Seconds()*1e3/s.MeanDwellMillis, 1)
 		outs := profile.Transitions[s.Name]
 		if len(outs) == 0 {
 			continue // absorbing state
@@ -156,21 +161,17 @@ func (m *Machine) At(at time.Duration) linksim.LinkState {
 // state's mean dwell, then a successor choice, then — when leaving the
 // handover state — the new cell's factor draws.
 func (m *Machine) decide(tick int) {
-	s := m.profile.States[m.stateIdx]
-	if len(m.edges[m.stateIdx]) == 0 {
+	edges := m.edges[m.stateIdx]
+	if len(edges) == 0 {
 		return // absorbing
 	}
-	pLeave := linksim.Tick.Seconds() * 1e3 / s.MeanDwellMillis
-	if pLeave > 1 {
-		pLeave = 1
-	}
-	if m.draw(streamLeave, tick) >= pLeave {
+	if m.draw(streamLeave, tick) >= m.leave[m.stateIdx] {
 		return
 	}
 
 	u := m.draw(streamChoose, tick)
-	next := m.edges[m.stateIdx][len(m.edges[m.stateIdx])-1].to
-	for _, e := range m.edges[m.stateIdx] {
+	next := edges[len(edges)-1].to
+	for _, e := range edges {
 		if u < e.cum {
 			next = e.to
 			break
@@ -179,7 +180,7 @@ func (m *Machine) decide(tick int) {
 
 	now := time.Duration(tick) * linksim.Tick
 	dwell := now - m.enteredAt
-	from := s.Name
+	from := m.profile.States[m.stateIdx].Name
 	handover := from == StateHandover && m.profile.Handover != nil
 	if handover {
 		hs := m.profile.Handover
