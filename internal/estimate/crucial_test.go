@@ -63,11 +63,25 @@ func ranStream(seed int64) []float64 {
 	return s
 }
 
+// plateauStream is 35 samples shaped like a FastBTS test that stops at its
+// first chance: a short ramp onto a plateau with 1 % noise.
+func plateauStream(seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	s := make([]float64, 35)
+	for i := range s {
+		s[i] = 180*(1-math.Exp(-float64(i)/3)) + rng.NormFloat64()*1.8
+	}
+	return s
+}
+
 // crucialStreams are seeded streams of the shapes that stress the interval
 // search and the table: all-distinct values, a handful of values repeated
 // many times (score ties), runs of exact zeros in a live stream (what a
 // blackout leaves behind), strictly ascending (every Add appends), strictly
-// descending (every Add inserts at index 0), and a RAN-like run.
+// descending (every Add inserts at index 0), a RAN-like run, and the
+// samples no link produces: a NaN mid-stream (sorted first, it makes every
+// score NaN), a +Inf (every score 0 or NaN), and subnormal values (eps is
+// subnormal and scores overflow to +Inf).
 func crucialStreams() map[string][]float64 {
 	const n = 250
 	rng := rand.New(rand.NewSource(31))
@@ -92,45 +106,90 @@ func crucialStreams() map[string][]float64 {
 		down -= 0.05 + rng.ExpFloat64()
 		ascending[i], descending[i] = up, down
 	}
+	nan := append([]float64{5, 6, math.NaN(), 7, 5.5}, random[:45]...)
+	inf := append([]float64(nil), random[:80]...)
+	inf[30] = math.Inf(1)
+	subnormal := make([]float64, 80)
+	for i := range subnormal {
+		subnormal[i] = float64(rng.Intn(1<<20)) * 0x1p-1074
+	}
 	return map[string][]float64{
 		"random": random, "duplicated": duplicated, "zero-runs": zeroRuns,
 		"ascending": ascending, "descending": descending, "ran": ranStream(7),
+		"nan": nan, "inf": inf, "subnormal": subnormal,
 	}
 }
 
-// checkCrucial holds one table fed stream in order to the reference, with
-// Estimate called after every Add.
-func checkCrucial(t *testing.T, name string, stream []float64) {
+// checkCrucial holds one table fed stream in order to the reference, bit
+// for bit: after every Add but those skip marks, and after the last. After
+// every Add, skipped or not, each count's bounds must hold its narrowest
+// width; a skipped Estimate leaves them as the Adds left them.
+func checkCrucial(t *testing.T, name string, stream []float64, skip []bool) {
 	t.Helper()
 	var c crucial
 	for n := 0; ; n++ {
-		if got, want := c.Estimate(), crucialIntervalRef(stream[:n]); got != want {
-			t.Fatalf("%s n=%d: crucial.Estimate = %v, reference %v", name, n, got, want)
+		if n == 0 || n == len(stream) || skip == nil || !skip[n-1] {
+			if got, want := c.Estimate(), crucialIntervalRef(stream[:n]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s n=%d: crucial.Estimate = %v, reference %v", name, n, got, want)
+			}
 		}
 		if n == len(stream) {
 			return
 		}
 		c.Add(stream[n])
+		checkBounds(t, name, &c)
+	}
+}
+
+// checkBounds holds lb[d] ≤ w ≤ ub[d], w the narrowest width of d+1
+// consecutive samples, for every count of a table of finite samples (a NaN
+// or an infinity makes widths NaN, and they are not ordered).
+func checkBounds(t *testing.T, name string, c *crucial) {
+	t.Helper()
+	s := c.sorted
+	if math.IsNaN(s[0]) || math.IsInf(s[0], 0) || math.IsInf(s[len(s)-1], 0) {
+		return
+	}
+	for d := range s {
+		w := math.Inf(1)
+		for i := d; i < len(s); i++ {
+			w = min(w, s[i]-s[i-d])
+		}
+		if !(c.lb[d] <= w && w <= c.ub[d]) {
+			t.Fatalf("%s n=%d: count %d has width %v outside its bounds [%v, %v]", name, len(s), d+1, w, c.lb[d], c.ub[d])
+		}
 	}
 }
 
 func TestCrucialMatchesReference(t *testing.T) {
 	for name, stream := range crucialStreams() {
-		checkCrucial(t, name, stream)
+		checkCrucial(t, name, stream, nil)
 	}
 }
 
 // FuzzCrucial holds the table to the reference on streams of ties and
-// near-ties: each byte picks one of a few levels (low three bits) and moves
-// it up to three ulps (bits 3–4), down when bit 5 is set.
+// near-ties, up to FastBTS's 200-sample deadline: each byte picks one of a
+// few levels (low three bits) and moves it up to three ulps (bits 3–4),
+// down when bit 5 is set. Bit 6 skips the comparison after that sample, so
+// the bounds must also survive Adds that no Estimate refines.
 func FuzzCrucial(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4})
 	f.Add([]byte{2, 10, 2, 42, 2, 18, 3, 3, 11, 35, 3, 43})
 	f.Add([]byte{1, 9, 17, 25, 33, 41, 49, 57, 1, 1, 2, 2, 3, 3, 4, 4, 0, 0})
+	sparse := make([]byte, 120)
+	for i := range sparse {
+		sparse[i] = byte(i*7%5 | i%4<<3 | i%3/2<<5)
+		if i%9 != 8 {
+			sparse[i] |= 0x40
+		}
+	}
+	f.Add(sparse)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		levels := [...]float64{0, 12.5, 80, 80.25, 300}
-		stream := make([]float64, 0, 96)
-		for _, b := range data[:min(len(data), 96)] {
+		data = data[:min(len(data), 200)]
+		stream := make([]float64, 0, len(data))
+		skip := make([]bool, 0, len(data))
+		for _, b := range data {
 			x := levels[int(b&7)%len(levels)]
 			toward := math.Inf(1)
 			if b&0x20 != 0 {
@@ -140,8 +199,9 @@ func FuzzCrucial(f *testing.F) {
 				x = math.Nextafter(x, toward)
 			}
 			stream = append(stream, x)
+			skip = append(skip, b&0x40 != 0)
 		}
-		checkCrucial(t, "fuzz", stream)
+		checkCrucial(t, "fuzz", stream, skip)
 	})
 }
 
@@ -156,7 +216,7 @@ func TestCrucialAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { crucialSink = c.Estimate() }); a != 0 {
 		t.Errorf("Estimate: %v allocs, want 0", a)
 	}
-	roomy := crucial{sorted: make([]float64, 0, len(stream)), minW: make([]float64, 0, len(stream))}
+	roomy := crucial{sorted: make([]float64, 0, len(stream)), lb: make([]float64, 0, len(stream)), ub: make([]float64, 0, len(stream))}
 	next := 0
 	// AllocsPerRun calls once more than it is asked to: len(stream) Adds.
 	if a := testing.AllocsPerRun(len(stream)-1, func() { roomy.Add(stream[next]); next++ }); a != 0 {
@@ -164,19 +224,27 @@ func TestCrucialAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkCrucial times the table through a FastBTS run: 200 samples,
-// Adds after the 10-sample warm-up, an estimate after every sample from the
-// 30th.
+// BenchmarkCrucial times the table through a FastBTS run: Adds after the
+// 10-sample warm-up, an estimate after every sample from the 30th. ran190
+// is a 200-sample RAN run that hits the deadline; plateau25 a 35-sample
+// plateau, the length at which sim-static's FastBTS tests stop, where the
+// table's constant cost dominates.
 func BenchmarkCrucial(b *testing.B) {
-	stream := ranStream(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var c crucial
-		for n := 10; n < len(stream); n++ {
-			c.Add(stream[n])
-			if n+1 >= 30 {
-				crucialSink = c.Estimate()
+	for _, bc := range []struct {
+		name   string
+		stream []float64
+	}{{"ran190", ranStream(1)}, {"plateau25", plateauStream(1)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var c crucial
+				for n := 10; n < len(bc.stream); n++ {
+					c.Add(bc.stream[n])
+					if n+1 >= 30 {
+						crucialSink = c.Estimate()
+					}
+				}
 			}
-		}
+		})
 	}
 }

@@ -45,11 +45,12 @@ func fastBTSStopRef(samples []float64) []fastBTSStep {
 	return steps
 }
 
-// fastBTSStreams are 96-sample streams of the shapes the agreement rule
-// must tell apart: a ramp that settles (the streak grows far past
+// fastBTSStreams are streams of the shapes the agreement rule must tell
+// apart, 96 samples each: a ramp that settles (the streak grows far past
 // FastBTSAgreeRounds), a link that switches level every few samples
 // (streaks start and break), a plateau with blackouts (zero estimates), and
-// plain noise.
+// plain noise; and one 200-sample RAN run, a whole FastBTS run to its 10 s
+// deadline (a ramp, a level step and two blackouts).
 func fastBTSStreams() map[string][]float64 {
 	const n = 96
 	rng := rand.New(rand.NewSource(17))
@@ -70,7 +71,7 @@ func fastBTSStreams() map[string][]float64 {
 		}
 		noise[i] = rng.Float64() * 400
 	}
-	return map[string][]float64{"settling": settling, "switching": switching, "blackouts": blackouts, "noise": noise}
+	return map[string][]float64{"settling": settling, "switching": switching, "blackouts": blackouts, "noise": noise, "ran": ranStream(17)}
 }
 
 // checkFastBTSStop feeds stream to one rule and holds every Add, and the
