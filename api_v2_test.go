@@ -83,7 +83,7 @@ func TestPublicAuthFlow(t *testing.T) {
 		t.Errorf("untokened test: err = %v, want ErrAuthRejected", err)
 	}
 
-	token := swiftest.MintAuthToken(key, 0, 1)
+	token := swiftest.MintAuthToken(key, 0, 1, time.Time{})
 	parsed, err := swiftest.ParseAuthToken(token.String())
 	if err != nil || parsed != token {
 		t.Fatalf("token round-trip: %v (%v != %v)", err, parsed, token)

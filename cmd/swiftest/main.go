@@ -633,12 +633,11 @@ func tokenCmd(args []string) error {
 	if *ttl < 0 {
 		return fmt.Errorf("negative -ttl %v", *ttl)
 	}
-	tok := swiftest.MintAuthToken(*authKey, uint32(*server), *seq)
+	var deadline time.Time
 	if *ttl > 0 {
-		deadline := time.Now().Add(*ttl) //lint:allow walltime out-of-band token minting anchors its deadline to real time
-		tok = swiftest.MintAuthTokenExpiring(*authKey, uint32(*server), *seq, deadline)
+		deadline = time.Now().Add(*ttl) //lint:allow walltime out-of-band token minting anchors its deadline to real time
 	}
-	fmt.Println(tok.String())
+	fmt.Println(swiftest.MintAuthToken(*authKey, uint32(*server), *seq, deadline).String())
 	return nil
 }
 

@@ -148,12 +148,28 @@ func TestSimPoolHandshakeDropSkipsServer(t *testing.T) {
 		t.Errorf("health = used %d lost %d degraded %v, want 2/0/false",
 			res.ServersUsed, res.ServersLost, res.Degraded)
 	}
-	if n := countEvents(tr, obs.EventServerRetry); n != simHandshakeAttempts {
-		t.Errorf("server_retry events = %d, want %d", n, simHandshakeAttempts)
+	if n := countEvents(tr, obs.EventServerRetry); n != HandshakeAttempts {
+		t.Errorf("server_retry events = %d, want %d", n, HandshakeAttempts)
 	}
 	// Two 200 Mbps servers remain.
 	if rel := math.Abs(res.Bandwidth-400) / 400; rel > 0.1 {
 		t.Errorf("bandwidth %g, want ≈400", res.Bandwidth)
+	}
+}
+
+// TestSimPoolHeadroom: the emulated pool opens servers by the live
+// client's rule, until their uplinks cover the rate with 5 % headroom, so
+// 24 Mbit/s on 25 Mbit/s servers opens two.
+func TestSimPoolHeadroom(t *testing.T) {
+	sp := NewSimProbe(quietLink(100, 3), SimPoolConfig{
+		Servers: []SimServer{{UplinkMbps: 25}, {UplinkMbps: 25}, {UplinkMbps: 25}},
+	})
+	defer sp.Close()
+	if err := sp.SetRate(24); err != nil {
+		t.Fatal(err)
+	}
+	if got := sp.ServersUsed(); got != 2 {
+		t.Errorf("SetRate(24) on 3 × 25 Mbit/s opened %d servers, want 2", got)
 	}
 }
 

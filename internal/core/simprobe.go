@@ -37,45 +37,31 @@ type SimPoolConfig struct {
 	Trace *obs.Trace
 }
 
-// simHandshakeAttempts bounds handshake retries per server, matching the
-// real transport's bound.
-const simHandshakeAttempts = 5
-
-// simServer is one emulated server session.
+// simServer is one emulated server's session.
 type simServer struct {
-	cfg       SimServer
-	addr      string        // trace label; set only when a trace listens
 	flow      *linksim.Flow // nil until the session opens; kept after it closes
-	open      bool
-	failed    bool    // handshake exhausted; never opened
-	lost      bool    // declared dead mid-test
-	assigned  float64 // Mbps currently asked of this server
-	lastBytes float64 // flow bytes at the previous sample boundary
-	tracker   faults.LostTracker
+	lastBytes float64       // flow bytes at the previous sample boundary
 }
 
 // SimProbe implements Probe, RTTSampler and ServerHealth over the
 // virtual-time link emulator. It emulates a pool of servers sharing one
 // access link: every server is a UDP-style paced flow on the link (no
 // congestion control — the pacing is the application-layer mechanism of
-// §5.1), the probing rate is split nearest-first under per-server uplink
-// caps, and the same fault injector that drives the real transport drives
-// each flow's impairment hook, so blackout, burst-loss and rate-cap plans
-// exercise the client-side failover logic under virtual time. Each
-// NextSample advances virtual time by one sampling interval.
+// §5.1), the ServerSet the live client runs decides which servers open and
+// what share each paces, and the same fault injector that drives the real
+// transport drives each flow's impairment hook, so blackout, burst-loss and
+// rate-cap plans exercise the client-side failover logic under virtual
+// time. Each NextSample advances virtual time by one sampling interval.
 //
 // Without a config the pool is one uncapped server: the probe every
 // experiment runs.
 type SimProbe struct {
 	link  *linksim.Link
+	set   ServerSet
 	one   [1]simServer // the pool when it has one server, sparing an allocation
 	more  []simServer  // the pool when it has more
 	inj   *faults.Injector
-	trace *obs.Trace
 	start time.Duration
-	rate  float64
-	used  int
-	lost  int
 }
 
 // NewSimProbe attaches a probe to an emulated access link. The optional
@@ -96,24 +82,20 @@ func (sp *SimProbe) configure(cfg []SimPoolConfig) {
 	if len(cfg) > 0 {
 		c = cfg[0]
 	}
-	sp.inj, sp.trace = c.Faults, c.Trace
-	if len(c.Servers) > 1 {
-		sp.more = make([]simServer, len(c.Servers))
+	sp.inj = c.Faults
+	servers := c.Servers
+	if len(servers) == 0 {
+		servers = []SimServer{{}} // one uncapped server
 	}
-	servers := sp.pool()
-	tracker := *faults.NewLostTracker(c.LostAfter)
-	for i := range servers {
-		s := &servers[i]
-		if i < len(c.Servers) {
-			s.cfg = c.Servers[i]
+	sp.set.Reset(len(servers), c.LostAfter, c.Trace)
+	if len(servers) > 1 {
+		sp.more = make([]simServer, len(servers))
+	}
+	for i, s := range servers {
+		if s.Addr == "" && c.Trace != nil {
+			s.Addr = fmt.Sprintf("sim-%d", i)
 		}
-		s.tracker = tracker
-		if sp.trace != nil {
-			s.addr = s.cfg.Addr
-			if s.addr == "" {
-				s.addr = fmt.Sprintf("sim-%d", i)
-			}
-		}
+		sp.set.Describe(i, s.Addr, s.UplinkMbps)
 	}
 }
 
@@ -125,125 +107,56 @@ func (sp *SimProbe) pool() []simServer {
 	return sp.one[:]
 }
 
-// SetRate implements Probe: it splits mbps across the pool nearest-first,
-// opening sessions (with bounded, fault-aware handshakes) as needed.
-func (sp *SimProbe) SetRate(mbps float64) error {
-	if mbps < 0 {
-		return fmt.Errorf("core: negative probing rate %g", mbps)
-	}
-	sp.rate = mbps
-	sp.distribute()
-	if mbps > 0 && sp.openCount() == 0 {
-		return fmt.Errorf("core: no emulated server reachable for %.1f Mbps", mbps)
-	}
-	return nil
+// io is the I/O the probe lends its server set.
+func (sp *SimProbe) io() ServerIO {
+	return ServerIO{Open: sp.open, Pace: sp.pace, Release: sp.release, Elapsed: sp.Elapsed}
 }
 
-// openCount reports live sessions.
-func (sp *SimProbe) openCount() int {
-	n := 0
-	for _, s := range sp.pool() {
-		if s.open {
-			n++
-		}
-	}
-	return n
-}
+// SetRate implements Probe: the server set splits mbps across the pool,
+// opening sessions as needed.
+func (sp *SimProbe) SetRate(mbps float64) error { return sp.set.SetTarget(mbps, sp.io()) }
 
-// distribute splits the current target rate across usable servers
-// nearest-first, respecting per-server uplink caps. A server is opened only
-// when a positive share is left for it, and an open server whose share
-// falls to zero idles at zero. (The live client opens servers until their
-// uplinks cover 1.05× the target and keeps every opened one paced.)
-func (sp *SimProbe) distribute() {
-	remaining := sp.rate
-	servers := sp.pool()
-	for i := range servers {
-		s := &servers[i]
-		if s.lost || s.failed {
-			continue
-		}
-		if remaining <= 0 {
-			s.assigned = 0
-			if s.open {
-				s.flow.SetOffered(0)
-			}
-			continue
-		}
-		take := remaining
-		if s.cfg.UplinkMbps > 0 && take > s.cfg.UplinkMbps {
-			take = s.cfg.UplinkMbps
-		}
-		if !s.open && !sp.openSession(i) {
-			continue
-		}
-		s.assigned = take
-		s.flow.SetOffered(take)
-		remaining -= take
-	}
-}
-
-// openSession performs the fault-aware handshake with server i: up to
-// simHandshakeAttempts tries, each individually droppable by the plan (a
-// blacked-out server drops every attempt). Reports whether the session
-// opened; a failure marks the server unusable for the rest of the test.
-func (sp *SimProbe) openSession(i int) bool {
-	s := &sp.pool()[i]
+// open performs the fault-aware handshake with server i: up to
+// HandshakeAttempts tries, each individually droppable by the plan (a
+// blacked-out server drops every attempt).
+func (sp *SimProbe) open(i int) error {
 	at := sp.Elapsed()
-	for attempt := 0; attempt < simHandshakeAttempts; attempt++ {
+	for attempt := 0; attempt < HandshakeAttempts; attempt++ {
 		if sp.inj.DropHandshake(i, at, attempt) {
-			sp.trace.Record(at, obs.EventServerRetry, float64(attempt+1), 0, s.addr)
+			sp.set.trace.Record(at, obs.EventServerRetry, float64(attempt+1), 0, sp.set.servers()[i].addr)
 			continue
 		}
-		s.open = true
+		s := &sp.pool()[i]
 		s.flow = sp.link.NewFlow()
 		s.flow.SetImpairment(sp.inj.Impair(i, sp.start))
-		sp.used++
-		sp.trace.Record(at, obs.EventServerAdd, 0, s.cfg.UplinkMbps, s.addr)
-		return true
+		return nil
 	}
-	s.failed = true
-	sp.trace.Record(at, obs.EventError, 0, 0, "handshake failed: "+s.addr)
-	return false
+	return fmt.Errorf("core: emulated server %d dropped %d handshakes", i, HandshakeAttempts)
 }
 
+func (sp *SimProbe) pace(i int, mbps float64) { sp.pool()[i].flow.SetOffered(mbps) }
+
+func (sp *SimProbe) release(i int) { sp.pool()[i].flow.Close() }
+
 // NextSample implements Probe: advance one sampling interval of virtual
-// time, fold per-server deliveries through the dead-session tracker, and
-// fail over — redistributing a lost server's share to the survivors.
+// time and hand each server's delivery to the server set, which fails over
+// from a server it declares lost.
 func (sp *SimProbe) NextSample() (float64, bool) {
 	for range int(linksim.SampleInterval / linksim.Tick) {
 		sp.link.Advance()
 	}
-
 	var windowBytes float64
-	failedOver := false
 	servers := sp.pool()
-	for i := range servers {
+	alive := sp.set.Window(sp.io(), func(i int) int64 {
 		s := &servers[i]
-		if !s.open {
-			continue
-		}
 		total := s.flow.DeliveredBytes()
 		delta := total - s.lastBytes
 		s.lastBytes = total
 		windowBytes += delta
-		if s.tracker.Observe(int64(delta), s.assigned > 0) {
-			// K consecutive silent windows on an assigned session: the
-			// server is gone. Release it and hand its share to survivors.
-			s.lost = true
-			s.open = false
-			s.flow.Close()
-			sp.lost++
-			sp.trace.Record(sp.Elapsed(), obs.EventServerLost, s.assigned, 0, s.addr)
-			s.assigned = 0
-			failedOver = true
-		}
-	}
-	if failedOver {
-		sp.distribute()
-		if sp.rate > 0 && sp.openCount() == 0 {
-			return 0, false // every server is gone; the probe is exhausted
-		}
+		return int64(delta)
+	})
+	if !alive {
+		return 0, false // every server is gone; the probe is exhausted
 	}
 	return windowBytes * 8 / linksim.SampleInterval.Seconds() / 1e6, true
 }
@@ -280,18 +193,16 @@ func (sp *SimProbe) SampleRTT() (time.Duration, bool) {
 }
 
 // ServersUsed implements ServerHealth.
-func (sp *SimProbe) ServersUsed() int { return sp.used }
+func (sp *SimProbe) ServersUsed() int { return sp.set.ServersUsed() }
 
 // ServersLost implements ServerHealth.
-func (sp *SimProbe) ServersLost() int { return sp.lost }
+func (sp *SimProbe) ServersLost() int { return sp.set.ServersLost() }
 
 // Close releases every live flow.
 func (sp *SimProbe) Close() {
-	servers := sp.pool()
-	for i := range servers {
-		if s := &servers[i]; s.open {
+	for i, s := range sp.pool() {
+		if sp.set.Live(i) {
 			s.flow.Close()
-			s.open = false
 		}
 	}
 }

@@ -48,16 +48,22 @@ func New(comps ...Component) (*Model, error) {
 	}
 	var wsum float64
 	for _, c := range comps {
-		if c.Sigma <= 0 {
-			return nil, fmt.Errorf("gmm: component sigma %g must be positive", c.Sigma)
+		if math.IsNaN(c.Mu) || math.IsInf(c.Mu, 0) {
+			return nil, fmt.Errorf("gmm: component mu %g must be finite", c.Mu)
 		}
-		if c.Weight < 0 {
-			return nil, fmt.Errorf("gmm: component weight %g must be non-negative", c.Weight)
+		if !(c.Sigma > 0) || math.IsInf(c.Sigma, 1) {
+			return nil, fmt.Errorf("gmm: component sigma %g must be positive and finite", c.Sigma)
+		}
+		if !(c.Weight >= 0) || math.IsInf(c.Weight, 1) {
+			return nil, fmt.Errorf("gmm: component weight %g must be non-negative and finite", c.Weight)
 		}
 		wsum += c.Weight
 	}
 	if wsum <= 0 {
 		return nil, errors.New("gmm: component weights sum to zero")
+	}
+	if math.IsInf(wsum, 1) {
+		return nil, errors.New("gmm: component weights overflow")
 	}
 	cs := make([]Component, len(comps))
 	copy(cs, comps)

@@ -28,6 +28,14 @@ func TestNewValidation(t *testing.T) {
 		{"zero sigma", []Component{{Weight: 1, Mu: 10, Sigma: 0}}},
 		{"negative weight", []Component{{Weight: -1, Mu: 10, Sigma: 1}}},
 		{"all zero weights", []Component{{Weight: 0, Mu: 10, Sigma: 1}}},
+		{"NaN mu", []Component{{Weight: 1, Mu: math.NaN(), Sigma: 1}}},
+		{"+Inf mu", []Component{{Weight: 1, Mu: math.Inf(1), Sigma: 1}}},
+		{"-Inf mu", []Component{{Weight: 1, Mu: math.Inf(-1), Sigma: 1}}},
+		{"NaN sigma", []Component{{Weight: 1, Mu: 10, Sigma: math.NaN()}}},
+		{"+Inf sigma", []Component{{Weight: 1, Mu: 10, Sigma: math.Inf(1)}}},
+		{"NaN weight", []Component{{Weight: math.NaN(), Mu: 10, Sigma: 1}}},
+		{"+Inf weight", []Component{{Weight: math.Inf(1), Mu: 10, Sigma: 1}}},
+		{"overflowing weights", []Component{{Weight: math.MaxFloat64, Mu: 10, Sigma: 1}, {Weight: math.MaxFloat64, Mu: 20, Sigma: 1}}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.comps...); err == nil {

@@ -12,22 +12,26 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/errdefs"
 	"github.com/mobilebandwidth/swiftest/internal/estimate"
-	"github.com/mobilebandwidth/swiftest/internal/faults"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
 	"github.com/mobilebandwidth/swiftest/internal/transport/batchio"
 	"github.com/mobilebandwidth/swiftest/internal/wire"
 )
 
 // PingServerContext measures the round-trip latency to one server with count
-// pings and returns the minimum RTT observed, the standard BTS
-// server-selection metric (§2). Cancelling ctx stops the ping exchange
-// early. Failure to elicit any pong yields an error matching both
-// errdefs.ErrProbeTimeout and errdefs.ServerError.
+// pings (≤ 0 selects 3), each waiting up to timeout (≤ 0 selects 1 s), and
+// returns the minimum RTT observed, the standard BTS server-selection metric
+// (§2). Cancelling ctx stops the ping exchange early. Failure to elicit any
+// pong yields an error matching both errdefs.ErrProbeTimeout and
+// errdefs.ServerError.
 func PingServerContext(ctx context.Context, addr string, count int, timeout time.Duration) (time.Duration, error) {
 	if count <= 0 {
 		count = 3
+	}
+	if timeout <= 0 {
+		timeout = time.Second
 	}
 	raddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -148,40 +152,25 @@ func (p *ServerPool) RankByLatencyContext(ctx context.Context, pingCount int, ti
 	return nil
 }
 
-// uplinkHeadroom over-provisions the selected server set slightly beyond the
-// probing rate (§5.1 "slightly exceeds").
-const uplinkHeadroom = 1.05
-
-// handshakeAttempts bounds the transmissions of each handshake frame (Hello,
-// Setup, DataOpen) per server.
-const handshakeAttempts = 5
-
 // handshakeTimeout is the per-attempt wait for the frame's answer.
 const handshakeTimeout = 200 * time.Millisecond
 
 // UDPProbe implements core.Probe over real UDP sockets against a pool of
-// test servers. It opens one session per server as the requested probing
-// rate grows, splitting the rate across sessions in latency order, and fails
-// over mid-test: a session that was assigned rate but delivered nothing for
-// K consecutive sample windows is declared lost, its share moving to the
-// surviving servers.
+// test servers, one session per server. Its core.ServerSet, the rule the
+// emulated pool runs too, decides which sessions open, the share each
+// paces, and when one is lost and replaced; the probe does the I/O.
 type UDPProbe struct {
 	pool    *ServerPool
+	cfg     ProbeConfig
 	testID  uint64
 	started time.Time
-	trace   *obs.Trace
 	ctx     context.Context
 
-	mu         sync.Mutex
-	sessions   []*clientSession // guarded by mu; lost sessions keep their slot
-	nextServer int              // next unopened pool index; guarded by mu
-	targetMbps float64          // guarded by mu
-	used       int              // sessions opened; guarded by mu
-	lost       int              // sessions declared dead; guarded by mu
-	window     int              // next sample window to report; NextSample writes it under mu
+	mu       sync.Mutex
+	set      core.ServerSet   // guarded by mu
+	sessions []*clientSession // by pool index, nil until opened; guarded by mu
+	window   int              // next sample window to report; NextSample writes it under mu
 
-	lostAfter    int   // K zero-byte windows before a session is lost
-	lastOpenErr  error // most recent session-open failure; guarded by mu
 	lostCounter  *obs.Counter
 	retryCounter *obs.Counter
 
@@ -198,8 +187,6 @@ type UDPProbe struct {
 
 	recvBuf *bufPool // pooled receive buffers, shared across sessions
 
-	token wire.Token // dispatcher-lease auth token carried by every Setup
-
 	// finalEst/finalRegime ride the Bye when set; guarded by mu.
 	finalEst    estimate.Estimates
 	finalRegime estimate.Regime
@@ -212,11 +199,8 @@ type clientSession struct {
 	probe  *UDPProbe
 	done   chan struct{}
 
-	rxBytes  atomic.Int64
-	bins     arrivalBins // rxBytes by sample window, in arrival time
-	assigned float64     // Mbps currently asked of this server; probe.mu held for access
-	lost     bool        // probe.mu held for access
-	tracker  *faults.LostTracker
+	rxBytes atomic.Int64
+	bins    arrivalBins // rxBytes by sample window, in arrival time
 
 	id         uint64 // session ID, the key both channels share
 	caps       uint32 // capability intersection from the SetupAck
@@ -293,62 +277,62 @@ func (b *arrivalBins) take(n int) float64 {
 	return sum
 }
 
-// NewUDPProbeContext prepares a probe against the ranked pool. The probe is
-// idle until the first SetRate; its handshakes and sample waits honour ctx:
+// ProbeConfig configures a UDPProbe; the zero value is the default.
+type ProbeConfig struct {
+	// Trace receives transport-level events (server additions, handshake
+	// retries, lost sessions). Nil disables emission.
+	Trace *obs.Trace
+	// LostAfter is K, the consecutive zero-byte sample windows after which
+	// an assigned session is declared lost; ≤ 0 selects
+	// faults.DefaultLostWindows.
+	LostAfter int
+	// Metrics, when non-nil, receives the client-side metric series.
+	Metrics *obs.Registry
+	// Token is the dispatcher-lease auth token carried by every Setup;
+	// servers running without an auth key ignore it.
+	Token wire.Token
+}
+
+// NewUDPProbeContext prepares a probe against the ranked pool, configured by
+// cfg (at most one; none is the zero ProbeConfig). The probe is idle until
+// the first SetRate; its handshakes and sample waits honour ctx:
 // cancellation makes the next NextSample return !ok and stops handshake
 // retries.
-func NewUDPProbeContext(ctx context.Context, pool *ServerPool, rng *rand.Rand) (*UDPProbe, error) {
+func NewUDPProbeContext(ctx context.Context, pool *ServerPool, rng *rand.Rand, cfg ...ProbeConfig) (*UDPProbe, error) {
 	if len(pool.Servers) == 0 {
 		return nil, fmt.Errorf("transport: %w: empty server pool", errdefs.ErrNoServers)
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &UDPProbe{
+	var c ProbeConfig
+	if len(cfg) > 0 {
+		c = cfg[0]
+	}
+	p := &UDPProbe{
 		pool:           pool,
 		testID:         rng.Uint64(),
 		started:        time.Now(),
+		cfg:            c,
 		sampleInterval: SampleInterval,
-		lostAfter:      faults.DefaultLostWindows,
 		ctx:            ctx,
+		sessions:       make([]*clientSession, len(pool.Servers)),
 		recvBuf:        newBufPool(clientRecvBufSize, clientRecvBatch),
-	}, nil
+		lostCounter: c.Metrics.Counter("swiftest_client_sessions_lost_total",
+			"Server sessions declared dead mid-test and failed over."),
+		retryCounter: c.Metrics.Counter("swiftest_client_handshake_retries_total",
+			"Session-setup attempts that needed retransmission."),
+	}
+	p.set.Reset(len(pool.Servers), c.LostAfter, c.Trace)
+	for i, srv := range pool.Servers {
+		p.set.Describe(i, srv.Addr, srv.UplinkMbps)
+	}
+	return p, nil
 }
 
 // TestID reports the probe's wire-protocol test identifier, for correlating
 // run-records with server-side logs and metrics.
 func (p *UDPProbe) TestID() uint64 { return p.testID }
-
-// SetTrace attaches a tracer that receives transport-level events (server
-// additions, handshake retries, lost sessions). Call before the first
-// SetRate; a nil tracer disables emission.
-func (p *UDPProbe) SetTrace(tr *obs.Trace) { p.trace = tr }
-
-// SetLostAfter overrides K, the consecutive zero-byte sample windows after
-// which an assigned session is declared lost. Call before the first SetRate;
-// k <= 0 keeps the default.
-func (p *UDPProbe) SetLostAfter(k int) {
-	if k > 0 {
-		p.lostAfter = k
-	}
-}
-
-// SetMetrics registers the client-side metric series on reg. Call before the
-// first SetRate; a nil registry disables instrumentation.
-func (p *UDPProbe) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	p.lostCounter = reg.Counter("swiftest_client_sessions_lost_total",
-		"Server sessions declared dead mid-test and failed over.")
-	p.retryCounter = reg.Counter("swiftest_client_handshake_retries_total",
-		"Session-setup attempts that needed retransmission.")
-}
-
-// SetToken attaches the dispatcher-lease auth token carried by every Setup.
-// Call before the first SetRate; servers running without an auth key ignore
-// it.
-func (p *UDPProbe) SetToken(t wire.Token) { p.token = t }
 
 // SetFinalReport attaches the estimator family and BDP-regime classification
 // the final Bye carries to each server (CapEstimates sessions only). Call
@@ -360,97 +344,43 @@ func (p *UDPProbe) SetFinalReport(est estimate.Estimates, regime estimate.Regime
 	p.mu.Unlock()
 }
 
-// SetRate implements core.Probe: it sizes the server set for mbps and
-// distributes the rate across sessions in latency order.
-//
-// Mid-test failures degrade gracefully rather than aborting the test: if an
-// additional server cannot be opened the rate is spread over the sessions
-// that exist, and datagram send errors are tolerated like any other UDP loss
-// (§5.1: servers are added "if necessary" — when none is available, the test
-// continues with what it has and the samples tell the truth). Only a closed
-// probe or an invalid rate is an error. The first SetRate is the exception:
-// with no session at all the test cannot start, so total session failure is
-// reported.
+// SetRate implements core.Probe: the server set sizes itself for mbps and
+// splits it across sessions in latency order. A server that cannot be
+// opened shrinks the set, and send errors count as UDP loss (§5.1: servers
+// are added "if necessary"; the samples tell the truth). Only a closed
+// probe, an invalid rate, or a positive rate with no session at all is an
+// error; the last wraps the most recent refusal (auth rejection, silence).
 func (p *UDPProbe) SetRate(mbps float64) error {
-	if mbps < 0 {
-		return fmt.Errorf("transport: negative probing rate %g", mbps)
-	}
 	if p.closed.Load() {
 		return errors.New("transport: probe closed")
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.targetMbps = mbps
-	p.redistributeLocked()
-	if mbps > 0 && p.liveCountLocked() == 0 {
-		if p.lastOpenErr != nil {
-			// Surface the concrete refusal (auth rejection, silence) instead
-			// of a generic exhaustion error.
-			return fmt.Errorf("transport: %w: no test server accepted the session: %w",
-				errdefs.ErrNoReachableServer, p.lastOpenErr)
-		}
-		return fmt.Errorf("transport: %w: no test server accepted the session",
-			errdefs.ErrNoReachableServer)
-	}
-	return nil
+	return p.set.SetTarget(mbps, p.ioLocked())
 }
 
-func (p *UDPProbe) liveCountLocked() int {
-	n := 0
-	for _, sess := range p.sessions {
-		if !sess.lost {
-			n++
-		}
-	}
-	return n
+// ioLocked is the I/O the probe lends its server set. Callers hold p.mu.
+func (p *UDPProbe) ioLocked() core.ServerIO {
+	return core.ServerIO{Open: p.openLocked, Pace: p.paceLocked, Release: p.releaseLocked, Elapsed: p.Elapsed}
 }
 
-// redistributeLocked splits the current target rate across live sessions
-// nearest-first, opening new sessions (skipping servers that refuse) until
-// the live uplink covers the target with headroom, then pushes the new
-// shares to every live server. Callers hold p.mu.
-func (p *UDPProbe) redistributeLocked() {
-	// Uplink already live.
-	var covered float64
-	for _, sess := range p.sessions {
-		if !sess.lost {
-			covered += sess.server.UplinkMbps
-		}
+// paceLocked asks session i's server to pace at mbps. Callers hold p.mu.
+func (p *UDPProbe) paceLocked(i int, mbps float64) {
+	sess := p.sessions[i]
+	r2 := wire.Rate2{SessionID: sess.id, RateKbps: wire.KbpsFromMbps(mbps), Seq: p.rateSeq.Add(1)}
+	buf := r2.AppendTo(make([]byte, 0, wire.Rate2Len))
+	// Send twice: rate updates are idempotent; send errors are UDP loss.
+	for j := 0; j < 2; j++ {
+		_, _ = sess.ctrl.Write(buf)
 	}
-	// Open more servers while coverage falls short; failures shrink the
-	// candidate set instead of failing the test.
-	for covered < p.targetMbps*uplinkHeadroom && p.nextServer < len(p.pool.Servers) {
-		srv := p.pool.Servers[p.nextServer]
-		p.nextServer++
-		sess, err := p.openSessionLocked(srv)
-		if err != nil {
-			p.lastOpenErr = err
-			continue
-		}
-		p.sessions = append(p.sessions, sess)
-		covered += srv.UplinkMbps
-	}
-	// Split the rate: each live server takes up to its uplink, nearest
-	// first; then push shares on the wire.
-	remaining := p.targetMbps
-	seq := p.rateSeq.Add(1)
-	for _, sess := range p.sessions {
-		if sess.lost {
-			continue
-		}
-		share := remaining
-		if share > sess.server.UplinkMbps {
-			share = sess.server.UplinkMbps
-		}
-		remaining -= share
-		sess.assigned = share
-		// Send twice: rate updates are idempotent; send errors are UDP loss.
-		r2 := wire.Rate2{SessionID: sess.id, RateKbps: wire.KbpsFromMbps(share), Seq: seq}
-		buf := r2.AppendTo(make([]byte, 0, wire.Rate2Len))
-		for j := 0; j < 2; j++ {
-			_, _ = sess.ctrl.Write(buf)
-		}
-	}
+}
+
+// releaseLocked closes lost session i's sockets, unblocking its receive and
+// control loops. Callers hold p.mu.
+func (p *UDPProbe) releaseLocked(i int) {
+	p.lostCounter.Inc()
+	p.sessions[i].conn.Close()
+	p.sessions[i].ctrl.Close()
 }
 
 // sessionIDStride spreads per-session IDs across the 64-bit space from the
@@ -459,15 +389,16 @@ func (p *UDPProbe) redistributeLocked() {
 // server's ID-keyed table.
 const sessionIDStride = 0x9e3779b97f4a7c15
 
-// openSessionLocked dials one server on two sockets — control and data —
-// and runs the handshake over them. Callers hold p.mu.
+// openLocked dials pool server i on two sockets — control and data — and
+// runs the handshake over them. Callers hold p.mu.
 //
 // The error wraps errdefs.ErrProbeTimeout when a handshake frame went
 // unanswered, and errdefs.ErrAuthRejected when the server refused the lease
 // token, which no retry can fix.
-func (p *UDPProbe) openSessionLocked(server PoolServer) (*clientSession, error) {
-	fail := func(err error) (*clientSession, error) {
-		return nil, &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
+func (p *UDPProbe) openLocked(i int) error {
+	server := p.pool.Servers[i]
+	fail := func(err error) error {
+		return &errdefs.ServerError{Addr: server.Addr, Op: "handshake", Err: err}
 	}
 	raddr, err := net.ResolveUDPAddr("udp", server.Addr)
 	if err != nil {
@@ -485,7 +416,7 @@ func (p *UDPProbe) openSessionLocked(server PoolServer) (*clientSession, error) 
 	// Non-fatal: the default buffer just loses more under burst.
 	_ = data.SetReadBuffer(4 << 20)
 
-	sid := p.testID ^ (uint64(p.used)+1)*sessionIDStride
+	sid := p.testID ^ (uint64(p.set.ServersUsed())+1)*sessionIDStride
 	caps, err := p.handshake(ctrl, data, server, sid)
 	if err != nil {
 		ctrl.Close()
@@ -502,15 +433,13 @@ func (p *UDPProbe) openSessionLocked(server PoolServer) (*clientSession, error) 
 		done:     make(chan struct{}),
 		ctrlDone: make(chan struct{}),
 		byeAck:   make(chan struct{}),
-		tracker:  faults.NewLostTracker(p.lostAfter),
 		// Windows already reported are closed to a session opened late.
 		bins: arrivalBins{interval: p.sampleInterval, first: p.window, prev: p.Elapsed()},
 	}
-	p.used++
-	p.trace.Record(p.Elapsed(), obs.EventServerAdd, 0, server.UplinkMbps, server.Addr)
+	p.sessions[i] = sess
 	go sess.receiveLoop()
 	go sess.ctrlLoop()
-	return sess, nil
+	return nil
 }
 
 // handshake opens session sid: Hello/HelloAck negotiation and the
@@ -534,7 +463,7 @@ func (p *UDPProbe) handshake(ctrl, data *net.UDPConn, server PoolServer, sid uin
 	// The negotiated capabilities ride the Setup: the server answered the
 	// Hello without remembering it. An explicit SetupReject short-circuits
 	// the retry budget — policy refusals don't melt away.
-	setup := wire.Setup{SessionID: sid, Caps: ack.Caps, Token: p.token}
+	setup := wire.Setup{SessionID: sid, Caps: ack.Caps, Token: p.cfg.Token}
 	var sack wire.SetupAck
 	err = p.exchange(ctrl, server, "setup-ack", setup.AppendTo(nil), func(pkt []byte) (bool, error) {
 		var rej wire.SetupReject
@@ -559,7 +488,7 @@ func (p *UDPProbe) handshake(ctrl, data *net.UDPConn, server PoolServer, sid uin
 }
 
 // exchange runs one handshake step on conn: it transmits req up to
-// handshakeAttempts times, handing every datagram that arrives within
+// core.HandshakeAttempts times, handing every datagram that arrives within
 // handshakeTimeout of a transmission to answered, until that reports the
 // awaited answer (true) or a terminal refusal (an error). Silence past the
 // budget wraps errdefs.ErrProbeTimeout; a cancelled probe context,
@@ -567,13 +496,13 @@ func (p *UDPProbe) handshake(ctrl, data *net.UDPConn, server PoolServer, sid uin
 func (p *UDPProbe) exchange(conn *net.UDPConn, server PoolServer, awaited string, req []byte,
 	answered func(pkt []byte) (bool, error)) error {
 	buf := make([]byte, 2048)
-	for attempt := 0; attempt < handshakeAttempts; attempt++ {
+	for attempt := 0; attempt < core.HandshakeAttempts; attempt++ {
 		if err := p.ctx.Err(); err != nil {
 			return fmt.Errorf("%w: %w", errdefs.ErrTestAborted, err)
 		}
 		if attempt > 0 {
 			p.retryCounter.Inc()
-			p.trace.Record(p.Elapsed(), obs.EventServerRetry, float64(attempt), 0, server.Addr)
+			p.cfg.Trace.Record(p.Elapsed(), obs.EventServerRetry, float64(attempt), 0, server.Addr)
 		}
 		if _, err := conn.Write(req); err != nil {
 			return err
@@ -589,7 +518,7 @@ func (p *UDPProbe) exchange(conn *net.UDPConn, server PoolServer, awaited string
 			}
 		}
 	}
-	return fmt.Errorf("no %s after %d attempts: %w", awaited, handshakeAttempts, errdefs.ErrProbeTimeout)
+	return fmt.Errorf("no %s after %d attempts: %w", awaited, core.HandshakeAttempts, errdefs.ErrProbeTimeout)
 }
 
 // clientRecvBatch is how many datagrams a session's receive loop accepts
@@ -727,9 +656,9 @@ func (p *UDPProbe) Jitter() time.Duration {
 // cancelled) and reports the bytes that arrived in that window over exactly
 // one interval. A caller more than a window late — SetRate held it for a
 // handshake — gets one sample over every window that ended meanwhile, not a
-// run of stale ones. Each session's share goes through the dead-session
-// detector, failing over when a session that owes traffic has been silent
-// for K consecutive samples.
+// run of stale ones. Each session's delivery goes to the server set, which
+// fails over from a session that owes traffic and has been silent for K
+// consecutive samples.
 //
 //lint:allow ctxflow the wait is bounded by the sampling interval and the probe's stored context
 func (p *UDPProbe) NextSample() (float64, bool) {
@@ -748,47 +677,19 @@ func (p *UDPProbe) NextSample() (float64, bool) {
 	}
 	ended := int((p.Elapsed() - sampleGrace) / p.sampleInterval)
 	n := max(ended-p.window, 1)
-	bytes, alive := p.takeWindows(n)
+	var bytes float64
+	p.mu.Lock()
+	p.window += n
+	alive := p.set.Window(p.ioLocked(), func(i int) int64 {
+		got := p.sessions[i].bins.take(n)
+		bytes += got
+		return int64(math.Ceil(got)) // any share of a datagram is delivery
+	})
+	p.mu.Unlock()
 	if !alive {
 		return 0, false // every server is gone; the probe is exhausted
 	}
 	return bytes * 8 / (float64(n) * p.sampleInterval.Seconds()) / 1e6, true
-}
-
-// takeWindows closes the next n windows of every live session and returns
-// their bytes, folding each session's delivery through its tracker and
-// failing over any session declared dead: its share is redistributed to the
-// survivors and its sockets closed. alive reports whether a server is left
-// to sample.
-func (p *UDPProbe) takeWindows(n int) (bytes float64, alive bool) {
-	var toClose []*clientSession
-	p.mu.Lock()
-	p.window += n
-	for _, sess := range p.sessions {
-		if sess.lost {
-			continue
-		}
-		got := sess.bins.take(n)
-		bytes += got
-		if sess.tracker.Observe(int64(math.Ceil(got)), sess.assigned > 0) {
-			sess.lost = true
-			p.lost++
-			p.lostCounter.Inc()
-			p.trace.Record(p.Elapsed(), obs.EventServerLost, sess.assigned, 0, sess.server.Addr)
-			sess.assigned = 0
-			toClose = append(toClose, sess)
-		}
-	}
-	if len(toClose) > 0 {
-		p.redistributeLocked()
-	}
-	alive = p.liveCountLocked() > 0 || p.targetMbps == 0
-	p.mu.Unlock()
-	for _, sess := range toClose {
-		sess.conn.Close() // unblocks the receive loop
-		sess.ctrl.Close() // unblocks the control loop
-	}
-	return bytes, alive
 }
 
 // Elapsed implements core.Probe.
@@ -801,14 +702,14 @@ func (p *UDPProbe) DataMB() float64 { return float64(p.rxBytes.Load()) / 1e6 }
 func (p *UDPProbe) ServersUsed() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.used
+	return p.set.ServersUsed()
 }
 
 // ServersLost implements core.ServerHealth.
 func (p *UDPProbe) ServersLost() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.lost
+	return p.set.ServersLost()
 }
 
 // Finish reports the result to every session's server — a Bye, retransmitted
@@ -818,13 +719,21 @@ func (p *UDPProbe) Finish(resultMbps float64, duration time.Duration) {
 		return
 	}
 	p.mu.Lock()
-	sessions := append([]*clientSession(nil), p.sessions...)
+	var opened, live []*clientSession
+	for i, sess := range p.sessions {
+		if sess != nil {
+			opened = append(opened, sess)
+		}
+		if p.set.Live(i) {
+			live = append(live, sess)
+		}
+	}
 	est, regime := p.finalEst, p.finalRegime
 	p.mu.Unlock()
-	for _, sess := range sessions {
-		if !sess.lost {
-			p.sendBye(sess, resultMbps, duration, est, regime)
-		}
+	for _, sess := range live {
+		p.sendBye(sess, resultMbps, duration, est, regime)
+	}
+	for _, sess := range opened {
 		sess.conn.Close()
 		sess.ctrl.Close()
 		<-sess.done

@@ -54,12 +54,10 @@ func TestLoopbackBlackoutFailover(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	tr := obs.NewTrace(0)
-	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(9)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(9)), ProbeConfig{Trace: tr, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe.SetTrace(tr)
-	probe.SetMetrics(reg)
 
 	// One 60 Mbps mode: the probe needs all three 25 Mbps servers. The
 	// crossing rule can close a clean loopback test inside a second — before
@@ -106,12 +104,10 @@ func TestLoopbackHandshakeDropRetries(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	tr := obs.NewTrace(0)
-	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(10)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(10)), ProbeConfig{Trace: tr, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe.SetTrace(tr)
-	probe.SetMetrics(reg)
 	defer probe.Finish(0, 0)
 
 	if err := probe.SetRate(10); err != nil {

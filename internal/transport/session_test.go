@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/errdefs"
 	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/faults"
@@ -17,11 +18,11 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/wire"
 )
 
-// newProbe prepares a probe against one server.
-func newProbe(t *testing.T, s *Server, seed int64) *UDPProbe {
+// newProbe prepares a probe against one server, configured by cfg.
+func newProbe(t *testing.T, s *Server, seed int64, cfg ...ProbeConfig) *UDPProbe {
 	t.Helper()
 	pool := &ServerPool{Servers: []PoolServer{{Addr: s.Addr().String(), UplinkMbps: 100}}}
-	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(seed)))
+	probe, err := NewUDPProbeContext(context.Background(), pool, rand.New(rand.NewSource(seed)), cfg...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +131,7 @@ func TestV2AuthRejection(t *testing.T) {
 	}
 
 	// Minted token: admitted.
-	okProbe := newProbe(t, s, 15)
-	okProbe.SetToken(wire.MintToken(key, 7, 42, 0))
+	okProbe := newProbe(t, s, 15, ProbeConfig{Token: wire.MintToken(key, 7, 42, 0)})
 	if err := okProbe.SetRate(10); err != nil {
 		t.Fatalf("authenticated SetRate: %v", err)
 	}
@@ -142,8 +142,7 @@ func TestV2AuthRejection(t *testing.T) {
 	okProbe.Finish(0, 0)
 
 	// A forged token (wrong key) is refused like a missing one.
-	forged := newProbe(t, s, 16)
-	forged.SetToken(wire.MintToken(key^1, 7, 42, 0))
+	forged := newProbe(t, s, 16, ProbeConfig{Token: wire.MintToken(key^1, 7, 42, 0)})
 	err = forged.SetRate(10)
 	forged.Finish(0, 0)
 	if !errors.Is(err, errdefs.ErrAuthRejected) {
@@ -162,8 +161,7 @@ func TestV2TokenExpiry(t *testing.T) {
 	nowMS := uint64(time.Now().UnixMilli())
 
 	// Expired a minute ago: RejectAuth, counted.
-	stale := newProbe(t, s, 24)
-	stale.SetToken(wire.MintToken(key, 7, 42, nowMS-60_000))
+	stale := newProbe(t, s, 24, ProbeConfig{Token: wire.MintToken(key, 7, 42, nowMS-60_000)})
 	err := stale.SetRate(10)
 	stale.Finish(0, 0)
 	if !errors.Is(err, errdefs.ErrAuthRejected) {
@@ -177,8 +175,7 @@ func TestV2TokenExpiry(t *testing.T) {
 	// longer verifies, so the stretch buys nothing.
 	stretched := wire.MintToken(key, 7, 42, nowMS-60_000)
 	stretched.Expires = nowMS + 3_600_000
-	cheat := newProbe(t, s, 25)
-	cheat.SetToken(stretched)
+	cheat := newProbe(t, s, 25, ProbeConfig{Token: stretched})
 	err = cheat.SetRate(10)
 	cheat.Finish(0, 0)
 	if !errors.Is(err, errdefs.ErrAuthRejected) {
@@ -186,8 +183,7 @@ func TestV2TokenExpiry(t *testing.T) {
 	}
 
 	// An hour of validity left: admitted and served.
-	fresh := newProbe(t, s, 26)
-	fresh.SetToken(wire.MintToken(key, 7, 42, nowMS+3_600_000))
+	fresh := newProbe(t, s, 26, ProbeConfig{Token: wire.MintToken(key, 7, 42, nowMS+3_600_000)})
 	if err := fresh.SetRate(10); err != nil {
 		t.Fatalf("fresh-token SetRate: %v", err)
 	}
@@ -338,8 +334,8 @@ func TestSilentServerTimesOut(t *testing.T) {
 			hellos++
 		}
 	}
-	if hellos != handshakeAttempts {
-		t.Errorf("silent peer saw %d Hellos, want the handshake budget (%d)", hellos, handshakeAttempts)
+	if hellos != core.HandshakeAttempts {
+		t.Errorf("silent peer saw %d Hellos, want the handshake budget (%d)", hellos, core.HandshakeAttempts)
 	}
 }
 

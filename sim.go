@@ -92,14 +92,8 @@ type SimulateOptions struct {
 	// knobs shared with the live runner (TestOptions).
 	SessionOptions
 	// Servers, when non-empty, emulates a multi-server pool sharing the
-	// access link: the probing rate is split nearest-first under each
-	// server's uplink cap, and mid-test server loss triggers the same
-	// K-silent-window failover as the real transport. Empty emulates one
-	// uncapped server. The split differs from the live client's in when a
-	// server joins: here a server opens only when a positive share is left
-	// for it, and one whose share falls to zero idles; the live client opens
-	// servers until their uplinks cover 1.05× the target and keeps every
-	// opened one paced.
+	// access link, opened, split and failed over by the live client's rule.
+	// Empty emulates one uncapped server.
 	Servers []SimServer
 }
 

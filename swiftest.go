@@ -331,19 +331,12 @@ type ServerAddr struct {
 type AuthToken = wire.Token
 
 // MintAuthToken authenticates (server, seq) under the deployment key — what
-// the fleet dispatcher does per lease. The token never expires; keyed
-// fleets that bound lease lifetimes mint with MintAuthTokenExpiring (or set
-// FleetConfig.TokenTTL). Self-serve clients of an open (unkeyed) deployment
-// never need one.
-func MintAuthToken(key uint64, server uint32, seq uint64) AuthToken {
-	return wire.MintToken(key, server, seq, 0)
-}
-
-// MintAuthTokenExpiring authenticates (server, seq) under the deployment
-// key until the expires instant, after which servers reject the token at
-// session setup. The MAC covers the deadline, so holders cannot extend it.
-// A zero expires time mints a non-expiring token.
-func MintAuthTokenExpiring(key uint64, server uint32, seq uint64, expires time.Time) AuthToken {
+// the fleet dispatcher does per lease — until the expires instant, after
+// which servers reject the token at session setup. The MAC covers the
+// deadline, so holders cannot extend it. A zero expires mints a token that
+// never expires. Self-serve clients of an open (unkeyed) deployment never
+// need one.
+func MintAuthToken(key uint64, server uint32, seq uint64, expires time.Time) AuthToken {
 	var ms uint64
 	if !expires.IsZero() {
 		ms = uint64(expires.UnixMilli())
@@ -435,14 +428,6 @@ func TestContext(ctx context.Context, opts TestOptions) (Result, error) {
 	if opts.Faults != nil {
 		return Result{}, fmt.Errorf("swiftest: fault plans apply to emulated tests and fault-injecting servers, not the live client; set ServerOptions.FaultPlan or use SimulateTestContext")
 	}
-	pingCount := opts.PingCount
-	if pingCount <= 0 {
-		pingCount = 3
-	}
-	pingTimeout := opts.PingTimeout
-	if pingTimeout <= 0 {
-		pingTimeout = time.Second
-	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano() //lint:allow walltime entropy for live test IDs; experiments pass explicit seeds
@@ -453,23 +438,24 @@ func TestContext(ctx context.Context, opts TestOptions) (Result, error) {
 		pool.Servers = append(pool.Servers, transport.PoolServer{Addr: s.Addr, UplinkMbps: s.UplinkMbps})
 	}
 	selStart := time.Now() //lint:allow walltime measures real server-selection latency in the live client path
-	if err := pool.RankByLatencyContext(ctx, pingCount, pingTimeout); err != nil {
+	if err := pool.RankByLatencyContext(ctx, opts.PingCount, opts.PingTimeout); err != nil {
 		return Result{}, fmt.Errorf("swiftest: server selection: %w", err)
 	}
 	selectionTime := time.Since(selStart) //lint:allow walltime measures real server-selection latency in the live client path
 
-	probe, err := transport.NewUDPProbeContext(ctx, pool, rand.New(rand.NewSource(seed)))
+	probe, err := transport.NewUDPProbeContext(ctx, pool, rand.New(rand.NewSource(seed)), transport.ProbeConfig{
+		Trace:     opts.Trace,
+		LostAfter: opts.LostAfter,
+		Metrics:   opts.Metrics,
+		Token:     opts.Token,
+	})
 	if err != nil {
 		return Result{}, fmt.Errorf("swiftest: preparing probe: %w", err)
 	}
-	probe.SetMetrics(opts.Metrics)
-	probe.SetLostAfter(opts.LostAfter)
-	probe.SetToken(opts.Token)
 	if opts.Trace != nil {
 		opts.Trace.SetMeta("source", "udp")
 		opts.Trace.SetMeta("test_id", strconv.FormatUint(probe.TestID(), 10))
 		opts.Trace.SetMeta("started_unix_ms", strconv.FormatInt(time.Now().UnixMilli(), 10)) //lint:allow walltime run-record start stamp for correlating live tests with server logs
-		probe.SetTrace(opts.Trace)
 	}
 	res, err := core.RunContext(ctx, probe, core.Config{
 		Model:       opts.Model,
@@ -511,15 +497,7 @@ func PingServer(ctx context.Context, opts PingOptions) (time.Duration, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	count := opts.Count
-	if count <= 0 {
-		count = 3
-	}
-	timeout := opts.Timeout
-	if timeout <= 0 {
-		timeout = time.Second
-	}
-	return transport.PingServerContext(ctx, opts.Addr, count, timeout)
+	return transport.PingServerContext(ctx, opts.Addr, opts.Count, opts.Timeout)
 }
 
 // ModelStore maintains a bandwidth model refreshed periodically from

@@ -27,6 +27,19 @@ func TestNewModelValidation(t *testing.T) {
 	if _, err := swiftest.NewModel(); err == nil {
 		t.Error("empty model accepted")
 	}
+	for _, c := range []swiftest.ModelComponent{
+		{Weight: 1, Mu: math.NaN(), Sigma: 1},
+		{Weight: 1, Mu: math.Inf(1), Sigma: 1},
+		{Weight: 1, Mu: math.Inf(-1), Sigma: 1},
+		{Weight: 1, Mu: 50, Sigma: math.NaN()},
+		{Weight: 1, Mu: 50, Sigma: math.Inf(1)},
+		{Weight: math.NaN(), Mu: 50, Sigma: 1},
+		{Weight: math.Inf(1), Mu: 50, Sigma: 1},
+	} {
+		if _, err := swiftest.NewModel(c); err == nil {
+			t.Errorf("non-finite component %+v accepted", c)
+		}
+	}
 	m, err := swiftest.NewModel(
 		swiftest.ModelComponent{Weight: 1, Mu: 100, Sigma: 10},
 	)
