@@ -146,6 +146,13 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := Train(oneClass, TrainOptions{}); err == nil {
 		t.Error("Train(single class) = nil error")
 	}
+	// Parse refuses a model whose threshold is outside (0,1), so Train
+	// must not write one.
+	for _, th := range []float64{1.5, 1, -0.5, math.NaN()} {
+		if _, err := Train(syntheticRows(100), TrainOptions{Threshold: th}); err == nil {
+			t.Errorf("Train(threshold %v) = nil error", th)
+		}
+	}
 }
 
 func TestEncodeParseRoundTrip(t *testing.T) {

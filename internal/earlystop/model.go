@@ -122,7 +122,7 @@ type TrainOptions struct {
 	// 1e-3.
 	L2 float64
 	// Threshold is the stop probability threshold stored in the model;
-	// zero selects 0.85.
+	// zero selects 0.85, and any other value outside (0,1) is rejected.
 	Threshold float64
 	// MinSamples is K, stored in the model; zero selects 20.
 	MinSamples int
@@ -141,7 +141,7 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	if o.L2 <= 0 {
 		o.L2 = 1e-3
 	}
-	if o.Threshold <= 0 {
+	if o.Threshold == 0 {
 		o.Threshold = 0.85
 	}
 	if o.MinSamples <= 0 {
@@ -176,6 +176,9 @@ type Row struct {
 // byte-identical artifact across reruns.
 func Train(rows []Row, opts TrainOptions) (*Model, error) {
 	opts = opts.withDefaults()
+	if !(opts.Threshold > 0 && opts.Threshold < 1) {
+		return nil, fmt.Errorf("earlystop: training threshold %g outside (0,1)", opts.Threshold)
+	}
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("earlystop: training on zero rows")
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/baseline"
@@ -19,18 +18,10 @@ import (
 // report header so downstream tooling can dispatch on it.
 const CampaignReportSchema = "swiftest-campaign-report/v1"
 
-// algorithm is one row of the campaign's algorithm table. A row with a
-// prober floods the link with that baseline; a row without runs the Swiftest
-// engine under policy, nil being the §5.1 crossing default. The earlystop row
-// is the learned policy over the same engine: the crossing rule stays as its
-// fallback, so accuracy can only differ where the model fires first.
-type algorithm struct {
-	name   string
-	policy core.TerminationPolicy
-	prober baseline.Prober
-}
-
-// algorithms are the termination algorithms a campaign can sweep.
+// algorithms are the termination algorithms a campaign can sweep. The
+// earlystop row is the learned policy over the Swiftest engine: the crossing
+// rule stays as its fallback, so accuracy can only differ where the model
+// fires first.
 var algorithms = []algorithm{
 	{name: "swiftest"},
 	{name: "fastbts", prober: &baseline.FastBTS{}},
@@ -152,45 +143,24 @@ func (r *CampaignReport) WriteTable(w io.Writer) error {
 	return nil
 }
 
-// campaignCell is one (profile, algorithm, fault plan) coordinate.
-type campaignCell struct {
-	profile *ranprofile.Profile
-	alg     algorithm
-	plan    NamedFaultPlan
-}
-
-// runOutcome is one measured run of a cell.
+// runOutcome is what the campaign and the paired evaluation keep of one
+// measured run: scalars only, no sample slices.
 type runOutcome struct {
 	estimate     float64
 	duration     time.Duration
 	dataMB       float64
 	converged    bool
+	earlyStop    bool // the evaluation's: the model stopped before the crossing rule would have
 	handovers    int
 	stateChanges int
 }
 
-// runScenario measures one run of one cell: the algorithm under test on a
-// profiled, possibly faulted link. runTruth floods the same link fault-free.
-func runScenario(ctx context.Context, cell campaignCell, seed int64, reg *obs.Registry) (runOutcome, error) {
-	if cell.alg.prober == nil {
-		res, machine, err := runEngine(ctx, cell.profile, cell.plan.Plan, seed, cell.alg.policy, reg)
-		if err != nil {
-			return runOutcome{}, err
-		}
-		return runOutcome{
-			estimate: res.Bandwidth, duration: res.Duration, dataMB: res.DataMB, converged: res.Converged,
-			handovers: machine.Handovers(), stateChanges: machine.StateChanges(),
-		}, nil
-	}
-	link, machine, err := newLink(cell.profile, cell.plan.Plan, seed, reg)
-	if err != nil {
-		return runOutcome{}, err
-	}
-	rep := cell.alg.prober.Run(link)
+// outcomeOf reduces a finished run to its runOutcome.
+func outcomeOf(res core.Result, machine *ranprofile.Machine) runOutcome {
 	return runOutcome{
-		estimate: rep.Result, duration: rep.Duration, dataMB: rep.DataMB, converged: true,
+		estimate: res.Bandwidth, duration: res.Duration, dataMB: res.DataMB, converged: res.Converged,
 		handovers: machine.Handovers(), stateChanges: machine.StateChanges(),
-	}, nil
+	}
 }
 
 // RunCampaign sweeps profiles × algorithms × fault plans under cfg and
@@ -209,73 +179,14 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignReport, erro
 		}
 	}
 
-	// The cell list is fixed up front in sweep order; each run gets a slot
-	// in a preallocated result matrix, so completion order cannot reorder
-	// the report. seeds has one entry per (profile, run), keyed by the
-	// profile alone: run r of every cell of a profile gets one link — the
-	// fault plan is left out too, since truth is fault-free by construction.
-	var cells []campaignCell
-	seeds := make([]int64, 0, len(cfg.Profiles)*cfg.Runs)
-	for _, name := range cfg.Profiles {
-		p, err := ranprofile.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		for run := 0; run < cfg.Runs; run++ {
-			seeds = append(seeds, runSeed(cfg.Seed, name, run))
-		}
-		for _, alg := range algs {
-			for _, fp := range cfg.FaultPlans {
-				cells = append(cells, campaignCell{profile: p, alg: alg, plan: fp})
-			}
-		}
-	}
-	perProfile := len(algs) * len(cfg.FaultPlans)
-
-	// Jobs are numbered truth floods first — one per (profile, run), shared
-	// by the profile's cells and indexed like seeds — then one per (cell,
-	// run); errs has a slot for each.
-	truths := make([]float64, len(seeds))
-	outcomes := make([]runOutcome, len(cells)*cfg.Runs)
-	errs := make([]error, len(truths)+len(outcomes))
-	var (
-		wg   sync.WaitGroup
-		next = make(chan int)
-	)
-	workers := min(max(cfg.Workers, 1), len(errs)) // zero selects 1
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				if idx < len(truths) {
-					first := cells[idx/cfg.Runs*perProfile]
-					truths[idx], errs[idx] = runTruth(first.profile, seeds[idx])
-					continue
-				}
-				o := idx - len(truths)
-				c := o / cfg.Runs
-				outcomes[o], errs[idx] = runScenario(ctx, cells[c], seeds[c/perProfile*cfg.Runs+o%cfg.Runs], cfg.Registry)
-			}
-		}()
-	}
-feed:
-	for idx := range errs {
-		select {
-		case next <- idx:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("exper: campaign aborted: %w", err)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	// Seeds are keyed by the profile alone: run r of every cell of a profile
+	// measures one link and is scored against one truth flood.
+	cells, err := runSweep(ctx, sweep{
+		profiles: cfg.Profiles, algs: algs, plans: cfg.FaultPlans,
+		runs: cfg.Runs, seed: cfg.Seed, workers: cfg.Workers, reg: cfg.Registry,
+	}, outcomeOf)
+	if err != nil {
+		return nil, err
 	}
 
 	// Aggregate sequentially in cell order: float summation order is fixed,
@@ -289,16 +200,15 @@ feed:
 		FaultPlans: planNames(cfg.FaultPlans),
 		Scenarios:  make([]ScenarioStats, 0, len(cells)),
 	}
-	for c, cell := range cells {
+	for _, cell := range cells {
 		s := ScenarioStats{
 			Profile:   cell.profile.Name,
 			Algorithm: cell.alg.name,
 			FaultPlan: cell.plan.Name,
 			Runs:      cfg.Runs,
 		}
-		for r := 0; r < cfg.Runs; r++ {
-			o := outcomes[c*cfg.Runs+r]
-			truth := truths[c/perProfile*cfg.Runs+r]
+		for r, o := range cell.out {
+			truth := cell.truth[r]
 			s.MeanAccuracy += 1 - Deviation(o.estimate, truth)
 			s.MeanDurationMS += float64(o.duration) / float64(time.Millisecond)
 			s.MeanDataMB += o.dataMB

@@ -3,6 +3,7 @@ package exper
 import (
 	"bytes"
 	"context"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -39,6 +40,24 @@ func TestCampaignByteIdenticalAcrossWorkers(t *testing.T) {
 	again := campaignBytes(t, 8)
 	if !bytes.Equal(eight, again) {
 		t.Fatal("report differs between identical reruns")
+	}
+}
+
+// TestCampaignGolden pins the bytes `swiftest campaign -runs 2 -seed 7 -json -`
+// prints: the whole library, the default algorithms and the builtin fault
+// plans, through WriteJSON.
+func TestCampaignGolden(t *testing.T) {
+	const want = "19418fb49d9a40a0834fbd9a0beda9c31f9c1dc1798959f6d61bd7029dffc957"
+	rep, err := RunCampaign(context.Background(), CampaignConfig{Runs: 2, Seed: 7, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256Hex(buf.Bytes()); got != want {
+		t.Errorf("campaign report sha256 = %s, want %s", got, want)
 	}
 }
 
@@ -120,8 +139,8 @@ func TestCampaignHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := RunCampaign(ctx, CampaignConfig{Runs: 1, Workers: 2})
-	if err == nil {
-		t.Fatal("cancelled campaign reported success")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunCampaign on a cancelled context: %v, want context.Canceled", err)
 	}
 }
 

@@ -83,55 +83,47 @@ func Evaluate(ctx context.Context, cfg EvalConfig) (*EvalReport, error) {
 	}
 	thresholds := append([]float64{model.Threshold}, cfg.Thresholds...)
 
-	// points[0] is crossing (the engine's nil default); the rest are
-	// earlystop variants of the same model at each threshold.
-	policies := make([]core.TerminationPolicy, 1, 1+len(thresholds))
-	points := make([]EvalPoint, 1, 1+len(thresholds))
-	points[0].Policy = "crossing"
+	// Row 0 is crossing (the engine's nil default); the rest are earlystop
+	// variants of the same model at each threshold, points[i] aggregating
+	// algs[i].
+	algs := []algorithm{{name: "crossing"}}
+	points := []EvalPoint{{Policy: "crossing"}}
 	for _, t := range thresholds {
-		if t <= 0 || t >= 1 {
+		if !(t > 0 && t < 1) {
 			return nil, fmt.Errorf("exper: eval threshold %g outside (0,1)", t)
 		}
 		variant := *model
 		variant.Threshold = t
-		policies = append(policies, earlystop.NewPolicy(&variant))
+		algs = append(algs, algorithm{name: "earlystop", policy: earlystop.NewPolicy(&variant)})
 		points = append(points, EvalPoint{Policy: "earlystop", Threshold: t})
 	}
 
-	for _, name := range cfg.Profiles {
-		profile, err := ranprofile.Get(name)
-		if err != nil {
-			return nil, err
+	cells, err := runSweep(ctx, sweep{
+		profiles: cfg.Profiles, algs: algs, plans: cfg.FaultPlans,
+		runs: cfg.Runs, seed: cfg.Seed, keyByPlan: true,
+	}, func(res core.Result, machine *ranprofile.Machine) runOutcome {
+		o := outcomeOf(res, machine)
+		// A converged run the crossing rule would not have stopped is a
+		// model-fired early stop.
+		if res.Converged {
+			_, crossed := crossingReplay(res.Samples)
+			o.earlyStop = !crossed
 		}
-		for _, fp := range cfg.FaultPlans {
-			for run := 0; run < cfg.Runs; run++ {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("exper: eval cancelled: %w", err)
-				}
-				seed := runSeed(cfg.Seed, name+"|"+fp.Name, run)
-				truth, err := runTruth(profile, seed)
-				if err != nil {
-					return nil, err
-				}
-				for pi, policy := range policies {
-					res, _, err := runEngine(ctx, profile, fp.Plan, seed, policy, nil)
-					if err != nil {
-						return nil, err
-					}
-					pt := &points[pi]
-					pt.MeanAccuracy += 1 - Deviation(res.Bandwidth, truth)
-					pt.MeanDurationMS += float64(res.Duration.Milliseconds())
-					pt.MeanDataMB += res.DataMB
-					// A converged earlystop run the crossing rule would not
-					// have stopped is a model-fired early stop.
-					if pi > 0 && res.Converged {
-						if _, crossed := crossingReplay(res.Samples); !crossed {
-							pt.EarlyStops++
-						}
-					}
-					pt.Runs++
-				}
+		return o
+	})
+	if err != nil {
+		return nil, err
+	}
+	for c, cell := range cells {
+		pt := &points[c/len(cfg.FaultPlans)%len(algs)] // cell c's row
+		for r, o := range cell.out {
+			pt.MeanAccuracy += 1 - Deviation(o.estimate, cell.truth[r])
+			pt.MeanDurationMS += float64(o.duration.Milliseconds())
+			pt.MeanDataMB += o.dataMB
+			if cell.alg.policy != nil && o.earlyStop {
+				pt.EarlyStops++
 			}
+			pt.Runs++
 		}
 	}
 

@@ -84,42 +84,31 @@ func Replay(ctx context.Context, cfg ReplayConfig) ([]earlystop.Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	cells, err := runSweep(ctx, sweep{
+		profiles: cfg.Profiles, algs: []algorithm{{name: "never", policy: neverStop{}}}, plans: cfg.FaultPlans,
+		runs: cfg.Runs, seed: cfg.Seed, keyByPlan: true,
+	}, func(res core.Result, _ *ranprofile.Machine) core.Result { return res })
+	if err != nil {
+		return nil, err
+	}
 	var rows []earlystop.Row
-	for _, name := range cfg.Profiles {
-		profile, err := ranprofile.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, fp := range cfg.FaultPlans {
-			for run := 0; run < cfg.Runs; run++ {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("exper: replay cancelled: %w", err)
+	for _, cell := range cells {
+		for run, res := range cell.out {
+			truth := cell.truth[run]
+			// The crossing baseline on the same stream anchors the labels.
+			crossing, _ := crossingReplay(res.Samples)
+			crossingDev := Deviation(crossing, truth)
+			for n := cfg.MinSamples; n <= len(res.Samples); n += cfg.PrefixStep {
+				prefix := res.Samples[:n]
+				row := earlystop.Row{
+					Label:     Deviation(stats.Mean(estimate.Tail(prefix)), truth) <= crossingDev+cfg.Tolerance,
+					Profile:   cell.profile.Name,
+					FaultPlan: cell.plan.Name,
+					Run:       run,
+					Prefix:    n,
 				}
-				seed := runSeed(cfg.Seed, name+"|"+fp.Name, run)
-				res, _, err := runEngine(ctx, profile, fp.Plan, seed, neverStop{}, nil)
-				if err != nil {
-					return nil, err
-				}
-				truth, err := runTruth(profile, seed)
-				if err != nil {
-					return nil, err
-				}
-				// The crossing baseline on the same stream anchors the labels.
-				crossing, _ := crossingReplay(res.Samples)
-				crossingDev := Deviation(crossing, truth)
-
-				for n := cfg.MinSamples; n <= len(res.Samples); n += cfg.PrefixStep {
-					prefix := res.Samples[:n]
-					row := earlystop.Row{
-						Label:     Deviation(stats.Mean(estimate.Tail(prefix)), truth) <= crossingDev+cfg.Tolerance,
-						Profile:   name,
-						FaultPlan: fp.Name,
-						Run:       run,
-						Prefix:    n,
-					}
-					earlystop.Featurize(prefix, res.Trajectory[:n], &row.Features)
-					rows = append(rows, row)
-				}
+				earlystop.Featurize(prefix, res.Trajectory[:n], &row.Features)
+				rows = append(rows, row)
 			}
 		}
 	}
@@ -128,18 +117,18 @@ func Replay(ctx context.Context, cfg ReplayConfig) ([]earlystop.Row, error) {
 
 // TrainFromReplay runs the labeling replay and fits a model in one step,
 // keeping MinSamples and Tolerance consistent between the rows and the
-// artifact. It returns the fitted model and the rows it was trained on.
+// artifact: Train defaults a non-positive K or tolerance exactly as the
+// replay does. It returns the fitted model and the rows it was trained on. A
+// threshold Train would refuse is refused before the replay runs.
 func TrainFromReplay(ctx context.Context, rcfg ReplayConfig, topts earlystop.TrainOptions) (*earlystop.Model, []earlystop.Row, error) {
-	rcfg, err := rcfg.withDefaults()
-	if err != nil {
-		return nil, nil, err
+	if t := topts.Threshold; t != 0 && !(t > 0 && t < 1) {
+		return nil, nil, fmt.Errorf("exper: train threshold %g outside (0,1)", t)
 	}
-	topts.MinSamples = rcfg.MinSamples
-	topts.Tolerance = rcfg.Tolerance
 	rows, err := Replay(ctx, rcfg)
 	if err != nil {
 		return nil, nil, err
 	}
+	topts.MinSamples, topts.Tolerance = rcfg.MinSamples, rcfg.Tolerance
 	m, err := earlystop.Train(rows, topts)
 	if err != nil {
 		return nil, nil, err

@@ -6,6 +6,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"math"
 	"os"
 	"reflect"
 	"testing"
@@ -66,11 +68,53 @@ func TestTrainFromReplayByteIdenticalArtifact(t *testing.T) {
 	}
 }
 
+// TestTrainFromReplayRecordsReplaySettings: the artifact records the K and
+// the tolerance the rows were labeled under, the replay's defaults included.
+func TestTrainFromReplayRecordsReplaySettings(t *testing.T) {
+	for _, rcfg := range []ReplayConfig{{}, {MinSamples: 25, Tolerance: 0.2}} {
+		want, err := rcfg.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rcfg.Profiles, rcfg.Runs, rcfg.Seed, rcfg.PrefixStep = []string{"4g-static", "wifi-cafe"}, 1, 3, 10
+		m, _, err := TrainFromReplay(context.Background(), rcfg, earlystop.TrainOptions{Iterations: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.MinSamples != want.MinSamples || m.Tolerance != want.Tolerance {
+			t.Errorf("replay K %d, tolerance %g: artifact records %d, %g",
+				want.MinSamples, want.Tolerance, m.MinSamples, m.Tolerance)
+		}
+	}
+}
+
 func TestReplayCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Replay(ctx, ReplayConfig{Profiles: []string{"wifi-cafe"}}); err == nil {
-		t.Error("Replay with a cancelled context returned nil error")
+	if _, err := Replay(ctx, ReplayConfig{Profiles: []string{"wifi-cafe"}}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Replay on a cancelled context: %v, want context.Canceled", err)
+	}
+}
+
+func TestEvaluateCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Evaluate(ctx, EvalConfig{Profiles: []string{"wifi-cafe"}}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Evaluate on a cancelled context: %v, want context.Canceled", err)
+	}
+}
+
+// TestTrainFromReplayRejectsBadThreshold: a threshold the model artifact
+// cannot carry is refused before the replay runs — on a cancelled context,
+// so reaching the replay would report context.Canceled instead.
+func TestTrainFromReplayRejectsBadThreshold(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, th := range []float64{1.5, math.NaN()} {
+		_, _, err := TrainFromReplay(ctx, ReplayConfig{Profiles: []string{"wifi-cafe"}}, earlystop.TrainOptions{Threshold: th})
+		if err == nil || errors.Is(err, context.Canceled) {
+			t.Errorf("TrainFromReplay(threshold %v) = %v, want a threshold error before the replay", th, err)
+		}
 	}
 }
 
@@ -151,12 +195,14 @@ func TestEvaluatePairedAcceptance(t *testing.T) {
 }
 
 func TestEvaluateRejectsBadThreshold(t *testing.T) {
-	_, err := Evaluate(context.Background(), EvalConfig{
-		Profiles:   []string{"wifi-cafe"},
-		Thresholds: []float64{1.2},
-	})
-	if err == nil {
-		t.Error("Evaluate accepted a threshold outside (0,1)")
+	for _, th := range []float64{1.2, math.NaN()} {
+		_, err := Evaluate(context.Background(), EvalConfig{
+			Profiles:   []string{"wifi-cafe"},
+			Thresholds: []float64{th},
+		})
+		if err == nil {
+			t.Errorf("Evaluate accepted threshold %v outside (0,1)", th)
+		}
 	}
 }
 

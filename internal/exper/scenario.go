@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync"
 
 	"github.com/mobilebandwidth/swiftest/internal/baseline"
 	"github.com/mobilebandwidth/swiftest/internal/core"
@@ -87,19 +88,16 @@ func runSeed(seed int64, key string, run int) int64 {
 // link's noise both start from seed, and plan's faults (nil for none) apply
 // link-wide: the access link is the plan's server 0, and AllServers faults
 // match it too. reg, when non-nil, receives the machine's dwell and handover
-// instruments.
-func newLink(profile *ranprofile.Profile, plan *faults.Plan, seed int64, reg *obs.Registry) (*linksim.Link, *ranprofile.Machine, error) {
+// instruments. The machine's hook supplies capacity and RTT, so the link
+// config is always valid.
+func newLink(profile *ranprofile.Profile, plan *faults.Plan, seed int64, reg *obs.Registry) (*linksim.Link, *ranprofile.Machine) {
 	machine := ranprofile.NewMachine(profile, seed, ranprofile.MachineOptions{
 		Metrics: ranprofile.NewLinkMetrics(reg),
 	})
-	link, err := linksim.New(linksim.Config{
+	return linksim.MustNew(linksim.Config{
 		StateHook: machine.Hook(),
 		Impair:    plan.Injector().Impair(0, 0),
-	}, seed)
-	if err != nil {
-		return nil, nil, fmt.Errorf("exper: link for %s: %w", profile.Name, err)
-	}
-	return link, machine, nil
+	}, seed), machine
 }
 
 // engineOn runs the Swiftest engine over link for at most
@@ -115,38 +113,139 @@ func engineOn(ctx context.Context, link *linksim.Link, model *gmm.Model, policy 
 	return core.RunContext(ctx, probe, core.Config{Model: model, MaxDuration: SwiftestMaxDuration, Terminate: policy})
 }
 
-// runEngine measures one run: the Swiftest engine, stopping by policy, on the
-// link newLink builds from the same arguments. The campaign, the training
-// replay and the paired evaluation all measure through it and score against
-// runTruth, so their reports differ by policy, fault plan and seed key only.
-func runEngine(ctx context.Context, profile *ranprofile.Profile, plan *faults.Plan, seed int64, policy core.TerminationPolicy, reg *obs.Registry) (core.Result, *ranprofile.Machine, error) {
-	model, err := dataset.TechModel(profile.DatasetTech(), 2021)
-	if err != nil {
-		return core.Result{}, nil, fmt.Errorf("exper: %w", err)
-	}
-	link, machine, err := newLink(profile, plan, seed, reg)
-	if err != nil {
-		return core.Result{}, nil, err
-	}
-	res, err := engineOn(ctx, link, model, policy)
-	if err != nil {
-		return core.Result{}, nil, fmt.Errorf("exper: engine on %s: %w", profile.Name, err)
-	}
-	return res, machine, nil
+// algorithm is one row of a sweep's algorithm table. A row with a prober
+// floods the link with that baseline; a row without runs the Swiftest engine
+// under policy, nil being the §5.1 crossing default.
+type algorithm struct {
+	name   string
+	policy core.TerminationPolicy
+	prober baseline.Prober
 }
 
-// runTruth is the ground truth of one run: BTS-APP floods the link newLink
-// builds from the same seed — same state chain, same AR(1) noise — for 10 s
-// with no faults, so accuracy isolates what the termination algorithm loses,
-// not what the fault destroyed. It depends on neither algorithm nor fault
-// plan. The machine carries no metrics: registry rows count measured links
-// only.
-func runTruth(profile *ranprofile.Profile, seed int64) (float64, error) {
-	link, _, err := newLink(profile, nil, seed, nil)
-	if err != nil {
-		return 0, err
+// sweep is one seeded run matrix: every profile × algorithm × fault plan
+// cell, in that order, measured runs times. The campaign, the training
+// replay and the paired evaluation all run through runSweep, so their
+// reports differ by algorithm rows, fault plans and seed key only.
+type sweep struct {
+	profiles []string
+	algs     []algorithm
+	plans    []NamedFaultPlan
+	runs     int
+	seed     int64
+	workers  int // zero selects 1
+	reg      *obs.Registry
+	// keyByPlan keys run seeds by "profile|plan", not by the profile alone:
+	// the replay and the evaluation pair rows within a fault plan only, the
+	// campaign across fault plans too, as truth is fault-free anyway.
+	keyByPlan bool
+}
+
+// sweepCell is one cell of a sweep. Run r measures the link seeds[r] builds
+// and is scored against truth[r]; the cells of a seed key share both slices,
+// and the first of them (floods) fills truth. model is the profile's
+// bandwidth model, the engine's prior; out holds the runs as reduced.
+type sweepCell[T any] struct {
+	profile *ranprofile.Profile
+	model   *gmm.Model
+	alg     algorithm
+	plan    NamedFaultPlan
+	seeds   []int64
+	truth   []float64
+	floods  bool
+	out     []T
+}
+
+// runSweep measures every (cell, run) of s on s.workers goroutines. reduce
+// turns a finished run — the algorithm's result, a prober's report as a
+// converged Result, and the link's RAN chain — into what the caller keeps,
+// inside the worker. Cells come back in sweep order and runs in run order,
+// whatever the completion order, so the caller's sums are a pure function of s.
+func runSweep[T any](ctx context.Context, s sweep, reduce func(core.Result, *ranprofile.Machine) T) ([]sweepCell[T], error) {
+	var cells []sweepCell[T]
+	firstOf := make(map[string]int) // seed key → index of its first cell
+	for _, name := range s.profiles {
+		profile, err := ranprofile.Get(name)
+		if err != nil {
+			return nil, err
+		}
+		model, err := dataset.TechModel(profile.DatasetTech(), 2021)
+		if err != nil {
+			return nil, fmt.Errorf("exper: %w", err)
+		}
+		for _, alg := range s.algs {
+			for _, fp := range s.plans {
+				key := name
+				if s.keyByPlan {
+					key += "|" + fp.Name
+				}
+				first, seen := firstOf[key]
+				cell := sweepCell[T]{profile: profile, model: model, alg: alg, plan: fp, floods: !seen, out: make([]T, s.runs)}
+				if seen {
+					cell.seeds, cell.truth = cells[first].seeds, cells[first].truth
+				} else {
+					firstOf[key] = len(cells)
+					cell.seeds, cell.truth = make([]int64, s.runs), make([]float64, s.runs)
+					for run := range cell.seeds {
+						cell.seeds[run] = runSeed(s.seed, key, run)
+					}
+				}
+				cells = append(cells, cell)
+			}
+		}
 	}
-	return (&baseline.BTSApp{}).Run(link).Result, nil
+
+	// Job i is run i%s.runs of cell i/s.runs; errs has a slot for each.
+	errs := make([]error, len(cells)*s.runs)
+	var (
+		wg   sync.WaitGroup
+		next = make(chan int)
+	)
+	for w := min(max(s.workers, 1), len(errs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for idx := range next {
+				cell, run := &cells[idx/s.runs], idx%s.runs
+				if cell.floods {
+					// The ground truth: BTS-APP floods the same link — same
+					// state chain, same AR(1) noise — for 10 s without
+					// faults, so accuracy isolates what the algorithm loses,
+					// not what the fault destroyed. No registry: its rows
+					// count measured links only.
+					link, _ := newLink(cell.profile, nil, cell.seeds[run], nil)
+					cell.truth[run] = (&baseline.BTSApp{}).Run(link).Result
+				}
+				link, machine := newLink(cell.profile, cell.plan.Plan, cell.seeds[run], s.reg)
+				if p := cell.alg.prober; p != nil {
+					rep := p.Run(link)
+					cell.out[run] = reduce(core.Result{Bandwidth: rep.Result, Duration: rep.Duration, DataMB: rep.DataMB, Samples: rep.Samples, Converged: true}, machine)
+				} else if res, err := engineOn(ctx, link, cell.model, cell.alg.policy); err != nil {
+					errs[idx] = fmt.Errorf("exper: engine on %s: %w", cell.profile.Name, err)
+				} else {
+					cell.out[run] = reduce(res, machine)
+				}
+			}
+		}()
+	}
+feed:
+	for idx := range errs {
+		select {
+		case next <- idx:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(next)
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("exper: sweep cancelled: %w", err)
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return cells, nil
 }
 
 // crossingReplay replays the §5.1 crossing rule over a finished sample

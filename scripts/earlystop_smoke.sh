@@ -3,7 +3,8 @@
 # replay and paired evaluation built on it in internal/exper.
 #
 #  1. Training is deterministic — the same flags produce a byte-identical
-#     swiftest-earlystop-model/v1 artifact across reruns.
+#     swiftest-earlystop-model/v1 artifact across reruns — and a threshold
+#     outside (0,1) exits non-zero without writing an artifact.
 #  2. `-terminate earlystop` drives the emulated substrate: on a churning
 #     profile the model fires before the crossing rule (an early_stop trace
 #     event with note "model"), and the whole run-record is byte-identical
@@ -42,7 +43,23 @@ grep -q 'trained on [1-9][0-9]* rows' "$WORK/train.log" || {
   cat "$WORK/train.log" >&2
   exit 1
 }
-echo "earlystop training gate passed: byte-identical artifact"
+# A threshold the artifact cannot carry (Parse refuses it) is refused before
+# the replay runs, and no artifact is written.
+if "$WORK/swiftest" earlystop train "${TRAIN_FLAGS[@]}" -threshold 1.5 \
+  -o "$WORK/bad.json" 2> "$WORK/bad.log"; then
+  echo "earlystop train accepted -threshold 1.5" >&2
+  exit 1
+fi
+[ ! -e "$WORK/bad.json" ] || {
+  echo "earlystop train wrote an artifact for -threshold 1.5" >&2
+  exit 1
+}
+grep -q 'outside (0,1)' "$WORK/bad.log" || {
+  echo "earlystop train -threshold 1.5 failed for another reason:" >&2
+  cat "$WORK/bad.log" >&2
+  exit 1
+}
+echo "earlystop training gate passed: byte-identical artifact, bad threshold refused"
 
 # --- Leg 2: emulated substrate -----------------------------------------------
 # A churning 4G drive profile: the embedded default model must stop the test
