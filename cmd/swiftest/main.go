@@ -43,9 +43,7 @@ import (
 	"time"
 
 	swiftest "github.com/mobilebandwidth/swiftest"
-	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/exper"
-	"github.com/mobilebandwidth/swiftest/internal/floodhttp"
 )
 
 // verb is one swiftest subcommand: run receives the arguments after its name.
@@ -71,8 +69,6 @@ var verbs = []verb{
 	{"dataset", "generate a synthetic measurement dataset as JSONL", datasetCmd},
 	{"analyze", "compute the measurement-study findings from a JSONL dataset", analyze},
 	{"claims", "check the paper's claims and print paper vs measured", claimsCmd},
-	{"floodserve", "run a legacy probing-by-flooding HTTP server (the BTS-APP baseline)", floodServe},
-	{"floodtest", "run a legacy 10-second flooding test against HTTP servers", floodTest},
 }
 
 // usageError marks a request the verb cannot run as asked (an unknown name
@@ -534,48 +530,6 @@ func relay(args []string) error {
 	waitForSignal()
 	fmt.Printf("shutting down; delivered %d bytes, dropped %d datagrams\n",
 		rl.DeliveredBytes(), rl.DroppedPackets())
-	return nil
-}
-
-func floodServe(args []string) error {
-	fs := flag.NewFlagSet("floodserve", flag.ExitOnError)
-	addr := fs.String("addr", ":7008", "HTTP listen address")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	srv, err := floodhttp.NewServer(*addr)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	fmt.Printf("flooding server listening on %s (GET /chunk, GET /ping)\n", srv.Addr())
-
-	waitForSignal()
-	fmt.Printf("shutting down; %d payload bytes served\n", srv.BytesSent())
-	return nil
-}
-
-func floodTest(args []string) error {
-	fs := flag.NewFlagSet("floodtest", flag.ExitOnError)
-	urls := fs.String("urls", "", "comma-separated server base URLs (http://host:port)")
-	dur := fs.Duration("duration", estimate.BTSAppDuration, "flooding duration (§2 uses 10 s)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *urls == "" {
-		return fmt.Errorf("no URLs given (use -urls http://host:port,...)")
-	}
-	rep, err := floodhttp.RunTest(floodhttp.ClientConfig{
-		URLs:     strings.Split(*urls, ","),
-		Duration: *dur,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("bandwidth  : %.1f Mbps\n", rep.ResultMbps)
-	fmt.Printf("duration   : %v (fixed flooding window)\n", rep.Duration.Round(time.Millisecond))
-	fmt.Printf("data used  : %.1f MB over %d connections\n", rep.DataMB, rep.Conns)
-	fmt.Printf("samples    : %d\n", len(rep.Samples))
 	return nil
 }
 

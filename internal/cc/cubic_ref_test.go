@@ -61,8 +61,17 @@ func TestCubicTickMatchesReference(t *testing.T) {
 		name string
 		cfg  linksim.Config
 	}{
-		// A shallow buffer overflows again and again: every loss is congestion.
-		{"overflow", linksim.Config{CapacityMbps: 120, RTT: 30 * time.Millisecond, Fluctuation: 0.05, BufferBDP: 0.5}},
+		// Capacity drops from 120 to 40 Mbit/s for the last 200 ms of every
+		// second, shrinking a shallow buffer with it: windows that regrew
+		// on 120 overflow at the next drop whatever the noise draws, so every
+		// loss is congestion and reductions recur through the run.
+		{"overflow", linksim.Config{BufferBDP: 0.5, StateHook: func(at time.Duration) linksim.LinkState {
+			st := linksim.LinkState{CapacityMbps: 120, RTT: 30 * time.Millisecond, Fluctuation: 0.05}
+			if at%time.Second >= 800*time.Millisecond {
+				st.CapacityMbps = 40
+			}
+			return st
+		}}},
 		// A deep buffer with random wireless loss: reductions land at arbitrary
 		// points of the cubic curve, on both sides of K.
 		{"spurious", linksim.Config{CapacityMbps: 400, RTT: 45 * time.Millisecond, Fluctuation: 0.08, LossRate: 0.004, BufferBDP: 4}},

@@ -17,8 +17,9 @@ import (
 // sibling (same row count, weights shifted by the different noise). The
 // tolerance/threshold pair was chosen
 // from the paired front (internal/exper/testdata/earlystop_front.json): at 0.80 this
-// model matches or beats the crossing policy's mean accuracy on every eval
-// seed tried while cutting mean duration and bytes on wire by ~60%.
+// model matches the crossing policy's mean accuracy at seed 1 while cutting
+// mean duration and bytes on wire by ~60%; over seeds 1–5 its accuracy edge
+// holds at two.
 //
 //go:embed default_model.json
 var defaultModelJSON []byte

@@ -36,8 +36,7 @@ func BTSAppEstimate(samples []float64) float64 {
 	return stats.Mean(kept)
 }
 
-// BTS-APP's published parameters (§2), read by the virtual-time
-// baseline.BTSApp and the real-socket floodhttp client alike.
+// BTS-APP's published parameters (§2), read by baseline.BTSApp.
 const (
 	// BTSAppDuration is the fixed flooding duration (Speedtest uses 15 s).
 	BTSAppDuration = 10 * time.Second

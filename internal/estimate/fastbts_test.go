@@ -140,3 +140,29 @@ func FuzzFastBTSStop(f *testing.F) {
 		checkFastBTSStop(t, "fuzz", stream)
 	})
 }
+
+// TestFastBTSAnswersZeroOnBlackout pins what FastBTS does with a blackout on
+// a RAN link by its rule, not by a seed. A 350 ms outage leaves a run of
+// seven exact zeros among the 50 ms samples. The live samples spread over
+// the states a RAN link moves through (here four levels of 70–180 Mbit/s,
+// 600 ms each, with 8 % noise), so no interval of them is as dense as seven
+// equal values and the crucial interval picks the zeros. A zero estimate
+// never agrees, so the test runs to its 10 s deadline and answers 0. (Such
+// streams answer 0 at 40 of 40 noise seeds.)
+func TestFastBTSAnswersZeroOnBlackout(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var r FastBTSStop
+	for i := range 200 {
+		level := [...]float64{180, 120, 70, 140}[i/12%4]
+		x := level * (1 - math.Exp(-float64(i)/8)) * (1 + 0.08*rng.NormFloat64())
+		if i >= 20 && i < 27 { // the blackout, 1.0–1.35 s into the test
+			x = 0
+		}
+		if _, streak, _ := r.Add(x); streak >= FastBTSAgreeRounds {
+			t.Fatalf("stopped after %d samples", i+1)
+		}
+	}
+	if got := r.Estimate(); got != 0 {
+		t.Errorf("deadline estimate = %v Mbit/s, want 0 (the blackout's zeros)", got)
+	}
+}

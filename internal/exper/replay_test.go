@@ -120,13 +120,12 @@ func TestTrainFromReplayRejectsBadThreshold(t *testing.T) {
 
 // TestReplayGolden pins the replay rows and the artifact trained on them to
 // the bytes `swiftest earlystop train -profiles 4g-static,wifi-cafe -runs 1
-// -seed 3 -step 10 -iters 100 -rows rows.jsonl -o tiny.json` wrote before the
-// replay moved here from internal/earlystop: the rows file is one
-// json.Encoder line per row, the artifact is Model.Encode.
+// -seed 3 -step 10 -iters 100 -rows rows.jsonl -o tiny.json` writes: the
+// rows file is one json.Encoder line per row, the artifact is Model.Encode.
 func TestReplayGolden(t *testing.T) {
 	const (
-		wantRows     = "49451f49c9835c6b24d2b34ccbd156e61441bae72c0c52c268779563ef01da36"
-		wantArtifact = "ec623a95b3753c1223e3a6dd063789908b4451e2a851ad0c42d10f96ef37b1da"
+		wantRows     = "1c5c6f199c5fb2304e2e6612ff2034087bd77cf609133599032b92bd161c516c"
+		wantArtifact = "353c2a24731a53b4e45aa45f24f39a40c76e931ec6e55a032c385c3dd8b462e0"
 	)
 	model, rows, err := TrainFromReplay(context.Background(), ReplayConfig{
 		Profiles:   []string{"4g-static", "wifi-cafe"},

@@ -208,7 +208,7 @@ func runSweep[T any](ctx context.Context, s sweep, reduce func(core.Result, *ran
 				cell, run := &cells[idx/s.runs], idx%s.runs
 				if cell.floods {
 					// The ground truth: BTS-APP floods the same link — same
-					// state chain, same AR(1) noise — for 10 s without
+					// state chain, same AR(1) noise and dips — for 10 s without
 					// faults, so accuracy isolates what the algorithm loses,
 					// not what the fault destroyed. No registry: its rows
 					// count measured links only.

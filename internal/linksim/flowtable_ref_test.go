@@ -15,10 +15,12 @@ import (
 // marking the flow and the next Advance dropping marked flows. Advance is the
 // same arithmetic in the same order, merging impairments for every flow on
 // every tick whether or not any hook exists, with Tick.Seconds() computed at
-// run time; rtt is the per-flow RTT formula from before Link.RTT.
+// run time; rtt is the per-flow RTT formula from before Link.RTT. Like Link,
+// it draws capacity noise and dip starts from the seed's second stream.
 type refLink struct {
 	cfg       Config
 	rng       *randv2.Rand
+	capRng    *randv2.Rand
 	now       time.Duration
 	flows     []*refFlow
 	closing   int
@@ -44,7 +46,7 @@ func newRefLink(cfg Config, seed int64) *refLink {
 	if cfg.BufferBDP <= 0 {
 		cfg.BufferBDP = 1
 	}
-	l := &refLink{cfg: cfg, rng: randv2.New(randv2.NewPCG(uint64(seed), 0))}
+	l := &refLink{cfg: cfg, rng: randv2.New(randv2.NewPCG(uint64(seed), 0)), capRng: randv2.New(randv2.NewPCG(uint64(seed), 1))}
 	if cfg.StateHook != nil {
 		l.state = cfg.StateHook(0)
 		l.haveState = true
@@ -124,7 +126,7 @@ func (l *refLink) advance() {
 	}
 	const rho = 0.9
 	if sigma > 0 {
-		l.noise = rho*l.noise + math.Sqrt(1-rho*rho)*sigma*l.rng.NormFloat64()
+		l.noise = rho*l.noise + math.Sqrt(1-rho*rho)*sigma*l.capRng.NormFloat64()
 		if l.noise < -0.9 {
 			l.noise = -0.9
 		}
@@ -132,7 +134,7 @@ func (l *refLink) advance() {
 		l.noise *= rho
 	}
 	if d := l.cfg.Dipping; d != nil && l.now >= l.dipUntil {
-		if l.rng.Float64() < d.RatePerSec*Tick.Seconds() {
+		if l.capRng.Float64() < d.RatePerSec*Tick.Seconds() {
 			l.dipUntil = l.now + d.Duration
 		}
 	}

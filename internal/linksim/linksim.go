@@ -128,7 +128,9 @@ func (c Config) validate() error {
 // Link is one emulated access link carrying zero or more flows.
 type Link struct {
 	cfg       Config
-	rng       *rand.Rand
+	rng       *rand.Rand // per-flow draws: burst and spurious loss
+	capSrc    rand.PCG   // capacity draws: AR(1) noise and dip starts
+	capRng    rand.Rand  // reads capSrc; held by value, so seeding allocates nothing
 	now       time.Duration
 	flows     []flowRow     // the flow table, in open order; closed rows leave at the next Advance
 	closing   int           // rows closed since the last Advance pruned them
@@ -155,6 +157,13 @@ type Link struct {
 // tick for tick, on every run and platform. Which noise stream a seed names
 // belongs to the generator behind it, not to the contract. Seeding is O(1),
 // so a link costs its ticks, not its set-up.
+//
+// The seed feeds two streams. Capacity draws (AR(1) noise, dip starts) come
+// from one and per-flow draws (burst loss, spurious loss) from the other, so
+// the capacity path before shaping is a function of (cfg, seed) alone: open
+// flows, offered rates, impairments and loss draws never move it. Contestants
+// run on links of one seed therefore measure the same capacity. Shaping stays
+// per link, since it counts the bytes this link delivered.
 func New(cfg Config, seed int64) (*Link, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -163,6 +172,8 @@ func New(cfg Config, seed int64) (*Link, error) {
 		cfg.BufferBDP = 1
 	}
 	l := &Link{cfg: cfg, rng: rand.New(rand.NewPCG(uint64(seed), 0))}
+	l.capSrc.Seed(uint64(seed), 1)
+	l.capRng = *rand.New(&l.capSrc)
 	if cfg.StateHook != nil {
 		// Prime the state so capacity and RTT are defined before the first
 		// Advance (Flow.RTT, buffer sizing). Hooks are deterministic in the
@@ -434,7 +445,7 @@ func (l *Link) Advance() {
 	// instead of freezing it.
 	const rho = 0.9
 	if sigma := l.fluctuationNow(); sigma > 0 {
-		l.noise = rho*l.noise + math.Sqrt(1-rho*rho)*sigma*l.rng.NormFloat64()
+		l.noise = rho*l.noise + math.Sqrt(1-rho*rho)*sigma*l.capRng.NormFloat64()
 		if l.noise < -0.9 {
 			l.noise = -0.9
 		}
@@ -443,7 +454,7 @@ func (l *Link) Advance() {
 	}
 	// Start episodic dips (Poisson arrivals).
 	if d := l.cfg.Dipping; d != nil && l.now >= l.dipUntil {
-		if l.rng.Float64() < d.RatePerSec*TickSeconds {
+		if l.capRng.Float64() < d.RatePerSec*TickSeconds {
 			l.dipUntil = l.now + d.Duration
 		}
 	}

@@ -89,3 +89,43 @@ func TestGeneratorStatistics(t *testing.T) {
 		t.Errorf("spurious loss frequency = %.4f over %d ticks, want %.4f ±10 %%", freq, ticks, lossRate)
 	}
 }
+
+// TestCapacityPathIgnoresFlows is the two-stream rule: links of one seed see
+// one capacity path however many flows they carry, what those flows offer and
+// what their loss draws come up with. The hook moves capacity, RTT, loss and
+// noise between two states, dips start at random, every flow draws for
+// spurious loss and for a link-wide burst-loss impairment, and the link
+// without flows draws for neither.
+func TestCapacityPathIgnoresFlows(t *testing.T) {
+	good := LinkState{Name: "good", CapacityMbps: 200, RTT: 30 * time.Millisecond, LossRate: 0.05, Fluctuation: 0.08}
+	fade := LinkState{Name: "fade", CapacityMbps: 40, RTT: 70 * time.Millisecond, LossRate: 0.2, Fluctuation: 0.2}
+	cfg := Config{
+		StateHook: func(at time.Duration) LinkState {
+			if at%(700*time.Millisecond) < 400*time.Millisecond {
+				return good
+			}
+			return fade
+		},
+		Dipping: &Dips{RatePerSec: 2, Depth: 0.5, Duration: 100 * time.Millisecond},
+		Impair:  func(time.Duration) Impairment { return Impairment{LossProb: 0.1} },
+	}
+	offers := [][]float64{nil, {1000}, {5, 30, 300, 1000}}
+	links := make([]*Link, len(offers))
+	for i, offered := range offers {
+		links[i] = MustNew(cfg, 11)
+		for _, mbps := range offered {
+			links[i].NewFlow().SetOffered(mbps)
+		}
+	}
+	for tick := 0; tick < 1000; tick++ {
+		for _, l := range links {
+			l.Advance()
+		}
+		want := links[0].capacityNow()
+		for i, l := range links[1:] {
+			if got := l.capacityNow(); got != want {
+				t.Fatalf("tick %d: capacity %v with %d flows, %v with none", tick, got, len(offers[i+1]), want)
+			}
+		}
+	}
+}

@@ -13,7 +13,7 @@ import (
 //
 // Every package is treated as virtual-time by default. Deployment-side
 // packages that legitimately touch the wall clock (the UDP transport, the
-// HTTP flooding baseline, the real-time emulator, command mains) opt out
+// real-time emulator, command mains) opt out
 // with a package-level directive:
 //
 //	//lint:allow walltime <why this package is real-time>

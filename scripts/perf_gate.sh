@@ -2,7 +2,7 @@
 # Paired no-regression gate over the ledger: the protocol every performance
 # PR ran by hand. A manual tool, not a CI step (five workloads take ~35 min).
 #
-#   scripts/perf_gate.sh <parent-ref> [workload...]
+#   scripts/perf_gate.sh [--moved workload,...] <parent-ref> [workload...]
 #
 # Unpacks <parent-ref> into a temporary directory, then for each workload of
 # BENCHMARK.json (or those named) runs its `command` at `run_seconds` for ten
@@ -13,13 +13,26 @@
 # result digests. Exits 1 when a median is worse than its bound, a digest
 # differs between the sides, or the share of failed operations rose.
 #
+# --moved declares the workloads whose digests the change moves on purpose
+# (a new noise stream, a new seed key). Their digest line reads
+# `MOVED (declared)` instead of `DIFFER`, and the gate then fails if one of
+# their digests did not move: a declared move must happen at every seed.
+# An undeclared workload still fails on any digest that differs.
+#
 # Then one `--trace 1` run per side (seed 1) says where the time went: every
 # per-layer row whose two values differ by more than 2 %, and always the
 # live-test rows (converged share, data per test, the four stage medians)
 # when the workload fills them. Those rows inform; they do not gate.
 set -euo pipefail
 
-[ $# -ge 1 ] || { echo "usage: scripts/perf_gate.sh <parent-ref> [workload...]" >&2; exit 2; }
+USAGE="usage: scripts/perf_gate.sh [--moved workload,...] <parent-ref> [workload...]"
+declared=""
+if [ "${1:-}" = "--moved" ]; then
+  [ $# -ge 2 ] || { echo "$USAGE" >&2; exit 2; }
+  declared="$2"
+  shift 2
+fi
+[ $# -ge 1 ] || { echo "$USAGE" >&2; exit 2; }
 cd "$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
 parent="$(git rev-parse --verify "$1^{commit}")"
 shift
@@ -29,7 +42,7 @@ trap 'rm -rf "$WORK"' EXIT
 # An unpacked tree, not `git worktree`: nothing to unregister if the run is killed.
 git archive "$parent" | tar -x -C "$WORK"
 
-python3 - "$parent" "$WORK" "$@" <<'EOF'
+python3 - "$parent" "$WORK" "$declared" "$@" <<'EOF'
 import json
 import statistics
 import subprocess
@@ -38,11 +51,12 @@ import sys
 PAIRS = 10
 LIVE_ROWS = {"core.live_converged_share", "swiftest.live_data_mb_p50", "transport.select_ms_p50",
              "transport.handshake_ms_p50", "transport.first_sample_ms_p50", "transport.report_ms_p50"}
-parent_sha, parent_dir, names = sys.argv[1], sys.argv[2], sys.argv[3:]
+parent_sha, parent_dir, names = sys.argv[1], sys.argv[2], sys.argv[4:]
+declared = [n for n in sys.argv[3].split(",") if n]
 with open("BENCHMARK.json") as f:
     bench = json.load(f)
 known = [w["name"] for w in bench["workloads"]]
-if unknown := [n for n in names if n not in known]:
+if unknown := [n for n in names + declared if n not in known]:
     sys.exit(f"unknown workload {unknown}; BENCHMARK.json has {known}")
 dirs = {"parent": parent_dir, "change": "."}
 
@@ -67,7 +81,8 @@ def worse_by(first, second, better):
 
 
 print(f"parent {parent_sha[:12]} vs working tree: {PAIRS} alternating pairs per workload, "
-      f"{bench['run_seconds']} s runs, pair i at seed i")
+      f"{bench['run_seconds']} s runs, pair i at seed i"
+      + (f"; digests declared to move: {', '.join(declared)}" if declared else ""))
 ok = True
 for name in names or known:
     runs = {"parent": [], "change": []}
@@ -95,9 +110,15 @@ for name in names or known:
     print(f"  ops_failed   parent {failed['parent']}/{attempted['parent']}  change {failed['change']}/{attempted['change']}"
           + ("  ROSE" if rose else ""))
     pairs = [(p[1], c[1]) for p, c in zip(runs["parent"], runs["change"])]
-    differ = [f"seed {i + 1}: {p} != {c}" for i, (p, c) in enumerate(pairs) if p != c]
-    print("  digests      " + " ".join(c for _, c in pairs) + ("  DIFFER " + "; ".join(differ) if differ else "  (equal on both sides)"))
-    ok = ok and not rose and not differ
+    digests = "  digests      " + " ".join(c for _, c in pairs)
+    if name in declared:
+        bad = [f"seed {i + 1}" for i, (p, c) in enumerate(pairs) if p == c]
+        print("  parent       " + " ".join(p for p, _ in pairs))
+        print(digests + (f"  DID NOT MOVE (declared to) at {', '.join(bad)}" if bad else "  MOVED (declared)"))
+    else:
+        bad = [f"seed {i + 1}: {p} != {c}" for i, (p, c) in enumerate(pairs) if p != c]
+        print(digests + ("  DIFFER " + "; ".join(bad) if bad else "  (equal on both sides)"))
+    ok = ok and not rose and not bad
     traced = {side: run(side, name, 1, trace=1)[0]["metrics"] for side in dirs}
     print(f"  {'per-layer (one traced run a side)':<40} {'parent':>12} {'change':>12} {'moved':>8}")
     for row in bench["per_layer"]:
