@@ -51,7 +51,8 @@ func earlystopCmd(args []string) error {
 }
 
 // earlystopTrain replays seeded campaign scenarios (RAN profiles × fault
-// plans against flooding ground truth), labels every test prefix, fits a
+// plans, scored against the capacity each link offered), labels every test
+// prefix, fits a
 // logistic-regression model, and writes the swiftest-earlystop-model/v1
 // artifact. The whole pipeline is deterministic: the same flags reproduce
 // the artifact byte-for-byte.

@@ -536,11 +536,11 @@ func relay(args []string) error {
 func campaign(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
 	profilesFlag := fs.String("profiles", "all", `comma-separated RAN profiles to sweep, or "all"`)
-	algsFlag := fs.String("algs", "swiftest,fastbts", "comma-separated termination algorithms (swiftest, fastbts, fast, earlystop)")
+	algsFlag := fs.String("algs", "swiftest,fastbts", "comma-separated termination algorithms (swiftest, fastbts, fast, earlystop, btsapp)")
 	runs := fs.Int("runs", 3, "seeded runs per (profile, algorithm, fault plan) cell")
 	seed := fs.Int64("seed", 1, "campaign seed; the report is a pure function of (config, seed)")
 	workers := fs.Int("workers", 4, "concurrent runs (the report is byte-identical at any worker count)")
-	jsonOut := fs.String("json", "", `write the swiftest-campaign-report/v1 JSON here ("-" for stdout, suppressing the table)`)
+	jsonOut := fs.String("json", "", `write the swiftest-campaign-report/v2 JSON here ("-" for stdout, suppressing the table)`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

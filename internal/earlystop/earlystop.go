@@ -1,9 +1,9 @@
 // Package earlystop implements learned early termination for bandwidth
 // tests, in the spirit of TURBOTEST (PAPERS.md): a small model watches the
 // first K 50 ms samples of a test and decides mid-flight that "less is
-// enough" — the trailing-window mean is already within tolerance of what a
-// full flooding test would report — cutting duration and bytes-on-wire
-// beyond any fixed crossing rule.
+// enough" — the trailing-window mean is already within tolerance of the
+// link's capacity — cutting duration and bytes-on-wire beyond any fixed
+// crossing rule.
 //
 // The package has three parts behind the core.TerminationPolicy seam:
 //
@@ -19,8 +19,8 @@
 //     with the §5.1 crossing rule as a graceful fallback.
 //
 // Where the labeled rows come from is not this package's business: the
-// replay that labels seeded scenario runs against flooding ground truth
-// (Replay, TrainFromReplay) and the paired evaluation (Evaluate) live in
+// replay that labels seeded scenario runs against the capacity their links
+// offered (Replay, TrainFromReplay) and the paired evaluation (Evaluate) live in
 // internal/exper, beside the campaign, on the one scenario runner.
 //
 // Everything here is a pure function of its inputs — no wall clock, no

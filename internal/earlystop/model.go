@@ -158,9 +158,9 @@ func (o TrainOptions) withDefaults() TrainOptions {
 type Row struct {
 	// Features is the Featurize output for the prefix.
 	Features [NFeatures]float64 `json:"features"`
-	// Label is true when stopping at the prefix deviated from the
-	// flooding ground truth by at most the crossing baseline's deviation
-	// plus the training tolerance.
+	// Label is true when stopping at the prefix deviated from the oracle
+	// (the link's mean capacity over 10 s) by at most the crossing
+	// baseline's deviation plus the training tolerance.
 	Label bool `json:"label"`
 	// Profile, FaultPlan, Run and Prefix locate the example in the replay
 	// matrix (provenance only; Train ignores them).

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
 	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
@@ -49,7 +50,7 @@ func TestCampaignByteIdenticalAcrossWorkers(t *testing.T) {
 // prints: the whole library, the default algorithms and the builtin fault
 // plans, through WriteJSON.
 func TestCampaignGolden(t *testing.T) {
-	const want = "6c1c8cb4196ec41bb061c4a4ba78443c3af6330148297ef71aebaa1b4afc3857"
+	const want = "a85496b79bb65b1a5651f37c033bb8ee656ac25743de8cbc1092a5c7715970a6"
 	rep, err := RunCampaign(context.Background(), CampaignConfig{Runs: 2, Seed: 7, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +100,66 @@ func TestRunLinksShareCapacity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOracleIsWhatContestantsMeasured: the oracle read on a link carrying no
+// flow is bit-equal to the ∫cap over the same 10 s of a link of the same seed
+// that one saturating flow drives, on every library profile.
+func TestOracleIsWhatContestantsMeasured(t *testing.T) {
+	for _, name := range ranprofile.Names() {
+		profile, err := ranprofile.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			link, _ := newLink(profile, nil, seed, nil)
+			link.NewFlow().SetOffered(1e5)
+			for link.Now() < estimate.BTSAppDuration {
+				link.Advance()
+			}
+			flooded := link.CapacityMbit() / estimate.BTSAppDuration.Seconds()
+			if oracle := oracleMbps(profile, seed); oracle != flooded || oracle <= 0 {
+				t.Errorf("%s seed %d: oracle %v Mbit/s without flows, %v under a saturating flow", name, seed, oracle, flooded)
+			}
+		}
+	}
+}
+
+// TestCampaignScoresBTSApp: the btsapp row is scored against the oracle like
+// every other row, and shares the profile's oracle column with them.
+func TestCampaignScoresBTSApp(t *testing.T) {
+	rep, err := RunCampaign(context.Background(), CampaignConfig{
+		Profiles:   []string{"4g-static", "5g-drive"},
+		Algorithms: []string{"swiftest", "btsapp"},
+		Runs:       2,
+		Seed:       3,
+		Workers:    4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := make(map[string]float64)
+	for _, s := range rep.Scenarios {
+		if s.Algorithm == "swiftest" {
+			oracle[s.Profile] = s.MeanTruthMbps
+		}
+	}
+	btsapp := 0
+	for _, s := range rep.Scenarios {
+		if s.Algorithm != "btsapp" {
+			continue
+		}
+		btsapp++
+		if s.MeanAccuracy <= 0 || s.MeanAccuracy > 1 {
+			t.Errorf("%s/btsapp/%s: accuracy %g out of (0,1]", s.Profile, s.FaultPlan, s.MeanAccuracy)
+		}
+		if s.MeanTruthMbps != oracle[s.Profile] {
+			t.Errorf("%s/btsapp/%s: oracle %v, the swiftest rows have %v", s.Profile, s.FaultPlan, s.MeanTruthMbps, oracle[s.Profile])
+		}
+	}
+	if want := 2 * len(BuiltinFaultPlans()); btsapp != want {
+		t.Fatalf("report has %d btsapp cells, want %d", btsapp, want)
 	}
 }
 

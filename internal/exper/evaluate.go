@@ -13,9 +13,9 @@ import (
 const EvalReportSchema = "swiftest-earlystop-eval/v1"
 
 // EvalConfig parameterises a paired policy evaluation: every point runs on
-// the identical seeded links — per-run seeds hash only (profile, fault
-// plan, run), never the policy — so differences between points measure the
-// policies, not link noise.
+// the identical seeded links — per-run seeds hash only (profile, run), never
+// the policy — so differences between points measure the policies, not link
+// noise.
 type EvalConfig struct {
 	// Profiles are built-in RAN profile names; empty selects the whole
 	// library.
@@ -44,8 +44,8 @@ type EvalPoint struct {
 	Policy string `json:"policy"`
 	// Threshold is the earlystop stop threshold (0 for crossing).
 	Threshold float64 `json:"threshold,omitempty"`
-	// MeanAccuracy is mean 1 − deviation versus the fault-free BTS-APP
-	// flooding ground truth on the identical (profile, seed) link.
+	// MeanAccuracy is mean 1 − deviation versus the oracle: the mean
+	// capacity the run's (profile, seed) link offered over 10 s.
 	MeanAccuracy float64 `json:"mean_accuracy"`
 	// MeanDurationMS and MeanDataMB are the mean test cost.
 	MeanDurationMS float64 `json:"mean_duration_ms"`
@@ -70,8 +70,8 @@ type EvalReport struct {
 
 // Evaluate measures the crossing policy and the earlystop policy (at one or
 // more thresholds) over the full profiles × fault plans matrix, every
-// policy on the identical seeded links, against fault-free flooding ground
-// truth. The report is a pure function of (cfg, Seed).
+// policy on the identical seeded links, against the capacity those links
+// offered. The report is a pure function of (cfg, Seed).
 func Evaluate(ctx context.Context, cfg EvalConfig) (*EvalReport, error) {
 	var err error
 	if cfg.Profiles, cfg.FaultPlans, cfg.Runs, err = sweepDefaults(cfg.Profiles, cfg.FaultPlans, cfg.Runs); err != nil {
@@ -100,7 +100,7 @@ func Evaluate(ctx context.Context, cfg EvalConfig) (*EvalReport, error) {
 
 	cells, err := runSweep(ctx, sweep{
 		profiles: cfg.Profiles, algs: algs, plans: cfg.FaultPlans,
-		runs: cfg.Runs, seed: cfg.Seed, keyByPlan: true,
+		runs: cfg.Runs, seed: cfg.Seed,
 	}, func(res core.Result, machine *ranprofile.Machine) runOutcome {
 		o := outcomeOf(res, machine)
 		// A converged run the crossing rule would not have stopped is a
@@ -117,7 +117,7 @@ func Evaluate(ctx context.Context, cfg EvalConfig) (*EvalReport, error) {
 	for c, cell := range cells {
 		pt := &points[c/len(cfg.FaultPlans)%len(algs)] // cell c's row
 		for r, o := range cell.out {
-			pt.MeanAccuracy += 1 - Deviation(o.estimate, cell.truth[r])
+			pt.MeanAccuracy += 1 - Deviation(o.estimate, cell.oracle[r])
 			pt.MeanDurationMS += float64(o.duration.Milliseconds())
 			pt.MeanDataMB += o.dataMB
 			if cell.alg.policy != nil && o.earlyStop {

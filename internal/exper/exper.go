@@ -1,8 +1,12 @@
 // Package exper is the experiment harness for §5.3: it runs large
 // back-to-back bandwidth-test campaigns over emulated access links and
 // produces the distributions behind Figures 17 and 20–26 — test durations,
-// data usage, deviations against BTS-APP ground truth, three-way baseline
-// comparisons, and server utilization.
+// data usage, deviations against BTS-APP ground truth as the paper scores
+// them, three-way baseline comparisons, and server utilization.
+//
+// The RAN sweep (runSweep: the campaign, the training replay and the paired
+// evaluation) scores against the link instead: its oracle is the mean
+// capacity the run's link offered over 10 s, known exactly in emulation.
 //
 // Links are drawn per technology from the calibrated bandwidth models of
 // package dataset, with realistic RTT, fluctuation, and occasional traffic

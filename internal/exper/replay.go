@@ -36,8 +36,8 @@ type ReplayConfig struct {
 	PrefixStep int
 	// Tolerance is the accuracy slack a positive label allows versus the
 	// crossing baseline: a prefix is positive when its deviation from the
-	// flooding ground truth is at most the crossing-policy result's
-	// deviation plus Tolerance. Zero selects 0.10.
+	// oracle (the mean capacity the link offered over 10 s) is at most the
+	// crossing-policy result's deviation plus Tolerance. Zero selects 0.10.
 	Tolerance float64
 }
 
@@ -72,9 +72,9 @@ func (neverStop) Decide([]float64, []estimate.TrajectoryPoint, time.Duration) co
 
 // Replay sweeps profiles × fault plans under cfg, runs the probing engine
 // to its deadline on each seeded link, and labels every prefix against the
-// fault-free flooding ground truth on the identical (profile, seed) link.
+// oracle: the mean capacity the (profile, seed) link offered over 10 s.
 // A prefix is positive when stopping there — reporting its trailing-window
-// mean — deviates from the truth by at most the §5.1 crossing policy's own
+// mean — deviates from the oracle by at most the §5.1 crossing policy's own
 // deviation plus Tolerance: "less is enough" exactly when cutting the test
 // short costs no material accuracy versus the default rule. Rows come back
 // in sweep order — a pure function of (cfg, Seed) — so earlystop.Train over
@@ -86,7 +86,7 @@ func Replay(ctx context.Context, cfg ReplayConfig) ([]earlystop.Row, error) {
 	}
 	cells, err := runSweep(ctx, sweep{
 		profiles: cfg.Profiles, algs: []algorithm{{name: "never", policy: neverStop{}}}, plans: cfg.FaultPlans,
-		runs: cfg.Runs, seed: cfg.Seed, keyByPlan: true,
+		runs: cfg.Runs, seed: cfg.Seed,
 	}, func(res core.Result, _ *ranprofile.Machine) core.Result { return res })
 	if err != nil {
 		return nil, err
@@ -94,14 +94,14 @@ func Replay(ctx context.Context, cfg ReplayConfig) ([]earlystop.Row, error) {
 	var rows []earlystop.Row
 	for _, cell := range cells {
 		for run, res := range cell.out {
-			truth := cell.truth[run]
+			oracle := cell.oracle[run]
 			// The crossing baseline on the same stream anchors the labels.
 			crossing, _ := crossingReplay(res.Samples)
-			crossingDev := Deviation(crossing, truth)
+			crossingDev := Deviation(crossing, oracle)
 			for n := cfg.MinSamples; n <= len(res.Samples); n += cfg.PrefixStep {
 				prefix := res.Samples[:n]
 				row := earlystop.Row{
-					Label:     Deviation(stats.Mean(estimate.Tail(prefix)), truth) <= crossingDev+cfg.Tolerance,
+					Label:     Deviation(stats.Mean(estimate.Tail(prefix)), oracle) <= crossingDev+cfg.Tolerance,
 					Profile:   cell.profile.Name,
 					FaultPlan: cell.plan.Name,
 					Run:       run,

@@ -71,7 +71,7 @@ func TestTrainFromReplayByteIdenticalArtifact(t *testing.T) {
 // TestTrainFromReplayRecordsReplaySettings: the artifact records the K and
 // the tolerance the rows were labeled under, the replay's defaults included.
 func TestTrainFromReplayRecordsReplaySettings(t *testing.T) {
-	for _, rcfg := range []ReplayConfig{{}, {MinSamples: 25, Tolerance: 0.2}} {
+	for _, rcfg := range []ReplayConfig{{}, {MinSamples: 25, Tolerance: 0.05}} {
 		want, err := rcfg.withDefaults()
 		if err != nil {
 			t.Fatal(err)
@@ -124,8 +124,8 @@ func TestTrainFromReplayRejectsBadThreshold(t *testing.T) {
 // rows file is one json.Encoder line per row, the artifact is Model.Encode.
 func TestReplayGolden(t *testing.T) {
 	const (
-		wantRows     = "1c5c6f199c5fb2304e2e6612ff2034087bd77cf609133599032b92bd161c516c"
-		wantArtifact = "353c2a24731a53b4e45aa45f24f39a40c76e931ec6e55a032c385c3dd8b462e0"
+		wantRows     = "db90bf775f45d5c9f7dd5e6f29e461ba7639f2623c69bad020b57eea9e2f743d"
+		wantArtifact = "1884330ca213642797f52a43cdd5d613f73d65ea948a9d811858effa24ba6878"
 	)
 	model, rows, err := TrainFromReplay(context.Background(), ReplayConfig{
 		Profiles:   []string{"4g-static", "wifi-cafe"},

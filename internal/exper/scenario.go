@@ -74,13 +74,12 @@ func planNames(plans []NamedFaultPlan) []string {
 	return names
 }
 
-// runSeed derives the seed of run number run from the sweep seed and a key
-// naming what the run shares a link with: runs with equal (seed, key, run)
-// measure the identical link. The campaign keys by profile, so every cell of
-// a profile is paired; the replay and the evaluation key by "profile|plan".
-func runSeed(seed int64, key string, run int) int64 {
+// runSeed derives the seed of run number run of profile from the sweep seed:
+// runs with equal (seed, profile, run) measure the identical link, so every
+// cell of a profile is paired.
+func runSeed(seed int64, profile string, run int) int64 {
 	h := fnv.New64a()
-	h.Write([]byte(key))
+	h.Write([]byte(profile))
 	return int64(stats.SplitMix64(uint64(seed) ^ h.Sum64() ^ uint64(run)*stats.SplitMix64Gamma))
 }
 
@@ -98,6 +97,20 @@ func newLink(profile *ranprofile.Profile, plan *faults.Plan, seed int64, reg *ob
 		StateHook: machine.Hook(),
 		Impair:    plan.Injector().Impair(0, 0),
 	}, seed), machine
+}
+
+// oracleMbps is the yardstick of one run: the mean capacity its link offers
+// over estimate.BTSAppDuration, the span of the paper's flooding ground truth.
+// The link carries no flow and no fault. Its capacity path is a function of
+// (profile, seed) alone, so this is the capacity every contestant of the run
+// was offered, whatever it opened and whatever fault its cell injected. No
+// registry: its rows count measured links only.
+func oracleMbps(profile *ranprofile.Profile, seed int64) float64 {
+	link, _ := newLink(profile, nil, seed, nil)
+	for link.Now() < estimate.BTSAppDuration {
+		link.Advance()
+	}
+	return link.CapacityMbit() / estimate.BTSAppDuration.Seconds()
 }
 
 // engineOn runs the Swiftest engine over link for at most
@@ -125,7 +138,7 @@ type algorithm struct {
 // sweep is one seeded run matrix: every profile × algorithm × fault plan
 // cell, in that order, measured runs times. The campaign, the training
 // replay and the paired evaluation all run through runSweep, so their
-// reports differ by algorithm rows, fault plans and seed key only.
+// reports differ by algorithm rows and fault plans only.
 type sweep struct {
 	profiles []string
 	algs     []algorithm
@@ -134,24 +147,19 @@ type sweep struct {
 	seed     int64
 	workers  int // zero selects 1
 	reg      *obs.Registry
-	// keyByPlan keys run seeds by "profile|plan", not by the profile alone:
-	// the replay and the evaluation pair rows within a fault plan only, the
-	// campaign across fault plans too, as truth is fault-free anyway.
-	keyByPlan bool
 }
 
 // sweepCell is one cell of a sweep. Run r measures the link seeds[r] builds
-// and is scored against truth[r]; the cells of a seed key share both slices,
-// and the first of them (floods) fills truth. model is the profile's
-// bandwidth model, the engine's prior; out holds the runs as reduced.
+// and is scored against oracle[r], that link's oracleMbps; the cells of a
+// profile share both slices. model is the profile's bandwidth model, the
+// engine's prior; out holds the runs as reduced.
 type sweepCell[T any] struct {
 	profile *ranprofile.Profile
 	model   *gmm.Model
 	alg     algorithm
 	plan    NamedFaultPlan
 	seeds   []int64
-	truth   []float64
-	floods  bool
+	oracle  []float64
 	out     []T
 }
 
@@ -162,7 +170,6 @@ type sweepCell[T any] struct {
 // whatever the completion order, so the caller's sums are a pure function of s.
 func runSweep[T any](ctx context.Context, s sweep, reduce func(core.Result, *ranprofile.Machine) T) ([]sweepCell[T], error) {
 	var cells []sweepCell[T]
-	firstOf := make(map[string]int) // seed key → index of its first cell
 	for _, name := range s.profiles {
 		profile, err := ranprofile.Get(name)
 		if err != nil {
@@ -172,24 +179,14 @@ func runSweep[T any](ctx context.Context, s sweep, reduce func(core.Result, *ran
 		if err != nil {
 			return nil, fmt.Errorf("exper: %w", err)
 		}
+		seeds, oracle := make([]int64, s.runs), make([]float64, s.runs)
+		for run := range seeds {
+			seeds[run] = runSeed(s.seed, name, run)
+			oracle[run] = oracleMbps(profile, seeds[run])
+		}
 		for _, alg := range s.algs {
 			for _, fp := range s.plans {
-				key := name
-				if s.keyByPlan {
-					key += "|" + fp.Name
-				}
-				first, seen := firstOf[key]
-				cell := sweepCell[T]{profile: profile, model: model, alg: alg, plan: fp, floods: !seen, out: make([]T, s.runs)}
-				if seen {
-					cell.seeds, cell.truth = cells[first].seeds, cells[first].truth
-				} else {
-					firstOf[key] = len(cells)
-					cell.seeds, cell.truth = make([]int64, s.runs), make([]float64, s.runs)
-					for run := range cell.seeds {
-						cell.seeds[run] = runSeed(s.seed, key, run)
-					}
-				}
-				cells = append(cells, cell)
+				cells = append(cells, sweepCell[T]{profile: profile, model: model, alg: alg, plan: fp, seeds: seeds, oracle: oracle, out: make([]T, s.runs)})
 			}
 		}
 	}
@@ -206,15 +203,6 @@ func runSweep[T any](ctx context.Context, s sweep, reduce func(core.Result, *ran
 			defer wg.Done()
 			for idx := range next {
 				cell, run := &cells[idx/s.runs], idx%s.runs
-				if cell.floods {
-					// The ground truth: BTS-APP floods the same link — same
-					// state chain, same AR(1) noise and dips — for 10 s without
-					// faults, so accuracy isolates what the algorithm loses,
-					// not what the fault destroyed. No registry: its rows
-					// count measured links only.
-					link, _ := newLink(cell.profile, nil, cell.seeds[run], nil)
-					cell.truth[run] = (&baseline.BTSApp{}).Run(link).Result
-				}
 				link, machine := newLink(cell.profile, cell.plan.Plan, cell.seeds[run], s.reg)
 				if p := cell.alg.prober; p != nil {
 					rep := p.Run(link)

@@ -139,6 +139,7 @@ type Link struct {
 	queueBits float64       // bottleneck queue occupancy in bits
 	shapedMB  float64       // cumulative traffic counted against the shaper burst
 	dipUntil  time.Duration // episodic dip active until this virtual time
+	capMbit   float64       // ∫cap dt: the capacity offered so far, in Mbit
 	state     LinkState     // current profile state, valid when haveState
 	haveState bool          // a StateHook has been evaluated at least once
 
@@ -198,6 +199,10 @@ func (l *Link) Now() time.Duration { return l.now }
 
 // Config returns the link's configuration.
 func (l *Link) Config() Config { return l.cfg }
+
+// CapacityMbit reports ∫cap dt over every Advance so far, in Mbit: the
+// capacity the link offered before fair sharing. Reading it draws nothing.
+func (l *Link) CapacityMbit() float64 { return l.capMbit }
 
 // BaseRTT reports the current propagation RTT: the active profile state's
 // RTT when a StateHook drives the link, the configured RTT otherwise.
@@ -509,6 +514,7 @@ func (l *Link) Advance() {
 	}
 
 	cap := l.capacityNow()
+	l.capMbit += cap * TickSeconds
 	shares := l.fairShare(cap, eff)
 
 	lossRate := l.lossRateNow()

@@ -8,8 +8,9 @@ import (
 
 // deliveryTrace runs a link that exercises every draw the emulator makes —
 // AR(1) capacity noise, Poisson dip starts, burst and spurious loss — and
-// records what one saturating flow saw on each tick.
-func deliveryTrace(seed int64, ticks int) ([]float64, []bool) {
+// records what one saturating flow saw on each tick. readCapacity reads
+// CapacityMbit after every tick, which must change nothing.
+func deliveryTrace(seed int64, ticks int, readCapacity bool) ([]float64, []bool) {
 	l := MustNew(Config{
 		CapacityMbps: 200,
 		RTT:          30 * time.Millisecond,
@@ -24,23 +25,27 @@ func deliveryTrace(seed int64, ticks int) ([]float64, []bool) {
 	lost := make([]bool, ticks)
 	for i := range achieved {
 		l.Advance()
+		if readCapacity {
+			_ = l.CapacityMbit()
+		}
 		achieved[i], lost[i] = f.Achieved(), f.LossSignal()
 	}
 	return achieved, lost
 }
 
 // TestSeedReplaysDeliveryTrace is the seed contract: one seed names one link,
-// tick for tick, and another seed names another.
+// tick for tick, and another seed names another. Reading the link's ∫cap on
+// one of the two replays must not move it.
 func TestSeedReplaysDeliveryTrace(t *testing.T) {
 	const ticks = 1000
-	a, aLost := deliveryTrace(7, ticks)
-	b, bLost := deliveryTrace(7, ticks)
+	a, aLost := deliveryTrace(7, ticks, false)
+	b, bLost := deliveryTrace(7, ticks, true)
 	for i := range a {
 		if a[i] != b[i] || aLost[i] != bLost[i] {
 			t.Fatalf("seed 7 diverged from itself at tick %d: %v/%v vs %v/%v", i, a[i], aLost[i], b[i], bLost[i])
 		}
 	}
-	c, _ := deliveryTrace(8, ticks)
+	c, _ := deliveryTrace(8, ticks, false)
 	same := 0
 	for i := range a {
 		if a[i] == c[i] {
@@ -127,5 +132,40 @@ func TestCapacityPathIgnoresFlows(t *testing.T) {
 				t.Fatalf("tick %d: capacity %v with %d flows, %v with none", tick, got, len(offers[i+1]), want)
 			}
 		}
+	}
+}
+
+// TestCapacityMbitIntegratesCapacity: CapacityMbit is Σ capacityNow()·TickSeconds
+// over the ticks advanced, each tick's capacity read at the tick's own time.
+// The dips make the difference between that and a read after the clock moves:
+// on a dip's last tick the link is still dipped, and one tick later it is not.
+func TestCapacityMbitIntegratesCapacity(t *testing.T) {
+	l := MustNew(Config{
+		CapacityMbps: 100,
+		RTT:          30 * time.Millisecond,
+		Fluctuation:  0.05,
+		Dipping:      &Dips{RatePerSec: 2, Depth: 0.6, Duration: 100 * time.Millisecond},
+	}, 5)
+	var want float64
+	dipEnds := 0
+	for tick := 0; tick < 1000; tick++ {
+		l.Advance()
+		// Rewind the clock to the tick just advanced to read its capacity.
+		l.now -= Tick
+		c := l.capacityNow()
+		l.now += Tick
+		if l.now == l.dipUntil {
+			dipEnds++
+			if c == l.capacityNow() {
+				t.Fatalf("tick %d: a dip's last tick reads capacity %v, as the tick after it does", tick, c)
+			}
+		}
+		want += c * TickSeconds
+		if got := l.CapacityMbit(); got != want {
+			t.Fatalf("tick %d: CapacityMbit = %v, want %v", tick, got, want)
+		}
+	}
+	if dipEnds == 0 {
+		t.Fatal("no dip ended in 1000 ticks: the test never crossed a dip's last tick")
 	}
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Scenario campaign smoke: the RAN profile sweep must cover the whole
 # embedded library against multiple algorithms and fault plans, the
-# swiftest-campaign-report/v1 JSON must be byte-identical across reruns and
-# worker counts, and every cell of a profile must share one truth flood.
+# swiftest-campaign-report/v2 JSON must be byte-identical across reruns and
+# worker counts, and every cell of a profile must share one oracle.
 set -euo pipefail
 
 WORK="$(mktemp -d)"
@@ -30,8 +30,8 @@ cmp "$WORK/w8.json" "$WORK/w8b.json" || {
   exit 1
 }
 
-grep -q '"schema": "swiftest-campaign-report/v1"' "$WORK/w1.json" || {
-  echo "campaign JSON is missing the swiftest-campaign-report/v1 schema tag" >&2
+grep -q '"schema": "swiftest-campaign-report/v2"' "$WORK/w1.json" || {
+  echo "campaign JSON is missing the swiftest-campaign-report/v2 schema tag" >&2
   exit 1
 }
 grep -q 'PROFILE' "$WORK/table.txt" || {
@@ -65,13 +65,13 @@ fi
 
 # --- Leg 2: pairing ----------------------------------------------------------
 # Runs are seeded by (seed, profile, run) alone, so every algorithm and fault
-# plan of a profile is scored against the same truth flood: the report must
-# hold exactly one distinct mean_truth_mbps per profile.
+# plan of a profile is scored against the same oracle: the report must hold
+# exactly one distinct mean_oracle_mbps per profile.
 nprofiles="$(grep -o '"profile": "[^"]*"' "$WORK/w1.json" | sort -u | wc -l)"
-ntruths="$(awk '/"profile":/ { p = $2 } /"mean_truth_mbps":/ { print p, $2 }' "$WORK/w1.json" | sort -u | wc -l)"
-if [ "$nprofiles" -lt 8 ] || [ "$ntruths" -ne "$nprofiles" ]; then
-  echo "campaign cells are unpaired: $ntruths distinct (profile, mean_truth_mbps) pairs over $nprofiles profiles" >&2
+noracles="$(awk '/"profile":/ { p = $2 } /"mean_oracle_mbps":/ { print p, $2 }' "$WORK/w1.json" | sort -u | wc -l)"
+if [ "$nprofiles" -lt 8 ] || [ "$noracles" -ne "$nprofiles" ]; then
+  echo "campaign cells are unpaired: $noracles distinct (profile, mean_oracle_mbps) pairs over $nprofiles profiles" >&2
   exit 1
 fi
 
-echo "campaign smoke passed: full-library sweep, byte-identical across workers and reruns, seed-sensitive, one truth per profile"
+echo "campaign smoke passed: full-library sweep, byte-identical across workers and reruns, seed-sensitive, one oracle per profile"

@@ -3,8 +3,10 @@
 # replay and paired evaluation built on it in internal/exper.
 #
 #  1. Training is deterministic — the same flags produce a byte-identical
-#     swiftest-earlystop-model/v1 artifact across reruns — and a threshold
-#     outside (0,1) exits non-zero without writing an artifact.
+#     swiftest-earlystop-model/v1 artifact across reruns, and the command
+#     internal/earlystop/embed.go documents writes the embedded
+#     default_model.json byte for byte — and a threshold outside (0,1) exits
+#     non-zero without writing an artifact.
 #  2. `-terminate earlystop` drives the emulated substrate: on a churning
 #     profile the model fires before the crossing rule (an early_stop trace
 #     event with note "model"), and the whole run-record is byte-identical
@@ -34,6 +36,14 @@ cmp "$WORK/tiny_a.json" "$WORK/tiny_b.json" || {
   echo "earlystop training is not deterministic: artifacts differ across reruns" >&2
   exit 1
 }
+# The shipped model is the exact output of its documented command.
+"$WORK/swiftest" earlystop train -seed 7 -runs 6 -tolerance 0.15 -threshold 0.80 \
+  -o "$WORK/default_model.json" 2> /dev/null
+cmp "$WORK/default_model.json" internal/earlystop/default_model.json || {
+  echo "internal/earlystop/default_model.json is not what its command in embed.go writes;" >&2
+  echo "rerun: go run ./cmd/swiftest earlystop train -seed 7 -runs 6 -tolerance 0.15 -threshold 0.80 -o internal/earlystop/default_model.json" >&2
+  exit 1
+}
 grep -q '"schema": "swiftest-earlystop-model/v1"' "$WORK/tiny_a.json" || {
   echo "trained artifact is missing the swiftest-earlystop-model/v1 schema tag" >&2
   exit 1
@@ -59,7 +69,7 @@ grep -q 'outside (0,1)' "$WORK/bad.log" || {
   cat "$WORK/bad.log" >&2
   exit 1
 }
-echo "earlystop training gate passed: byte-identical artifact, bad threshold refused"
+echo "earlystop training gate passed: byte-identical artifact, shipped model reproduced, bad threshold refused"
 
 # --- Leg 2: emulated substrate -----------------------------------------------
 # A churning 4G drive profile: the embedded default model must stop the test
