@@ -20,7 +20,7 @@
 // The §3 measurement study and the paper's claims:
 //
 //	swiftest dataset -n 1000000 -seed 1 | swiftest analyze [-report tech|bands|diurnal|rss|wifi|models|all]
-//	swiftest claims  [-quick] [-seed 1] [-only fig4,sec5.3,fig20.ping]
+//	swiftest claims  [-seed 1] [-only fig4,sec5.3,fig20.ping]
 package main
 
 import (

@@ -230,9 +230,8 @@ func reportModels(records []dataset.Record, seed int64, modelsOut string) error 
 // block EXPERIMENTS.md carries. A claim that fails to hold is an error.
 func claimsCmd(args []string) error {
 	fs := flag.NewFlagSet("claims", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "reduced scale: 150k records, 40 pairs and 20 groups per technology, 3 days")
 	seed := fs.Int64("seed", 1, "corpus seed")
-	workers := fs.Int("workers", 0, "corpus generation workers (0 = GOMAXPROCS); the output is worker-invariant")
+	workers := fs.Int("workers", 0, "corpus generation and §5.3 sweep workers (0 = GOMAXPROCS); the output is worker-invariant")
 	only := fs.String("only", "", "comma-separated row IDs or figure keys (e.g. fig4,sec5.3,fig20.ping)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -241,14 +240,10 @@ func claimsCmd(args []string) error {
 	if err != nil {
 		return usageError{err}
 	}
-	scale := claims.Full
-	if *quick {
-		scale = claims.Quick
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	start := time.Now() //lint:allow walltime reports real elapsed time on stderr
-	failed, err := claims.NewCorpus(ctx, scale, *seed, *workers).Run(os.Stdout, rows)
+	failed, err := claims.NewCorpus(ctx, *seed, *workers).Run(os.Stdout, rows)
 	fmt.Fprintf(os.Stderr, "%d rows, %d failed %v, in %v\n", len(rows), len(failed), failed,
 		time.Since(start).Round(time.Millisecond)) //lint:allow walltime reports real elapsed time on stderr
 	if err != nil {

@@ -2,8 +2,8 @@
 // one row per claim: where the paper states it, the paper's value, how this
 // repository measures it over a shared seeded Corpus, the predicate that
 // decides whether the claim holds, and the footnote explaining any
-// departure. TestPaperClaims runs the table at Quick scale, `swiftest
-// claims` prints it at Full scale, and EXPERIMENTS.md carries that output verbatim.
+// departure. TestPaperClaims runs the table, `swiftest claims` prints it,
+// and EXPERIMENTS.md carries that output verbatim.
 package claims
 
 import (
@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 
@@ -54,21 +55,19 @@ func col[T, R any](xs []T, f func(T) R) []R {
 	return out
 }
 
-// Scale sizes a Corpus: 2021 records (2020 gets half), back-to-back pairs
-// and three-way groups per technology, and the Fig 26 and §5.2 spans in days.
-type Scale struct{ records, pairs, groups, utilDays, traceDays int }
-
-// Quick and Full are the only two scales.
-var (
-	Quick = Scale{150000, 40, 20, 3, 2}
-	Full  = Scale{600000, 150, 60, 30, 7}
+// The corpus's scale: 2021 records (2020 gets half), §5.3 links per
+// technology, and the Fig 26 and §5.2 spans in days.
+const (
+	records   = 600000
+	links     = 150
+	utilDays  = 30
+	traceDays = 7
 )
 
 // Corpus is the seeded input every row measures, each part built on first
-// use and kept. Workers only changes how fast records are generated, never
-// their contents. Not safe for concurrent use.
+// use and kept. Workers only changes how fast records are generated and
+// links measured, never the results. Not safe for concurrent use.
 type Corpus struct {
-	scale   Scale
 	seed    int64
 	ctx     context.Context
 	workers int
@@ -81,9 +80,13 @@ type part struct {
 	err error
 }
 
-// NewCorpus returns an empty corpus; ctx cancels the campaigns between runs.
-func NewCorpus(ctx context.Context, s Scale, seed int64, workers int) *Corpus {
-	return &Corpus{scale: s, seed: seed, ctx: ctx, workers: workers, memo: map[string]part{}}
+// NewCorpus returns an empty corpus; ctx cancels the §5.3 sweep between
+// runs. A non-positive workers selects GOMAXPROCS.
+func NewCorpus(ctx context.Context, seed int64, workers int) *Corpus {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return &Corpus{seed: seed, ctx: ctx, workers: workers, memo: map[string]part{}}
 }
 
 // get returns the part named key, building it on first use. A build error
@@ -108,7 +111,7 @@ func (c *Corpus) records() (r20, r21 []dataset.Record) {
 		gen := func(year int, seed int64, n int) []dataset.Record {
 			return dataset.MustNewGenerator(dataset.Config{Year: year, Seed: seed}).GenerateParallel(n, c.workers)
 		}
-		return [2][]dataset.Record{gen(2020, c.seed+1, c.scale.records/2), gen(2021, c.seed, c.scale.records)}, nil
+		return [2][]dataset.Record{gen(2020, c.seed+1, records/2), gen(2021, c.seed, records)}, nil
 	})
 	return r[0], r[1]
 }
@@ -143,25 +146,19 @@ func (c *Corpus) model(t dataset.Tech) *gmm.Model {
 	return get(c, "model/"+t.String(), func() (*gmm.Model, error) { return dataset.TechModel(t, 2021) })
 }
 
-// techs are the technologies the §5.3 campaigns run, in table order.
+// techs are the technologies the §5.3 sweep draws links for, in table order.
 var techs = []dataset.Tech{dataset.Tech4G, dataset.Tech5G, dataset.TechWiFi}
 
-// pairs is the back-to-back campaign of techs[i]; -1 joins all three.
-func (c *Corpus) pairs(i int) []exper.PairResult {
-	if i < 0 {
-		return slices.Concat(c.pairs(0), c.pairs(1), c.pairs(2))
+// contests is the §5.3 sweep's runs of techs[i], one sweep measuring all
+// three; -1 joins them.
+func (c *Corpus) contests(i int) []exper.Contest {
+	all := get(c, "contests", func() ([][]exper.Contest, error) {
+		return exper.RunContests(c.ctx, techs, links, c.seed, c.workers)
+	})
+	if i < 0 || all == nil { // a failed sweep has no runs
+		return slices.Concat(all...)
 	}
-	return get(c, "pairs/"+techs[i].String(), func() ([]exper.PairResult, error) {
-		return exper.PairCampaign(c.ctx, techs[i], c.scale.pairs, c.seed+int64(i)*31)
-	})
-}
-
-// btses summarises the three-way campaign of techs[i].
-func (c *Corpus) btses(i int) exper.BTSComparison {
-	return get(c, "groups/"+techs[i].String(), func() (exper.BTSComparison, error) {
-		g, err := exper.ThreeWayCampaign(c.ctx, techs[i], c.scale.groups, c.seed+int64(i)*53)
-		return exper.CompareBTSes(g), err
-	})
+	return all[i]
 }
 
 // ramps is Fig 17: one algorithm's mean ramp time (s) at 100, 300, … 1100 Mbps.
@@ -192,7 +189,7 @@ func (c *Corpus) utilization() *stats.Sample {
 	return get(c, "utilization", func() (*stats.Sample, error) {
 		plan, _ := c.plans()
 		u, err := deploy.SimulateUtilization(plan, deploy.UtilizationOptions{
-			Days: c.scale.utilDays, TestsPerDay: 10000, DrawBandwidth: c.model(dataset.Tech5G).Sample, Seed: c.seed})
+			Days: utilDays, TestsPerDay: 10000, DrawBandwidth: c.model(dataset.Tech5G).Sample, Seed: c.seed})
 		return stats.NewSample(u), err
 	})
 }
@@ -202,7 +199,7 @@ func (c *Corpus) utilization() *stats.Sample {
 func (c *Corpus) trace() deploy.TraceSummary {
 	return get(c, "trace", func() (deploy.TraceSummary, error) {
 		m5, m4 := c.model(dataset.Tech5G), c.model(dataset.Tech4G)
-		tr, err := deploy.GenerateTrace(deploy.TraceOptions{Days: c.scale.traceDays, TestsPerDay: 200000, Seed: c.seed,
+		tr, err := deploy.GenerateTrace(deploy.TraceOptions{Days: traceDays, TestsPerDay: 200000, Seed: c.seed,
 			DrawBandwidth: func(rng *rand.Rand) float64 {
 				if rng.Float64() < 0.35 {
 					return m5.Sample(rng)

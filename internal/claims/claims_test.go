@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// TestPaperClaims checks every claim of the paper at Quick scale, seed 1.
+// TestPaperClaims checks every claim of the paper at seed 1.
 func TestPaperClaims(t *testing.T) {
-	c := NewCorpus(context.Background(), Quick, 1, 0)
+	c := NewCorpus(context.Background(), 1, 0)
 	for _, r := range Table {
 		t.Run(r.ID, func(t *testing.T) {
 			v, err := c.check(r)
@@ -99,7 +99,7 @@ func TestRunMarksFailuresAndNumbersNotes(t *testing.T) {
 			Measure: func(c *Corpus) M { c.err = errors.New("boom"); return M{} }},
 	}
 	var out strings.Builder
-	failed, err := NewCorpus(context.Background(), Quick, 7, 1).Run(&out, rows)
+	failed, err := NewCorpus(context.Background(), 7, 1).Run(&out, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,10 +96,10 @@ type ScenarioStats struct {
 	MeanDurationMS float64 `json:"mean_duration_ms"`
 	// MeanDataMB is the mean data consumed per test.
 	MeanDataMB float64 `json:"mean_data_mb"`
-	// MeanEstimateMbps / MeanTruthMbps are the mean reported bandwidth and
-	// the mean ground truth, which is the oracle.
+	// MeanEstimateMbps / MeanOracleMbps are the mean reported bandwidth and
+	// the mean oracle.
 	MeanEstimateMbps float64 `json:"mean_estimate_mbps"`
-	MeanTruthMbps    float64 `json:"mean_oracle_mbps"`
+	MeanOracleMbps   float64 `json:"mean_oracle_mbps"`
 	// Converged counts runs the algorithm terminated by its own criterion
 	// (always Runs for the flooding baselines).
 	Converged int `json:"converged"`
@@ -139,7 +139,7 @@ func (r *CampaignReport) WriteTable(w io.Writer) error {
 	for _, s := range r.Scenarios {
 		if _, err := fmt.Fprintf(w, "%-26s %-9s %-11s %7.1f%% %9.0f %8.2f %9.1f %10.1f %2d/%-2d %5d\n",
 			s.Profile, s.Algorithm, s.FaultPlan, 100*s.MeanAccuracy, s.MeanDurationMS,
-			s.MeanDataMB, s.MeanEstimateMbps, s.MeanTruthMbps, s.Converged, s.Runs, s.Handovers); err != nil {
+			s.MeanDataMB, s.MeanEstimateMbps, s.MeanOracleMbps, s.Converged, s.Runs, s.Handovers); err != nil {
 			return err
 		}
 	}
@@ -203,7 +203,7 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignReport, erro
 	}
 	for _, cell := range cells {
 		s := ScenarioStats{
-			Profile:   cell.profile.Name,
+			Profile:   cell.name,
 			Algorithm: cell.alg.name,
 			FaultPlan: cell.plan.Name,
 			Runs:      cfg.Runs,
@@ -214,7 +214,7 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignReport, erro
 			s.MeanDurationMS += float64(o.duration) / float64(time.Millisecond)
 			s.MeanDataMB += o.dataMB
 			s.MeanEstimateMbps += o.estimate
-			s.MeanTruthMbps += oracle
+			s.MeanOracleMbps += oracle
 			if o.converged {
 				s.Converged++
 			}
@@ -226,7 +226,7 @@ func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignReport, erro
 		s.MeanDurationMS /= n
 		s.MeanDataMB /= n
 		s.MeanEstimateMbps /= n
-		s.MeanTruthMbps /= n
+		s.MeanOracleMbps /= n
 		report.Scenarios = append(report.Scenarios, s)
 	}
 	return report, nil

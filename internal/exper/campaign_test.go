@@ -64,22 +64,22 @@ func TestCampaignGolden(t *testing.T) {
 	}
 }
 
-// TestRunLinksShareCapacity pins what pairs a campaign's cells: at one seed,
-// newLink gives every contestant the same capacity, whatever number of flows
-// it opens. One flow offering far above any profile's capacity takes all of
-// it, so four such flows must take the same total, tick for tick, on every
-// library profile.
+// TestRunLinksShareCapacity pins what pairs a sweep's cells: a run's link
+// gives every contestant the same capacity, whatever number of flows it
+// opens. One flow offering far above any link's capacity takes all of it, so
+// four such flows must take the same total, tick for tick, on every library
+// profile and every Scenario technology.
 func TestRunLinksShareCapacity(t *testing.T) {
 	const ticks = int(SwiftestMaxDuration / linksim.Tick)
-	for _, name := range ranprofile.Names() {
-		t.Run(name, func(t *testing.T) {
-			profile, err := ranprofile.Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for seed := int64(1); seed <= 5; seed++ {
-				one, _ := newLink(profile, nil, seed, nil)
-				four, _ := newLink(profile, nil, seed, nil)
+	srcs, err := sweep{profiles: ranprofile.Names(), techs: contestTechs, runs: 5, seed: 1}.sources()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range srcs {
+		t.Run(src.name, func(t *testing.T) {
+			for run := range src.seeds {
+				one, _ := src.link(run, nil, false, nil)
+				four, _ := src.link(run, nil, false, nil)
 				solo := one.NewFlow()
 				solo.SetOffered(1e5)
 				var flows [4]*linksim.Flow
@@ -95,7 +95,7 @@ func TestRunLinksShareCapacity(t *testing.T) {
 						sum += f.Achieved()
 					}
 					if want := solo.Achieved(); math.Abs(sum-want) > 1e-9*want {
-						t.Fatalf("seed %d tick %d: four flows took %v Mbit/s, one flow %v", seed, tick, sum, want)
+						t.Fatalf("run %d tick %d: four flows took %v Mbit/s, one flow %v", run, tick, sum, want)
 					}
 				}
 			}
@@ -103,24 +103,42 @@ func TestRunLinksShareCapacity(t *testing.T) {
 	}
 }
 
-// TestOracleIsWhatContestantsMeasured: the oracle read on a link carrying no
-// flow is bit-equal to the ∫cap over the same 10 s of a link of the same seed
-// that one saturating flow drives, on every library profile.
-func TestOracleIsWhatContestantsMeasured(t *testing.T) {
-	for _, name := range ranprofile.Names() {
-		profile, err := ranprofile.Get(name)
+// TestDriftedRowScalesOracle: a §5.3 run's drifted BTS-APP row is offered
+// the run's capacity path scaled by the run's pair drift, on every
+// technology.
+func TestDriftedRowScalesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		srcs, err := sweep{techs: contestTechs, runs: 1, seed: seed}.sources()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for seed := int64(1); seed <= 3; seed++ {
-			link, _ := newLink(profile, nil, seed, nil)
+		for _, src := range srcs {
+			link, _ := src.link(0, nil, true, nil)
+			got, want := oracleMbps(link), src.drift[0]*src.oracle[0]
+			if math.Abs(got-want) > 1e-9*want || src.drift[0] == 1 {
+				t.Errorf("%s seed %d: drifted ∫cap %v Mbit/s, want drift %v × oracle %v", src.name, seed, got, src.drift[0], src.oracle[0])
+			}
+		}
+	}
+}
+
+// TestOracleIsWhatContestantsMeasured: a run's oracle, read on a link
+// carrying no flow, is bit-equal to the ∫cap over the same 10 s of the run's
+// link when one saturating flow drives it, on every library profile.
+func TestOracleIsWhatContestantsMeasured(t *testing.T) {
+	srcs, err := sweep{profiles: ranprofile.Names(), runs: 3, seed: 1}.sources()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range srcs {
+		for run, oracle := range src.oracle {
+			link, _ := src.link(run, nil, false, nil)
 			link.NewFlow().SetOffered(1e5)
 			for link.Now() < estimate.BTSAppDuration {
 				link.Advance()
 			}
-			flooded := link.CapacityMbit() / estimate.BTSAppDuration.Seconds()
-			if oracle := oracleMbps(profile, seed); oracle != flooded || oracle <= 0 {
-				t.Errorf("%s seed %d: oracle %v Mbit/s without flows, %v under a saturating flow", name, seed, oracle, flooded)
+			if flooded := link.CapacityMbit() / estimate.BTSAppDuration.Seconds(); oracle != flooded || oracle <= 0 {
+				t.Errorf("%s run %d: oracle %v Mbit/s without flows, %v under a saturating flow", src.name, run, oracle, flooded)
 			}
 		}
 	}
@@ -142,7 +160,7 @@ func TestCampaignScoresBTSApp(t *testing.T) {
 	oracle := make(map[string]float64)
 	for _, s := range rep.Scenarios {
 		if s.Algorithm == "swiftest" {
-			oracle[s.Profile] = s.MeanTruthMbps
+			oracle[s.Profile] = s.MeanOracleMbps
 		}
 	}
 	btsapp := 0
@@ -154,8 +172,8 @@ func TestCampaignScoresBTSApp(t *testing.T) {
 		if s.MeanAccuracy <= 0 || s.MeanAccuracy > 1 {
 			t.Errorf("%s/btsapp/%s: accuracy %g out of (0,1]", s.Profile, s.FaultPlan, s.MeanAccuracy)
 		}
-		if s.MeanTruthMbps != oracle[s.Profile] {
-			t.Errorf("%s/btsapp/%s: oracle %v, the swiftest rows have %v", s.Profile, s.FaultPlan, s.MeanTruthMbps, oracle[s.Profile])
+		if s.MeanOracleMbps != oracle[s.Profile] {
+			t.Errorf("%s/btsapp/%s: oracle %v, the swiftest rows have %v", s.Profile, s.FaultPlan, s.MeanOracleMbps, oracle[s.Profile])
 		}
 	}
 	if want := 2 * len(BuiltinFaultPlans()); btsapp != want {
@@ -185,8 +203,8 @@ func TestCampaignSweepShape(t *testing.T) {
 	}
 	var totalStateChanges int
 	for _, s := range rep.Scenarios {
-		if s.MeanTruthMbps <= 0 {
-			t.Errorf("%s/%s/%s: non-positive ground truth", s.Profile, s.Algorithm, s.FaultPlan)
+		if s.MeanOracleMbps <= 0 {
+			t.Errorf("%s/%s/%s: non-positive oracle", s.Profile, s.Algorithm, s.FaultPlan)
 		}
 		// FastBTS may answer 0: a blackout's run of zero samples can be its
 		// crucial interval (estimate's TestFastBTSAnswersZeroOnBlackout).
@@ -276,10 +294,10 @@ func TestCampaignCellsArePaired(t *testing.T) {
 		for _, s := range rep.Scenarios {
 			rows[[3]string{s.Profile, s.Algorithm, s.FaultPlan}] = s
 			if first, seen := truth[s.Profile]; !seen {
-				truth[s.Profile] = s.MeanTruthMbps
-			} else if s.MeanTruthMbps != first {
+				truth[s.Profile] = s.MeanOracleMbps
+			} else if s.MeanOracleMbps != first {
 				t.Errorf("%s/%s/%s: truth %v, the profile's first cell has %v",
-					s.Profile, s.Algorithm, s.FaultPlan, s.MeanTruthMbps, first)
+					s.Profile, s.Algorithm, s.FaultPlan, s.MeanOracleMbps, first)
 			}
 		}
 		if truth["5g-drive"] == truth["subway"] {

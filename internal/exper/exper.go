@@ -1,16 +1,16 @@
-// Package exper is the experiment harness for §5.3: it runs large
-// back-to-back bandwidth-test campaigns over emulated access links and
-// produces the distributions behind Figures 17 and 20–26 — test durations,
-// data usage, deviations against BTS-APP ground truth as the paper scores
-// them, three-way baseline comparisons, and server utilization.
+// Package exper is the experiment harness for §5.3: it runs seeded
+// bandwidth-test campaigns over emulated access links and produces the
+// distributions behind Figures 17 and 20–25 — ramp times, test durations,
+// data usage, Swiftest / BTS-APP deviations and accuracy.
 //
-// The RAN sweep (runSweep: the campaign, the training replay and the paired
-// evaluation) scores against the link instead: its oracle is the mean
-// capacity the run's link offered over 10 s, known exactly in emulation.
-//
-// Links are drawn per technology from the calibrated bandwidth models of
-// package dataset, with realistic RTT, fluctuation, and occasional traffic
-// shaping; every campaign is seeded and reproducible.
+// One runner, runSweep, measures the RAN campaign, the training replay, the
+// paired evaluation and the §5.3 contests. Its links come from the RAN
+// profile library or from Scenario, which draws them per technology from the
+// calibrated bandwidth models of package dataset, with realistic RTT,
+// fluctuation and occasional traffic shaping. Every contestant of a run
+// measures the link of one seed, and every run is scored against its
+// oracle: the mean capacity that link offered over 10 s, known exactly in
+// emulation.
 package exper
 
 import (
@@ -27,6 +27,7 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/dataset"
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
+	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
 )
 
 // LinkDraw is one sampled access-link scenario.
@@ -139,16 +140,6 @@ const PingOverhead = 200 * time.Millisecond
 // deployment observed a 4.49 s worst case.
 const SwiftestMaxDuration = 4500 * time.Millisecond
 
-// PairResult is one back-to-back Swiftest / BTS-APP test pair (§5.3's
-// evaluation unit).
-type PairResult struct {
-	Link     LinkDraw
-	Swiftest core.Result
-	BTSApp   baseline.Report
-	// Deviation is the pair's result difference per the §5.3 metric.
-	Deviation float64
-}
-
 // PairDriftSigma is the relative capacity drift between the two tests of a
 // back-to-back pair: they run sequentially (with a cooldown), so the access
 // link's available capacity differs slightly between them. This baseline
@@ -156,111 +147,43 @@ type PairResult struct {
 // calm links.
 const PairDriftSigma = 0.035
 
-// RunPair executes one back-to-back pair: the two tests see the same link
-// scenario up to a small sequential capacity drift.
-func RunPair(ctx context.Context, draw LinkDraw, model *gmm.Model, seed int64) (PairResult, error) {
-	res, err := engineOn(ctx, linksim.MustNew(draw.Config, seed), model, nil)
+// Contest is one run of the §5.3 benchmark: one drawn link measured by
+// Swiftest, BTS-APP (Figures 20–22's back-to-back pair, its capacity scaled
+// by the pair drift), FAST and FastBTS (Figures 23–25), and the oracle: the
+// mean capacity the link offered over 10 s.
+type Contest struct {
+	OracleMbps                      float64
+	Swiftest, BTSApp, FAST, FastBTS core.Result
+}
+
+// contestants are the §5.3 rows, in Contest's field order.
+var contestants = []algorithm{
+	{name: "swiftest"},
+	{name: "btsapp", prober: &baseline.BTSApp{}, drifted: true},
+	{name: "fast", prober: &baseline.FAST{}},
+	{name: "fastbts", prober: &baseline.FastBTS{}},
+}
+
+// RunContests measures runs Scenario links per technology in one sweep on
+// workers goroutines (zero selects 1): run r of technology t is seeded
+// runSeed(seed, t, r), and every contestant of the run measures the link of
+// that seed. out[i] holds techs[i]'s runs in run order, a pure function of
+// (techs, runs, seed); a cancelled ctx stops the sweep between runs.
+func RunContests(ctx context.Context, techs []dataset.Tech, runs int, seed int64, workers int) ([][]Contest, error) {
+	cells, err := runSweep(ctx, sweep{
+		techs: techs, algs: contestants, plans: []NamedFaultPlan{{Name: "none"}},
+		runs: runs, seed: seed, workers: workers,
+	}, func(res core.Result, _ *ranprofile.Machine) core.Result { return res })
 	if err != nil {
-		return PairResult{}, fmt.Errorf("exper: swiftest run: %w", err)
+		return nil, err
 	}
-
-	drifted := draw.Config
-	drift := 1 + PairDriftSigma*rand.New(rand.NewSource(seed+2)).NormFloat64()
-	if drift < 0.5 {
-		drift = 0.5
-	}
-	drifted.CapacityMbps *= drift
-	btsLink := linksim.MustNew(drifted, seed+1)
-	rep := (&baseline.BTSApp{}).Run(btsLink)
-
-	return PairResult{
-		Link:      draw,
-		Swiftest:  res,
-		BTSApp:    rep,
-		Deviation: Deviation(res.Bandwidth, rep.Result),
-	}, nil
-}
-
-// PairCampaign runs n back-to-back pairs for one technology; a cancelled ctx
-// stops it between pairs.
-func PairCampaign(ctx context.Context, tech dataset.Tech, n int, seed int64) ([]PairResult, error) {
-	model, err := dataset.TechModel(tech, 2021)
-	if err != nil {
-		return nil, fmt.Errorf("exper: %v", err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	scenario := Scenario{Tech: tech, Model: model, ShapedFraction: -1}
-	out := make([]PairResult, 0, n)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	out := make([][]Contest, len(techs))
+	for i := range out {
+		row := cells[i*len(contestants):]
+		for r, oracle := range row[0].oracle {
+			out[i] = append(out[i], Contest{OracleMbps: oracle,
+				Swiftest: row[0].out[r], BTSApp: row[1].out[r], FAST: row[2].out[r], FastBTS: row[3].out[r]})
 		}
-		draw, err := scenario.Draw(rng)
-		if err != nil {
-			return nil, err
-		}
-		pair, err := RunPair(ctx, draw, model, seed+int64(i)*7919)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pair)
-	}
-	return out, nil
-}
-
-// ThreeWayResult is one test group of the §5.3 benchmark: the same link
-// measured by FAST, FastBTS and Swiftest, with BTS-APP as approximate ground
-// truth (Figures 23–25).
-type ThreeWayResult struct {
-	Link     LinkDraw
-	Truth    baseline.Report // BTS-APP
-	FAST     baseline.Report
-	FastBTS  baseline.Report
-	Swiftest core.Result
-}
-
-// Accuracy reports 1 − deviation versus the BTS-APP ground truth for a
-// result value.
-func (r ThreeWayResult) Accuracy(result float64) float64 {
-	return 1 - Deviation(result, r.Truth.Result)
-}
-
-// ThreeWayCampaign runs n test groups for one technology; a cancelled ctx
-// stops it between groups.
-func ThreeWayCampaign(ctx context.Context, tech dataset.Tech, n int, seed int64) ([]ThreeWayResult, error) {
-	model, err := dataset.TechModel(tech, 2021)
-	if err != nil {
-		return nil, fmt.Errorf("exper: %v", err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	scenario := Scenario{Tech: tech, Model: model, ShapedFraction: -1}
-	out := make([]ThreeWayResult, 0, n)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		draw, err := scenario.Draw(rng)
-		if err != nil {
-			return nil, err
-		}
-		base := seed + int64(i)*104729
-		res := ThreeWayResult{Link: draw}
-
-		truthLink := linksim.MustNew(draw.Config, base)
-		res.Truth = (&baseline.BTSApp{}).Run(truthLink)
-
-		fastLink := linksim.MustNew(draw.Config, base+1)
-		res.FAST = (&baseline.FAST{}).Run(fastLink)
-
-		fbtsLink := linksim.MustNew(draw.Config, base+2)
-		res.FastBTS = (&baseline.FastBTS{}).Run(fbtsLink)
-
-		sw, err := engineOn(ctx, linksim.MustNew(draw.Config, base+3), model, nil)
-		if err != nil {
-			return nil, fmt.Errorf("exper: swiftest in group %d: %w", i, err)
-		}
-		res.Swiftest = sw
-		out = append(out, res)
 	}
 	return out, nil
 }
@@ -317,8 +240,8 @@ type DurationStats struct {
 	IncludesPingMean  time.Duration
 }
 
-// SwiftestDurations extracts duration statistics from a pair campaign.
-func SwiftestDurations(pairs []PairResult) DurationStats {
+// SwiftestDurations extracts Swiftest's duration statistics from contests.
+func SwiftestDurations(pairs []Contest) DurationStats {
 	if len(pairs) == 0 {
 		return DurationStats{}
 	}
@@ -343,7 +266,8 @@ func SwiftestDurations(pairs []PairResult) DurationStats {
 	}
 }
 
-// DataUsage summarises per-test data usage for a pair campaign (Figure 21).
+// DataUsage summarises per-test data usage of the back-to-back pairs
+// (Figure 21).
 type DataUsage struct {
 	BTSAppMB   float64
 	SwiftestMB float64
@@ -351,7 +275,7 @@ type DataUsage struct {
 }
 
 // AverageDataUsage computes mean per-test data usage on both sides.
-func AverageDataUsage(pairs []PairResult) DataUsage {
+func AverageDataUsage(pairs []Contest) DataUsage {
 	if len(pairs) == 0 {
 		return DataUsage{}
 	}
@@ -376,8 +300,9 @@ type DeviationStats struct {
 	Above30Pct        float64 // fraction deviating >30 %
 }
 
-// Deviations computes Figure 22's statistics from a pair campaign.
-func Deviations(pairs []PairResult) DeviationStats {
+// Deviations computes Figure 22's statistics over the Swiftest / BTS-APP
+// pairs of contests.
+func Deviations(pairs []Contest) DeviationStats {
 	if len(pairs) == 0 {
 		return DeviationStats{}
 	}
@@ -385,12 +310,13 @@ func Deviations(pairs []PairResult) DeviationStats {
 	var sum float64
 	n10, n30 := 0, 0
 	for _, p := range pairs {
-		xs = append(xs, p.Deviation)
-		sum += p.Deviation
-		if p.Deviation > 0.10 {
+		d := Deviation(p.Swiftest.Bandwidth, p.BTSApp.Bandwidth)
+		xs = append(xs, d)
+		sum += d
+		if d > 0.10 {
 			n10++
 		}
-		if p.Deviation > 0.30 {
+		if d > 0.30 {
 			n30++
 		}
 	}
@@ -402,46 +328,4 @@ func Deviations(pairs []PairResult) DeviationStats {
 		Above10Pct: float64(n10) / float64(len(xs)),
 		Above30Pct: float64(n30) / float64(len(xs)),
 	}
-}
-
-// BTSComparison aggregates a three-way campaign into Figure 23–25 rows.
-type BTSComparison struct {
-	MeanTime     map[string]time.Duration
-	MeanDataMB   map[string]float64
-	MeanAccuracy map[string]float64
-}
-
-// CompareBTSes summarises a three-way campaign.
-func CompareBTSes(groups []ThreeWayResult) BTSComparison {
-	cmp := BTSComparison{
-		MeanTime:     map[string]time.Duration{},
-		MeanDataMB:   map[string]float64{},
-		MeanAccuracy: map[string]float64{},
-	}
-	if len(groups) == 0 {
-		return cmp
-	}
-	n := time.Duration(len(groups))
-	fn := float64(len(groups))
-	for _, g := range groups {
-		cmp.MeanTime["fast"] += g.FAST.Duration
-		cmp.MeanTime["fastbts"] += g.FastBTS.Duration
-		cmp.MeanTime["swiftest"] += g.Swiftest.Duration
-		cmp.MeanDataMB["fast"] += g.FAST.DataMB
-		cmp.MeanDataMB["fastbts"] += g.FastBTS.DataMB
-		cmp.MeanDataMB["swiftest"] += g.Swiftest.DataMB
-		cmp.MeanAccuracy["fast"] += g.Accuracy(g.FAST.Result)
-		cmp.MeanAccuracy["fastbts"] += g.Accuracy(g.FastBTS.Result)
-		cmp.MeanAccuracy["swiftest"] += g.Accuracy(g.Swiftest.Bandwidth)
-	}
-	for k := range cmp.MeanTime {
-		cmp.MeanTime[k] /= n
-	}
-	for k := range cmp.MeanDataMB {
-		cmp.MeanDataMB[k] /= fn
-	}
-	for k := range cmp.MeanAccuracy {
-		cmp.MeanAccuracy[k] /= fn
-	}
-	return cmp
 }

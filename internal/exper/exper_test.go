@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/dataset"
 )
 
@@ -54,14 +55,25 @@ func TestScenarioDrawUnknownTech(t *testing.T) {
 	}
 }
 
-// TestFig20And21And22 runs a small pair campaign and checks the §5.3
-// headline shapes: ≈1 s Swiftest tests vs 10 s BTS-APP, ≈8–9× data-usage
-// reduction, and small average deviation with a heavy tail.
-func TestFig20And21And22(t *testing.T) {
-	pairs, err := PairCampaign(context.Background(), dataset.Tech5G, 120, 99)
+// contestTechs are the technologies the §5.3 benchmark draws links for.
+var contestTechs = []dataset.Tech{dataset.Tech4G, dataset.Tech5G, dataset.TechWiFi}
+
+// contests runs the §5.3 sweep on n links of one technology.
+func contests(t *testing.T, tech dataset.Tech, n int, seed int64) []Contest {
+	t.Helper()
+	all, err := RunContests(context.Background(), []dataset.Tech{tech}, n, seed, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return all[0]
+}
+
+// TestFig20And21And22 runs a small §5.3 sweep and checks the headline
+// shapes of its Swiftest / BTS-APP pairs: ≈1 s Swiftest tests vs 10 s
+// BTS-APP, ≈8–9× data-usage reduction, and small average deviation with a
+// heavy tail.
+func TestFig20And21And22(t *testing.T) {
+	pairs := contests(t, dataset.Tech5G, 120, 99)
 
 	dur := SwiftestDurations(pairs)
 	if dur.Mean > 1800*time.Millisecond {
@@ -101,15 +113,23 @@ func TestFig20And21And22(t *testing.T) {
 	}
 }
 
-// TestFig23to25 runs a small three-way campaign and checks the §5.3
-// ordering: Swiftest fastest and most accurate, FAST slowest and heaviest,
-// FastBTS least accurate.
+// TestFig23to25 runs a small §5.3 sweep and checks its ordering, accuracy
+// against the oracle: Swiftest fastest and most accurate, FAST slowest and
+// heaviest, FastBTS least accurate.
 func TestFig23to25(t *testing.T) {
-	groups, err := ThreeWayCampaign(context.Background(), dataset.Tech5G, 60, 7)
-	if err != nil {
-		t.Fatal(err)
+	groups := contests(t, dataset.Tech5G, 60, 7)
+	cmp := struct {
+		MeanTime                 map[string]time.Duration
+		MeanDataMB, MeanAccuracy map[string]float64
+	}{map[string]time.Duration{}, map[string]float64{}, map[string]float64{}}
+	n := float64(len(groups))
+	for _, g := range groups {
+		for sys, r := range map[string]core.Result{"fast": g.FAST, "fastbts": g.FastBTS, "swiftest": g.Swiftest} {
+			cmp.MeanTime[sys] += r.Duration / time.Duration(len(groups))
+			cmp.MeanDataMB[sys] += r.DataMB / n
+			cmp.MeanAccuracy[sys] += (1 - Deviation(r.Bandwidth, g.OracleMbps)) / n
+		}
 	}
-	cmp := CompareBTSes(groups)
 
 	if !(cmp.MeanTime["swiftest"] < cmp.MeanTime["fastbts"] &&
 		cmp.MeanTime["fastbts"] < cmp.MeanTime["fast"]) {
@@ -166,24 +186,27 @@ func TestEmptyAggregations(t *testing.T) {
 	if dev := Deviations(nil); dev.Mean != 0 {
 		t.Error("empty deviations not zero")
 	}
-	cmp := CompareBTSes(nil)
-	if len(cmp.MeanTime) != 0 {
-		t.Error("empty comparison not empty")
-	}
 }
 
+// TestCampaignDeterminism: the §5.3 sweep is the same on 1 worker and on 4.
 func TestCampaignDeterminism(t *testing.T) {
-	a, err := PairCampaign(context.Background(), dataset.Tech4G, 10, 5)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(workers int) [][]Contest {
+		all, err := RunContests(context.Background(), contestTechs, 4, 5, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return all
 	}
-	b, err := PairCampaign(context.Background(), dataset.Tech4G, 10, 5)
-	if err != nil {
-		t.Fatal(err)
+	key := func(c Contest) [9]float64 {
+		return [9]float64{c.OracleMbps, c.Swiftest.Bandwidth, c.BTSApp.Bandwidth, c.FAST.Bandwidth, c.FastBTS.Bandwidth,
+			float64(c.Swiftest.Duration), float64(c.BTSApp.Duration), float64(c.FAST.Duration), float64(c.FastBTS.Duration)}
 	}
+	a, b := sweep(1), sweep(4)
 	for i := range a {
-		if a[i].Swiftest.Bandwidth != b[i].Swiftest.Bandwidth || a[i].BTSApp.Result != b[i].BTSApp.Result {
-			t.Fatalf("pair %d differs across identical campaign seeds", i)
+		for r := range a[i] {
+			if key(a[i][r]) != key(b[i][r]) {
+				t.Fatalf("%v run %d differs between 1 and 4 workers:\n%v\n%v", contestTechs[i], r, key(a[i][r]), key(b[i][r]))
+			}
 		}
 	}
 }
@@ -191,10 +214,7 @@ func TestCampaignDeterminism(t *testing.T) {
 func TestCampaignsStopOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := PairCampaign(ctx, dataset.Tech4G, 10, 5); !errors.Is(err, context.Canceled) {
-		t.Errorf("PairCampaign on a cancelled context: %v, want context.Canceled", err)
-	}
-	if _, err := ThreeWayCampaign(ctx, dataset.Tech4G, 10, 5); !errors.Is(err, context.Canceled) {
-		t.Errorf("ThreeWayCampaign on a cancelled context: %v, want context.Canceled", err)
+	if _, err := RunContests(ctx, contestTechs, 10, 5, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunContests on a cancelled context: %v, want context.Canceled", err)
 	}
 }

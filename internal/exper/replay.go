@@ -102,7 +102,7 @@ func Replay(ctx context.Context, cfg ReplayConfig) ([]earlystop.Row, error) {
 				prefix := res.Samples[:n]
 				row := earlystop.Row{
 					Label:     Deviation(stats.Mean(estimate.Tail(prefix)), oracle) <= crossingDev+cfg.Tolerance,
-					Profile:   cell.profile.Name,
+					Profile:   cell.name,
 					FaultPlan: cell.plan.Name,
 					Run:       run,
 					Prefix:    n,

@@ -2,11 +2,12 @@
 # Paper-claims smoke: the CI gate for internal/claims and the block of
 # EXPERIMENTS.md that `swiftest claims` generates from it.
 #
-#  1. `swiftest claims -seed 1` (Full scale) exits 0: every claim in the
-#     table holds.
+#  1. `swiftest claims -seed 1` exits 0: every claim in the table holds.
 #  2. Its stdout is byte-identical across two runs at the default worker
 #     count and one at -workers 1.
-#  3. That stdout equals the block between the claims markers in
+#  3. `swiftest claims -seed 2` … `-seed 5` exit 0 as well; only their exit
+#     status is checked.
+#  4. The seed-1 stdout equals the block between the claims markers in
 #     EXPERIMENTS.md. On a mismatch the script prints the diff and the one
 #     command that regenerates the block.
 #
@@ -39,7 +40,15 @@ for run in b c; do
     exit 1
   }
 done
-echo "claims gate passed: every row holds, output identical across reruns and -workers"
+for seed in 2 3 4 5; do
+  "$WORK/swiftest" claims -seed "$seed" > "$WORK/seed$seed.md" 2> "$WORK/seed$seed.err" || {
+    echo "swiftest claims -seed $seed failed: a paper claim does not hold at this seed" >&2
+    cat "$WORK/seed$seed.err" >&2
+    grep '✗' "$WORK/seed$seed.md" >&2 || true
+    exit 1
+  }
+done
+echo "claims gate passed: every row holds at seeds 1-5, output identical across reruns and -workers"
 
 sed -n "/^$BEGIN\$/,/^$END\$/{//!p}" EXPERIMENTS.md > "$WORK/committed.md"
 diff -u "$WORK/committed.md" "$WORK/a.md" || {
