@@ -2,6 +2,7 @@ package main
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -122,10 +123,10 @@ func keyOf(obj types.Object) (k declKey, ok bool) {
 }
 
 func recvNamed(t types.Type) *types.Named {
-	if p, ok := t.(*types.Pointer); ok {
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	n, _ := t.(*types.Named)
+	n, _ := types.Unalias(t).(*types.Named)
 	return n
 }
 
@@ -304,4 +305,174 @@ func implementsIface(obj types.Object, ifaces []iface) bool {
 		}
 	}
 	return false
+}
+
+const modulePath = "github.com/mobilebandwidth/swiftest"
+
+// deadKnobKeep lists the option fields kept without a non-test writer
+// outside their own package, each with the reason it stays. Keys are
+// "pkg.Type.Field" ("swiftest." for the root package); a "pkg.Type" key
+// covers every field of the type.
+var deadKnobKeep = map[string]string{
+	"linksim.Config.BufferBDP":           "tests size the queue in BDPs to pin the bufferbloat and drop-tail paths",
+	"transport.ServerConfig.IdleTimeout": "tests shorten it to see idle sessions reaped",
+	"fleet.Config.LeaseTTL":              "tests shorten it to see leases of crashed clients reclaimed",
+	"swiftest.TestOptions.PingTimeout":   "tests shorten it to see an unreachable pool fail fast",
+	"swiftest.LinkConfig.ShapingBurstMB": "tests drive the shaping policer of a carrier-limited plan",
+	"swiftest.LinkConfig.ShapingMbps":    "tests drive the shaping policer of a carrier-limited plan",
+	"loadgen.Config.Trace":               "tests read the fleet's event stream of a run",
+	"swiftest.SessionOptions.Metrics":    "tests read the engine and resilience counters a test aggregates",
+	"exper.ReplayConfig.FaultPlans":      "tests replay the fault-free plan alone to stay short",
+	"deploy.ServerConfig":                "a catalogue row, not a knob: SyntheticCatalogue fills it and plan artifacts decode it",
+	"exper.EvalConfig":                   "configures exper.Evaluate, kept in deadExportKeep",
+	"core.RefreshConfig.MaxModes":        "the model store's fate is still open, and the store owns this bound",
+}
+
+// knobKey names a field of an option type across type-checks, as declKey
+// names a declaration.
+type knobKey struct{ pkg, typ, field string }
+
+// String is the key's spelling in deadKnobKeep; with no field, its type's.
+func (k knobKey) String() string {
+	name := strings.TrimPrefix(k.pkg, internalPath) + "." + k.typ
+	if k.pkg == modulePath {
+		name = "swiftest." + k.typ
+	}
+	if k.field == "" {
+		return name
+	}
+	return name + "." + k.field
+}
+
+// TestNoDeadKnobs keeps every exported field of an exported *Config or
+// *Options struct, in the root package or under internal/, written by some
+// non-test code outside the field's own package — by a composite-literal
+// key, an assignment, an increment or by taking its address. A field only
+// its own package sets is a default with a settable name; it belongs in an
+// unexported constant.
+func TestNoDeadKnobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the module and the benchmark with go list -export")
+	}
+	mod, err := lint.Load("../..", "./...")
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	bench, err := lint.Load("../../bench", "./...")
+	if err != nil {
+		t.Fatalf("loading benchmark: %v", err)
+	}
+	pkgs := append(mod, bench...)
+
+	positions := map[knobKey]string{}
+	for _, pkg := range mod {
+		if pkg.PkgPath != modulePath && !strings.HasPrefix(pkg.PkgPath, internalPath) {
+			continue
+		}
+		for ident, obj := range pkg.Info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() || !ident.IsExported() || tn.Parent() != tn.Pkg().Scope() ||
+				!(strings.HasSuffix(tn.Name(), "Config") || strings.HasSuffix(tn.Name(), "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					k := knobKey{pkg.PkgPath, tn.Name(), f.Name()}
+					positions[k] = pkg.Fset.Position(f.Pos()).String()
+				}
+			}
+		}
+	}
+
+	written := map[knobKey]bool{}
+	for _, pkg := range pkgs {
+		write := func(owner types.Type, field string) {
+			named := recvNamed(owner)
+			if named == nil || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() == pkg.PkgPath {
+				return
+			}
+			written[knobKey{named.Obj().Pkg().Path(), named.Origin().Obj().Name(), field}] = true
+		}
+		writeSel := func(e ast.Expr) {
+			se, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			if sel := pkg.Info.Selections[se]; sel != nil && sel.Kind() == types.FieldVal {
+				write(fieldOwner(sel), se.Sel.Name)
+			}
+		}
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					// Keys of map and array literals never name a field of an
+					// option struct; an elided &T{…} in a []*T literal has type
+					// *T, which write looks through.
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								write(pkg.Info.Types[n].Type, id.Name)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						writeSel(lhs)
+					}
+				case *ast.IncDecStmt:
+					writeSel(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						writeSel(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	covered := map[string]bool{}
+	var dead []string
+	for k, pos := range positions {
+		if written[k] {
+			continue
+		}
+		listed := false
+		for _, name := range []string{k.String(), knobKey{k.pkg, k.typ, ""}.String()} {
+			if _, ok := deadKnobKeep[name]; ok {
+				listed, covered[name] = true, true
+			}
+		}
+		if !listed {
+			dead = append(dead, pos+": "+k.String())
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("no non-test writer outside its package: %s; make it an unexported constant", d)
+	}
+	for name := range deadKnobKeep {
+		if !covered[name] {
+			t.Errorf("%s is listed as unwritten but has a writer or is gone; drop it from the list", name)
+		}
+	}
+}
+
+// fieldOwner is the struct type that declares sel's field, following
+// embedded fields from the receiver.
+func fieldOwner(sel *types.Selection) types.Type {
+	t := sel.Recv()
+	idx := sel.Index()
+	for _, i := range idx[:len(idx)-1] {
+		if p, ok := types.Unalias(t).(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		t = t.Underlying().(*types.Struct).Field(i).Type()
+	}
+	return t
 }

@@ -206,7 +206,7 @@ func BandwidthPDF(records []dataset.Record, filter Filter, hi float64, kmax, fit
 		}
 		fitXs = sub
 	}
-	model, k, err := gmm.FitBIC(fitXs, kmax, rng, gmm.FitOptions{})
+	model, k, err := gmm.FitBIC(fitXs, kmax, rng)
 	if err != nil {
 		return PDFResult{}, fmt.Errorf("analysis: fitting mixture: %w", err)
 	}

@@ -56,11 +56,10 @@ func col[T, R any](xs []T, f func(T) R) []R {
 }
 
 // The corpus's scale: 2021 records (2020 gets half), §5.3 links per
-// technology, and the Fig 26 and §5.2 spans in days.
+// technology, and the §5.2 span in days (Fig 26 simulates one month).
 const (
 	records   = 600000
 	links     = 150
-	utilDays  = 30
 	traceDays = 7
 )
 
@@ -189,7 +188,7 @@ func (c *Corpus) utilization() *stats.Sample {
 	return get(c, "utilization", func() (*stats.Sample, error) {
 		plan, _ := c.plans()
 		u, err := deploy.SimulateUtilization(plan, deploy.UtilizationOptions{
-			Days: utilDays, TestsPerDay: 10000, DrawBandwidth: c.model(dataset.Tech5G).Sample, Seed: c.seed})
+			TestsPerDay: 10000, DrawBandwidth: c.model(dataset.Tech5G).Sample, Seed: c.seed})
 		return stats.NewSample(u), err
 	})
 }

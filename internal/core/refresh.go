@@ -118,7 +118,7 @@ func (s *ModelStore) Refresh() (*gmm.Model, bool, error) {
 	s.mu.Unlock()
 	rng := rand.New(rand.NewSource(seed))
 
-	fitted, _, err := gmm.FitBIC(xs, maxModes, rng, gmm.FitOptions{})
+	fitted, _, err := gmm.FitBIC(xs, maxModes, rng)
 	if err != nil {
 		return nil, false, fmt.Errorf("core: model refresh: %w", err)
 	}

@@ -300,27 +300,30 @@ func PlaceServers(plan Plan, shares []float64) ([]Placement, error) {
 	return placements, nil
 }
 
+// The Figure-26 utilization simulation's fixed workload: one month of
+// minutes, Swiftest-era 1.2 s tests, and flash-crowd bursts. A minute is a
+// burst with probability burstProb, and its arrival rate is then multiplied
+// by a factor drawn uniformly in [3, utilBurstFactor] — the source of
+// Figure 26's heavy tail (P99 45 %, max 135 %). utilOverhead scales client
+// bandwidth into server egress demand: pacing overshoot during escalation,
+// retransmitted control traffic, the pacing tail until Bye.
+const (
+	utilDays        = 30
+	utilTestSeconds = 1.2
+	utilBurstFactor = 30
+	utilOverhead    = 1.7
+)
+
+// burstProb is the probability that a step of a synthetic workload is a
+// flash-crowd burst (retest storms, app pushes).
+const burstProb = 0.02
+
 // UtilizationOptions configures the Figure-26 utilization simulation.
 type UtilizationOptions struct {
-	Days          int       // simulated days; 0 selects 30 (the one-month evaluation)
-	TestsPerDay   float64   // e.g. 10_000
-	HourlyWeights []float64 // 24 diurnal arrival weights; nil selects DefaultDiurnal
-	// AvgTestDuration is the per-test service time; 0 selects 1.2 s.
-	AvgTestDuration time.Duration
+	TestsPerDay float64 // e.g. 10_000
 	// DrawBandwidth draws one client's access bandwidth (Mbps). Required.
 	DrawBandwidth func(rng *rand.Rand) float64
-	// BurstProb is the probability that a minute is a flash-crowd burst
-	// with up to BurstFactor× the arrival rate — the source of Figure 26's
-	// heavy tail (P99 45 %, max 135 %). Zero selects 0.02; negative disables.
-	BurstProb float64
-	// BurstFactor caps the burst multiplier (drawn uniformly in
-	// [3, BurstFactor] per burst minute); 0 selects 30.
-	BurstFactor float64
-	// OverheadFactor scales client bandwidth into server egress demand
-	// (pacing overshoot during escalation, retransmitted control traffic,
-	// the pacing tail until Bye). Zero selects 1.7.
-	OverheadFactor float64
-	Seed           int64
+	Seed          int64
 }
 
 // DefaultDiurnal is a typical daily test-arrival shape (cf. Figure 10): quiet
@@ -345,36 +348,7 @@ func SimulateUtilization(plan Plan, opts UtilizationOptions) ([]float64, error) 
 	if plan.Servers() == 0 {
 		return nil, errors.New("deploy: plan has no servers")
 	}
-	days := opts.Days
-	if days <= 0 {
-		days = 30
-	}
-	weights := opts.HourlyWeights
-	if weights == nil {
-		weights = DefaultDiurnal()
-	}
-	if len(weights) != 24 {
-		return nil, fmt.Errorf("deploy: %d hourly weights, want 24", len(weights))
-	}
-	avgDur := opts.AvgTestDuration
-	if avgDur <= 0 {
-		avgDur = 1200 * time.Millisecond
-	}
-	burstProb := opts.BurstProb
-	if burstProb == 0 {
-		burstProb = 0.02
-	}
-	if burstProb < 0 {
-		burstProb = 0
-	}
-	burstFactor := opts.BurstFactor
-	if burstFactor <= 0 {
-		burstFactor = 30
-	}
-	overhead := opts.OverheadFactor
-	if overhead <= 0 {
-		overhead = 1.7
-	}
+	weights := DefaultDiurnal()
 	var wsum float64
 	for _, w := range weights {
 		wsum += w
@@ -391,7 +365,7 @@ func SimulateUtilization(plan Plan, opts UtilizationOptions) ([]float64, error) 
 	var out []float64
 	// Per-minute slots: demand added by each test for its duration fraction.
 	load := make([]float64, len(capacities)) // Mbps·s of demand in the current minute
-	for day := 0; day < days; day++ {
+	for day := 0; day < utilDays; day++ {
 		for hour := 0; hour < 24; hour++ {
 			hourTests := opts.TestsPerDay * weights[hour] / wsum
 			for minute := 0; minute < 60; minute++ {
@@ -401,13 +375,13 @@ func SimulateUtilization(plan Plan, opts UtilizationOptions) ([]float64, error) 
 				// Poisson arrivals within the minute, with occasional
 				// flash-crowd bursts.
 				lambda := hourTests / 60
-				if burstProb > 0 && rng.Float64() < burstProb {
-					lambda *= 3 + rng.Float64()*(burstFactor-3)
+				if rng.Float64() < burstProb {
+					lambda *= 3 + rng.Float64()*(utilBurstFactor-3)
 				}
 				n := poisson(rng, lambda)
 				for t := 0; t < n; t++ {
-					bw := opts.DrawBandwidth(rng) * overhead
-					durS := avgDur.Seconds() * rexp(rng)
+					bw := opts.DrawBandwidth(rng) * utilOverhead
+					durS := utilTestSeconds * rng.ExpFloat64()
 					// Least-loaded server takes the test.
 					best := 0
 					for i := range load {
@@ -429,28 +403,29 @@ func SimulateUtilization(plan Plan, opts UtilizationOptions) ([]float64, error) 
 	return out, nil
 }
 
-// poisson draws from Poisson(lambda) by Knuth's method (lambda is small: a
-// few tests per minute).
+// poissonPiece is the largest mean poisson draws in one piece: Knuth's
+// product of uniforms is compared with exp(−lambda), which underflows the
+// float64 range just above lambda = 745.
+const poissonPiece = 700
+
+// poisson draws from Poisson(lambda) by Knuth's method. A mean above
+// poissonPiece is split into pieces of at most poissonPiece whose draws
+// are summed, since a sum of independent Poisson variates is Poisson with
+// the summed mean.
 func poisson(rng *rand.Rand, lambda float64) int {
+	k := 0
+	for ; lambda > poissonPiece; lambda -= poissonPiece {
+		k += poisson(rng, poissonPiece)
+	}
 	if lambda <= 0 {
-		return 0
+		return k
 	}
 	l := math.Exp(-lambda)
-	k, p := 0, 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
+	for p := rng.Float64(); p > l; p *= rng.Float64() {
 		k++
-		if k > 10000 {
-			return k
-		}
 	}
+	return k
 }
-
-// rexp draws a unit-mean exponential variate.
-func rexp(rng *rand.Rand) float64 { return rng.ExpFloat64() }
 
 // SyntheticCatalogue builds a OneProvider-like catalogue: bandwidth tiers
 // from 100 Mbps to 10 Gbps spanning the $10.41–$2609/month price range of

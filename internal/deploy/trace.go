@@ -13,6 +13,14 @@ import (
 // available bandwidth" — the over-provisioning that justifies Swiftest's
 // budget fleet.
 
+// A workload trace has one point a minute, arrivals follow DefaultDiurnal,
+// and a burst step multiplies the arrival rate by a factor drawn uniformly
+// in [3, traceBurstFactor].
+const (
+	traceStep        = time.Minute
+	traceBurstFactor = 12
+)
+
 // TraceOptions configures a synthetic workload trace.
 type TraceOptions struct {
 	// Days of trace; zero selects 7.
@@ -25,17 +33,11 @@ type TraceOptions struct {
 	TestDuration time.Duration
 	// DrawBandwidth draws one client's access bandwidth (Mbps). Required.
 	DrawBandwidth func(rng *rand.Rand) float64
-	// HourlyWeights is the diurnal arrival shape; nil selects DefaultDiurnal.
-	HourlyWeights []float64
-	// Step is the trace resolution; zero selects one minute.
-	Step time.Duration
 	// BurstProb is the probability a step is a flash-crowd burst (retest
-	// storms, app pushes) with 3–BurstFactor× the arrival rate; zero
-	// selects 0.02, negative disables.
+	// storms, app pushes) with 3–12× the arrival rate; zero selects 0.02,
+	// negative disables.
 	BurstProb float64
-	// BurstFactor caps the burst multiplier; zero selects 12.
-	BurstFactor float64
-	Seed        int64
+	Seed      int64
 }
 
 // TracePoint is one step of a workload trace.
@@ -61,45 +63,28 @@ func GenerateTrace(opts TraceOptions) ([]TracePoint, error) {
 	if dur <= 0 {
 		dur = 10 * time.Second
 	}
-	step := opts.Step
-	if step <= 0 {
-		step = time.Minute
-	}
-	weights := opts.HourlyWeights
-	if weights == nil {
-		weights = DefaultDiurnal()
-	}
-	if len(weights) != 24 {
-		return nil, fmt.Errorf("deploy: %d hourly weights, want 24", len(weights))
-	}
+	weights := DefaultDiurnal()
 	var wsum float64
 	for _, w := range weights {
 		wsum += w
 	}
-	burstProb := opts.BurstProb
-	if burstProb == 0 {
-		burstProb = 0.02
-	}
-	if burstProb < 0 {
-		burstProb = 0
-	}
-	burstFactor := opts.BurstFactor
-	if burstFactor <= 0 {
-		burstFactor = 12
+	bursts := opts.BurstProb
+	if bursts == 0 {
+		bursts = burstProb
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
-	stepsPerDay := int(24 * time.Hour / step)
+	stepsPerDay := int(24 * time.Hour / traceStep)
 	out := make([]TracePoint, 0, days*stepsPerDay)
 	for day := 0; day < days; day++ {
 		for i := 0; i < stepsPerDay; i++ {
-			at := time.Duration(day)*24*time.Hour + time.Duration(i)*step
+			at := time.Duration(day)*24*time.Hour + time.Duration(i)*traceStep
 			hour := int(at.Hours()) % 24
 			// Expected concurrent tests in this step: arrivals per second
 			// times the mean test duration (Little's law), Poisson-varied.
 			arrivalsPerSec := perDay * weights[hour] / wsum / 3600
-			if burstProb > 0 && rng.Float64() < burstProb {
-				arrivalsPerSec *= 3 + rng.Float64()*(burstFactor-3)
+			if bursts > 0 && rng.Float64() < bursts {
+				arrivalsPerSec *= 3 + rng.Float64()*(traceBurstFactor-3)
 			}
 			concurrent := poisson(rng, arrivalsPerSec*dur.Seconds())
 			var mbps float64

@@ -18,12 +18,6 @@ func TestGenerateTraceValidation(t *testing.T) {
 	if _, err := GenerateTrace(TraceOptions{}); err == nil {
 		t.Error("missing DrawBandwidth accepted")
 	}
-	if _, err := GenerateTrace(TraceOptions{
-		DrawBandwidth: drawCellular,
-		HourlyWeights: []float64{1},
-	}); err == nil {
-		t.Error("bad hourly weights accepted")
-	}
 }
 
 func TestGenerateTraceShape(t *testing.T) {

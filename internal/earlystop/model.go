@@ -116,11 +116,6 @@ type TrainOptions struct {
 	// selects 400. Fixed iteration counts (no convergence test) keep
 	// training a pure function of the rows.
 	Iterations int
-	// LearnRate is the gradient step size; zero selects 0.5.
-	LearnRate float64
-	// L2 is the ridge penalty on the weights (not the bias); zero selects
-	// 1e-3.
-	L2 float64
 	// Threshold is the stop probability threshold stored in the model;
 	// zero selects 0.85, and any other value outside (0,1) is rejected.
 	Threshold float64
@@ -131,15 +126,16 @@ type TrainOptions struct {
 	Tolerance float64
 }
 
+// Train's gradient step size and its ridge penalty on the weights (not the
+// bias).
+const (
+	learnRate = 0.5
+	l2        = 1e-3
+)
+
 func (o TrainOptions) withDefaults() TrainOptions {
 	if o.Iterations <= 0 {
 		o.Iterations = 400
-	}
-	if o.LearnRate <= 0 {
-		o.LearnRate = 0.5
-	}
-	if o.L2 <= 0 {
-		o.L2 = 1e-3
 	}
 	if o.Threshold == 0 {
 		o.Threshold = 0.85
@@ -251,9 +247,9 @@ func Train(rows []Row, opts TrainOptions) (*Model, error) {
 			gradBias += e
 		}
 		for i := 0; i < NFeatures; i++ {
-			m.Weights[i] -= opts.LearnRate * (grad[i]/n + opts.L2*m.Weights[i])
+			m.Weights[i] -= learnRate * (grad[i]/n + l2*m.Weights[i])
 		}
-		m.Bias -= opts.LearnRate * gradBias / n
+		m.Bias -= learnRate * gradBias / n
 	}
 	return m, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/mobilebandwidth/swiftest/internal/deploy"
 	"github.com/mobilebandwidth/swiftest/internal/errdefs"
-	"github.com/mobilebandwidth/swiftest/internal/faults"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 	"github.com/mobilebandwidth/swiftest/internal/wire"
@@ -20,8 +19,11 @@ import (
 const (
 	DefaultPerTestMbps     = 5.0
 	DefaultAvgTestDuration = 1200 * time.Millisecond
-	DefaultRankLength      = 3
 )
+
+// rankLength bounds the ranked server list of an Assignment: the primary
+// plus failover alternates.
+const rankLength = 3
 
 // Config parameterises a Dispatcher.
 type Config struct {
@@ -53,13 +55,6 @@ type Config struct {
 	// HeartbeatWindow is the liveness sampling window; zero selects
 	// DefaultHeartbeatWindow.
 	HeartbeatWindow time.Duration
-	// LostWindows is K, the consecutive silent heartbeat windows after
-	// which a server is dead; zero selects faults.DefaultLostWindows — the
-	// same rule the data plane applies to probe traffic.
-	LostWindows int
-	// RankLength bounds the ranked server list of an Assignment (primary
-	// plus failover alternates); zero selects DefaultRankLength.
-	RankLength int
 	// Seed drives the deterministic tie-break between equally ranked
 	// servers, so a fixed (seed, registry snapshot) pair always yields the
 	// same assignment.
@@ -144,12 +139,6 @@ func NewDispatcher(plan deploy.Plan, placements []deploy.Placement, cfg Config) 
 	if cfg.LeaseTTL == 0 {
 		cfg.LeaseTTL = 25 * cfg.AvgTestDuration
 	}
-	if cfg.RankLength <= 0 {
-		cfg.RankLength = DefaultRankLength
-	}
-	if cfg.LostWindows <= 0 {
-		cfg.LostWindows = faults.DefaultLostWindows
-	}
 	if cfg.TokenTTL < 0 {
 		return nil, fmt.Errorf("fleet: negative TokenTTL %v", cfg.TokenTTL)
 	}
@@ -158,7 +147,7 @@ func NewDispatcher(plan deploy.Plan, placements []deploy.Placement, cfg Config) 
 	}
 	metrics := newFleetMetrics(cfg.Metrics)
 	d := &Dispatcher{
-		reg: newRegistry(cfg.HeartbeatWindow, cfg.LostWindows, metrics, cfg.Trace),
+		reg: newRegistry(cfg.HeartbeatWindow, metrics, cfg.Trace),
 		cfg: cfg,
 	}
 	d.plan = plan
@@ -282,10 +271,7 @@ func (d *Dispatcher) Dispatch(client ClientInfo, at time.Duration) (Assignment, 
 	}
 	s.claimLocked(r.leaseSeq, claim, expires)
 
-	n := d.cfg.RankLength
-	if n > len(ranked) {
-		n = len(ranked)
-	}
+	n := min(rankLength, len(ranked))
 	servers := make([]ServerInfo, 0, n)
 	for _, idx := range ranked[:n] {
 		servers = append(servers, r.servers[idx].info)

@@ -10,6 +10,7 @@ import (
 
 	"github.com/mobilebandwidth/swiftest/internal/deploy"
 	"github.com/mobilebandwidth/swiftest/internal/errdefs"
+	"github.com/mobilebandwidth/swiftest/internal/faults"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
 )
 
@@ -131,7 +132,7 @@ func TestHeartbeatLivenessKSilentWindows(t *testing.T) {
 	}
 	r := d.Registry()
 	w := r.HeartbeatWindow()
-	k := r.k
+	k := faults.DefaultLostWindows
 
 	// Servers 1 and 2 heartbeat every window; server 0 goes silent.
 	at := time.Duration(0)
@@ -182,7 +183,7 @@ func TestHeartbeatLivenessKSilentWindows(t *testing.T) {
 
 func TestDispatchRanksByLatencyThenLoad(t *testing.T) {
 	plan, placements := threeTierPlan()
-	d, err := NewDispatcher(plan, placements, Config{ActivatePlanned: true, RankLength: 3, Seed: 7})
+	d, err := NewDispatcher(plan, placements, Config{ActivatePlanned: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +396,7 @@ func TestReassignMovesSessionToRankedAlternate(t *testing.T) {
 	primary := a.Lease.Server
 
 	// Kill the primary: silence it while others heartbeat.
-	w, k := r.HeartbeatWindow(), r.k
+	w, k := r.HeartbeatWindow(), faults.DefaultLostWindows
 	at := time.Duration(0)
 	for win := 0; win < k; win++ {
 		for _, s := range r.Servers() {
@@ -465,7 +466,7 @@ func TestStateGaugesTrackTransitions(t *testing.T) {
 		t.Fatalf("live gauge = %g, want 3", got)
 	}
 	// Silence everyone for K windows.
-	at := time.Duration(r.k) * r.HeartbeatWindow()
+	at := time.Duration(faults.DefaultLostWindows) * r.HeartbeatWindow()
 	r.Advance(at)
 	if got := live.Value(); got != 0 {
 		t.Errorf("live gauge after blackout = %g, want 0", got)

@@ -17,7 +17,6 @@ import (
 // registry folds heartbeat windows up to that point.
 type Registry struct {
 	window  time.Duration
-	k       int
 	metrics *fleetMetrics
 	trace   *obs.Trace
 	// admission sizes the token bucket and session cap for a server that
@@ -33,14 +32,11 @@ type Registry struct {
 
 // newRegistry builds an empty registry; the Dispatcher constructor populates
 // it with planned slots.
-func newRegistry(window time.Duration, k int, metrics *fleetMetrics, trace *obs.Trace) *Registry {
+func newRegistry(window time.Duration, metrics *fleetMetrics, trace *obs.Trace) *Registry {
 	if window <= 0 {
 		window = DefaultHeartbeatWindow
 	}
-	if k <= 0 {
-		k = faults.DefaultLostWindows
-	}
-	return &Registry{window: window, k: k, metrics: metrics, trace: trace, nextWindow: window}
+	return &Registry{window: window, metrics: metrics, trace: trace, nextWindow: window}
 }
 
 // HeartbeatWindow reports the liveness sampling window.
@@ -56,7 +52,7 @@ func (r *Registry) addServerLocked(info ServerInfo, state ServerState, cap int, 
 		rate:    rate,
 		burst:   burst,
 		tokens:  burst,
-		tracker: faults.NewLostTracker(r.k),
+		tracker: faults.NewLostTracker(faults.DefaultLostWindows),
 	}
 	r.servers = append(r.servers, s)
 	r.metrics.addServer(info.ID)
@@ -136,7 +132,7 @@ func (r *Registry) Heartbeat(id int, at time.Duration) error {
 	if s.state == StateDead {
 		s.state = StateLive
 		s.silent = 0
-		s.tracker = faults.NewLostTracker(r.k)
+		s.tracker = faults.NewLostTracker(faults.DefaultLostWindows)
 		r.updateStateGaugesLocked()
 	}
 	return nil

@@ -8,36 +8,19 @@ import (
 	"sort"
 )
 
-// FitOptions controls EM fitting.
-type FitOptions struct {
-	MaxIter  int     // maximum EM iterations (default 200)
-	Tol      float64 // log-likelihood convergence tolerance (default 1e-6)
-	MinSigma float64 // lower bound on component sigma (default 1e-3)
-	Restarts int     // independent k-means++ initialisations (default 3)
-}
-
-func (o FitOptions) withDefaults() FitOptions {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 200
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-6
-	}
-	if o.MinSigma <= 0 {
-		o.MinSigma = 1e-3
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 3
-	}
-	return o
-}
+// EM fitting constants.
+const (
+	maxIter  = 200  // maximum EM iterations
+	tol      = 1e-6 // log-likelihood convergence tolerance
+	minSigma = 1e-3 // lower bound on component sigma
+	restarts = 3    // independent k-means++ initialisations
+)
 
 // Fit estimates a k-component mixture from xs with the EM algorithm,
 // initialised by k-means++ seeding. It returns the model and the final
 // per-sample average log-likelihood. rng drives initialisation only; the EM
 // iterations themselves are deterministic.
-func Fit(xs []float64, k int, rng *rand.Rand, opts FitOptions) (*Model, float64, error) {
-	opts = opts.withDefaults()
+func Fit(xs []float64, k int, rng *rand.Rand) (*Model, float64, error) {
 	if k <= 0 {
 		return nil, 0, fmt.Errorf("gmm: k = %d must be positive", k)
 	}
@@ -46,8 +29,8 @@ func Fit(xs []float64, k int, rng *rand.Rand, opts FitOptions) (*Model, float64,
 	}
 	var bestModel *Model
 	bestLL := math.Inf(-1)
-	for r := 0; r < opts.Restarts; r++ {
-		m, ll, err := fitOnce(xs, k, rng, opts)
+	for r := 0; r < restarts; r++ {
+		m, ll, err := fitOnce(xs, k, rng)
 		if err != nil {
 			continue
 		}
@@ -61,14 +44,14 @@ func Fit(xs []float64, k int, rng *rand.Rand, opts FitOptions) (*Model, float64,
 	return bestModel, bestLL, nil
 }
 
-func fitOnce(xs []float64, k int, rng *rand.Rand, opts FitOptions) (*Model, float64, error) {
+func fitOnce(xs []float64, k int, rng *rand.Rand) (*Model, float64, error) {
 	n := len(xs)
 	mu := kmeansPPInit(xs, k, rng)
 	sigma := make([]float64, k)
 	w := make([]float64, k)
 	globalSD := sampleSD(xs)
-	if globalSD < opts.MinSigma {
-		globalSD = opts.MinSigma
+	if globalSD < minSigma {
+		globalSD = minSigma
 	}
 	for i := range sigma {
 		sigma[i] = globalSD
@@ -78,7 +61,7 @@ func fitOnce(xs []float64, k int, rng *rand.Rand, opts FitOptions) (*Model, floa
 	resp := make([]float64, n*k) // responsibilities, row-major [i*k+j]
 	prevLL := math.Inf(-1)
 	var ll float64
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		// E step.
 		ll = 0
 		for i, x := range xs {
@@ -131,12 +114,12 @@ func fitOnce(xs []float64, k int, rng *rand.Rand, opts FitOptions) (*Model, floa
 			}
 			varj /= nj
 			mu[j] = muj
-			sigma[j] = math.Max(math.Sqrt(varj), opts.MinSigma)
+			sigma[j] = math.Max(math.Sqrt(varj), minSigma)
 			w[j] = nj / float64(n)
 		}
 		normalize(w)
 
-		if math.Abs(ll-prevLL) < opts.Tol {
+		if math.Abs(ll-prevLL) < tol {
 			break
 		}
 		prevLL = ll
@@ -227,7 +210,7 @@ func kmeansPPInit(xs []float64, k int, rng *rand.Rand) []float64 {
 
 // FitBIC fits mixtures for k = 1..kmax and selects the model minimising the
 // Bayesian information criterion. It returns the chosen model and its k.
-func FitBIC(xs []float64, kmax int, rng *rand.Rand, opts FitOptions) (*Model, int, error) {
+func FitBIC(xs []float64, kmax int, rng *rand.Rand) (*Model, int, error) {
 	if kmax <= 0 {
 		return nil, 0, fmt.Errorf("gmm: kmax = %d must be positive", kmax)
 	}
@@ -237,7 +220,7 @@ func FitBIC(xs []float64, kmax int, rng *rand.Rand, opts FitOptions) (*Model, in
 	bestBIC := math.Inf(1)
 	var firstErr error
 	for k := 1; k <= kmax; k++ {
-		m, avgLL, err := Fit(xs, k, rng, opts)
+		m, avgLL, err := Fit(xs, k, rng)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -137,7 +137,7 @@ func TestFitRecoverWellSeparated(t *testing.T) {
 	for i := range xs {
 		xs[i] = truth.Sample(rng)
 	}
-	m, _, err := Fit(xs, 2, rng, FitOptions{})
+	m, _, err := Fit(xs, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +152,10 @@ func TestFitRecoverWellSeparated(t *testing.T) {
 
 func TestFitErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, _, err := Fit([]float64{1, 2, 3}, 0, rng, FitOptions{}); err == nil {
+	if _, _, err := Fit([]float64{1, 2, 3}, 0, rng); err == nil {
 		t.Error("k=0 should error")
 	}
-	if _, _, err := Fit([]float64{1, 2, 3}, 5, rng, FitOptions{}); err == nil {
+	if _, _, err := Fit([]float64{1, 2, 3}, 5, rng); err == nil {
 		t.Error("too few samples should error")
 	}
 }
@@ -170,7 +170,7 @@ func TestFitBICPrefersTwoModes(t *testing.T) {
 	for i := range xs {
 		xs[i] = truth.Sample(rng)
 	}
-	m, k, err := FitBIC(xs, 4, rng, FitOptions{})
+	m, k, err := FitBIC(xs, 4, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestFitBICSingleMode(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.NormFloat64()*10 + 200
 	}
-	_, k, err := FitBIC(xs, 3, rng, FitOptions{})
+	_, k, err := FitBIC(xs, 3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,14 +4,15 @@
 // planned budget servers absorbs the crowdsourced test load that BTS-APP
 // spreads over 352 machines.
 //
-// The generator compresses one diurnal day (deploy.GenerateTrace, the same
-// arrival process that motivated the plan) into a short virtual horizon,
-// spawns clients to track the target concurrency, dispatches each through
-// fleet.Dispatcher, and runs every admitted test as a linksim flow on its
-// server's uplink. Servers heartbeat every step unless a fault plan blacks
-// them out, so an injected blackout kills a server by the same
-// K-silent-windows rule the data plane uses — and the affected clients fail
-// over along their ranked assignment, exactly the path a real client takes.
+// The generator compresses one diurnal day (deploy.GenerateTrace over
+// deploy.DefaultDiurnal, the same arrival process that motivated the plan)
+// into a short virtual horizon, spawns clients to track the target
+// concurrency, dispatches each through fleet.Dispatcher, and runs every
+// admitted test as a 2 s linksim flow on its server's uplink. Servers
+// heartbeat every step unless a fault plan blacks them out, so an injected
+// blackout kills a server by the same K-silent-windows rule the data plane
+// uses — and the affected clients fail over along their ranked assignment,
+// exactly the path a real client takes.
 //
 // Everything is deterministic: a fixed seed produces a byte-identical
 // assignment stream regardless of Workers, because workers only parallelise
@@ -49,10 +50,12 @@ const Step = linksim.SampleInterval
 
 // Defaults for Config zero values.
 const (
-	DefaultDuration     = 30 * time.Second
-	DefaultTestDuration = 2 * time.Second
-	DefaultPerTestMbps  = 1.0
+	DefaultDuration    = 30 * time.Second
+	DefaultPerTestMbps = 1.0
 )
+
+// testDuration is each emulated test's service time.
+const testDuration = 2 * time.Second
 
 // Config parameterises one load-generation run.
 type Config struct {
@@ -68,9 +71,6 @@ type Config struct {
 	// PeakConcurrent is the target number of concurrent tests at the peak
 	// hour of the diurnal curve. Required.
 	PeakConcurrent int
-	// TestDuration is each emulated test's service time; zero selects
-	// DefaultTestDuration.
-	TestDuration time.Duration
 	// PerTestMbps is the rate each client offers its server; zero selects
 	// DefaultPerTestMbps. It is also the dispatcher's admission sizing, so
 	// the plan's session capacity is Plan.ConcurrentCapacity(PerTestMbps).
@@ -80,11 +80,9 @@ type Config struct {
 	Workers int
 	// Seed drives every random process (arrivals, link noise, tie-breaks).
 	Seed int64
-	// HourlyWeights overrides the diurnal arrival shape; nil selects
-	// deploy.DefaultDiurnal.
-	HourlyWeights []float64
 	// BurstProb is the flash-crowd probability per trace step, forwarded to
-	// deploy.GenerateTrace: zero selects its default, negative disables.
+	// deploy.GenerateTrace: zero selects 0.02, negative disables. A burst
+	// step multiplies the arrival rate by 3–12×.
 	BurstProb float64
 	// Faults, when non-nil, injects server faults: a blackout silences both
 	// the server's heartbeats and its flows' delivery. Server indexes in
@@ -151,9 +149,6 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = DefaultDuration
 	}
-	if cfg.TestDuration <= 0 {
-		cfg.TestDuration = DefaultTestDuration
-	}
 	if cfg.PerTestMbps <= 0 {
 		cfg.PerTestMbps = DefaultPerTestMbps
 	}
@@ -163,7 +158,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 
 	d, err := fleet.NewDispatcher(cfg.Plan, cfg.Placements, fleet.Config{
 		PerTestMbps:     cfg.PerTestMbps,
-		AvgTestDuration: cfg.TestDuration,
+		AvgTestDuration: testDuration,
 		Seed:            cfg.Seed,
 		ActivatePlanned: true,
 		Metrics:         cfg.Metrics,
@@ -264,7 +259,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 				key:     key,
 				assign:  a,
 				server:  a.Lease.Server,
-				end:     at + cfg.TestDuration,
+				end:     at + testDuration,
 				tracker: faults.NewLostTracker(0),
 			}
 			c.openFlow(links, cfg)
@@ -331,7 +326,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 			}
 			if after >= c.end {
 				rep.TestsCompleted++
-				achieved += bytes * 8 / cfg.TestDuration.Seconds() / 1e6
+				achieved += bytes * 8 / testDuration.Seconds() / 1e6
 				line = appendKey(append(line[:0], "complete "...), c.key)
 				digest.Write(line)
 				c.flow.Close()
@@ -359,34 +354,23 @@ func (c *client) openFlow(links []*linksim.Link, cfg Config) {
 }
 
 // arrivalTargets compresses one diurnal day into a per-trace-point target
-// concurrency, scaled so the peak hour hits cfg.PeakConcurrent. Poisson
-// draws degrade above λ ≈ 700 (the Knuth sampler underflows), so the trace
-// counts in units of ceil(peak/500) clients.
+// concurrency, scaled so the peak hour hits cfg.PeakConcurrent. The trace
+// counts in units of ceil(peak/500) clients, so a step's Poisson mean stays
+// at most 500 outside bursts.
 func arrivalTargets(cfg Config) ([]int, error) {
-	weights := cfg.HourlyWeights
-	if weights == nil {
-		weights = deploy.DefaultDiurnal()
-	}
 	var wsum, wmax float64
-	for _, w := range weights {
+	for _, w := range deploy.DefaultDiurnal() {
 		wsum += w
-		if w > wmax {
-			wmax = w
-		}
-	}
-	if wsum <= 0 || wmax <= 0 {
-		return nil, fmt.Errorf("loadgen: hourly weights sum to %g", wsum)
+		wmax = max(wmax, w)
 	}
 	unit := math.Ceil(float64(cfg.PeakConcurrent) / 500)
-	dur := cfg.TestDuration
 	// Peak-hour concurrency λ·unit = PeakConcurrent ⇒ solve for TestsPerDay.
-	perDay := float64(cfg.PeakConcurrent) / unit * 3600 * wsum / (wmax * dur.Seconds())
+	perDay := float64(cfg.PeakConcurrent) / unit * 3600 * wsum / (wmax * testDuration.Seconds())
 	trace, err := deploy.GenerateTrace(deploy.TraceOptions{
 		Days:          1,
 		TestsPerDay:   perDay,
-		TestDuration:  dur,
+		TestDuration:  testDuration,
 		DrawBandwidth: func(*rand.Rand) float64 { return unit },
-		HourlyWeights: weights,
 		BurstProb:     cfg.BurstProb,
 		Seed:          cfg.Seed,
 	})

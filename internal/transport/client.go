@@ -15,6 +15,7 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/errdefs"
 	"github.com/mobilebandwidth/swiftest/internal/estimate"
+	"github.com/mobilebandwidth/swiftest/internal/faults"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
 	"github.com/mobilebandwidth/swiftest/internal/transport/batchio"
 	"github.com/mobilebandwidth/swiftest/internal/wire"
@@ -282,10 +283,6 @@ type ProbeConfig struct {
 	// Trace receives transport-level events (server additions, handshake
 	// retries, lost sessions). Nil disables emission.
 	Trace *obs.Trace
-	// LostAfter is K, the consecutive zero-byte sample windows after which
-	// an assigned session is declared lost; ≤ 0 selects
-	// faults.DefaultLostWindows.
-	LostAfter int
 	// Metrics, when non-nil, receives the client-side metric series.
 	Metrics *obs.Registry
 	// Token is the dispatcher-lease auth token carried by every Setup;
@@ -323,7 +320,7 @@ func NewUDPProbeContext(ctx context.Context, pool *ServerPool, rng *rand.Rand, c
 		retryCounter: c.Metrics.Counter("swiftest_client_handshake_retries_total",
 			"Session-setup attempts that needed retransmission."),
 	}
-	p.set.Reset(len(pool.Servers), c.LostAfter, c.Trace)
+	p.set.Reset(len(pool.Servers), faults.DefaultLostWindows, c.Trace)
 	for i, srv := range pool.Servers {
 		p.set.Describe(i, srv.Addr, srv.UplinkMbps)
 	}

@@ -124,10 +124,9 @@ func SimulateTestContext(ctx context.Context, link LinkConfig, model *Model, opt
 		}
 	}
 	probe := core.NewSimProbe(l, core.SimPoolConfig{
-		Servers:   opts.Servers,
-		Faults:    opts.Faults.Injector(),
-		LostAfter: opts.LostAfter,
-		Trace:     opts.Trace,
+		Servers: opts.Servers,
+		Faults:  opts.Faults.Injector(),
+		Trace:   opts.Trace,
 	})
 	defer probe.Close()
 	res, err := core.RunContext(ctx, probe, core.Config{

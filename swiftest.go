@@ -106,7 +106,7 @@ func NewModel(components ...ModelComponent) (*Model, error) {
 // with EM and BIC model selection — the periodic model-refresh path of §5.1.
 // kmax bounds the number of modes considered.
 func FitModel(resultsMbps []float64, kmax int, seed int64) (*Model, error) {
-	m, _, err := gmm.FitBIC(resultsMbps, kmax, rand.New(rand.NewSource(seed)), gmm.FitOptions{})
+	m, _, err := gmm.FitBIC(resultsMbps, kmax, rand.New(rand.NewSource(seed)))
 	return m, err
 }
 
@@ -359,11 +359,6 @@ type SessionOptions struct {
 	// duration, data volume, bandwidth) across tests — plus the client's
 	// resilience counters (sessions lost, handshake retries).
 	Metrics *MetricsRegistry
-	// LostAfter is K, the consecutive silent 50 ms sample windows after
-	// which an assigned server session is declared lost and its probing
-	// share redistributed to the surviving servers. Zero selects the
-	// default (4 windows, i.e. 200 ms of silence).
-	LostAfter int
 	// Faults, when non-nil, is a validated fault-injection plan acted out
 	// against the test. Only the emulated runners accept one: a live
 	// TestContext rejects a non-nil plan, because real servers inject
@@ -376,6 +371,10 @@ type SessionOptions struct {
 	Terminate TerminationPolicy
 }
 
+// selectionPings is the number of latency probes per server during server
+// selection.
+const selectionPings = 3
+
 // TestOptions configures a client-side bandwidth test.
 type TestOptions struct {
 	// SessionOptions carries the trace, metrics, and resilience knobs
@@ -386,9 +385,6 @@ type TestOptions struct {
 	// Model is the bandwidth model for the client's access technology.
 	// Required; use DefaultModel or FitModel.
 	Model *Model
-	// PingCount is the number of latency probes per server during
-	// selection; zero selects 3.
-	PingCount int
 	// PingTimeout bounds each selection probe; zero selects 1 s.
 	PingTimeout time.Duration
 	// MaxDuration bounds the probing phase; zero selects 5 s.
@@ -438,16 +434,15 @@ func TestContext(ctx context.Context, opts TestOptions) (Result, error) {
 		pool.Servers = append(pool.Servers, transport.PoolServer{Addr: s.Addr, UplinkMbps: s.UplinkMbps})
 	}
 	selStart := time.Now() //lint:allow walltime measures real server-selection latency in the live client path
-	if err := pool.RankByLatencyContext(ctx, opts.PingCount, opts.PingTimeout); err != nil {
+	if err := pool.RankByLatencyContext(ctx, selectionPings, opts.PingTimeout); err != nil {
 		return Result{}, fmt.Errorf("swiftest: server selection: %w", err)
 	}
 	selectionTime := time.Since(selStart) //lint:allow walltime measures real server-selection latency in the live client path
 
 	probe, err := transport.NewUDPProbeContext(ctx, pool, rand.New(rand.NewSource(seed)), transport.ProbeConfig{
-		Trace:     opts.Trace,
-		LostAfter: opts.LostAfter,
-		Metrics:   opts.Metrics,
-		Token:     opts.Token,
+		Trace:   opts.Trace,
+		Metrics: opts.Metrics,
+		Token:   opts.Token,
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("swiftest: preparing probe: %w", err)
