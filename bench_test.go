@@ -89,7 +89,7 @@ func benchLink(seed int64) *linksim.Link {
 }
 
 func benchModel() *gmm.Model {
-	m, err := dataset.TechModel(dataset.Tech5G, 2021)
+	m, err := dataset.TechModel(dataset.Tech5G)
 	if err != nil {
 		panic(err)
 	}

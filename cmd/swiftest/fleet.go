@@ -452,15 +452,12 @@ func loadgenCmd(args []string) error {
 	peak := fs.Int("peak", 1000, "target concurrent tests at the diurnal peak")
 	duration := fs.Duration("duration", 30*time.Second, "virtual horizon (one diurnal day is compressed into it)")
 	perTest := fs.Float64("pertest", 1, "per-test offered rate and admission sizing (Mbps)")
-	workers := fs.Int("workers", 4, "goroutines advancing per-server links (does not affect results)")
+	workers := workersFlag(fs, "goroutines advancing per-server links; does not affect results")
 	seed := fs.Int64("seed", 1, "run seed")
 	faultsPath := fs.String("faults", "", "JSON fault plan to inject (server indexes = fleet slot IDs)")
 	profileName := fs.String("profile", "", "drive server uplinks through a RAN scenario profile (see `swiftest profiles`)")
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := validateWorkers(*workers); err != nil {
 		return err
 	}
 	if *planPath == "" {

@@ -297,7 +297,7 @@ func test(args []string) error {
 
 	var trace *swiftest.Trace
 	if *tracePath != "" {
-		trace = swiftest.NewTrace(0)
+		trace = swiftest.NewTrace()
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -443,7 +443,7 @@ func simulate(args []string) error {
 	link := swiftest.LinkConfig{CapacityMbps: *capMbps, RTT: *rtt, Fluctuation: *fluct, Seed: *seed, Profile: profile}
 	var trace *swiftest.Trace
 	if *tracePath != "" {
-		trace = swiftest.NewTrace(0)
+		trace = swiftest.NewTrace()
 	}
 	simOpts := swiftest.SimulateOptions{SessionOptions: swiftest.SessionOptions{Trace: trace, Terminate: terminate}}
 	if *faultsPath != "" {
@@ -539,12 +539,9 @@ func campaign(args []string) error {
 	algsFlag := fs.String("algs", "swiftest,fastbts", "comma-separated termination algorithms (swiftest, fastbts, fast, earlystop, btsapp)")
 	runs := fs.Int("runs", 3, "seeded runs per (profile, algorithm, fault plan) cell")
 	seed := fs.Int64("seed", 1, "campaign seed; the report is a pure function of (config, seed)")
-	workers := fs.Int("workers", 4, "concurrent runs (the report is byte-identical at any worker count)")
+	workers := workersFlag(fs, "concurrent runs; the report is byte-identical at any worker count")
 	jsonOut := fs.String("json", "", `write the swiftest-campaign-report/v2 JSON here ("-" for stdout, suppressing the table)`)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := validateWorkers(*workers); err != nil {
 		return err
 	}
 	cfg := exper.CampaignConfig{Runs: *runs, Seed: *seed, Workers: *workers}

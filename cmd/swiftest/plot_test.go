@@ -63,7 +63,7 @@ func TestSparkline(t *testing.T) {
 
 func TestCDFGrid(t *testing.T) {
 	s := stats.NewSample([]float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
-	out := cdfGrid(s.CDF(50), 40, 10)
+	out := cdfGrid(s.CDF(), 40, 10)
 	if out == "" {
 		t.Fatal("empty render")
 	}

@@ -33,7 +33,7 @@ func datasetCmd(args []string) error {
 	n := fs.Int("n", 1_000_000, "number of records to generate")
 	year := fs.Int("year", 2021, "measurement year (2020 or 2021)")
 	seed := fs.Int64("seed", 1, "RNG seed")
-	workers := fs.Int("workers", 0, "generation workers (0 = GOMAXPROCS); output is identical for any value")
+	workers := workersFlag(fs, "generation workers; output is identical for any value")
 	out := fs.String("o", "-", "output file (\"-\" for stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -80,7 +80,7 @@ func analyze(args []string) error {
 	in := fs.String("i", "-", "input JSONL file (\"-\" for stdin)")
 	report := fs.String("report", "all", "report: tech, bands, diurnal, rss, wifi, models or all")
 	seed := fs.Int64("seed", 1, "RNG seed for model fitting")
-	workers := fs.Int("workers", 0, "aggregation workers (0 = GOMAXPROCS)")
+	workers := workersFlag(fs, "aggregation workers")
 	modelsOut := fs.String("models-out", "", "directory to write fitted bandwidth models as JSON (for swiftest test -model)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -192,8 +192,8 @@ func reportWiFi(study *analysis.Study) {
 		}
 	}
 	fmt.Printf("≤200 Mbps broadband plans: %.0f %% overall, %.0f %% among WiFi 6 users\n",
-		100*study.WiFi.PlanShareAtOrBelow(200, 0),
-		100*study.WiFi.PlanShareAtOrBelow(200, 6))
+		100*study.WiFi.PlanShareAtOrBelow(0),
+		100*study.WiFi.PlanShareAtOrBelow(6))
 }
 
 func reportModels(records []dataset.Record, seed int64, modelsOut string) error {
@@ -208,7 +208,7 @@ func reportModels(records []dataset.Record, seed int64, modelsOut string) error 
 		{"WiFi5", analysis.WiFiStandardFilter(5), 1000},
 	}
 	for _, f := range fits {
-		res, err := analysis.BandwidthPDF(records, f.filter, f.hi, 5, 4000, seed)
+		res, err := analysis.BandwidthPDF(records, f.filter, f.hi, seed)
 		if err != nil {
 			fmt.Printf("%-6s %v\n", f.name, err)
 			continue
@@ -231,7 +231,7 @@ func reportModels(records []dataset.Record, seed int64, modelsOut string) error 
 func claimsCmd(args []string) error {
 	fs := flag.NewFlagSet("claims", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "corpus seed")
-	workers := fs.Int("workers", 0, "corpus generation and §5.3 sweep workers (0 = GOMAXPROCS); the output is worker-invariant")
+	workers := workersFlag(fs, "corpus generation and §5.3 sweep workers; the output is worker-invariant")
 	only := fs.String("only", "", "comma-separated row IDs or figure keys (e.g. fig4,sec5.3,fig20.ping)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -1,13 +1,22 @@
 package main
 
-import "fmt"
+import (
+	"flag"
+	"fmt"
+	"strconv"
+)
 
-// validateWorkers rejects non-positive -workers values with a pointed
-// error, instead of letting a typo'd 0 or -1 silently serialize (the
-// library layers treat non-positive worker counts as "one worker").
-func validateWorkers(n int) error {
-	if n < 1 {
-		return fmt.Errorf("-workers must be at least 1, got %d (use -workers 1 to run serially)", n)
-	}
-	return nil
+// workersFlag registers -workers on fs. Every verb reads 0, the default, as
+// GOMAXPROCS, as the library layers do; a negative count fails the parse.
+func workersFlag(fs *flag.FlagSet, usage string) *int {
+	n := new(int)
+	fs.Func("workers", usage+" (`n` = 0, the default, selects GOMAXPROCS)", func(s string) error {
+		v, err := strconv.Atoi(s)
+		if err == nil && v < 0 {
+			err = fmt.Errorf("must be 0 (GOMAXPROCS) or a positive count, got %d", v)
+		}
+		*n = v
+		return err
+	})
+	return n
 }

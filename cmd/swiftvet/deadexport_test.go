@@ -1,7 +1,9 @@
 package main
 
 import (
+	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -157,15 +159,10 @@ func sigString(name string, sig *types.Signature) string {
 	return s
 }
 
-// TestNoDeadExports keeps every exported function, method and type
-// declared under internal/ referenced from some other non-test declaration
-// in the module or in the benchmark module. A per-package swiftvet
-// analyzer cannot see uses in other packages, so this is a test over both
-// loaded modules. A method is exempt when its receiver implements an
-// interface that declares it — any interface written in the loaded code, or
-// one of stdInterfaces — since calls through the interface name the
-// interface method, not the concrete one.
-func TestNoDeadExports(t *testing.T) {
+// loadModules loads the module and the benchmark module from source,
+// non-test files only; pkgs is both, mod the module alone.
+func loadModules(t *testing.T) (mod, pkgs []*lint.Package) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("loads the module and the benchmark with go list -export")
 	}
@@ -177,11 +174,12 @@ func TestNoDeadExports(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading benchmark: %v", err)
 	}
-	pkgs := append(mod, bench...)
+	return mod, append(mod[:len(mod):len(mod)], bench...)
+}
 
+// loadedIfaces is stdInterfaces plus every interface written in pkgs.
+func loadedIfaces(pkgs []*lint.Package) []iface {
 	ifaces := stdInterfaces
-	candidates := map[declKey]types.Object{}
-	positions := map[declKey]string{}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
@@ -191,6 +189,25 @@ func TestNoDeadExports(t *testing.T) {
 				return true
 			})
 		}
+	}
+	return ifaces
+}
+
+// TestNoDeadExports keeps every exported function, method and type
+// declared under internal/ referenced from some other non-test declaration
+// in the module or in the benchmark module. A per-package swiftvet
+// analyzer cannot see uses in other packages, so this is a test over both
+// loaded modules. A method is exempt when its receiver implements an
+// interface that declares it — any interface written in the loaded code, or
+// one of stdInterfaces — since calls through the interface name the
+// interface method, not the concrete one.
+func TestNoDeadExports(t *testing.T) {
+	_, pkgs := loadModules(t)
+
+	ifaces := loadedIfaces(pkgs)
+	candidates := map[declKey]types.Object{}
+	positions := map[declKey]string{}
+	for _, pkg := range pkgs {
 		internal := strings.HasPrefix(pkg.PkgPath, internalPath)
 		for ident, obj := range pkg.Info.Defs {
 			if !internal || !ident.IsExported() {
@@ -351,18 +368,7 @@ func (k knobKey) String() string {
 // its own package sets is a default with a settable name; it belongs in an
 // unexported constant.
 func TestNoDeadKnobs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the module and the benchmark with go list -export")
-	}
-	mod, err := lint.Load("../..", "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	bench, err := lint.Load("../../bench", "./...")
-	if err != nil {
-		t.Fatalf("loading benchmark: %v", err)
-	}
-	pkgs := append(mod, bench...)
+	mod, pkgs := loadModules(t)
 
 	positions := map[knobKey]string{}
 	for _, pkg := range mod {
@@ -475,4 +481,208 @@ func fieldOwner(sel *types.Selection) types.Type {
 		t = t.Underlying().(*types.Struct).Field(i).Type()
 	}
 	return t
+}
+
+const claimsPath = internalPath + "claims"
+
+// constArgKeep lists the parameters kept although every non-test caller
+// passes them one constant, each with the reason it stays. Keys are
+// "pkg.Func.param" or "pkg.Recv.Method.param" ("swiftest." for the root
+// package).
+var constArgKeep = map[string]string{
+	"estimate.Stable.threshold":                           "the root crossingAt ablation benchmark sweeps it",
+	"deploy.PlaceServers.shares":                          "bench/ calls it, so its signature is frozen",
+	"transport.ServerPool.RankByLatencyContext.pingCount": "bench/ calls it, so its signature is frozen",
+	"transport/batchio.SetSegmentSize.size":               "bench/ calls it, so its signature is frozen",
+	"transport/batchio.MaxSegments.size":                  "a per-platform pair, and batchio does not import transport",
+	"wire.DataOpen.AppendTo.b":                            "the append idiom: a caller passes nil to allocate",
+	"wire.Data2.AppendTo.b":                               "the append idiom: a caller passes nil to allocate",
+	"lint.Load.dir":                                       "a path, not a tuning value",
+	"analysis.WiFiStandardFilter.std":                     "a selector: it chooses which population to report",
+	"analysis.DiurnalAgg.Snapshot.tech":                   "a selector: it chooses which population to report",
+}
+
+// paramKey names the i-th parameter of a function or method.
+type paramKey struct {
+	fn declKey
+	i  int
+}
+
+// argCensus is what the non-test call sites pass one parameter.
+type argCensus struct {
+	name    string
+	calls   int
+	value   string // the exact constant every call so far passed, if same
+	shown   string // value, rounded for the message
+	same    bool
+	claims  bool // every call so far is in internal/claims
+	declPos string
+}
+
+// key is the parameter's spelling in constArgKeep.
+func (c *argCensus) key(k paramKey) string {
+	name := strings.TrimPrefix(k.fn.String(), internalPath)
+	if k.fn.pkg == modulePath {
+		name = "swiftest" + strings.TrimPrefix(name, modulePath)
+	}
+	return name + "." + c.name
+}
+
+// TestNoConstantArgs keeps every non-variadic parameter of an exported
+// function or method, in the root package or under internal/, given more
+// than one value by its non-test callers in the module or the benchmark. A
+// parameter every call passes the same constant (or untyped nil) is a knob
+// no caller turns; it belongs in an unexported constant of its callee.
+// Methods that implement an interface and functions also used as values
+// are skipped: their callers are not all calls. A parameter whose every
+// caller is in internal/claims is exempt, because the claims table is the
+// one place a paper number lives.
+func TestNoConstantArgs(t *testing.T) {
+	mod, pkgs := loadModules(t)
+	ifaces := loadedIfaces(pkgs)
+
+	census := map[paramKey]*argCensus{}
+	for _, pkg := range mod {
+		if pkg.PkgPath != modulePath && !strings.HasPrefix(pkg.PkgPath, internalPath) {
+			continue
+		}
+		for ident, obj := range pkg.Info.Defs {
+			fn, ok := obj.(*types.Func)
+			if !ok || !ident.IsExported() {
+				continue
+			}
+			k, ok := keyOf(fn)
+			if !ok || implementsIface(fn, ifaces) {
+				continue
+			}
+			sig := fn.Type().(*types.Signature)
+			n := sig.Params().Len()
+			if sig.Variadic() {
+				n--
+			}
+			for i := 0; i < n; i++ {
+				name := sig.Params().At(i).Name()
+				if name == "" || name == "_" {
+					name = fmt.Sprintf("#%d", i)
+				}
+				census[paramKey{k, i}] = &argCensus{name: name, same: true, claims: true,
+					declPos: pkg.Fset.Position(sig.Params().At(i).Pos()).String()}
+			}
+		}
+	}
+
+	asValue := map[declKey]bool{}
+	for _, pkg := range pkgs {
+		callees := map[*ast.Ident]bool{}
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				id, offset := callee(pkg, call.Fun)
+				if id == nil {
+					return true
+				}
+				callees[id] = true
+				k, ok := keyOf(pkg.Info.Uses[id])
+				if !ok {
+					return true
+				}
+				spread := len(call.Args) == 1 && !isSingle(pkg.Info.Types[call.Args[0]].Type)
+				for i := 0; ; i++ {
+					c := census[paramKey{k, i}]
+					if c == nil {
+						break
+					}
+					c.calls++
+					c.claims = c.claims && pkg.PkgPath == claimsPath
+					if !c.same {
+						continue
+					}
+					j := i + offset
+					if spread || j >= len(call.Args) {
+						c.same = false
+						continue
+					}
+					tv := pkg.Info.Types[call.Args[j]]
+					v, ok := constArg(tv, constant.Value.ExactString)
+					if !ok || (c.calls > 1 && v != c.value) {
+						c.same = false
+					}
+					c.value = v
+					c.shown, _ = constArg(tv, constant.Value.String)
+				}
+				return true
+			})
+		}
+		for id, obj := range pkg.Info.Uses {
+			if _, ok := obj.(*types.Func); ok && !callees[id] {
+				if k, ok := keyOf(obj); ok {
+					asValue[k] = true
+				}
+			}
+		}
+	}
+
+	covered := map[string]bool{}
+	var flagged []string
+	for k, c := range census {
+		if c.calls == 0 || !c.same || c.claims || asValue[k.fn] {
+			continue
+		}
+		key := c.key(k)
+		if _, ok := constArgKeep[key]; ok {
+			covered[key] = true
+			continue
+		}
+		flagged = append(flagged, fmt.Sprintf("%s: %s = %s at %d non-test call(s)", c.declPos, key, c.shown, c.calls))
+	}
+	sort.Strings(flagged)
+	for _, d := range flagged {
+		t.Errorf("every caller passes one constant: %s; make it an unexported constant", d)
+	}
+	for key := range constArgKeep {
+		if !covered[key] {
+			t.Errorf("%s is listed as constant but takes more than one value, is claims-only or is gone; drop it from the list", key)
+		}
+	}
+}
+
+// callee is the identifier a call names as its function, and how many
+// leading arguments are not the callee's parameters (the receiver of a
+// method expression); id is nil for a call of anything else.
+func callee(pkg *lint.Package, fun ast.Expr) (id *ast.Ident, offset int) {
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		return f, 0
+	case *ast.SelectorExpr:
+		if sel := pkg.Info.Selections[f]; sel != nil && sel.Kind() == types.MethodExpr {
+			return f.Sel, 1
+		}
+		return f.Sel, 0
+	case *ast.IndexExpr:
+		return callee(pkg, f.X)
+	case *ast.IndexListExpr:
+		return callee(pkg, f.X)
+	}
+	return nil, 0
+}
+
+// isSingle reports whether t is the type of one value, not of a call's
+// multiple results.
+func isSingle(t types.Type) bool {
+	tup, ok := t.(*types.Tuple)
+	return !ok || tup.Len() == 1
+}
+
+// constArg spells an argument's value when it is a constant or untyped nil.
+func constArg(tv types.TypeAndValue, spell func(constant.Value) string) (string, bool) {
+	switch {
+	case tv.Value != nil:
+		return spell(tv.Value), true
+	case tv.IsNil():
+		return "nil", true
+	}
+	return "", false
 }

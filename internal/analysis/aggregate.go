@@ -497,9 +497,12 @@ func (a *WiFiAgg) Snapshot() WiFiBreakdown {
 	return out
 }
 
-// PlanShareAtOrBelow reports the fraction of WiFi tests on plans ≤ mbps;
-// standard restricts to one WiFi standard (0 = all).
-func (a *WiFiAgg) PlanShareAtOrBelow(mbps float64, standard int) float64 {
+// planCapMbps is the broadband plan PlanShareAtOrBelow counts up to (§3.4).
+const planCapMbps = 200
+
+// PlanShareAtOrBelow reports the fraction of WiFi tests on plans ≤
+// planCapMbps; standard restricts to one WiFi standard (0 = all).
+func (a *WiFiAgg) PlanShareAtOrBelow(standard int) float64 {
 	var n, below int
 	if standard == 0 {
 		n = a.nAll
@@ -511,7 +514,7 @@ func (a *WiFiAgg) PlanShareAtOrBelow(mbps float64, standard int) float64 {
 			continue
 		}
 		for plan, c := range a.plans[std] {
-			if plan <= mbps {
+			if plan <= planCapMbps {
 				below += c
 			}
 		}

@@ -341,7 +341,7 @@ func TestAggMatchesLegacy(t *testing.T) {
 
 	t.Run("PlanShareAtOrBelow", func(t *testing.T) {
 		for _, std := range []int{0, 4, 5, 6} {
-			if got, want := single(recs, NewWiFiAgg(nil)).PlanShareAtOrBelow(200, std), legacyPlanShareAtOrBelow(recs, 200, std); got != want {
+			if got, want := single(recs, NewWiFiAgg(nil)).PlanShareAtOrBelow(std), legacyPlanShareAtOrBelow(recs, 200, std); got != want {
 				t.Errorf("std=%d: got %v, want %v", std, got, want)
 			}
 		}
@@ -421,7 +421,7 @@ func TestMergeEqualsSinglePass(t *testing.T) {
 	want := single.Tech.Snapshot()
 	wantBand := single.Band.Snapshot(spectrum.LTE)
 	wantDist := single.Dist.Snapshot(dataset.Tech5G)
-	wantPlan := single.WiFi.PlanShareAtOrBelow(200, 0)
+	wantPlan := single.WiFi.PlanShareAtOrBelow(0)
 
 	for trial := 0; trial < 5; trial++ {
 		parts := partition(rng, recs, 1+rng.Intn(12))
@@ -453,7 +453,7 @@ func TestMergeEqualsSinglePass(t *testing.T) {
 				gotDist.Count, gotDist.Mean, gotDist.Median, wantDist.Count, wantDist.Mean, wantDist.Median)
 		}
 
-		if gotPlan := merged.WiFi.PlanShareAtOrBelow(200, 0); gotPlan != wantPlan {
+		if gotPlan := merged.WiFi.PlanShareAtOrBelow(0); gotPlan != wantPlan {
 			t.Fatalf("trial %d: plan share = %v, want %v", trial, gotPlan, wantPlan)
 		}
 	}

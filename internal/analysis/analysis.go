@@ -88,7 +88,7 @@ func distribute(values []float64) Distribution {
 		Mean:   s.Mean(),
 		Median: s.Median(),
 		Max:    s.Max(),
-		CDF:    s.CDF(100),
+		CDF:    s.CDF(),
 		sample: s,
 	}
 }
@@ -177,13 +177,13 @@ func WiFiStandardFilter(std int) Filter {
 	}
 }
 
+// BandwidthPDF fits at most pdfMaxModes components on pdfFitSample records.
+const pdfMaxModes, pdfFitSample = 5, 4000
+
 // BandwidthPDF estimates the bandwidth density over [0, hi] and fits a
-// multi-modal Gaussian mixture with up to kmax components by BIC — the §5.1
-// model-refresh path. fitSample bounds the EM input size (0 selects 4000).
-func BandwidthPDF(records []dataset.Record, filter Filter, hi float64, kmax, fitSample int, seed int64) (PDFResult, error) {
-	if fitSample <= 0 {
-		fitSample = 4000
-	}
+// multi-modal Gaussian mixture with up to pdfMaxModes components by BIC —
+// the §5.1 model-refresh path — on a seeded subsample of pdfFitSample.
+func BandwidthPDF(records []dataset.Record, filter Filter, hi float64, seed int64) (PDFResult, error) {
 	var xs []float64
 	for _, r := range records {
 		if filter(r) {
@@ -194,19 +194,19 @@ func BandwidthPDF(records []dataset.Record, filter Filter, hi float64, kmax, fit
 		return PDFResult{}, fmt.Errorf("analysis: only %d matching records, need ≥100", len(xs))
 	}
 	s := stats.NewSample(xs)
-	points := s.KDE(0, hi, 200, 0)
+	points := s.KDE(hi)
 
 	fitXs := xs
 	rng := rand.New(rand.NewSource(seed))
-	if len(fitXs) > fitSample {
-		idx := rng.Perm(len(fitXs))[:fitSample]
-		sub := make([]float64, fitSample)
+	if len(fitXs) > pdfFitSample {
+		idx := rng.Perm(len(fitXs))[:pdfFitSample]
+		sub := make([]float64, pdfFitSample)
 		for i, j := range idx {
 			sub[i] = fitXs[j]
 		}
 		fitXs = sub
 	}
-	model, k, err := gmm.FitBIC(fitXs, kmax, rng)
+	model, k, err := gmm.FitBIC(fitXs, pdfMaxModes, rng)
 	if err != nil {
 		return PDFResult{}, fmt.Errorf("analysis: fitting mixture: %w", err)
 	}

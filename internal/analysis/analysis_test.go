@@ -271,11 +271,11 @@ func TestFig13to15(t *testing.T) {
 // TestPlanShares reproduces §3.4's broadband-plan findings.
 func TestPlanShares(t *testing.T) {
 	_, r21 := corpus(t)
-	all := single(r21, NewWiFiAgg(nil)).PlanShareAtOrBelow(200, 0)
+	all := single(r21, NewWiFiAgg(nil)).PlanShareAtOrBelow(0)
 	if all < 0.55 || all > 0.75 {
 		t.Errorf("≤200 Mbps plan share = %.2f, want ≈0.64", all)
 	}
-	w6 := single(r21, NewWiFiAgg(nil)).PlanShareAtOrBelow(200, 6)
+	w6 := single(r21, NewWiFiAgg(nil)).PlanShareAtOrBelow(6)
 	if w6 > all-0.1 {
 		t.Errorf("WiFi 6 ≤200 plan share (%.2f) should be well below overall (%.2f)", w6, all)
 	}
@@ -285,7 +285,7 @@ func TestPlanShares(t *testing.T) {
 // near the broadband plans.
 func TestFig16PDF(t *testing.T) {
 	_, r21 := corpus(t)
-	res, err := BandwidthPDF(r21, WiFiStandardFilter(5), 1000, 5, 3000, 1)
+	res, err := BandwidthPDF(r21, WiFiStandardFilter(5), 1000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestFig16PDF(t *testing.T) {
 func TestFig18and19PDF(t *testing.T) {
 	_, r21 := corpus(t)
 	for tech, hi := range map[dataset.Tech]float64{dataset.Tech4G: 500, dataset.Tech5G: 1000} {
-		res, err := BandwidthPDF(r21, TechFilter(tech), hi, 5, 3000, 2)
+		res, err := BandwidthPDF(r21, TechFilter(tech), hi, 2)
 		if err != nil {
 			t.Fatalf("%v: %v", tech, err)
 		}
@@ -324,7 +324,7 @@ func TestFig18and19PDF(t *testing.T) {
 }
 
 func TestBandwidthPDFTooFew(t *testing.T) {
-	if _, err := BandwidthPDF(nil, TechFilter(dataset.Tech4G), 100, 3, 0, 1); err == nil {
+	if _, err := BandwidthPDF(nil, TechFilter(dataset.Tech4G), 100, 1); err == nil {
 		t.Error("empty input accepted")
 	}
 }
@@ -339,7 +339,7 @@ func TestEmptyInputs(t *testing.T) {
 	if h, tp, name := HBandShare(nil); h != 0 || tp != 0 || name != "" {
 		t.Error("empty HBandShare not zero")
 	}
-	if got := single(nil, NewWiFiAgg(nil)).PlanShareAtOrBelow(200, 0); got != 0 {
+	if got := single(nil, NewWiFiAgg(nil)).PlanShareAtOrBelow(0); got != 0 {
 		t.Error("empty PlanShare not zero")
 	}
 }

@@ -47,7 +47,7 @@ func TestProbersMatchReference(t *testing.T) {
 		}
 	}
 	probers := func(tech dataset.Tech) []baseline.Prober {
-		model, err := dataset.TechModel(tech, 2021)
+		model, err := dataset.TechModel(tech)
 		if err != nil {
 			t.Fatal(err)
 		}

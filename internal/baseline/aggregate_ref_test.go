@@ -54,7 +54,7 @@ func newRefAggregate(link *linksim.Link) *refAggregate {
 func (a *refAggregate) addFlow() {
 	f := a.link.NewFlow()
 	a.flows = append(a.flows, f)
-	a.senders = append(a.senders, newRefSender(f, cc.NewCubic(0)))
+	a.senders = append(a.senders, newRefSender(f, cc.NewCubic()))
 }
 
 // step advances one tick of the connection set.

@@ -55,7 +55,7 @@ func (a *aggregate) addFlow() {
 	f := a.link.NewFlow()
 	f.SetOffered(cc.InitialRate(a.link.RTT()))
 	a.flows = append(a.flows, f)
-	a.cubics = append(a.cubics, cc.NewCubic(0))
+	a.cubics = append(a.cubics, cc.NewCubic())
 }
 
 // step advances one tick of the connection set: the link moves, then each

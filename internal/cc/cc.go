@@ -10,11 +10,11 @@
 //
 // Window growth is driven by delivery feedback from a linksim.Flow: after
 // each link.Advance the caller hands the algorithm one Feedback and offers
-// the rate Tick returns (see MeasureRamp). Two calibration knobs map the
+// the rate Tick returns (see MeasureRamp). Two fixed calibrations map the
 // textbook dynamics onto the field behaviour the paper measured with
 // tcp_probe on production servers:
 //
-//   - AckDelayFactor models the delayed ACKs, ACK compression and radio
+//   - ackDelayFactor models the delayed ACKs, ACK compression and radio
 //     scheduling latency of commercial cellular/WiFi paths, which stretch a
 //     "round" of window growth well beyond one propagation RTT. This is why
 //     slow start takes seconds in the field rather than the textbook handful
@@ -40,10 +40,10 @@ import (
 // PacketBytes is the segment size assumed by the window models.
 const PacketBytes = 1500
 
-// DefaultAckDelayFactor is the calibrated ACK-thinning factor (see package
+// ackDelayFactor is the calibrated ACK-thinning factor (see package
 // comment): one effective window-growth round spans roughly this many
 // propagation RTTs on a commercial mobile path.
-const DefaultAckDelayFactor = 14
+const ackDelayFactor = 14
 
 // InitialWindow is the initial congestion window in packets (RFC 6928).
 const InitialWindow = 10
@@ -88,9 +88,9 @@ func InitialRate(rtt time.Duration) float64 { return windowRate(InitialWindow, r
 
 // ackedPackets converts delivered Mbps during a tick into effective
 // window-growth events after ACK thinning.
-func ackedPackets(fb Feedback, ackDelay float64) float64 {
+func ackedPackets(fb Feedback) float64 {
 	bytes := fb.Achieved * 1e6 * linksim.TickSeconds / 8
-	return bytes / PacketBytes / ackDelay
+	return bytes / PacketBytes / ackDelayFactor
 }
 
 // Reno implements NewReno-style slow start and AIMD congestion avoidance.
@@ -98,16 +98,10 @@ type Reno struct {
 	cwnd     float64
 	ssthresh float64
 	slow     bool
-	ackDelay float64
 }
 
-// NewReno returns a Reno model. ackDelayFactor ≤ 0 selects the default.
-func NewReno(ackDelayFactor float64) *Reno {
-	if ackDelayFactor <= 0 {
-		ackDelayFactor = DefaultAckDelayFactor
-	}
-	return &Reno{cwnd: InitialWindow, ssthresh: math.Inf(1), slow: true, ackDelay: ackDelayFactor}
-}
+// NewReno returns a Reno model.
+func NewReno() *Reno { return &Reno{cwnd: InitialWindow, ssthresh: math.Inf(1), slow: true} }
 
 // Name implements Algorithm.
 func (r *Reno) Name() string { return "reno" }
@@ -122,7 +116,7 @@ func (r *Reno) Tick(fb Feedback) float64 {
 		r.cwnd = r.ssthresh
 		r.slow = false
 	} else {
-		acked := ackedPackets(fb, r.ackDelay)
+		acked := ackedPackets(fb)
 		if r.slow && r.cwnd < r.ssthresh {
 			r.cwnd += gainReno * acked
 		} else {
@@ -142,7 +136,6 @@ type Cubic struct {
 	epochStart time.Duration
 	elapsed    time.Duration
 	minRTT     time.Duration
-	ackDelay   float64
 }
 
 // CUBIC constants (RFC 8312): scaling constant C and multiplicative
@@ -152,13 +145,8 @@ const (
 	cubicBeta = 0.7
 )
 
-// NewCubic returns a CUBIC model. ackDelayFactor ≤ 0 selects the default.
-func NewCubic(ackDelayFactor float64) *Cubic {
-	if ackDelayFactor <= 0 {
-		ackDelayFactor = DefaultAckDelayFactor
-	}
-	return &Cubic{cwnd: InitialWindow, slow: true, ackDelay: ackDelayFactor}
-}
+// NewCubic returns a CUBIC model.
+func NewCubic() *Cubic { return &Cubic{cwnd: InitialWindow, slow: true} }
 
 // Name implements Algorithm.
 func (c *Cubic) Name() string { return "cubic" }
@@ -189,7 +177,7 @@ func (c *Cubic) Tick(fb Feedback) float64 {
 		c.slow = false
 		c.epochStart = c.elapsed
 	case c.slow:
-		c.cwnd += gainCubic * ackedPackets(fb, c.ackDelay)
+		c.cwnd += gainCubic * ackedPackets(fb)
 		// HyStart delay-based exit: queueing delay indicates the pipe is
 		// filling; leave slow start before overshooting badly.
 		thresh := c.minRTT + maxDuration(4*time.Millisecond, c.minRTT/8)
@@ -202,7 +190,7 @@ func (c *Cubic) Tick(fb Feedback) float64 {
 		// Cubic window: W(t) = C·(t−K)³ + Wmax, K = ∛(Wmax·(1−β)/C).
 		d := (c.elapsed - c.epochStart).Seconds() - c.k
 		target := cubicC*(d*d*d) + c.wmax
-		acked := ackedPackets(fb, c.ackDelay)
+		acked := ackedPackets(fb)
 		if target > c.cwnd {
 			// Approach the cubic target at most one packet per ACK event.
 			c.cwnd = math.Min(target, c.cwnd+acked)
@@ -230,7 +218,6 @@ type BBR struct {
 	cycleIdx   int
 	cycleTime  time.Duration
 	minRTT     time.Duration
-	ackDelay   float64
 	roundTime  time.Duration
 }
 
@@ -245,13 +232,8 @@ const (
 // bbrProbeGains is BBRv1's 8-phase ProbeBW pacing-gain cycle.
 var bbrProbeGains = [8]float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
 
-// NewBBR returns a BBR model. ackDelayFactor ≤ 0 selects the default.
-func NewBBR(ackDelayFactor float64) *BBR {
-	if ackDelayFactor <= 0 {
-		ackDelayFactor = DefaultAckDelayFactor
-	}
-	return &BBR{phase: bbrStartup, cwnd: InitialWindow, ackDelay: ackDelayFactor}
-}
+// NewBBR returns a BBR model.
+func NewBBR() *BBR { return &BBR{phase: bbrStartup, cwnd: InitialWindow} }
 
 // Name implements Algorithm.
 func (b *BBR) Name() string { return "bbr" }
@@ -268,7 +250,7 @@ func (b *BBR) Tick(fb Feedback) float64 {
 		b.btlBw = fb.Achieved
 	}
 	b.roundTime += linksim.Tick
-	roundLen := time.Duration(float64(maxDuration(b.minRTT, linksim.Tick)) * b.ackDelay)
+	roundLen := time.Duration(float64(maxDuration(b.minRTT, linksim.Tick)) * ackDelayFactor)
 
 	switch b.phase {
 	case bbrStartup:
@@ -285,7 +267,7 @@ func (b *BBR) Tick(fb Feedback) float64 {
 				b.roundTime = 0
 			}
 		}
-		b.cwnd += gainBBR * ackedPackets(fb, b.ackDelay)
+		b.cwnd += gainBBR * ackedPackets(fb)
 		return windowRate(b.cwnd, fb.RTT)
 	case bbrDrain:
 		// Pace below the estimate to drain the Startup queue.
@@ -314,29 +296,32 @@ func maxDuration(a, b time.Duration) time.Duration {
 // RampResult reports how a congestion-control algorithm ramped on a link.
 type RampResult struct {
 	// RampTime is the virtual time until the flow's achieved rate first
-	// reached the target fraction of link capacity — the duration during
-	// which a bandwidth test collects only slow-start "noise" samples.
+	// reached rampTarget × link capacity — the duration during which a
+	// bandwidth test collects only slow-start "noise" samples.
 	RampTime time.Duration
-	// Reached reports whether the target was reached within the deadline.
+	// Reached reports whether the target was reached within rampDeadline.
 	Reached bool
 }
 
+// MeasureRamp waits up to rampDeadline for rampTarget × link capacity.
+const rampTarget, rampDeadline = 0.9, 30 * time.Second
+
 // MeasureRamp runs alg over a fresh flow on link and measures the time until
-// the achieved rate first reaches frac × capacity, up to deadline.
-func MeasureRamp(link *linksim.Link, alg Algorithm, frac float64, deadline time.Duration) RampResult {
+// the achieved rate first reaches rampTarget × capacity, up to rampDeadline.
+func MeasureRamp(link *linksim.Link, alg Algorithm) RampResult {
 	flow := link.NewFlow()
 	defer flow.Close()
 	flow.SetOffered(InitialRate(link.RTT()))
-	target := frac * link.Config().CapacityMbps
+	target := rampTarget * link.Config().CapacityMbps
 	start := link.Now()
-	for link.Now()-start < deadline {
+	for link.Now()-start < rampDeadline {
 		link.Advance()
 		flow.SetOffered(alg.Tick(Feedback{Achieved: flow.Achieved(), Loss: flow.LossSignal(), RTT: link.RTT()}))
 		if flow.Achieved() >= target {
 			return RampResult{RampTime: link.Now() - start, Reached: true}
 		}
 	}
-	return RampResult{RampTime: deadline, Reached: false}
+	return RampResult{RampTime: rampDeadline, Reached: false}
 }
 
 // rampGrowth is the per-sample growth ratio regarded as slow-start-like by

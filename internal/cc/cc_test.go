@@ -20,14 +20,14 @@ func mobileLink(t *testing.T, capMbps float64) *linksim.Link {
 func ramp(t *testing.T, mk func() Algorithm, capMbps float64) RampResult {
 	t.Helper()
 	l := mobileLink(t, capMbps)
-	return MeasureRamp(l, mk(), 0.9, 30*time.Second)
+	return MeasureRamp(l, mk())
 }
 
 func TestAllAlgorithmsReachCapacity(t *testing.T) {
 	algs := map[string]func() Algorithm{
-		"reno":  func() Algorithm { return NewReno(0) },
-		"cubic": func() Algorithm { return NewCubic(0) },
-		"bbr":   func() Algorithm { return NewBBR(0) },
+		"reno":  func() Algorithm { return NewReno() },
+		"cubic": func() Algorithm { return NewCubic() },
+		"bbr":   func() Algorithm { return NewBBR() },
 	}
 	for name, mk := range algs {
 		for _, capMbps := range []float64{50, 200, 800} {
@@ -44,9 +44,9 @@ func TestAllAlgorithmsReachCapacity(t *testing.T) {
 // every bandwidth bucket.
 func TestFig17Ordering(t *testing.T) {
 	for _, capMbps := range []float64{100, 300, 500, 900} {
-		cubic := ramp(t, func() Algorithm { return NewCubic(0) }, capMbps)
-		reno := ramp(t, func() Algorithm { return NewReno(0) }, capMbps)
-		bbr := ramp(t, func() Algorithm { return NewBBR(0) }, capMbps)
+		cubic := ramp(t, func() Algorithm { return NewCubic() }, capMbps)
+		reno := ramp(t, func() Algorithm { return NewReno() }, capMbps)
+		bbr := ramp(t, func() Algorithm { return NewBBR() }, capMbps)
 		if !(cubic.RampTime > reno.RampTime && reno.RampTime > bbr.RampTime) {
 			t.Errorf("cap=%g: ordering violated: cubic=%v reno=%v bbr=%v",
 				capMbps, cubic.RampTime, reno.RampTime, bbr.RampTime)
@@ -58,9 +58,9 @@ func TestFig17Ordering(t *testing.T) {
 // bandwidth for every algorithm, the other axis of Figure 17.
 func TestFig17GrowsWithBandwidth(t *testing.T) {
 	algs := map[string]func() Algorithm{
-		"reno":  func() Algorithm { return NewReno(0) },
-		"cubic": func() Algorithm { return NewCubic(0) },
-		"bbr":   func() Algorithm { return NewBBR(0) },
+		"reno":  func() Algorithm { return NewReno() },
+		"cubic": func() Algorithm { return NewCubic() },
+		"bbr":   func() Algorithm { return NewBBR() },
 	}
 	for name, mk := range algs {
 		prev := time.Duration(0)
@@ -78,8 +78,8 @@ func TestFig17GrowsWithBandwidth(t *testing.T) {
 // TestBBRCalibration pins the field calibration the package documents: ≈2 s
 // at 100 Mbps and ≈4 s at 1 Gbps (paper §5.1).
 func TestBBRCalibration(t *testing.T) {
-	at100 := ramp(t, func() Algorithm { return NewBBR(0) }, 100).RampTime.Seconds()
-	at1000 := ramp(t, func() Algorithm { return NewBBR(0) }, 1000).RampTime.Seconds()
+	at100 := ramp(t, func() Algorithm { return NewBBR() }, 100).RampTime.Seconds()
+	at1000 := ramp(t, func() Algorithm { return NewBBR() }, 1000).RampTime.Seconds()
 	if at100 < 1 || at100 > 3 {
 		t.Errorf("BBR ramp @100 Mbps = %.2fs, want ≈2 s", at100)
 	}
@@ -89,7 +89,7 @@ func TestBBRCalibration(t *testing.T) {
 }
 
 func TestRenoHalvesOnLoss(t *testing.T) {
-	r := NewReno(1)
+	r := NewReno()
 	fb := Feedback{Achieved: 100, RTT: 40 * time.Millisecond}
 	var rate float64
 	for i := 0; i < 200; i++ {
@@ -108,7 +108,7 @@ func TestRenoHalvesOnLoss(t *testing.T) {
 }
 
 func TestCubicBetaDecrease(t *testing.T) {
-	c := NewCubic(1)
+	c := NewCubic()
 	fb := Feedback{Achieved: 100, RTT: 40 * time.Millisecond}
 	var rate float64
 	for i := 0; i < 200; i++ {
@@ -121,7 +121,7 @@ func TestCubicBetaDecrease(t *testing.T) {
 }
 
 func TestCubicHyStartExitsOnDelay(t *testing.T) {
-	c := NewCubic(1)
+	c := NewCubic()
 	base := 40 * time.Millisecond
 	c.Tick(Feedback{Achieved: 50, RTT: base})
 	if !c.InSlowStart() {
@@ -136,7 +136,7 @@ func TestCubicHyStartExitsOnDelay(t *testing.T) {
 
 func TestCubicRecoversAfterLoss(t *testing.T) {
 	// After a loss, the cubic window function must grow the rate back.
-	c := NewCubic(1)
+	c := NewCubic()
 	fb := Feedback{Achieved: 200, RTT: 40 * time.Millisecond}
 	for i := 0; i < 300; i++ {
 		c.Tick(fb)
@@ -153,7 +153,7 @@ func TestCubicRecoversAfterLoss(t *testing.T) {
 
 func TestBBRExitsStartupOnPlateau(t *testing.T) {
 	l := mobileLink(t, 100)
-	b := NewBBR(0)
+	b := NewBBR()
 	f := l.NewFlow()
 	f.SetOffered(InitialRate(l.RTT()))
 	for i := 0; i < 1500 && b.InSlowStart(); i++ {
@@ -167,7 +167,7 @@ func TestBBRExitsStartupOnPlateau(t *testing.T) {
 
 func TestBBRSteadyStateNearCapacity(t *testing.T) {
 	l := mobileLink(t, 200)
-	b := NewBBR(0)
+	b := NewBBR()
 	f := l.NewFlow()
 	f.SetOffered(InitialRate(l.RTT()))
 	step := func() {
@@ -208,19 +208,21 @@ func TestSenderInitialOffer(t *testing.T) {
 }
 
 func TestMeasureRampDeadline(t *testing.T) {
-	// A tiny deadline must report not-reached rather than hanging.
-	l := mobileLink(t, 10000)
-	r := MeasureRamp(l, NewCubic(0), 0.99, 100*time.Millisecond)
+	// A flow that cannot reach the target must report not-reached at the
+	// deadline rather than hanging: at a 2 s RTT one growth round outlasts
+	// the deadline.
+	l := linksim.MustNew(linksim.Config{CapacityMbps: 100, RTT: 2 * time.Second}, 1)
+	r := MeasureRamp(l, NewCubic())
 	if r.Reached {
-		t.Error("cannot have ramped to 10 Gbps in 100 ms")
+		t.Errorf("cannot have ramped to 100 Mbps at a 2 s RTT in %v", rampDeadline)
 	}
-	if r.RampTime != 100*time.Millisecond {
+	if r.RampTime != rampDeadline {
 		t.Errorf("RampTime = %v, want the deadline", r.RampTime)
 	}
 }
 
 func TestNames(t *testing.T) {
-	if NewReno(0).Name() != "reno" || NewCubic(0).Name() != "cubic" || NewBBR(0).Name() != "bbr" {
+	if NewReno().Name() != "reno" || NewCubic().Name() != "cubic" || NewBBR().Name() != "bbr" {
 		t.Error("algorithm names wrong")
 	}
 }

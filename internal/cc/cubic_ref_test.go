@@ -28,7 +28,7 @@ func cubicTickRef(c *Cubic, fb Feedback) float64 {
 		c.slow = false
 		c.epochStart = c.elapsed
 	case c.slow:
-		c.cwnd += gainCubic * ackedPackets(fb, c.ackDelay)
+		c.cwnd += gainCubic * ackedPackets(fb, ackDelayFactor)
 		thresh := c.minRTT + maxDuration(4*time.Millisecond, c.minRTT/8)
 		if fb.RTT > thresh {
 			c.slow = false
@@ -39,7 +39,7 @@ func cubicTickRef(c *Cubic, fb Feedback) float64 {
 		t := (c.elapsed - c.epochStart).Seconds()
 		k := math.Cbrt(c.wmax * (1 - cubicBeta) / cubicC)
 		target := cubicC*math.Pow(t-k, 3) + c.wmax
-		acked := ackedPackets(fb, c.ackDelay)
+		acked := ackedPackets(fb, ackDelayFactor)
 		if target > c.cwnd {
 			c.cwnd = math.Min(target, c.cwnd+acked)
 		} else {
@@ -86,7 +86,7 @@ func TestCubicTickMatchesReference(t *testing.T) {
 				ref [flows]*Cubic
 			)
 			for i := range fl {
-				got[i], ref[i] = NewCubic(0), NewCubic(0)
+				got[i], ref[i] = NewCubic(), NewCubic()
 				fl[i] = link.NewFlow()
 				fl[i].SetOffered(InitialRate(link.RTT()))
 			}

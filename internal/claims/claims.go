@@ -136,13 +136,13 @@ func (c *Corpus) wifi(radio dataset.RadioBand) analysis.WiFiBreakdown {
 func (c *Corpus) pdf(f analysis.Filter, name string, hi float64) analysis.PDFResult {
 	return get(c, "pdf/"+name, func() (analysis.PDFResult, error) {
 		_, r21 := c.records()
-		return analysis.BandwidthPDF(r21, f, hi, 5, 4000, c.seed)
+		return analysis.BandwidthPDF(r21, f, hi, c.seed)
 	})
 }
 
 // model is a technology's calibrated 2021 bandwidth mixture.
 func (c *Corpus) model(t dataset.Tech) *gmm.Model {
-	return get(c, "model/"+t.String(), func() (*gmm.Model, error) { return dataset.TechModel(t, 2021) })
+	return get(c, "model/"+t.String(), func() (*gmm.Model, error) { return dataset.TechModel(t) })
 }
 
 // techs are the technologies the §5.3 sweep draws links for, in table order.

@@ -127,7 +127,7 @@ var Table = []Row{
 	{ID: "sec3.4.plans", Src: "§3.4", Quantity: "WiFi tests on ≤ 200 Mbps plans, all / WiFi 6 (%)", Paper: "64 / 39",
 		Measure: func(c *Corpus) M {
 			w := c.study().WiFi
-			return m("%.0f / %.0f", 100*w.PlanShareAtOrBelow(200, 0), 100*w.PlanShareAtOrBelow(200, 6))
+			return m("%.0f / %.0f", 100*w.PlanShareAtOrBelow(0), 100*w.PlanShareAtOrBelow(6))
 		}, Holds: abs(5, 64, 39)},
 	{ID: "fig16.modes", Src: "Fig 16", Quantity: "WiFi 5 bandwidth PDF, fitted modes (Mbps)", Paper: "multi-modal near 100 / 300 / 500",
 		Measure: func(c *Corpus) M { return modes(c.pdf(analysis.WiFiStandardFilter(5), "wifi5", 1000)) },

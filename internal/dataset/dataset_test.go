@@ -460,7 +460,7 @@ func TestUrbanRuralGap(t *testing.T) {
 
 func TestTechModel(t *testing.T) {
 	for _, tech := range []Tech{Tech4G, Tech5G, TechWiFi} {
-		m, err := TechModel(tech, 2021)
+		m, err := TechModel(tech)
 		if err != nil {
 			t.Fatalf("%v: %v", tech, err)
 		}
@@ -471,11 +471,11 @@ func TestTechModel(t *testing.T) {
 			t.Errorf("%v model mean not positive", tech)
 		}
 	}
-	if _, err := TechModel(Tech3G, 2021); err == nil {
+	if _, err := TechModel(Tech3G); err == nil {
 		t.Error("3G model should be unavailable")
 	}
 	// The 5G model's mean should sit near the measured 5G mean.
-	m5, _ := TechModel(Tech5G, 2021)
+	m5, _ := TechModel(Tech5G)
 	if math.Abs(m5.Mean()-300)/300 > 0.15 {
 		t.Errorf("5G model mean = %.0f, want ≈300", m5.Mean())
 	}

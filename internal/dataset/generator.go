@@ -465,27 +465,27 @@ func (g *Generator) drawPlanIndex(cum []float64) int {
 	return len(cum) - 1
 }
 
-// TechModel returns the calibrated bandwidth mixture for a technology in a
-// year — the model Swiftest's data-driven probing consumes (Figures 16, 18,
-// 19). The mixture is the technology shape scaled to the year's
+// modelYear is the measurement year whose calibration TechModel fits.
+const modelYear = 2021
+
+// TechModel returns the calibrated bandwidth mixture for a technology in
+// modelYear — the model Swiftest's data-driven probing consumes (Figures 16,
+// 18, 19). The mixture is the technology shape scaled to the year's
 // share-weighted technology mean.
-func TechModel(tech Tech, year int) (*gmm.Model, error) {
+func TechModel(tech Tech) (*gmm.Model, error) {
 	var shape *gmm.Model
 	var mean float64
 	switch tech {
 	case Tech4G:
 		shape = lteShape
-		mean = weightedBandMean(lteBands[year])
+		mean = weightedBandMean(lteBands[modelYear])
 	case Tech5G:
 		shape = nrShape
-		mean = weightedBandMean(nrBands[year])
-		if year == 2020 {
-			mean *= nr2020Boost
-		}
+		mean = weightedBandMean(nrBands[modelYear])
 	case TechWiFi:
 		// WiFi's mixture is plan-driven; approximate with plan clusters
 		// weighted by the standard mix.
-		return wifiModel(year)
+		return wifiModel()
 	default:
 		return nil, fmt.Errorf("dataset: no bandwidth model for %v", tech)
 	}
@@ -515,8 +515,8 @@ func weightedBandMean(bands map[string]bandStat) float64 {
 
 // wifiModel builds the WiFi mixture from the plan clusters (§3.4): one mode
 // per broadband tier plus a low mode for radio-limited 2.4 GHz links.
-func wifiModel(year int) (*gmm.Model, error) {
-	stdShares := wifiStandardShares[year]
+func wifiModel() (*gmm.Model, error) {
+	stdShares := wifiStandardShares[modelYear]
 	weights := make([]float64, len(broadbandPlans))
 	var low float64
 	for std := 4; std <= 6; std++ { // fixed order: float sums must be reproducible

@@ -81,7 +81,7 @@ func TestPolicyEngineDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := dataset.TechModel(profile.DatasetTech(), 2021)
+	model, err := dataset.TechModel(profile.DatasetTech())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ type CampaignConfig struct {
 	// Seed roots every per-run seed; the report is a pure function of
 	// (config, seed).
 	Seed int64
-	// Workers bounds concurrent runs. Zero selects 1. The report is
+	// Workers bounds concurrent runs; ≤ 0 selects GOMAXPROCS. The report is
 	// byte-identical at every worker count: run seeds are pure functions of
 	// (Seed, profile, run index) and results aggregate in cell order
 	// regardless of completion order.

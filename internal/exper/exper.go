@@ -54,7 +54,7 @@ type Scenario struct {
 func (s Scenario) Draw(rng *rand.Rand) (LinkDraw, error) {
 	model := s.Model
 	if model == nil {
-		m, err := dataset.TechModel(s.Tech, 2021)
+		m, err := dataset.TechModel(s.Tech)
 		if err != nil {
 			return LinkDraw{}, fmt.Errorf("exper: %v", err)
 		}
@@ -165,7 +165,7 @@ var contestants = []algorithm{
 }
 
 // RunContests measures runs Scenario links per technology in one sweep on
-// workers goroutines (zero selects 1): run r of technology t is seeded
+// workers goroutines (≤ 0 selects GOMAXPROCS): run r of technology t is seeded
 // runSeed(seed, t, r), and every contestant of the run measures the link of
 // that seed. out[i] holds techs[i]'s runs in run order, a pure function of
 // (techs, runs, seed); a cancelled ctx stops the sweep between runs.
@@ -206,9 +206,9 @@ func SlowStartSweep(buckets []float64, reps int, seed int64) []RampPoint {
 		name string
 		mk   func() cc.Algorithm
 	}{
-		{"cubic", func() cc.Algorithm { return cc.NewCubic(0) }},
-		{"reno", func() cc.Algorithm { return cc.NewReno(0) }},
-		{"bbr", func() cc.Algorithm { return cc.NewBBR(0) }},
+		{"cubic", func() cc.Algorithm { return cc.NewCubic() }},
+		{"reno", func() cc.Algorithm { return cc.NewReno() }},
+		{"bbr", func() cc.Algorithm { return cc.NewBBR() }},
 	}
 	var out []RampPoint
 	for _, alg := range algs {
@@ -220,7 +220,7 @@ func SlowStartSweep(buckets []float64, reps int, seed int64) []RampPoint {
 					RTT:          40 * time.Millisecond,
 					Fluctuation:  0.02,
 				}, seed+int64(r))
-				res := cc.MeasureRamp(link, alg.mk(), 0.9, 30*time.Second)
+				res := cc.MeasureRamp(link, alg.mk())
 				total += res.RampTime
 			}
 			out = append(out, RampPoint{

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"github.com/mobilebandwidth/swiftest/internal/baseline"
@@ -122,7 +123,7 @@ type sweep struct {
 	plans    []NamedFaultPlan
 	runs     int
 	seed     int64
-	workers  int // zero selects 1
+	workers  int // ≤ 0 selects GOMAXPROCS
 	reg      *obs.Registry
 }
 
@@ -157,7 +158,7 @@ func (s sweep) sources() ([]*source, error) {
 		srcs = append(srcs, &source{name: tech.String(), tech: tech})
 	}
 	for _, src := range srcs {
-		model, err := dataset.TechModel(src.tech, 2021)
+		model, err := dataset.TechModel(src.tech)
 		if err != nil {
 			return nil, fmt.Errorf("exper: %w", err)
 		}
@@ -239,7 +240,11 @@ func runSweep[T any](ctx context.Context, s sweep, reduce func(core.Result, *ran
 		wg   sync.WaitGroup
 		next = make(chan int)
 	)
-	for w := min(max(s.workers, 1), len(errs)); w > 0; w-- {
+	workers := s.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	for w := min(workers, len(errs)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -75,8 +76,8 @@ type Config struct {
 	// DefaultPerTestMbps. It is also the dispatcher's admission sizing, so
 	// the plan's session capacity is Plan.ConcurrentCapacity(PerTestMbps).
 	PerTestMbps float64
-	// Workers bounds the goroutines advancing per-server links; zero means
-	// one. The assignment stream is independent of this value.
+	// Workers bounds the goroutines advancing per-server links; ≤ 0 selects
+	// GOMAXPROCS. The assignment stream is independent of this value.
 	Workers int
 	// Seed drives every random process (arrivals, link noise, tie-breaks).
 	Seed int64
@@ -153,7 +154,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		cfg.PerTestMbps = DefaultPerTestMbps
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = 1
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 
 	d, err := fleet.NewDispatcher(cfg.Plan, cfg.Placements, fleet.Config{

@@ -170,6 +170,9 @@ func (s *Sample) MeanAbove(x float64) float64 {
 	return sum / float64(n)
 }
 
+// CDF and KDE evaluate cdfPoints and kdePoints points.
+const cdfPoints, kdePoints = 100, 200
+
 // CDFPoint is one point of an empirical CDF: the fraction F of observations
 // that are ≤ X.
 type CDFPoint struct {
@@ -177,21 +180,17 @@ type CDFPoint struct {
 	F float64
 }
 
-// CDF returns the empirical CDF evaluated at up to points evenly spaced
-// sample quantiles, suitable for plotting. With points ≤ 0 a default of 100
-// is used.
-func (s *Sample) CDF(points int) []CDFPoint {
-	if points <= 0 {
-		points = 100
-	}
+// CDF returns the empirical CDF evaluated at cdfPoints evenly spaced sample
+// quantiles, suitable for plotting.
+func (s *Sample) CDF() []CDFPoint {
 	n := len(s.xs)
 	if n == 0 {
 		return nil
 	}
 	s.ensureSorted()
-	out := make([]CDFPoint, 0, points)
-	for i := 0; i < points; i++ {
-		f := float64(i+1) / float64(points)
+	out := make([]CDFPoint, 0, cdfPoints)
+	for i := 0; i < cdfPoints; i++ {
+		f := float64(i+1) / cdfPoints
 		idx := int(math.Ceil(f*float64(n))) - 1
 		if idx < 0 {
 			idx = 0
@@ -207,25 +206,23 @@ type PDFPoint struct {
 	Y float64
 }
 
-// KDE estimates the probability density of the sample on a grid of points
-// over [lo, hi] using a Gaussian kernel with the given bandwidth. With
-// bandwidth ≤ 0 Silverman's rule of thumb is used.
-func (s *Sample) KDE(lo, hi float64, points int, bandwidth float64) []PDFPoint {
+// KDE estimates the probability density of the sample on a grid of
+// kdePoints points over [0, hi] using a Gaussian kernel whose bandwidth
+// follows Silverman's rule of thumb.
+func (s *Sample) KDE(hi float64) []PDFPoint {
 	n := len(s.xs)
-	if n == 0 || points <= 0 || hi <= lo {
+	if n == 0 || hi <= 0 {
 		return nil
 	}
-	if bandwidth <= 0 {
-		sd := s.StdDev()
-		if sd == 0 {
-			sd = 1
-		}
-		bandwidth = 1.06 * sd * math.Pow(float64(n), -0.2)
+	sd := s.StdDev()
+	if sd == 0 {
+		sd = 1
 	}
-	out := make([]PDFPoint, points)
+	bandwidth := 1.06 * sd * math.Pow(float64(n), -0.2)
+	out := make([]PDFPoint, kdePoints)
 	norm := 1 / (float64(n) * bandwidth * math.Sqrt(2*math.Pi))
-	for i := 0; i < points; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(points-1)
+	for i := range out {
+		x := hi * float64(i) / (kdePoints - 1)
 		var y float64
 		for _, xi := range s.xs {
 			u := (x - xi) / bandwidth

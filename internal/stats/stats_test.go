@@ -28,7 +28,7 @@ func TestSampleEmpty(t *testing.T) {
 	if s.Median() != 0 || s.Mean() != 0 || s.Max() != 0 {
 		t.Error("empty sample stats not zero")
 	}
-	if s.CDF(10) != nil {
+	if s.CDF() != nil {
 		t.Error("empty sample CDF not nil")
 	}
 }
@@ -53,7 +53,7 @@ func TestCDFMonotonic(t *testing.T) {
 		xs[i] = rng.Float64() * 1000
 	}
 	s := NewSample(xs)
-	cdf := s.CDF(50)
+	cdf := s.CDF()
 	for i := 1; i < len(cdf); i++ {
 		if cdf[i].X < cdf[i-1].X {
 			t.Fatalf("CDF X not monotonic at %d: %v < %v", i, cdf[i].X, cdf[i-1].X)
@@ -96,7 +96,7 @@ func TestKDEIntegratesToRoughlyOne(t *testing.T) {
 		xs[i] = rng.NormFloat64()*20 + 100
 	}
 	s := NewSample(xs)
-	pts := s.KDE(0, 200, 400, 0)
+	pts := s.KDE(200)
 	var integral float64
 	for i := 1; i < len(pts); i++ {
 		dx := pts[i].X - pts[i-1].X
@@ -114,7 +114,7 @@ func TestKDEPeakNearMean(t *testing.T) {
 		xs[i] = rng.NormFloat64()*10 + 300
 	}
 	s := NewSample(xs)
-	pts := s.KDE(200, 400, 200, 0)
+	pts := s.KDE(400)
 	best := pts[0]
 	for _, p := range pts {
 		if p.Y > best.Y {

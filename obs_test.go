@@ -73,7 +73,7 @@ func TestEmulatedRunRecordAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := swiftest.NewTrace(0)
+	trace := swiftest.NewTrace()
 	reg := swiftest.NewMetricsRegistry()
 	res, err := swiftest.SimulateTestContext(
 		context.Background(),
@@ -140,7 +140,7 @@ func TestLoopbackRunRecordAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := swiftest.NewTrace(0)
+	trace := swiftest.NewTrace()
 	res, err := swiftest.TestContext(context.Background(), swiftest.TestOptions{
 		SessionOptions: swiftest.SessionOptions{Trace: trace, Metrics: reg},
 		Servers:        []swiftest.ServerAddr{{Addr: srv.Addr(), UplinkMbps: 60}},

@@ -96,7 +96,7 @@ func TestProfileSimulationIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace := swiftest.NewTrace(0)
+		trace := swiftest.NewTrace()
 		res, err := swiftest.SimulateTestContext(
 			context.Background(),
 			swiftest.LinkConfig{Seed: seed, Profile: p},

@@ -102,7 +102,7 @@ func failoverModel(t *testing.T) *swiftest.Model {
 // public emulation API and returns the result and trace.
 func simFailover(t *testing.T) (swiftest.Result, *swiftest.Trace) {
 	t.Helper()
-	tr := swiftest.NewTrace(0)
+	tr := swiftest.NewTrace()
 	res, err := swiftest.SimulateTestContext(context.Background(), swiftest.LinkConfig{
 		CapacityMbps: 600,
 		Fluctuation:  0.01,

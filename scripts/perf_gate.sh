@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Paired no-regression gate over the ledger: the protocol every performance
-# PR ran by hand. A manual tool, not a CI step (five workloads take ~35 min).
+# PR ran by hand. A manual tool, not a CI step (five workloads take ~40 min).
 #
 #   scripts/perf_gate.sh [--moved workload,...] <parent-ref> [workload...]
 #
@@ -19,8 +19,9 @@
 # their digests did not move: a declared move must happen at every seed.
 # An undeclared workload still fails on any digest that differs.
 #
-# Then one `--trace 1` run per side (seed 1) says where the time went: every
-# per-layer row whose two values differ by more than 2 %, and always the
+# Then three `--trace 1` runs per side (seeds 1–3, sides alternating which
+# goes first) say where the time went: each side's median of every per-layer
+# row whose two sides' ranges do not overlap (marked `moved`), and always the
 # live-test rows (converged share, data per test, the four stage medians)
 # when the workload fills them. Those rows inform; they do not gate.
 set -euo pipefail
@@ -49,6 +50,7 @@ import subprocess
 import sys
 
 PAIRS = 10
+TRACED = 3
 LIVE_ROWS = {"core.live_converged_share", "swiftest.live_data_mb_p50", "transport.select_ms_p50",
              "transport.handshake_ms_p50", "transport.first_sample_ms_p50", "transport.report_ms_p50"}
 parent_sha, parent_dir, names = sys.argv[1], sys.argv[2], sys.argv[4:]
@@ -119,13 +121,17 @@ for name in names or known:
         bad = [f"seed {i + 1}: {p} != {c}" for i, (p, c) in enumerate(pairs) if p != c]
         print(digests + ("  DIFFER " + "; ".join(bad) if bad else "  (equal on both sides)"))
     ok = ok and not rose and not bad
-    traced = {side: run(side, name, 1, trace=1)[0]["metrics"] for side in dirs}
-    print(f"  {'per-layer (one traced run a side)':<40} {'parent':>12} {'change':>12} {'moved':>8}")
+    traced = {"parent": [], "change": []}
+    for seed in range(1, TRACED + 1):
+        for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+            traced[side].append(run(side, name, seed, trace=1)[0]["metrics"])
+    print(f"  {f'per-layer (median of {TRACED} traced runs a side)':<40} {'parent':>12} {'change':>12} {'by':>8}")
     for row in bench["per_layer"]:
-        p, c = (traced[side].get(row["name"], {}).get("value", 0.0) for side in ("parent", "change"))
-        moved = abs(c - p) > 0.02 * abs(p)
-        if (p or c) and (moved or row["name"] in LIVE_ROWS):
-            by = f"{100 * (c - p) / p:>+7.1f}%" if p else f"{'new':>8}"
-            print(f"  {row['name']:<40} {p:>12.6g} {c:>12.6g} {by}  {row['unit']}")
+        p, c = ([m.get(row["name"], {}).get("value", 0.0) for m in traced[side]] for side in ("parent", "change"))
+        p_med, c_med = statistics.median(p), statistics.median(c)
+        moved = max(c) < min(p) or max(p) < min(c)
+        if any(p + c) and (moved or row["name"] in LIVE_ROWS):
+            by = f"{100 * (c_med - p_med) / p_med:>+7.1f}%" if p_med else f"{'new':>8}"
+            print(f"  {row['name']:<40} {p_med:>12.6g} {c_med:>12.6g} {by}  {row['unit']}" + ("  moved" if moved else ""))
 sys.exit(0 if ok else 1)
 EOF

@@ -76,9 +76,8 @@ type Trace = obs.Trace
 // TraceEvent is one structured trace record.
 type TraceEvent = obs.Event
 
-// NewTrace returns a tracer bounded to capacity events; capacity ≤ 0 selects
-// a default that holds every realistic test.
-func NewTrace(capacity int) *Trace { return obs.NewTrace(capacity) }
+// NewTrace returns a tracer whose default bound holds every realistic test.
+func NewTrace() *Trace { return obs.NewTrace(obs.DefaultTraceCapacity) }
 
 // Tech identifies a mobile access technology.
 type Tech = dataset.Tech
@@ -113,7 +112,7 @@ func FitModel(resultsMbps []float64, kmax int, seed int64) (*Model, error) {
 // DefaultModel returns the calibrated 2021 bandwidth model for a technology,
 // derived from the paper's measurement study (Figures 16, 18, 19).
 func DefaultModel(tech Tech) (*Model, error) {
-	return dataset.TechModel(tech, 2021)
+	return dataset.TechModel(tech)
 }
 
 // SaveModel writes a bandwidth model to path as versioned JSON — how a
