@@ -89,7 +89,8 @@ func TestProbersMatchReference(t *testing.T) {
 // BenchmarkProberTick times the flood tick of the TCP probers — one Advance
 // and one CUBIC tick per flow — on a 4g-drive link under the campaign's
 // burst-loss plan. An op is one whole test on a fresh link; ns/tick divides
-// the time by the ticks the tests simulated.
+// the time by the ticks the tests simulated. fast+fastbts is both probers
+// on one flood, which runs until the later of the two stops.
 func BenchmarkProberTick(b *testing.B) {
 	profile, err := ranprofile.Get("4g-drive")
 	if err != nil {
@@ -114,4 +115,13 @@ func BenchmarkProberTick(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed())/float64(ticks), "ns/tick")
 		})
 	}
+	b.Run("fast+fastbts", func(b *testing.B) {
+		b.ReportAllocs()
+		var ticks time.Duration
+		for i := range b.N {
+			reps := baseline.Flood(ranLink(profile, plan, int64(i%16+1)), &baseline.FAST{}, &baseline.FastBTS{})
+			ticks += max(reps[0].Duration, reps[1].Duration) / linksim.Tick
+		}
+		b.ReportMetric(float64(b.Elapsed())/float64(ticks), "ns/tick")
+	})
 }

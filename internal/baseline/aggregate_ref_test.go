@@ -138,7 +138,7 @@ func refBTSApp(link *linksim.Link) Report {
 func refFAST(link *linksim.Link) Report {
 	agg := newRefAggregate(link)
 	defer agg.close()
-	for i := 0; i < fastFlows; i++ {
+	for i := 0; i < floodFlows; i++ {
 		agg.addFlow()
 	}
 
@@ -157,7 +157,7 @@ func refFAST(link *linksim.Link) Report {
 					Duration: link.Now() - start,
 					DataMB:   agg.totalBytes() / 1e6,
 					Samples:  samples,
-					Flows:    fastFlows,
+					Flows:    floodFlows,
 				}
 			}
 		}
@@ -172,14 +172,14 @@ func refFAST(link *linksim.Link) Report {
 		Duration: link.Now() - start,
 		DataMB:   agg.totalBytes() / 1e6,
 		Samples:  samples,
-		Flows:    fastFlows,
+		Flows:    floodFlows,
 	}
 }
 
 func refFastBTS(link *linksim.Link) Report {
 	agg := newRefAggregate(link)
 	defer agg.close()
-	for i := 0; i < fastBTSFlows; i++ {
+	for i := 0; i < floodFlows; i++ {
 		agg.addFlow()
 	}
 
@@ -192,7 +192,7 @@ func refFastBTS(link *linksim.Link) Report {
 			Duration: link.Now() - start,
 			DataMB:   agg.totalBytes() / 1e6,
 			Samples:  samples,
-			Flows:    fastBTSFlows,
+			Flows:    floodFlows,
 		}
 	}
 	for link.Now()-start < fastBTSMaxDuration {

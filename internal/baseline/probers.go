@@ -4,7 +4,8 @@
 // §5.3). The probers run on the linksim virtual-time emulator with CUBIC
 // connections, so a full 10-second flooding test simulates in microseconds.
 // Each system runs with its published parameters, written once as the
-// constants beside it.
+// constants beside it. FAST and FastBTS open the same four connections and
+// differ only in their stop rules, so Flood runs both on one flood.
 package baseline
 
 import (
@@ -59,16 +60,17 @@ func (a *aggregate) addFlow() {
 }
 
 // step advances one tick of the connection set: the link moves, then each
-// CUBIC sender reads its flow's delivery and the link-wide RTT and offers
-// its next rate.
+// CUBIC sender reads its flow's delivery and the link-wide RTT, converted to
+// seconds once for all of them, and offers its next rate.
 //
 // swiftvet:hotpath
 func (a *aggregate) step() {
 	a.link.Advance()
 	rtt := a.link.RTT()
+	rttSec := rtt.Seconds()
 	for i, c := range a.cubics {
 		f := a.flows[i]
-		f.SetOffered(c.Tick(cc.Feedback{Achieved: f.Achieved(), Loss: f.LossSignal(), RTT: rtt}))
+		f.SetOffered(c.TickSec(cc.Feedback{Achieved: f.Achieved(), Loss: f.LossSignal(), RTT: rtt}, rttSec))
 	}
 }
 
@@ -156,10 +158,73 @@ func (b *BTSApp) Run(link *linksim.Link) Report {
 	}
 }
 
+// floodFlows is the connection count of FAST and FastBTS alike: both open
+// four CUBIC connections at once and keep them to the end, so the two see
+// one flood and differ only in when they stop reading it.
+const floodFlows = 4
+
+// FloodProber is a prober whose test is the four-flow CUBIC flood, FAST or
+// FastBTS. Flood runs any number of them on one flood.
+type FloodProber interface {
+	Prober
+	stopRule() stopRule
+}
+
+// stopRule is one flood prober's rule over one flood. next reads the newest
+// sample, samples[len(samples)-1], taken elapsed after the flood began, and
+// reports whether the test ends there and with what result.
+type stopRule interface {
+	next(samples []float64, elapsed time.Duration) (result float64, stop bool)
+}
+
+// Flood runs the four-flow CUBIC flood on link until the last of probers
+// has stopped, and returns each prober's report as of its own stop: the
+// samples it had read, the time it had run and the bytes delivered by then.
+// The flood does not depend on who reads it, so each report is the one the
+// prober would have made alone on a link of the same seed.
+func Flood(link *linksim.Link, probers ...FloodProber) []Report {
+	agg := newAggregate(link)
+	defer agg.close()
+	for range floodFlows {
+		agg.addFlow()
+	}
+	rules := make([]stopRule, len(probers))
+	for i, p := range probers {
+		rules[i] = p.stopRule()
+	}
+	reports := make([]Report, len(probers))
+	start := link.Now()
+	var samples []float64
+	for running := len(rules); running > 0; {
+		for range ticksPerSample {
+			agg.step()
+		}
+		samples = append(samples, agg.sample())
+		elapsed := link.Now() - start
+		for i, rule := range rules {
+			if rule == nil {
+				continue
+			}
+			if result, stop := rule.next(samples, elapsed); stop {
+				n := len(samples)
+				reports[i] = Report{
+					Result:   result,
+					Duration: elapsed,
+					DataMB:   agg.totalBytes() / 1e6,
+					Samples:  samples[:n:n],
+					Flows:    floodFlows,
+				}
+				rules[i] = nil
+				running--
+			}
+		}
+	}
+	return reports
+}
+
 // fast.com's published parameters, as reverse-engineered by the FastBTS work
 // (§5.3). Its stability threshold is estimate.StableThreshold.
 const (
-	fastFlows       = 4                // parallel connections
 	fastMinDuration = 8 * time.Second  // fast.com's observed floor
 	fastMaxDuration = 30 * time.Second // give up on stability here
 	fastWindow      = 20               // stability window: one second of samples
@@ -176,53 +241,30 @@ type FAST struct{}
 func (f *FAST) Name() string { return "fast" }
 
 // Run implements Prober.
-func (f *FAST) Run(link *linksim.Link) Report {
-	agg := newAggregate(link)
-	defer agg.close()
-	for i := 0; i < fastFlows; i++ {
-		agg.addFlow()
-	}
+func (f *FAST) Run(link *linksim.Link) Report { return Flood(link, f)[0] }
 
-	start := link.Now()
-	var samples []float64
-	for link.Now()-start < fastMaxDuration {
-		for i := 0; i < ticksPerSample; i++ {
-			agg.step()
+func (f *FAST) stopRule() stopRule { return fastStop{} }
+
+// fastStop is FAST's rule. It keeps no state: the window is the flood's
+// last fastWindow samples.
+type fastStop struct{}
+
+func (fastStop) next(samples []float64, elapsed time.Duration) (float64, bool) {
+	if elapsed >= fastMinDuration && len(samples) >= fastWindow {
+		if tail := samples[len(samples)-fastWindow:]; estimate.Stable(tail, estimate.StableThreshold) {
+			return stats.Mean(tail), true
 		}
-		samples = append(samples, agg.sample())
-		if link.Now()-start >= fastMinDuration && len(samples) >= fastWindow {
-			tail := samples[len(samples)-fastWindow:]
-			if estimate.Stable(tail, estimate.StableThreshold) {
-				return Report{
-					Result:   stats.Mean(tail),
-					Duration: link.Now() - start,
-					DataMB:   agg.totalBytes() / 1e6,
-					Samples:  samples,
-					Flows:    fastFlows,
-				}
-			}
-		}
+	}
+	if elapsed < fastMaxDuration {
+		return 0, false
 	}
 	// Timed out without stability: report the stable-window mean anyway.
-	tail := samples
-	if len(tail) > fastWindow {
-		tail = samples[len(samples)-fastWindow:]
-	}
-	return Report{
-		Result:   stats.Mean(tail),
-		Duration: link.Now() - start,
-		DataMB:   agg.totalBytes() / 1e6,
-		Samples:  samples,
-		Flows:    fastFlows,
-	}
+	return stats.Mean(samples[max(len(samples)-fastWindow, 0):]), true
 }
 
-// FastBTS's connection count and deadline (NSDI '21); its stopping rule is
-// estimate.FastBTSStop, which core.FastBTSPolicy runs too.
-const (
-	fastBTSFlows       = 4                // parallel connections
-	fastBTSMaxDuration = 10 * time.Second // deadline
-)
+// FastBTS's deadline (NSDI '21); its stopping rule is estimate.FastBTSStop,
+// which core.FastBTSPolicy runs too.
+const fastBTSMaxDuration = 10 * time.Second
 
 // FastBTS reproduces the NSDI'21 FastBTS design (§5.1/§5.3): TCP probing
 // with crucial-interval bandwidth estimation, stopping as soon as consecutive
@@ -236,34 +278,20 @@ type FastBTS struct{}
 func (f *FastBTS) Name() string { return "fastbts" }
 
 // Run implements Prober.
-func (f *FastBTS) Run(link *linksim.Link) Report {
-	agg := newAggregate(link)
-	defer agg.close()
-	for i := 0; i < fastBTSFlows; i++ {
-		agg.addFlow()
-	}
+func (f *FastBTS) Run(link *linksim.Link) Report { return Flood(link, f)[0] }
 
-	start := link.Now()
-	var samples []float64
-	var rule estimate.FastBTSStop
-	report := func(result float64) Report {
-		return Report{
-			Result:   result,
-			Duration: link.Now() - start,
-			DataMB:   agg.totalBytes() / 1e6,
-			Samples:  samples,
-			Flows:    fastBTSFlows,
-		}
+func (f *FastBTS) stopRule() stopRule { return &fastBTSStop{} }
+
+// fastBTSStop is FastBTS's rule: the crucial-interval estimates of the
+// samples so far, fed one sample per call.
+type fastBTSStop struct{ rule estimate.FastBTSStop }
+
+func (f *fastBTSStop) next(samples []float64, elapsed time.Duration) (float64, bool) {
+	if est, streak, _ := f.rule.Add(samples[len(samples)-1]); streak >= estimate.FastBTSAgreeRounds {
+		return est, true
 	}
-	for link.Now()-start < fastBTSMaxDuration {
-		for i := 0; i < ticksPerSample; i++ {
-			agg.step()
-		}
-		s := agg.sample()
-		samples = append(samples, s)
-		if est, streak, _ := rule.Add(s); streak >= estimate.FastBTSAgreeRounds {
-			return report(est)
-		}
+	if elapsed < fastBTSMaxDuration {
+		return 0, false
 	}
-	return report(rule.Estimate())
+	return f.rule.Estimate(), true
 }

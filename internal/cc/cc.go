@@ -75,11 +75,14 @@ type Algorithm interface {
 }
 
 // windowRate converts a congestion window (packets) and RTT into Mbps.
-func windowRate(cwnd float64, rtt time.Duration) float64 {
-	if rtt <= 0 {
+func windowRate(cwnd float64, rtt time.Duration) float64 { return windowRateSec(cwnd, rtt.Seconds()) }
+
+// windowRateSec is windowRate with the RTT already in seconds.
+func windowRateSec(cwnd, rttSec float64) float64 {
+	if rttSec <= 0 {
 		return 0
 	}
-	return cwnd * PacketBytes * 8 / rtt.Seconds() / 1e6
+	return cwnd * PacketBytes * 8 / rttSec / 1e6
 }
 
 // InitialRate is the rate (Mbps) a new connection offers before its first
@@ -162,9 +165,14 @@ func (c *Cubic) setWmax(w float64) {
 }
 
 // Tick implements Algorithm.
+func (c *Cubic) Tick(fb Feedback) float64 { return c.TickSec(fb, fb.RTT.Seconds()) }
+
+// TickSec is Tick for a sender that has converted fb.RTT to seconds
+// already: the flood reads its link's RTT once per tick and hands every
+// flow's sender the same float.
 //
 // swiftvet:hotpath
-func (c *Cubic) Tick(fb Feedback) float64 {
+func (c *Cubic) TickSec(fb Feedback, rttSec float64) float64 {
 	c.elapsed += linksim.Tick
 	if c.minRTT == 0 || fb.RTT < c.minRTT {
 		c.minRTT = fb.RTT
@@ -193,7 +201,14 @@ func (c *Cubic) Tick(fb Feedback) float64 {
 		acked := ackedPackets(fb)
 		if target > c.cwnd {
 			// Approach the cubic target at most one packet per ACK event.
-			c.cwnd = math.Min(target, c.cwnd+acked)
+			// target > cwnd ≥ 2 rules out a NaN target and signed zeros,
+			// and a NaN sum stays NaN, so the comparison gives math.Min's
+			// bits without its call.
+			next := c.cwnd + acked
+			if target < next {
+				next = target
+			}
+			c.cwnd = next
 		} else {
 			// TCP-friendly floor: grow at least like Reno.
 			c.cwnd += acked / c.cwnd
@@ -202,7 +217,7 @@ func (c *Cubic) Tick(fb Feedback) float64 {
 	if c.cwnd < 2 {
 		c.cwnd = 2
 	}
-	return windowRate(c.cwnd, fb.RTT)
+	return windowRateSec(c.cwnd, rttSec)
 }
 
 // BBR implements the Startup/Drain/ProbeBW phases of BBRv1 at the level of

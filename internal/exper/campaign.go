@@ -11,7 +11,6 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/earlystop"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
-	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
 )
 
 // CampaignReportSchema names the campaign report layout, carried in the
@@ -159,10 +158,10 @@ type runOutcome struct {
 }
 
 // outcomeOf reduces a finished run to its runOutcome.
-func outcomeOf(res core.Result, machine *ranprofile.Machine) runOutcome {
+func outcomeOf(res core.Result, chain chainActivity) runOutcome {
 	return runOutcome{
 		estimate: res.Bandwidth, duration: res.Duration, dataMB: res.DataMB, converged: res.Converged,
-		handovers: machine.Handovers(), stateChanges: machine.StateChanges(),
+		handovers: chain.handovers, stateChanges: chain.stateChanges,
 	}
 }
 

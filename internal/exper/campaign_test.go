@@ -324,10 +324,11 @@ func TestCampaignCellsArePaired(t *testing.T) {
 
 // BenchmarkCampaign measures one small campaign sweep per iteration — the
 // CI bench smoke's guard that the campaign runner stays on the fast path.
+// FAST and FastBTS share each run's flood, so it covers the shared job.
 func BenchmarkCampaign(b *testing.B) {
 	cfg := CampaignConfig{
 		Profiles:   []string{"4g-static", "wifi-cafe"},
-		Algorithms: []string{"fastbts"},
+		Algorithms: []string{"fast", "fastbts"},
 		FaultPlans: []NamedFaultPlan{{Name: "none"}},
 		Runs:       1,
 		Seed:       3,

@@ -6,7 +6,6 @@ import (
 
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/earlystop"
-	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
 )
 
 // EvalReportSchema names the paired-evaluation report layout.
@@ -101,8 +100,8 @@ func Evaluate(ctx context.Context, cfg EvalConfig) (*EvalReport, error) {
 	cells, err := runSweep(ctx, sweep{
 		profiles: cfg.Profiles, algs: algs, plans: cfg.FaultPlans,
 		runs: cfg.Runs, seed: cfg.Seed,
-	}, func(res core.Result, machine *ranprofile.Machine) runOutcome {
-		o := outcomeOf(res, machine)
+	}, func(res core.Result, chain chainActivity) runOutcome {
+		o := outcomeOf(res, chain)
 		// A converged run the crossing rule would not have stopped is a
 		// model-fired early stop.
 		if res.Converged {

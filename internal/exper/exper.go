@@ -10,7 +10,8 @@
 // fluctuation and occasional traffic shaping. Every contestant of a run
 // measures the link of one seed, and every run is scored against its
 // oracle: the mean capacity that link offered over 10 s, known exactly in
-// emulation.
+// emulation. FAST and FastBTS, which differ only in when they stop, read one
+// flood per run.
 package exper
 
 import (
@@ -27,7 +28,6 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/dataset"
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
-	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
 )
 
 // LinkDraw is one sampled access-link scenario.
@@ -173,7 +173,7 @@ func RunContests(ctx context.Context, techs []dataset.Tech, runs int, seed int64
 	cells, err := runSweep(ctx, sweep{
 		techs: techs, algs: contestants, plans: []NamedFaultPlan{{Name: "none"}},
 		runs: runs, seed: seed, workers: workers,
-	}, func(res core.Result, _ *ranprofile.Machine) core.Result { return res })
+	}, func(res core.Result, _ chainActivity) core.Result { return res })
 	if err != nil {
 		return nil, err
 	}

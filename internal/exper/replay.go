@@ -8,7 +8,6 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/core"
 	"github.com/mobilebandwidth/swiftest/internal/earlystop"
 	"github.com/mobilebandwidth/swiftest/internal/estimate"
-	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
@@ -87,7 +86,7 @@ func Replay(ctx context.Context, cfg ReplayConfig) ([]earlystop.Row, error) {
 	cells, err := runSweep(ctx, sweep{
 		profiles: cfg.Profiles, algs: []algorithm{{name: "never", policy: neverStop{}}}, plans: cfg.FaultPlans,
 		runs: cfg.Runs, seed: cfg.Seed,
-	}, func(res core.Result, _ *ranprofile.Machine) core.Result { return res })
+	}, func(res core.Result, _ chainActivity) core.Result { return res })
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/baseline"
 	"github.com/mobilebandwidth/swiftest/internal/core"
@@ -214,13 +215,38 @@ type sweepCell[T any] struct {
 	out  []T
 }
 
+// chainActivity is what a run's RAN chain went through until its
+// contestant stopped; zero on a Scenario link, which has no chain.
+type chainActivity struct{ stateChanges, handovers int }
+
+// activityBefore is machine's activity before link time stop. A sweep's
+// links start at time 0, so a prober that ran for Duration stopped at link
+// time Duration, however long a flood it shared ran on.
+func activityBefore(machine *ranprofile.Machine, stop time.Duration) chainActivity {
+	if machine == nil {
+		return chainActivity{}
+	}
+	changes, handovers := machine.Activity(stop)
+	return chainActivity{changes, handovers}
+}
+
+// proberResult is a prober's report as the sweep hands it on: a converged
+// Result.
+func proberResult(rep baseline.Report) core.Result {
+	return core.Result{Bandwidth: rep.Result, Duration: rep.Duration, DataMB: rep.DataMB, Samples: rep.Samples, Converged: true}
+}
+
 // runSweep measures every (cell, run) of s on s.workers goroutines. reduce
-// turns a finished run — the algorithm's result, a prober's report as a
-// converged Result, and the link's RAN chain (nil on a Scenario link) —
-// into what the caller keeps, inside the worker. Cells come back in sweep
-// order and runs in run order, whatever the completion order, so the
-// caller's sums are a pure function of s.
-func runSweep[T any](ctx context.Context, s sweep, reduce func(core.Result, *ranprofile.Machine) T) ([]sweepCell[T], error) {
+// turns a finished run — the algorithm's result (a prober's report as a
+// converged Result) and its link's chain activity — into what the caller
+// keeps, inside the worker. Cells come back in sweep order and runs in run
+// order, whatever the completion order, so the caller's sums are a pure
+// function of s.
+//
+// A job is one run of the cells that measure one link. The flood probers
+// of a (source, plan) that share the drifted flag read one flood, each
+// stopping at its own rule; every other cell is a job of its own.
+func runSweep[T any](ctx context.Context, s sweep, reduce func(core.Result, chainActivity) T) ([]sweepCell[T], error) {
 	srcs, err := s.sources()
 	if err != nil {
 		return nil, err
@@ -233,9 +259,26 @@ func runSweep[T any](ctx context.Context, s sweep, reduce func(core.Result, *ran
 			}
 		}
 	}
+	var groups [][]int // cell indices, one group per link of a run
+	for si := range srcs {
+		for pi := range s.plans {
+			flood := map[bool]int{} // drifted → the group of its flood probers
+			for ai, alg := range s.algs {
+				c := (si*len(s.algs)+ai)*len(s.plans) + pi
+				if _, ok := alg.prober.(baseline.FloodProber); ok {
+					if g, ok := flood[alg.drifted]; ok {
+						groups[g] = append(groups[g], c)
+						continue
+					}
+					flood[alg.drifted] = len(groups)
+				}
+				groups = append(groups, []int{c})
+			}
+		}
+	}
 
-	// Job i is run i%s.runs of cell i/s.runs; errs has a slot for each.
-	errs := make([]error, len(cells)*s.runs)
+	// Job i is run i%s.runs of group i/s.runs; errs has a slot for each.
+	errs := make([]error, len(groups)*s.runs)
 	var (
 		wg   sync.WaitGroup
 		next = make(chan int)
@@ -248,25 +291,36 @@ func runSweep[T any](ctx context.Context, s sweep, reduce func(core.Result, *ran
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var floods []baseline.FloodProber
 			for idx := range next {
-				cell, run := &cells[idx/s.runs], idx%s.runs
-				link, machine := cell.link(run, cell.plan.Plan, cell.alg.drifted, s.reg)
-				if p := cell.alg.prober; p != nil {
+				group, run := groups[idx/s.runs], idx%s.runs
+				head := &cells[group[0]]
+				link, machine := head.link(run, head.plan.Plan, head.alg.drifted, s.reg)
+				switch p := head.alg.prober.(type) {
+				case baseline.FloodProber:
+					floods = floods[:0]
+					for _, c := range group {
+						floods = append(floods, cells[c].alg.prober.(baseline.FloodProber))
+					}
+					for k, rep := range baseline.Flood(link, floods...) {
+						cells[group[k]].out[run] = reduce(proberResult(rep), activityBefore(machine, rep.Duration))
+					}
+				case baseline.Prober:
 					rep := p.Run(link)
-					cell.out[run] = reduce(core.Result{Bandwidth: rep.Result, Duration: rep.Duration, DataMB: rep.DataMB, Samples: rep.Samples, Converged: true}, machine)
-				} else {
+					head.out[run] = reduce(proberResult(rep), activityBefore(machine, rep.Duration))
+				default:
 					// The probe never declares its server lost (LostAfter is
 					// math.MaxInt): a sweep's faults hit the access link, not a
 					// server, and a patient client keeps sampling through them.
 					// The live client's K = 4 would end every swiftest ×
 					// blackout cell at 1.2 s instead of 4.5 s.
 					probe := core.NewSimProbe(link, core.SimPoolConfig{LostAfter: math.MaxInt})
-					res, err := core.RunContext(ctx, probe, core.Config{Model: cell.model, MaxDuration: SwiftestMaxDuration, Terminate: cell.alg.policy})
+					res, err := core.RunContext(ctx, probe, core.Config{Model: head.model, MaxDuration: SwiftestMaxDuration, Terminate: head.alg.policy})
 					probe.Close()
 					if err != nil {
-						errs[idx] = fmt.Errorf("exper: engine on %s: %w", cell.name, err)
+						errs[idx] = fmt.Errorf("exper: engine on %s: %w", head.name, err)
 					} else {
-						cell.out[run] = reduce(res, machine)
+						head.out[run] = reduce(res, activityBefore(machine, link.Now()))
 					}
 				}
 			}

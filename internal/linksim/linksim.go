@@ -143,6 +143,14 @@ type Link struct {
 	state     LinkState     // current profile state, valid when haveState
 	haveState bool          // a StateHook has been evaluated at least once
 
+	// The queue's buffer in bits, BufferBDP × the base BDP, and the base
+	// capacity and RTT it was computed from: it moves only with the
+	// profile state, so Advance recomputes it only when they change. The
+	// zero values agree with each other, so a new link needs no priming.
+	bufBits float64
+	bufCap  float64
+	bufRTT  time.Duration
+
 	// Per-tick scratch, sized to the flow count and reused across Advance
 	// calls: effective offered rates, impairment states (sized only once a
 	// tick merges impairments), fair shares, and the max-min working set of
@@ -550,9 +558,11 @@ func (l *Link) Advance() {
 			l.queueBits = 0
 		}
 	}
-	bufferBits := l.cfg.BufferBDP * l.baseCapacity() * 1e6 * l.BaseRTT().Seconds()
-	if l.queueBits > bufferBits {
-		l.queueBits = bufferBits
+	if base, rtt := l.baseCapacity(), l.BaseRTT(); base != l.bufCap || rtt != l.bufRTT {
+		l.bufBits, l.bufCap, l.bufRTT = l.cfg.BufferBDP*base*1e6*rtt.Seconds(), base, rtt
+	}
+	if l.queueBits > l.bufBits {
+		l.queueBits = l.bufBits
 		for i := range l.flows {
 			if eff[i] > shares[i] {
 				l.flows[i].lost = true

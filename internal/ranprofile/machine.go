@@ -225,8 +225,18 @@ func clampFactor(v, lo, hi float64) float64 {
 // Hook returns the machine's At method as a linksim state hook.
 func (m *Machine) Hook() func(time.Duration) linksim.LinkState { return m.At }
 
-// Handovers reports the number of completed cell swaps so far.
-func (m *Machine) Handovers() int { return m.handovers }
-
-// StateChanges reports the number of state transitions so far.
-func (m *Machine) StateChanges() int { return len(m.transitions) }
+// Activity counts the state transitions the chain made at times before
+// `before`, and the completed cell swaps among them. A link that has
+// advanced to virtual time t has stepped its machine to t − Tick, so
+// Activity(t) is what a test that stopped at t went through, however far
+// the link ran on for another test sharing it.
+func (m *Machine) Activity(before time.Duration) (stateChanges, handovers int) {
+	stateChanges, handovers = len(m.transitions), m.handovers
+	for i := len(m.transitions) - 1; i >= 0 && m.transitions[i].At >= before; i-- {
+		stateChanges--
+		if m.transitions[i].Handover {
+			handovers--
+		}
+	}
+	return stateChanges, handovers
+}

@@ -1,6 +1,7 @@
 package ranprofile
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -147,7 +148,8 @@ func TestMachineHandoverSwapsCell(t *testing.T) {
 	for at := time.Duration(0); at <= 60*time.Second; at += linksim.Tick {
 		m.At(at)
 	}
-	if m.Handovers() == 0 {
+	changes, handovers := m.Activity(time.Duration(math.MaxInt64))
+	if handovers == 0 {
 		t.Fatal("5g-train produced no handovers in 60s")
 	}
 	var sawSwap bool
@@ -181,19 +183,46 @@ func TestMachineHandoverSwapsCell(t *testing.T) {
 			}
 		}
 	}
-	if stateEvents != m.StateChanges() {
-		t.Errorf("trace has %d state-change events, machine logged %d", stateEvents, m.StateChanges())
+	if stateEvents != changes {
+		t.Errorf("trace has %d state-change events, machine logged %d", stateEvents, changes)
 	}
-	if handoverEvents != m.Handovers() {
-		t.Errorf("trace has %d handover events, machine counted %d", handoverEvents, m.Handovers())
+	if handoverEvents != handovers {
+		t.Errorf("trace has %d handover events, machine counted %d", handoverEvents, handovers)
 	}
 
 	lm := NewLinkMetrics(reg)
-	if got := lm.Handovers.Value(); got != uint64(m.Handovers()) {
-		t.Errorf("handover counter = %d, want %d", got, m.Handovers())
+	if got := lm.Handovers.Value(); got != uint64(handovers) {
+		t.Errorf("handover counter = %d, want %d", got, handovers)
 	}
-	if lm.StateDwell.Count() != uint64(m.StateChanges()) {
-		t.Errorf("dwell histogram observed %d, want %d", lm.StateDwell.Count(), m.StateChanges())
+	if lm.StateDwell.Count() != uint64(changes) {
+		t.Errorf("dwell histogram observed %d, want %d", lm.StateDwell.Count(), changes)
+	}
+}
+
+// TestActivityCountsToTheStop holds Activity(t) on a machine stepped far
+// past t to the whole log of a twin stepped as a link that stopped at t
+// steps it, to t − Tick, at every 50 ms stop of a minute of 5g-train. The
+// twin moves forward from stop to stop, as a link does.
+func TestActivityCountsToTheStop(t *testing.T) {
+	p, err := Get("5g-train")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const horizon = 60 * time.Second
+	long := NewMachine(p, 11, MachineOptions{})
+	long.At(horizon)
+	all, _ := long.Activity(horizon + linksim.Tick)
+	if all == 0 {
+		t.Fatal("5g-train made no transitions in 60s")
+	}
+	short := NewMachine(p, 11, MachineOptions{})
+	for stop := linksim.SampleInterval; stop <= horizon; stop += linksim.SampleInterval {
+		short.At(stop - linksim.Tick)
+		wantChanges, wantHandovers := len(short.transitions), short.handovers
+		if changes, handovers := long.Activity(stop); changes != wantChanges || handovers != wantHandovers {
+			t.Fatalf("stop %v: Activity = (%d, %d), a machine stepped to the stop made (%d, %d)",
+				stop, changes, handovers, wantChanges, wantHandovers)
+		}
 	}
 }
 

@@ -19,11 +19,14 @@
 # their digests did not move: a declared move must happen at every seed.
 # An undeclared workload still fails on any digest that differs.
 #
-# Then three `--trace 1` runs per side (seeds 1–3, sides alternating which
+# Then four `--trace 1` runs per side (seeds 1–4, sides alternating which
 # goes first) say where the time went: each side's median of every per-layer
 # row whose two sides' ranges do not overlap (marked `moved`), and always the
 # live-test rows (converged share, data per test, the four stage medians)
-# when the workload fills them. Those rows inform; they do not gate.
+# when the workload fills them. Those rows inform; they do not gate. A row
+# that did not move has disjoint ranges, and is marked `moved`, with
+# probability 2·4!·4!/8! = 1/35 (1/10 with three runs a side); the fourth
+# run costs two more traced runs per workload.
 set -euo pipefail
 
 USAGE="usage: scripts/perf_gate.sh [--moved workload,...] <parent-ref> [workload...]"
@@ -50,7 +53,7 @@ import subprocess
 import sys
 
 PAIRS = 10
-TRACED = 3
+TRACED = 4
 LIVE_ROWS = {"core.live_converged_share", "swiftest.live_data_mb_p50", "transport.select_ms_p50",
              "transport.handshake_ms_p50", "transport.first_sample_ms_p50", "transport.report_ms_p50"}
 parent_sha, parent_dir, names = sys.argv[1], sys.argv[2], sys.argv[4:]
