@@ -80,7 +80,7 @@ func analyze(args []string) error {
 	in := fs.String("i", "-", "input JSONL file (\"-\" for stdin)")
 	report := fs.String("report", "all", "report: tech, bands, diurnal, rss, wifi, models or all")
 	seed := fs.Int64("seed", 1, "RNG seed for model fitting")
-	workers := workersFlag(fs, "aggregation workers")
+	workers := workersFlag(fs, "aggregation workers; output is identical for any value")
 	modelsOut := fs.String("models-out", "", "directory to write fitted bandwidth models as JSON (for swiftest test -model)")
 	if err := fs.Parse(args); err != nil {
 		return err

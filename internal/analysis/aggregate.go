@@ -8,9 +8,10 @@
 //
 // Accumulation order: a single-pass aggregator adds each key's values in
 // record order, exactly like the map-based code it replaced, so per-key
-// sums are bit-identical. Merged partials re-associate float additions
-// (chunk-by-chunk instead of record-by-record), which can differ in the
-// last ulp; counts are exact either way.
+// sums are bit-identical. Fanout's merged partials re-associate float
+// additions (chunk by chunk instead of record by record), which can differ
+// from one pass in the last ulp; its chunks are fixed, so its result is
+// the same at every worker count, and counts are exact either way.
 //
 // Out-of-range field values (an hour ≥ 24, an unknown ISP, a city ID beyond
 // the calibrated range) are skipped rather than extending the dense arrays:
@@ -20,10 +21,10 @@ package analysis
 
 import (
 	"math"
-	"runtime"
 	"sync"
 
 	"github.com/mobilebandwidth/swiftest/internal/dataset"
+	"github.com/mobilebandwidth/swiftest/internal/par"
 	"github.com/mobilebandwidth/swiftest/internal/spectrum"
 )
 
@@ -43,45 +44,27 @@ type Aggregator[A any] interface {
 	Merge(other A)
 }
 
-// Fanout partitions records into one contiguous chunk per worker, runs an
-// independent aggregator over each, and merges the partials in chunk order.
-// workers <= 0 means GOMAXPROCS. With workers == 1 it is exactly a
-// single-pass Observe loop.
+// Fanout runs an independent aggregator over each dataset.ShardSize-record
+// chunk of records on the given number of workers (≤ 0 selects
+// GOMAXPROCS) and merges the partials in chunk order. The chunks do not
+// depend on workers, so neither do the result's bits.
 func Fanout[A Aggregator[A]](records []dataset.Record, workers int, newAgg func() A) A {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(records) {
-		workers = len(records)
-	}
-	if workers <= 1 {
-		agg := newAgg()
-		for _, r := range records {
-			agg.Observe(r)
+	const chunk = dataset.ShardSize
+	aggs := make([]A, (len(records)+chunk-1)/chunk)
+	par.For(len(aggs), workers, func(c int) error {
+		aggs[c] = newAgg()
+		for _, r := range records[c*chunk : min((c+1)*chunk, len(records))] {
+			aggs[c].Observe(r)
 		}
-		return agg
+		return nil
+	})
+	if len(aggs) == 0 {
+		return newAgg()
 	}
-	aggs := make([]A, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo := w * len(records) / workers
-			hi := (w + 1) * len(records) / workers
-			agg := newAgg()
-			for _, r := range records[lo:hi] {
-				agg.Observe(r)
-			}
-			aggs[w] = agg
-		}(w)
-	}
-	wg.Wait()
-	out := aggs[0]
 	for _, a := range aggs[1:] {
-		out.Merge(a)
+		aggs[0].Merge(a)
 	}
-	return out
+	return aggs[0]
 }
 
 // TechAgg accumulates per-technology bandwidth sums (Figure 1).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -459,21 +460,33 @@ func TestMergeEqualsSinglePass(t *testing.T) {
 	}
 }
 
+// TestFanoutMatchesSinglePass wants Fanout bit-equal, at every worker
+// count, to fixed dataset.ShardSize chunks merged in order by hand, and
+// equal in counts and close in means to one plain Observe loop.
 func TestFanoutMatchesSinglePass(t *testing.T) {
 	recs := aggRecords(t, 100_000)
-	want := Fanout(recs, 1, NewStudy)
-	for _, workers := range []int{2, 7, runtime.GOMAXPROCS(0), 0} {
-		got := Fanout(recs, workers, NewStudy)
-		w, g := want.Tech.Snapshot(), got.Tech.Snapshot()
-		for tech := range w.Mean {
-			if g.Count[tech] != w.Count[tech] || !closeEnough(g.Mean[tech], w.Mean[tech]) {
-				t.Errorf("workers=%d: %v diverged: got (%v,%d), want (%v,%d)", workers, tech,
-					g.Mean[tech], g.Count[tech], w.Mean[tech], w.Count[tech])
-			}
+	var chunks [][]dataset.Record
+	for lo := 0; lo < len(recs); lo += dataset.ShardSize {
+		chunks = append(chunks, recs[lo:min(lo+dataset.ShardSize, len(recs))])
+	}
+	want := mergeOver(chunks, NewStudy)
+	single := NewStudy()
+	for _, r := range recs {
+		single.Observe(r)
+	}
+	w, s := want.Tech.Snapshot(), single.Tech.Snapshot()
+	for tech := range s.Mean {
+		if w.Count[tech] != s.Count[tech] || !closeEnough(w.Mean[tech], s.Mean[tech]) {
+			t.Errorf("%v: chunked (%v,%d), single pass (%v,%d)", tech,
+				w.Mean[tech], w.Count[tech], s.Mean[tech], s.Count[tech])
 		}
-		wd, gd := want.Dist.Snapshot(dataset.Tech4G), got.Dist.Snapshot(dataset.Tech4G)
-		if gd.Count != wd.Count || gd.Mean != wd.Mean {
-			t.Errorf("workers=%d: 4G distribution diverged", workers)
+	}
+	if !reflect.DeepEqual(want.Dist, single.Dist) || !reflect.DeepEqual(want.WiFi, single.WiFi) {
+		t.Error("chunked value lists differ from the single pass's")
+	}
+	for _, workers := range []int{1, 2, 7, runtime.GOMAXPROCS(0), 0} {
+		if got := Fanout(recs, workers, NewStudy); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: Study differs from the chunk-by-chunk merge", workers)
 		}
 	}
 }

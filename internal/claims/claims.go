@@ -13,7 +13,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strings"
 
@@ -82,9 +81,6 @@ type part struct {
 // NewCorpus returns an empty corpus; ctx cancels the §5.3 sweep between
 // runs. A non-positive workers selects GOMAXPROCS.
 func NewCorpus(ctx context.Context, seed int64, workers int) *Corpus {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	return &Corpus{seed: seed, ctx: ctx, workers: workers, memo: map[string]part{}}
 }
 
@@ -115,12 +111,11 @@ func (c *Corpus) records() (r20, r21 []dataset.Record) {
 	return r[0], r[1]
 }
 
-// study aggregates the 2021 records in one pass. One worker: merged partial
-// sums re-associate, and the table must not depend on workers.
+// study aggregates the 2021 records in one pass.
 func (c *Corpus) study() *analysis.Study {
 	return get(c, "study", func() (*analysis.Study, error) {
 		_, r21 := c.records()
-		return analysis.Fanout(r21, 1, analysis.NewStudy), nil
+		return analysis.Fanout(r21, c.workers, analysis.NewStudy), nil
 	})
 }
 

@@ -42,7 +42,7 @@ var Table = []Row{
 			var v []float64
 			a20 := get(c, "tech2020", func() (*analysis.TechAgg, error) {
 				r20, _ := c.records()
-				return analysis.Fanout(r20, 1, analysis.NewTechAgg), nil
+				return analysis.Fanout(r20, c.workers, analysis.NewTechAgg), nil
 			})
 			for _, t := range techs {
 				v = append(v, a20.Snapshot().Mean[t], c.study().Tech.Snapshot().Mean[t])

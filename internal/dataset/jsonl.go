@@ -6,8 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
+
+	"github.com/mobilebandwidth/swiftest/internal/par"
 )
 
 // JSONLWriter streams records to an io.Writer as JSON Lines through a 1 MiB
@@ -70,45 +70,20 @@ func WriteJSONL(w io.Writer, records []Record) error {
 // copy.
 func WriteJSONLParallel(w io.Writer, records []Record, workers int) error {
 	const chunk = 4 * ShardSize
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if workers == 1 || len(records) <= chunk {
 		return WriteJSONL(w, records)
 	}
-	numChunks := (len(records) + chunk - 1) / chunk
-	if workers > numChunks {
-		workers = numChunks
-	}
-
-	bufs := make([]bytes.Buffer, numChunks)
-	errs := make([]error, numChunks)
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			for c := wkr; c < numChunks; c += workers {
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > len(records) {
-					hi = len(records)
-				}
-				enc := json.NewEncoder(&bufs[c])
-				for i := lo; i < hi; i++ {
-					if err := enc.Encode(&records[i]); err != nil {
-						errs[c] = fmt.Errorf("dataset: encoding record %d: %w", i, err)
-						return
-					}
-				}
+	bufs := make([]bytes.Buffer, (len(records)+chunk-1)/chunk)
+	if err := par.For(len(bufs), workers, func(c int) error {
+		enc := json.NewEncoder(&bufs[c])
+		for i := c * chunk; i < min((c+1)*chunk, len(records)); i++ {
+			if err := enc.Encode(&records[i]); err != nil {
+				return fmt.Errorf("dataset: encoding record %d: %w", i, err)
 			}
-		}(wkr)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	for c := range bufs {

@@ -2,10 +2,8 @@ package dataset
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"github.com/mobilebandwidth/swiftest/internal/par"
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
 
@@ -52,53 +50,25 @@ func (g *Generator) GenerateRange(start, count, workers int) []Record {
 	if count <= 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := make([]Record, count)
-
 	firstShard := start / ShardSize
-	lastShard := (start + count - 1) / ShardSize
-	numShards := lastShard - firstShard + 1
-	if workers > numShards {
-		workers = numShards
-	}
-
-	// Workers claim whole shards off an atomic counter and write into
-	// disjoint ranges of out, so no locks and no post-hoc stitching.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				s := firstShard + int(next.Add(1)) - 1
-				if s > lastShard {
-					return
-				}
-				sg := g.Shard(s)
-				shardStart := s * ShardSize
-				// Skip the prefix of a shard that falls before start:
-				// the draws must still happen so record identities hold.
-				skip := 0
-				if shardStart < start {
-					skip = start - shardStart
-					for i := 0; i < skip; i++ {
-						sg.Next()
-					}
-				}
-				lo := shardStart + skip
-				hi := shardStart + ShardSize
-				if hi > start+count {
-					hi = start + count
-				}
-				for i := lo; i < hi; i++ {
-					out[i-start] = sg.Next()
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	numShards := (start+count-1)/ShardSize - firstShard + 1
+	// Each shard writes a disjoint range of out, so no locks and no
+	// post-hoc stitching.
+	par.For(numShards, workers, func(i int) error {
+		s := firstShard + i
+		sg := g.Shard(s)
+		shardStart := s * ShardSize
+		// Skip the prefix of a shard that falls before start: the draws
+		// must still happen so record identities hold.
+		lo := max(shardStart, start)
+		for range lo - shardStart {
+			sg.Next()
+		}
+		for j := lo; j < min(shardStart+ShardSize, start+count); j++ {
+			out[j-start] = sg.Next()
+		}
+		return nil
+	})
 	return out
 }

@@ -6,8 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/baseline"
@@ -18,6 +16,7 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
+	"github.com/mobilebandwidth/swiftest/internal/par"
 	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
@@ -277,72 +276,47 @@ func runSweep[T any](ctx context.Context, s sweep, reduce func(core.Result, chai
 		}
 	}
 
-	// Job i is run i%s.runs of group i/s.runs; errs has a slot for each.
-	errs := make([]error, len(groups)*s.runs)
-	var (
-		wg   sync.WaitGroup
-		next = make(chan int)
-	)
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	for w := min(workers, len(errs)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var floods []baseline.FloodProber
-			for idx := range next {
-				group, run := groups[idx/s.runs], idx%s.runs
-				head := &cells[group[0]]
-				link, machine := head.link(run, head.plan.Plan, head.alg.drifted, s.reg)
-				switch p := head.alg.prober.(type) {
-				case baseline.FloodProber:
-					floods = floods[:0]
-					for _, c := range group {
-						floods = append(floods, cells[c].alg.prober.(baseline.FloodProber))
-					}
-					for k, rep := range baseline.Flood(link, floods...) {
-						cells[group[k]].out[run] = reduce(proberResult(rep), activityBefore(machine, rep.Duration))
-					}
-				case baseline.Prober:
-					rep := p.Run(link)
-					head.out[run] = reduce(proberResult(rep), activityBefore(machine, rep.Duration))
-				default:
-					// The probe never declares its server lost (LostAfter is
-					// math.MaxInt): a sweep's faults hit the access link, not a
-					// server, and a patient client keeps sampling through them.
-					// The live client's K = 4 would end every swiftest ×
-					// blackout cell at 1.2 s instead of 4.5 s.
-					probe := core.NewSimProbe(link, core.SimPoolConfig{LostAfter: math.MaxInt})
-					res, err := core.RunContext(ctx, probe, core.Config{Model: head.model, MaxDuration: SwiftestMaxDuration, Terminate: head.alg.policy})
-					probe.Close()
-					if err != nil {
-						errs[idx] = fmt.Errorf("exper: engine on %s: %w", head.name, err)
-					} else {
-						head.out[run] = reduce(res, activityBefore(machine, link.Now()))
-					}
-				}
-			}
-		}()
-	}
-feed:
-	for idx := range errs {
-		select {
-		case next <- idx:
-		case <-ctx.Done():
-			break feed
+	// Job i is run i%s.runs of group i/s.runs.
+	err = par.For(len(groups)*s.runs, s.workers, func(idx int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-	}
-	close(next)
-	wg.Wait()
+		group, run := groups[idx/s.runs], idx%s.runs
+		head := &cells[group[0]]
+		link, machine := head.link(run, head.plan.Plan, head.alg.drifted, s.reg)
+		switch p := head.alg.prober.(type) {
+		case baseline.FloodProber:
+			floods := make([]baseline.FloodProber, len(group))
+			for k, c := range group {
+				floods[k] = cells[c].alg.prober.(baseline.FloodProber)
+			}
+			for k, rep := range baseline.Flood(link, floods...) {
+				cells[group[k]].out[run] = reduce(proberResult(rep), activityBefore(machine, rep.Duration))
+			}
+		case baseline.Prober:
+			rep := p.Run(link)
+			head.out[run] = reduce(proberResult(rep), activityBefore(machine, rep.Duration))
+		default:
+			// The probe never declares its server lost (LostAfter is
+			// math.MaxInt): a sweep's faults hit the access link, not a
+			// server, and a patient client keeps sampling through them.
+			// The live client's K = 4 would end every swiftest × blackout
+			// cell at 1.2 s instead of 4.5 s.
+			probe := core.NewSimProbe(link, core.SimPoolConfig{LostAfter: math.MaxInt})
+			res, err := core.RunContext(ctx, probe, core.Config{Model: head.model, MaxDuration: SwiftestMaxDuration, Terminate: head.alg.policy})
+			probe.Close()
+			if err != nil {
+				return fmt.Errorf("exper: engine on %s: %w", head.name, err)
+			}
+			head.out[run] = reduce(res, activityBefore(machine, link.Now()))
+		}
+		return nil
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("exper: sweep cancelled: %w", err)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return cells, nil
 }

@@ -29,9 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"github.com/mobilebandwidth/swiftest/internal/deploy"
@@ -40,6 +38,7 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/fleet"
 	"github.com/mobilebandwidth/swiftest/internal/linksim"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
+	"github.com/mobilebandwidth/swiftest/internal/par"
 	"github.com/mobilebandwidth/swiftest/internal/ranprofile"
 	"github.com/mobilebandwidth/swiftest/internal/stats"
 )
@@ -152,9 +151,6 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	}
 	if cfg.PerTestMbps <= 0 {
 		cfg.PerTestMbps = DefaultPerTestMbps
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 
 	d, err := fleet.NewDispatcher(cfg.Plan, cfg.Placements, fleet.Config{
@@ -278,20 +274,12 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		// Parallel phase: advance every server link one step. Links are
 		// independent (own rng, own flows), so goroutine scheduling cannot
 		// change any outcome.
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, cfg.Workers)
-		for _, l := range links {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(l *linksim.Link) {
-				defer wg.Done()
-				for t := 0; t < ticksPerStep; t++ {
-					l.Advance()
-				}
-				<-sem
-			}(l)
-		}
-		wg.Wait()
+		par.For(len(links), cfg.Workers, func(i int) error {
+			for range ticksPerStep {
+				links[i].Advance()
+			}
+			return nil
+		})
 		after := at + Step
 
 		// Sequential phase: sample every client in spawn order, detect
