@@ -41,6 +41,27 @@ type Analyzer struct {
 	Run func(pass *Pass) error
 }
 
+// deterministicPackages are the packages whose outputs must be a pure
+// function of their inputs and seeds: vtcore, seedflow and maporder
+// enforce their rules there, and TestOneFanout keeps their parallel work on
+// internal/par. Matching by suffix keeps the checks independent of the
+// module path.
+var deterministicPackages = []string{
+	"internal/analysis",
+	"internal/claims",
+	"internal/core",
+	"internal/dataset",
+	"internal/deploy",
+	"internal/earlystop",
+	"internal/exper",
+	"internal/faults",
+	"internal/fleet",
+	"internal/gmm",
+	"internal/linksim",
+	"internal/loadgen",
+	"internal/ranprofile",
+}
+
 // registry holds all known analyzers, keyed by name.
 var registry = map[string]*Analyzer{}
 

@@ -21,9 +21,9 @@ import (
 //   - order-independent writes: indexed assignment (m2[k] = v, arr[i] = v),
 //     counters, sums — anything commutative.
 //
-// Enforcement covers the deterministic packages only (dataset, faults,
-// fleet, loadgen, linksim, deploy, core); a deliberately order-insensitive
-// sink there documents itself with //lint:allow maporder <reason>.
+// Enforcement covers the deterministic packages only; a deliberately
+// order-insensitive sink there documents itself with
+// //lint:allow maporder <reason>.
 var Maporder = &Analyzer{
 	Name: "maporder",
 	Doc: "flags range-over-map bodies that append to unsorted slices or " +
@@ -54,7 +54,7 @@ var sortFuncs = map[string]bool{
 }
 
 func runMaporder(pass *Pass) error {
-	if !pathHasSuffix(pass.PkgPath, seedflowPackageSuffixes) {
+	if !pathHasSuffix(pass.PkgPath, deterministicPackages) {
 		return nil
 	}
 	for _, file := range pass.Files {

@@ -1,22 +1,15 @@
-package main
+package lint
 
 import (
 	"go/ast"
 	"go/types"
+	"slices"
+	"strings"
 	"testing"
-
-	"github.com/mobilebandwidth/swiftest/internal/lint"
 )
 
-// fanoutPackages are the virtual-time packages under internal/ whose
-// parallel work runs on par.For.
-var fanoutPackages = []string{
-	"dataset", "faults", "fleet", "loadgen", "linksim", "deploy",
-	"core", "ranprofile", "earlystop", "exper", "analysis", "claims",
-}
-
-// TestOneFanout keeps internal/par the one worker pool of fanoutPackages:
-// their non-test files hold no go statement and no use of
+// TestOneFanout keeps internal/par the one worker pool of the deterministic
+// packages: their non-test files hold no go statement and no use of
 // runtime.GOMAXPROCS or runtime.NumCPU. A pool of their own would pick its
 // own worker rule, and its outputs would have to be shown worker-invariant
 // again; par.For writes item i into slot i and reads GOMAXPROCS in one
@@ -25,19 +18,19 @@ func TestOneFanout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the module with go list -export")
 	}
-	mod, err := lint.Load("../..", "./...")
+	mod, err := Load("../..", "./...")
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	checked := map[string]bool{}
-	for _, name := range fanoutPackages {
-		checked[internalPath+name] = false
-	}
+	found := map[string]bool{}
 	for _, pkg := range mod {
-		if _, ok := checked[pkg.PkgPath]; !ok {
+		i := slices.IndexFunc(deterministicPackages, func(suffix string) bool {
+			return strings.HasSuffix(pkg.PkgPath, suffix)
+		})
+		if i < 0 {
 			continue
 		}
-		checked[pkg.PkgPath] = true
+		found[deterministicPackages[i]] = true
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -53,9 +46,9 @@ func TestOneFanout(t *testing.T) {
 			})
 		}
 	}
-	for path, ok := range checked {
-		if !ok {
-			t.Errorf("%s is not in the module; drop it from fanoutPackages", path)
+	for _, suffix := range deterministicPackages {
+		if !found[suffix] {
+			t.Errorf("no package of the module ends in %s; drop it from deterministicPackages", suffix)
 		}
 	}
 }

@@ -32,29 +32,11 @@ var Seedflow = &Analyzer{
 	Name: "seedflow",
 	Doc: "flags global math/rand source calls, time-derived seeds and " +
 		"hard-coded rand.NewSource/NewPCG/NewChaCha8 seeds in the " +
-		"deterministic packages (dataset, faults, fleet, loadgen, linksim, " +
-		"deploy, core, ranprofile, earlystop, exper, claims)",
+		"deterministic packages",
 	Run: runSeedflow,
 }
 
 func init() { Register(Seedflow) }
-
-// seedflowPackageSuffixes selects the deterministic packages under
-// enforcement. Matching by suffix keeps the analyzer independent of the
-// module path.
-var seedflowPackageSuffixes = []string{
-	"internal/dataset",
-	"internal/faults",
-	"internal/fleet",
-	"internal/loadgen",
-	"internal/linksim",
-	"internal/deploy",
-	"internal/core",
-	"internal/ranprofile",
-	"internal/earlystop",
-	"internal/exper",
-	"internal/claims",
-}
 
 // globalRandFuncs are the package-level math/rand and math/rand/v2
 // functions that draw from (or mutate) the shared global source.
@@ -77,7 +59,7 @@ var seededSourceFuncs = map[string]bool{
 }
 
 func runSeedflow(pass *Pass) error {
-	if !pathHasSuffix(pass.PkgPath, seedflowPackageSuffixes) {
+	if !pathHasSuffix(pass.PkgPath, deterministicPackages) {
 		return nil
 	}
 	for _, file := range pass.Files {

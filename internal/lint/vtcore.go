@@ -10,38 +10,21 @@ import (
 // which is exactly the failure mode the simulation substrate cannot afford:
 // one convenience directive in linksim or fleet and determinism erodes with
 // nobody noticing. VTCore therefore flags the *directive itself* inside the
-// pinned core packages, so opting those packages out of walltime is a lint
-// error in its own right. Wall-clock faces of the core (the live
-// FleetDispatcher wrapper, transport, command mains) live outside these
-// packages precisely so they can carry the directive.
+// deterministic packages, so opting those packages out of walltime is a lint
+// error in its own right. Wall-clock faces of the core (the dispatch verb's
+// control plane, transport, command mains) live outside these packages
+// precisely so they can carry the directive.
 var VTCore = &Analyzer{
 	Name: "vtcore",
-	Doc: "flags //lint:allow walltime directives inside the pinned " +
-		"virtual-time core packages (linksim, gmm, deploy, faults, fleet, " +
-		"loadgen) — the core must stay wall-clock-free, not opted out",
+	Doc: "flags //lint:allow walltime directives inside the deterministic " +
+		"packages — they must stay wall-clock-free, not opted out",
 	Run: runVTCore,
 }
 
 func init() { Register(VTCore) }
 
-// vtCorePackageSuffixes is the pinned set: packages whose determinism the
-// experiments rest on. Matching by suffix keeps the analyzer independent of
-// the module path.
-var vtCorePackageSuffixes = []string{
-	"internal/linksim",
-	"internal/gmm",
-	"internal/deploy",
-	"internal/faults",
-	"internal/fleet",
-	"internal/loadgen",
-	"internal/ranprofile",
-	"internal/earlystop",
-	"internal/exper",
-	"internal/claims",
-}
-
 func runVTCore(pass *Pass) error {
-	if !pathHasSuffix(pass.PkgPath, vtCorePackageSuffixes) {
+	if !pathHasSuffix(pass.PkgPath, deterministicPackages) {
 		return nil
 	}
 	for _, file := range pass.Files {

@@ -1,7 +1,7 @@
 // Package par runs data-parallel work addressed by index. It is the one
-// place the virtual-time packages start goroutines for such work and read
-// GOMAXPROCS: a caller writes item i's output into slot i, so the result
-// cannot depend on the worker count or on goroutine scheduling.
+// fan-out: the one place the module starts goroutines for such work and
+// reads GOMAXPROCS. A caller writes item i's output into slot i, so the
+// result cannot depend on the worker count or on goroutine scheduling.
 package par
 
 import (

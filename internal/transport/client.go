@@ -17,6 +17,7 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/estimate"
 	"github.com/mobilebandwidth/swiftest/internal/faults"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
+	"github.com/mobilebandwidth/swiftest/internal/par"
 	"github.com/mobilebandwidth/swiftest/internal/transport/batchio"
 	"github.com/mobilebandwidth/swiftest/internal/wire"
 )
@@ -119,18 +120,10 @@ func (p *ServerPool) RankByLatencyContext(ctx context.Context, pingCount int, ti
 	candidates := len(p.Servers)
 	rtts := make([]time.Duration, candidates)
 	errs := make([]error, candidates)
-	sem := make(chan struct{}, rankConcurrency)
-	var wg sync.WaitGroup
-	for i := range p.Servers {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rtts[i], errs[i] = PingServerContext(ctx, p.Servers[i].Addr, pingCount, timeout)
-		}(i)
-	}
-	wg.Wait()
+	par.For(candidates, rankConcurrency, func(i int) error {
+		rtts[i], errs[i] = PingServerContext(ctx, p.Servers[i].Addr, pingCount, timeout)
+		return nil
+	})
 
 	// Filter in original order, then stable-sort: equal RTTs preserve the
 	// configured order, keeping the ranking reproducible.

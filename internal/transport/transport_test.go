@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,23 +41,40 @@ func TestPingUnreachable(t *testing.T) {
 	}
 }
 
+// TestRankByLatency ranks pools of reachable servers interleaved with
+// unreachable ones, the larger pool past rankConcurrency: every reachable
+// server is kept exactly once, every unreachable one is dropped, and the
+// result is sorted by RTT.
 func TestRankByLatency(t *testing.T) {
-	s1 := startServer(t, ServerConfig{})
-	s2 := startServer(t, ServerConfig{})
-	pool := &ServerPool{Servers: []PoolServer{
-		{Addr: "127.0.0.1:1", UplinkMbps: 100}, // unreachable, dropped
-		{Addr: s1.Addr().String(), UplinkMbps: 100},
-		{Addr: s2.Addr().String(), UplinkMbps: 100},
-	}}
-	if err := pool.RankByLatencyContext(context.Background(), 2, 200*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if len(pool.Servers) != 2 {
-		t.Fatalf("reachable servers = %d, want 2", len(pool.Servers))
-	}
-	for _, srv := range pool.Servers {
-		if srv.RTT <= 0 {
-			t.Errorf("server %s has no RTT", srv.Addr)
+	for _, reachable := range []int{2, 10} {
+		var servers []PoolServer
+		kept := map[string]int{}
+		for i := range reachable {
+			if i%2 == 0 {
+				servers = append(servers, PoolServer{Addr: "127.0.0.1:1", UplinkMbps: 100}) // unreachable, dropped
+			}
+			addr := startServer(t, ServerConfig{}).Addr().String()
+			kept[addr] = 0
+			servers = append(servers, PoolServer{Addr: addr, UplinkMbps: 100})
+		}
+		pool := &ServerPool{Servers: servers}
+		if err := pool.RankByLatencyContext(context.Background(), 2, 200*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if len(pool.Servers) != reachable {
+			t.Fatalf("pool of %d: reachable servers = %d, want %d", len(servers), len(pool.Servers), reachable)
+		}
+		for _, srv := range pool.Servers {
+			if n, ok := kept[srv.Addr]; !ok || n > 0 {
+				t.Errorf("pool of %d: %s kept but not reachable, or kept twice", len(servers), srv.Addr)
+			}
+			kept[srv.Addr]++
+			if srv.RTT <= 0 {
+				t.Errorf("server %s has no RTT", srv.Addr)
+			}
+		}
+		if !slices.IsSortedFunc(pool.Servers, func(a, b PoolServer) int { return cmp.Compare(a.RTT, b.RTT) }) {
+			t.Errorf("pool of %d: not sorted by RTT: %+v", len(servers), pool.Servers)
 		}
 	}
 }
