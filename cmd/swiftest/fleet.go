@@ -419,10 +419,12 @@ func fetchAssignment(ctx context.Context, dispatchURL string, key uint64, domain
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusServiceUnavailable {
+		// The dispatcher sets Retry-After only when live servers are full;
+		// a 503 without it means no server is live at all.
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
 			return assignResponse{}, fmt.Errorf("%w: dispatcher says retry after %ss", errdefs.ErrFleetSaturated, ra)
 		}
-		return assignResponse{}, fmt.Errorf("%w: dispatcher has no capacity", errdefs.ErrFleetSaturated)
+		return assignResponse{}, fmt.Errorf("%w: dispatcher has no live server", errdefs.ErrNoReachableServer)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return assignResponse{}, fmt.Errorf("dispatcher: HTTP %d", resp.StatusCode)

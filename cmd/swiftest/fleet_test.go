@@ -9,6 +9,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -21,6 +22,7 @@ import (
 
 	swiftest "github.com/mobilebandwidth/swiftest"
 	"github.com/mobilebandwidth/swiftest/internal/deploy"
+	"github.com/mobilebandwidth/swiftest/internal/errdefs"
 	"github.com/mobilebandwidth/swiftest/internal/fleet"
 )
 
@@ -165,6 +167,20 @@ func TestFleetDispatchEndToEnd(t *testing.T) {
 		if !strings.Contains(text, name) {
 			t.Errorf("metrics exposition missing %q", name)
 		}
+	}
+}
+
+// TestFleetDispatchNoLiveServer: a dispatcher with no registered server
+// answers 503 without Retry-After, which the client reports as no reachable
+// server — not as a saturated fleet worth retrying.
+func TestFleetDispatchNoLiveServer(t *testing.T) {
+	_, ts := startControlPlane(t, fleet.Config{PerTestMbps: 5})
+	_, err := fetchAssignment(context.Background(), ts.URL, 7, "Beijing")
+	if !errors.Is(err, errdefs.ErrNoReachableServer) {
+		t.Errorf("assign with no live server = %v, want errdefs.ErrNoReachableServer", err)
+	}
+	if errors.Is(err, errdefs.ErrFleetSaturated) {
+		t.Errorf("assign with no live server = %v, matches errdefs.ErrFleetSaturated", err)
 	}
 }
 

@@ -7,8 +7,9 @@
 // batched-vs-fallback property test pins that equivalence, which is what
 // lets CI on any platform validate the logic the Linux fast path ships.
 //
-// Conn methods are safe for concurrent use: the pacing wheel flushes probe
-// batches while the read loop answers control traffic on the same socket.
+// Conn methods are safe for concurrent use: sends and receives hold
+// separate locks, so one goroutine may send on a socket while another blocks
+// receiving on it.
 package batchio
 
 import (
@@ -42,9 +43,11 @@ type Conn interface {
 	// implies err != nil, and the remaining messages were not sent.
 	SendBatch(msgs []Message) (sent int, err error)
 	// RecvBatch blocks until at least one datagram arrives (honouring the
-	// socket's read deadline), fills msgs[0:n] and reports n. Errors are the
-	// socket's: deadline expiry satisfies net.Error.Timeout, a closed socket
-	// reports use-of-closed.
+	// socket's read deadline), fills msgs[0:n] and reports n. On Linux,
+	// datagrams the kernel already holds are returned even once the deadline
+	// has passed, so a caller that comes back late still drains them. Errors
+	// are the socket's: deadline expiry (on Linux, with nothing queued)
+	// satisfies net.Error.Timeout, a closed socket reports use-of-closed.
 	RecvBatch(msgs []Message) (n int, err error)
 }
 

@@ -159,6 +159,44 @@ func TestRecvDeadline(t *testing.T) {
 	}
 }
 
+// TestRecvAfterDeadline: datagrams the kernel already holds are returned
+// even once the read deadline has passed — a late caller drains its queue
+// instead of timing out over it — and only an empty queue times out.
+func TestRecvAfterDeadline(t *testing.T) {
+	for name, mode := range modes(t) {
+		t.Run(name, func(t *testing.T) {
+			r, s := pair(t)
+			receiver := New(r, mode)
+			if _, err := s.Write([]byte("queued")); err != nil {
+				t.Fatal(err)
+			}
+			_ = r.SetReadDeadline(time.Now().Add(-time.Second))
+			msgs := recvMsgs(1)
+			for attempt := 0; ; attempt++ {
+				n, err := receiver.RecvBatch(msgs)
+				if err == nil {
+					if got := string(msgs[0].Buf[:msgs[0].N]); n != 1 || got != "queued" {
+						t.Fatalf("RecvBatch = %d datagrams, %q", n, got)
+					}
+					break
+				}
+				if attempt == 100 {
+					t.Fatalf("RecvBatch with a datagram queued and the deadline passed = %v", err)
+				}
+				time.Sleep(time.Millisecond) // loopback may not have queued it yet
+			}
+			if port := s.LocalAddr().(*net.UDPAddr).Port; msgs[0].Addr.Port != port {
+				t.Errorf("peer port = %d, want %d", msgs[0].Addr.Port, port)
+			}
+			_, err := receiver.RecvBatch(msgs)
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Fatalf("RecvBatch on an empty queue past the deadline = %v, want a timeout", err)
+			}
+		})
+	}
+}
+
 // TestRecvClosed: a closed socket errors out instead of hanging.
 func TestRecvClosed(t *testing.T) {
 	for name, mode := range modes(t) {

@@ -1,6 +1,10 @@
 package batchio
 
-import "net"
+import (
+	"errors"
+	"net"
+	"os"
+)
 
 // oneConn is the portable one-message-per-syscall path. It exists on every
 // platform (forced via ModeFallback) so the batched path can be differential-
@@ -33,6 +37,9 @@ func (o *oneConn) RecvBatch(msgs []Message) (int, error) {
 	}
 	m := &msgs[0]
 	n, ap, err := o.c.ReadFromUDPAddrPort(m.Buf)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		n, ap, err = recvQueued(o.c, m.Buf, err)
+	}
 	if err != nil {
 		return 0, err
 	}

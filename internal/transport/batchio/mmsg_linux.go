@@ -3,6 +3,7 @@
 package batchio
 
 import (
+	"errors"
 	"net"
 	"os"
 	"runtime"
@@ -43,6 +44,7 @@ type mmsgConn struct {
 	riov        [BatchSize]syscall.Iovec
 	rname       [BatchSize]syscall.RawSockaddrInet6
 	recvReadyFn func(fd uintptr) bool
+	recvNowFn   func(fd uintptr) // recvReady for a passed deadline
 	recvCount   int
 	recvGot     int
 	recvErr     error
@@ -58,6 +60,7 @@ func newPlatform(c *net.UDPConn) Conn {
 	m := &mmsgConn{c: c, rc: rc}
 	m.sendReadyFn = m.sendReady
 	m.recvReadyFn = m.recvReady
+	m.recvNowFn = func(fd uintptr) { m.recvReady(fd) }
 	return m
 }
 
@@ -154,6 +157,10 @@ func (m *mmsgConn) RecvBatch(msgs []Message) (int, error) {
 	m.recvGot = 0
 	m.recvErr = nil
 	err := m.rc.Read(m.recvReadyFn)
+	if errors.Is(err, os.ErrDeadlineExceeded) && m.rc.Control(m.recvNowFn) == nil &&
+		(m.recvGot > 0 || m.recvErr != nil) {
+		err = nil // the deadline passed before the read: take what is queued
+	}
 	if err == nil {
 		err = m.recvErr
 	}

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// wheelBench is one scripted pacing-wheel instance: a wheel-less server, a
+// wheelBench is one scripted pacing-wheel instance: an unstarted server, a
 // sink socket, and n sessions all pacing at rateKbps. tick() advances the
 // scripted clock exactly one paceInterval.
 type wheelBench struct {
@@ -26,24 +26,19 @@ func newWheelBench(tb testing.TB, mode WireMode, sessions int, rateKbps uint32) 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv, err := newServer("127.0.0.1:0",
-		ServerConfig{UplinkMbps: 100 * float64(sessions), Wire: mode, startedAt: identityBase}, false)
-	if err != nil {
-		sink.Close()
-		tb.Fatal(err)
-	}
+	srv := unstartedServer(tb, ServerConfig{UplinkMbps: 100 * float64(sessions), Wire: mode})
 	_ = srv.conn.SetWriteBuffer(8 << 20)
 	peer := sink.LocalAddr().(*net.UDPAddr)
-	for i := 0; i < sessions; i++ {
-		addWheelSession(srv, uint64(i+1), peer, rateKbps)
-	}
 	now := identityBase
+	for i := 0; i < sessions; i++ {
+		stepOpen(tb, srv, now, uint64(i+1), peer, rateKbps, 0)
+	}
 	w := &wheelBench{srv: srv, sink: sink}
 	w.tick = func() {
 		now = now.Add(paceInterval)
-		srv.advance(now)
+		srv.step(now, nil)
 	}
-	tb.Cleanup(func() { srv.Close(); sink.Close() })
+	tb.Cleanup(func() { sink.Close() })
 	return w
 }
 

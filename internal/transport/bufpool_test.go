@@ -3,7 +3,9 @@ package transport
 import (
 	"net"
 	"testing"
-	"time"
+
+	"github.com/mobilebandwidth/swiftest/internal/transport/batchio"
+	"github.com/mobilebandwidth/swiftest/internal/wire"
 )
 
 func TestBufPoolGetReturnsZeroedSizedBuffer(t *testing.T) {
@@ -71,25 +73,10 @@ func TestBufPoolGrowsBeyondPrealloc(t *testing.T) {
 	}
 }
 
-// addWheelSession registers a synthetic session directly on the server, the
-// unit-level counterpart of a Setup → DataOpen handshake with both channels
-// on peer.
-func addWheelSession(srv *Server, id uint64, peer *net.UDPAddr, rateKbps uint32) *session {
-	sess := &session{id: id, ctrlPeer: peer}
-	sess.peer.Store(peer)
-	sess.rateKbps.Store(rateKbps)
-	sess.lastSeen.Store(time.Now().UnixNano())
-	srv.mu.Lock()
-	srv.byID[id] = sess
-	srv.order = append(srv.order, sess)
-	srv.mu.Unlock()
-	srv.metrics.sessionsActive.Inc()
-	return sess
-}
-
 // TestWheelAdvanceZeroAllocs is the hot-path budget the swiftvet hotpath
 // annotations gate between benchmark runs: once the scratch slices and the
-// buffer pool are warm, a wheel tick — budget, assemble, batch send —
+// buffer pool are warm, a step — a wheel tick's budget, assembly and batch
+// send, alone or with one inbound Rate2 or Ping answered in the same flush —
 // performs zero heap allocations per packet on both syscall paths.
 func TestWheelAdvanceZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
@@ -105,25 +92,42 @@ func TestWheelAdvanceZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sink.Close()
-			srv, err := newServer("127.0.0.1:0",
-				ServerConfig{UplinkMbps: 100, Wire: tc.mode, startedAt: identityBase}, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
+			srv := unstartedServer(t, ServerConfig{UplinkMbps: 100, Wire: tc.mode})
 			_ = srv.conn.SetWriteBuffer(8 << 20)
-			addWheelSession(srv, 1, sink.LocalAddr().(*net.UDPAddr), 50000)
-
+			peer := sink.LocalAddr().(*net.UDPAddr)
 			now := identityBase
-			tick := func() {
-				now = now.Add(paceInterval)
-				srv.advance(now)
+			stepOpen(t, srv, now, 1, peer, 50000, 0)
+
+			rate := wire.Rate2{SessionID: 1, RateKbps: 50000}
+			ping := wire.Ping{}
+			scratch := make([]byte, 0, 64)
+			in := make([]batchio.Message, 1)
+			in[0].Addr = peer
+			steps := []struct {
+				name  string
+				frame func() []byte // the one inbound datagram; nil steps with none
+			}{
+				{"tick", nil},
+				{"tick+Rate2", func() []byte { rate.Seq++; return rate.AppendTo(scratch[:0]) }},
+				{"tick+Ping", func() []byte { ping.Seq++; return ping.AppendTo(scratch[:0]) }},
 			}
-			for i := 0; i < 50; i++ {
-				tick() // warm the scratch slices and the buffer pool
-			}
-			if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
-				t.Errorf("advance allocates %.2f per tick (~26 datagrams), want 0", allocs)
+			for _, st := range steps {
+				step := func() {
+					now = now.Add(paceInterval)
+					if st.frame == nil {
+						srv.step(now, nil)
+						return
+					}
+					in[0].Buf = st.frame()
+					in[0].N = len(in[0].Buf)
+					srv.step(now, in)
+				}
+				for i := 0; i < 50; i++ {
+					step() // warm the scratch slices and the buffer pool
+				}
+				if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+					t.Errorf("%s step allocates %.2f (~26 datagrams), want 0", st.name, allocs)
+				}
 			}
 		})
 	}

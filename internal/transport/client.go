@@ -193,8 +193,7 @@ type clientSession struct {
 	probe  *UDPProbe
 	done   chan struct{}
 
-	rxBytes atomic.Int64
-	bins    arrivalBins // rxBytes by sample window, in arrival time
+	bins arrivalBins // received probe bytes by sample window, in arrival time
 
 	id         uint64 // session ID, the key both channels share
 	caps       uint32 // capability intersection from the SetupAck
@@ -566,14 +565,14 @@ func (cs *clientSession) receiveLoop() {
 			continue
 		}
 		cs.bins.add(now.Sub(cs.probe.started), bytes)
-		cs.rxBytes.Add(int64(bytes))
 		cs.probe.rxBytes.Add(int64(bytes))
 	}
 }
 
-// ctrlLoop drains the session's control socket: per-interval server Reports
-// feed the loss view, the ByeAck releases the teardown. It exits when the
-// socket closes — Finish and the lost-session failover both close it.
+// ctrlLoop drains the session's control socket: it keeps the high-water mark
+// of the paced bytes the server's per-interval Reports count, and the ByeAck
+// releases the teardown. It exits when the socket closes — Finish and the
+// lost-session failover both close it.
 func (cs *clientSession) ctrlLoop() {
 	defer close(cs.ctrlDone)
 	buf := make([]byte, 2048)

@@ -13,12 +13,12 @@ import (
 	"github.com/mobilebandwidth/swiftest/internal/faults"
 	"github.com/mobilebandwidth/swiftest/internal/gmm"
 	"github.com/mobilebandwidth/swiftest/internal/obs"
+	"github.com/mobilebandwidth/swiftest/internal/transport/batchio"
 	"github.com/mobilebandwidth/swiftest/internal/wire"
 )
 
-// identityBase is the fixed epoch the scripted wheel clock starts from. It
-// lies in the past, so real-clock lastSeen stamps never trigger the idle
-// reap against scripted instants.
+// identityBase is the fixed epoch the scripted clock starts from: stepped
+// servers start here.
 var identityBase = time.Unix(1700000000, 0)
 
 // identityScript is one deterministic wheel schedule: a fault plan, a
@@ -38,23 +38,18 @@ type wireCapture struct {
 	streams [][][]byte
 }
 
-// runScripted drives a wheel-less server through the script in the given
-// wire mode and captures each session's datagram stream. The wheel clock is
-// entirely synthetic: advance is called with identityBase + k·paceInterval,
-// so sequence numbers, fault draws and SentNS stamps are pure functions of
-// the script.
+// runScripted steps an unstarted server through the script in the given
+// wire mode and captures each session's datagram stream off real sockets.
+// The clock is entirely synthetic: the handshakes step at identityBase and
+// tick k at identityBase + k·paceInterval, so sequence numbers, fault draws
+// and SentNS stamps are pure functions of the script.
 func runScripted(t *testing.T, mode WireMode, sc identityScript) wireCapture {
 	t.Helper()
-	// startedAt pins the epoch so fault times and SentNS are script-relative.
-	cfg := ServerConfig{UplinkMbps: 100, Wire: mode, startedAt: identityBase}
+	cfg := ServerConfig{UplinkMbps: 100, Wire: mode}
 	if sc.plan != nil {
 		cfg.Faults = &faults.Binding{Inj: sc.plan.Injector(), Server: 0}
 	}
-	srv, err := newServer("127.0.0.1:0", cfg, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := unstartedServer(t, cfg)
 
 	conns := make([]*net.UDPConn, sc.sessions)
 	for i := range conns {
@@ -65,19 +60,16 @@ func runScripted(t *testing.T, mode WireMode, sc identityScript) wireCapture {
 		defer conn.Close()
 		_ = conn.SetReadBuffer(4 << 20)
 		conns[i] = conn
-		handshake(t, conn, uint64(100+i), sc.rateKbps, 0)
+		stepOpen(t, srv, identityBase, uint64(100+i), conn.LocalAddr().(*net.UDPAddr), sc.rateKbps, 0)
 	}
-	waitSessions(t, srv, sc.sessions)
 
 	for k := 1; k <= sc.ticks; k++ {
+		var in []batchio.Message
 		if sc.rekbps != 0 && k == sc.ticks/2 {
 			rs := wire.Rate2{SessionID: 100, RateKbps: sc.rekbps, Seq: 1}
-			if _, err := conns[0].Write(rs.AppendTo(nil)); err != nil {
-				t.Fatal(err)
-			}
-			waitRate(t, srv, 100, sc.rekbps)
+			in = from(conns[0].LocalAddr().(*net.UDPAddr), rs.AppendTo(nil))
 		}
-		srv.advance(identityBase.Add(time.Duration(k) * paceInterval))
+		srv.step(identityBase.Add(time.Duration(k)*paceInterval), in)
 	}
 
 	capd := wireCapture{streams: make([][][]byte, sc.sessions)}
@@ -124,35 +116,6 @@ func rawExchange(t *testing.T, conn *net.UDPConn, req []byte, answered func(pkt 
 		}
 	}
 	t.Fatalf("no answer to %x", req[:wire.HeaderLen])
-}
-
-// waitSessions blocks until the server has n registered sessions.
-func waitSessions(t *testing.T, srv *Server, n int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.ActiveSessions() != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("sessions = %d, want %d", srv.ActiveSessions(), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// waitRate blocks until the server applied the given rate to the session —
-// Rate2 travels through the real read loop, so the scripted wheel must not
-// advance past it before it lands.
-func waitRate(t *testing.T, srv *Server, id uint64, kbps uint32) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if sess := srv.lookup(id); sess != nil && sess.rateKbps.Load() == kbps {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rate %d not applied to session %d", kbps, id)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // drainData reads every Data2 datagram queued on conn until the socket goes

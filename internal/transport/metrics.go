@@ -50,7 +50,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		sendErrors: reg.Counter("swiftest_server_send_errors_total",
 			"Probe datagram writes that failed (treated as UDP loss)."),
 		sendBatches: reg.Counter("swiftest_server_send_batches_total",
-			"Batched wire flushes handed to the kernel (one pacing-wheel tick's sends each)."),
+			"Batched wire flushes handed to the kernel (one server step's sends each)."),
 		batchDatagrams: reg.Histogram("swiftest_server_batch_datagrams",
 			"Probe datagrams per batched wire flush.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}),
@@ -72,15 +72,15 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 	}
 }
 
-// updatePacedGaugeLocked recomputes the aggregate paced-rate gauge from the
-// live session set. Callers hold s.mu.
-func (s *Server) updatePacedGaugeLocked() {
+// updatePacedGauge recomputes the aggregate paced-rate gauge from the live
+// session set.
+func (s *Server) updatePacedGauge() {
 	if s.metrics.pacedMbps == nil {
 		return
 	}
 	var total float64
 	for _, sess := range s.order {
-		total += wire.MbpsFromKbps(sess.rateKbps.Load())
+		total += wire.MbpsFromKbps(sess.rateKbps)
 	}
 	s.metrics.pacedMbps.Set(total)
 }

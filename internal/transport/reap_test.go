@@ -2,7 +2,6 @@ package transport
 
 import (
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -69,81 +68,67 @@ func TestVanishedClientIsReaped(t *testing.T) {
 	}
 }
 
-// TestRetireExactlyOnceUnderRace provokes the three-way teardown race the
-// wheel's retired flag exists for: an idle reap (wheel tick), a client Bye
-// (read loop) and a server Close all try to deregister the same session
-// concurrently. Exactly one path may win — the active-sessions gauge must
-// land on exactly zero (a double retirement would drive it negative) and at
-// most one of the finished/reaped counters may record the exit.
-func TestRetireExactlyOnceUnderRace(t *testing.T) {
-	for round := 0; round < 25; round++ {
+// TestRetireOnce sends one session down every exit in turn — idle reap,
+// client Bye, server Close, and a Bye in the step whose tick would have
+// reaped it. Only the first exit counts: the active-sessions gauge lands on
+// exactly zero (a double retirement would drive it negative) and one of
+// the finished/reaped counters records the exit.
+func TestRetireOnce(t *testing.T) {
+	for _, byeFirst := range []bool{false, true} {
 		reg := obs.NewRegistry()
-		srv, err := newServer("127.0.0.1:0", ServerConfig{
-			IdleTimeout: time.Nanosecond, // any wheel tick reaps immediately
-			Metrics:     reg,
-		}, false)
-		if err != nil {
+		s, sink := stepServer(t, ServerConfig{IdleTimeout: 100 * time.Millisecond, Metrics: reg})
+		peer := testPeer(0)
+		stepOpen(t, s, identityBase, 7, peer, 0, 0)
+		overdue := identityBase.Add(time.Second) // past the idle timeout: its tick reaps
+		bye := wire.Bye{SessionID: 7}
+		if byeFirst {
+			s.step(overdue, from(peer, bye.AppendTo(nil)))
+		} else {
+			s.step(overdue, nil)
+			s.step(overdue, from(peer, bye.AppendTo(nil)))
+		}
+		if n := count(sink.take(), peer, wire.TypeByeAck); n != 1 {
+			t.Errorf("bye first %v: ByeAcks = %d, want 1", byeFirst, n)
+		}
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		peer := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 40000 + round}
-		sess := addWheelSession(srv, 7, peer, 0)
-		sess.lastSeen.Store(time.Now().Add(-time.Hour).UnixNano())
 
-		var wg sync.WaitGroup
-		wg.Add(3)
-		go func() { defer wg.Done(); srv.advance(time.Now()) }()
-		go func() { defer wg.Done(); srv.handleBye(&wire.Bye{SessionID: 7}, peer) }()
-		go func() { defer wg.Done(); _ = srv.Close() }()
-		wg.Wait()
-
-		if n := srv.ActiveSessions(); n != 0 {
-			t.Fatalf("round %d: %d sessions survived a triple teardown", round, n)
+		if n := s.ActiveSessions(); n != 0 {
+			t.Fatalf("bye first %v: %d sessions survived a triple teardown", byeFirst, n)
 		}
 		snap := reg.Snapshot()
 		if g := snap.Gauges["swiftest_server_sessions_active"]; g != 0 {
-			t.Fatalf("round %d: active gauge = %g after teardown, want exactly 0", round, g)
+			t.Fatalf("bye first %v: active gauge = %g after teardown, want exactly 0", byeFirst, g)
 		}
-		exits := snap.Counters["swiftest_server_sessions_finished_total"] +
-			snap.Counters["swiftest_server_sessions_reaped_total"]
-		if exits > 1 {
-			t.Fatalf("round %d: %d teardown paths recorded the same session", round, exits)
+		finished := snap.Counters["swiftest_server_sessions_finished_total"]
+		reaped := snap.Counters["swiftest_server_sessions_reaped_total"]
+		if finished+reaped != 1 || (finished == 1) != byeFirst {
+			t.Fatalf("bye first %v: finished %d, reaped %d; want the first exit alone counted", byeFirst, finished, reaped)
 		}
 	}
 }
 
 // TestRetiredSessionStopsPacing: after a Bye retires the session, further
-// wheel ticks must emit nothing for it even though the tick that raced the
-// Bye may still hold it in its snapshot.
+// wheel ticks emit nothing for it.
 func TestRetiredSessionStopsPacing(t *testing.T) {
-	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	srv, err := newServer("127.0.0.1:0",
-		ServerConfig{UplinkMbps: 100, startedAt: identityBase}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	peer := sink.LocalAddr().(*net.UDPAddr)
-	addWheelSession(srv, 9, peer, 20000)
-
+	s, sink := stepServer(t, ServerConfig{UplinkMbps: 100})
+	peer := testPeer(0)
 	now := identityBase
-	for i := 0; i < 10; i++ {
-		now = now.Add(paceInterval)
-		srv.advance(now)
-	}
-	before := srv.BytesSent()
+	stepOpen(t, s, now, 9, peer, 20000, 0)
+	now = stepUntil(s, now, now.Add(10*paceInterval))
+	before := s.BytesSent()
 	if before == 0 {
 		t.Fatal("session never paced")
 	}
-	srv.handleBye(&wire.Bye{SessionID: 9, ResultKbps: 20000}, peer)
-	for i := 0; i < 10; i++ {
-		now = now.Add(paceInterval)
-		srv.advance(now)
-	}
-	if after := srv.BytesSent(); after != before {
+	bye := wire.Bye{SessionID: 9, ResultKbps: 20000}
+	s.step(now, from(peer, bye.AppendTo(nil)))
+	sink.take()
+	stepUntil(s, now, now.Add(10*paceInterval))
+	if after := s.BytesSent(); after != before {
 		t.Errorf("retired session still paced: %d bytes after Bye", after-before)
+	}
+	if n := len(sink.take()); n != 0 {
+		t.Errorf("retired session got %d datagrams after its Bye", n)
 	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"net"
 	"testing"
@@ -46,24 +47,17 @@ func TestServerSurvivesGarbage(t *testing.T) {
 }
 
 // TestIdleSessionReaped verifies that a session whose client vanishes
-// without a Bye is cleaned up by the idle timeout.
+// without a Bye is cleaned up by the idle timeout, and not before.
 func TestIdleSessionReaped(t *testing.T) {
-	s := startServer(t, ServerConfig{UplinkMbps: 10, IdleTimeout: 300 * time.Millisecond})
-	conn, err := net.DialUDP("udp", nil, s.Addr())
-	if err != nil {
-		t.Fatal(err)
+	s, _ := stepServer(t, ServerConfig{UplinkMbps: 10, IdleTimeout: 300 * time.Millisecond})
+	open := identityBase
+	stepOpen(t, s, open, 42, testPeer(0), wire.KbpsFromMbps(1), 0)
+	// The client is gone; no Bye will ever arrive.
+	now := stepUntil(s, open, open.Add(300*time.Millisecond))
+	if n := s.ActiveSessions(); n != 1 {
+		t.Fatalf("sessions = %d at the idle timeout, want 1", n)
 	}
-	// Handshake manually, then disappear.
-	handshake(t, conn, 42, wire.KbpsFromMbps(1), 0)
-	if s.ActiveSessions() == 0 {
-		t.Fatal("session never started")
-	}
-	conn.Close() // the client is gone; no Bye will ever arrive
-
-	deadline := time.Now().Add(3 * time.Second)
-	for s.ActiveSessions() != 0 && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
+	s.step(now.Add(paceInterval), nil)
 	if n := s.ActiveSessions(); n != 0 {
 		t.Errorf("sessions = %d after idle timeout, want 0", n)
 	}
@@ -107,95 +101,56 @@ func TestClientSurvivesServerDeath(t *testing.T) {
 // TestRate2ReorderingIgnoresStale delivers Rate2 updates out of order and
 // confirms the newest seq wins.
 func TestRate2ReorderingIgnoresStale(t *testing.T) {
-	s := startServer(t, ServerConfig{UplinkMbps: 100})
-	conn, err := net.DialUDP("udp", nil, s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	handshake(t, conn, 7, 0, 0)
+	s, sink := stepServer(t, ServerConfig{UplinkMbps: 100})
+	peer := testPeer(0)
+	now := identityBase
+	stepOpen(t, s, now, 7, peer, 0, 0)
 
 	// Newest first (seq 3, 20 Mbps), then a stale one (seq 2, 90 Mbps).
 	rs3 := wire.Rate2{SessionID: 7, RateKbps: wire.KbpsFromMbps(20), Seq: 3}
 	rs2 := wire.Rate2{SessionID: 7, RateKbps: wire.KbpsFromMbps(90), Seq: 2}
-	conn.Write(rs3.AppendTo(nil))
-	time.Sleep(20 * time.Millisecond)
-	conn.Write(rs2.AppendTo(nil))
+	s.step(now, from(peer, rs3.AppendTo(nil)))
+	now = stepUntil(s, now, now.Add(20*time.Millisecond))
+	s.step(now, from(peer, rs2.AppendTo(nil)))
 
-	// Measure the arrival rate for half a second; it must track 20, not 90.
-	time.Sleep(100 * time.Millisecond)
-	var bytes int
-	buf := make([]byte, 2048)
-	end := time.Now().Add(500 * time.Millisecond)
-	_ = conn.SetReadDeadline(end)
-	for {
-		n, err := conn.Read(buf)
-		if err != nil {
-			break
-		}
-		if _, typ, err := wire.PeekVersion(buf[:n]); err == nil && typ == wire.TypeData2 {
-			bytes += n
-		}
-	}
+	// Measure the paced rate for half a second; it must track 20, not 90.
+	now = stepUntil(s, now, now.Add(100*time.Millisecond))
+	sink.take()
+	stepUntil(s, now, now.Add(500*time.Millisecond))
+	bytes := count(sink.take(), peer, wire.TypeData2) * DatagramSize
 	gotMbps := float64(bytes) * 8 / 0.5 / 1e6
 	if gotMbps > 40 {
 		t.Errorf("stale rate update won: measured %.1f Mbps, want ≈20", gotMbps)
 	}
-	bye := wire.Bye{SessionID: 7}
-	conn.Write(bye.AppendTo(nil))
+	if math.Abs(gotMbps-20) > 0.5 {
+		t.Errorf("paced %.2f Mbps on a scripted clock, want 20", gotMbps)
+	}
 }
 
 // TestDuplicateSetupIsIdempotent retransmits the Setup and checks only
 // one session exists, owned by the socket that opened it.
 func TestDuplicateSetupIsIdempotent(t *testing.T) {
-	s := startServer(t, ServerConfig{UplinkMbps: 10})
-	conn, err := net.Dial("udp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	s, sink := stepServer(t, ServerConfig{UplinkMbps: 10})
+	peer, other := testPeer(0), testPeer(1)
+	now := identityBase
 	req := wire.Setup{SessionID: 9, RateKbps: wire.KbpsFromMbps(1)}
 	for i := 0; i < 5; i++ {
-		if _, err := conn.Write(req.AppendTo(nil)); err != nil {
-			t.Fatal(err)
-		}
+		now = now.Add(time.Millisecond)
+		s.step(now, from(peer, req.AppendTo(nil)))
 	}
-	time.Sleep(100 * time.Millisecond)
 	if n := s.ActiveSessions(); n != 1 {
 		t.Errorf("sessions = %d after duplicate requests, want 1", n)
 	}
 	// Every duplicate is re-acked, so a client whose first ack was lost
 	// still gets in; the same ID from another socket is someone else's.
-	buf := make([]byte, 256)
-	acks := 0
-	_ = conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-	for {
-		n, err := conn.Read(buf)
-		if err != nil {
-			break
-		}
-		var ack wire.SetupAck
-		if ack.Decode(buf[:n]) == nil && ack.SessionID == 9 {
-			acks++
-		}
-	}
-	if acks != 5 {
+	if acks := count(sink.take(), peer, wire.TypeSetupAck); acks != 5 {
 		t.Errorf("setup acks = %d, want one per duplicate (5)", acks)
 	}
-	other, err := net.Dial("udp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
-	if _, err := other.Write(req.AppendTo(nil)); err != nil {
-		t.Fatal(err)
-	}
-	_ = other.SetReadDeadline(time.Now().Add(time.Second))
-	n, err := other.Read(buf)
+	s.step(now, from(other, req.AppendTo(nil)))
+	out := sink.take()
 	var rej wire.SetupReject
-	if err != nil || rej.Decode(buf[:n]) != nil || rej.Code != wire.RejectBusy {
-		t.Errorf("foreign Setup for a live session ID: read %x, %v; want SetupReject(busy)", buf[:n], err)
+	if len(out) != 1 || out[0].to != other.String() || rej.Decode(out[0].pkt) != nil || rej.Code != wire.RejectBusy {
+		t.Errorf("foreign Setup for a live session ID: sent %v; want one SetupReject(busy)", out)
 	}
 }
 

@@ -4,10 +4,11 @@
 //
 // This is the deployable counterpart of core.SimProbe, the emulated server
 // pool on a virtual-time link: the same engine logic (package core) drives
-// both, so experiments validated on the emulator carry over to the wire. The server is intentionally cheap — a
-// batched read loop plus one pacing-wheel goroutine shared by every active
-// test — matching the paper's point that Swiftest runs on small 100 Mbps
-// budget VMs (§5.2/§5.3). The wire hot path is built on package batchio:
+// both, so experiments validated on the emulator carry over to the wire. The
+// server is intentionally cheap — one goroutine that steps every session at
+// once, (now, datagrams in) → (datagrams out, next wake-up) — matching the
+// paper's point that Swiftest runs on small 100 Mbps budget VMs
+// (§5.2/§5.3). The wire hot path is built on package batchio:
 // many datagrams per syscall (sendmmsg plus UDP segmentation offload where
 // the kernel has them) and pooled zero-allocation buffers, with a portable
 // one-datagram-per-syscall fallback that emits byte-identical traffic.
@@ -41,8 +42,8 @@ const paceInterval = 5 * time.Millisecond
 // DefaultIdleTimeout reaps sessions whose client vanished without a Bye.
 const DefaultIdleTimeout = 10 * time.Second
 
-// recvBatch is how many datagrams the server's read loop accepts per
-// syscall on the batched path.
+// recvBatch is how many datagrams the server accepts per wake-up on the
+// batched path.
 const recvBatch = 16
 
 // WireMode selects the send/receive syscall strategy for a server or probe.
@@ -92,43 +93,42 @@ type ServerConfig struct {
 	// creates a session, so a keyed server has no unauthenticated path to
 	// paced traffic.
 	AuthKey uint64
-	// startedAt, when non-zero, pins the server's epoch — the base for
-	// fault-plan times and datagram timestamps. Test-only (unexported):
-	// scripted wheel schedules set it before the read loop starts so the
-	// override never races a live packet.
-	startedAt time.Time
 }
 
-// Server is a Swiftest UDP test server.
+// Server is a Swiftest UDP test server. One goroutine, the run loop NewServer
+// starts, owns all session state: it sleeps until a datagram arrives or
+// the next pacing tick or delayed pong falls due, then calls step. Only the
+// fields other goroutines read are synchronised.
 type Server struct {
 	conn    *net.UDPConn
 	bio     batchio.Conn
 	gso     bool // kernel splits super-buffers into DatagramSize segments
 	pool    *bufPool
 	cfg     ServerConfig
-	wg      sync.WaitGroup
-	closed  atomic.Bool
 	metrics serverMetrics
-	started time.Time
+	started time.Time // epoch of fault-plan times; fixed before the run loop starts
 
-	wheelStop chan struct{}
+	wg        sync.WaitGroup // the run loop
+	closed    atomic.Bool
+	live      atomic.Int64 // len(byID), for ActiveSessions
+	bytesSent atomic.Int64
 
-	mu         sync.Mutex
-	byID       map[uint64]*session // sessions by session ID; guarded by mu
-	order      []*session          // registration order, for deterministic wheel iteration; guarded by mu
-	hsAttempts map[uint64]int      // Setup datagrams seen per session ID, for fault draws; guarded by mu
+	// Step state, owned by the run loop (by the caller of step on a server
+	// without one).
+	byID       map[uint64]*session // sessions by session ID
+	order      []*session          // registration order, for deterministic pacing
+	hsAttempts map[uint64]int      // Setup datagrams seen per session ID, for fault draws
+	nextTick   time.Time           // when the next pacing tick is due
+	pongs      []delayedPong       // pongs a fault plan holds back, in arrival order
 
-	// Wheel-goroutine scratch, reused every tick so the steady state runs at
-	// 0 allocs/packet.
-	active  []*session
+	// The step's outbox, reused every step so the steady state runs at
+	// 0 allocs/packet: msgs[i] aliases msgBufs[i] (nil for a control frame,
+	// which lives in ctl or a delayed pong); bufs holds each pooled buffer's
+	// own reference until the flush.
 	msgs    []batchio.Message
 	msgBufs []*pktBuf
 	bufs    []*pktBuf
-
-	// ctl is the read loop's single-message scratch for control replies.
-	ctl [1]batchio.Message
-
-	bytesSent atomic.Int64
+	ctl     []byte
 }
 
 // session is one test in flight. Both of its channels arrive on the one
@@ -138,45 +138,40 @@ type Server struct {
 // address, DataOpen (sent from the client's data socket, hence a different
 // source port) binds the pacing destination.
 type session struct {
-	// Identity, immutable after creation.
 	id       uint64       // session ID, the key both channels share
 	caps     uint32       // active capability set
 	ctrlPeer *net.UDPAddr // control-channel address (reports, acks)
+	peer     *net.UDPAddr // data-channel address; nil until DataOpen, and nothing is paced before it
+	rateKbps uint32
+	rateSeq  uint32    // newest Rate2 applied; older ones lose
+	lastSeen time.Time // last Setup, DataOpen or Rate2, for the idle reap
 
-	// peer is the address probe datagrams are paced to. Sessions publish
-	// with nil and store the data-channel address when the client's
-	// DataOpen arrives, hence the atomic — the wheel skips the session
-	// until the pointer lands.
-	peer     atomic.Pointer[net.UDPAddr]
-	rateKbps atomic.Uint32
-	rateSeq  atomic.Uint32
-	lastSeen atomic.Int64 // unix nanos
-	retired  atomic.Bool  // exactly-once wheel deregistration
-
-	// Pacing state, owned by the wheel goroutine after publication.
+	// Pacing state.
 	seq        uint32
 	carryBytes float64
 	lastTick   time.Time
-	// Per-interval report state, wheel-owned: cumulative paced traffic and
-	// the cadence cursor for CapReports.
+	// Per-interval report state: cumulative paced traffic and the cadence
+	// cursor for CapReports.
 	sentBytes     uint64
 	sentDatagrams uint32
 	reportSeq     uint32
 	lastReport    time.Time
 }
 
-// NewServer starts a server on addr (e.g. "127.0.0.1:0"). Close releases it.
-//
-//lint:allow ctxflow the read loop's lifetime is bounded by Close, the standard lifecycle for long-lived servers
-func NewServer(addr string, cfg ServerConfig) (*Server, error) {
-	return newServer(addr, cfg, true)
+// delayedPong is a pong a fault plan holds back until due, with its own
+// copies of the frame and the address: the inbound batch it answers is
+// reused long before.
+type delayedPong struct {
+	due    time.Time
+	frame  []byte
+	peer   *net.UDPAddr
+	copies int
 }
 
-// newServer is NewServer with the pacing wheel optionally left unstarted, so
-// deterministic tests can drive advance with a scripted clock.
+// NewServer starts a server on addr (e.g. "127.0.0.1:0"). Close releases it.
 //
-//lint:allow ctxflow the read loop's lifetime is bounded by Close, the standard lifecycle for long-lived servers
-func newServer(addr string, cfg ServerConfig, startWheel bool) (*Server, error) {
+//lint:allow ctxflow the run loop's lifetime is bounded by Close, the standard lifecycle for long-lived servers
+func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: resolving %q: %w", addr, err)
@@ -185,6 +180,16 @@ func newServer(addr string, cfg ServerConfig, startWheel bool) (*Server, error) 
 	if err != nil {
 		return nil, fmt.Errorf("transport: listening on %q: %w", addr, err)
 	}
+	s := newServer(conn, cfg)
+	s.started = time.Now()
+	s.wg.Add(1)
+	go s.run()
+	return s, nil
+}
+
+// newServer builds a server on conn without starting its run loop, so tests
+// can set started and call step with a scripted clock.
+func newServer(conn *net.UDPConn, cfg ServerConfig) *Server {
 	if cfg.UplinkMbps <= 0 {
 		cfg.UplinkMbps = 100
 	}
@@ -202,11 +207,6 @@ func newServer(addr string, cfg ServerConfig, startWheel bool) (*Server, error) 
 		cfg:        cfg,
 		byID:       make(map[uint64]*session),
 		hsAttempts: make(map[uint64]int),
-		started:    time.Now(),
-		wheelStop:  make(chan struct{}),
-	}
-	if !cfg.startedAt.IsZero() {
-		s.started = cfg.startedAt
 	}
 	if cfg.Wire == WireAuto && batchio.Batched(s.bio) &&
 		batchio.MaxSegments(DatagramSize) >= segsPerBuf {
@@ -214,13 +214,7 @@ func newServer(addr string, cfg ServerConfig, startWheel bool) (*Server, error) 
 	}
 	s.metrics = newServerMetrics(cfg.Metrics)
 	s.metrics.uplinkMbps.Set(cfg.UplinkMbps)
-	s.wg.Add(1)
-	go s.readLoop()
-	if startWheel {
-		s.wg.Add(1)
-		go s.wheelLoop()
-	}
-	return s, nil
+	return s
 }
 
 // Addr reports the server's bound UDP address.
@@ -230,26 +224,19 @@ func (s *Server) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) 
 func (s *Server) BytesSent() int64 { return s.bytesSent.Load() }
 
 // ActiveSessions reports the number of in-flight tests.
-func (s *Server) ActiveSessions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.byID)
-}
+func (s *Server) ActiveSessions() int { return int(s.live.Load()) }
 
-// Close stops the server and retires all sessions.
+// Close stops the server and retires all sessions: once the run loop
+// has exited nothing else touches them.
 func (s *Server) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	close(s.wheelStop)
 	err := s.conn.Close()
-	s.mu.Lock()
-	live := append([]*session(nil), s.order...)
-	s.mu.Unlock()
-	for _, sess := range live {
-		s.retire(sess)
-	}
 	s.wg.Wait()
+	for i := len(s.order) - 1; i >= 0; i-- {
+		s.retire(s.order[i])
+	}
 	return err
 }
 
@@ -259,18 +246,15 @@ func (s *Server) logf(msg string, args ...any) {
 	}
 }
 
-// elapsed is the fault plan's time base: wall time since the server started.
-func (s *Server) elapsed() time.Duration { return time.Since(s.started) }
-
 // BlackedOut reports whether the server's fault plan has it blacked out
 // right now. The fleet heartbeat loop (cmd/swiftest serve -register) gates
 // beats on this, so an injected blackout silences the control plane exactly
 // when it silences the data plane and the dispatcher's K-silent-windows rule
 // marks the server dead — the same detector, both worlds.
-func (s *Server) BlackedOut() bool { return s.cfg.Faults.Blackout(s.elapsed()) }
+func (s *Server) BlackedOut() bool { return s.cfg.Faults.Blackout(time.Since(s.started)) }
 
 // cloneUDPAddr copies a peer address out of reused receive-batch storage so
-// it can be stored or used after the read loop recycles the batch.
+// it can be stored or used after the run loop recycles the batch.
 func cloneUDPAddr(a *net.UDPAddr) *net.UDPAddr {
 	return &net.UDPAddr{IP: append(net.IP(nil), a.IP...), Port: a.Port, Zone: a.Zone}
 }
@@ -280,57 +264,107 @@ func sameUDPAddr(a, b *net.UDPAddr) bool {
 	return a.Port == b.Port && a.Zone == b.Zone && a.IP.Equal(b.IP)
 }
 
-func (s *Server) readLoop() {
+// run is the server's one goroutine: it waits for datagrams until the last
+// step's wake-up, reads the clock once and steps, until Close closes the
+// socket.
+func (s *Server) run() {
 	defer s.wg.Done()
-	msgs := make([]batchio.Message, recvBatch)
-	for i := range msgs {
-		msgs[i].Buf = make([]byte, 2048)
-		msgs[i].Addr = &net.UDPAddr{IP: make(net.IP, 16)}
+	in := make([]batchio.Message, recvBatch)
+	for i := range in {
+		in[i].Buf = make([]byte, 2048)
+		in[i].Addr = &net.UDPAddr{IP: make(net.IP, 16)}
 	}
-	out := make([]byte, 0, 64)
+	var wake time.Time // zero: no deadline, only a datagram wakes the server
 	for {
-		n, err := s.bio.RecvBatch(msgs)
+		_ = s.conn.SetReadDeadline(wake)
+		n, err := s.bio.RecvBatch(in)
 		if err != nil {
-			if s.closed.Load() {
-				return
-			}
 			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				return // the socket closed
 			}
-			return
 		}
-		for i := 0; i < n; i++ {
-			out = s.handlePacket(msgs[i].Buf[:msgs[i].N], msgs[i].Addr, out)
-		}
+		wake = s.step(time.Now(), in[:n])
 	}
 }
 
-// handlePacket dispatches one inbound datagram. peer points into reused
-// batch storage: handlers that keep it beyond this call clone it. out is the
-// reply scratch buffer, returned so the read loop can keep reusing it. Every
-// Decode checks the frame's version byte, so a type value arriving under the
-// wrong version — a retired frame, say — decodes as nothing and is dropped.
-func (s *Server) handlePacket(pkt []byte, peer *net.UDPAddr, out []byte) []byte {
+// step advances the server to now: it handles each inbound datagram, runs
+// the pacing tick if one is due, queues the delayed pongs that came due, and
+// sends everything in one flush. It returns when it must next run even if
+// no datagram arrives — the next tick while a session lives, else the
+// earliest delayed pong — or zero when only a datagram can wake it. Replies
+// may alias in's address storage, which must stay valid until step returns.
+func (s *Server) step(now time.Time, in []batchio.Message) (wake time.Time) {
+	at := now.Sub(s.started)
+	for i := range in {
+		s.handlePacket(now, at, in[i].Buf[:in[i].N], in[i].Addr)
+	}
+	if len(s.order) > 0 && !now.Before(s.nextTick) {
+		s.advance(now)
+		// Stay on the tick grid when a wake-up runs late; restart it after a
+		// stall longer than a tick or an idle spell.
+		if s.nextTick = s.nextTick.Add(paceInterval); !s.nextTick.After(now) {
+			s.nextTick = now.Add(paceInterval)
+		}
+	}
+	pending := s.pongs[:0]
+	for _, p := range s.pongs {
+		if now.Before(p.due) {
+			pending = append(pending, p)
+			continue
+		}
+		for range p.copies {
+			s.queue(p.frame, p.peer)
+		}
+	}
+	s.pongs = pending
+	s.flush()
+
+	if len(s.order) > 0 {
+		wake = s.nextTick
+	}
+	for _, p := range s.pongs {
+		if wake.IsZero() || p.due.Before(wake) {
+			wake = p.due
+		}
+	}
+	return wake
+}
+
+// queue adds one control frame for peer to the step's outbox.
+func (s *Server) queue(frame []byte, peer *net.UDPAddr) {
+	s.msgs = append(s.msgs, batchio.Message{Buf: frame, Addr: peer})
+	s.msgBufs = append(s.msgBufs, nil)
+}
+
+// reply queues the control frame that ctl, the step's control scratch with
+// one frame appended, ends with.
+func (s *Server) reply(ctl []byte, peer *net.UDPAddr) {
+	s.queue(ctl[len(s.ctl):], peer)
+	s.ctl = ctl
+}
+
+// handlePacket dispatches one inbound datagram received at now, at after the
+// server started. Every Decode checks the frame's version byte, so a type
+// value arriving under the wrong version — a retired frame, say — decodes as
+// nothing and is dropped.
+func (s *Server) handlePacket(now time.Time, at time.Duration, pkt []byte, peer *net.UDPAddr) {
 	_, typ, err := wire.PeekVersion(pkt)
 	if err != nil {
-		return out // not ours; drop silently
+		return // not ours; drop silently
 	}
-	if s.cfg.Faults.Blackout(s.elapsed()) {
+	if s.cfg.Faults.Blackout(at) {
 		// A blacked-out server is dead to the world: every inbound
 		// datagram vanishes, exactly like a crashed process.
 		s.metrics.faultsInjected.Inc()
-		return out
+		return
 	}
-	out = out[:0]
 	switch typ {
 	case wire.TypePing:
 		var ping wire.Ping
 		if ping.Decode(pkt) == nil {
 			s.metrics.pings.Inc()
-			pong := wire.Pong{Seq: ping.Seq, EchoNS: ping.SentNS}
-			out = pong.AppendTo(out)
-			s.sendPong(out, peer)
+			s.sendPong(now, at, &wire.Pong{Seq: ping.Seq, EchoNS: ping.SentNS}, peer)
 		}
 
 	case wire.TypeHello:
@@ -339,169 +373,130 @@ func (s *Server) handlePacket(pkt []byte, peer *net.UDPAddr, out []byte) []byte 
 		// leaves no state behind.
 		var h wire.Hello
 		if h.Decode(pkt) != nil {
-			return out
+			return
 		}
 		if h.MinVersion > wire.Version2 || h.MaxVersion < wire.Version2 {
-			return out // no common version; the client gives up
+			return // no common version; the client gives up
 		}
 		ack := wire.HelloAck{Version: wire.Version2, Caps: h.Caps & wire.ServerCaps, Nonce: h.Nonce}
-		out = ack.AppendTo(out)
-		s.sendControl(out, peer)
+		s.reply(ack.AppendTo(s.ctl), peer)
 
 	case wire.TypeSetup:
 		var setup wire.Setup
 		if setup.Decode(pkt) == nil {
-			out = s.handleSetup(&setup, peer, out)
+			s.handleSetup(now, at, &setup, peer)
 		}
 
 	case wire.TypeDataOpen:
 		var do wire.DataOpen
 		if do.Decode(pkt) != nil {
-			return out
+			return
 		}
-		sess := s.lookup(do.SessionID)
+		sess := s.byID[do.SessionID]
 		if sess == nil {
-			return out // no such session; the client's setup never landed
+			return // no such session; the client's setup never landed
 		}
 		// Re-binds are idempotent (DataOpen retransmits) and also cover a
 		// client whose NAT rebound the data socket mid-handshake.
-		sess.peer.Store(cloneUDPAddr(peer))
-		sess.lastSeen.Store(time.Now().UnixNano())
+		sess.peer = cloneUDPAddr(peer)
+		sess.lastSeen = now
 		ack := wire.DataOpenAck{SessionID: do.SessionID}
-		out = ack.AppendTo(out)
-		s.sendControl(out, peer)
+		s.reply(ack.AppendTo(s.ctl), peer)
 
 	case wire.TypeRate2:
 		var r wire.Rate2
 		if r.Decode(pkt) != nil {
-			return out
+			return
 		}
-		if sess := s.lookup(r.SessionID); sess != nil {
-			s.applyRate(sess, r.RateKbps, r.Seq)
+		if sess := s.byID[r.SessionID]; sess != nil {
+			s.applyRate(now, sess, r.RateKbps, r.Seq)
 		}
 
 	case wire.TypeBye:
 		var bye wire.Bye
 		if bye.Decode(pkt) != nil {
-			return out
+			return
 		}
 		s.handleBye(&bye, peer)
 		// Always ack, even for an unknown or already-retired session — the
 		// client may be retransmitting a Bye whose first ack was lost.
 		ack := wire.ByeAck{SessionID: bye.SessionID}
-		out = ack.AppendTo(out)
-		s.sendControl(out, peer)
-	}
-	return out
-}
-
-// lookup resolves a session ID; nil when no such session is live.
-func (s *Server) lookup(id uint64) *session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byID[id]
-}
-
-// sendControl routes one control datagram through the batch sender, the
-// single code path for every server wire send: a failed write increments
-// send-errors instead of vanishing. Control messages are shorter than the
-// offload segment size, so an offload-enabled socket sends them unchanged.
-// Read-loop goroutine only (it reuses the ctl scratch).
-func (s *Server) sendControl(out []byte, peer *net.UDPAddr) {
-	s.ctl[0] = batchio.Message{Buf: out, Addr: peer}
-	if _, err := s.bio.SendBatch(s.ctl[:]); err != nil && !s.closed.Load() {
-		s.metrics.sendErrors.Inc()
+		s.reply(ack.AppendTo(s.ctl), peer)
 	}
 }
 
-// sendPong writes a pong, applying any active pong-delay / pong-dup fault.
-// The fast path (no fault plan) is one nil check and a direct batched write.
-func (s *Server) sendPong(out []byte, peer *net.UDPAddr) {
-	act := s.cfg.Faults.Pong(s.elapsed())
+// sendPong queues a pong, applying any active pong-delay / pong-dup fault.
+// The fast path (no fault plan) is one nil check and one queued frame.
+func (s *Server) sendPong(now time.Time, at time.Duration, pong *wire.Pong, peer *net.UDPAddr) {
+	act := s.cfg.Faults.Pong(at)
 	if act.Drop {
 		s.metrics.faultsInjected.Inc()
 		return
 	}
 	if act.Delay <= 0 && act.Copies <= 1 {
-		s.sendControl(out, peer)
+		s.reply(pong.AppendTo(s.ctl), peer)
 		return
 	}
 	s.metrics.faultsInjected.Inc()
-	// out and peer are reused by the read loop; the delayed send needs
-	// copies of both.
-	msg := []batchio.Message{{Buf: append([]byte(nil), out...), Addr: cloneUDPAddr(peer)}}
-	send := func() {
-		for i := 0; i < act.Copies; i++ {
-			if _, err := s.bio.SendBatch(msg); err != nil && !s.closed.Load() {
-				s.metrics.sendErrors.Inc()
-			}
-		}
-	}
-	if act.Delay > 0 {
-		time.AfterFunc(act.Delay, send)
-		return
-	}
-	send()
+	s.pongs = append(s.pongs, delayedPong{
+		due:    now.Add(act.Delay),
+		frame:  pong.AppendTo(nil),
+		peer:   cloneUDPAddr(peer),
+		copies: act.Copies,
+	})
 }
 
 // dropHandshake consults the fault plan for one Setup datagram, numbering
 // retransmissions per session ID so probabilistic drops re-draw per attempt.
-func (s *Server) dropHandshake(sessionID uint64) bool {
+func (s *Server) dropHandshake(at time.Duration, sessionID uint64) bool {
 	if s.cfg.Faults == nil {
 		return false
 	}
-	s.mu.Lock()
 	attempt := s.hsAttempts[sessionID]
 	s.hsAttempts[sessionID] = attempt + 1
-	s.mu.Unlock()
-	return s.cfg.Faults.DropHandshake(s.elapsed(), attempt)
+	return s.cfg.Faults.DropHandshake(at, attempt)
 }
 
 // handleSetup runs session admission — the only way server state for a peer
 // comes to exist — and answers with a SetupAck or a SetupReject.
-func (s *Server) handleSetup(setup *wire.Setup, peer *net.UDPAddr, out []byte) []byte {
-	if s.dropHandshake(setup.SessionID) {
+func (s *Server) handleSetup(now time.Time, at time.Duration, setup *wire.Setup, peer *net.UDPAddr) {
+	if s.dropHandshake(at, setup.SessionID) {
 		s.metrics.faultsInjected.Inc()
-		return out
+		return
 	}
-	reject := func(code uint8) []byte {
-		rej := wire.SetupReject{SessionID: setup.SessionID, Code: code}
-		out = rej.AppendTo(out)
-		s.sendControl(out, peer)
-		return out
-	}
+	rej := wire.SetupReject{SessionID: setup.SessionID}
 	if s.cfg.AuthKey != 0 {
 		// Forged and stale tokens share the RejectAuth path: the MAC
 		// covers the expiry deadline, so a client cannot stretch a lease
 		// by rewriting it.
-		expired := setup.Token.ExpiredAt(uint64(time.Now().UnixMilli()))
+		expired := setup.Token.ExpiredAt(uint64(now.UnixMilli()))
 		if !setup.Token.Verify(s.cfg.AuthKey) || expired {
 			s.metrics.authRejects.Inc()
 			s.logf("session auth rejected", "peer", peer.String(),
 				"session_id", setup.SessionID, "expired", expired)
-			return reject(wire.RejectAuth)
+			rej.Code = wire.RejectAuth
+			s.reply(rej.AppendTo(s.ctl), peer)
+			return
 		}
 	}
-	sess := s.admit(setup, peer)
+	sess := s.admit(now, setup, peer)
 	if sess == nil {
-		return reject(wire.RejectBusy)
+		rej.Code = wire.RejectBusy
+		s.reply(rej.AppendTo(s.ctl), peer)
+		return
 	}
 	ack := wire.SetupAck{
 		SessionID:        sess.id,
 		Caps:             sess.caps,
 		ReportIntervalMS: uint32(reportInterval.Milliseconds()),
 	}
-	out = ack.AppendTo(out)
-	s.sendControl(out, peer)
-	return out
+	s.reply(ack.AppendTo(s.ctl), peer)
 }
 
 // admit registers a session and returns it; a duplicate Setup (client
 // retransmit) returns the session already running. Nil means the session ID
 // belongs to another client.
-func (s *Server) admit(setup *wire.Setup, peer *net.UDPAddr) *session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Server) admit(now time.Time, setup *wire.Setup, peer *net.UDPAddr) *session {
 	if existing := s.byID[setup.SessionID]; existing != nil {
 		if sameUDPAddr(existing.ctrlPeer, peer) {
 			return existing
@@ -512,34 +507,33 @@ func (s *Server) admit(setup *wire.Setup, peer *net.UDPAddr) *session {
 		id:       setup.SessionID,
 		caps:     setup.Caps & wire.ServerCaps,
 		ctrlPeer: cloneUDPAddr(peer),
+		rateKbps: s.clampRate(setup.RateKbps, nil),
+		lastSeen: now,
 	}
-	granted := s.clampRateLocked(setup.RateKbps, nil)
-	if granted < setup.RateKbps {
+	if sess.rateKbps < setup.RateKbps {
 		s.metrics.rateClamped.Inc()
 	}
-	sess.rateKbps.Store(granted)
-	sess.lastSeen.Store(time.Now().UnixNano())
 	s.byID[sess.id] = sess
 	s.order = append(s.order, sess)
+	s.live.Add(1)
 	s.metrics.sessionsStarted.Inc()
 	s.metrics.sessionsActive.Inc()
-	s.updatePacedGaugeLocked()
+	s.updatePacedGauge()
 	s.logf("test started", "peer", peer.String(), "session_id", sess.id,
 		"rate_mbps", wire.MbpsFromKbps(setup.RateKbps))
 	return sess
 }
 
-// clampRateLocked limits a session's rate so that the aggregate across all
+// clampRate limits a session's rate so that the aggregate across all
 // sessions stays within the server uplink. except, when non-nil, is the
 // session whose rate is being replaced and is left out of the in-use sum.
-// Callers hold s.mu.
-func (s *Server) clampRateLocked(kbps uint32, except *session) uint32 {
+func (s *Server) clampRate(kbps uint32, except *session) uint32 {
 	var inUse float64
 	for _, sess := range s.order {
 		if sess == except {
 			continue
 		}
-		inUse += wire.MbpsFromKbps(sess.rateKbps.Load())
+		inUse += wire.MbpsFromKbps(sess.rateKbps)
 	}
 	free := s.cfg.UplinkMbps - inUse
 	if free <= 0 {
@@ -553,37 +547,28 @@ func (s *Server) clampRateLocked(kbps uint32, except *session) uint32 {
 
 // applyRate applies one rate update to a session: stale (reordered) updates
 // lose, and the rate is clamped to what the uplink has left.
-func (s *Server) applyRate(sess *session, kbps, seq uint32) {
-	s.mu.Lock()
-	clamped := s.clampRateLocked(kbps, sess)
-	s.mu.Unlock()
-	for {
-		cur := sess.rateSeq.Load()
-		if seq <= cur && cur != 0 {
-			return
-		}
-		if sess.rateSeq.CompareAndSwap(cur, seq) {
-			break
-		}
+func (s *Server) applyRate(now time.Time, sess *session, kbps, seq uint32) {
+	if seq <= sess.rateSeq && sess.rateSeq != 0 {
+		return
 	}
-	if clamped < kbps {
+	sess.rateSeq = seq
+	sess.rateKbps = s.clampRate(kbps, sess)
+	if sess.rateKbps < kbps {
 		s.metrics.rateClamped.Inc()
 	}
-	sess.rateKbps.Store(clamped)
-	sess.lastSeen.Store(time.Now().UnixNano())
-	s.mu.Lock()
-	s.updatePacedGaugeLocked()
-	s.mu.Unlock()
+	sess.lastSeen = now
+	s.updatePacedGauge()
 }
 
 // handleBye retires the session the Bye names and accounts for the client's
 // result; an unknown or already-retired session is a no-op (the caller acks
 // regardless).
 func (s *Server) handleBye(bye *wire.Bye, peer *net.UDPAddr) {
-	sess := s.lookup(bye.SessionID)
-	if sess == nil || !s.retire(sess) {
+	sess := s.byID[bye.SessionID]
+	if sess == nil {
 		return
 	}
+	s.retire(sess)
 	s.metrics.sessionsFinished.Inc()
 	s.metrics.resultMbps.Observe(wire.MbpsFromKbps(bye.ResultKbps))
 	if s.cfg.OnResult != nil {

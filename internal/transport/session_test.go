@@ -214,24 +214,18 @@ func TestRetiredFramesAreInert(t *testing.T) {
 		{"keyed", ServerConfig{UplinkMbps: 100, AuthKey: 0xabc}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := startServer(t, tc.cfg)
-			conn, err := net.DialUDP("udp", nil, s.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
+			s, sink := stepServer(t, tc.cfg)
+			peer := testPeer(0)
+			now := identityBase
 			for name, h := range frames {
 				pkt, err := hex.DecodeString(h)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := conn.Write(pkt); err != nil {
-					t.Fatal(err)
-				}
-				buf := make([]byte, 2048)
-				_ = conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
-				if n, err := conn.Read(buf); err == nil {
-					t.Errorf("%s elicited a %d-byte reply: %x", name, n, buf[:min(n, 32)])
+				s.step(now, from(peer, pkt))
+				now = stepUntil(s, now, now.Add(300*time.Millisecond))
+				if out := sink.take(); len(out) > 0 {
+					t.Errorf("%s elicited a %d-byte reply: %x", name, len(out[0].pkt), out[0].pkt[:min(len(out[0].pkt), 32)])
 				}
 			}
 			if n := s.ActiveSessions(); n != 0 {
@@ -241,8 +235,10 @@ func TestRetiredFramesAreInert(t *testing.T) {
 				t.Errorf("server paced %d bytes at a peer that opened no session", n)
 			}
 			// Still a live server: the selection probe is answered.
-			if _, err := PingServerContext(context.Background(), s.Addr().String(), 1, time.Second); err != nil {
-				t.Errorf("ping after retired frames: %v", err)
+			ping := wire.Ping{Seq: 1}
+			s.step(now, from(peer, ping.AppendTo(nil)))
+			if n := count(sink.take(), peer, wire.TypePong); n != 1 {
+				t.Errorf("ping after retired frames: %d pongs, want 1", n)
 			}
 		})
 	}
@@ -253,7 +249,8 @@ func TestRetiredFramesAreInert(t *testing.T) {
 // from the Hello. A Setup offering no capabilities gets a paced stream and no
 // Reports; one offering CapReports gets both.
 func TestCapsRideSetup(t *testing.T) {
-	s := startServer(t, ServerConfig{UplinkMbps: 100})
+	s, sink := stepServer(t, ServerConfig{UplinkMbps: 100})
+	now := identityBase
 	for i, tc := range []struct {
 		name        string
 		caps        uint32
@@ -263,35 +260,18 @@ func TestCapsRideSetup(t *testing.T) {
 		{"reports", wire.CapReports | 1<<31, true}, // the unknown bit is masked off, not echoed
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			conn, err := net.DialUDP("udp", nil, s.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			id := uint64(50 + i)
-			handshake(t, conn, id, wire.KbpsFromMbps(5), tc.caps)
-			if got := s.lookup(id).caps; got != tc.caps&wire.ServerCaps {
+			id, peer := uint64(50+i), testPeer(i)
+			stepOpen(t, s, now, id, peer, wire.KbpsFromMbps(5), tc.caps)
+			if got := s.byID[id].caps; got != tc.caps&wire.ServerCaps {
 				t.Errorf("session caps = %#x, want %#x", got, tc.caps&wire.ServerCaps)
 			}
 
 			// 350 ms spans three 100 ms report intervals.
-			var data, reports int
-			buf := make([]byte, 2048)
-			_ = conn.SetReadDeadline(time.Now().Add(350 * time.Millisecond))
-			for {
-				n, err := conn.Read(buf)
-				if err != nil {
-					break
-				}
-				switch _, typ, _ := wire.PeekVersion(buf[:n]); typ {
-				case wire.TypeData2:
-					data++
-				case wire.TypeReport:
-					reports++
-				}
-			}
+			now = stepUntil(s, now, now.Add(350*time.Millisecond))
+			out := sink.take()
+			data, reports := count(out, peer, wire.TypeData2), count(out, peer, wire.TypeReport)
 			bye := wire.Bye{SessionID: id}
-			conn.Write(bye.AppendTo(nil))
+			s.step(now, from(peer, bye.AppendTo(nil)))
 			if data == 0 {
 				t.Error("no paced datagrams arrived")
 			}
@@ -341,32 +321,30 @@ func TestSilentServerTimesOut(t *testing.T) {
 
 // TestHandshakeStateDiesWithSession: the per-session handshake counter a
 // fault plan keeps is dropped when the session retires, so a long-running
-// fault-injecting server does not accumulate one entry per test.
+// fault-injecting server does not accumulate one entry per test. The Setups
+// land inside the drop window, so some are retransmits of dropped ones.
 func TestHandshakeStateDiesWithSession(t *testing.T) {
 	plan := &faults.Plan{Faults: []faults.Fault{
 		{Kind: faults.HandshakeDrop, Server: 0, AtMS: 0, DurationMS: 1, Prob: 0.5},
 	}}
-	s := startServer(t, ServerConfig{Faults: &faults.Binding{Inj: plan.Injector(), Server: 0}})
-	conn, err := net.DialUDP("udp", nil, s.Addr())
-	if err != nil {
-		t.Fatal(err)
+	s, sink := stepServer(t, ServerConfig{Faults: &faults.Binding{Inj: plan.Injector(), Server: 0}})
+	peer := testPeer(0)
+	setup := wire.Setup{SessionID: 77}
+	for attempt := 0; count(sink.take(), peer, wire.TypeSetupAck) == 0; attempt++ {
+		if attempt == 10 {
+			t.Fatal("no SetupAck in 10 attempts")
+		}
+		s.step(identityBase, from(peer, setup.AppendTo(nil)))
 	}
-	defer conn.Close()
-	handshake(t, conn, 77, 0, 0)
-	held := func() int {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.hsAttempts)
-	}
-	if n := held(); n != 1 {
+	if n := len(s.hsAttempts); n != 1 {
 		t.Fatalf("handshake counters held = %d, want 1", n)
 	}
 	bye := wire.Bye{SessionID: 77}
-	var ack wire.ByeAck
-	rawExchange(t, conn, bye.AppendTo(nil), func(pkt []byte) bool {
-		return ack.Decode(pkt) == nil && ack.SessionID == 77
-	})
-	if n := held(); n != 0 {
+	s.step(identityBase, from(peer, bye.AppendTo(nil)))
+	if n := count(sink.take(), peer, wire.TypeByeAck); n != 1 {
+		t.Errorf("ByeAcks = %d, want 1", n)
+	}
+	if n := len(s.hsAttempts); n != 0 {
 		t.Errorf("handshake counters held after Bye = %d, want 0", n)
 	}
 }

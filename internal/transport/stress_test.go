@@ -14,8 +14,8 @@ import (
 // situation where sessions from many users multiplex one uplink. The test
 // asserts functional outcomes (every test accepted, every Bye observed, the
 // server drains to zero sessions) and doubles as the concurrency gate: under
-// `go test -race` it drives the readLoop/pacer/handler interleavings that
-// shared-counter races hide in.
+// `go test -race` it drives the run loop against the pollers that
+// read its counters from outside.
 func TestServerParallelClients(t *testing.T) {
 	var results atomic.Int64
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{
@@ -107,7 +107,7 @@ func TestServerParallelClients(t *testing.T) {
 }
 
 // TestServerCloseDuringLoad closes the server while clients are mid-test:
-// no goroutine may leak or panic, and Close must wait for the pacers.
+// no goroutine may leak or panic, and Close must wait for the run loop.
 func TestServerCloseDuringLoad(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{UplinkMbps: 1000})
 	if err != nil {
