@@ -34,6 +34,11 @@ type Message struct {
 	Addr *net.UDPAddr
 	// N is the number of bytes received into Buf. Send paths leave it 0.
 	N int
+	// Seg is, on receive from a socket with UDP GRO (SetGRO), the size of
+	// the datagrams the kernel coalesced into Buf[:N]: each Seg bytes are
+	// one datagram, the last possibly shorter. Zero means Buf[:N] is one
+	// datagram. The fallback path never sets it; sends ignore it.
+	Seg int
 }
 
 // Conn is batched datagram I/O bound to one socket.

@@ -1,6 +1,7 @@
 package batchio
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -10,7 +11,7 @@ import (
 
 // pair builds an unconnected listener and a connected sender socket aimed at
 // it, both on loopback.
-func pair(t *testing.T) (recv *net.UDPConn, send *net.UDPConn) {
+func pair(t testing.TB) (recv *net.UDPConn, send *net.UDPConn) {
 	t.Helper()
 	r, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -274,5 +275,188 @@ func TestEmptyBatches(t *testing.T) {
 	}
 	if n, err := c.RecvBatch(nil); n != 0 || err != nil {
 		t.Errorf("RecvBatch(nil) = %d, %v", n, err)
+	}
+}
+
+// gsoSender is a loopback socket whose sends larger than seg the kernel
+// splits into seg-byte datagrams; the test skips where it cannot.
+func gsoSender(t testing.TB, seg int) *net.UDPConn {
+	t.Helper()
+	u, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { u.Close() })
+	if err := SetSegmentSize(u, seg); err != nil {
+		t.Skipf("no UDP segmentation offload: %v", err)
+	}
+	return u
+}
+
+// groReceiver is a loopback socket with UDP GRO on, read through the
+// batched Conn; the test skips where the kernel or platform has neither.
+func groReceiver(t testing.TB) (*net.UDPConn, Conn) {
+	t.Helper()
+	r, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	conn := New(r, ModeAuto)
+	if !Batched(conn) {
+		t.Skip("no batched receive path on this platform")
+	}
+	if err := SetGRO(r); err != nil {
+		t.Skipf("no UDP generic receive offload: %v", err)
+	}
+	return r, conn
+}
+
+// segments splits a received message into its datagrams by Seg.
+func segments(m Message) [][]byte {
+	b := m.Buf[:m.N]
+	seg := m.Seg
+	if seg == 0 {
+		seg = len(b)
+	}
+	var out [][]byte
+	for len(b) > 0 {
+		n := min(seg, len(b))
+		out = append(out, append([]byte(nil), b[:n]...))
+		b = b[n:]
+	}
+	return out
+}
+
+// datagrams counts the datagrams in a received message without copying them.
+func datagrams(m Message) int {
+	if m.Seg == 0 {
+		return 1
+	}
+	return (m.N + m.Seg - 1) / m.Seg
+}
+
+// gsoBursts sends, from a segment-offload socket, bursts of k×seg bytes plus
+// a short tail to every dst, the same bytes to each; every datagram carries
+// its burst and index.
+func gsoBursts(t *testing.T, u *net.UDPConn, seg int, ks []int, dsts ...*net.UDPAddr) (datagrams int) {
+	t.Helper()
+	sender := New(u, ModeAuto)
+	for b, k := range ks {
+		buf := make([]byte, k*seg+seg/3)
+		for i := range buf {
+			buf[i] = byte(b*61 + i/seg*7 + i%5)
+		}
+		var msgs []Message
+		for _, dst := range dsts {
+			msgs = append(msgs, Message{Buf: buf, Addr: dst})
+		}
+		if sent, err := sender.SendBatch(msgs); err != nil || sent != len(msgs) {
+			t.Fatalf("SendBatch = %d, %v", sent, err)
+		}
+		datagrams += k + 1
+	}
+	return datagrams
+}
+
+// drainSegments reads want datagrams from conn into bufSize-byte buffers,
+// splitting each message by Seg, and counts the messages that reported Seg.
+func drainSegments(t *testing.T, conn Conn, raw *net.UDPConn, want, bufSize int) (got [][]byte, withSeg int) {
+	t.Helper()
+	msgs := make([]Message, 4)
+	for i := range msgs {
+		msgs[i].Buf = make([]byte, bufSize)
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for len(got) < want {
+		n, err := conn.RecvBatch(msgs)
+		if err != nil {
+			t.Fatalf("after %d/%d datagrams: %v", len(got), want, err)
+		}
+		for i := 0; i < n; i++ {
+			if msgs[i].Seg != 0 {
+				withSeg++
+			}
+			got = append(got, segments(msgs[i])...)
+		}
+	}
+	return got, withSeg
+}
+
+// TestGROMatchesPlainReceive: a GSO sender's bursts, read by a GRO socket
+// and split by Seg, are the datagrams a plain socket reads from the same
+// sends, in the same order — and the GRO socket did get them coalesced.
+func TestGROMatchesPlainReceive(t *testing.T) {
+	const seg = 1200
+	u := gsoSender(t, seg)
+	gro, groConn := groReceiver(t)
+	plain, _ := pair(t)
+	want := gsoBursts(t, u, seg, []int{1, 7, 50, 3, 20},
+		gro.LocalAddr().(*net.UDPAddr), plain.LocalAddr().(*net.UDPAddr))
+
+	got, coalesced := drainSegments(t, groConn, gro, want, 64<<10)
+	ref, _ := drainSegments(t, New(plain, ModeAuto), plain, want, 2048)
+	if len(got) != len(ref) {
+		t.Fatalf("GRO read %d datagrams, plain %d", len(got), len(ref))
+	}
+	for i := range ref {
+		if !bytes.Equal(got[i], ref[i]) {
+			t.Fatalf("datagram %d: GRO read %d bytes %x…, plain %d bytes %x…",
+				i, len(got[i]), got[i][:4], len(ref[i]), ref[i][:4])
+		}
+	}
+	if coalesced == 0 {
+		t.Error("no GRO receive reported a segment size")
+	}
+}
+
+// TestSegOnlyWithGRO: without UDP GRO on the socket, neither path reports
+// Seg, even for a GSO sender's bursts.
+func TestSegOnlyWithGRO(t *testing.T) {
+	const seg = 1200
+	for name, mode := range modes(t) {
+		t.Run(name, func(t *testing.T) {
+			u := gsoSender(t, seg)
+			r, _ := pair(t)
+			want := gsoBursts(t, u, seg, []int{5, 9}, r.LocalAddr().(*net.UDPAddr))
+			if _, withSeg := drainSegments(t, New(r, mode), r, want, 2048); withSeg != 0 {
+				t.Errorf("%d messages reported Seg without GRO", withSeg)
+			}
+		})
+	}
+}
+
+// TestRecvBatchGROZeroAllocs: a batched receive with control buffers — GSO
+// bursts coalesced on a GRO socket — allocates nothing in the steady state.
+func TestRecvBatchGROZeroAllocs(t *testing.T) {
+	const seg = 1200
+	u := gsoSender(t, seg)
+	r, conn := groReceiver(t)
+	sender := New(u, ModeAuto)
+	out := []Message{{Buf: make([]byte, 20*seg), Addr: r.LocalAddr().(*net.UDPAddr)}}
+	in := []Message{{Buf: make([]byte, 64<<10)}, {Buf: make([]byte, 64<<10)}}
+	_ = r.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var fail error
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := sender.SendBatch(out); err != nil {
+			fail = err
+			return
+		}
+		for got := 0; got < len(out[0].Buf); {
+			n, err := conn.RecvBatch(in)
+			if err != nil {
+				fail = err
+				return
+			}
+			for i := 0; i < n; i++ {
+				got += in[i].N
+			}
+		}
+	})
+	if fail != nil {
+		t.Fatal(fail)
+	}
+	if allocs != 0 {
+		t.Errorf("send + GRO receive of one burst: %.1f allocs, want 0", allocs)
 	}
 }

@@ -3,6 +3,7 @@ package batchio
 import (
 	"net"
 	"testing"
+	"time"
 )
 
 // benchSender builds an unconnected socket sending 1200-byte datagrams at a
@@ -59,6 +60,60 @@ func BenchmarkWireSend(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkRecvCoalesced measures what a GSO sender's datagram costs the
+// receiving side: each iteration is one send of 50 × 1200 bytes, read back
+// either by recvmmsg into 16 × 2 KiB buffers (plain: the kernel splits the
+// burst on delivery) or, with UDP GRO, into 2 × 64 KiB buffers split by Seg
+// (gro). The ns/datagram metric covers the send and the receive.
+func BenchmarkRecvCoalesced(b *testing.B) {
+	const seg, segs = 1200, 50
+	for _, bc := range []struct {
+		name      string
+		gro       bool
+		batch, sz int
+	}{
+		{"plain", false, 16, 2048},
+		{"gro", true, 2, 64 << 10},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			u := gsoSender(b, seg)
+			var r *net.UDPConn
+			var conn Conn
+			if bc.gro {
+				r, conn = groReceiver(b)
+			} else {
+				r, _ = pair(b)
+				conn = New(r, ModeAuto)
+			}
+			_ = r.SetReadBuffer(4 << 20)
+			sender := New(u, ModeAuto)
+			out := []Message{{Buf: make([]byte, segs*seg), Addr: r.LocalAddr().(*net.UDPAddr)}}
+			in := make([]Message, bc.batch)
+			for i := range in {
+				in[i].Buf = make([]byte, bc.sz)
+			}
+			_ = r.SetReadDeadline(time.Now().Add(time.Minute))
+			b.SetBytes(segs * seg)
+			b.ResetTimer()
+			for range b.N {
+				if _, err := sender.SendBatch(out); err != nil {
+					b.Fatal(err)
+				}
+				for got := 0; got < segs; {
+					n, err := conn.RecvBatch(in)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for i := range in[:n] {
+						got += datagrams(in[i])
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*segs), "ns/datagram")
 		})
 	}
 }

@@ -8,9 +8,14 @@ import (
 	"syscall"
 )
 
-// udpSegment is the UDP_SEGMENT socket option (linux/udp.h); it postdates
-// the stdlib syscall table freeze.
-const udpSegment = 103
+// udpSegment and udpGRO are the UDP_SEGMENT and UDP_GRO socket options
+// (linux/udp.h); they postdate the stdlib syscall table freeze. UDP_GRO is
+// also the type of the control message carrying a coalesced receive's
+// segment size.
+const (
+	udpSegment = 103
+	udpGRO     = 104
+)
 
 // SetSegmentSize enables kernel UDP segmentation offload on c: every send
 // larger than size is split by the kernel into size-byte wire datagrams
@@ -21,19 +26,37 @@ const udpSegment = 103
 // Callers must treat an error as "no offload" and fall back to one datagram
 // per message; pre-4.18 kernels reject the option.
 func SetSegmentSize(c *net.UDPConn, size int) error {
+	return setUDPOption(c, udpSegment, size, "setsockopt(UDP_SEGMENT)")
+}
+
+// SetGRO enables UDP generic receive offload on c: datagrams of one flow
+// that arrive together — a GSO sender's burst, or packets a NIC coalesced —
+// are handed up as one message, and the batched Conn's RecvBatch reports
+// their size in Message.Seg. Only a batched Conn reads that size, so a
+// socket read through the fallback must not take GRO: it would see each
+// burst as one datagram.
+//
+// Callers must treat an error as "no offload" and keep one datagram per
+// message; pre-5.0 kernels reject the option.
+func SetGRO(c *net.UDPConn) error {
+	return setUDPOption(c, udpGRO, 1, "setsockopt(UDP_GRO)")
+}
+
+// setUDPOption sets the IPPROTO_UDP-level integer option opt on c.
+func setUDPOption(c *net.UDPConn, opt, value int, op string) error {
 	rc, err := c.SyscallConn()
 	if err != nil {
 		return err
 	}
 	var serr error
 	cerr := rc.Control(func(fd uintptr) {
-		serr = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpSegment, size)
+		serr = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, opt, value)
 	})
 	if cerr != nil {
 		return cerr
 	}
 	if serr != nil {
-		return os.NewSyscallError("setsockopt(UDP_SEGMENT)", serr)
+		return os.NewSyscallError(op, serr)
 	}
 	return nil
 }

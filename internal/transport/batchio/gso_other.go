@@ -8,6 +8,9 @@ import "net"
 // per message.
 func SetSegmentSize(*net.UDPConn, int) error { return ErrNoSegmentOffload }
 
+// SetGRO is unavailable off Linux; receivers take one datagram per message.
+func SetGRO(*net.UDPConn) error { return ErrNoSegmentOffload }
+
 // MaxSegments mirrors the Linux helper; without offload a message always
 // carries exactly one segment.
 func MaxSegments(int) int { return 1 }

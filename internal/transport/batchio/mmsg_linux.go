@@ -23,6 +23,25 @@ type mmsghdr struct {
 	Len uint32
 }
 
+// groCtl is one receive's control buffer, 8-byte aligned as cmsghdr wants:
+// room for one UDP_GRO message, CMSG_SPACE(sizeof(int)) = 24 bytes on
+// 64-bit Linux. It is the only control message a socket here asks for.
+type groCtl [3]uint64
+
+// segment reports the segment size of the UDP_GRO message among the first n
+// control bytes the kernel wrote, or 0 if there is none (no GRO on the
+// socket, or a datagram the kernel did not coalesce).
+func (c *groCtl) segment(n uint64) int {
+	if n < syscall.SizeofCmsghdr+4 {
+		return 0
+	}
+	h := (*syscall.Cmsghdr)(unsafe.Pointer(c))
+	if h.Level != syscall.IPPROTO_UDP || h.Type != udpGRO {
+		return 0
+	}
+	return int(*(*int32)(unsafe.Pointer(&c[2])))
+}
+
 // mmsgConn is the Linux vectored path: one syscall moves up to BatchSize
 // datagrams. All per-call kernel structures are preallocated at construction
 // so the steady state performs zero heap allocations.
@@ -43,6 +62,7 @@ type mmsgConn struct {
 	rhdrs       [BatchSize]mmsghdr
 	riov        [BatchSize]syscall.Iovec
 	rname       [BatchSize]syscall.RawSockaddrInet6
+	rctl        [BatchSize]groCtl
 	recvReadyFn func(fd uintptr) bool
 	recvNowFn   func(fd uintptr) // recvReady for a passed deadline
 	recvCount   int
@@ -128,8 +148,11 @@ func (m *mmsgConn) sendReady(fd uintptr) bool {
 }
 
 // RecvBatch implements Conn: one recvmmsg drains up to min(len(msgs),
-// BatchSize) queued datagrams; it blocks (via the poller, honouring the read
-// deadline) only when the queue is empty.
+// BatchSize) queued messages; it blocks (via the poller, honouring the read
+// deadline) only when the queue is empty. On a socket with UDP GRO a message
+// may be a coalesced burst, its segment size in Seg; a burst larger than its
+// buffer (MSG_TRUNC) is cut to the whole segments that fit, so no caller
+// decodes a datagram's head as the datagram.
 func (m *mmsgConn) RecvBatch(msgs []Message) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
@@ -150,7 +173,9 @@ func (m *mmsgConn) RecvBatch(msgs []Message) (int, error) {
 			Namelen: syscall.SizeofSockaddrInet6,
 			Iov:     iov,
 			Iovlen:  1,
+			Control: (*byte)(unsafe.Pointer(&m.rctl[i])),
 		}
+		hdr.SetControllen(int(unsafe.Sizeof(m.rctl[i])))
 		m.rhdrs[i].Len = 0
 	}
 	m.recvCount = n
@@ -169,7 +194,12 @@ func (m *mmsgConn) RecvBatch(msgs []Message) (int, error) {
 		return 0, err
 	}
 	for i := 0; i < m.recvGot; i++ {
+		hdr := &m.rhdrs[i].Hdr
 		msgs[i].N = int(m.rhdrs[i].Len)
+		msgs[i].Seg = m.rctl[i].segment(hdr.Controllen)
+		if seg := msgs[i].Seg; seg > 0 && hdr.Flags&syscall.MSG_TRUNC != 0 {
+			msgs[i].N -= msgs[i].N % seg
+		}
 		if msgs[i].Addr != nil {
 			decodeSockaddr(msgs[i].Addr, &m.rname[i])
 		}

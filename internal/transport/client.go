@@ -179,7 +179,7 @@ type UDPProbe struct {
 	sampleInterval time.Duration
 	closed         atomic.Bool
 
-	recvBuf *bufPool // pooled receive buffers, shared across sessions
+	recvBuf *bufPool // pooled clientGROBufSize receive buffers, shared across sessions
 
 	// finalEst/finalRegime ride the Bye when set; guarded by mu.
 	finalEst    estimate.Estimates
@@ -306,7 +306,7 @@ func NewUDPProbeContext(ctx context.Context, pool *ServerPool, rng *rand.Rand, c
 		sampleInterval: SampleInterval,
 		ctx:            ctx,
 		sessions:       make([]*clientSession, len(pool.Servers)),
-		recvBuf:        newBufPool(clientRecvBufSize, clientRecvBatch),
+		recvBuf:        newBufPool(clientGROBufSize, clientGROBatch),
 		lostCounter: c.Metrics.Counter("swiftest_client_sessions_lost_total",
 			"Server sessions declared dead mid-test and failed over."),
 		retryCounter: c.Metrics.Counter("swiftest_client_handshake_retries_total",
@@ -510,25 +510,47 @@ func (p *UDPProbe) exchange(conn *net.UDPConn, server PoolServer, awaited string
 	return fmt.Errorf("no %s after %d attempts: %w", awaited, core.HandshakeAttempts, errdefs.ErrProbeTimeout)
 }
 
-// clientRecvBatch is how many datagrams a session's receive loop accepts
-// per syscall on the batched path.
-const clientRecvBatch = 16
+// clientRecvBatch buffers of clientRecvBufSize bytes, cut from one pooled
+// buffer, serve a session whose socket reads one datagram per message: up
+// to clientRecvBatch datagrams per syscall where recvmmsg exists, one
+// otherwise.
+const (
+	clientRecvBatch   = 16
+	clientRecvBufSize = 2048 // holds any probe datagram with headroom
+)
 
-// clientRecvBufSize holds any probe datagram with headroom.
-const clientRecvBufSize = 2048
+// clientGROBatch pooled buffers of clientGROBufSize bytes serve a session
+// whose socket takes UDP GRO, one message each: a buffer holds any UDP
+// payload, so a coalesced burst — a whole GSO super-buffer from the server
+// — is never truncated.
+const (
+	clientGROBatch   = 2
+	clientGROBufSize = 64 << 10
+)
 
-// receiveLoop drains the session socket in batches: up to clientRecvBatch
-// datagrams per syscall where recvmmsg exists, one otherwise. Receive
-// buffers come from the probe's shared pool and are held for the loop's
+// receiveLoop drains the session socket in batches. Where the Conn is
+// batched and the kernel takes UDP GRO, one message carries a coalesced
+// burst and the loop walks it in Seg-sized datagrams; otherwise each
+// message is one datagram. Both decode and count every datagram alike.
+// Receive buffers come from the probe's pool and are held for the loop's
 // lifetime, so the steady state reads at 0 allocs/packet.
 func (cs *clientSession) receiveLoop() {
 	defer close(cs.done)
 	bio := batchio.New(cs.conn, batchio.ModeAuto)
-	msgs := make([]batchio.Message, clientRecvBatch)
-	bufs := make([]*pktBuf, clientRecvBatch)
+	batch, size := clientRecvBatch, clientRecvBufSize
+	if batchio.Batched(bio) && batchio.SetGRO(cs.conn) == nil {
+		batch, size = clientGROBatch, clientGROBufSize
+	}
+	// Messages are cut from pooled buffers in turn: one GRO message fills a
+	// buffer, the plain ones share one.
+	msgs := make([]batchio.Message, batch)
+	var bufs []*pktBuf
 	for i := range msgs {
-		bufs[i] = cs.probe.recvBuf.get()
-		msgs[i].Buf = bufs[i].b
+		off := i * size % clientGROBufSize
+		if off == 0 {
+			bufs = append(bufs, cs.probe.recvBuf.get())
+		}
+		msgs[i].Buf = bufs[len(bufs)-1].b[off : off+size]
 	}
 	defer func() {
 		for _, b := range bufs {
@@ -552,14 +574,21 @@ func (cs *clientSession) receiveLoop() {
 		// jitter estimator alike.
 		now := time.Now()
 		arrivedNS, bytes := now.UnixNano(), 0
-		for i := 0; i < n; i++ {
-			pkt := msgs[i].Buf[:msgs[i].N]
-			var d wire.Data2
-			if d.Decode(pkt) != nil {
-				continue
+		for _, m := range msgs[:n] {
+			rest, seg := m.Buf[:m.N], m.Seg
+			if seg == 0 {
+				seg = m.N
 			}
-			bytes += len(pkt)
-			cs.probe.observeJitter(arrivedNS, d.SentNS)
+			for len(rest) > 0 {
+				pkt := rest[:min(seg, len(rest))]
+				rest = rest[len(pkt):]
+				var d wire.Data2
+				if d.Decode(pkt) != nil {
+					continue
+				}
+				bytes += len(pkt)
+				cs.probe.observeJitter(arrivedNS, d.SentNS)
+			}
 		}
 		if bytes == 0 {
 			continue

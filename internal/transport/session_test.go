@@ -348,3 +348,62 @@ func TestHandshakeStateDiesWithSession(t *testing.T) {
 		t.Errorf("handshake counters held after Bye = %d, want 0", n)
 	}
 }
+
+// TestHandshakeStateBounded: with a fault plan bound, session IDs that are
+// never admitted leave no lasting handshake state. 10 000 distinct IDs send
+// one Setup each, 1 ms apart. Dropped ones age out, so the table never holds
+// more than the live session and the Setups of the last 2·handshakeForget
+// (2 001 IDs); refused ones go at their SetupReject, so it holds none.
+func TestHandshakeStateBounded(t *testing.T) {
+	const ids, gap = 10000, time.Millisecond
+	// Setups from 1 ms on are dropped; the session opened at 0 is admitted.
+	dropAfterOpen := &faults.Plan{Faults: []faults.Fault{{Kind: faults.HandshakeDrop, Server: 0, AtMS: 1}}}
+	dropNever := &faults.Plan{Faults: []faults.Fault{{Kind: faults.HandshakeDrop, Server: 0, AtMS: 1e9}}}
+	for _, tc := range []struct {
+		name  string
+		cfg   ServerConfig
+		reply wire.Type // what every Setup is answered with; 0 for nothing
+		bound int
+	}{
+		{"dropped", ServerConfig{IdleTimeout: time.Minute, Faults: &faults.Binding{Inj: dropAfterOpen.Injector(), Server: 0}},
+			0, 1 + int(2*handshakeForget/gap) + 1},
+		{"rejected", ServerConfig{AuthKey: 0xfeed, Faults: &faults.Binding{Inj: dropNever.Injector(), Server: 0}},
+			wire.TypeSetupReject, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, sink := stepServer(t, tc.cfg)
+			peer := testPeer(0)
+			live := 0
+			if tc.cfg.AuthKey == 0 {
+				stepOpen(t, s, identityBase, 1, peer, 1000, 0)
+				live = 1
+			}
+			sink.take()
+			now, most := identityBase, 0
+			for i := range ids {
+				now = now.Add(gap)
+				setup := wire.Setup{SessionID: 1000 + uint64(i)}
+				s.step(now, from(peer, setup.AppendTo(nil)))
+				most = max(most, len(s.hsAttempts))
+				if tc.reply != 0 && count(sink.take(), peer, tc.reply) != 1 {
+					t.Fatalf("Setup %d was not answered with a %v", i, tc.reply)
+				}
+			}
+			sink.take()
+			if most > tc.bound {
+				t.Errorf("handshake table peaked at %d entries for %d never-admitted IDs, want ≤ %d", most, ids, tc.bound)
+			}
+			// Long after the last of them, a retransmitted Setup of the
+			// live session finds only that session's entry, still counting.
+			now = now.Add(2 * handshakeForget)
+			setup := wire.Setup{SessionID: 1}
+			s.step(now, from(peer, setup.AppendTo(nil)))
+			if n := len(s.hsAttempts); n != live {
+				t.Errorf("handshake entries after the IDs went quiet = %d, want %d (the live session's)", n, live)
+			}
+			if got := s.hsAttempts[1].attempts; live == 1 && got != 2 {
+				t.Errorf("live session's Setups counted = %d, want 2", got)
+			}
+		})
+	}
+}

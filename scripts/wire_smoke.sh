@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Wire hot-path smoke: through the full pacing wheel the batched syscall path
 # must beat the portable fallback by the refactor's ≥3× per-datagram target
-# (zero allocations per tick is tier-1: TestWheelAdvanceZeroAllocs), and a
-# server forced onto either path must still complete a real loopback test.
+# (zero allocations per tick is tier-1: TestWheelAdvanceZeroAllocs), a GRO
+# receive of a GSO sender's bursts must cost at most half what recvmmsg of
+# the split datagrams does, and a server forced onto either path must still
+# complete a real loopback test.
 set -euo pipefail
 
 WORK="$(mktemp -d)"
@@ -41,7 +43,33 @@ else
   echo "wire bench gate: no segmentation offload on this kernel, speedup target skipped (${speedup}x)"
 fi
 
-# --- Leg 2: both paths serve a real client ----------------------------------
+# --- Leg 2: receive gate ----------------------------------------------------
+# BenchmarkRecvCoalesced sends 50 × 1200-byte GSO bursts and reads them back
+# by recvmmsg into 16 × 2 KiB buffers (plain) or with UDP GRO into
+# 2 × 64 KiB buffers (gro); the gate is the ratio of their ns/datagram.
+go test -run='^$' -bench='BenchmarkRecvCoalesced' -benchtime=2000x \
+  ./internal/transport/batchio | tee "$WORK/recv.out"
+
+# recv_metric <leg>: the ns/datagram go test printed on <leg>'s line.
+recv_metric() {
+  awk -v leg="BenchmarkRecvCoalesced/$1" \
+    'index($1, leg) == 1 { for (i = 2; i < NF; i++) if ($(i + 1) == "ns/datagram") print $i }' "$WORK/recv.out"
+}
+
+plain="$(recv_metric plain)"
+gro="$(recv_metric gro)"
+if [ -n "$plain" ] && [ -n "$gro" ]; then
+  ratio="$(awk -v p="$plain" -v g="$gro" 'BEGIN { printf "%.2f", p / g }')"
+  awk -v r="$ratio" 'BEGIN { exit (r >= 2.0) ? 0 : 1 }' || {
+    echo "plain/gro receive ratio = ${ratio}x ($plain vs $gro ns/datagram), want >= 2x" >&2
+    exit 1
+  }
+  echo "receive gate passed: GRO ${ratio}x cheaper ($gro vs $plain ns/datagram)"
+else
+  echo "receive gate: no segmentation or receive offload on this kernel, GRO target skipped"
+fi
+
+# --- Leg 3: both paths serve a real client ----------------------------------
 # A forced-fallback server and an auto (batched) server must each carry a
 # complete loopback bandwidth test — the syscall path is invisible above the
 # socket.
@@ -73,4 +101,4 @@ for mode in fallback auto; do
   port=$((port + 1))
 done
 
-echo "wire smoke passed: bench gate met, both syscall paths served complete tests"
+echo "wire smoke passed: bench and receive gates met, both syscall paths served complete tests"
