@@ -143,6 +143,46 @@ func TestStepWakeUp(t *testing.T) {
 	}
 }
 
+// TestLateStepBoundsSendPool pins that a step owing two ticks of traffic at
+// a high rate — 134 super-buffers per session — sends it all, in sequence
+// order, while the send pool never holds more than stepBufs buffers (plus
+// one partly filled per session): how late the server once ran does not
+// decide how much memory it keeps.
+func TestLateStepBoundsSendPool(t *testing.T) {
+	const sessions, rateKbps = 2, 6_400_000
+	s, sink := stepServer(t, ServerConfig{UplinkMbps: 100_000})
+	peer := testPeer(0)
+	now := identityBase
+	for i := range sessions {
+		stepOpen(t, s, now, uint64(i+1), peer, rateKbps, 0)
+	}
+	now = now.Add(paceInterval)
+	s.step(now, nil) // the first tick starts each session's budget clock
+	sink.take()
+	s.step(now.Add(10*paceInterval), nil)
+
+	want := int(2 * paceInterval.Seconds() * rateKbps * 1e3 / 8 / DatagramSize)
+	next := map[uint64]uint32{}
+	for _, m := range sink.take() {
+		var d wire.Data2
+		if d.Decode(m.pkt) != nil {
+			continue
+		}
+		if d.Seq != next[d.SessionID]+1 {
+			t.Fatalf("session %d: datagram %d after %d", d.SessionID, d.Seq, next[d.SessionID])
+		}
+		next[d.SessionID] = d.Seq
+	}
+	for id := uint64(1); id <= sessions; id++ {
+		if got := int(next[id]); got != want {
+			t.Errorf("session %d: the late step sent %d datagrams, want two ticks' %d", id, got, want)
+		}
+	}
+	if grown := s.pool.grown.Load(); grown > stepBufs+sessions {
+		t.Errorf("send pool grew by %d buffers, want at most %d", grown, stepBufs+sessions)
+	}
+}
+
 // fuzzPlan acts out every fault kind the server knows within the first
 // 1.2 s of a fuzzed schedule.
 func fuzzPlan() *faults.Plan {

@@ -11,8 +11,8 @@ import (
 // The pacing wheel is the server's single pacing clock: one tick advances
 // every active session. Each tick computes every session's byte budget from
 // the step's one clock reading, assembles the due datagrams into pooled
-// super-buffers, and leaves them in the step's outbox for its one batched
-// flush — so the syscall count per tick is O(batches), not
+// super-buffers, and leaves them in the step's outbox for its batched flush
+// — so the syscall count per tick is O(batches), not
 // O(sessions × datagrams).
 
 // segsPerBuf is the number of DatagramSize segments a pooled super-buffer
@@ -22,6 +22,14 @@ import (
 // the two paths differ only in how many kernel crossings the same bytes
 // cost.
 const segsPerBuf = 50
+
+// stepBufs bounds the super-buffers a step holds before it sends them: a
+// step that owes more (a late wake-up at a high rate owes two ticks of
+// traffic) flushes each full set as it is assembled, so the pool holds at
+// most stepBufs buffers however late a step runs. Under segmentation
+// offload stepBufs messages are one sendmmsg; on the fallback path the
+// flush costs the same ⌈n/BatchSize⌉ crossings either way.
+const stepBufs = batchio.BatchSize
 
 // advance runs one wheel tick at the given instant: reap idle sessions,
 // then budget every other one and assemble its due datagrams and Reports
@@ -146,6 +154,9 @@ func (s *Server) assemble(sess *session, at time.Duration, sentNS uint64) {
 				s.appendMsg(buf, buf.b[msgLow*DatagramSize:used*DatagramSize], peer)
 			}
 			buf = nil
+			if len(s.bufs) >= stepBufs {
+				s.flush()
+			}
 		}
 	}
 	if buf != nil && s.gso && used > msgLow {
@@ -166,8 +177,8 @@ func (s *Server) appendMsg(buf *pktBuf, chunk []byte, addr *net.UDPAddr) {
 // flush hands the step's outbox to the batched sender and settles the
 // books: sent probe datagrams feed the byte/datagram counters, unsent
 // messages (a partially failed batch) feed send-errors — nothing is dropped
-// silently. All buffer references taken during the step are released here;
-// buffers return to the pool once their last message is accounted.
+// silently. All buffer references taken since the last flush are released
+// here; buffers return to the pool once their last message is accounted.
 //
 // swiftvet:hotpath
 func (s *Server) flush() {
